@@ -41,14 +41,17 @@ def _mean_integral(field: SpectralField) -> float:
     return float(field.coeffs[0].real) * SQRT_2PI
 
 
-def _cubic_integral(*factors: SpectralField) -> float:
-    """int f1*f2*f3 dx on a 2x-oversampled grid (exact for 2/3-band data)."""
-    vals, dxf = sg.oversampled_values(factors[0], 2)
-    prod = vals
-    for f in factors[1:]:
-        v, _ = sg.oversampled_values(f, 2)
-        prod = prod * v
-    return float(np.sum(prod) * dxf)
+def _oversampled(state: State) -> tuple[np.ndarray, np.ndarray, float]:
+    """u and v on a 2x-oversampled grid, where cubic integrands are exact
+    for 2/3-band data, and the fine spacing."""
+    u, dxf = sg.oversampled_values(state.u, 2)
+    v, _ = sg.oversampled_values(state.v, 2)
+    return u, v, dxf
+
+
+def _cubic_integral(f: np.ndarray, g: np.ndarray, h: np.ndarray, dx: float) -> float:
+    """int f*g*h dx by the rectangle rule on oversampled values."""
+    return float(np.sum(f * g * h) * dx)
 
 
 def hs_invariants(state: State, a: float, b: float) -> tuple[float, float]:
@@ -60,11 +63,12 @@ def hs_invariants(state: State, a: float, b: float) -> tuple[float, float]:
     u, v = state.u, state.v
     ux = sg.spectral_derivative(u, 1)
     vx = sg.spectral_derivative(v, 1)
+    uf, vf, dxf = _oversampled(state)
     V = (
         0.5 * (1.0 + a) * _l2_inner(ux, ux)
         + b * _l2_inner(vx, vx)
-        - (1.0 + a) * _cubic_integral(u, u, u)
-        - b * _cubic_integral(u, v, v)
+        - (1.0 + a) * _cubic_integral(uf, uf, uf, dxf)
+        - b * _cubic_integral(uf, vf, vf, dxf)
     )
     F = _l2_inner(u, u) + (2.0 / 3.0) * b * _l2_inner(v, v)
     return V, F
@@ -84,14 +88,15 @@ def gg_invariants(state: State, params: GearGrimshaw) -> tuple[float, float, flo
     phi3 = b2 * _l2_inner(u, u) + b1 * _l2_inner(v, v)
     ux = sg.spectral_derivative(u, 1)
     vx = sg.spectral_derivative(v, 1)
+    uf, vf, dxf = _oversampled(state)
     phi4 = (
         b2 * _l2_inner(ux, ux)
         + _l2_inner(vx, vx)
         + 2.0 * b2 * params.a3 * _l2_inner(ux, vx)
-        - (b2 / 3.0) * _cubic_integral(u, u, u)
-        - b2 * params.a2 * _cubic_integral(u, u, v)
-        - b2 * params.a1 * _cubic_integral(u, v, v)
-        - _cubic_integral(v, v, v) / 3.0
+        - (b2 / 3.0) * _cubic_integral(uf, uf, uf, dxf)
+        - b2 * params.a2 * _cubic_integral(uf, uf, vf, dxf)
+        - b2 * params.a1 * _cubic_integral(uf, vf, vf, dxf)
+        - _cubic_integral(vf, vf, vf, dxf) / 3.0
         - params.r * _l2_inner(v, v)
     )
     return phi1, phi2, phi3, phi4

@@ -102,6 +102,23 @@ def inverse(field: SpectralField) -> np.ndarray:
     return np.fft.ifft(field.coeffs * grid._sign).real * (SQRT_2PI / grid.dx)
 
 
+def to_half(coeffs: np.ndarray) -> np.ndarray:
+    """The non-negative modes k = 0..n/2 of full-layout coefficients (a view).
+
+    A real field's coefficients are conjugate symmetric, so these n/2+1
+    modes determine all n.
+    """
+    return coeffs[..., : coeffs.shape[-1] // 2 + 1]
+
+
+def to_full(half: np.ndarray) -> np.ndarray:
+    """Full FFT layout from a half spectrum, filling k < 0 by conjugate symmetry.
+
+    The zero and Nyquist slots are copied as they are.
+    """
+    return np.concatenate([half, np.conj(half[..., -2:0:-1])], axis=-1)
+
+
 def field_from_callable(fn, grid: Grid) -> SpectralField:
     return forward(np.asarray(fn(grid.x), dtype=np.float64), grid)
 

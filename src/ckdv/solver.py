@@ -8,6 +8,10 @@ a second, independent way: successive substitution into the integral
 equation u(t) = U(t)u0 + int_0^t U(t - t') G(t') dt', with the time
 integral done by cumulative Simpson quadrature on a stored time grid.
 Agreement between the two routes is a correctness check for both.
+
+Internally both routes hold the stacked half spectrum (modes k = 0..n/2
+of u and v) and share one `systems.SpectralRhs` kernel; full-layout
+States are made only when a result is stored, observed or returned.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from scipy.integrate import cumulative_simpson
 from . import bump
 from . import grid as sg
 from . import systems
-from .diagnostics import sobolev_norm
 from .grid import Grid, SpectralField
 from .systems import NOT_DIAGONAL, BlowupDetected, State, SystemSpec
 
@@ -80,68 +83,79 @@ def _diag_coeffs(spec: SystemSpec) -> tuple[float, float]:
     return coeffs
 
 
-def _phases(grid: Grid, c: float, dt: float) -> np.ndarray:
-    return np.exp((-1j * c * dt) * grid.xi**3)
+def _phases(xi: np.ndarray, c: float, dt: float) -> np.ndarray:
+    return np.exp((-1j * c * dt) * xi**3)
+
+
+def _half_phases(grid: Grid, c: tuple[float, float], dt) -> np.ndarray:
+    """exp(-i*c_j*xi^3*dt) for both components on the half spectrum: shape
+    (2, n/2+1), or (2, nt, n/2+1) for a column dt of nt times."""
+    xi = grid.xi[: grid.n // 2 + 1]
+    return np.stack([_phases(xi, cj, dt) for cj in c])
 
 
 def linear_propagate(state: State, spec: SystemSpec, dt: float) -> State:
     """Advance the linear flow exactly: each mode gains exp(-i*c*xi^3*dt)."""
     c_u, c_v = _diag_coeffs(spec)
     g = state.grid
-    u = SpectralField(state.u.coeffs * _phases(g, c_u, dt), g)
-    v = SpectralField(state.v.coeffs * _phases(g, c_v, dt), g)
+    u = SpectralField(state.u.coeffs * _phases(g.xi, c_u, dt), g)
+    v = SpectralField(state.v.coeffs * _phases(g.xi, c_v, dt), g)
     return State(u, v, state.t + dt)
 
 
-def _rhs_coeffs(spec: SystemSpec, uc: np.ndarray, vc: np.ndarray, g: Grid, t: float):
-    st = State(SpectralField(uc, g), SpectralField(vc, g), t)
-    du, dv = systems.nonlinear_rhs(spec, st)
-    return du.coeffs, dv.coeffs
+def _to_half(state: State) -> np.ndarray:
+    return np.stack([sg.to_half(state.u.coeffs), sg.to_half(state.v.coeffs)])
 
 
-def _ifrk4_step(
-    spec: SystemSpec,
-    uc: np.ndarray,
-    vc: np.ndarray,
-    g: Grid,
-    t: float,
-    dt: float,
-    Eu: np.ndarray,
-    Ev: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One RK4 step in the integrating-factor variable; E = half-step phase."""
-    Eu2 = Eu * Eu
-    Ev2 = Ev * Ev
-    ku1, kv1 = _rhs_coeffs(spec, uc, vc, g, t)
-    au = Eu * (uc + 0.5 * dt * ku1)
-    av = Ev * (vc + 0.5 * dt * kv1)
-    ku2, kv2 = _rhs_coeffs(spec, au, av, g, t + 0.5 * dt)
-    bu = Eu * uc + 0.5 * dt * ku2
-    bv = Ev * vc + 0.5 * dt * kv2
-    ku3, kv3 = _rhs_coeffs(spec, bu, bv, g, t + 0.5 * dt)
-    cu = Eu2 * uc + dt * Eu * ku3
-    cv = Ev2 * vc + dt * Ev * kv3
-    ku4, kv4 = _rhs_coeffs(spec, cu, cv, g, t + dt)
-    un = Eu2 * uc + (dt / 6.0) * (Eu2 * ku1 + 2.0 * Eu * (ku2 + ku3) + ku4)
-    vn = Ev2 * vc + (dt / 6.0) * (Ev2 * kv1 + 2.0 * Ev * (kv2 + kv3) + kv4)
-    return un, vn
+def _to_state(w: np.ndarray, g: Grid, t: float) -> State:
+    u, v = sg.to_full(w)
+    return State(SpectralField(u, g), SpectralField(v, g), t)
+
+
+def _ifrk4_step(rhs, w, t, dt, E, E2):
+    """One RK4 step in the integrating-factor variable; E = half-step phase, E2 = E*E."""
+    k1 = rhs(w, t)
+    k2 = rhs(E * (w + 0.5 * dt * k1), t + 0.5 * dt)
+    k3 = rhs(E * w + 0.5 * dt * k2, t + 0.5 * dt)
+    k4 = rhs(E2 * w + dt * E * k3, t + dt)
+    return E2 * w + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
+
+
+def _guarded_step(rhs, w, t, dt, E, E2, index: int, cfl_guard: float, m0: float | None = None):
+    """_ifrk4_step, then the growth guards on max |coefficient|.
+
+    The step fails when it grows the maximum by more than cfl_guard and,
+    given the initial maximum m0, when the maximum passes 1e8*m0.
+    BlowupDetected names the guard, the growth ratio and the step index,
+    with .time the time the step started from.
+    """
+    before = np.abs(w).max()
+    w = _ifrk4_step(rhs, w, t, dt, E, E2)
+    after = np.abs(w).max()
+    if m0 is not None and after > 1e8 * m0:
+        raise BlowupDetected(
+            f"growth cap tripped at step {index}: max |coefficient| is {after / m0:.2e} "
+            "times its initial value, past 1e8",
+            time=t,
+        )
+    if before > 0.0 and after > cfl_guard * before:
+        raise BlowupDetected(
+            f"cfl_guard tripped at step {index}: per-step growth {after / before:.2e} "
+            f"exceeds {cfl_guard:g}",
+            time=t,
+        )
+    return w
 
 
 def step(state: State, spec: SystemSpec, config: StepperConfig) -> State:
-    """One IF-RK4 step of size config.dt."""
-    c_u, c_v = _diag_coeffs(spec)
+    """One IF-RK4 step of size config.dt, guarded by config.cfl_guard."""
+    c = _diag_coeffs(spec)
     g = state.grid
     dt = config.dt
-    Eu = _phases(g, c_u, 0.5 * dt)
-    Ev = _phases(g, c_v, 0.5 * dt)
-    before = max(np.abs(state.u.coeffs).max(), np.abs(state.v.coeffs).max())
-    un, vn = _ifrk4_step(spec, state.u.coeffs, state.v.coeffs, g, state.t, dt, Eu, Ev)
-    after = max(np.abs(un).max(), np.abs(vn).max())
-    if before > 0.0 and after > config.cfl_guard * before:
-        raise BlowupDetected(
-            f"per-step growth {after / before:.2e} exceeds cfl_guard", time=state.t
-        )
-    return State(SpectralField(un, g), SpectralField(vn, g), state.t + dt)
+    E = _half_phases(g, c, 0.5 * dt)
+    rhs = systems.SpectralRhs(spec, g)
+    w = _guarded_step(rhs, _to_half(state), state.t, dt, E, E * E, 1, config.cfl_guard)
+    return _to_state(w, g, state.t + dt)
 
 
 def simulate(
@@ -156,19 +170,26 @@ def simulate(
 
     The final time is hit exactly (a short last step if T is not a
     multiple of dt).  Observers are called on each stored snapshot.
-    A mode exceeding 1e8 times the initial coefficient maximum aborts
-    with BlowupDetected carrying the last completed time.
+    Every step is guarded by config.cfl_guard, and a mode exceeding 1e8
+    times the initial coefficient maximum aborts; BlowupDetected carries
+    the last completed time.
     """
     if T < 0.0:
         raise ValueError("T must be nonnegative")
-    c_u, c_v = _diag_coeffs(spec)
+    c = _diag_coeffs(spec)
     g = initial.grid
     observers = tuple(observers)
+    stored: list[State] = []
 
-    state0 = State(sg.dealias(initial.u), sg.dealias(initial.v), initial.t)
-    stored = [state0.copy()]
-    for obs in observers:
-        obs(stored[-1])
+    def record(w, t):
+        st = _to_state(w, g, t)
+        stored.append(st)
+        for obs in observers:
+            obs(st)
+
+    w = np.where(g.keep[: g.n // 2 + 1], _to_half(initial), 0.0)
+    t0 = initial.t
+    record(w, t0)
     if T == 0.0:
         return Trajectory(stored, spec)
 
@@ -179,35 +200,20 @@ def simulate(
         remainder = 0.0
     stride = max(1, int(round(sample_dt / dt)))
 
-    Eu = _phases(g, c_u, 0.5 * dt)
-    Ev = _phases(g, c_v, 0.5 * dt)
-    m0 = max(np.abs(state0.u.coeffs).max(), np.abs(state0.v.coeffs).max(), 1e-300)
+    rhs = systems.SpectralRhs(spec, g)
+    E = _half_phases(g, c, 0.5 * dt)
+    E2 = E * E
+    m0 = max(np.abs(w).max(), 1e-300)
     guard = config.cfl_guard
 
-    uc, vc = state0.u.coeffs.copy(), state0.v.coeffs.copy()
-    t0 = state0.t
-
-    def record(uc, vc, t):
-        st = State(SpectralField(uc.copy(), g), SpectralField(vc.copy(), g), t)
-        stored.append(st)
-        for obs in observers:
-            obs(st)
-
     for k in range(1, n_full + 1):
-        t_prev = t0 + (k - 1) * dt
-        before = max(np.abs(uc).max(), np.abs(vc).max())
-        uc, vc = _ifrk4_step(spec, uc, vc, g, t_prev, dt, Eu, Ev)
-        after = max(np.abs(uc).max(), np.abs(vc).max())
-        if after > 1e8 * m0 or (before > 0.0 and after > guard * before):
-            raise BlowupDetected("coefficient growth guard tripped", time=t_prev)
+        w = _guarded_step(rhs, w, t0 + (k - 1) * dt, dt, E, E2, k, guard, m0)
         if k % stride == 0 and not (k == n_full and remainder == 0.0):
-            record(uc, vc, t0 + k * dt)
-    t_last = t0 + n_full * dt
+            record(w, t0 + k * dt)
     if remainder > 0.0:
-        Eu_r = _phases(g, c_u, 0.5 * remainder)
-        Ev_r = _phases(g, c_v, 0.5 * remainder)
-        uc, vc = _ifrk4_step(spec, uc, vc, g, t_last, remainder, Eu_r, Ev_r)
-    record(uc, vc, t0 + T)
+        E_r = _half_phases(g, c, 0.5 * remainder)
+        w = _guarded_step(rhs, w, t0 + n_full * dt, remainder, E_r, E_r * E_r, n_full + 1, guard, m0)
+    record(w, t0 + T)
     return Trajectory(stored, spec)
 
 
@@ -215,11 +221,12 @@ def simulate(
 # Successive substitution into the integral equation.
 
 
-def _cumulative_simpson_c(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # scipy's cumulative_simpson drops the imaginary part of complex input
-    re = cumulative_simpson(y.real, x=x, axis=0, initial=0.0)
-    im = cumulative_simpson(y.imag, x=x, axis=0, initial=0.0)
-    return re + 1j * im
+def _cumulative_simpson_c(y: np.ndarray, dx: float, axis: int) -> np.ndarray:
+    # scipy's cumulative_simpson drops the imaginary part of complex input,
+    # so integrate the interleaved real and imaginary parts as real columns
+    re_im = np.ascontiguousarray(y).view(np.float64)
+    out = cumulative_simpson(re_im, dx=dx, axis=axis, initial=0.0)
+    return np.ascontiguousarray(out).view(np.complex128)
 
 
 @dataclass
@@ -266,16 +273,15 @@ def picard_iterate(
         raise ValueError("time_resolution must be odd and at least 9")
     if n_iters < 1:
         raise ValueError("n_iters must be at least 1")
-    c_u, c_v = _diag_coeffs(spec)
+    c = _diag_coeffs(spec)
     g = initial.grid
+    m = g.n // 2 + 1
     nt = time_resolution
     times = np.linspace(0.0, T, nt)
 
-    u0 = sg.dealias(initial.u).coeffs
-    v0 = sg.dealias(initial.v).coeffs
-    # rows: time samples; columns: modes
-    phase_u = np.exp((-1j * c_u) * np.outer(times, g.xi**3))
-    phase_v = np.exp((-1j * c_v) * np.outer(times, g.xi**3))
+    w0 = np.where(g.keep[:m], _to_half(initial), 0.0)
+    # axes: component, time sample, mode (half spectrum)
+    phase = _half_phases(g, c, times[:, None])
     if apply_cutoffs:
         free_w = bump.psi(times)[:, None]
         duh_w = bump.psi_T(times, T)[:, None]
@@ -283,43 +289,36 @@ def picard_iterate(
         free_w = 1.0
         duh_w = 1.0
 
-    free_u = free_w * (phase_u * u0[None, :])
-    free_v = free_w * (phase_v * v0[None, :])
+    free = free_w * (phase * w0[:, None, :])
+    rhs = systems.SpectralRhs(spec, g)
+    # H^s weights of the half spectrum: modes 0 < k < n/2 stand for +-k
+    hs_weight = (1.0 + g.xi[:m] ** 2) ** s * g.dxi
+    hs_weight[1:-1] *= 2.0
 
-    def as_traj(uu: np.ndarray, vv: np.ndarray) -> Trajectory:
+    def as_traj(w: np.ndarray) -> Trajectory:
+        full = sg.to_full(w)
         sts = [
-            State(SpectralField(uu[i].copy(), g), SpectralField(vv[i].copy(), g), float(times[i]))
+            State(SpectralField(full[0, i], g), SpectralField(full[1, i], g), float(times[i]))
             for i in range(nt)
         ]
         return Trajectory(sts, spec)
 
-    def sup_hs_distance(au, av, bu, bv) -> float:
-        best = 0.0
-        for i in range(nt):
-            du = SpectralField(au[i] - bu[i], g)
-            dv = SpectralField(av[i] - bv[i], g)
-            best = max(best, sobolev_norm(du, s) + sobolev_norm(dv, s))
-        return best
+    def sup_hs_distance(a: np.ndarray, b: np.ndarray) -> float:
+        norms = np.sqrt(np.sum(hs_weight * np.abs(a - b) ** 2, axis=-1))
+        return float(np.max(norms[0] + norms[1]))
 
-    cur_u, cur_v = free_u.copy(), free_v.copy()
-    iterates = [as_traj(cur_u, cur_v)]
+    cur = free
+    iterates = [as_traj(cur)]
     diffs: list[float] = []
     diverged = False
     for _ in range(n_iters):
         # overflow of a diverging iterate is a result (reported), not an error
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                Gu = np.empty_like(cur_u)
-                Gv = np.empty_like(cur_v)
-                for i in range(nt):
-                    Gu[i], Gv[i] = _rhs_coeffs(spec, cur_u[i], cur_v[i], g, float(times[i]))
-                integrand_u = np.conj(phase_u) * Gu
-                integrand_v = np.conj(phase_v) * Gv
-                acc_u = _cumulative_simpson_c(integrand_u, times)
-                acc_v = _cumulative_simpson_c(integrand_v, times)
-                new_u = free_u + duh_w * (phase_u * acc_u)
-                new_v = free_v + duh_w * (phase_v * acc_v)
-                d = sup_hs_distance(new_u, new_v, cur_u, cur_v)
+                integrand = np.conj(phase) * rhs(cur, times)
+                acc = _cumulative_simpson_c(integrand, times[1] - times[0], axis=1)
+                new = free + duh_w * (phase * acc)
+                d = sup_hs_distance(new, cur)
         except systems.BlowupDetected:
             diverged = True
             break
@@ -327,8 +326,8 @@ def picard_iterate(
             diverged = True
             break
         diffs.append(d)
-        cur_u, cur_v = new_u, new_v
-        iterates.append(as_traj(cur_u, cur_v))
+        cur = new
+        iterates.append(as_traj(cur))
 
     ratios = [
         diffs[k + 1] / diffs[k] for k in range(len(diffs) - 1) if diffs[k] > 0.0

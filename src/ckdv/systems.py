@@ -4,9 +4,11 @@ Every system is written in evolution form u_t = (dispersion) + (rest).
 The dispersion part of each component, when the third-derivative
 coupling matrix is diagonal, is u_t = c * u_xxx for a real constant c;
 `dispersion_coeffs` reports the pair (c_u, c_v) or the NOT_DIAGONAL
-sentinel.  `nonlinear_rhs` evaluates everything except the
-third-derivative terms, pseudo-spectrally, with dealiasing applied to
-the products.
+sentinel.  `rhs_form` writes everything except the third-derivative
+terms as one table of quadratic and first-order coefficients;
+`SpectralRhs` evaluates it pseudo-spectrally on half spectra, with
+dealiasing applied to the products, and `nonlinear_rhs` is its
+full-layout form.
 
 Systems:
 
@@ -188,53 +190,98 @@ def dispersion_coeffs(spec: SystemSpec):
     raise TypeError(f"unknown system spec {type(spec)!r}")
 
 
-def _check_finite(arr: np.ndarray, t: float):
-    if not np.all(np.isfinite(arr)):
-        raise BlowupDetected("non-finite values in right-hand side", time=t)
+def rhs_form(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The nonlinearity of every system as one table (Q, R).
+
+    Component i of the right-hand side is
+
+        sum_jk Q[i, j, k] * w_j * d_x w_k + sum_k R[i, k] * d_x w_k
+
+    with (w_0, w_1) = (u, v): everything except the third-derivative terms.
+    """
+    Q = np.zeros((2, 2, 2))
+    R = np.zeros((2, 2))
+    if isinstance(spec, HirotaSatsuma):
+        Q[0] = [[6.0 * spec.a, 0.0], [0.0, 2.0 * spec.b]]
+        Q[1] = [[0.0, -3.0], [0.0, 0.0]]
+    elif isinstance(spec, Feng):
+        Q[0] = [[6.0 * spec.a, 0.0], [0.0, 2.0 * spec.b]]
+        Q[1] = [[0.0, -spec.c], [0.0, -spec.d]]
+    elif isinstance(spec, GearGrimshaw):
+        # (u*v)_x = u*v_x + v*u_x
+        Q[0] = [[-1.0, -spec.a2], [-spec.a2, -spec.a1]]
+        Q[1] = [[-spec.b2 * spec.a2, -spec.b2 * spec.a1], [-spec.b2 * spec.a1, -1.0]]
+        Q[1] /= spec.b1
+        R[1, 1] = -spec.r / spec.b1
+    elif isinstance(spec, GeneralCoupled):
+        Q[0] = [[-spec.b2, -spec.b1], [-spec.b1, -spec.b3]]
+        Q[1] = [[-spec.b5, -spec.b4], [-spec.b4, -spec.b6]]
+        R[1, 1] = -spec.r
+    elif isinstance(spec, Sakovich):
+        ainv = np.linalg.inv(spec.A2)
+        m0 = -ainv @ spec.A0  # columns: u*u_x, v*v_x
+        m1 = -ainv @ spec.A1  # columns: u*v_x, v*u_x
+        for i in range(2):
+            Q[i] = [[m0[i, 0], m1[i, 0]], [m1[i, 1], m0[i, 1]]]
+    else:
+        raise TypeError(f"unknown system spec {type(spec)!r}")
+    return Q, R
+
+
+class SpectralRhs:
+    """The nonlinear right-hand side on stacked half spectra, built once per run.
+
+    Called on w of shape (2, m) or (2, nt, m), m = n/2 + 1: the modes
+    k = 0..n/2 of (u, v), one row per time sample in the 3-D case.  One
+    irfft gives u, v, u_x, v_x on the grid; the products of `rhs_form`
+    are summed there and checked for finiteness once; one rfft brings
+    the result back, dealiased.  Input is expected dealiased.
+    """
+
+    def __init__(self, spec: SystemSpec, grid: Grid):
+        Q, R = rhs_form(spec)
+        m = grid.n // 2 + 1
+        sign = grid._sign[:m]
+        # rows [[u, v], [u_x, v_x]]: centring sign, i*xi and the inverse scale in one table
+        to_grid = np.stack([sign, 1j * grid.xi[:m] * sign]) * (sg.SQRT_2PI / grid.dx)
+        self._to_grid = to_grid[:, None, None, :]
+        self._to_spec = np.where(grid.keep[:m], sign * (grid.dx / sg.SQRT_2PI), 0.0)
+        self._quad = Q.reshape(2, 4)
+        self._drift = R if R.any() else None
+        self._n = grid.n
+
+    def __call__(self, w: np.ndarray, t) -> np.ndarray:
+        """d/dt of w from the nonlinearity; t is the time, or one per sample row.
+
+        Raises BlowupDetected, with the (first offending) time, when the
+        products are not finite.
+        """
+        shape = w.shape
+        n = self._n
+        val, der = np.fft.irfft(w.reshape(1, 2, -1, shape[-1]) * self._to_grid, n, axis=-1)
+        f = self._quad @ (val[:, None] * der[None]).reshape(4, -1)
+        if self._drift is not None:
+            f += self._drift @ der.reshape(2, -1)
+        f = f.reshape(2, -1, n)
+        finite = np.isfinite(f)
+        if not finite.all():
+            if np.ndim(t):
+                t = t[np.argmin(finite.all(axis=(0, 2)))]
+            raise BlowupDetected("non-finite values in right-hand side", time=float(t))
+        return (np.fft.rfft(f, axis=-1) * self._to_spec).reshape(shape)
 
 
 def nonlinear_rhs(spec: SystemSpec, state: State) -> tuple[SpectralField, SpectralField]:
     """Everything except the third-derivative terms, in d/dt form.
 
-    Products are formed on the grid and the combined result dealiased.
-    Input fields are expected dealiased; the output always is.
+    A full-layout adapter over `SpectralRhs`: products are formed on the
+    grid and the combined result dealiased.  Input fields are expected
+    dealiased; the output always is.
     """
     g = state.grid
-    u = sg.inverse(state.u)
-    v = sg.inverse(state.v)
-    ux = sg.inverse(sg.spectral_derivative(state.u, 1))
-    vx = sg.inverse(sg.spectral_derivative(state.v, 1))
-
-    if isinstance(spec, HirotaSatsuma):
-        du = 6.0 * spec.a * u * ux + 2.0 * spec.b * v * vx
-        dv = -3.0 * u * vx
-    elif isinstance(spec, Feng):
-        du = 6.0 * spec.a * u * ux + 2.0 * spec.b * v * vx
-        dv = -spec.c * u * vx - spec.d * v * vx
-    elif isinstance(spec, GearGrimshaw):
-        uv_x = u * vx + v * ux
-        du = -(u * ux + spec.a1 * v * vx + spec.a2 * uv_x)
-        dv = -(v * vx + spec.b2 * spec.a2 * u * ux + spec.b2 * spec.a1 * uv_x + spec.r * vx) / spec.b1
-    elif isinstance(spec, GeneralCoupled):
-        uv_x = u * vx + v * ux
-        du = -(spec.b1 * uv_x + spec.b2 * u * ux + spec.b3 * v * vx)
-        dv = -(spec.r * vx + spec.b4 * uv_x + spec.b5 * u * ux + spec.b6 * v * vx)
-    elif isinstance(spec, Sakovich):
-        ainv = np.linalg.inv(spec.A2)
-        m0 = -ainv @ spec.A0
-        m1 = -ainv @ spec.A1
-        q0u, q0v = u * ux, v * vx
-        q1u, q1v = u * vx, v * ux
-        du = m0[0, 0] * q0u + m0[0, 1] * q0v + m1[0, 0] * q1u + m1[0, 1] * q1v
-        dv = m0[1, 0] * q0u + m0[1, 1] * q0v + m1[1, 0] * q1u + m1[1, 1] * q1v
-    else:
-        raise TypeError(f"unknown system spec {type(spec)!r}")
-
-    _check_finite(du, state.t)
-    _check_finite(dv, state.t)
-    fu = sg.dealias(sg.forward(du, g))
-    fv = sg.dealias(sg.forward(dv, g))
-    return fu, fv
+    w = np.stack([sg.to_half(state.u.coeffs), sg.to_half(state.v.coeffs)])
+    du, dv = sg.to_full(SpectralRhs(spec, g)(w, state.t))
+    return SpectralField(du, g), SpectralField(dv, g)
 
 
 def hs_as_kdv(w0: SpectralField, a: float) -> State:

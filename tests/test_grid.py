@@ -15,7 +15,7 @@ from ckdv import (
     spectral_derivative,
     zero_field,
 )
-from ckdv.grid import hermitian_defect, make_grid, oversampled_values, reflect
+from ckdv.grid import hermitian_defect, make_grid, oversampled_values, reflect, to_full, to_half
 
 
 def test_grid_layout(grid64):
@@ -209,3 +209,13 @@ def test_make_grid_alias():
     g = make_grid(32, 1.0)
     assert isinstance(g, Grid)
     assert g.n == 32
+
+
+def test_half_spectrum_round_trip(grid64):
+    f = field_from_callable(lambda x: np.exp(np.sin(x)) + np.cos(3.0 * x), grid64)
+    half = to_half(f.coeffs)
+    assert half.shape == (grid64.n // 2 + 1,)
+    assert np.array_equal(half, f.coeffs[: grid64.n // 2 + 1])
+    assert np.max(np.abs(to_full(half) - f.coeffs)) <= 1e-15 * np.max(np.abs(f.coeffs))
+    stacked = np.stack([half, 2.0 * half])
+    assert np.array_equal(to_full(stacked)[1], to_full(2.0 * half))

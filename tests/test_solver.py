@@ -20,7 +20,9 @@ from ckdv import (
     step,
     zero_field,
 )
-from ckdv.grid import Grid, l2_norm
+from ckdv.diagnostics import sobolev_norm
+from ckdv.grid import Grid, SpectralField, dealias, hermitian_defect, l2_norm, to_half
+from ckdv.systems import SpectralRhs, dispersion_coeffs, nonlinear_rhs
 
 
 def soliton(c, x):
@@ -201,6 +203,23 @@ def test_picard_contracts_for_small_data():
     assert np.max(np.abs(iters[0].states[0].u.coeffs - (iters[-1].states[0].u.coeffs))) < 1e-12
 
 
+def test_picard_diffs_are_sup_hs_distances():
+    g = Grid(64, 8.0 * np.pi)
+    st = State(
+        field_from_callable(lambda x: 0.3 * np.exp(-((x / 1.5) ** 2)), g),
+        field_from_callable(lambda x: 0.2 * np.exp(-(((x - 1.0) / 2.0) ** 2)), g),
+    )
+    s = 1.0
+    iters, report = picard_iterate(st, HirotaSatsuma(-0.5, 1.0), 0.2, n_iters=2, time_resolution=21, s=s)
+    for k, d in enumerate(report.diffs):
+        want = max(
+            sobolev_norm(SpectralField(a.u.coeffs - b.u.coeffs, g), s)
+            + sobolev_norm(SpectralField(a.v.coeffs - b.v.coeffs, g), s)
+            for a, b in zip(iters[k + 1].states, iters[k].states)
+        )
+        assert d == pytest.approx(want, rel=1e-12)
+
+
 def test_picard_divergence_reported_not_raised():
     g = Grid(64, 8.0 * np.pi)
     u0 = field_from_callable(lambda x: 30.0 * np.exp(-(x**2)), g)
@@ -222,3 +241,121 @@ def test_picard_matches_stepper_on_small_data():
     pu = iters[-1].states[-1].u.coeffs
     su = traj.states[-1].u.coeffs
     assert np.max(np.abs(pu - su)) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# The half-spectrum kernel against a full-layout reference.
+
+def pair_state(g, t=0.0, nyquist=0.0):
+    # nyquist adds (-1)^j on the grid, the Nyquist mode alone
+    u = field_from_callable(
+        lambda x: 0.6 * np.exp(-((x / 1.5) ** 2)) + nyquist * np.cos(np.pi * (x - g.x[0]) / g.dx), g
+    )
+    v = field_from_callable(lambda x: 0.3 * np.exp(-(((x - 1.0) / 2.0) ** 2)), g)
+    return State(u, v, t)
+
+
+def full_layout_ifrk4(st, spec, dt, n_steps):
+    """IF-RK4 on full-layout coefficients, over the public nonlinear_rhs."""
+    g = st.grid
+    E = np.stack([np.exp((-1j * c * 0.5 * dt) * g.xi**3) for c in dispersion_coeffs(spec)])
+    E2 = E * E
+
+    def rhs(w, t):
+        du, dv = nonlinear_rhs(spec, State(SpectralField(w[0], g), SpectralField(w[1], g), t))
+        return np.stack([du.coeffs, dv.coeffs])
+
+    w = np.stack([dealias(st.u).coeffs, dealias(st.v).coeffs])
+    t = st.t
+    for _ in range(n_steps):
+        k1 = rhs(w, t)
+        k2 = rhs(E * (w + 0.5 * dt * k1), t + 0.5 * dt)
+        k3 = rhs(E * w + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = rhs(E2 * w + dt * E * k3, t + dt)
+        w = E2 * w + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
+        t += dt
+    return w
+
+
+@pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0])
+def test_simulate_matches_full_layout_ifrk4(fraction, five_systems):
+    g = Grid(64, 8.0 * np.pi, dealias_fraction=fraction)
+    st = pair_state(g, t=0.1, nyquist=0.05 if fraction == 1.0 else 0.0)
+    dt, n_steps = 2e-3, 20
+    for name, spec in five_systems.items():
+        final = simulate(st, spec, n_steps * dt, StepperConfig(dt), sample_dt=1.0).states[-1]
+        want = full_layout_ifrk4(st, spec, dt, n_steps)
+        got = np.stack([final.u.coeffs, final.v.coeffs])
+        assert final.t == pytest.approx(st.t + n_steps * dt)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+        if fraction == 1.0:
+            assert abs(want[0, g.n // 2]) > 1e-3  # the Nyquist mode was kept and evolved
+
+
+def test_snapshots_are_full_layout_and_hermitian(grid128):
+    spec = HirotaSatsuma(-0.5, 1.0)
+    seen = []
+    traj = simulate(pair_state(grid128), spec, 0.05, StepperConfig(5e-3), observers=[seen.append], sample_dt=0.01)
+    assert seen == traj.states
+    for st in traj.states:
+        for f in (st.u, st.v):
+            assert f.coeffs.shape == (grid128.n,)
+            assert hermitian_defect(f) <= 1e-14
+    out = step(traj.states[-1], spec, StepperConfig(5e-3))
+    assert out.u.coeffs.shape == (grid128.n,) and hermitian_defect(out.u) <= 1e-14
+
+
+def test_batched_rhs_matches_per_sample(five_systems):
+    g = Grid(64, 8.0 * np.pi)
+    times = np.linspace(0.0, 0.4, 7)
+    for name, spec in five_systems.items():
+        states = [
+            State(dealias(linear_propagate(pair_state(g), spec, t).u), dealias(pair_state(g).v), t)
+            for t in times
+        ]
+        w = np.stack([[to_half(s.u.coeffs) for s in states], [to_half(s.v.coeffs) for s in states]])
+        got = SpectralRhs(spec, g)(w, times)
+        assert got.shape == w.shape
+        for i, s in enumerate(states):
+            du, dv = nonlinear_rhs(spec, s)
+            want = np.stack([to_half(du.coeffs), to_half(dv.coeffs)])
+            assert np.max(np.abs(got[:, i] - want)) <= 1e-13 * np.max(np.abs(want)), name
+
+
+def test_batched_rhs_reports_first_nonfinite_time(grid64):
+    w = np.zeros((2, 5, grid64.n // 2 + 1), dtype=np.complex128)
+    w[1, 3, 2] = np.nan
+    with pytest.raises(BlowupDetected) as exc:
+        SpectralRhs(HirotaSatsuma(1.0, 1.0), grid64)(w, np.arange(5) * 0.5)
+    assert exc.value.time == 1.5
+
+
+def test_nonfinite_state_raises_with_time(grid64):
+    bad = zero_field(grid64)
+    bad.coeffs[3] = np.nan
+    st = State(bad, zero_field(grid64), 0.3)
+    spec = HirotaSatsuma(1.0, 1.0)
+    with pytest.raises(BlowupDetected) as exc:
+        step(st, spec, StepperConfig(1e-3))
+    assert exc.value.time == 0.3
+    with pytest.raises(BlowupDetected) as exc:
+        simulate(st, spec, 0.01, StepperConfig(1e-3))
+    assert exc.value.time == 0.3
+
+
+def test_guard_messages_name_guard_ratio_and_step():
+    g = Grid(128, 8.0 * np.pi)
+    big = field_from_callable(lambda x: 50.0 * np.cos(x), g)
+    st = State(big, zero_field(g), 0.2)
+    with pytest.raises(BlowupDetected) as exc:
+        step(st, HirotaSatsuma(-1.0, 1.0), StepperConfig(0.1, cfl_guard=1.5))
+    msg = str(exc.value)
+    assert "cfl_guard" in msg and "step 1" in msg and "growth" in msg
+    assert exc.value.time == 0.2
+    blow = State(field_from_callable(lambda x: 60.0 * np.exp(-(x**2)), g), zero_field(g))
+    with pytest.raises(BlowupDetected) as exc:
+        simulate(blow, HirotaSatsuma(-1.0, 1.0), 1.0, StepperConfig(5e-2))
+    msg = str(exc.value)
+    assert ("cfl_guard" in msg or "growth cap" in msg) and "at step " in msg
+    k = int(msg.split("at step ")[1].split(":")[0])
+    assert exc.value.time == pytest.approx((k - 1) * 5e-2)

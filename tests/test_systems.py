@@ -12,14 +12,19 @@ from ckdv import (
     HirotaSatsuma,
     Sakovich,
     State,
+    Grid,
+    dealias,
     dispersion_coeffs,
     field_from_callable,
+    forward,
     hs_as_kdv,
     inverse,
     nonlinear_rhs,
+    spectral_derivative,
     zero_field,
 )
 from ckdv.grid import SpectralField, reflect
+from ckdv.systems import rhs_form
 
 
 def make_state(grid, fu, fv, t=0.0):
@@ -164,6 +169,26 @@ def test_sakovich_nonlinear_rhs_closed_form(grid64):
     want_dv = m0[1, 0] * u * ux + m0[1, 1] * v * vx + m1[1, 0] * u * vx + m1[1, 1] * v * ux
     assert np.max(np.abs(inverse(du) - want_du)) < 1e-12
     assert np.max(np.abs(inverse(dv) - want_dv)) < 1e-12
+
+
+@pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0])
+def test_nonlinear_rhs_matches_grid_primitives(fraction, five_systems):
+    # products of grid.inverse samples, transformed back by grid.forward; with
+    # fraction 1.0 the kept Nyquist mode carries a complex coefficient
+    g = Grid(64, 8.0 * np.pi, dealias_fraction=fraction)
+    st = make_state(g, lambda x: np.exp(-(x / 1.5) ** 2) + 0.1 * np.cos(x), lambda x: 0.4 * np.sin(2.0 * x))
+    st.u.coeffs[g.n // 2] = 0.05 * np.exp(0.7j)
+    st = State(dealias(st.u), dealias(st.v), 0.0)
+    w = [inverse(st.u), inverse(st.v)]
+    dw = [inverse(spectral_derivative(st.u, 1)), inverse(spectral_derivative(st.v, 1))]
+    for name, spec in five_systems.items():
+        Q, R = rhs_form(spec)
+        got = nonlinear_rhs(spec, st)
+        for i in range(2):
+            phys = sum(Q[i, j, k] * w[j] * dw[k] for j in range(2) for k in range(2))
+            phys = phys + R[i, 0] * dw[0] + R[i, 1] * dw[1]
+            want = dealias(forward(phys, g)).coeffs
+            assert np.max(np.abs(got[i].coeffs - want)) <= 1e-13 * np.max(np.abs(want)), name
 
 
 def test_nonlinear_rhs_output_is_dealiased(grid64):
