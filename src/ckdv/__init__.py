@@ -17,36 +17,34 @@ from .grid import (
     zero_field,
 )
 from .systems import (
-    NOT_DIAGONAL,
     BlowupDetected,
     Feng,
     GearGrimshaw,
     GeneralCoupled,
     HirotaSatsuma,
+    NormalForm,
+    NotDiagonalError,
     Sakovich,
     State,
-    dispersion_coeffs,
+    gg_dispersion_matrix,
     hs_as_kdv,
+    lower,
     nonlinear_rhs,
 )
 from .transforms import (
     DecayViolationWarning,
     NotApplicable,
-    ReducedSystem,
     SingularTransform,
+    diagonal_form,
     diagonalize,
     gear_grimshaw_as_general,
     gg_change_of_variables,
     gg_change_of_variables_inverse,
-    gg_dispersion_matrix,
     gg_lambda_alpha,
     gg_offdiag_coeffs,
-    reduced_rhs,
-    sakovich_reduce,
     scaling_map,
 )
 from .solver import (
-    NotDiagonalError,
     PicardReport,
     StepperConfig,
     Trajectory,
@@ -66,7 +64,7 @@ from .diagnostics import (
     record_for,
     sobolev_norm,
 )
-from .bump import CutoffSpec, psi, psi_T
+from .bump import psi, psi_T
 from .io import read_snapshot, write_csv, write_snapshot
 from .harness import (
     ConfigError,
@@ -82,18 +80,18 @@ __all__ = [
     "__version__",
     "Grid", "SpectralField", "dealias", "evaluate_at", "field_from_callable",
     "forward", "inverse", "l2_norm", "product", "spectral_derivative", "zero_field",
-    "NOT_DIAGONAL", "BlowupDetected", "Feng", "GearGrimshaw", "GeneralCoupled",
-    "HirotaSatsuma", "Sakovich", "State", "dispersion_coeffs", "hs_as_kdv",
-    "nonlinear_rhs",
-    "DecayViolationWarning", "NotApplicable", "ReducedSystem", "SingularTransform",
+    "BlowupDetected", "Feng", "GearGrimshaw", "GeneralCoupled", "HirotaSatsuma",
+    "NormalForm", "NotDiagonalError", "Sakovich", "State", "gg_dispersion_matrix",
+    "hs_as_kdv", "lower", "nonlinear_rhs",
+    "DecayViolationWarning", "NotApplicable", "SingularTransform", "diagonal_form",
     "diagonalize", "gear_grimshaw_as_general", "gg_change_of_variables",
-    "gg_change_of_variables_inverse", "gg_dispersion_matrix", "gg_lambda_alpha",
-    "gg_offdiag_coeffs", "reduced_rhs", "sakovich_reduce", "scaling_map",
-    "NotDiagonalError", "PicardReport", "StepperConfig", "Trajectory",
+    "gg_change_of_variables_inverse", "gg_lambda_alpha", "gg_offdiag_coeffs",
+    "scaling_map",
+    "PicardReport", "StepperConfig", "Trajectory",
     "linear_propagate", "picard_iterate", "simulate", "step",
     "DiagnosticRecord", "MixedNormBreakdown", "Recorder", "collect",
     "gg_invariants", "hs_invariants", "mixed_norms", "record_for", "sobolev_norm",
-    "CutoffSpec", "psi", "psi_T",
+    "psi", "psi_T",
     "read_snapshot", "write_csv", "write_snapshot",
     "ConfigError", "ExperimentConfig", "RunManifest", "config_from_dict",
     "load_config", "run",

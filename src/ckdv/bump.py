@@ -8,9 +8,6 @@ reproducible run to run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
-
 import numpy as np
 
 
@@ -41,18 +38,3 @@ def psi_T(t, T: float):
     if not (T > 0.0):
         raise ValueError("cutoff scale T must be positive")
     return psi(np.asarray(t, dtype=np.float64) / T)
-
-
-@dataclass(frozen=True)
-class CutoffSpec:
-    """A bump profile together with its time scale T."""
-
-    T: float = 1.0
-    profile: Callable = field(default=psi)
-
-    def __post_init__(self):
-        if not (self.T > 0.0):
-            raise ValueError("cutoff scale T must be positive")
-
-    def __call__(self, t):
-        return self.profile(np.asarray(t, dtype=np.float64) / self.T)

@@ -2,8 +2,7 @@
 
 Each subcommand runs one experiment kind from a JSON config and exits
 0 on pass, 1 on an experiment failure or error, 2 on a usage or
-configuration problem.  CKDV_THREADS caps the worker count used by
-multi-kernel runs (default: machine parallelism).
+configuration problem.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ckdv",
         description="Spectral simulation and estimate verification for coupled third-order wave systems.",
-        epilog="Set CKDV_THREADS to cap worker parallelism.",
     )
     sub = parser.add_subparsers(dest="cmd")
     for name, kind in _SUBCOMMAND_KIND.items():

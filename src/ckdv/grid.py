@@ -83,10 +83,6 @@ class SpectralField:
         return SpectralField(self.coeffs.copy(), self.grid)
 
 
-def make_grid(n: int, period: float, dealias_fraction: float = 2.0 / 3.0) -> Grid:
-    return Grid(n, period, dealias_fraction)
-
-
 def forward(samples: np.ndarray, grid: Grid) -> SpectralField:
     """Transform real samples on grid.x to spectral coefficients."""
     samples = np.asarray(samples, dtype=np.float64)

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -62,6 +60,8 @@ class ConfigError(ValueError):
 
 
 def _strict(d: dict, allowed, where: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object")
     unknown = sorted(set(d) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
@@ -97,8 +97,11 @@ def build_system(d: dict):
 def build_grid(d: dict) -> Grid:
     _strict(d, {"n", "period", "dealias_fraction"}, "grid")
     try:
+        n = d["n"]
+        if isinstance(n, float) and not n.is_integer():
+            raise ValueError(f"n must be an integer, got {n}")
         return Grid(
-            int(d["n"]),
+            int(n),
             float(d["period"]),
             float(d.get("dealias_fraction", 2.0 / 3.0)),
         )
@@ -262,6 +265,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         for side in ("u", "v"):
             blk = initial.get(side)
             if blk is not None:
+                if not isinstance(blk, dict):
+                    raise ConfigError(f"initial.{side} must be an object")
                 kname = blk.get("kind", "zero")
                 if kname not in _INITIAL_KEYS:
                     raise ConfigError(f"unknown initial kind '{kname}'")
@@ -310,19 +315,6 @@ def load_config(path) -> ExperimentConfig:
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from None
     return config_from_dict(d)
-
-
-def worker_count() -> int:
-    env = os.environ.get("CKDV_THREADS", "").strip()
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ConfigError(f"CKDV_THREADS must be an integer, got {env!r}") from None
-        if cap < 1:
-            raise ConfigError("CKDV_THREADS must be >= 1")
-        return cap
-    return os.cpu_count() or 1
 
 
 def _jsonable(obj):
@@ -701,9 +693,7 @@ def _run_kernels(cfg: ExperimentConfig, emit: _Emitter):
     unknown = sorted(set(ids) - set(KERNELS))
     if unknown:
         raise ConfigError(f"unknown kernel id(s): {', '.join(unknown)}")
-    workers = min(worker_count(), len(ids)) or 1
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        reports = list(ex.map(lambda kid: kernel_bound_check(kid)[1], ids))
+    reports = [kernel_bound_check(kid)[1] for kid in ids]
     rows = [
         [r.kernel_id, r.max_base, r.max_refined, r.rel_change, r.stable]
         for r in reports
@@ -760,7 +750,6 @@ def run(config: ExperimentConfig, out_dir=None) -> RunManifest:
     """Execute one experiment; the manifest is written last, as a completion marker."""
     from . import __version__
 
-    worker_count()  # malformed CKDV_THREADS is a config error, not a run error
     out = Path(out_dir if out_dir is not None else (config.output_dir or "."))
     out.mkdir(parents=True, exist_ok=True)
     emit = _Emitter(out)

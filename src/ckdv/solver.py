@@ -1,6 +1,7 @@
 """Time evolution by integrating-factor RK4 and Duhamel fixed-point iteration.
 
-The linear part of every diagonal-dispersion system is solved exactly
+Every routine reads the system's normal form (`systems.lower`).  The
+linear part of every diagonal-dispersion system is solved exactly
 in Fourier space (each mode rotates by exp(-i*c*xi^3*t)); the
 nonlinearity is advanced by classical RK4 applied to the
 integrating-factor variable.  `picard_iterate` solves the same problem
@@ -26,11 +27,8 @@ from . import bump
 from . import grid as sg
 from . import systems
 from .grid import Grid, SpectralField
-from .systems import NOT_DIAGONAL, BlowupDetected, State, SystemSpec
-
-
-class NotDiagonalError(ValueError):
-    """The system's third-derivative coupling matrix is not diagonal."""
+from .systems import BlowupDetected, NormalForm, State, SystemSpec
+from .systems import NotDiagonalError  # noqa: F401  (re-exported: the solvers raise it)
 
 
 @dataclass(frozen=True)
@@ -51,7 +49,7 @@ class StepperConfig:
 @dataclass
 class Trajectory:
     states: list[State]
-    spec: SystemSpec
+    spec: SystemSpec | NormalForm
 
     def __post_init__(self):
         if not self.states:
@@ -74,15 +72,6 @@ class Trajectory:
         return self.states[0].grid
 
 
-def _diag_coeffs(spec: SystemSpec) -> tuple[float, float]:
-    coeffs = systems.dispersion_coeffs(spec)
-    if coeffs is NOT_DIAGONAL:
-        raise NotDiagonalError(
-            "third-derivative coupling is not diagonal; diagonalize first"
-        )
-    return coeffs
-
-
 def _phases(xi: np.ndarray, c: float, dt: float) -> np.ndarray:
     return np.exp((-1j * c * dt) * xi**3)
 
@@ -94,9 +83,9 @@ def _half_phases(grid: Grid, c: tuple[float, float], dt) -> np.ndarray:
     return np.stack([_phases(xi, cj, dt) for cj in c])
 
 
-def linear_propagate(state: State, spec: SystemSpec, dt: float) -> State:
+def linear_propagate(state: State, spec: SystemSpec | NormalForm, dt: float) -> State:
     """Advance the linear flow exactly: each mode gains exp(-i*c*xi^3*dt)."""
-    c_u, c_v = _diag_coeffs(spec)
+    c_u, c_v = systems.lower(spec).dispersion()
     g = state.grid
     u = SpectralField(state.u.coeffs * _phases(g.xi, c_u, dt), g)
     v = SpectralField(state.v.coeffs * _phases(g.xi, c_v, dt), g)
@@ -147,20 +136,20 @@ def _guarded_step(rhs, w, t, dt, E, E2, index: int, cfl_guard: float, m0: float 
     return w
 
 
-def step(state: State, spec: SystemSpec, config: StepperConfig) -> State:
+def step(state: State, spec: SystemSpec | NormalForm, config: StepperConfig) -> State:
     """One IF-RK4 step of size config.dt, guarded by config.cfl_guard."""
-    c = _diag_coeffs(spec)
+    form = systems.lower(spec)
     g = state.grid
     dt = config.dt
-    E = _half_phases(g, c, 0.5 * dt)
-    rhs = systems.SpectralRhs(spec, g)
+    E = _half_phases(g, form.dispersion(), 0.5 * dt)
+    rhs = systems.SpectralRhs(form, g)
     w = _guarded_step(rhs, _to_half(state), state.t, dt, E, E * E, 1, config.cfl_guard)
     return _to_state(w, g, state.t + dt)
 
 
 def simulate(
     initial: State,
-    spec: SystemSpec,
+    spec: SystemSpec | NormalForm,
     T: float,
     config: StepperConfig,
     observers: Iterable[Callable[[State], None]] = (),
@@ -176,7 +165,8 @@ def simulate(
     """
     if T < 0.0:
         raise ValueError("T must be nonnegative")
-    c = _diag_coeffs(spec)
+    form = systems.lower(spec)
+    c = form.dispersion()
     g = initial.grid
     observers = tuple(observers)
     stored: list[State] = []
@@ -200,7 +190,7 @@ def simulate(
         remainder = 0.0
     stride = max(1, int(round(sample_dt / dt)))
 
-    rhs = systems.SpectralRhs(spec, g)
+    rhs = systems.SpectralRhs(form, g)
     E = _half_phases(g, c, 0.5 * dt)
     E2 = E * E
     m0 = max(np.abs(w).max(), 1e-300)
@@ -249,7 +239,7 @@ def _fit_ratio(diffs: Sequence[float]) -> float:
 
 def picard_iterate(
     initial: State,
-    spec: SystemSpec,
+    spec: SystemSpec | NormalForm,
     T: float,
     n_iters: int = 8,
     time_resolution: int = 201,
@@ -273,7 +263,8 @@ def picard_iterate(
         raise ValueError("time_resolution must be odd and at least 9")
     if n_iters < 1:
         raise ValueError("n_iters must be at least 1")
-    c = _diag_coeffs(spec)
+    form = systems.lower(spec)
+    c = form.dispersion()
     g = initial.grid
     m = g.n // 2 + 1
     nt = time_resolution
@@ -290,7 +281,7 @@ def picard_iterate(
         duh_w = 1.0
 
     free = free_w * (phase * w0[:, None, :])
-    rhs = systems.SpectralRhs(spec, g)
+    rhs = systems.SpectralRhs(form, g)
     # H^s weights of the half spectrum: modes 0 < k < n/2 stand for +-k
     hs_weight = (1.0 + g.xi[:m] ** 2) ** s * g.dxi
     hs_weight[1:-1] *= 2.0

@@ -1,14 +1,18 @@
 """Coupled third-order dispersive systems and their spectral right-hand sides.
 
-Every system is written in evolution form u_t = (dispersion) + (rest).
-The dispersion part of each component, when the third-derivative
-coupling matrix is diagonal, is u_t = c * u_xxx for a real constant c;
-`dispersion_coeffs` reports the pair (c_u, c_v) or the NOT_DIAGONAL
-sentinel.  `rhs_form` writes everything except the third-derivative
-terms as one table of quadratic and first-order coefficients;
-`SpectralRhs` evaluates it pseudo-spectrally on half spectra, with
-dealiasing applied to the products, and `nonlinear_rhs` is its
-full-layout form.
+Every system lowers to one normal form (`lower` -> `NormalForm`):
+
+    U_t = D U_xxx + sum_jk Q[:, j, k] w_j d_x w_k + R d_x U
+
+with U = (w_0, w_1) = (u, v), a 2x2 dispersion matrix D, a table Q of
+quadratic coefficients and a 2x2 first-order drift R.  `lower` is the one
+place that dispatches on the system classes; the solvers read only the
+normal form.  When D is diagonal, each component has its own linear flow
+u_t = c u_xxx and `NormalForm.dispersion` reports (c_u, c_v); a system
+coupled at third order is first brought to diagonal D by the change of
+variables in `transforms.diagonal_form`.  `SpectralRhs` evaluates the
+Q/R part pseudo-spectrally on half spectra, with dealiasing applied to
+the products, and `nonlinear_rhs` is its full-layout form.
 
 Systems:
 
@@ -54,21 +58,8 @@ class BlowupDetected(RuntimeError):
         self.time = time
 
 
-class _NotDiagonal:
-    """Sentinel: the third-derivative coupling matrix is not diagonal."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NOT_DIAGONAL"
-
-
-NOT_DIAGONAL = _NotDiagonal()
+class NotDiagonalError(ValueError):
+    """The system's third-derivative coupling matrix is not diagonal."""
 
 
 @dataclass(frozen=True)
@@ -83,13 +74,6 @@ class Feng:
     b: float
     c: float
     d: float
-
-    def regime_flags(self) -> dict:
-        """Conditions used by the contraction arguments; reported, not enforced."""
-        return {
-            "a_plus_one_nonzero": self.a + 1.0 != 0.0,
-            "bc_positive": self.b * self.c > 0.0,
-        }
 
 
 @dataclass(frozen=True)
@@ -166,66 +150,79 @@ class State:
         return State(self.u.copy(), self.v.copy(), self.t)
 
 
-def dispersion_coeffs(spec: SystemSpec):
-    """Per-component constants (c_u, c_v) of the u_t = c*u_xxx linear flow.
+def gg_dispersion_matrix(b1: float, b2: float, a3: float) -> np.ndarray:
+    """Third-derivative coupling matrix after dividing the second equation by b1."""
+    if not (b1 > 0.0 and b2 > 0.0):
+        raise ValueError("requires b1 > 0 and b2 > 0")
+    return np.array([[1.0, a3], [b2 * a3 / b1, 1.0 / b1]])
 
-    Returns NOT_DIAGONAL when the two components are coupled at third
-    order and no per-component constant exists.
+
+@dataclass(frozen=True, eq=False)
+class NormalForm:
+    """U_t = D U_xxx + sum_jk Q[:, j, k] w_j d_x w_k + R d_x U, in d/dt form.
+
+    D and R are 2x2; Q[i, j, k] is the coefficient of w_j * d_x w_k in
+    component i, with (w_0, w_1) = (u, v).
     """
-    if isinstance(spec, (HirotaSatsuma, Feng)):
-        return (spec.a, -1.0)
-    if isinstance(spec, GearGrimshaw):
-        if spec.a3 != 0.0:
-            return NOT_DIAGONAL
-        return (-1.0, -1.0 / spec.b1)
-    if isinstance(spec, GeneralCoupled):
-        if spec.a12 != 0.0 or spec.a21 != 0.0:
-            return NOT_DIAGONAL
-        return (-spec.a11, -spec.a22)
-    if isinstance(spec, Sakovich):
-        ainv = np.linalg.inv(spec.A2)
-        if ainv[0, 1] != 0.0 or ainv[1, 0] != 0.0:
-            return NOT_DIAGONAL
-        return (-ainv[0, 0], -ainv[1, 1])
-    raise TypeError(f"unknown system spec {type(spec)!r}")
+
+    D: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
+
+    def __post_init__(self):
+        for name, shape in (("D", (2, 2)), ("Q", (2, 2, 2)), ("R", (2, 2))):
+            m = np.asarray(getattr(self, name), dtype=np.float64)
+            if m.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}")
+            object.__setattr__(self, name, m)
+
+    def dispersion(self) -> tuple[float, float]:
+        """Per-component constants (c_u, c_v) of the u_t = c*u_xxx linear flow.
+
+        Raises NotDiagonalError when the components are coupled at third order.
+        """
+        if self.D[0, 1] != 0.0 or self.D[1, 0] != 0.0:
+            raise NotDiagonalError(
+                "third-derivative coupling is not diagonal; use transforms.diagonal_form first"
+            )
+        return float(self.D[0, 0]), float(self.D[1, 1])
 
 
-def rhs_form(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The nonlinearity of every system as one table (Q, R).
-
-    Component i of the right-hand side is
-
-        sum_jk Q[i, j, k] * w_j * d_x w_k + sum_k R[i, k] * d_x w_k
-
-    with (w_0, w_1) = (u, v): everything except the third-derivative terms.
-    """
+def lower(spec: SystemSpec | NormalForm) -> NormalForm:
+    """The normal form of a system; a NormalForm is returned unchanged."""
+    if isinstance(spec, NormalForm):
+        return spec
     Q = np.zeros((2, 2, 2))
     R = np.zeros((2, 2))
-    if isinstance(spec, HirotaSatsuma):
+    if isinstance(spec, (HirotaSatsuma, Feng)):
+        D = np.diag([spec.a, -1.0])
         Q[0] = [[6.0 * spec.a, 0.0], [0.0, 2.0 * spec.b]]
-        Q[1] = [[0.0, -3.0], [0.0, 0.0]]
-    elif isinstance(spec, Feng):
-        Q[0] = [[6.0 * spec.a, 0.0], [0.0, 2.0 * spec.b]]
-        Q[1] = [[0.0, -spec.c], [0.0, -spec.d]]
+        if isinstance(spec, Feng):
+            Q[1] = [[0.0, -spec.c], [0.0, -spec.d]]
+        else:
+            Q[1, 0, 1] = -3.0
     elif isinstance(spec, GearGrimshaw):
+        D = -gg_dispersion_matrix(spec.b1, spec.b2, spec.a3)
         # (u*v)_x = u*v_x + v*u_x
         Q[0] = [[-1.0, -spec.a2], [-spec.a2, -spec.a1]]
         Q[1] = [[-spec.b2 * spec.a2, -spec.b2 * spec.a1], [-spec.b2 * spec.a1, -1.0]]
         Q[1] /= spec.b1
         R[1, 1] = -spec.r / spec.b1
     elif isinstance(spec, GeneralCoupled):
+        D = -spec.dispersion_matrix
         Q[0] = [[-spec.b2, -spec.b1], [-spec.b1, -spec.b3]]
         Q[1] = [[-spec.b5, -spec.b4], [-spec.b4, -spec.b6]]
         R[1, 1] = -spec.r
     elif isinstance(spec, Sakovich):
         ainv = np.linalg.inv(spec.A2)
+        D = -ainv
         m0 = -ainv @ spec.A0  # columns: u*u_x, v*v_x
         m1 = -ainv @ spec.A1  # columns: u*v_x, v*u_x
         for i in range(2):
             Q[i] = [[m0[i, 0], m1[i, 0]], [m1[i, 1], m0[i, 1]]]
     else:
         raise TypeError(f"unknown system spec {type(spec)!r}")
-    return Q, R
+    return NormalForm(D, Q, R)
 
 
 class SpectralRhs:
@@ -233,21 +230,21 @@ class SpectralRhs:
 
     Called on w of shape (2, m) or (2, nt, m), m = n/2 + 1: the modes
     k = 0..n/2 of (u, v), one row per time sample in the 3-D case.  One
-    irfft gives u, v, u_x, v_x on the grid; the products of `rhs_form`
-    are summed there and checked for finiteness once; one rfft brings
+    irfft gives u, v, u_x, v_x on the grid; the Q and R products of the
+    normal form are summed there and checked for finiteness once; one rfft brings
     the result back, dealiased.  Input is expected dealiased.
     """
 
-    def __init__(self, spec: SystemSpec, grid: Grid):
-        Q, R = rhs_form(spec)
+    def __init__(self, spec: SystemSpec | NormalForm, grid: Grid):
+        form = lower(spec)
         m = grid.n // 2 + 1
         sign = grid._sign[:m]
         # rows [[u, v], [u_x, v_x]]: centring sign, i*xi and the inverse scale in one table
         to_grid = np.stack([sign, 1j * grid.xi[:m] * sign]) * (sg.SQRT_2PI / grid.dx)
         self._to_grid = to_grid[:, None, None, :]
         self._to_spec = np.where(grid.keep[:m], sign * (grid.dx / sg.SQRT_2PI), 0.0)
-        self._quad = Q.reshape(2, 4)
-        self._drift = R if R.any() else None
+        self._quad = form.Q.reshape(2, 4)
+        self._drift = form.R if form.R.any() else None
         self._n = grid.n
 
     def __call__(self, w: np.ndarray, t) -> np.ndarray:
@@ -271,7 +268,7 @@ class SpectralRhs:
         return (np.fft.rfft(f, axis=-1) * self._to_spec).reshape(shape)
 
 
-def nonlinear_rhs(spec: SystemSpec, state: State) -> tuple[SpectralField, SpectralField]:
+def nonlinear_rhs(spec: SystemSpec | NormalForm, state: State) -> tuple[SpectralField, SpectralField]:
     """Everything except the third-derivative terms, in d/dt form.
 
     A full-layout adapter over `SpectralRhs`: products are formed on the

@@ -4,7 +4,13 @@ Three families of coordinate changes live here:
 
   * eigen-decomposition of a 2x2 third-derivative coupling matrix,
     with the explicit eigenvector convention whose first row is all
-    ones when the (1,2) entry is nonzero;
+    ones when the (1,2) entry is nonzero, and `diagonal_form`, the one
+    linear change U = P W that brings any system's normal form to
+    diagonal dispersion.  Systems coupled at third order (Gear-Grimshaw
+    with a3 != 0, GeneralCoupled with a12 or a21 != 0, Sakovich with a
+    non-diagonal inv(A2)) are simulated through it explicitly: map the
+    data to W0 = P^-1 U0, evolve W with the diagonal normal form, and
+    map back with U = P W;
   * the two-speed mixing map that decouples the cross-dispersion
     system into components riding on stretched coordinates
     alpha^(1/3) * x, together with its inverse;
@@ -27,8 +33,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import grid as sg
-from .grid import SpectralField
-from .systems import GearGrimshaw, GeneralCoupled, Sakovich, State
+from .grid import Grid, SpectralField
+from .systems import GearGrimshaw, GeneralCoupled, NormalForm, State, SystemSpec, lower
+from .systems import gg_dispersion_matrix  # noqa: F401  (re-exported; lower uses it)
 
 
 class SingularTransform(ValueError):
@@ -121,11 +128,24 @@ def gg_lambda_alpha(b1: float, b2: float, a3: float) -> tuple[float, float, floa
     return lam, ap, am
 
 
-def gg_dispersion_matrix(b1: float, b2: float, a3: float) -> np.ndarray:
-    """Third-derivative coupling matrix after dividing the second equation by b1."""
-    if not (b1 > 0.0 and b2 > 0.0):
-        raise ValueError("requires b1 > 0 and b2 > 0")
-    return np.array([[1.0, a3], [b2 * a3 / b1, 1.0 / b1]])
+def diagonal_form(spec: SystemSpec | NormalForm) -> tuple[NormalForm, np.ndarray]:
+    """The normal form in the eigenbasis of its dispersion, and P with U = P W.
+
+    W_t = D' W_xxx + Q'(W, W_x) + R' W_x with D' = diag(-alpha_+, -alpha_-),
+    where alpha_+ >= alpha_- are the eigenvalues of the dispersion matrix
+    -D (the u_t + A u_xxx convention), Q' = einsum(P^-1, Q, P, P) and
+    R' = P^-1 R P.  Raises NotApplicable when -D has complex eigenvalues
+    or is defective.
+    """
+    form = lower(spec)
+    d = diagonalize(-form.D)
+    if not d.eigenvalues_real:
+        raise NotApplicable("dispersion matrix has complex eigenvalues")
+    if d.T is None:
+        raise NotApplicable("dispersion matrix is defective (no eigenbasis)")
+    P, P_inv = d.T, d.T_inv
+    Q = np.einsum("ia,abc,bj,ck->ijk", P_inv, form.Q, P, P)
+    return NormalForm(np.diag([-d.alpha_plus, -d.alpha_minus]), Q, P_inv @ form.R @ P), P
 
 
 def gear_grimshaw_as_general(spec: GearGrimshaw) -> GeneralCoupled:
@@ -280,7 +300,7 @@ def scaling_map(traj, lam: float, times=None, out_grid=None):
     src_times = np.array([st.t for st in states], dtype=np.float64)
     g = states[0].u.grid
     if out_grid is None:
-        out_grid = sg.make_grid(g.n, g.period / lam, g.dealias_fraction)
+        out_grid = Grid(g.n, g.period / lam, g.dealias_fraction)
     if times is None:
         times = src_times / lam**3
     lam2 = lam * lam
@@ -298,108 +318,6 @@ def scaling_map(traj, lam: float, times=None, out_grid=None):
     if has_spec:
         return type(traj)(states=out_states, spec=traj.spec)
     return out_states
-
-
-# ---------------------------------------------------------------------------
-# Reduction of the six-matrix system to diagonal-dispersion form.
-
-
-@dataclass(frozen=True, eq=False)
-class ReducedSystem:
-    """Diagonal-dispersion image of a U_xxx + A0(..) + A1(..) + A2 U_t = 0 system.
-
-    In V = P_inv @ U variables the system reads
-        V_t + diag(dispersion) V_xxx + N0 (v_u v_u_x, v_v v_v_x)^T
-            + N1 (v_u v_v_x, v_v v_u_x)^T = 0
-    where (v_u, v_v) abbreviates P-mixed components; quad_tensor()
-    expands the nonlinearity into per-equation coefficients of
-    v_j d_x v_k.
-    """
-
-    dispersion: tuple[float, float]
-    N0: np.ndarray
-    N1: np.ndarray
-    P: np.ndarray
-    P_inv: np.ndarray
-
-    def quad_tensor(self) -> np.ndarray:
-        """quad[i, j, k] multiplies v_j * d_x v_k in equation i (left-hand side)."""
-        P = self.P
-        quad = np.zeros((2, 2, 2))
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    quad[i, j, k] = (
-                        self.N0[i, 0] * P[0, j] * P[0, k]
-                        + self.N0[i, 1] * P[1, j] * P[1, k]
-                        + self.N1[i, 0] * P[0, j] * P[1, k]
-                        + self.N1[i, 1] * P[1, j] * P[0, k]
-                    )
-        return quad
-
-    def as_general_coupled(self) -> GeneralCoupled:
-        """Express as the general matrix form; needs symmetric mixed terms."""
-        q = self.quad_tensor()
-        defect = max(abs(q[0, 0, 1] - q[0, 1, 0]), abs(q[1, 0, 1] - q[1, 1, 0]))
-        scale = max(1.0, float(np.abs(q).max()))
-        if defect > 1e-10 * scale:
-            raise NotApplicable(
-                "mixed quadratic terms are not symmetric; the reduced system "
-                "is not expressible with (uv)_x-type coefficients"
-            )
-        a0, a1 = self.dispersion
-        return GeneralCoupled(
-            a11=a0, a12=0.0, a21=0.0, a22=a1,
-            b1=q[0, 0, 1], b2=q[0, 0, 0], b3=q[0, 1, 1],
-            b4=q[1, 0, 1], b5=q[1, 0, 0], b6=q[1, 1, 1],
-            r=0.0,
-        )
-
-
-def sakovich_reduce(spec: Sakovich) -> tuple[ReducedSystem, np.ndarray]:
-    """Diagonalize the time-coupling matrix and transform the nonlinearity.
-
-    Multiplying through by inv(A2) and substituting U = P V, where P
-    diagonalizes inv(A2), yields a system whose linear part is two
-    independent third-order flows.
-    """
-    det = float(np.linalg.det(spec.A2))
-    if abs(det) < 1e-14:
-        raise SingularTransform("A2 is singular")
-    M = np.linalg.inv(spec.A2)
-    d = diagonalize(M)
-    if not d.eigenvalues_real:
-        raise NotApplicable("inv(A2) has complex eigenvalues")
-    if d.T is None:
-        raise NotApplicable("inv(A2) is defective (no eigenbasis)")
-    P, P_inv = d.T, d.T_inv
-    N0 = P_inv @ M @ spec.A0
-    N1 = P_inv @ M @ spec.A1
-    reduced = ReducedSystem(
-        dispersion=(d.alpha_plus, d.alpha_minus), N0=N0, N1=N1, P=P, P_inv=P_inv
-    )
-    return reduced, P
-
-
-def reduced_rhs(reduced: ReducedSystem, state: State) -> tuple[SpectralField, SpectralField]:
-    """dt-form quadratic right-hand side of a ReducedSystem (dispersion excluded)."""
-    g = state.grid
-    quad = reduced.quad_tensor()
-    w = [state.u.values(), state.v.values()]
-    wx = [
-        sg.spectral_derivative(state.u, 1).values(),
-        sg.spectral_derivative(state.v, 1).values(),
-    ]
-    out = []
-    for i in range(2):
-        acc = np.zeros(g.n)
-        for j in range(2):
-            for k in range(2):
-                c = quad[i, j, k]
-                if c != 0.0:
-                    acc += c * w[j] * wx[k]
-        out.append(sg.dealias(sg.forward(-acc, g)))
-    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------
@@ -430,28 +348,13 @@ class OffdiagCoeffs:
 def gg_offdiag_coeffs(spec: GeneralCoupled) -> OffdiagCoeffs:
     if spec.a12 == 0.0:
         raise NotApplicable("a12 = 0: the dispersion matrix is already lower-triangular")
-    d = diagonalize(spec.dispersion_matrix)
-    if not d.eigenvalues_real:
-        raise NotApplicable("dispersion matrix has complex eigenvalues")
-    if not d.eigenvalues_distinct:
+    form, _ = diagonal_form(spec)
+    lam = form.D[1, 1] - form.D[0, 0]
+    if not lam > _TIE:
         raise NotApplicable("dispersion matrix has a repeated eigenvalue")
-    T, T_inv = d.T, d.T_inv
-    prefactor = spec.a12 / d.lam
-
-    def nonlin(u: float, v: float) -> np.ndarray:
-        return np.array(
-            [
-                [spec.b2 * u + spec.b1 * v, spec.b1 * u + spec.b3 * v],
-                [spec.b5 * u + spec.b4 * v, spec.b4 * u + spec.b6 * v],
-            ]
-        )
-
-    def mixed(v1: float, v2: float) -> np.ndarray:
-        u, v = T @ np.array([v1, v2])
-        return (T_inv @ nonlin(u, v) @ T) / prefactor
-
-    M1 = mixed(1.0, 0.0)
-    M2 = mixed(0.0, 1.0)
+    prefactor = spec.a12 / lam
+    # M_j[i, k] multiplies d_x v_k in equation i (left-hand side) per unit v_j
+    M1, M2 = -form.Q.transpose(1, 0, 2) / prefactor
     defect = max(abs(M1[0, 1] - M2[0, 0]), abs(M1[1, 1] - M2[1, 0]))
     return OffdiagCoeffs(
         a=float(M1[0, 0]),

@@ -33,7 +33,7 @@ from ckdv.bourgain.spacetime import (
     weight_table,
     xsb_norm,
 )
-from ckdv.bump import CutoffSpec, psi, psi_T
+from ckdv.bump import psi, psi_T
 from ckdv.grid import Grid, field_from_callable
 
 
@@ -55,10 +55,6 @@ def test_bump_profile():
     assert np.array_equal(psi_T(t, 0.5), psi(t / 0.5))
     with pytest.raises(ValueError):
         psi_T(t, 0.0)
-    spec = CutoffSpec(T=2.0)
-    assert spec(2.0) == 1.0 and spec(4.0) == 0.0
-    with pytest.raises(ValueError):
-        CutoffSpec(T=-1.0)
 
 
 def test_forward2_round_trip_and_parseval(stg):

@@ -15,7 +15,7 @@ from ckdv import (
     spectral_derivative,
     zero_field,
 )
-from ckdv.grid import hermitian_defect, make_grid, oversampled_values, reflect, to_full, to_half
+from ckdv.grid import hermitian_defect, oversampled_values, reflect, to_full, to_half
 
 
 def test_grid_layout(grid64):
@@ -203,12 +203,6 @@ def test_oversampled_values_match_evaluate_at(grid64):
     vals, dxf = oversampled_values(f, 2)
     fine_x = -0.5 * grid64.period + dxf * np.arange(2 * grid64.n)
     assert np.max(np.abs(vals - evaluate_at(f, fine_x))) < 1e-11
-
-
-def test_make_grid_alias():
-    g = make_grid(32, 1.0)
-    assert isinstance(g, Grid)
-    assert g.n == 32
 
 
 def test_half_spectrum_round_trip(grid64):

@@ -23,7 +23,6 @@ from ckdv.harness import (
     build_stepper,
     build_system,
     make_initial,
-    worker_count,
 )
 
 
@@ -78,6 +77,8 @@ def test_build_grid_and_stepper_rejections():
         build_grid({"n": 64, "period": -1.0})
     with pytest.raises(ConfigError):
         build_grid({"n": 64, "period": 1.0, "oops": 2})
+    with pytest.raises(ConfigError, match="integer"):
+        build_grid({"n": 256.7, "period": 1.0})  # not truncated to 256
     with pytest.raises(ConfigError):
         build_stepper({"dt": -0.1})
     with pytest.raises(ConfigError):
@@ -108,6 +109,14 @@ def test_config_validation_matrix():
         config_from_dict(simulate_config(initial={"u": {"kind": "vortex"}}))
     with pytest.raises(ConfigError):
         config_from_dict(simulate_config(initial={"u": {"kind": "gaussian", "sigma": 1.0}}))
+    with pytest.raises(ConfigError):
+        config_from_dict(simulate_config(initial={"u": 3}))
+    with pytest.raises(ConfigError):
+        config_from_dict(simulate_config(initial=3))
+    with pytest.raises(ConfigError):
+        config_from_dict(simulate_config(grid=3))
+    with pytest.raises(ConfigError):
+        config_from_dict(simulate_config(stepper=3))
     with pytest.raises(ConfigError):
         config_from_dict(simulate_config(horizon=-1.0))
     with pytest.raises(ConfigError):
@@ -143,19 +152,6 @@ def test_load_config(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(bad)
-
-
-def test_worker_count(monkeypatch):
-    monkeypatch.delenv("CKDV_THREADS", raising=False)
-    assert worker_count() >= 1
-    monkeypatch.setenv("CKDV_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("CKDV_THREADS", "zero")
-    with pytest.raises(ConfigError):
-        worker_count()
-    monkeypatch.setenv("CKDV_THREADS", "0")
-    with pytest.raises(ConfigError):
-        worker_count()
 
 
 def test_make_initial_profiles():

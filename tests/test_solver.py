@@ -20,9 +20,10 @@ from ckdv import (
     step,
     zero_field,
 )
-from ckdv.diagnostics import sobolev_norm
+from ckdv.diagnostics import gg_invariants, sobolev_norm
 from ckdv.grid import Grid, SpectralField, dealias, hermitian_defect, l2_norm, to_half
-from ckdv.systems import SpectralRhs, dispersion_coeffs, nonlinear_rhs
+from ckdv.systems import SpectralRhs, lower, nonlinear_rhs
+from ckdv.transforms import diagonal_form
 
 
 def soliton(c, x):
@@ -94,6 +95,26 @@ def test_not_diagonal_raises():
         step(st, coupled, StepperConfig(1e-3))
     with pytest.raises(NotDiagonalError):
         simulate(st, coupled, 0.1, StepperConfig(1e-3))
+
+
+def mix(M, st):
+    """The State with (u, v) coefficients replaced by M @ (u, v)."""
+    u, v = np.tensordot(M, np.stack([st.u.coeffs, st.v.coeffs]), axes=1)
+    return State(SpectralField(u, st.grid), SpectralField(v, st.grid), st.t)
+
+
+def test_cross_coupled_gear_grimshaw_conserves_phi3():
+    # a3 != 0: simulate W = P^-1 U with the diagonal normal form, read U = P W
+    g = Grid(256, 8.0 * np.pi)
+    gg = GearGrimshaw(0.7, 0.3, 0.5, 2.0, 0.5)
+    form, P = diagonal_form(gg)
+    u0 = field_from_callable(lambda x: np.exp(-((x / 1.5) ** 2)), g)
+    v0 = field_from_callable(lambda x: 0.5 * np.exp(-(((x - 2.0) / 2.0) ** 2)), g)
+    traj = simulate(mix(np.linalg.inv(P), State(u0, v0)), form, 1.0, StepperConfig(2e-4), sample_dt=0.1)
+    invariants = np.array([gg_invariants(mix(P, w), gg) for w in traj.states])
+    assert len(invariants) == 11
+    drift = np.max(np.abs(invariants - invariants[0]), axis=0) / np.abs(invariants[0])
+    assert drift[2] < 1e-8 and drift[3] < 1e-8  # phi3 and phi4, which carries the a3 term
 
 
 def test_soliton_transport():
@@ -258,7 +279,7 @@ def pair_state(g, t=0.0, nyquist=0.0):
 def full_layout_ifrk4(st, spec, dt, n_steps):
     """IF-RK4 on full-layout coefficients, over the public nonlinear_rhs."""
     g = st.grid
-    E = np.stack([np.exp((-1j * c * 0.5 * dt) * g.xi**3) for c in dispersion_coeffs(spec)])
+    E = np.stack([np.exp((-1j * c * 0.5 * dt) * g.xi**3) for c in lower(spec).dispersion()])
     E2 = E * E
 
     def rhs(w, t):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ckdv import (
-    NOT_DIAGONAL,
     BlowupDetected,
     Feng,
     GearGrimshaw,
@@ -13,18 +12,18 @@ from ckdv import (
     Sakovich,
     State,
     Grid,
+    NotDiagonalError,
     dealias,
-    dispersion_coeffs,
     field_from_callable,
     forward,
     hs_as_kdv,
     inverse,
+    lower,
     nonlinear_rhs,
     spectral_derivative,
     zero_field,
 )
 from ckdv.grid import SpectralField, reflect
-from ckdv.systems import rhs_form
 
 
 def make_state(grid, fu, fv, t=0.0):
@@ -34,33 +33,36 @@ def make_state(grid, fu, fv, t=0.0):
 
 
 def test_dispersion_coeffs_hs_and_feng():
-    assert dispersion_coeffs(HirotaSatsuma(0.5, 1.0)) == (0.5, -1.0)
-    assert dispersion_coeffs(Feng(-2.0, 1.0, 1.0, 0.0)) == (-2.0, -1.0)
+    assert lower(HirotaSatsuma(0.5, 1.0)).dispersion() == (0.5, -1.0)
+    assert lower(Feng(-2.0, 1.0, 1.0, 0.0)).dispersion() == (-2.0, -1.0)
 
 
 def test_dispersion_coeffs_gear_grimshaw():
     diag = GearGrimshaw(0.1, 0.2, 0.0, 2.0, 0.5)
-    assert dispersion_coeffs(diag) == (-1.0, -0.5)
+    assert lower(diag).dispersion() == (-1.0, -0.5)
     coupled = GearGrimshaw(0.1, 0.2, 0.3, 2.0, 0.5)
-    assert dispersion_coeffs(coupled) is NOT_DIAGONAL
+    with pytest.raises(NotDiagonalError):
+        lower(coupled).dispersion()
 
 
 def test_dispersion_coeffs_general_coupled():
     diag = GeneralCoupled(2.0, 0.0, 0.0, 3.0, *([0.0] * 6))
-    assert dispersion_coeffs(diag) == (-2.0, -3.0)
+    assert lower(diag).dispersion() == (-2.0, -3.0)
     coupled = GeneralCoupled(2.0, 0.1, 0.0, 3.0, *([0.0] * 6))
-    assert dispersion_coeffs(coupled) is NOT_DIAGONAL
+    with pytest.raises(NotDiagonalError):
+        lower(coupled).dispersion()
 
 
 def test_dispersion_coeffs_sakovich():
     eye = np.eye(2)
     diag = Sakovich(np.zeros((2, 2)), np.zeros((2, 2)), np.diag([0.5, -2.0]))
-    cu, cv = dispersion_coeffs(diag)
+    cu, cv = lower(diag).dispersion()
     assert cu == pytest.approx(-2.0)
     assert cv == pytest.approx(0.5)
     coupled = Sakovich(np.zeros((2, 2)), np.zeros((2, 2)), np.array([[1.0, 0.5], [0.0, 1.0]]))
-    assert dispersion_coeffs(coupled) is NOT_DIAGONAL
-    assert dispersion_coeffs(Sakovich(np.zeros((2, 2)), np.zeros((2, 2)), eye)) == (-1.0, -1.0)
+    with pytest.raises(NotDiagonalError):
+        lower(coupled).dispersion()
+    assert lower(Sakovich(np.zeros((2, 2)), np.zeros((2, 2)), eye)).dispersion() == (-1.0, -1.0)
 
 
 def test_gear_grimshaw_requires_positive_b():
@@ -75,13 +77,6 @@ def test_sakovich_validation():
         Sakovich(np.zeros((2, 2)), np.zeros((2, 2)), np.ones((2, 2)))  # singular
     with pytest.raises(ValueError):
         Sakovich(np.zeros(3), np.zeros((2, 2)), np.eye(2))
-
-
-def test_feng_regime_flags():
-    flags = Feng(-1.0, 2.0, -1.0, 0.0).regime_flags()
-    assert flags == {"a_plus_one_nonzero": False, "bc_positive": False}
-    flags = Feng(0.5, 2.0, 3.0, 1.0).regime_flags()
-    assert flags == {"a_plus_one_nonzero": True, "bc_positive": True}
 
 
 def test_state_requires_shared_grid(grid64, grid128):
@@ -182,7 +177,9 @@ def test_nonlinear_rhs_matches_grid_primitives(fraction, five_systems):
     w = [inverse(st.u), inverse(st.v)]
     dw = [inverse(spectral_derivative(st.u, 1)), inverse(spectral_derivative(st.v, 1))]
     for name, spec in five_systems.items():
-        Q, R = rhs_form(spec)
+        form = lower(spec)
+        assert lower(form) is form, name
+        Q, R = form.Q, form.R
         got = nonlinear_rhs(spec, st)
         for i in range(2):
             phys = sum(Q[i, j, k] * w[j] * dw[k] for j in range(2) for k in range(2))
@@ -210,7 +207,7 @@ def test_nonlinear_rhs_rejects_unknown_spec(grid64):
     with pytest.raises(TypeError):
         nonlinear_rhs(object(), st)
     with pytest.raises(TypeError):
-        dispersion_coeffs(object())
+        lower(object())
 
 
 def test_hs_as_kdv_reflects_and_zeroes(grid128, gaussian128):

@@ -13,6 +13,7 @@ from ckdv import (
     Sakovich,
     SingularTransform,
     State,
+    diagonal_form,
     diagonalize,
     field_from_callable,
     gear_grimshaw_as_general,
@@ -22,14 +23,12 @@ from ckdv import (
     gg_lambda_alpha,
     gg_offdiag_coeffs,
     inverse,
+    lower,
     nonlinear_rhs,
-    reduced_rhs,
-    sakovich_reduce,
     scaling_map,
     zero_field,
 )
-from ckdv.grid import Grid, evaluate_at
-from ckdv.transforms import ReducedSystem
+from ckdv.grid import Grid, SpectralField, evaluate_at
 
 
 def test_diagonalize_random_similarity_family():
@@ -223,72 +222,46 @@ def test_sakovich_reduce_diagonalizes():
     A0 = np.array([[1.0, 0.5], [0.2, 2.0]])
     A1 = np.array([[0.3, -0.1], [0.0, 0.4]])
     A2 = np.array([[2.0, 1.0], [1.0, 2.0]])
-    reduced, P = sakovich_reduce(Sakovich(A0, A1, A2))
-    M = np.linalg.inv(A2)
-    rec = P @ np.diag(reduced.dispersion) @ reduced.P_inv
-    assert np.max(np.abs(rec - M)) < 1e-12
-    assert reduced.dispersion[0] == pytest.approx(1.0)
-    assert reduced.dispersion[1] == pytest.approx(1.0 / 3.0)
-    assert np.allclose(reduced.N0, reduced.P_inv @ M @ A0)
-    assert np.allclose(reduced.N1, reduced.P_inv @ M @ A1)
-
-
-def test_sakovich_reduce_rhs_consistency(grid64):
-    # dt-form: V_t = P_inv U_t must hold between the two right-hand sides
-    A0 = np.array([[1.0, 0.5], [0.2, 2.0]])
-    A1 = np.array([[0.3, -0.1], [0.0, 0.4]])
-    A2 = np.array([[2.0, 1.0], [1.0, 2.0]])
-    spec = Sakovich(A0, A1, A2)
-    reduced, P = sakovich_reduce(spec)
-
-    v1 = field_from_callable(lambda x: np.sin(x), grid64)
-    v2 = field_from_callable(lambda x: np.cos(2.0 * x), grid64)
-    dv1, dv2 = reduced_rhs(reduced, State(v1, v2))
-
-    u_vals = P[0, 0] * inverse(v1) + P[0, 1] * inverse(v2)
-    w_vals = P[1, 0] * inverse(v1) + P[1, 1] * inverse(v2)
-    from ckdv.grid import forward
-
-    du, dw = nonlinear_rhs(spec, State(forward(u_vals, grid64), forward(w_vals, grid64)))
-    want1 = reduced.P_inv[0, 0] * du.coeffs + reduced.P_inv[0, 1] * dw.coeffs
-    want2 = reduced.P_inv[1, 0] * du.coeffs + reduced.P_inv[1, 1] * dw.coeffs
-    assert np.max(np.abs(dv1.coeffs - want1)) < 1e-12
-    assert np.max(np.abs(dv2.coeffs - want2)) < 1e-12
-
-
-def test_sakovich_reduce_as_general_coupled(grid64):
-    # A1 = 0 keeps the mixed quadratic terms symmetric
-    A0 = np.array([[1.0, 0.5], [0.2, 2.0]])
-    A2 = np.array([[2.0, 1.0], [1.0, 2.0]])
-    reduced, _ = sakovich_reduce(Sakovich(A0, np.zeros((2, 2)), A2))
-    gen = reduced.as_general_coupled()
-    assert gen.a12 == gen.a21 == 0.0
-    st = State(
-        field_from_callable(lambda x: np.sin(x), grid64),
-        field_from_callable(lambda x: np.cos(x), grid64),
-    )
-    da, db = reduced_rhs(reduced, st)
-    ga, gb = nonlinear_rhs(gen, st)
-    assert np.max(np.abs(da.coeffs - ga.coeffs)) < 1e-12
-    assert np.max(np.abs(db.coeffs - gb.coeffs)) < 1e-12
+    form, P = diagonal_form(Sakovich(A0, A1, A2))
+    D = -np.linalg.inv(A2)
+    rec = P @ form.D @ np.linalg.inv(P)
+    assert np.max(np.abs(rec - D)) < 1e-12
+    assert form.dispersion() == (pytest.approx(-1.0), pytest.approx(-1.0 / 3.0))
 
 
 def test_sakovich_reduce_rejections():
     with pytest.raises(NotApplicable):
         # inv(A2) has a complex pair
-        sakovich_reduce(Sakovich(np.zeros((2, 2)), np.zeros((2, 2)), np.array([[1.0, -1.0], [1.0, 1.0]])))
+        diagonal_form(Sakovich(np.zeros((2, 2)), np.zeros((2, 2)), np.array([[1.0, -1.0], [1.0, 1.0]])))
     with pytest.raises(NotApplicable):
         # inv(A2) = [[1, 1], [0, 1]] is defective
-        sakovich_reduce(Sakovich(np.zeros((2, 2)), np.zeros((2, 2)), np.array([[1.0, -1.0], [0.0, 1.0]])))
+        diagonal_form(Sakovich(np.zeros((2, 2)), np.zeros((2, 2)), np.array([[1.0, -1.0], [0.0, 1.0]])))
 
 
-def test_quad_tensor_identity_mixing():
-    N0 = np.array([[1.0, 0.0], [0.0, 2.0]])
-    N1 = np.array([[3.0, 4.0], [5.0, 6.0]])
-    r = ReducedSystem((1.0, 1.0), N0, N1, np.eye(2), np.eye(2))
-    q = r.quad_tensor()
-    assert q[0, 0, 0] == 1.0 and q[0, 0, 1] == 3.0 and q[0, 1, 0] == 4.0
-    assert q[1, 1, 1] == 2.0 and q[1, 0, 1] == 5.0 and q[1, 1, 0] == 6.0
+CROSS_COUPLED = {
+    "gear_grimshaw": GearGrimshaw(0.7, 0.3, 0.5, 2.0, 0.5, r=0.4),
+    "general_coupled": GeneralCoupled(1.0, 0.4, 0.0, 0.5, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, r=0.3),
+    "sakovich": Sakovich(
+        np.array([[1.0, 0.5], [0.2, 2.0]]), np.array([[0.3, -0.1], [0.0, 0.4]]), np.array([[2.0, 1.0], [1.0, 2.0]])
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_COUPLED))
+def test_diagonal_form_rhs_consistency(grid64, name):
+    # dt-form: W_t = P_inv U_t must hold between the two right-hand sides
+    spec = CROSS_COUPLED[name]
+    form, P = diagonal_form(spec)
+    P_inv = np.linalg.inv(P)
+    u = field_from_callable(lambda x: np.sin(x) + 0.3 * np.cos(3.0 * x), grid64)
+    v = field_from_callable(lambda x: np.cos(2.0 * x), grid64)
+    U = np.stack([u.coeffs, v.coeffs])
+    W = P_inv @ U
+    got = nonlinear_rhs(form, State(SpectralField(W[0], grid64), SpectralField(W[1], grid64)))
+    want = P_inv @ np.stack([f.coeffs for f in nonlinear_rhs(spec, State(u, v))])
+    got = np.stack([f.coeffs for f in got])
+    assert np.max(np.abs(got - want)) < 1e-12
+    assert np.max(np.abs(P @ form.D @ P_inv - lower(spec).D)) < 1e-12
 
 
 def test_gg_offdiag_coeffs_structure():
