@@ -8,15 +8,19 @@ configuration problem.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import MISSING
 from pathlib import Path
 
 from .diagnostics import record_for
 from .harness import (
     DIAGNOSTICS_SCHEMA,
     ConfigError,
-    _strict,
+    _finite,
+    _optional,
+    _parse,
+    _read_json,
+    _text,
     build_system,
     config_from_dict,
     load_config,
@@ -37,6 +41,13 @@ _SUBCOMMAND_KIND = {
 
 # kinds that run with built-in defaults when --config is omitted
 _CONFIG_OPTIONAL = {"bourgain_suite", "kernel_suite", "nonequivalence"}
+
+_DIAGNOSE = {
+    "system": (build_system, MISSING),
+    "snapshot": (_text, MISSING),
+    "s": (_finite, 1.0),
+    "output_dir": (_optional(_text), None),
+}
 
 
 def _u64(text: str) -> int:
@@ -95,25 +106,13 @@ def _cmd_experiment(args, kind: str) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    try:
-        d = json.loads(Path(args.config).read_text())
-    except OSError as e:
-        raise ConfigError(f"cannot read config {args.config}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config {args.config} is not valid JSON: {e}") from None
-    if not isinstance(d, dict):
-        raise ConfigError("diagnose configuration must be a JSON object")
-    _strict(d, {"system", "snapshot", "s", "output_dir"}, "diagnose config")
-    for key in ("system", "snapshot"):
-        if key not in d:
-            raise ConfigError(f"diagnose config missing '{key}'")
-    spec = build_system(d["system"])
+    d = _parse(_read_json(args.config), _DIAGNOSE, "diagnose config")
     try:
         state = read_snapshot(d["snapshot"])
     except (OSError, ValueError) as e:
         raise ConfigError(f"cannot load snapshot: {e}") from None
-    rec = record_for(state, spec, float(d.get("s", 1.0)))
-    out = Path(args.out if args.out is not None else (d.get("output_dir") or "."))
+    rec = record_for(state, d["system"], d["s"])
+    out = Path(args.out if args.out is not None else (d["output_dir"] or "."))
     out.mkdir(parents=True, exist_ok=True)
     write_csv([rec.row()], DIAGNOSTICS_SCHEMA, out / "diagnostics.csv")
     if not args.quiet:

@@ -1,17 +1,23 @@
-"""Experiment harness: strict config parsing, runners, run manifests.
+"""Experiment harness: one-pass config parsing, runners, run manifests.
 
 Every experiment is a pure function of (config, seed).  A run writes
 its CSV tables and snapshots first and the manifest last, so the
 presence of manifest.json marks a completed run; its status field
 records failures instead of leaving half-written output behind.
+
+Each config block has one table, key -> (converter, default); `_parse`
+checks a block against it in one pass, so runners read typed values.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -41,17 +47,6 @@ from .systems import (
 )
 from .transforms import scaling_map
 
-KINDS = (
-    "simulate",
-    "lipschitz_probe",
-    "scaling_probe",
-    "picard_study",
-    "convergence_study",
-    "bourgain_suite",
-    "kernel_suite",
-    "nonequivalence",
-)
-
 DIAGNOSTICS_SCHEMA = ["t", "V", "F", "phi1", "phi2", "phi3", "phi4", "Hs_u", "Hs_v"]
 
 
@@ -59,262 +54,293 @@ class ConfigError(ValueError):
     """Malformed configuration; rejected before any computation."""
 
 
-def _strict(d: dict, allowed, where: str) -> None:
-    if not isinstance(d, dict):
+def _parse(block, table: dict, where: str, make=dict):
+    """make(**values) of `block` checked against `table`; any fault is a ConfigError.
+
+    A default of MISSING marks a required key; other defaults pass through
+    their converter like given values.  A nested block's ConfigError
+    passes through, naming its own block.
+    """
+    if not isinstance(block, dict):
         raise ConfigError(f"{where} must be an object")
-    unknown = sorted(set(d) - set(allowed))
+    unknown = sorted(map(str, set(block) - set(table)))
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    missing = [repr(k) for k, (_, default) in table.items() if default is MISSING and k not in block]
+    if missing:
+        raise ConfigError(f"{where} missing {', '.join(missing)}")
+    values = {}
+    try:
+        for key, (convert, default) in table.items():
+            at = f"{where}: '{key}'"
+            values[key] = convert(block.get(key, default))
+        at = f"{where}:"
+        return make(**values)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"{at} {e}") from None
+
+
+def _pick(block, key: str, choices: dict, where: str, default=None):
+    """(name, entry) of `choices` that block[key] names."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be an object")
+    name = block.get(key, default)
+    if not (isinstance(name, str) and name in choices):
+        raise ConfigError(f"{where}: unknown {key} {name!r} (choices: {', '.join(choices)})")
+    return name, choices[name]
+
+
+def _finite(v) -> float:
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        raise ValueError(f"must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _int(v) -> int:
+    if isinstance(v, numbers.Integral) and not isinstance(v, bool):
+        return int(v)
+    if not _finite(v).is_integer():
+        raise ValueError(f"must be an integer, got {v!r}")
+    return int(v)
+
+
+def _check(convert, ok, what: str):
+    """Converter: `convert`, then reject a value for which ok(value) is false."""
+    def checked(v):
+        x = convert(v)
+        if not ok(x):
+            raise ValueError(f"must be {what}, got {v!r}")
+        return x
+    return checked
+
+
+_positive = _check(_finite, lambda x: x > 0.0, "positive")
+_nonneg = _check(_finite, lambda x: x >= 0.0, ">= 0")
+_count = _check(_int, lambda n: n >= 1, "an integer >= 1")
+_seed = _check(_int, lambda n: 0 <= n < 2**64, "an integer in [0, 2**64)")
+_flag = _check(lambda v: v, lambda v: isinstance(v, bool), "true or false")
+_text = _check(lambda v: v, lambda v: isinstance(v, str), "a string")
+
+
+def _optional(convert):
+    return lambda v: None if v is None else convert(v)
+
+
+def _list_of(convert, length=None):
+    """Converter: a non-empty list (of exactly `length` entries if given), each converted."""
+    def converted(v):
+        if not isinstance(v, (list, tuple)) or not v or len(v) != (length or len(v)):
+            raise ValueError(f"must be a list of {length or 'one or more'} entries, got {v!r}")
+        return [convert(x) for x in v]
+    return converted
+
+
+def _kernel_id(v) -> str:
+    if not (isinstance(v, str) and v in KERNELS):
+        raise ValueError(f"has unknown kernel id {v!r} (choices: {', '.join(KERNELS)})")
+    return v
+
+
+def _fields(cls, convert=_finite, **special) -> dict:
+    """Table of a dataclass: one converter per field, the dataclass's defaults."""
+    return {f.name: (special.get(f.name, convert), f.default) for f in dataclasses.fields(cls)}
 
 
 _SYSTEMS = {
-    "hirota_satsuma": HirotaSatsuma,
-    "feng": Feng,
-    "gear_grimshaw": GearGrimshaw,
-    "general_coupled": GeneralCoupled,
-    "sakovich": Sakovich,
+    "hirota_satsuma": (HirotaSatsuma, _fields(HirotaSatsuma)),
+    "feng": (Feng, _fields(Feng)),
+    "gear_grimshaw": (GearGrimshaw, _fields(GearGrimshaw)),
+    "general_coupled": (GeneralCoupled, _fields(GeneralCoupled)),
+    "sakovich": (Sakovich, _fields(Sakovich, _list_of(_list_of(_finite, 2), 2))),
 }
+
+_GRID = {"n": (_int, MISSING), "period": (_finite, MISSING), "dealias_fraction": (_finite, 2.0 / 3.0)}
+_STEPPER = _fields(StepperConfig, scheme=_text)
 
 
 def build_system(d: dict):
-    if not isinstance(d, dict) or "name" not in d:
-        raise ConfigError("system block needs a 'name' key")
-    name = d["name"]
-    cls = _SYSTEMS.get(name)
-    if cls is None:
-        raise ConfigError(f"unknown system '{name}' (choices: {', '.join(_SYSTEMS)})")
-    fields = {f.name for f in dataclasses.fields(cls)}
-    body = {k: v for k, v in d.items() if k != "name"}
-    _strict(body, fields, f"system '{name}'")
-    if cls is Sakovich:
-        body = {k: np.asarray(v, dtype=np.float64) for k, v in body.items()}
-    try:
-        return cls(**body)
-    except TypeError as e:
-        raise ConfigError(f"system '{name}': {e}") from None
+    name, (cls, table) = _pick(d, "name", _SYSTEMS, "system")
+    return _parse({k: v for k, v in d.items() if k != "name"}, table, f"system '{name}'", cls)
 
 
 def build_grid(d: dict) -> Grid:
-    _strict(d, {"n", "period", "dealias_fraction"}, "grid")
-    try:
-        n = d["n"]
-        if isinstance(n, float) and not n.is_integer():
-            raise ValueError(f"n must be an integer, got {n}")
-        return Grid(
-            int(n),
-            float(d["period"]),
-            float(d.get("dealias_fraction", 2.0 / 3.0)),
-        )
-    except KeyError as e:
-        raise ConfigError(f"grid block missing {e}") from None
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"grid block: {e}") from None
+    return _parse(d, _GRID, "grid", Grid)
 
 
 def build_stepper(d: dict) -> StepperConfig:
-    _strict(d, {"dt", "scheme", "cfl_guard"}, "stepper")
-    if "dt" not in d:
-        raise ConfigError("stepper block missing 'dt'")
-    kw = {}
-    if "scheme" in d:
-        kw["scheme"] = d["scheme"]
-    if "cfl_guard" in d:
-        kw["cfl_guard"] = float(d["cfl_guard"])
-    try:
-        return StepperConfig(float(d["dt"]), **kw)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"stepper block: {e}") from None
+    return _parse(d, _STEPPER, "stepper", StepperConfig)
 
 
-_INITIAL_KEYS = {
-    "zero": set(),
-    "gaussian": {"amplitude", "width", "center"},
-    "sine": {"amplitude", "mode", "phase"},
-    "modulated_gaussian": {"amplitude", "width", "center", "mode"},
-    "soliton": {"speed", "center"},
-    "random_band": {"amplitude", "band", "decay"},
+_PROFILES = {
+    kind: {"kind": (_text, kind), **table}
+    for kind, table in {
+        "zero": {},
+        "gaussian": {"amplitude": (_finite, 1.0), "width": (_positive, 1.0), "center": (_finite, 0.0)},
+        "sine": {"amplitude": (_finite, 1.0), "mode": (_int, 1), "phase": (_finite, 0.0)},
+        "modulated_gaussian": {
+            "amplitude": (_finite, 1.0), "width": (_positive, 1.0),
+            "center": (_finite, 0.0), "mode": (_int, 12),
+        },
+        "soliton": {"speed": (_positive, 4.0), "center": (_finite, 0.0)},
+        "random_band": {"amplitude": (_finite, 1.0), "band": (_nonneg, 0.0), "decay": (_finite, 2.0)},
+    }.items()
 }
 
 
-def _component_samples(d: dict, g: Grid, rng: np.random.Generator) -> np.ndarray:
-    kind = d.get("kind", "zero")
-    if kind not in _INITIAL_KEYS:
-        raise ConfigError(
-            f"unknown initial kind '{kind}' (choices: {', '.join(_INITIAL_KEYS)})"
-        )
-    _strict({k: v for k, v in d.items() if k != "kind"}, _INITIAL_KEYS[kind], f"initial '{kind}'")
-    x = g.x
-    amp = float(d.get("amplitude", 1.0))
+def _parse_profile(d, where: str) -> dict:
+    return _parse(d, _pick(d, "kind", _PROFILES, where, default="zero")[1], where)
+
+
+_INITIAL = {side: (partial(_parse_profile, where=f"initial.{side}"), {}) for side in ("u", "v")}
+
+
+def _component_samples(p: dict, g: Grid, rng: np.random.Generator) -> np.ndarray:
+    kind, x = p["kind"], g.x
     if kind == "zero":
         return np.zeros(g.n)
     if kind == "gaussian":
-        w = float(d.get("width", 1.0))
-        c = float(d.get("center", 0.0))
-        return amp * np.exp(-(((x - c) / w) ** 2))
+        return p["amplitude"] * np.exp(-(((x - p["center"]) / p["width"]) ** 2))
     if kind == "sine":
-        m = int(d.get("mode", 1))
-        ph = float(d.get("phase", 0.0))
-        return amp * np.sin(2.0 * np.pi * m * x / g.period + ph)
+        return p["amplitude"] * np.sin(2.0 * np.pi * p["mode"] * x / g.period + p["phase"])
     if kind == "modulated_gaussian":
-        w = float(d.get("width", 1.0))
-        c = float(d.get("center", 0.0))
-        m = int(d.get("mode", 12))
-        env = np.exp(-(((x - c) / w) ** 2))
-        return amp * env * np.cos(2.0 * np.pi * m * (x - c) / g.period)
+        c = p["center"]
+        env = np.exp(-(((x - c) / p["width"]) ** 2))
+        return p["amplitude"] * env * np.cos(2.0 * np.pi * p["mode"] * (x - c) / g.period)
     if kind == "soliton":
-        c = float(d.get("speed", 4.0))
-        x0 = float(d.get("center", 0.0))
-        if c <= 0.0:
-            raise ConfigError("soliton speed must be positive")
         # (c/2) sech^2(sqrt(c)/2 (x - x0)) travels right at speed c under
         # w_t + w_xxx + 6 w w_x = 0
-        arg = 0.5 * np.sqrt(c) * (x - x0)
+        c = p["speed"]
+        arg = 0.5 * np.sqrt(c) * (x - p["center"])
         return 0.5 * c / np.cosh(arg) ** 2
     # random_band: Hermitian noise limited to the resolved band
-    band = float(d.get("band", 0.0))
-    decay = float(d.get("decay", 2.0))
     coeffs = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
-    damp = (1.0 + np.abs(g.xi)) ** (-decay)
+    damp = (1.0 + np.abs(g.xi)) ** (-p["decay"])
     coeffs *= damp * g.keep
-    if band > 0.0:
-        coeffs[np.abs(g.xi) > band] = 0.0
+    if p["band"] > 0.0:
+        coeffs[np.abs(g.xi) > p["band"]] = 0.0
     vals = SpectralField(coeffs, g).values()
     peak = np.max(np.abs(vals))
     if peak > 0.0:
-        vals = vals * (amp / peak)
+        vals = vals * (p["amplitude"] / peak)
     return vals
 
 
 def make_initial(d: Optional[dict], g: Grid, rng: np.random.Generator) -> State:
-    d = d or {}
-    _strict(d, {"u", "v"}, "initial")
-    u = forward(_component_samples(d.get("u", {}), g, rng), g)
-    v = forward(_component_samples(d.get("v", {}), g, rng), g)
+    init = _parse({} if d is None else d, _INITIAL, "initial")
+    u = forward(_component_samples(init["u"], g, rng), g)
+    v = forward(_component_samples(init["v"], g, rng), g)
     return State(u, v, 0.0)
 
 
-_PARAM_KEYS = {
-    "simulate": {"s"},
-    "lipschitz_probe": {"s", "deltas", "n_directions", "direction_band"},
-    "scaling_probe": {"lam", "lambdas", "s_values"},
-    "picard_study": {"n_iters", "time_resolution", "s", "apply_cutoffs", "compare_stepper"},
-    "convergence_study": {"dt_values", "reference_dt"},
-    "bourgain_suite": {
-        "s", "b", "b_prime", "a",
-        "n_x", "period_x", "n_t", "period_t",
-        "n_fields", "t_values",
-        "embedding_speeds", "pair_first", "pair_second", "n_embed_fields",
+_PARAMS = {
+    "simulate": {"s": (_finite, 1.0)},
+    "lipschitz_probe": {
+        "s": (_finite, 1.0), "n_directions": (_count, 1), "direction_band": (_nonneg, 0.0),
+        "deltas": (_list_of(_positive), (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)),
     },
-    "kernel_suite": {"kernels"},
-    "nonequivalence": {"a0", "a1", "s", "b", "radii"},
+    "scaling_probe": {
+        "lam": (_positive, 2.0), "lambdas": (_list_of(_positive), (1.0, 2.0, 4.0, 8.0)),
+        "s_values": (_list_of(_finite), (-1.5, -1.0, -0.75, 0.0, 1.0)),
+    },
+    "picard_study": {
+        "n_iters": (_count, 8), "s": (_finite, 0.0),
+        "time_resolution": (_check(_int, lambda n: n >= 9 and n % 2 == 1, "odd and >= 9"), 201),
+        "apply_cutoffs": (_flag, False), "compare_stepper": (_flag, True),
+    },
+    "convergence_study": {
+        "dt_values": (_list_of(_positive), (4e-3, 2e-3, 1e-3, 5e-4)),
+        "reference_dt": (_optional(_positive), None),  # None: a quarter of the finest dt
+    },
+    "bourgain_suite": {
+        "s": (_finite, 0.0), "b": (_finite, 0.6), "b_prime": (_finite, -0.3), "a": (_finite, 1.0),
+        "n_x": (_count, 128), "period_x": (_positive, 16.0 * np.pi),
+        "n_t": (_count, 512), "period_t": (_positive, 8.0), "n_fields": (_count, 50),
+        "t_values": (_list_of(_positive), (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)),
+        "embedding_speeds": (_list_of(_finite, 3), (2.0, 1.0, 3.0)),
+        "pair_first": (_list_of(_finite, 2), (1.0, 3.0)),
+        "pair_second": (_list_of(_finite, 2), (1.5, 2.5)), "n_embed_fields": (_count, 64),
+    },
+    "kernel_suite": {"kernels": (_list_of(_kernel_id), tuple(KERNELS))},
+    "nonequivalence": {
+        "a0": (_finite, 1.0), "a1": (_finite, -1.0), "s": (_finite, 0.0), "b": (_finite, 3.0),
+        "radii": (_list_of(_positive), (8.0, 16.0, 32.0, 64.0)),
+    },
 }
 
-_NEEDS_DYNAMICS = {
-    "simulate", "lipschitz_probe", "scaling_probe", "picard_study", "convergence_study",
+_NEEDS_DYNAMICS = {"simulate", "lipschitz_probe", "scaling_probe", "picard_study", "convergence_study"}
+
+_TOP = {
+    "kind": (_text, MISSING),
+    "horizon": (_nonneg, 0.0),
+    "sample_dt": (_positive, 0.01),
+    "seed": (_seed, 0),
+    "output_dir": (_optional(_text), None),
 }
 
-_TOP_KEYS = {
-    "kind", "system", "grid", "stepper", "horizon", "sample_dt",
-    "initial", "seed", "output_dir", "params",
+_DYNAMICS = {
+    "system": (build_system, MISSING),
+    "grid": (build_grid, MISSING),
+    "stepper": (build_stepper, MISSING),
+    "initial": (partial(_parse, table=_INITIAL, where="initial"), {}),
+}
+
+_CONFIGS = {
+    kind: {
+        **_TOP,
+        **(_DYNAMICS if kind in _NEEDS_DYNAMICS else {}),
+        "params": (partial(_parse, table=params, where=f"params for '{kind}'"), {}),
+    }
+    for kind, params in _PARAMS.items()
 }
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentConfig:
     kind: str
     raw: dict
-    system: object
-    grid: Optional[Grid]
-    stepper: Optional[StepperConfig]
     horizon: float
     sample_dt: float
-    initial: Optional[dict]
     seed: int
     output_dir: Optional[str]
     params: dict
+    system: object = None
+    grid: Optional[Grid] = None
+    stepper: Optional[StepperConfig] = None
+    initial: Optional[dict] = None
+
+    def __post_init__(self):
+        # rules that span keys; _parse reports a ValueError here as a ConfigError
+        p = self.params
+        if self.kind == "picard_study" and self.horizon == 0.0:
+            raise ValueError("horizon must be > 0 for a Picard study")
+        two_wave = isinstance(self.system, HirotaSatsuma) and self.system.a != 0.0
+        if self.kind == "scaling_probe" and not two_wave:
+            raise ValueError("scaling covariance is set up for the two-wave system with a != 0")
+        if self.kind == "convergence_study":
+            finest = min(p["dt_values"])
+            if p["reference_dt"] is None:
+                p["reference_dt"] = finest / 4.0
+            if p["reference_dt"] >= finest:
+                raise ValueError("reference_dt must be finer than every entry of dt_values")
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    if not isinstance(d, dict):
-        raise ConfigError("configuration must be a JSON object")
-    _strict(d, _TOP_KEYS, "config")
-    kind = d.get("kind")
-    if kind not in KINDS:
-        raise ConfigError(f"unknown kind '{kind}' (choices: {', '.join(KINDS)})")
-    params = d.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("params must be an object")
-    _strict(params, _PARAM_KEYS[kind], f"params for '{kind}'")
-    system = grid = stepper = None
-    if kind in _NEEDS_DYNAMICS:
-        for block in ("system", "grid", "stepper"):
-            if block not in d:
-                raise ConfigError(f"kind '{kind}' requires a '{block}' block")
-        system = build_system(d["system"])
-        grid = build_grid(d["grid"])
-        stepper = build_stepper(d["stepper"])
-    else:
-        for block in ("system", "grid", "stepper"):
-            if block in d:
-                raise ConfigError(f"kind '{kind}' does not take a '{block}' block")
-    initial = d.get("initial")
-    if initial is not None and kind not in _NEEDS_DYNAMICS:
-        raise ConfigError(f"kind '{kind}' does not take an 'initial' block")
-    if initial is not None:
-        _strict(initial, {"u", "v"}, "initial")
-        for side in ("u", "v"):
-            blk = initial.get(side)
-            if blk is not None:
-                if not isinstance(blk, dict):
-                    raise ConfigError(f"initial.{side} must be an object")
-                kname = blk.get("kind", "zero")
-                if kname not in _INITIAL_KEYS:
-                    raise ConfigError(f"unknown initial kind '{kname}'")
-                _strict(
-                    {k: v for k, v in blk.items() if k != "kind"},
-                    _INITIAL_KEYS[kname],
-                    f"initial.{side}",
-                )
-    if kind == "kernel_suite":
-        ids = params.get("kernels", ())
-        unknown = sorted(set(ids) - set(KERNELS))
-        if unknown:
-            raise ConfigError(f"unknown kernel id(s): {', '.join(map(str, unknown))}")
+    """Validate, type and default every block of a config in one pass."""
+    kind, table = _pick(d, "kind", _CONFIGS, "config")
+    return _parse(d, table, f"{kind} config", partial(ExperimentConfig, raw=d))
+
+
+def _read_json(path):
     try:
-        horizon = float(d.get("horizon", 0.0))
-        sample_dt = float(d.get("sample_dt", 0.01))
-        seed = int(d.get("seed", 0))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"config scalar: {e}") from None
-    if not (horizon >= 0.0 and np.isfinite(horizon)):
-        raise ConfigError(f"horizon must be finite and >= 0, got {horizon}")
-    if not (sample_dt > 0.0 and np.isfinite(sample_dt)):
-        raise ConfigError(f"sample_dt must be finite and positive, got {sample_dt}")
-    return ExperimentConfig(
-        kind=kind,
-        raw=d,
-        system=system,
-        grid=grid,
-        stepper=stepper,
-        horizon=horizon,
-        sample_dt=sample_dt,
-        initial=initial,
-        seed=seed,
-        output_dir=d.get("output_dir"),
-        params=params,
-    )
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"cannot read config {path}: {e}") from None
 
 
 def load_config(path) -> ExperimentConfig:
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from None
-    try:
-        d = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config {path} is not valid JSON: {e}") from None
-    return config_from_dict(d)
+    return config_from_dict(_read_json(path))
 
 
 def _jsonable(obj):
@@ -408,8 +434,7 @@ def _run_simulate(cfg: ExperimentConfig, emit: _Emitter):
     rng = np.random.default_rng(cfg.seed)
     state = make_initial(cfg.initial, cfg.grid, rng)
     emit.snapshot("snapshot_initial.ckdv", state)
-    s = float(cfg.params.get("s", 1.0))
-    rec = Recorder(cfg.system, s)
+    rec = Recorder(cfg.system, cfg.params["s"])
     if cfg.horizon > 0.0:
         traj = simulate(
             state, cfg.system, cfg.horizon, cfg.stepper,
@@ -433,10 +458,7 @@ def _run_simulate(cfg: ExperimentConfig, emit: _Emitter):
 
 def _run_lipschitz(cfg: ExperimentConfig, emit: _Emitter):
     p = cfg.params
-    s = float(p.get("s", 1.0))
-    deltas = [float(x) for x in p.get("deltas", (1e-1, 1e-2, 1e-3, 1e-4, 1e-5))]
-    n_dirs = int(p.get("n_directions", 1))
-    band = float(p.get("direction_band", 0.0))
+    s = p["s"]
     rng = np.random.default_rng(cfg.seed)
     base0 = make_initial(cfg.initial, cfg.grid, rng)
     base_norm = _joint_norm(base0, s)
@@ -445,10 +467,10 @@ def _run_lipschitz(cfg: ExperimentConfig, emit: _Emitter):
     base = simulate(base0, cfg.system, cfg.horizon, cfg.stepper, sample_dt=cfg.sample_dt)
     rows = []
     stab = []
-    for d_idx in range(n_dirs):
-        du, dv = _random_direction(cfg.grid, rng, s, band)
+    for d_idx in range(p["n_directions"]):
+        du, dv = _random_direction(cfg.grid, rng, s, p["direction_band"])
         ratios = {}
-        for delta in deltas:
+        for delta in p["deltas"]:
             eps = delta * base_norm
             pert0 = State(_axpy(base0.u, du, eps), _axpy(base0.v, dv, eps), 0.0)
             pert = simulate(
@@ -488,11 +510,7 @@ def _scaled_state(base: State, lam: float) -> State:
 
 def _run_scaling(cfg: ExperimentConfig, emit: _Emitter):
     p = cfg.params
-    lam = float(p.get("lam", 2.0))
-    lambdas = [float(x) for x in p.get("lambdas", (1.0, 2.0, 4.0, 8.0))]
-    s_values = [float(x) for x in p.get("s_values", (-1.5, -1.0, -0.75, 0.0, 1.0))]
-    if not isinstance(cfg.system, HirotaSatsuma) or cfg.system.a == 0.0:
-        raise ValueError("scaling covariance is set up for the two-wave system with a != 0")
+    lam, lambdas, s_values = p["lam"], p["lambdas"], p["s_values"]
     rng = np.random.default_rng(cfg.seed)
     base0 = make_initial(cfg.initial, cfg.grid, rng)
 
@@ -543,15 +561,14 @@ def _run_picard(cfg: ExperimentConfig, emit: _Emitter):
     p = cfg.params
     rng = np.random.default_rng(cfg.seed)
     state0 = make_initial(cfg.initial, cfg.grid, rng)
-    s = float(p.get("s", 0.0))
     iters, report = picard_iterate(
         state0,
         cfg.system,
         cfg.horizon,
-        n_iters=int(p.get("n_iters", 8)),
-        time_resolution=int(p.get("time_resolution", 201)),
-        s=s,
-        apply_cutoffs=bool(p.get("apply_cutoffs", False)),
+        n_iters=p["n_iters"],
+        time_resolution=p["time_resolution"],
+        s=p["s"],
+        apply_cutoffs=p["apply_cutoffs"],
     )
     rows = []
     for k, d in enumerate(report.diffs):
@@ -564,7 +581,7 @@ def _run_picard(cfg: ExperimentConfig, emit: _Emitter):
     }
     # the comparison only means something at a fixed point; a divergent
     # iterate would also blow up the reference simulation
-    if report.converged and bool(p.get("compare_stepper", True)) and cfg.horizon > 0.0:
+    if report.converged and p["compare_stepper"]:
         traj = simulate(
             state0, cfg.system, cfg.horizon, cfg.stepper,
             sample_dt=max(cfg.horizon, cfg.stepper.dt),
@@ -582,11 +599,8 @@ def _run_picard(cfg: ExperimentConfig, emit: _Emitter):
 
 
 def _run_convergence(cfg: ExperimentConfig, emit: _Emitter):
-    p = cfg.params
-    dts = sorted((float(x) for x in p.get("dt_values", (4e-3, 2e-3, 1e-3, 5e-4))), reverse=True)
-    ref_dt = float(p.get("reference_dt", dts[-1] / 4.0))
-    if ref_dt >= dts[-1]:
-        raise ValueError("reference_dt must be finer than every entry of dt_values")
+    dts = sorted(cfg.params["dt_values"], reverse=True)
+    ref_dt = cfg.params["reference_dt"]
     rng = np.random.default_rng(cfg.seed)
     state0 = make_initial(cfg.initial, cfg.grid, rng)
     T = cfg.horizon
@@ -625,22 +639,12 @@ def _run_convergence(cfg: ExperimentConfig, emit: _Emitter):
 
 def _run_bourgain(cfg: ExperimentConfig, emit: _Emitter):
     p = cfg.params
-    s = float(p.get("s", 0.0))
-    b = float(p.get("b", 0.6))
-    b_prime = float(p.get("b_prime", -0.3))
-    a = float(p.get("a", 1.0))
-    n_x = int(p.get("n_x", 128))
-    period_x = float(p.get("period_x", 16.0 * np.pi))
-    n_t = int(p.get("n_t", 512))
-    period_t = float(p.get("period_t", 8.0))
-    n_fields = int(p.get("n_fields", 50))
-    t_values = tuple(float(x) for x in p.get("t_values", (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)))
-
+    s, b, n_x, period_x = p["s"], p["b"], p["n_x"], p["period_x"]
     gx = Grid(n_x, period_x)
     u0 = forward(np.exp(-(gx.x**2)), gx)
     rep = linear_estimate_check(
-        u0, a, s, b, b_prime, T=max(t_values),
-        n_fields=n_fields, seed=cfg.seed, n_t=n_t, t_ladder=t_values,
+        u0, p["a"], s, b, p["b_prime"], T=max(p["t_values"]),
+        n_fields=p["n_fields"], seed=cfg.seed, n_t=p["n_t"], t_ladder=p["t_values"],
     )
     emit.csv(
         "linear_free.csv",
@@ -653,19 +657,15 @@ def _run_bourgain(cfg: ExperimentConfig, emit: _Emitter):
         [[t, r] for t, r in zip(rep.duhamel_T, rep.duhamel_ratios)],
     )
 
-    speeds = tuple(float(x) for x in p.get("embedding_speeds", (2.0, 1.0, 3.0)))
-    pair_first = tuple(float(x) for x in p.get("pair_first", (1.0, 3.0)))
-    pair_second = tuple(float(x) for x in p.get("pair_second", (1.5, 2.5)))
-    n_embed = int(p.get("n_embed_fields", 64))
-    stg = make_st_grid(min(n_x, 64), period_x, min(n_t, 256), period_t)
+    stg = make_st_grid(min(n_x, 64), period_x, min(p["n_t"], 256), p["period_t"])
     rng = np.random.default_rng((cfg.seed, 1))
     emb_rows = []
     eqv_rows = []
-    for i in range(n_embed):
+    for i in range(p["n_embed_fields"]):
         F = random_field(stg, rng, decay=0.5)
-        er = embedding_check(F, speeds[0], speeds[1], speeds[2], s, b)
+        er = embedding_check(F, *p["embedding_speeds"], s, b)
         emb_rows.append([i, er.lhs, er.rhs, er.constant, er.passed])
-        qr = intersection_equivalence(F, pair_first, pair_second, s, b)
+        qr = intersection_equivalence(F, p["pair_first"], p["pair_second"], s, b)
         eqv_rows.append([i, qr.norm_first, qr.norm_second, qr.c_lo, qr.c_hi, qr.passed])
     emit.csv("embedding.csv", ["field", "lhs", "rhs", "constant", "passed"], emb_rows)
     emit.csv(
@@ -689,11 +689,7 @@ def _run_bourgain(cfg: ExperimentConfig, emit: _Emitter):
 
 
 def _run_kernels(cfg: ExperimentConfig, emit: _Emitter):
-    ids = list(cfg.params.get("kernels", list(KERNELS)))
-    unknown = sorted(set(ids) - set(KERNELS))
-    if unknown:
-        raise ConfigError(f"unknown kernel id(s): {', '.join(unknown)}")
-    reports = [kernel_bound_check(kid)[1] for kid in ids]
+    reports = [kernel_bound_check(kid)[1] for kid in cfg.params["kernels"]]
     rows = [
         [r.kernel_id, r.max_base, r.max_refined, r.rel_change, r.stable]
         for r in reports
@@ -713,13 +709,7 @@ def _run_kernels(cfg: ExperimentConfig, emit: _Emitter):
 
 def _run_noneq(cfg: ExperimentConfig, emit: _Emitter):
     p = cfg.params
-    tab = nonequivalence_demo(
-        float(p.get("a0", 1.0)),
-        float(p.get("a1", -1.0)),
-        float(p.get("s", 0.0)),
-        float(p.get("b", 3.0)),
-        [float(x) for x in p.get("radii", (8.0, 16.0, 32.0, 64.0))],
-    )
+    tab = nonequivalence_demo(p["a0"], p["a1"], p["s"], p["b"], p["radii"])
     rows = [
         [R, dv, cv]
         for R, dv, cv in zip(tab.radii, tab.divergent_norms, tab.convergent_norms)

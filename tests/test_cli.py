@@ -40,6 +40,14 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bad_value_exits_2_before_any_output(tmp_path, capsys):
+    cfg = write_config(tmp_path, simulate_payload(initial={"u": {"kind": "gaussian", "width": 0}}))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert "width" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "simulate" in capsys.readouterr().out
@@ -165,4 +173,11 @@ def test_diagnose_rejections(tmp_path, capsys):
         name="bad2.json",
     )
     assert main(["diagnose", "--config", missing]) == 2
+    bad_s = write_config(
+        tmp_path,
+        {"system": {"name": "feng", "a": 1.0, "b": 1.0, "c": 1.0, "d": 0.0},
+         "snapshot": snap, "s": "abc"},
+        name="bad3.json",
+    )
+    assert main(["diagnose", "--config", bad_s]) == 2
     capsys.readouterr()

@@ -1,9 +1,12 @@
 """Experiment configuration validation and the run-to-manifest pipeline."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ckdv import (
     ConfigError,
@@ -68,6 +71,8 @@ def test_build_system_rejections():
         build_system({"name": "hirota_satsuma", "a": 1.0, "b": 1.0, "zz": 3})
     with pytest.raises(ConfigError):
         build_system({"name": "hirota_satsuma", "a": 1.0})  # missing b
+    with pytest.raises(ConfigError, match="A0"):
+        build_system({"name": "sakovich", "A0": "x", "A1": [[1, 0], [0, 1]], "A2": [[1, 0], [0, 1]]})
 
 
 def test_build_grid_and_stepper_rejections():
@@ -85,6 +90,8 @@ def test_build_grid_and_stepper_rejections():
         build_stepper({"scheme": "IFRK4"})
     with pytest.raises(ConfigError):
         build_stepper({"dt": 1e-3, "scheme": "euler"})
+    with pytest.raises(ConfigError, match="cfl_guard"):
+        build_stepper({"dt": 1e-3, "cfl_guard": "x"})
 
 
 def test_config_validation_matrix():
@@ -123,6 +130,80 @@ def test_config_validation_matrix():
         config_from_dict(simulate_config(sample_dt=0.0))
     with pytest.raises(ConfigError):
         config_from_dict(simulate_config(horizon="soon"))
+    with pytest.raises(ConfigError):  # a JSON integer too large for a float
+        config_from_dict(simulate_config(horizon=10**400))
+    with pytest.raises(ConfigError, match="mode"):  # not truncated to 1
+        config_from_dict(simulate_config(initial={"u": {"kind": "sine", "mode": 1.5}}))
+    with pytest.raises(ConfigError, match="kernels"):  # not split into characters
+        config_from_dict({"kind": "kernel_suite", "params": {"kernels": "peak_pair"}})
+
+
+# each of these used to pass validation and then end the run as status "error"
+RUN_TIME_FAILURES = {
+    "negative_seed": simulate_config(seed=-1),
+    "s_not_a_number": simulate_config(params={"s": "abc"}),
+    "coefficient_not_a_number": simulate_config(system={"name": "hirota_satsuma", "a": "x", "b": 1.0}),
+    "gaussian_width_0": simulate_config(initial={"u": {"kind": "gaussian", "width": 0}}),
+    "nan_amplitude": simulate_config(initial={"u": {"kind": "gaussian", "amplitude": float("nan")}}),
+    "picard_horizon_0": simulate_config(kind="picard_study", horizon=0.0),
+    "picard_n_iters_0": simulate_config(kind="picard_study", params={"n_iters": 0}),
+    "picard_even_time_resolution": simulate_config(kind="picard_study", params={"time_resolution": 200}),
+    "lipschitz_deltas_not_a_list": simulate_config(kind="lipschitz_probe", params={"deltas": "abc"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_TIME_FAILURES))
+def test_run_time_failures_rejected_up_front(name):
+    with pytest.raises(ConfigError):
+        config_from_dict(RUN_TIME_FAILURES[name])
+
+
+def test_parsed_params_are_typed_and_defaulted():
+    cfg = config_from_dict(simulate_config(kind="picard_study", params={"n_iters": 4.0}))
+    assert cfg.params == {
+        "n_iters": 4, "time_resolution": 201, "s": 0.0,
+        "apply_cutoffs": False, "compare_stepper": True,
+    }
+    assert type(cfg.params["n_iters"]) is int
+    assert cfg.initial["u"] == {"kind": "gaussian", "amplitude": 0.5, "width": 1.0, "center": 0.0}
+    assert cfg.initial["v"] == {"kind": "zero"}
+    conv = config_from_dict(simulate_config(kind="convergence_study", params={"dt_values": [1e-3, 4e-3]}))
+    assert conv.params["reference_dt"] == 1e-3 / 4.0
+
+
+CONFIG_FILES = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+MUTANTS = (None, "x", float("nan"), -1, 1.5, [], [0.5, "x"], {}, {"k": 1})
+
+
+def _paths(node, path=()):
+    """Every (path, node) in a JSON tree, root first."""
+    yield path, node
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_mutated_shipped_configs_validate_or_raise_config_error(data):
+    d = json.loads(data.draw(st.sampled_from(CONFIG_FILES)).read_text())
+    path, node = data.draw(st.sampled_from(list(_paths(d))))
+    ops = (["add"] if isinstance(node, dict) else []) + (["replace", "drop"] if path else [])
+    op = data.draw(st.sampled_from(ops))
+    if op == "add":
+        node["unknown_key"] = data.draw(st.sampled_from(MUTANTS))
+    else:
+        parent = d
+        for key in path[:-1]:
+            parent = parent[key]
+        if op == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(st.sampled_from(MUTANTS))
+    try:
+        config_from_dict(d)
+    except ConfigError:
+        pass
 
 
 def test_config_static_kinds_reject_dynamics_blocks():
