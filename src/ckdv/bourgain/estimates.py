@@ -338,6 +338,7 @@ def linear_estimate_check(
     xi = g.xi
     g_hat = np.where(mask, np.exp(-(xi**2)), 0.0)
     t = stg.t.x
+    phase = stg.phase(a)
     d_ratios = []
     ladder = [float(x) for x in t_ladder]
     p_lhs = NormParams(a, s, b)
@@ -348,8 +349,7 @@ def linear_estimate_check(
         # bends the fitted exponent upward
         sigma0, width = 8.0 / Tj, 0.5 / Tj
         envelope = np.exp(-0.5 * (width * t) ** 2) * np.cos(sigma0 * t)
-        slices = g_hat[:, None] * np.exp(-1j * a * xi[:, None] ** 3 * t[None, :])
-        slices = slices * envelope[None, :]
+        slices = g_hat[:, None] * phase * envelope[None, :]
         F = from_time_slices(slices, stg)
         w = duhamel_field(slices, a, stg, Tj)
         d_ratios.append(xsb_norm(w, p_lhs) / xsb_norm(F, p_rhs))
@@ -399,6 +399,13 @@ def bilinear_ratio(
     larger band extend a draw instead of reshuffling it.  Stability of
     the max across a band ladder is the numerical shadow of
     boundedness.
+
+    Each drawn field is its own conjugate mirror under
+    (xi, tau) -> (-xi, -tau), and so is the output weight, so pair
+    (i, j) and pair (m-1-i, m-1-j) put conjugate values on mirrored
+    output cells and carry equal shares of the output norm: only the
+    pairs with xi_i + xi_j < 0 are formed, and the row xi_out = 0 they
+    leave out has zero weight.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -432,16 +439,14 @@ def bilinear_ratio(
     w_right, sup_right = weights_and_support(t_right, a_right)
 
     def draw(trial, which, sup):
-        c = np.zeros((m, kk), dtype=complex)
+        z = np.empty((h + 1, kk), dtype=complex)
         for i in range(h + 1):
             r = np.random.default_rng((seed, trial, which, i))
-            z = r.standard_normal(kk) + 1j * r.standard_normal(kk)
-            row = z * sig_prof * amp[h + i]
-            if i == 0:
-                row = 0.5 * (row + np.conj(row[::-1]))
-            c[h + i] = row
-            c[h - i] = np.conj(row[::-1])
-        return c * sup
+            z[i] = r.standard_normal(kk) + 1j * r.standard_normal(kk)
+        rows = z * sig_prof * amp[h:, None]
+        rows[0] = 0.5 * (rows[0] + np.conj(rows[0, ::-1]))
+        # row h - i is the conjugate mirror of row h + i: a real field
+        return np.concatenate((np.conj(rows[:0:-1, ::-1]), rows)) * sup
 
     # every pairwise interaction is a short 1-d convolution of the two
     # windows, planted at the integer offset t_left[i] + t_right[j];
@@ -449,14 +454,14 @@ def bilinear_ratio(
     ll = 2 * kk - 1
     pos_span = int(np.max(np.abs(t_left)) + np.max(np.abs(t_right))) + 2 * kap + 1
     stride = np.int64(2 * pos_span + 1)
-    n_pair = np.arange(m, dtype=np.int64)[:, None] + np.arange(m, dtype=np.int64)[None, :]
-    base = t_left[:, None] + t_right[None, :] - 2 * kap
-    keys = (
-        n_pair[:, :, None] * stride
-        + base[:, :, None]
-        + np.arange(ll, dtype=np.int64)[None, None, :]
-        + pos_span
-    )
+    # the half plane xi_out < 0 (i + j < 2h) of the mirror symmetry
+    idx = np.arange(m, dtype=np.int64)
+    left, right = np.nonzero(idx[:, None] + idx[None, :] < 2 * h)
+    # np.nonzero lists the pairs row by row; left row i meets right rows [0, width[i])
+    width = np.bincount(left, minlength=m)
+    runs = np.concatenate(([0], np.cumsum(width)))
+    base = (left + right) * stride + t_left[left] + t_right[right] - 2 * kap + pos_span
+    keys = base[:, None] + np.arange(ll, dtype=np.int64)[None, :]
     uniq, inv = np.unique(keys.ravel(), return_inverse=True)
     n_out, rem = np.divmod(uniq, stride)
     tau_out = (rem - pos_span) * dtau
@@ -492,8 +497,12 @@ def bilinear_ratio(
         (tau_avg(sig_out + lo / 2.0) - tau_avg(sig_out - lo / 2.0)) / lo_safe,
         (f1(sig_out + hi / 2.0) - f1(sig_out - hi / 2.0)) / hi,
     )
+    # the factor 2 restores the mirror half; the convolution's cell / 2 pi
+    # and the output Riemann sum's cell are folded in here, once
     w_out = mod_avg * (1.0 + np.abs(xi_out)) ** (2.0 * s) * xi_out**2
+    w_out *= 2.0 * cell * (cell / TWO_PI) ** 2
 
+    prod = np.empty((left.size, ll), dtype=complex)
     ratios = []
     for trial in range(trials):
         u = draw(trial, 0, sup_left)
@@ -504,11 +513,12 @@ def bilinear_ratio(
             continue
         fu = np.fft.fft(u, n=ll, axis=1)
         fv = np.fft.fft(v, n=ll, axis=1)
-        pair = np.fft.ifft(fu[:, None, :] * fv[None, :, :], axis=2)
-        pair *= cell / TWO_PI
+        for i in range(m):
+            np.multiply(fu[i], fv[: width[i]], out=prod[runs[i] : runs[i + 1]])
+        np.fft.ifft(prod, axis=1, out=prod)
         acc = np.zeros(uniq.size, dtype=complex)
-        np.add.at(acc, inv, pair.ravel())
-        num = math.sqrt(float(np.sum(w_out * np.abs(acc) ** 2)) * cell)
+        np.add.at(acc, inv, prod.ravel())
+        num = math.sqrt(float(np.sum(w_out * np.abs(acc) ** 2)))
         ratios.append(num / (nu * nv))
     qs = {q: float(np.quantile(ratios, q)) for q in (0.5, 0.9, 1.0)}
     return BilinearReport(

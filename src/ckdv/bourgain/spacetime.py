@@ -18,6 +18,7 @@ the periodic box.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +35,25 @@ SQRT_2PI = sg.SQRT_2PI
 class SpaceTimeGrid:
     x: Grid
     t: Grid
+    _tables: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def cell(self) -> float:
         return self.x.dxi * self.t.dxi
+
+    def _cached(self, key: tuple, build) -> np.ndarray:
+        """build() once per key; the read-only result is shared by every caller."""
+        out = self._tables.get(key)
+        if out is None:
+            out = build()
+            out.flags.writeable = False
+            self._tables[key] = out
+        return out
+
+    def phase(self, a: float) -> np.ndarray:
+        """exp(-i a xi^3 t) on the (xi, t) lattice: free evolution with speed a."""
+        xi, t = self.x.xi[:, None], self.t.x[None, :]
+        return self._cached(("phase", a), lambda: np.exp(-1j * a * xi**3 * t))
 
 
 def make_st_grid(
@@ -123,9 +139,13 @@ class NormParams:
 
 
 def weight_table(stg: SpaceTimeGrid, a: float, s: float, b: float) -> np.ndarray:
+    """(1 + |tau + a xi^3|)^(2b) (1 + |xi|)^(2s), built once per grid and key."""
     xi = stg.x.xi[:, None]
     tau = stg.t.xi[None, :]
-    return (1.0 + np.abs(tau + a * xi**3)) ** (2.0 * b) * (1.0 + np.abs(xi)) ** (2.0 * s)
+    return stg._cached(
+        ("weight", a, s, b),
+        lambda: (1.0 + np.abs(tau + a * xi**3)) ** (2.0 * b) * (1.0 + np.abs(xi)) ** (2.0 * s),
+    )
 
 
 def xsb_norm(field: SpaceTimeField, p: NormParams) -> float:
@@ -176,9 +196,7 @@ def _check_xgrid(u0: SpectralField, stg: SpaceTimeGrid) -> None:
 def free_field(u0: SpectralField, a: float, stg: SpaceTimeGrid, windowed: bool = True) -> SpaceTimeField:
     """psi(t) * (free evolution of u0 with speed a), as a space-time field."""
     _check_xgrid(u0, stg)
-    t = stg.t.x[None, :]
-    xi = stg.x.xi[:, None]
-    slices = u0.coeffs[:, None] * np.exp(-1j * a * xi**3 * t)
+    slices = u0.coeffs[:, None] * stg.phase(a)
     if windowed:
         slices = slices * psi(stg.t.x)[None, :]
     return from_time_slices(slices, stg)
@@ -205,12 +223,13 @@ def duhamel_field(
     i0 = nt // 2
     if abs(t[i0]) > 1e-12:
         raise ValueError("time grid must contain t = 0")
-    xi = stg.x.xi[:, None]
-    phase = np.exp(-1j * a * xi**3 * t[None, :])
+    phase = stg.phase(a)
     integrand = np.conj(phase) * forcing_slices
-    # split re/im: scipy's cumulative_simpson drops imaginary parts
-    acc = cumulative_simpson(integrand.real, x=t, axis=1, initial=0.0) + 1j * (
-        cumulative_simpson(integrand.imag, x=t, axis=1, initial=0.0)
+    # split re/im: scipy's cumulative_simpson drops imaginary parts; the
+    # uniform cadence goes in as dx, which keeps scipy on its equal-step rule
+    dt = stg.t.dx
+    acc = cumulative_simpson(integrand.real, dx=dt, axis=1, initial=0.0) + 1j * (
+        cumulative_simpson(integrand.imag, dx=dt, axis=1, initial=0.0)
     )
     acc = acc - acc[:, i0][:, None]
     slices = phase * acc * psi_T(t, T)[None, :]

@@ -117,6 +117,9 @@ def _check(convert, ok, what: str):
 
 
 _positive = _check(_finite, lambda x: x > 0.0, "positive")
+_nonzero = _check(_finite, lambda x: x != 0.0, "nonzero")
+_unit_time = _check(_finite, lambda x: 0.0 < x <= 1.0, "in (0, 1]")
+_pow2 = _check(_int, lambda n: n >= 16 and n & (n - 1) == 0, "a power of two >= 16")
 _nonneg = _check(_finite, lambda x: x >= 0.0, ">= 0")
 _count = _check(_int, lambda n: n >= 1, "an integer >= 1")
 _seed = _check(_int, lambda n: 0 <= n < 2**64, "an integer in [0, 2**64)")
@@ -135,6 +138,11 @@ def _list_of(convert, length=None):
             raise ValueError(f"must be a list of {length or 'one or more'} entries, got {v!r}")
         return [convert(x) for x in v]
     return converted
+
+
+def _ladder(convert):
+    """Converter: a list of two or more distinct entries, each converted; an exponent is fitted over it."""
+    return _check(_list_of(convert), lambda v: len(set(v)) >= 2, "two or more distinct values")
 
 
 def _kernel_id(v) -> str:
@@ -241,7 +249,7 @@ _PARAMS = {
         "deltas": (_list_of(_positive), (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)),
     },
     "scaling_probe": {
-        "lam": (_positive, 2.0), "lambdas": (_list_of(_positive), (1.0, 2.0, 4.0, 8.0)),
+        "lam": (_positive, 2.0), "lambdas": (_ladder(_positive), (1.0, 2.0, 4.0, 8.0)),
         "s_values": (_list_of(_finite), (-1.5, -1.0, -0.75, 0.0, 1.0)),
     },
     "picard_study": {
@@ -250,22 +258,22 @@ _PARAMS = {
         "apply_cutoffs": (_flag, False), "compare_stepper": (_flag, True),
     },
     "convergence_study": {
-        "dt_values": (_list_of(_positive), (4e-3, 2e-3, 1e-3, 5e-4)),
+        "dt_values": (_ladder(_positive), (4e-3, 2e-3, 1e-3, 5e-4)),
         "reference_dt": (_optional(_positive), None),  # None: a quarter of the finest dt
     },
     "bourgain_suite": {
-        "s": (_finite, 0.0), "b": (_finite, 0.6), "b_prime": (_finite, -0.3), "a": (_finite, 1.0),
-        "n_x": (_count, 128), "period_x": (_positive, 16.0 * np.pi),
-        "n_t": (_count, 512), "period_t": (_positive, 8.0), "n_fields": (_count, 50),
-        "t_values": (_list_of(_positive), (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)),
-        "embedding_speeds": (_list_of(_finite, 3), (2.0, 1.0, 3.0)),
-        "pair_first": (_list_of(_finite, 2), (1.0, 3.0)),
-        "pair_second": (_list_of(_finite, 2), (1.5, 2.5)), "n_embed_fields": (_count, 64),
+        "s": (_finite, 0.0), "b": (_finite, 0.6), "b_prime": (_finite, -0.3), "a": (_nonzero, 1.0),
+        "n_x": (_pow2, 128), "period_x": (_positive, 16.0 * np.pi),
+        "n_t": (_pow2, 512), "period_t": (_positive, 8.0), "n_fields": (_count, 50),
+        "t_values": (_ladder(_unit_time), (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)),
+        "embedding_speeds": (_list_of(_nonzero, 3), (2.0, 1.0, 3.0)),
+        "pair_first": (_list_of(_nonzero, 2), (1.0, 3.0)),
+        "pair_second": (_list_of(_nonzero, 2), (1.5, 2.5)), "n_embed_fields": (_count, 64),
     },
     "kernel_suite": {"kernels": (_list_of(_kernel_id), tuple(KERNELS))},
     "nonequivalence": {
-        "a0": (_finite, 1.0), "a1": (_finite, -1.0), "s": (_finite, 0.0), "b": (_finite, 3.0),
-        "radii": (_list_of(_positive), (8.0, 16.0, 32.0, 64.0)),
+        "a0": (_nonzero, 1.0), "a1": (_nonzero, -1.0), "s": (_finite, 0.0), "b": (_finite, 3.0),
+        "radii": (_ladder(_positive), (8.0, 16.0, 32.0, 64.0)),
     },
 }
 
@@ -324,6 +332,19 @@ class ExperimentConfig:
                 p["reference_dt"] = finest / 4.0
             if p["reference_dt"] >= finest:
                 raise ValueError("reference_dt must be finer than every entry of dt_values")
+        if self.kind == "lipschitz_probe":
+            data = make_initial(self.initial, self.grid, np.random.default_rng(self.seed))
+            if not (np.any(data.u.coeffs) or np.any(data.v.coeffs)):
+                raise ValueError("the relative perturbation ladder needs nonzero initial data")
+        if self.kind == "bourgain_suite":
+            if not (-0.5 < p["b_prime"] <= 0.0 <= p["b"] <= p["b_prime"] + 1.0):
+                raise ValueError("need -1/2 < b_prime <= 0 <= b <= b_prime + 1")
+            # the last two embedding speeds and each pair are reference speeds
+            for key, start in (("embedding_speeds", 1), ("pair_first", 0), ("pair_second", 0)):
+                if p[key][start] == p[key][start + 1]:
+                    raise ValueError(f"the reference speeds in {key} must differ")
+        if self.kind == "nonequivalence" and not (p["b"] > 0.5 and p["s"] > 0.5 - p["b"]):
+            raise ValueError("the nonequivalence construction needs b > 1/2 and s > 1/2 - b")
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
@@ -540,7 +561,7 @@ def _run_scaling(cfg: ExperimentConfig, emit: _Emitter):
             val = sobolev_norm(_scaled_state(base0, lam_i).u, s)
             norms.append(val)
             norm_rows.append([s, lam_i, val])
-        if len(lambdas) >= 2 and all(v > 0.0 for v in norms):
+        if all(v > 0.0 for v in norms):
             slope = float(np.polyfit(np.log(lambdas), np.log(norms), 1)[0])
         else:
             slope = float("nan")
@@ -637,6 +658,11 @@ def _run_convergence(cfg: ExperimentConfig, emit: _Emitter):
     return summary, ok
 
 
+# the linear-estimate bounds of acceptance criterion c10
+FREE_CV_BOUND = 1e-2
+DUHAMEL_EXPONENT_TOLERANCE = 0.1
+
+
 def _run_bourgain(cfg: ExperimentConfig, emit: _Emitter):
     p = cfg.params
     s, b, n_x, period_x = p["s"], p["b"], p["n_x"], p["period_x"]
@@ -675,13 +701,16 @@ def _run_bourgain(cfg: ExperimentConfig, emit: _Emitter):
     )
     summary = {
         "free_cv": rep.free_cv,
+        "free_cv_bound": FREE_CV_BOUND,
         "duhamel_exponent": rep.fitted_exponent,
         "duhamel_target": rep.target_exponent,
+        "duhamel_exponent_tolerance": DUHAMEL_EXPONENT_TOLERANCE,
         "embedding_all_pass": all(r[4] for r in emb_rows),
         "equivalence_all_pass": all(r[5] for r in eqv_rows),
     }
     ok = bool(
-        np.isfinite(rep.free_cv)
+        rep.free_cv < FREE_CV_BOUND
+        and abs(rep.fitted_exponent - rep.target_exponent) <= DUHAMEL_EXPONENT_TOLERANCE
         and summary["embedding_all_pass"]
         and summary["equivalence_all_pass"]
     )

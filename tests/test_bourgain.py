@@ -34,7 +34,7 @@ from ckdv.bourgain.spacetime import (
     xsb_norm,
 )
 from ckdv.bump import psi, psi_T
-from ckdv.grid import Grid, field_from_callable
+from ckdv.grid import Grid, SpectralField, field_from_callable, forward
 
 
 @pytest.fixture
@@ -328,6 +328,144 @@ def test_bilinear_ratio_flags_and_validation():
     assert rep.max_ratio > 0.0
     with pytest.raises(ValueError):
         bilinear_ratio(0.0, 0.6, -0.4, -1.0, -1.0, -1.0, trials=0)
+
+
+def _bilinear_full_plane(s, b, b_prime, a_left, a_right, a_out, trials, band, seed, dxi, dtau,
+                         sigma_window=8.0):
+    """Per-trial ratios of bilinear_ratio, summed over all m^2 pairs."""
+    h = int(round(band / dxi))
+    m = 2 * h + 1
+    kap = int(round(sigma_window / dtau))
+    kk = 2 * kap + 1
+    xi = dxi * (np.arange(m) - h)
+    xi2 = dxi * (np.arange(2 * m - 1) - 2 * h)
+    offs = np.arange(-kap, kap + 1)
+    cell = dxi * dtau
+    t_left = np.round(-a_left * xi**3 / dtau).astype(np.int64)
+    t_right = np.round(-a_right * xi**3 / dtau).astype(np.int64)
+    sig_prof = (1.0 + np.abs(offs * dtau)) ** (-(b + 0.75))
+    amp = (1.0 + np.abs(xi)) ** (-(s + 1.0))
+
+    def weights_and_support(t, a):
+        tau = (t[:, None] + offs[None, :]) * dtau
+        w = (1.0 + np.abs(tau + a * xi[:, None] ** 3)) ** (2.0 * b) * (1.0 + np.abs(xi[:, None])) ** (2.0 * s)
+        return w, np.abs(tau) <= band**3
+
+    w_left, sup_left = weights_and_support(t_left, a_left)
+    w_right, sup_right = weights_and_support(t_right, a_right)
+
+    def draw(trial, which, sup):
+        c = np.zeros((m, kk), dtype=complex)
+        for i in range(h + 1):
+            r = np.random.default_rng((seed, trial, which, i))
+            row = (r.standard_normal(kk) + 1j * r.standard_normal(kk)) * sig_prof * amp[h + i]
+            if i == 0:
+                row = 0.5 * (row + np.conj(row[::-1]))
+            c[h + i] = row
+            c[h - i] = np.conj(row[::-1])
+        return c * sup
+
+    ll = 2 * kk - 1
+    pos_span = int(np.max(np.abs(t_left)) + np.max(np.abs(t_right))) + 2 * kap + 1
+    stride = np.int64(2 * pos_span + 1)
+    n_pair = np.arange(m)[:, None] + np.arange(m)[None, :]
+    base = t_left[:, None] + t_right[None, :] - 2 * kap
+    keys = n_pair[:, :, None] * stride + base[:, :, None] + np.arange(ll)[None, None, :] + pos_span
+    uniq, inv = np.unique(keys.ravel(), return_inverse=True)
+    n_out, rem = np.divmod(uniq, stride)
+    xi_out = xi2[n_out]
+    sig_out = (rem - pos_span) * dtau + a_out * xi_out**3
+
+    p = 1.0 + 2.0 * b_prime
+
+    def f1(y):
+        return np.sign(y) * ((1.0 + np.abs(y)) ** p - 1.0) / p
+
+    def f2(y):
+        return ((1.0 + np.abs(y)) ** (p + 1.0) - 1.0) / (p * (p + 1.0)) - np.abs(y) / p
+
+    spread = 3.0 * abs(a_out) * xi_out**2 * dxi
+    lo, hi = np.minimum(dtau, spread), np.maximum(dtau, spread)
+
+    def tau_avg(y):
+        return (f2(y + hi / 2.0) - f2(y - hi / 2.0)) / hi
+
+    mod_avg = np.where(
+        lo > 1e-9 * dtau,
+        (tau_avg(sig_out + lo / 2.0) - tau_avg(sig_out - lo / 2.0)) / np.maximum(lo, 1e-300),
+        (f1(sig_out + hi / 2.0) - f1(sig_out - hi / 2.0)) / hi,
+    )
+    w_out = mod_avg * (1.0 + np.abs(xi_out)) ** (2.0 * s) * xi_out**2
+
+    ratios = []
+    for trial in range(trials):
+        u = draw(trial, 0, sup_left)
+        v = draw(trial, 1, sup_right)
+        nu = np.sqrt(np.sum(w_left * np.abs(u) ** 2) * cell)
+        nv = np.sqrt(np.sum(w_right * np.abs(v) ** 2) * cell)
+        fu = np.fft.fft(u, n=ll, axis=1)
+        fv = np.fft.fft(v, n=ll, axis=1)
+        pair = np.fft.ifft(fu[:, None, :] * fv[None, :, :], axis=2) * (cell / (2.0 * np.pi))
+        acc = np.zeros(uniq.size, dtype=complex)
+        np.add.at(acc, inv, pair.ravel())
+        ratios.append(np.sqrt(np.sum(w_out * np.abs(acc) ** 2) * cell) / (nu * nv))
+    return ratios
+
+
+@pytest.mark.parametrize(
+    "s, speeds, band, dxi, dtau",
+    [
+        (0.0, (1.0, 1.0, -1.0), 6.0, 0.5, 0.5),  # same-sign pair
+        (-0.6, (1.0, -1.0, 1.0), 6.0, 0.5, 0.5),  # mixed pair
+        (0.0, (1.7, 1.7, -0.6), 5.0, 0.5, 0.5),  # |a| != 1, same sign
+        (-0.3, (2.0, -0.5, 1.3), 5.0, 0.5, 0.5),  # |a| != 1, mixed
+        (0.0, (-1.0, -1.0, 1.0), 4.0, 0.4, 0.3),  # off-default lattice
+        (0.4, (1.0, -1.0, -1.0), 4.8, 0.6, 0.8),  # s > 0 on a coarse lattice
+    ],
+)
+def test_bilinear_ratio_half_plane_matches_full_plane(s, speeds, band, dxi, dtau):
+    kw = dict(trials=3, band=band, seed=11, dxi=dxi, dtau=dtau)
+    rep = bilinear_ratio(s, 0.6, -0.4, *speeds, **kw)
+    want = _bilinear_full_plane(s, 0.6, -0.4, *speeds, **kw)
+    assert len(rep.ratios) == len(want) == 3
+    assert np.allclose(rep.ratios, want, rtol=1e-12, atol=0.0)
+
+
+def test_linear_estimate_free_ratios_match_per_field_reference():
+    g = Grid(32, 8.0 * np.pi)
+    u0 = field_from_callable(lambda x: np.exp(-(x**2)), g)
+    a, s, b, n_t, seed = -1.5, 0.3, 0.6, 64, 4
+    rep = linear_estimate_check(u0, a, s, b, -0.3, 0.5, n_fields=6, seed=seed, n_t=n_t,
+                                t_ladder=(0.5, 1.0))
+    # the battery, drawn as linear_estimate_check draws it
+    stg = make_st_grid(g.n, g.period, n_t=n_t)
+    mask = np.abs(g.xi) <= 0.5 * (np.max(np.abs(stg.t.xi)) / abs(a)) ** (1.0 / 3.0)
+    rng = np.random.default_rng(seed)
+    data = [u0]
+    while len(data) < 6:
+        c = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+        data.append(forward(SpectralField(np.where(mask, c, 0.0), g).values(), g))
+    xi, t, tau = stg.x.xi[:, None], stg.t.x[None, :], stg.t.xi[None, :]
+    weight = (1.0 + np.abs(tau + a * xi**3)) ** (2.0 * b) * (1.0 + np.abs(xi)) ** (2.0 * s)
+    want = []
+    for w0 in data:
+        slices = w0.coeffs[:, None] * np.exp(-1j * a * xi**3 * t) * psi(stg.t.x)[None, :]
+        F = from_time_slices(slices, stg)
+        want.append(np.sqrt(np.sum(weight * np.abs(F.coeffs) ** 2) * stg.cell) / bracket_norm(w0, s))
+    assert np.allclose(rep.free_ratios, want, rtol=1e-13, atol=0.0)
+
+
+def test_spacetime_tables_built_once_and_read_only(stg):
+    w = weight_table(stg, 2.0, -0.5, 0.3)
+    assert weight_table(stg, 2.0, -0.5, 0.3) is w
+    assert weight_table(stg, 2.0, -0.5, 0.4) is not w
+    ph = stg.phase(1.5)
+    assert stg.phase(1.5) is ph
+    assert np.array_equal(ph, np.exp(-1j * 1.5 * stg.x.xi[:, None] ** 3 * stg.t.x[None, :]))
+    for table in (w, ph):
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+    assert hash(stg) == hash((stg.x, stg.t))  # the cache is not part of the grid's identity
 
 
 def test_cutoff_data_membership_refines():

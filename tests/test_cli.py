@@ -48,6 +48,20 @@ def test_bad_value_exits_2_before_any_output(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, payload, word",
+    [
+        ("bourgain", {"kind": "bourgain_suite", "params": {"n_x": 100}}, "power of two"),
+        ("noneq", {"kind": "nonequivalence", "params": {"b": 0.4}}, "b > 1/2"),
+    ],
+)
+def test_library_precondition_exits_2_before_any_output(tmp_path, capsys, command, payload, word):
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    assert word in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "simulate" in capsys.readouterr().out

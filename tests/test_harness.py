@@ -19,6 +19,8 @@ from ckdv import (
     load_config,
     run,
 )
+from ckdv import harness
+from ckdv.bourgain import LinearEstimateReport
 from ckdv.grid import Grid
 from ckdv.harness import (
     DIAGNOSTICS_SCHEMA,
@@ -149,6 +151,37 @@ RUN_TIME_FAILURES = {
     "picard_n_iters_0": simulate_config(kind="picard_study", params={"n_iters": 0}),
     "picard_even_time_resolution": simulate_config(kind="picard_study", params={"time_resolution": 200}),
     "lipschitz_deltas_not_a_list": simulate_config(kind="lipschitz_probe", params={"deltas": "abc"}),
+    "convergence_one_dt": simulate_config(kind="convergence_study", params={"dt_values": [1e-3]}),
+    "scaling_repeated_lambdas": simulate_config(kind="scaling_probe", params={"lambdas": [2.0, 2.0]}),
+    "lipschitz_no_initial": {**simulate_config(kind="lipschitz_probe"), "initial": {}},
+    "lipschitz_zero_amplitude": simulate_config(
+        kind="lipschitz_probe", initial={"u": {"kind": "gaussian", "amplitude": 0.0}}
+    ),
+    **{
+        f"bourgain_{name}": {"kind": "bourgain_suite", "params": params}
+        for name, params in {
+            "n_x_100": {"n_x": 100},
+            "n_t_24": {"n_t": 24},
+            "n_t_8": {"n_t": 8},
+            "a_0": {"a": 0},
+            "embedding_speed_0": {"embedding_speeds": [2.0, 0.0, 3.0]},
+            "embedding_reference_speeds_equal": {"embedding_speeds": [2.0, 1.0, 1.0]},
+            "pair_speed_0": {"pair_second": [0.0, 2.5]},
+            "pair_speeds_equal": {"pair_first": [1.0, 1.0]},
+            "b_negative": {"b": -0.1},
+            "b_prime_positive": {"b_prime": 0.1},
+            "b_above_b_prime_plus_1": {"b": 0.9},
+            "t_value_above_1": {"t_values": [0.5, 1.5]},
+            "one_t_value": {"t_values": [0.5]},
+            "repeated_t_values": {"t_values": [0.5, 0.5]},
+        }.items()
+    },
+    "nonequivalence_b_0.4": {"kind": "nonequivalence", "params": {"b": 0.4}},
+    "nonequivalence_s_too_low": {"kind": "nonequivalence", "params": {"s": -3.0}},
+    "nonequivalence_a0_0": {"kind": "nonequivalence", "params": {"a0": 0.0}},
+    "nonequivalence_a1_0": {"kind": "nonequivalence", "params": {"a1": 0.0}},
+    "nonequivalence_one_radius": {"kind": "nonequivalence", "params": {"radii": [8.0]}},
+    "nonequivalence_repeated_radii": {"kind": "nonequivalence", "params": {"radii": [8.0, 8.0]}},
 }
 
 
@@ -305,3 +338,29 @@ def test_run_seed_changes_random_data(tmp_path):
     assert (tmp_path / "a" / "diagnostics.csv").read_bytes() != (
         tmp_path / "b" / "diagnostics.csv"
     ).read_bytes()
+
+
+BOURGAIN_CHEAP = {
+    "kind": "bourgain_suite",
+    "params": {"n_x": 16, "n_t": 32, "n_fields": 2, "n_embed_fields": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "free_cv, exponent, status",
+    [(1e-3, 0.15, "pass"), (2e-2, 0.15, "fail"), (1e-3, 0.25, "fail"), (1e-3, -0.05, "fail")],
+)
+def test_bourgain_verdict_asserts_c10_bounds(monkeypatch, tmp_path, free_cv, exponent, status):
+    target = 0.1
+
+    def report(*args, **kwargs):
+        return LinearEstimateReport([1.0, 1.0], free_cv, [0.5, 1.0], [1.0, 1.0], exponent, target)
+
+    monkeypatch.setattr(harness, "linear_estimate_check", report)
+    manifest = run(config_from_dict(BOURGAIN_CHEAP), out_dir=tmp_path)
+    assert manifest.status == status
+    s = manifest.summary
+    assert (s["free_cv"], s["free_cv_bound"]) == (free_cv, 1e-2)
+    assert (s["duhamel_exponent"], s["duhamel_target"]) == (exponent, target)
+    assert s["duhamel_exponent_tolerance"] == 0.1
+    assert s["embedding_all_pass"] and s["equivalence_all_pass"]
