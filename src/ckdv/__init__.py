@@ -56,7 +56,6 @@ from .solver import (
 from .diagnostics import (
     DiagnosticRecord,
     MixedNormBreakdown,
-    Recorder,
     collect,
     gg_invariants,
     hs_invariants,
@@ -89,7 +88,7 @@ __all__ = [
     "scaling_map",
     "PicardReport", "StepperConfig", "Trajectory",
     "linear_propagate", "picard_iterate", "simulate", "step",
-    "DiagnosticRecord", "MixedNormBreakdown", "Recorder", "collect",
+    "DiagnosticRecord", "MixedNormBreakdown", "collect",
     "gg_invariants", "hs_invariants", "mixed_norms", "record_for", "sobolev_norm",
     "psi", "psi_T",
     "read_snapshot", "write_csv", "write_snapshot",

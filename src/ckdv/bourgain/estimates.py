@@ -370,6 +370,25 @@ class BilinearReport:
     params: tuple
 
 
+def _mode_normals(seed: int, trial: int, which: int, modes: int, size: int) -> np.ndarray:
+    """Row i: standard_normal(size) of np.random.default_rng((seed, trial, which, i)), i < modes.
+
+    SeedSequence reads that tuple as the uint32 words of its entries, each
+    little-endian and 0 as one word.  One words array whose last entry is
+    the mode index seeds the same streams without coercing a tuple per mode.
+    """
+    if min(seed, trial, which) < 0:
+        raise ValueError(f"seed keys must be non-negative, got {(seed, trial, which)}")
+    words = [(n >> b) & 0xFFFFFFFF for n in (seed, trial, which)
+             for b in range(0, max(n.bit_length(), 1), 32)]
+    words = np.array(words + [0], dtype=np.uint32)
+    out = np.empty((modes, size))
+    for i in range(modes):
+        words[-1] = i
+        out[i] = np.random.default_rng(words).standard_normal(size)
+    return out
+
+
 def bilinear_ratio(
     s: float,
     b: float,
@@ -439,11 +458,9 @@ def bilinear_ratio(
     w_right, sup_right = weights_and_support(t_right, a_right)
 
     def draw(trial, which, sup):
-        z = np.empty((h + 1, kk), dtype=complex)
-        for i in range(h + 1):
-            r = np.random.default_rng((seed, trial, which, i))
-            z[i] = r.standard_normal(kk) + 1j * r.standard_normal(kk)
-        rows = z * sig_prof * amp[h:, None]
+        # standard_normal(2*kk) is standard_normal(kk) twice over: real, then imaginary parts
+        z = _mode_normals(seed, trial, which, h + 1, 2 * kk)
+        rows = (z[:, :kk] + 1j * z[:, kk:]) * sig_prof * amp[h:, None]
         rows[0] = 0.5 * (rows[0] + np.conj(rows[0, ::-1]))
         # row h - i is the conjugate mirror of row h + i: a real field
         return np.concatenate((np.conj(rows[:0:-1, ::-1]), rows)) * sup

@@ -6,13 +6,17 @@ the rectangle rule is exact for the band-limited products that a
 dealiased pseudo-spectral run produces.  Drift of the conserved
 quantities along a trajectory is therefore a solver property, not a
 quadrature artifact.
+
+Every functional acts on the last axis of the coefficients, so a field
+whose coefficients carry leading axes (one row per sample) gives one
+value per row; `collect` and `mixed_norms` evaluate a whole trajectory
+that way, straight from its half-spectrum array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -23,22 +27,21 @@ from .systems import Feng, GearGrimshaw, HirotaSatsuma, State, SystemSpec
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def sobolev_norm(field: SpectralField, s: float) -> float:
-    """H^s norm: (sum (1 + xi^2)^s |c_k|^2 dxi)^(1/2)."""
+def sobolev_norm(field: SpectralField, s: float):
+    """H^s norm: (sum (1 + xi^2)^s |c_k|^2 dxi)^(1/2), one per row of coefficients."""
     g = field.grid
     w = (1.0 + g.xi * g.xi) ** s
-    return float(math.sqrt(np.sum(w * np.abs(field.coeffs) ** 2) * g.dxi))
+    return np.sqrt(np.sum(w * np.abs(field.coeffs) ** 2, axis=-1) * g.dxi)
 
 
-def _l2_inner(f: SpectralField, g: SpectralField) -> float:
+def _l2_inner(f: SpectralField, g: SpectralField):
     """int f*g dx for real fields, summed spectrally."""
-    gr = f.grid
-    return float(np.sum(f.coeffs * np.conj(g.coeffs)).real * gr.dxi)
+    return np.sum(f.coeffs * np.conj(g.coeffs), axis=-1).real * f.grid.dxi
 
 
-def _mean_integral(field: SpectralField) -> float:
+def _mean_integral(field: SpectralField):
     """int f dx = sqrt(2*pi) * c_0."""
-    return float(field.coeffs[0].real) * SQRT_2PI
+    return field.coeffs[..., 0].real * SQRT_2PI
 
 
 def _oversampled(state: State) -> tuple[np.ndarray, np.ndarray, float]:
@@ -49,9 +52,9 @@ def _oversampled(state: State) -> tuple[np.ndarray, np.ndarray, float]:
     return u, v, dxf
 
 
-def _cubic_integral(f: np.ndarray, g: np.ndarray, h: np.ndarray, dx: float) -> float:
+def _cubic_integral(f: np.ndarray, g: np.ndarray, h: np.ndarray, dx: float):
     """int f*g*h dx by the rectangle rule on oversampled values."""
-    return float(np.sum(f * g * h) * dx)
+    return np.sum(f * g * h, axis=-1) * dx
 
 
 def hs_invariants(state: State, a: float, b: float) -> tuple[float, float]:
@@ -102,9 +105,6 @@ def gg_invariants(state: State, params: GearGrimshaw) -> tuple[float, float, flo
     return phi1, phi2, phi3, phi4
 
 
-NAN = float("nan")
-
-
 @dataclass
 class DiagnosticRecord:
     t: float
@@ -116,7 +116,6 @@ class DiagnosticRecord:
     phi4: float
     sobolev_u: float
     sobolev_v: float
-    mixed: Optional[dict] = None
     valid: bool = True
 
     def row(self) -> list[float]:
@@ -128,35 +127,31 @@ class DiagnosticRecord:
         ]
 
 
-def record_for(state: State, spec: SystemSpec, s: float = 1.0) -> DiagnosticRecord:
-    """Evaluate every applicable functional; inapplicable ones are NaN."""
-    V = F = NAN
-    phi = (NAN, NAN, NAN, NAN)
+def _records(state: State, spec: SystemSpec, s: float) -> list[DiagnosticRecord]:
+    """One record per sample; the state's coefficients and t may carry a leading time axis."""
+    V = F = np.nan
+    phi = (np.nan,) * 4
     if isinstance(spec, (HirotaSatsuma, Feng)):
         V, F = hs_invariants(state, spec.a, spec.b)
     elif isinstance(spec, GearGrimshaw):
         phi = gg_invariants(state, spec)
-    su = sobolev_norm(state.u, s)
-    sv = sobolev_norm(state.v, s)
-    finite = [x for x in (V, F, *phi, su, sv) if not math.isnan(x)]
-    valid = all(math.isfinite(x) for x in finite)
-    return DiagnosticRecord(state.t, V, F, *phi, su, sv, valid=valid)
+    cols = np.stack(np.broadcast_arrays(
+        state.t, V, F, *phi, sobolev_norm(state.u, s), sobolev_norm(state.v, s)
+    ), axis=-1).reshape(-1, 9)
+    # NaN marks a functional that does not apply; an infinite one is invalid
+    valid = ~np.isinf(cols[:, 1:]).any(axis=-1)
+    return [DiagnosticRecord(*map(float, c), valid=bool(ok)) for c, ok in zip(cols, valid)]
+
+
+def record_for(state: State, spec: SystemSpec, s: float = 1.0) -> DiagnosticRecord:
+    """Evaluate every applicable functional; inapplicable ones are NaN."""
+    return _records(state, spec, s)[0]
 
 
 def collect(traj, spec: SystemSpec, s: float = 1.0) -> list[DiagnosticRecord]:
-    return [record_for(st, spec, s) for st in traj.states]
-
-
-class Recorder:
-    """Solver observer that accumulates DiagnosticRecords."""
-
-    def __init__(self, spec: SystemSpec, s: float = 1.0):
-        self.spec = spec
-        self.s = s
-        self.records: list[DiagnosticRecord] = []
-
-    def __call__(self, state: State) -> None:
-        self.records.append(record_for(state, self.spec, self.s))
+    """One record per sample of a Trajectory, evaluated on its stacked samples."""
+    u, v = (SpectralField(sg.to_full(traj.half[:, i]), traj.grid) for i in range(2))
+    return _records(State(u, v, traj.times), spec, s)
 
 
 @dataclass
@@ -187,12 +182,13 @@ class MixedNormBreakdown:
         )
 
 
-def _window(traj, T: float):
+def _window(traj, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """(times, half) of the samples with |t| <= T."""
     tol = 1e-9 * max(1.0, T)
-    picked = [st for st in traj.states if abs(st.t) <= T + tol]
-    if len(picked) < 2:
+    picked = np.abs(traj.times) <= T + tol
+    if np.count_nonzero(picked) < 2:
         raise ValueError("trajectory must store at least two samples with |t| <= T")
-    return picked
+    return traj.times[picked], traj.half[picked]
 
 
 def mixed_norms(traj, r: float, T: float) -> dict[str, MixedNormBreakdown]:
@@ -202,27 +198,22 @@ def mixed_norms(traj, r: float, T: float) -> dict[str, MixedNormBreakdown]:
     cadence; spatial sups are grid maxima.  Returns one breakdown per
     field component.
     """
-    states = _window(traj, T)
-    times = np.array([st.t for st in states])
+    times, half = _window(traj, T)
+    g = traj.grid
     out = {}
-    for name in ("u", "v"):
-        fields = [getattr(st, name) for st in states]
-        vals = np.stack([f.values() for f in fields])  # (nt, nx)
-        dstack = np.stack([sg.spectral_derivative(f, 1).values() for f in fields])
-        frac = np.stack(
-            [
-                sg.spectral_derivative(sg.spectral_derivative(f, 1), float(r)).values()
-                for f in fields
-            ]
-        )
-        c1 = max(sobolev_norm(f, r) for f in fields)
-        c2 = float(np.trapezoid(np.max(np.abs(dstack), axis=1) ** 4, times) ** 0.25)
+    for i, name in enumerate(("u", "v")):
+        f = SpectralField(sg.to_full(half[:, i]), g)  # one row per sample
+        df = sg.spectral_derivative(f, 1)
+        vals = f.values()  # (nt, nx)
+        dvals = df.values()
+        frac = sg.spectral_derivative(df, float(r)).values()
+        c1 = float(np.max(sobolev_norm(f, r)))
+        c2 = float(np.trapezoid(np.max(np.abs(dvals), axis=1) ** 4, times) ** 0.25)
         c3 = float(np.sqrt(np.max(np.trapezoid(frac**2, times, axis=0))))
-        dx = fields[0].grid.dx
         c4 = float(
             (1.0 + T) ** -0.5
-            * np.sqrt(np.sum(np.max(np.abs(vals), axis=0) ** 2) * dx)
+            * np.sqrt(np.sum(np.max(np.abs(vals), axis=0) ** 2) * g.dx)
         )
-        c5 = float(np.sqrt(np.max(np.trapezoid(dstack**2, times, axis=0))))
+        c5 = float(np.sqrt(np.max(np.trapezoid(dvals**2, times, axis=0))))
         out[name] = MixedNormBreakdown(c1, c2, c3, c4, c5)
     return out

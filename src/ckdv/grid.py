@@ -12,7 +12,9 @@ discretized so that Parseval holds exactly on the grid:
 Wavenumbers are xi_k = 2*pi*k/L for integer k in {-n/2+1, ..., n/2},
 stored in FFT layout; the Nyquist slot carries +n/2.  Coefficients are
 true continuum-convention coefficients (the centering phase is folded
-in), so a field may be evaluated off-grid by direct summation.
+in), so a field may be evaluated off-grid by direct summation.  A
+field's coefficients may carry leading axes, one field per row; the
+transforms, derivatives and oversampling below act on the last axis.
 """
 
 from __future__ import annotations
@@ -53,6 +55,9 @@ class Grid:
         k[self.n // 2] = self.n // 2
         self.k = k
         self.xi = self.dxi * k
+        # odd-order multipliers (i*xi, exp(-i*c*xi^3*t)) take xi = 0 at the
+        # Nyquist mode, whose sign is ambiguous, so they keep it real
+        self.xi_odd = np.where(k == self.n // 2, 0.0, self.xi)
         # centering phase (-1)**k maps raw FFT output to continuum coefficients
         self._sign = np.where(k % 2 == 0, 1.0, -1.0)
         # keep |k| <= fraction*(n/2); strict inequality zeroes the rest
@@ -199,8 +204,8 @@ def oversampled_values(field: SpectralField, factor: int = 2) -> tuple[np.ndarra
     """
     grid = field.grid
     nf = factor * grid.n
-    fine = np.zeros(nf, dtype=np.complex128)
-    fine[grid.k % nf] = field.coeffs
+    fine = np.zeros(field.coeffs.shape[:-1] + (nf,), dtype=np.complex128)
+    fine[..., grid.k % nf] = field.coeffs
     kf = np.fft.fftfreq(nf, d=1.0 / nf).astype(np.int64)
     sign = np.where(kf % 2 == 0, 1.0, -1.0)
     dxf = grid.period / nf

@@ -34,8 +34,8 @@ from .bourgain import (
     nonequivalence_demo,
     random_field,
 )
-from .diagnostics import Recorder, sobolev_norm
-from .grid import Grid, SpectralField, forward
+from .diagnostics import collect, record_for, sobolev_norm
+from .grid import Grid, SpectralField, forward, inverse, to_full
 from .solver import StepperConfig, picard_iterate, simulate
 from .systems import (
     Feng,
@@ -304,6 +304,36 @@ _CONFIGS = {
 }
 
 
+# The work budget.  A dynamics run may take at most MAX_STEPS IF-RK4 steps
+# over all its simulations, and store at most MAX_SNAPSHOT_BYTES of samples
+# (2*(n/2+1) complex coefficients each) over all its trajectories.  Every
+# shipped config and benchmark workload sits at least 100x below both.
+MAX_STEPS = 10**7
+MAX_SNAPSHOT_BYTES = 2**31
+
+
+def _work(kind: str, p: dict, horizon: float, sample_dt: float, dt: float) -> tuple[float, float]:
+    """(IF-RK4 steps, stored samples) of a dynamics run, as floats so that no count overflows."""
+    steps = horizon / dt
+    # simulate stores every round(sample_dt/dt)-th step, plus the first and last states
+    samples = horizon / (max(1.0, np.round(sample_dt / dt)) * dt) + 2.0
+    if kind == "lipschitz_probe":
+        runs = 1 + p["n_directions"] * len(p["deltas"])
+        return runs * steps, runs * samples
+    if kind == "scaling_probe":
+        # the rescaled run divides dt and the horizon alike by lam^3, so it takes
+        # as many steps; the predicted trajectory is a third one of that length
+        return 2.0 * steps, 3.0 * samples
+    if kind == "picard_study":
+        # every iterate is kept; the stepper reference stores two states
+        samples = (p["n_iters"] + 1.0) * p["time_resolution"] + 2.0
+        return (steps if p["compare_stepper"] else 0.0), samples
+    if kind == "convergence_study":
+        dts = [*p["dt_values"], p["reference_dt"]]
+        return sum(horizon / d for d in dts), 2.0 * len(dts)
+    return steps, samples
+
+
 @dataclass(kw_only=True)
 class ExperimentConfig:
     kind: str
@@ -332,6 +362,14 @@ class ExperimentConfig:
                 p["reference_dt"] = finest / 4.0
             if p["reference_dt"] >= finest:
                 raise ValueError("reference_dt must be finer than every entry of dt_values")
+        if self.kind in _NEEDS_DYNAMICS:
+            steps, samples = _work(self.kind, p, self.horizon, self.sample_dt, self.stepper.dt)
+            stored = samples * 2 * (self.grid.n // 2 + 1) * 16
+            if steps > MAX_STEPS or stored > MAX_SNAPSHOT_BYTES:
+                raise ValueError(
+                    f"the run takes {steps:.3g} IF-RK4 steps and stores {stored:.3g} bytes "
+                    f"of samples; the budget is {MAX_STEPS:.0e} steps and {MAX_SNAPSHOT_BYTES} bytes"
+                )
         if self.kind == "lipschitz_probe":
             data = make_initial(self.initial, self.grid, np.random.default_rng(self.seed))
             if not (np.any(data.u.coeffs) or np.any(data.v.coeffs)):
@@ -413,12 +451,16 @@ class _Emitter:
         self.files.append(name)
 
 
-def _joint_norm(state: State, s: float) -> float:
-    return float(np.hypot(sobolev_norm(state.u, s), sobolev_norm(state.v, s)))
+def _joint_norm(coeffs: np.ndarray, g: Grid, s: float) -> np.ndarray:
+    """hypot of the H^s norms of u and v, for full-layout coefficients (..., 2, n)."""
+    norms = sobolev_norm(SpectralField(coeffs, g), s)
+    return np.hypot(norms[..., 0], norms[..., 1])
 
 
-def _axpy(f: SpectralField, g: SpectralField, c: float) -> SpectralField:
-    return SpectralField(f.coeffs + c * g.coeffs, f.grid)
+def _sup_gaps(a: np.ndarray, b: np.ndarray, g: Grid) -> np.ndarray:
+    """max over the grid of |a - b| per sample and component, for half spectra (..., 2, n/2+1)."""
+    values = [inverse(SpectralField(to_full(h), g)) for h in (a, b)]
+    return np.max(np.abs(values[0] - values[1]), axis=-1)
 
 
 def _random_direction(g: Grid, rng: np.random.Generator, s: float, band: float):
@@ -455,23 +497,18 @@ def _run_simulate(cfg: ExperimentConfig, emit: _Emitter):
     rng = np.random.default_rng(cfg.seed)
     state = make_initial(cfg.initial, cfg.grid, rng)
     emit.snapshot("snapshot_initial.ckdv", state)
-    rec = Recorder(cfg.system, cfg.params["s"])
     if cfg.horizon > 0.0:
-        traj = simulate(
-            state, cfg.system, cfg.horizon, cfg.stepper,
-            observers=(rec,), sample_dt=cfg.sample_dt,
-        )
+        traj = simulate(state, cfg.system, cfg.horizon, cfg.stepper, sample_dt=cfg.sample_dt)
         emit.snapshot("snapshot_final.ckdv", traj.states[-1])
-        final_t = traj.states[-1].t
+        records = collect(traj, cfg.system, cfg.params["s"])
     else:
-        rec(state)
-        final_t = state.t
-    rows = [r.row() for r in rec.records]
+        records = [record_for(state, cfg.system, cfg.params["s"])]
+    rows = [r.row() for r in records]
     emit.csv("diagnostics.csv", DIAGNOSTICS_SCHEMA, rows)
-    ok = all(r.valid for r in rec.records)
+    ok = all(r.valid for r in records)
     summary = {
         "records": len(rows),
-        "final_time": final_t,
+        "final_time": records[-1].t,
         "drift": _drift_summary(rows),
     }
     return summary, ok
@@ -482,10 +519,12 @@ def _run_lipschitz(cfg: ExperimentConfig, emit: _Emitter):
     s = p["s"]
     rng = np.random.default_rng(cfg.seed)
     base0 = make_initial(cfg.initial, cfg.grid, rng)
-    base_norm = _joint_norm(base0, s)
+    base_norm = float(_joint_norm(np.stack([base0.u.coeffs, base0.v.coeffs]), cfg.grid, s))
     if base_norm == 0.0:
         raise ValueError("relative perturbation ladder needs nonzero initial data")
     base = simulate(base0, cfg.system, cfg.horizon, cfg.stepper, sample_dt=cfg.sample_dt)
+    # the stabilization pair: the two smallest relative perturbations
+    pair = sorted(set(p["deltas"]))[:2]
     rows = []
     stab = []
     for d_idx in range(p["n_directions"]):
@@ -493,20 +532,20 @@ def _run_lipschitz(cfg: ExperimentConfig, emit: _Emitter):
         ratios = {}
         for delta in p["deltas"]:
             eps = delta * base_norm
-            pert0 = State(_axpy(base0.u, du, eps), _axpy(base0.v, dv, eps), 0.0)
+            pert0 = State(
+                SpectralField(base0.u.coeffs + eps * du.coeffs, cfg.grid),
+                SpectralField(base0.v.coeffs + eps * dv.coeffs, cfg.grid),
+            )
             pert = simulate(
                 pert0, cfg.system, cfg.horizon, cfg.stepper, sample_dt=cfg.sample_dt
             )
-            sup = 0.0
-            for sa, sb in zip(base.states, pert.states):
-                if abs(sa.t - sb.t) > 1e-10:
-                    raise RuntimeError("trajectory sampling cadence mismatch")
-                diff = State(_axpy(sb.u, sa.u, -1.0), _axpy(sb.v, sa.v, -1.0), sa.t)
-                sup = max(sup, _joint_norm(diff, s))
+            if not np.array_equal(pert.times, base.times):
+                raise RuntimeError("trajectory sampling cadence mismatch")
+            sup = float(np.max(_joint_norm(to_full(pert.half - base.half), cfg.grid, s)))
             ratios[delta] = sup / eps
             rows.append([d_idx, delta, eps, ratios[delta]])
-        if 1e-4 in ratios and 1e-5 in ratios and ratios[1e-4] > 0.0:
-            stab.append(abs(ratios[1e-5] - ratios[1e-4]) / ratios[1e-4])
+        if len(pair) == 2 and ratios[pair[1]] > 0.0:
+            stab.append(abs(ratios[pair[0]] - ratios[pair[1]]) / ratios[pair[1]])
     emit.csv("lipschitz.csv", ["direction", "delta_rel", "delta_abs", "ratio"], rows)
     summary = {
         "base_norm": base_norm,
@@ -542,15 +581,11 @@ def _run_scaling(cfg: ExperimentConfig, emit: _Emitter):
     scaled = simulate(
         scaled0, cfg.system, cfg.horizon / lam3, st2, sample_dt=cfg.sample_dt / lam3
     )
-    times = [st.t for st in scaled.states]
-    predicted = scaling_map(base, lam, times=times, out_grid=scaled0.grid)
-    cov_rows = []
-    for got, want in zip(scaled.states, predicted.states):
-        eu = float(np.max(np.abs(got.u.values() - want.u.values())))
-        ev = float(np.max(np.abs(got.v.values() - want.v.values())))
-        cov_rows.append([got.t, eu, ev])
+    predicted = scaling_map(base, lam, times=scaled.times, out_grid=scaled0.grid)
+    gaps = _sup_gaps(scaled.half, predicted.half, scaled0.grid)
+    cov_rows = [[t, eu, ev] for t, (eu, ev) in zip(scaled.times, gaps)]
     emit.csv("covariance.csv", ["t", "max_err_u", "max_err_v"], cov_rows)
-    cov_max = max(max(r[1], r[2]) for r in cov_rows)
+    cov_max = float(gaps.max())
 
     norm_rows = []
     fit_rows = []
@@ -607,14 +642,8 @@ def _run_picard(cfg: ExperimentConfig, emit: _Emitter):
             state0, cfg.system, cfg.horizon, cfg.stepper,
             sample_dt=max(cfg.horizon, cfg.stepper.dt),
         )
-        last = iters[-1].states[-1]
-        ref = traj.states[-1]
-        summary["stepper_linf"] = float(
-            max(
-                np.max(np.abs(last.u.values() - ref.u.values())),
-                np.max(np.abs(last.v.values() - ref.v.values())),
-            )
-        )
+        gaps = _sup_gaps(iters[-1].half[-1], traj.half[-1], cfg.grid)
+        summary["stepper_linf"] = float(gaps.max())
     ok = all(np.isfinite(d) for d in report.diffs)
     return summary, ok
 
@@ -626,22 +655,12 @@ def _run_convergence(cfg: ExperimentConfig, emit: _Emitter):
     state0 = make_initial(cfg.initial, cfg.grid, rng)
     T = cfg.horizon
 
-    def final_state(dt: float) -> State:
+    def final_half(dt: float) -> np.ndarray:
         st = StepperConfig(dt, cfg.stepper.scheme, cfg.stepper.cfl_guard)
-        return simulate(state0, cfg.system, T, st, sample_dt=max(T, dt)).states[-1]
+        return simulate(state0, cfg.system, T, st, sample_dt=max(T, dt)).half[-1]
 
-    ref = final_state(ref_dt)
-    errs = []
-    for dt in dts:
-        got = final_state(dt)
-        errs.append(
-            float(
-                max(
-                    np.max(np.abs(got.u.values() - ref.u.values())),
-                    np.max(np.abs(got.v.values() - ref.v.values())),
-                )
-            )
-        )
+    ref = final_half(ref_dt)
+    errs = [float(_sup_gaps(final_half(dt), ref, cfg.grid).max()) for dt in dts]
     rows = []
     orders = []
     for i, (dt, err) in enumerate(zip(dts, errs)):

@@ -11,13 +11,14 @@ integral done by cumulative Simpson quadrature on a stored time grid.
 Agreement between the two routes is a correctness check for both.
 
 Internally both routes hold the stacked half spectrum (modes k = 0..n/2
-of u and v) and share one `systems.SpectralRhs` kernel; full-layout
-States are made only when a result is stored, observed or returned.
+of u and v) and share one `systems.SpectralRhs` kernel.  A `Trajectory`
+stores its samples in that layout too; full-layout States are made only
+for an observer, for `step`'s result, or when `Trajectory.states` is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -46,30 +47,50 @@ class StepperConfig:
             raise ValueError("cfl_guard must exceed 1")
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
-    states: list[State]
-    spec: SystemSpec | NormalForm
+    """A sampled solution on one grid.
+
+    `times` has shape (nt,) and strictly increases; `half` has shape
+    (nt, 2, n/2+1), the modes k = 0..n/2 of u and v at each time.
+    `states` is the full-layout boundary: one State per sample, built
+    from `half` on first access and cached.
+    """
+
+    times: np.ndarray
+    half: np.ndarray
+    grid: Grid
+    spec: SystemSpec | NormalForm | None = None
+    _states: list[State] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if not self.states:
+        self.times = np.asarray(self.times, dtype=np.float64)
+        nt = len(self.times) if self.times.ndim == 1 else -1
+        if nt < 1 or np.shape(self.half) != (nt, 2, self.grid.n // 2 + 1):
+            raise ValueError(
+                f"need times (nt,) with nt >= 1 and half (nt, 2, n/2+1) for n={self.grid.n}; "
+                f"got {self.times.shape} and {np.shape(self.half)}"
+            )
+        if not np.all(np.diff(self.times) > 0.0):
+            raise ValueError("times must be strictly increasing")
+
+    @classmethod
+    def from_states(cls, states: Iterable[State], spec: SystemSpec | NormalForm | None = None):
+        """The trajectory through full-layout States; their modes k = 0..n/2 are kept."""
+        states = list(states)
+        if not states:
             raise ValueError("trajectory needs at least one state")
-        g = self.states[0].grid
-        prev = None
-        for st in self.states:
-            if not st.grid.compatible(g):
-                raise ValueError("all states must share one grid")
-            if prev is not None and not (st.t > prev):
-                raise ValueError("times must be strictly increasing")
-            prev = st.t
+        g = states[0].grid
+        if not all(st.grid.compatible(g) for st in states):
+            raise ValueError("all states must share one grid")
+        half = np.stack([_to_half(st) for st in states])
+        return cls(np.array([st.t for st in states], dtype=np.float64), half, g, spec)
 
     @property
-    def times(self) -> np.ndarray:
-        return np.array([st.t for st in self.states])
-
-    @property
-    def grid(self) -> Grid:
-        return self.states[0].grid
+    def states(self) -> list[State]:
+        if self._states is None:
+            self._states = [_to_state(w, self.grid, float(t)) for w, t in zip(self.half, self.times)]
+        return self._states
 
 
 def _phases(xi: np.ndarray, c: float, dt: float) -> np.ndarray:
@@ -78,8 +99,9 @@ def _phases(xi: np.ndarray, c: float, dt: float) -> np.ndarray:
 
 def _half_phases(grid: Grid, c: tuple[float, float], dt) -> np.ndarray:
     """exp(-i*c_j*xi^3*dt) for both components on the half spectrum: shape
-    (2, n/2+1), or (2, nt, n/2+1) for a column dt of nt times."""
-    xi = grid.xi[: grid.n // 2 + 1]
+    (2, n/2+1), or (2, nt, n/2+1) for a column dt of nt times.  The Nyquist
+    mode does not rotate (`Grid.xi_odd`)."""
+    xi = grid.xi_odd[: grid.n // 2 + 1]
     return np.stack([_phases(xi, cj, dt) for cj in c])
 
 
@@ -87,8 +109,8 @@ def linear_propagate(state: State, spec: SystemSpec | NormalForm, dt: float) -> 
     """Advance the linear flow exactly: each mode gains exp(-i*c*xi^3*dt)."""
     c_u, c_v = systems.lower(spec).dispersion()
     g = state.grid
-    u = SpectralField(state.u.coeffs * _phases(g.xi, c_u, dt), g)
-    v = SpectralField(state.v.coeffs * _phases(g.xi, c_v, dt), g)
+    u = SpectralField(state.u.coeffs * _phases(g.xi_odd, c_u, dt), g)
+    v = SpectralField(state.v.coeffs * _phases(g.xi_odd, c_v, dt), g)
     return State(u, v, state.t + dt)
 
 
@@ -169,19 +191,28 @@ def simulate(
     c = form.dispersion()
     g = initial.grid
     observers = tuple(observers)
-    stored: list[State] = []
+    times: list[float] = []
+    rows: list[np.ndarray] = []
+    states: list[State] = []
 
     def record(w, t):
-        st = _to_state(w, g, t)
-        stored.append(st)
-        for obs in observers:
-            obs(st)
+        times.append(t)
+        rows.append(w)
+        if observers:
+            states.append(_to_state(w, g, t))
+            for obs in observers:
+                obs(states[-1])
+
+    def trajectory() -> Trajectory:
+        traj = Trajectory(np.array(times), np.stack(rows), g, spec)
+        traj._states = states if observers else None  # the States the observers saw
+        return traj
 
     w = np.where(g.keep[: g.n // 2 + 1], _to_half(initial), 0.0)
     t0 = initial.t
     record(w, t0)
     if T == 0.0:
-        return Trajectory(stored, spec)
+        return trajectory()
 
     dt = config.dt
     n_full = int(np.floor(T / dt + 1e-9))
@@ -204,7 +235,7 @@ def simulate(
         E_r = _half_phases(g, c, 0.5 * remainder)
         w = _guarded_step(rhs, w, t0 + n_full * dt, remainder, E_r, E_r * E_r, n_full + 1, guard, m0)
     record(w, t0 + T)
-    return Trajectory(stored, spec)
+    return trajectory()
 
 
 # ---------------------------------------------------------------------------
@@ -286,20 +317,16 @@ def picard_iterate(
     hs_weight = (1.0 + g.xi[:m] ** 2) ** s * g.dxi
     hs_weight[1:-1] *= 2.0
 
-    def as_traj(w: np.ndarray) -> Trajectory:
-        full = sg.to_full(w)
-        sts = [
-            State(SpectralField(full[0, i], g), SpectralField(full[1, i], g), float(times[i]))
-            for i in range(nt)
-        ]
-        return Trajectory(sts, spec)
+    def iterate(w: np.ndarray) -> Trajectory:
+        # (component, time, mode) -> (time, component, mode), a view
+        return Trajectory(times, np.moveaxis(w, 0, 1), g, spec)
 
     def sup_hs_distance(a: np.ndarray, b: np.ndarray) -> float:
         norms = np.sqrt(np.sum(hs_weight * np.abs(a - b) ** 2, axis=-1))
         return float(np.max(norms[0] + norms[1]))
 
     cur = free
-    iterates = [as_traj(cur)]
+    iterates = [iterate(cur)]
     diffs: list[float] = []
     diverged = False
     for _ in range(n_iters):
@@ -318,7 +345,7 @@ def picard_iterate(
             break
         diffs.append(d)
         cur = new
-        iterates.append(as_traj(cur))
+        iterates.append(iterate(cur))
 
     ratios = [
         diffs[k + 1] / diffs[k] for k in range(len(diffs) - 1) if diffs[k] > 0.0

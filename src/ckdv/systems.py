@@ -240,7 +240,7 @@ class SpectralRhs:
         m = grid.n // 2 + 1
         sign = grid._sign[:m]
         # rows [[u, v], [u_x, v_x]]: centring sign, i*xi and the inverse scale in one table
-        to_grid = np.stack([sign, 1j * grid.xi[:m] * sign]) * (sg.SQRT_2PI / grid.dx)
+        to_grid = np.stack([sign, 1j * grid.xi_odd[:m] * sign]) * (sg.SQRT_2PI / grid.dx)
         self._to_grid = to_grid[:, None, None, :]
         self._to_spec = np.where(grid.keep[:m], sign * (grid.dx / sg.SQRT_2PI), 0.0)
         self._quad = form.Q.reshape(2, 4)

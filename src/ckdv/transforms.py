@@ -28,13 +28,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import grid as sg
 from .grid import Grid, SpectralField
-from .systems import GearGrimshaw, GeneralCoupled, NormalForm, State, SystemSpec, lower
+from .solver import Trajectory
+from .systems import GearGrimshaw, GeneralCoupled, NormalForm, SystemSpec, lower
 from .systems import gg_dispersion_matrix  # noqa: F401  (re-exported; lower uses it)
 
 
@@ -260,26 +261,24 @@ def _lagrange_coeffs(nodes: np.ndarray, t: float) -> np.ndarray:
     return w
 
 
-def _interp_state(states: Sequence[State], src_times: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient arrays of (u, v) at time tau, by polynomial interpolation."""
+def _interp_half(traj: Trajectory, tau: float) -> np.ndarray:
+    """The half-spectrum row (2, n/2+1) of a trajectory at time tau, by polynomial interpolation."""
+    src_times = traj.times
+    nt = len(src_times)
     tol = 1e-12 * (1.0 + abs(tau))
     j = int(np.searchsorted(src_times, tau))
     for cand in (j - 1, j):
-        if 0 <= cand < len(states) and abs(src_times[cand] - tau) <= tol:
-            st = states[cand]
-            return st.u.coeffs, st.v.coeffs
+        if 0 <= cand < nt and abs(src_times[cand] - tau) <= tol:
+            return traj.half[cand]
     if tau < src_times[0] - tol or tau > src_times[-1] + tol:
         raise ValueError(
             f"source trajectory [{src_times[0]}, {src_times[-1]}] does not cover t = {tau}"
         )
-    k = min(4, len(states))
+    k = min(4, nt)
     if k < 2:
         raise ValueError("cannot interpolate inside a single-state trajectory")
-    i0 = int(np.clip(j - k // 2, 0, len(states) - k))
-    w = _lagrange_coeffs(src_times[i0 : i0 + k], tau)
-    uc = sum(w[i] * states[i0 + i].u.coeffs for i in range(k))
-    vc = sum(w[i] * states[i0 + i].v.coeffs for i in range(k))
-    return uc, vc
+    i0 = int(np.clip(j - k // 2, 0, nt - k))
+    return np.tensordot(_lagrange_coeffs(src_times[i0 : i0 + k], tau), traj.half[i0 : i0 + k], axes=1)
 
 
 def scaling_map(traj, lam: float, times=None, out_grid=None):
@@ -289,35 +288,25 @@ def scaling_map(traj, lam: float, times=None, out_grid=None):
     solutions remain periodic) at times t = t_src / lam^3 by default.
     Spatial values come from exact trigonometric interpolation; time
     values from 4-point polynomial interpolation on the stored cadence
-    (exact when the query hits a stored sample).
+    (exact when the query hits a stored sample).  A Trajectory gives a
+    Trajectory; a list of States gives a list of States.
     """
     if not (lam > 0.0):
         raise ValueError("scaling factor must be positive")
-    has_spec = hasattr(traj, "states")
-    states: Sequence[State] = list(traj.states) if has_spec else list(traj)
-    if not states:
-        raise ValueError("empty trajectory")
-    src_times = np.array([st.t for st in states], dtype=np.float64)
-    g = states[0].u.grid
+    src = traj if isinstance(traj, Trajectory) else Trajectory.from_states(traj)
+    g = src.grid
     if out_grid is None:
         out_grid = Grid(g.n, g.period / lam, g.dealias_fraction)
-    if times is None:
-        times = src_times / lam**3
+    times = src.times / lam**3 if times is None else np.asarray(times, dtype=np.float64)
     lam2 = lam * lam
     pts = lam * out_grid.x
-    out_states = []
-    for t in np.asarray(times, dtype=np.float64):
-        uc, vc = _interp_state(states, src_times, lam**3 * float(t))
-        u_src = SpectralField(uc, g)
-        v_src = SpectralField(vc, g)
-        u_vals = lam2 * sg.evaluate_at(u_src, pts)
-        v_vals = lam2 * sg.evaluate_at(v_src, pts)
-        out_states.append(
-            State(sg.forward(u_vals, out_grid), sg.forward(v_vals, out_grid), float(t))
-        )
-    if has_spec:
-        return type(traj)(states=out_states, spec=traj.spec)
-    return out_states
+    half = np.empty((len(times), 2, out_grid.n // 2 + 1), dtype=np.complex128)
+    for i, t in enumerate(times):
+        for j, c in enumerate(sg.to_full(_interp_half(src, lam**3 * float(t)))):
+            vals = lam2 * sg.evaluate_at(SpectralField(c, g), pts)
+            half[i, j] = sg.to_half(sg.forward(vals, out_grid).coeffs)
+    out = Trajectory(times, half, out_grid, src.spec)
+    return out if isinstance(traj, Trajectory) else out.states
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ckdv.bourgain.estimates import (
+    _mode_normals,
     admissible,
     bilinear_ratio,
     cutoff_data_membership,
@@ -328,6 +329,22 @@ def test_bilinear_ratio_flags_and_validation():
     assert rep.max_ratio > 0.0
     with pytest.raises(ValueError):
         bilinear_ratio(0.0, 0.6, -0.4, -1.0, -1.0, -1.0, trials=0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**40 + 5])
+def test_bilinear_draw_streams_match_tuple_seeds(seed):
+    kk = 5
+    for trial, which in ((0, 0), (3, 1), (2**33 + 7, 1)):
+        got = _mode_normals(seed, trial, which, 4, 2 * kk)
+        for i in range(4):
+            r = np.random.default_rng((seed, trial, which, i))
+            want = r.standard_normal(kk) + 1j * r.standard_normal(kk)
+            assert np.array_equal(got[i, :kk] + 1j * got[i, kk:], want)
+
+
+def test_bilinear_negative_seed_raises():
+    with pytest.raises(ValueError):
+        bilinear_ratio(0.0, 0.6, -0.4, 1.0, 1.0, -1.0, trials=1, band=2.0, seed=-1)
 
 
 def _bilinear_full_plane(s, b, b_prime, a_left, a_right, a_out, trials, band, seed, dxi, dtau,

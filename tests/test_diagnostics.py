@@ -9,7 +9,6 @@ from ckdv import (
     Feng,
     GearGrimshaw,
     HirotaSatsuma,
-    Recorder,
     State,
     StepperConfig,
     Trajectory,
@@ -23,7 +22,7 @@ from ckdv import (
     sobolev_norm,
     zero_field,
 )
-from ckdv.grid import Grid, l2_norm, spectral_derivative
+from ckdv.grid import Grid, SpectralField, l2_norm, spectral_derivative
 
 
 def test_hs_invariants_sine_oracle(grid64):
@@ -126,20 +125,22 @@ def test_record_for_flags_nonfinite(grid64):
     assert not rec.valid
 
 
-def test_recorder_and_collect(grid128, gaussian128):
-    spec = HirotaSatsuma(-1.0, 1.0)
-    rec = Recorder(spec, s=1.0)
-    st = State(gaussian128, zero_field(grid128))
-    traj = simulate(st, spec, 0.02, StepperConfig(2e-3), observers=[rec], sample_dt=0.01)
-    assert len(rec.records) == len(traj.states)
-    again = collect(traj, spec)
-    assert [r.t for r in again] == [r.t for r in rec.records]
-    assert again[-1].F == pytest.approx(rec.records[-1].F, rel=1e-13)
+@pytest.mark.parametrize(
+    "spec, s", [(HirotaSatsuma(-1.0, 1.0), 1.0), (GearGrimshaw(0.7, 0.3, 0.0, 2.0, 0.5, r=0.4), 0.5)]
+)
+def test_collect_matches_per_snapshot_records(grid128, gaussian128, spec, s):
+    # collect evaluates the stacked samples, bit for bit what record_for gives per snapshot
+    seen = []
+    st = State(gaussian128, SpectralField(0.5 * gaussian128.coeffs, grid128))
+    traj = simulate(st, spec, 0.02, StepperConfig(2e-3), observers=[seen.append], sample_dt=0.01)
+    records = collect(traj, spec, s)
+    assert [r.t for r in records] == [st.t for st in seen] == list(traj.times)
+    np.testing.assert_array_equal([r.row() for r in records], [record_for(st, spec, s).row() for st in seen])
 
 
 def stationary_traj(field, spec, times):
     sts = [State(field.copy(), zero_field(field.grid), float(t)) for t in times]
-    return Trajectory(sts, spec)
+    return Trajectory.from_states(sts, spec)
 
 
 def test_mixed_norms_stationary_factorization(grid128, gaussian128):

@@ -22,6 +22,7 @@ from ckdv import (
 from ckdv import harness
 from ckdv.bourgain import LinearEstimateReport
 from ckdv.grid import Grid
+from ckdv.io import read_csv
 from ckdv.harness import (
     DIAGNOSTICS_SCHEMA,
     build_grid,
@@ -138,6 +139,16 @@ def test_config_validation_matrix():
         config_from_dict(simulate_config(initial={"u": {"kind": "sine", "mode": 1.5}}))
     with pytest.raises(ConfigError, match="kernels"):  # not split into characters
         config_from_dict({"kind": "kernel_suite", "params": {"kernels": "peak_pair"}})
+    # the work budget: 1e13 snapshots and 2e11 steps; then each budget alone
+    with pytest.raises(ConfigError, match="budget"):
+        config_from_dict(simulate_config(horizon=1e9, sample_dt=1e-4))
+    with pytest.raises(ConfigError, match="1.3e[+]07 IF-RK4 steps"):  # 13 runs of 1e6 steps, few samples
+        config_from_dict(simulate_config(kind="lipschitz_probe", horizon=5e3, sample_dt=5e3,
+                                         params={"n_directions": 3, "deltas": [1e-2, 1e-3, 1e-4, 1e-5]}))
+    with pytest.raises(ConfigError, match="5e[+]06 IF-RK4 steps"):  # within the step budget, each step stored
+        config_from_dict(simulate_config(horizon=2.5e4, sample_dt=5e-3))
+    with pytest.raises(ConfigError, match="budget"):  # 10 steps, every Picard iterate kept
+        config_from_dict(simulate_config(kind="picard_study", params={"n_iters": 10**6, "time_resolution": 201}))
 
 
 # each of these used to pass validation and then end the run as status "error"
@@ -205,7 +216,7 @@ def test_parsed_params_are_typed_and_defaulted():
 
 
 CONFIG_FILES = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
-MUTANTS = (None, "x", float("nan"), -1, 1.5, [], [0.5, "x"], {}, {"k": 1})
+MUTANTS = (None, "x", float("nan"), -1, 1.5, 1e12, 1e-12, [], [0.5, "x"], {}, {"k": 1})
 
 
 def _paths(node, path=()):
@@ -237,6 +248,16 @@ def test_mutated_shipped_configs_validate_or_raise_config_error(data):
         config_from_dict(d)
     except ConfigError:
         pass
+
+
+def test_shipped_configs_sit_far_below_the_work_budget():
+    for path in CONFIG_FILES:
+        cfg = load_config(path)
+        if cfg.kind in harness._NEEDS_DYNAMICS:
+            steps, samples = harness._work(cfg.kind, cfg.params, cfg.horizon, cfg.sample_dt, cfg.stepper.dt)
+            stored = samples * 2 * (cfg.grid.n // 2 + 1) * 16
+            assert 100 * steps <= harness.MAX_STEPS, path.name
+            assert 100 * stored <= harness.MAX_SNAPSHOT_BYTES, path.name
 
 
 def test_config_static_kinds_reject_dynamics_blocks():
@@ -338,6 +359,16 @@ def test_run_seed_changes_random_data(tmp_path):
     assert (tmp_path / "a" / "diagnostics.csv").read_bytes() != (
         tmp_path / "b" / "diagnostics.csv"
     ).read_bytes()
+
+
+def test_lipschitz_stabilization_pair_is_the_two_smallest_deltas(tmp_path):
+    cfg = simulate_config(kind="lipschitz_probe", params={"deltas": [3e-3, 3e-4], "n_directions": 1})
+    m = run(config_from_dict(cfg), out_dir=tmp_path)
+    assert m.status == "pass"
+    _, rows = read_csv(tmp_path / "lipschitz.csv")
+    ratio = {r[1]: r[3] for r in rows}
+    want = abs(ratio[3e-4] - ratio[3e-3]) / ratio[3e-3]
+    assert m.summary["stabilization_rel_diff"] == pytest.approx(want, rel=1e-15)
 
 
 BOURGAIN_CHEAP = {

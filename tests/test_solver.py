@@ -20,8 +20,9 @@ from ckdv import (
     step,
     zero_field,
 )
+from ckdv import solver
 from ckdv.diagnostics import gg_invariants, sobolev_norm
-from ckdv.grid import Grid, SpectralField, dealias, hermitian_defect, l2_norm, to_half
+from ckdv.grid import Grid, SpectralField, dealias, hermitian_defect, l2_norm, to_full, to_half
 from ckdv.systems import SpectralRhs, lower, nonlinear_rhs
 from ckdv.transforms import diagonal_form
 
@@ -45,12 +46,27 @@ def test_stepper_config_validation():
 def test_trajectory_validation(grid64):
     st = State(zero_field(grid64), zero_field(grid64), 0.0)
     with pytest.raises(ValueError):
-        Trajectory([], HirotaSatsuma(1.0, 1.0))
+        Trajectory.from_states([], HirotaSatsuma(1.0, 1.0))
     with pytest.raises(ValueError):
-        Trajectory([st, st.copy()], HirotaSatsuma(1.0, 1.0))  # equal times
+        Trajectory.from_states([st, st.copy()], HirotaSatsuma(1.0, 1.0))  # equal times
     other = State(zero_field(Grid(128, 2.0 * np.pi)), zero_field(Grid(128, 2.0 * np.pi)), 1.0)
     with pytest.raises(ValueError):
-        Trajectory([st, other], HirotaSatsuma(1.0, 1.0))
+        Trajectory.from_states([st, other], HirotaSatsuma(1.0, 1.0))
+    same_n = State(zero_field(Grid(64, 4.0 * np.pi)), zero_field(Grid(64, 4.0 * np.pi)), 1.0)
+    with pytest.raises(ValueError):
+        Trajectory.from_states([st, same_n])
+    half = np.zeros((3, 2, grid64.n // 2 + 1), dtype=complex)
+    assert Trajectory([0.0, 0.5, 1.0], half, grid64).half is half
+    for times, h in (
+        ([0.0, 1.0, 0.5], half),  # not increasing
+        ([0.0, float("nan"), 1.0], half),
+        ([0.0, 0.5], half),  # one time short
+        ([], half[:0]),
+        ([0.0, 0.5, 1.0], half[..., :-1]),  # not n/2+1 modes
+        ([0.0, 0.5, 1.0], half[:, :1]),  # one component
+    ):
+        with pytest.raises(ValueError):
+            Trajectory(times, h, grid64)
 
 
 def test_linear_propagate_single_mode(grid64):
@@ -264,6 +280,61 @@ def test_picard_matches_stepper_on_small_data():
     assert np.max(np.abs(pu - su)) < 1e-6
 
 
+def count_states(monkeypatch) -> list:
+    """A list that grows by one for each State the solver module constructs."""
+    made = []
+
+    class Counted(State):
+        def __post_init__(self):
+            made.append(self.t)
+            super().__post_init__()
+
+    monkeypatch.setattr(solver, "State", Counted)
+    return made
+
+
+def small_pair(g):
+    return State(
+        field_from_callable(lambda x: 0.2 * np.exp(-((x / 1.5) ** 2)), g),
+        field_from_callable(lambda x: 0.1 * np.exp(-(((x - 1.0) / 2.0) ** 2)), g),
+    )
+
+
+def test_picard_builds_no_states(monkeypatch):
+    st = small_pair(Grid(64, 8.0 * np.pi))
+    made = count_states(monkeypatch)
+    iters, report = picard_iterate(st, HirotaSatsuma(-0.5, 1.0), 0.2, n_iters=24, time_resolution=321)
+    assert report.converged and len(iters) == 25
+    assert made == []  # not one per iterate and sample
+    assert len(iters[-1].states) == 321 and len(made) == 321
+
+
+def test_picard_states_are_the_per_sample_states():
+    g = Grid(64, 8.0 * np.pi)
+    T, nt = 0.2, 21
+    iters, _ = picard_iterate(small_pair(g), HirotaSatsuma(-0.5, 1.0), T, n_iters=3, time_resolution=nt)
+    times = np.linspace(0.0, T, nt)
+    for it in iters:
+        # each iterate wraps the (component, time, mode) array the iteration holds, without a copy
+        w = np.moveaxis(it.half, 1, 0)
+        assert w.flags.c_contiguous and it.half.base is not None
+        full = to_full(w)
+        assert len(it.states) == nt
+        for i, got in enumerate(it.states):
+            assert np.array_equal(got.u.coeffs, full[0, i]) and np.array_equal(got.v.coeffs, full[1, i])
+            assert got.t == float(times[i]) and got.grid is g
+
+
+def test_simulate_builds_states_only_on_demand(monkeypatch, grid128, gaussian128):
+    st = State(gaussian128, zero_field(grid128))
+    made = count_states(monkeypatch)
+    traj = simulate(st, HirotaSatsuma(-1.0, 1.0), 0.05, StepperConfig(5e-3), sample_dt=0.01)
+    assert made == [] and traj.half.shape == (6, 2, grid128.n // 2 + 1)
+    states = traj.states
+    assert len(made) == 6 and [s.t for s in states] == list(traj.times)
+    assert traj.states is states and len(made) == 6  # cached
+
+
 # ---------------------------------------------------------------------------
 # The half-spectrum kernel against a full-layout reference.
 
@@ -279,7 +350,9 @@ def pair_state(g, t=0.0, nyquist=0.0):
 def full_layout_ifrk4(st, spec, dt, n_steps):
     """IF-RK4 on full-layout coefficients, over the public nonlinear_rhs."""
     g = st.grid
-    E = np.stack([np.exp((-1j * c * 0.5 * dt) * g.xi**3) for c in lower(spec).dispersion()])
+    # odd-derivative convention: the Nyquist mode (k = n/2) does not rotate
+    xi = np.where(g.k == g.n // 2, 0.0, g.xi)
+    E = np.stack([np.exp((-1j * c * 0.5 * dt) * xi**3) for c in lower(spec).dispersion()])
     E2 = E * E
 
     def rhs(w, t):
@@ -324,6 +397,20 @@ def test_snapshots_are_full_layout_and_hermitian(grid128):
             assert hermitian_defect(f) <= 1e-14
     out = step(traj.states[-1], spec, StepperConfig(5e-3))
     assert out.u.coeffs.shape == (grid128.n,) and hermitian_defect(out.u) <= 1e-14
+
+
+def test_nyquist_mode_stays_real_on_undealiased_grid():
+    # the kept k = n/2 mode of a dealias_fraction=1.0 grid neither rotates nor
+    # feeds a derivative, so every snapshot stays conjugate symmetric
+    g = Grid(64, 8.0 * np.pi, dealias_fraction=1.0)
+    st = pair_state(g, nyquist=0.05)
+    assert abs(st.u.coeffs[g.n // 2]) > 1e-3
+    traj = simulate(st, HirotaSatsuma(0.5, 1.0), 10 * 2e-3, StepperConfig(2e-3), sample_dt=2e-3)
+    assert len(traj.states) == 11
+    for s in traj.states:
+        assert hermitian_defect(s.u) <= 1e-14 and hermitian_defect(s.v) <= 1e-14
+    out = linear_propagate(st, HirotaSatsuma(0.5, 1.0), 0.37)
+    assert out.u.coeffs[g.n // 2] == st.u.coeffs[g.n // 2]
 
 
 def test_batched_rhs_matches_per_sample(five_systems):
