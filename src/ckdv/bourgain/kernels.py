@@ -12,16 +12,24 @@ defined; since the level-set polynomials are monotone (cubic with
 positive-definite derivative) or quadratic, membership decomposes into
 finitely many intervals computed from polynomial roots, and each
 interval is integrated adaptively.
+
+Half-line rule: an integrand that depends on x only through x^2, with
+limits and breakpoints symmetric about 0, is integrated over x >= 0 and
+doubled.  level_set, flip_weighted_aux, flip_core and flip_region_a are
+of this kind.  Every kernel evaluation also returns the number of
+integrand calls QUADPACK made for it.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
 
@@ -44,13 +52,24 @@ def _br(u: float) -> float:
     return 1.0 + abs(u)
 
 
-def _quad(fn, lo: float, hi: float, q: QuadSpec, pts=()) -> float:
+def _counted_quad(fn, lo: float, hi: float, **kw) -> tuple[float, int]:
+    """scipy's quad, returning (value, integrand evaluations).
+
+    full_output=1 hands QUADPACK's warning back as a message instead of
+    warning, so the message is warned here.
+    """
+    out = quad(fn, lo, hi, full_output=1, **kw)
+    if len(out) > 3:
+        warnings.warn(out[3], IntegrationWarning, stacklevel=2)
+    return out[0], out[2]["neval"]
+
+
+def _quad(fn, lo: float, hi: float, q: QuadSpec, pts=()) -> tuple[float, int]:
     if hi <= lo:
-        return 0.0
+        return 0.0, 0
     inner = sorted({float(p) for p in pts if lo < p < hi})
-    val, _ = quad(fn, lo, hi, limit=q.limit, epsabs=q.epsabs, epsrel=q.epsrel,
-                  points=inner or None)
-    return val
+    return _counted_quad(fn, lo, hi, limit=q.limit, epsabs=q.epsabs, epsrel=q.epsrel,
+                         points=inner or None)
 
 
 def _require(cond: bool, constraint: str) -> None:
@@ -90,31 +109,36 @@ def _segments(breaks, member, strip=None):
 
 
 # --- individual kernels -------------------------------------------------
+#
+# Each kernel returns (value, integrand evaluations).  Integrands are single
+# expressions over constants computed once per sample.
 
-def _k_level_set(sample, p, q: QuadSpec) -> float:
+def _k_level_set(sample, p, q: QuadSpec) -> tuple[float, int]:
     a, eta = sample
     if a == 0.0 or eta == 0.0:
         raise HypothesisViolation("hypothesis failed: a != 0 and eta != 0")
-    b = p["b"]
-    fn = lambda x: (1.0 + abs(a) * abs(x * x - eta * eta)) ** (-2.0 * b)
-    val = _quad(fn, -q.x_max, q.x_max, q, pts=(-abs(eta), abs(eta)))
-    return val * abs(a) * abs(eta)
+    aa, ae, e2, nb = abs(a), abs(eta), eta * eta, -2.0 * p["b"]
+    # even: x enters only as x^2, over [-x_max, x_max] with breaks +-|eta|
+    fn = lambda x: (1.0 + aa * abs(x * x - e2)) ** nb
+    val, n = _quad(fn, 0.0, q.x_max, q, pts=(ae,))
+    return 2.0 * val * aa * ae, n
 
 
-def _k_peak_pair(sample, p, q: QuadSpec) -> float:
+def _k_peak_pair(sample, p, q: QuadSpec) -> tuple[float, int]:
     a, a_prime = sample
     alpha, beta = p["alpha"], p["beta"]
+    na, nbeta = -alpha, -beta
     lo = min(a, a_prime) - q.x_max
     hi = max(a, a_prime) + q.x_max
-    fn = lambda x: (1.0 + abs(x - a_prime)) ** (-alpha) * (1.0 + abs(x - a)) ** (-beta)
-    val = _quad(fn, lo, hi, q, pts=(a, a_prime))
-    return val * (1.0 + abs(a - a_prime)) ** alpha
+    fn = lambda x: (1.0 + abs(x - a_prime)) ** na * (1.0 + abs(x - a)) ** nbeta
+    val, n = _quad(fn, lo, hi, q, pts=(a, a_prime))
+    return val * (1.0 + abs(a - a_prime)) ** alpha, n
 
 
-def _k_flip_weighted_aux(sample, p, q: QuadSpec) -> float:
+def _k_flip_weighted_aux(sample, p, q: QuadSpec) -> tuple[float, int]:
     xi, y = sample
     if xi == 0.0:
-        return 0.0
+        return 0.0, 0
     s, b, bp = p["s"], p["b"], p["b_prime"]
     xi3 = abs(xi) ** 3
     pref = (
@@ -123,29 +147,31 @@ def _k_flip_weighted_aux(sample, p, q: QuadSpec) -> float:
         * _br(xi) ** (2.0 * s)
         * abs(y + 2.0) ** (-2.0 * s)
     )
-    peak = math.sqrt(y + 0.75) if y + 0.75 > 0.0 else None
-    pts = (-peak, peak) if peak else ()
-    fn = lambda x: _br(xi3 * (y + 0.75 - x * x)) ** (-2.0 * b)
-    return pref * _quad(fn, -q.x_max, q.x_max, q, pts=pts)
+    c, nb = y + 0.75, -2.0 * b
+    # even: x enters only as x^2, over [-x_max, x_max] with breaks +-sqrt(c)
+    fn = lambda x: (1.0 + abs(xi3 * (c - x * x))) ** nb
+    val, n = _quad(fn, 0.0, q.x_max, q, pts=(math.sqrt(c),) if c > 0.0 else ())
+    return pref * 2.0 * val, n
 
 
-def _k_flip_core(sample, p, q: QuadSpec) -> float:
+def _k_flip_core(sample, p, q: QuadSpec) -> tuple[float, int]:
     xi, y = sample
     if xi == 0.0:
-        return 0.0
+        return 0.0, 0
     b, bp = p["b"], p["b_prime"]
     xi3 = abs(xi) ** 3
     pref = xi3 * (1.0 + xi3 * abs(3.0 * y + 2.0)) ** (2.0 * bp)
-    peak = math.sqrt(y + 0.25) if y + 0.25 > 0.0 else None
-    pts = (-peak, peak) if peak else ()
-    fn = lambda x: (1.0 + xi3 * abs(y + 0.25 - x * x)) ** (-2.0 * b)
-    return pref * _quad(fn, -q.x_max, q.x_max, q, pts=pts)
+    c, nb = y + 0.25, -2.0 * b
+    # even: x enters only as x^2, over [-x_max, x_max] with breaks +-sqrt(c)
+    fn = lambda x: (1.0 + xi3 * abs(c - x * x)) ** nb
+    val, n = _quad(fn, 0.0, q.x_max, q, pts=(math.sqrt(c),) if c > 0.0 else ())
+    return pref * 2.0 * val, n
 
 
-def _k_flip_region_a(sample, p, q: QuadSpec) -> float:
+def _k_flip_region_a(sample, p, q: QuadSpec) -> tuple[float, int]:
     xi, y = sample
     if xi == 0.0:
-        return 0.0
+        return 0.0, 0
     s, b, bp = p["s"], p["b"], p["b_prime"]
     pref = (
         abs(xi) ** (3.0 - 4.0 * s)
@@ -157,66 +183,96 @@ def _k_flip_region_a(sample, p, q: QuadSpec) -> float:
     hi2 = (y + 0.75 + m) / 3.0
     lo2 = (y + 0.75 - m) / 3.0
     if hi2 <= 0.0:
-        return 0.0
-    hi_x = math.sqrt(hi2)
-    fn = lambda x: abs(x * x - 0.25) ** (-2.0 * s) * _br(
-        xi**3 * (y + 0.75 - 3.0 * x * x)
-    ) ** (-2.0 * b)
-    peak = math.sqrt((y + 0.75) / 3.0) if y + 0.75 > 0.0 else None
-    pts = [0.5, -0.5] + ([peak, -peak] if peak else [])
-    if lo2 <= 0.0:
-        return pref * _quad(fn, -hi_x, hi_x, q, pts=pts)
-    lo_x = math.sqrt(lo2)
-    return pref * (
-        _quad(fn, -hi_x, -lo_x, q, pts=pts) + _quad(fn, lo_x, hi_x, q, pts=pts)
-    )
+        return 0.0, 0
+    xi3, c, ns, nb = xi**3, y + 0.75, -2.0 * s, -2.0 * b
+    # even: x enters only as x^2, and the set, the breaks +-1/2 and
+    # +-sqrt(c/3) are symmetric; so is the pair of intervals when lo2 > 0
+    fn = lambda x: abs(x * x - 0.25) ** ns * (1.0 + abs(xi3 * (c - 3.0 * x * x))) ** nb
+    pts = (0.5, math.sqrt(c / 3.0)) if c > 0.0 else (0.5,)
+    val, n = _quad(fn, math.sqrt(lo2) if lo2 > 0.0 else 0.0, math.sqrt(hi2), q, pts=pts)
+    return pref * 2.0 * val, n
 
 
-def _k_mixed_core(sample, p, q: QuadSpec) -> float:
+@lru_cache(maxsize=256)
+def _mixed_core_root(z: float) -> float:
+    """Root of 2x^3 - 3x^2 + 3x + z; independent of xi, so cached per z."""
+    mu = lambda x: 2.0 * x**3 - 3.0 * x * x + 3.0 * x + z
+    return _monotone_root(mu, -np.cbrt(z / 2.0) if z != 0.0 else 0.0)
+
+
+def _k_mixed_core(sample, p, q: QuadSpec) -> tuple[float, int]:
     xi, z = sample
     if xi == 0.0:
-        return 0.0
+        return 0.0, 0
     b, bp = p["b"], p["b_prime"]
     xi3 = abs(xi) ** 3
     pref = xi3 * (1.0 + xi3 * abs(z + 2.0)) ** (2.0 * bp)
-    mu = lambda x: 2.0 * x**3 - 3.0 * x * x + 3.0 * x + z
-    root = _monotone_root(mu, -np.cbrt(z / 2.0) if z != 0.0 else 0.0)
-    fn = lambda x: (1.0 + xi3 * abs(mu(x))) ** (-2.0 * b)
-    return pref * _quad(fn, -q.x_max, q.x_max, q, pts=(root,))
+    nb = -2.0 * b
+    fn = lambda x: (1.0 + xi3 * abs(2.0 * x**3 - 3.0 * x * x + 3.0 * x + z)) ** nb
+    val, n = _quad(fn, -q.x_max, q.x_max, q, pts=(_mixed_core_root(z),))
+    return pref * val, n
 
 
-def _k_mixed_region_a1(sample, p, q: QuadSpec) -> float:
-    xi, y = sample
-    if xi == 0.0:
-        return 0.0
-    s, b, bp = p["s"], p["b"], p["b_prime"]
+@lru_cache(maxsize=256)
+def _a1_roots(y: float) -> tuple[float, float, float]:
+    """Roots of mu + m, mu - m and mu for mu = 2x^3 - 3x^2 + 3x + y, m = 2|y + 2|.
+
+    They do not depend on xi, so they are cached per y.
+    """
     m = 2.0 * abs(y + 2.0)
-    if m == 0.0:
-        return 0.0
-    pref = abs(xi) ** (3.0 - 2.0 * s) * _br(xi**3 * (y + 2.0)) ** (2.0 * bp)
     mu = lambda x: 2.0 * x**3 - 3.0 * x * x + 3.0 * x + y
     x_lo = _monotone_root(lambda x: mu(x) + m, 0.0)
     x_hi = _monotone_root(lambda x: mu(x) - m, 0.0)
-    root0 = _monotone_root(mu, 0.0)
-    fn = lambda x: abs(x - x * x) ** (-2.0 * s) * _br(xi**3 * mu(x)) ** (-2.0 * b)
-    return pref * _quad(fn, x_lo, x_hi, q, pts=(root0, 0.0, 1.0))
+    return x_lo, x_hi, _monotone_root(mu, 0.0)
 
 
-def _k_mixed_region_a2(sample, p, q: QuadSpec) -> float:
-    xi, y = sample
-    if xi == 0.0:
-        return 0.0
-    s, b, bp = p["s"], p["b"], p["b_prime"]
+@lru_cache(maxsize=256)
+def _a2_roots(y: float) -> tuple[float, float, float]:
+    """Roots of nu - m, nu + m and nu for nu = y - 3(x - x^2) - 2x^3, m = 2|y|.
+
+    They do not depend on xi, so they are cached per y.
+    """
     m = 2.0 * abs(y)
-    if m == 0.0:
-        return 0.0
-    pref = abs(xi) ** (3.0 - 2.0 * s) * _br(xi**3 * y) ** (2.0 * bp)
     nu = lambda x: y - 3.0 * (x - x * x) - 2.0 * x**3  # strictly decreasing
     x_lo = _monotone_root(lambda x: nu(x) - m, 0.0)
     x_hi = _monotone_root(lambda x: nu(x) + m, 0.0)
-    root0 = _monotone_root(nu, 0.0)
-    fn = lambda x: abs(x - x * x) ** (-2.0 * s) * _br(xi**3 * nu(x)) ** (-2.0 * b)
-    return pref * _quad(fn, x_lo, x_hi, q, pts=(root0, 0.0, 1.0))
+    return x_lo, x_hi, _monotone_root(nu, 0.0)
+
+
+def _k_mixed_region_a1(sample, p, q: QuadSpec) -> tuple[float, int]:
+    xi, y = sample
+    if xi == 0.0:
+        return 0.0, 0
+    s, b, bp = p["s"], p["b"], p["b_prime"]
+    m = 2.0 * abs(y + 2.0)
+    if m == 0.0:
+        return 0.0, 0
+    pref = abs(xi) ** (3.0 - 2.0 * s) * _br(xi**3 * (y + 2.0)) ** (2.0 * bp)
+    x_lo, x_hi, root0 = _a1_roots(y)
+    xi3, ns, nb = xi**3, -2.0 * s, -2.0 * b
+    fn = lambda x: abs(x - x * x) ** ns * (
+        1.0 + abs(xi3 * (2.0 * x**3 - 3.0 * x * x + 3.0 * x + y))
+    ) ** nb
+    val, n = _quad(fn, x_lo, x_hi, q, pts=(root0, 0.0, 1.0))
+    return pref * val, n
+
+
+def _k_mixed_region_a2(sample, p, q: QuadSpec) -> tuple[float, int]:
+    xi, y = sample
+    if xi == 0.0:
+        return 0.0, 0
+    s, b, bp = p["s"], p["b"], p["b_prime"]
+    m = 2.0 * abs(y)
+    if m == 0.0:
+        return 0.0, 0
+    pref = abs(xi) ** (3.0 - 2.0 * s) * _br(xi**3 * y) ** (2.0 * bp)
+    x_lo, x_hi, root0 = _a2_roots(y)
+    xi3, ns, nb = xi**3, -2.0 * s, -2.0 * b
+    fn = lambda x: abs(x - x * x) ** ns * (
+        1.0 + abs(xi3 * (y - 3.0 * (x - x * x) - 2.0 * x**3))
+    ) ** nb
+    val, n = _quad(fn, x_lo, x_hi, q, pts=(root0, 0.0, 1.0))
+    return pref * val, n
 
 
 def _cubic_level(xi1: float, tau1: float):
@@ -230,7 +286,7 @@ def _cubic_level(xi1: float, tau1: float):
     )
 
 
-def _b_kernel_value(sample, p, q: QuadSpec, m_center: float) -> float:
+def _b_kernel_value(sample, p, q: QuadSpec, m_center: float) -> tuple[float, int]:
     """Common evaluator for the two cubic region kernels.
 
     m_center is tau1 - xi1^3 or tau1 + xi1^3: it sets both the region
@@ -239,50 +295,49 @@ def _b_kernel_value(sample, p, q: QuadSpec, m_center: float) -> float:
     xi1, tau1 = sample
     s, b, bp = p["s"], p["b"], p["b_prime"]
     if abs(xi1) < 1.0:
-        return 0.0
+        return 0.0, 0
     M = abs(m_center)
     if M == 0.0:
-        return 0.0
+        return 0.0, 0
     mu = _cubic_level(xi1, tau1)
     guess = np.cbrt(max(M, 1.0))
     lo = _monotone_root(lambda x: mu(x) + 2.0 * M, -guess)
     hi = _monotone_root(lambda x: mu(x) - 2.0 * M, guess)
     root0 = _monotone_root(mu, 0.5 * (lo + hi))
 
-    def fn(xi):
-        base = (
-            abs(xi) ** (2.0 * (1.0 + s))
-            * abs(xi * xi1 * (xi - xi1)) ** (-2.0 * s)
-            * _br(xi) ** (2.0 * s)
-        )
-        return base * _br(mu(xi)) ** (2.0 * bp)
-
+    x13, e0, e1, e2, e3 = xi1**3, 2.0 * (1.0 + s), -2.0 * s, 2.0 * s, 2.0 * bp
+    fn = lambda x: (
+        abs(x) ** e0 * abs(x * xi1 * (x - xi1)) ** e1 * (1.0 + abs(x)) ** e2
+        * (1.0 + abs(tau1 + 2.0 * x**3 - x13 - 3.0 * x * xi1 * (x - xi1))) ** e3
+    )
     member = lambda x: abs(mu(x)) <= 2.0 * M * (1.0 + 1e-12) and abs(x - xi1) >= 1.0
     breaks = [lo, hi] + [p for p in (root0, 0.0) if lo < p < hi]
-    total = 0.0
+    total, evals = 0.0, 0
     for a, bnd in _segments(breaks, member, strip=(xi1 - 1.0, xi1 + 1.0)):
-        total += _quad(fn, a, bnd, q, pts=(root0, 0.0))
-    return _br(m_center) ** (-b) * math.sqrt(max(total, 0.0))
+        val, n = _quad(fn, a, bnd, q, pts=(root0, 0.0))
+        total += val
+        evals += n
+    return _br(m_center) ** (-b) * math.sqrt(max(total, 0.0)), evals
 
 
-def _k_flip_region_b(sample, p, q: QuadSpec) -> float:
+def _k_flip_region_b(sample, p, q: QuadSpec) -> tuple[float, int]:
     xi1, tau1 = sample
     return _b_kernel_value(sample, p, q, m_center=tau1 - xi1**3)
 
 
-def _k_mixed_region_b1(sample, p, q: QuadSpec) -> float:
+def _k_mixed_region_b1(sample, p, q: QuadSpec) -> tuple[float, int]:
     xi1, tau1 = sample
     return _b_kernel_value(sample, p, q, m_center=tau1 + xi1**3)
 
 
-def _k_mixed_region_b2(sample, p, q: QuadSpec) -> float:
+def _k_mixed_region_b2(sample, p, q: QuadSpec) -> tuple[float, int]:
     xi1, tau1 = sample
     s, b, bp = p["s"], p["b"], p["b_prime"]
     if abs(xi1) < 1.0:
-        return 0.0
+        return 0.0, 0
     M = abs(tau1 - xi1**3)
     if M == 0.0:
-        return 0.0
+        return 0.0, 0
     kappa = lambda xi: tau1 + 3.0 * xi * xi1 * (xi - xi1) + xi1**3
     # quadratic levels kappa = +-2M
     c2, c1 = 3.0 * xi1, -3.0 * xi1 * xi1
@@ -293,22 +348,21 @@ def _k_mixed_region_b2(sample, p, q: QuadSpec) -> float:
             r = math.sqrt(disc)
             roots.extend([(-c1 - r) / (2.0 * c2), (-c1 + r) / (2.0 * c2)])
     if not roots:
-        return 0.0
+        return 0.0, 0
     breaks = roots + [xi1 / 2.0, 0.0]
 
-    def fn(xi):
-        base = (
-            abs(xi) ** (2.0 * (1.0 + s))
-            * abs(xi * xi1 * (xi - xi1)) ** (-2.0 * s)
-            * _br(xi) ** (2.0 * s)
-        )
-        return base * _br(kappa(xi)) ** (2.0 * bp)
-
+    x13, e0, e1, e2, e3 = xi1**3, 2.0 * (1.0 + s), -2.0 * s, 2.0 * s, 2.0 * bp
+    fn = lambda x: (
+        abs(x) ** e0 * abs(x * xi1 * (x - xi1)) ** e1 * (1.0 + abs(x)) ** e2
+        * (1.0 + abs(tau1 + 3.0 * x * xi1 * (x - xi1) + x13)) ** e3
+    )
     member = lambda x: abs(kappa(x)) <= 2.0 * M and abs(x - xi1) >= 1.0
-    total = 0.0
+    total, evals = 0.0, 0
     for a, bnd in _segments(breaks, member, strip=(xi1 - 1.0, xi1 + 1.0)):
-        total += _quad(fn, a, bnd, q, pts=(0.0,))
-    return _br(tau1 - xi1**3) ** (-b) * math.sqrt(max(total, 0.0))
+        val, n = _quad(fn, a, bnd, q, pts=(0.0,))
+        total += val
+        evals += n
+    return _br(tau1 - xi1**3) ** (-b) * math.sqrt(max(total, 0.0)), evals
 
 
 # --- hypothesis checkers ------------------------------------------------
@@ -464,6 +518,7 @@ class KernelReport:
     rel_change: float
     stable: bool
     argmax: tuple
+    neval: int  # integrand evaluations over both passes
 
 
 def kernel_bound_check(
@@ -487,13 +542,15 @@ def kernel_bound_check(
     kd.check(p)
     samples = list(sample_grid) if sample_grid is not None else kd.default_samples(p)
     q = quad_spec or QuadSpec()
-    base = [kd.evaluate(smp, p, q) for smp in samples]
-    fine = [kd.evaluate(smp, p, q.refined()) for smp in samples]
+    qf = q.refined()
+    base, n_base = zip(*(kd.evaluate(smp, p, q) for smp in samples))
+    fine, n_fine = zip(*(kd.evaluate(smp, p, qf) for smp in samples))
     max_base = max(base)
     max_fine = max(fine)
     rel = abs(max_fine - max_base) / max(max_base, 1e-300)
     i = int(np.argmax(fine))
     report = KernelReport(
-        kernel_id, p, samples, fine, max_base, max_fine, rel, rel < 0.05, samples[i]
+        kernel_id, p, samples, list(fine), max_base, max_fine, rel, rel < 0.05, samples[i],
+        sum(n_base) + sum(n_fine),
     )
     return max_fine, report

@@ -131,16 +131,17 @@ def zero_field(grid: Grid) -> SpectralField:
 def spectral_derivative(field: SpectralField, order) -> SpectralField:
     """Derivative by Fourier multiplier.
 
-    An integer order m applies (i*xi)**m.  A non-integer (float) order
-    s >= 0 applies the modulus multiplier |xi|**s, with |0|**s = 0 for
-    s > 0 and the zero mode left alone for s = 0.
+    An integer order m applies (i*xi)**m; odd m uses xi_odd, so the
+    Nyquist mode has zero derivative, as in the solver.  A non-integer
+    (float) order s >= 0 applies the modulus multiplier |xi|**s, with
+    |0|**s = 0 for s > 0 and the zero mode left alone for s = 0.
     """
     grid = field.grid
     if isinstance(order, (int, np.integer)):
         m = int(order)
         if m < 0:
             raise ValueError("derivative order must be >= 0")
-        mult = (1j * grid.xi) ** m
+        mult = (1j * (grid.xi_odd if m % 2 else grid.xi)) ** m
     else:
         s = float(order)
         if s < 0:

@@ -738,19 +738,22 @@ def _run_bourgain(cfg: ExperimentConfig, emit: _Emitter):
 
 def _run_kernels(cfg: ExperimentConfig, emit: _Emitter):
     reports = [kernel_bound_check(kid)[1] for kid in cfg.params["kernels"]]
+    # argmax is the refined pass's maximizing sample, written "x;y"
     rows = [
-        [r.kernel_id, r.max_base, r.max_refined, r.rel_change, r.stable]
+        [r.kernel_id, r.max_base, r.max_refined, r.rel_change, r.stable,
+         ";".join(ckio.format_value(v) for v in r.argmax)]
         for r in reports
     ]
     emit.csv(
         "kernels.csv",
-        ["kernel", "max_value", "max_refined", "rel_change", "stable"],
+        ["kernel", "max_value", "max_refined", "rel_change", "stable", "argmax"],
         rows,
     )
     summary = {
         "kernels": len(rows),
         "all_stable": all(r.stable for r in reports),
         "max_rel_change": max(r.rel_change for r in reports),
+        "neval": {r.kernel_id: r.neval for r in reports},
     }
     return summary, summary["all_stable"]
 
@@ -767,6 +770,7 @@ def _run_noneq(cfg: ExperimentConfig, emit: _Emitter):
         "growth_exponent": tab.growth_exponent,
         "final_rel_change": tab.final_rel_change,
         "stabilized": tab.stabilized,
+        "neval": tab.neval,
     }
     ok = bool(tab.stabilized and tab.growth_exponent > 0.0)
     return summary, ok

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from ckdv import State, field_from_callable, write_snapshot
+from ckdv.bourgain import kernel_bound_check, nonequivalence_demo
 from ckdv.cli import main
 from ckdv.grid import Grid
+from ckdv.io import format_value
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -122,6 +124,11 @@ def test_kernels_restricted_config(tmp_path, capsys):
     assert "status: pass" in capsys.readouterr().out
     payload = json.loads((out / "manifest.json").read_text())
     assert payload["summary"]["kernels"] == 1
+    _, report = kernel_bound_check("peak_pair")
+    assert payload["summary"]["neval"] == {"peak_pair": report.neval}
+    head, row = (out / "kernels.csv").read_text().splitlines()
+    assert head == "kernel,max_value,max_refined,rel_change,stable,argmax"
+    assert row.split(",")[-1] == ";".join(format_value(v) for v in report.argmax)
 
 
 def test_noneq_quick_config(tmp_path, capsys):
@@ -137,6 +144,8 @@ def test_noneq_quick_config(tmp_path, capsys):
     assert main(["noneq", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
     payload = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert payload["summary"]["stabilized"] is True
+    tab = nonequivalence_demo(1.0, -1.0, 0.0, 3.0, [8.0, 16.0, 32.0, 64.0])
+    assert payload["summary"]["neval"] == tab.neval > 0
     capsys.readouterr()
 
 

@@ -22,7 +22,7 @@ from ckdv import (
     sobolev_norm,
     zero_field,
 )
-from ckdv.grid import Grid, SpectralField, l2_norm, spectral_derivative
+from ckdv.grid import Grid, SpectralField, forward, l2_norm, spectral_derivative
 
 
 def test_hs_invariants_sine_oracle(grid64):
@@ -51,6 +51,17 @@ def test_hs_invariants_cubic_terms(grid64):
     V, _ = hs_invariants(st, a, b)
     want = 0.5 * (1.0 + a) * np.pi - (1.0 + a) * 5.0 * np.pi
     assert V == pytest.approx(want, rel=1e-13)
+
+
+def test_hs_invariants_count_no_nyquist_slope():
+    # a pure Nyquist u = 0.05*(-1)^j on a full-layout grid has zero u_x, as in
+    # the solver, so V = 0 (the cubic term vanishes on the oversampled grid)
+    g = Grid(64, 8.0 * np.pi, dealias_fraction=1.0)
+    u = forward(0.05 * (-1.0) ** np.arange(g.n), g)
+    assert l2_norm(spectral_derivative(u, 1)) == 0.0
+    V, F = hs_invariants(State(u, zero_field(g)), 0.5, 1.0)
+    assert V == 0.0
+    assert F == pytest.approx(0.05**2 * g.period, rel=1e-13)
 
 
 def test_gg_invariants_cosine_oracle(grid64):

@@ -113,6 +113,25 @@ def test_derivative_rejects_negative_order(grid64):
         spectral_derivative(f, -0.5)
 
 
+def test_odd_derivatives_zero_the_nyquist_mode():
+    # a pure Nyquist field 0.05*(-1)^j on a full-layout grid: its grid samples
+    # have no slope, and the solver gives the mode zero u_x; even orders keep it
+    g = Grid(64, 8.0 * np.pi, dealias_fraction=1.0)
+    u = forward(0.05 * (-1.0) ** np.arange(g.n), g)
+    assert u.coeffs[g.n // 2] != 0.0
+    for m in (1, 3):
+        assert l2_norm(spectral_derivative(u, m)) == 0.0
+    d2 = spectral_derivative(u, 2).coeffs[g.n // 2]
+    assert d2 == -(g.xi[g.n // 2] ** 2) * u.coeffs[g.n // 2]
+
+
+def test_derivatives_unchanged_on_dealiased_grids(grid64):
+    # on a 2/3 grid the Nyquist slot is already zero: (i*xi)^m, bit for bit
+    f = dealias(field_from_callable(lambda x: np.exp(np.sin(x)), grid64))
+    for m in range(5):
+        assert np.array_equal(spectral_derivative(f, m).coeffs, f.coeffs * (1j * grid64.xi) ** m)
+
+
 def test_dealias_mask(grid64):
     f = SpectralFieldOfOnes(grid64)
     d = dealias(f)

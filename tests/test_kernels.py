@@ -1,12 +1,17 @@
 """Integral kernel evaluations: closed forms, hypothesis guards, stability."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 
+from ckdv.bourgain.estimates import _tail_antiderivative, nonequivalence_demo
 from ckdv.bourgain.kernels import (
     KERNELS,
     HypothesisViolation,
     QuadSpec,
+    _counted_quad,
     kernel_bound_check,
 )
 
@@ -101,3 +106,152 @@ def test_quad_spec_refinement():
     r = q.refined()
     assert r.x_max == 60.0 and r.limit == 200
     assert r.epsabs == pytest.approx(1e-10) and r.epsrel == pytest.approx(1e-8)
+
+
+# --- half-line rule -------------------------------------------------------
+#
+# Full-line references for the four even kernels and the nonequivalence
+# norms: the same integrands integrated over the symmetric range, as
+# written before the half-line rule.  Each returns (value, evaluations).
+
+def _full(fn, lo, hi, pts=(), **kw):
+    inner = sorted({float(p) for p in pts if lo < p < hi})
+    out = quad(fn, lo, hi, points=inner or None, full_output=1, **kw)
+    return out[0], out[2]["neval"]
+
+
+def _qkw(q):
+    return {"limit": q.limit, "epsabs": q.epsabs, "epsrel": q.epsrel}
+
+
+def _ref_level_set(sample, p, q):
+    a, eta = sample
+    fn = lambda x: (1.0 + abs(a) * abs(x * x - eta * eta)) ** (-2.0 * p["b"])
+    val, n = _full(fn, -q.x_max, q.x_max, (-abs(eta), abs(eta)), **_qkw(q))
+    return val * abs(a) * abs(eta), n
+
+
+def _peaks(c):
+    return (-math.sqrt(c), math.sqrt(c)) if c > 0.0 else ()
+
+
+def _ref_flip_weighted_aux(sample, p, q):
+    xi, y = sample
+    s, b, bp = p["s"], p["b"], p["b_prime"]
+    xi3 = abs(xi) ** 3
+    pref = (
+        abs(xi) ** (3.0 - 4.0 * s) * (1.0 + abs(xi**3 * (y + 2.0))) ** (2.0 * bp)
+        * (1.0 + abs(xi)) ** (2.0 * s) * abs(y + 2.0) ** (-2.0 * s)
+    )
+    fn = lambda x: (1.0 + abs(xi3 * (y + 0.75 - x * x))) ** (-2.0 * b)
+    val, n = _full(fn, -q.x_max, q.x_max, _peaks(y + 0.75), **_qkw(q))
+    return pref * val, n
+
+
+def _ref_flip_core(sample, p, q):
+    xi, y = sample
+    b, bp = p["b"], p["b_prime"]
+    xi3 = abs(xi) ** 3
+    pref = xi3 * (1.0 + xi3 * abs(3.0 * y + 2.0)) ** (2.0 * bp)
+    fn = lambda x: (1.0 + xi3 * abs(y + 0.25 - x * x)) ** (-2.0 * b)
+    val, n = _full(fn, -q.x_max, q.x_max, _peaks(y + 0.25), **_qkw(q))
+    return pref * val, n
+
+
+def _ref_flip_region_a(sample, p, q):
+    xi, y = sample
+    s, b, bp = p["s"], p["b"], p["b_prime"]
+    pref = (
+        abs(xi) ** (3.0 - 4.0 * s) * (1.0 + abs(xi**3 * (y + 2.0))) ** (2.0 * bp)
+        * (1.0 + abs(xi)) ** (2.0 * s)
+    )
+    m = 2.0 * abs(y + 2.0)
+    hi2, lo2 = (y + 0.75 + m) / 3.0, (y + 0.75 - m) / 3.0
+    if hi2 <= 0.0:
+        return 0.0, 0
+    fn = lambda x: abs(x * x - 0.25) ** (-2.0 * s) * (
+        1.0 + abs(xi**3 * (y + 0.75 - 3.0 * x * x))
+    ) ** (-2.0 * b)
+    pts = (-0.5, 0.5) + _peaks((y + 0.75) / 3.0)
+    hi_x = math.sqrt(hi2)
+    if lo2 <= 0.0:
+        val, n = _full(fn, -hi_x, hi_x, pts, **_qkw(q))
+        return pref * val, n
+    lo_x = math.sqrt(lo2)
+    v1, n1 = _full(fn, -hi_x, -lo_x, pts, **_qkw(q))
+    v2, n2 = _full(fn, lo_x, hi_x, pts, **_qkw(q))
+    return pref * (v1 + v2), n1 + n2
+
+
+FULL_LINE = {
+    "level_set": _ref_level_set,
+    "flip_weighted_aux": _ref_flip_weighted_aux,
+    "flip_core": _ref_flip_core,
+    "flip_region_a": _ref_flip_region_a,
+}
+
+
+@pytest.mark.parametrize("kid", sorted(FULL_LINE))
+def test_even_kernels_half_line_matches_full_line(kid):
+    kd = KERNELS[kid]
+    p = kd.default_params
+    half_evals = full_evals = 0
+    for q in (QuadSpec(), QuadSpec().refined()):
+        for smp in kd.default_samples(p):
+            got, n = kd.evaluate(smp, p, q)
+            want, n_ref = FULL_LINE[kid](smp, p, q)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (smp, q)
+            half_evals += n
+            full_evals += n_ref
+    assert 0 < half_evals <= 0.6 * full_evals
+    # the report counts the same evaluations over both passes
+    assert kernel_bound_check(kid)[1].neval == half_evals
+
+
+def _ref_nonequivalence(a0, a1, b, radii):
+    """Both norm ladders by nested quadrature over |xi| <= R, and the evaluations."""
+    evals = 0
+
+    def tau_quad(xi, rad, a_top):
+        nonlocal evals
+        c_top, c_bot = a_top * xi**3, a1 * xi**3
+        pts = sorted({-rad, rad, *(p for p in (-c_top, -c_bot) if -rad < p < rad)})
+        total = 0.0
+        for lo, hi in zip(pts[:-1], pts[1:]):
+            fn = lambda t: (1.0 + abs(t + c_top)) ** (2.0 * b) * (1.0 + abs(t + c_bot)) ** (-4.0 * b)
+            val, n = _full(fn, lo, hi, limit=200)
+            total += val
+            evals += n
+        return total
+
+    def tau_closed(xi, rad):
+        c = a1 * xi**3
+        return _tail_antiderivative(rad + c, b) - _tail_antiderivative(-rad + c, b)
+
+    def norm(a_top, rad):
+        nonlocal evals
+        inner = (lambda xi: tau_closed(xi, rad)) if a_top == a1 else (lambda xi: tau_quad(xi, rad, a_top))
+        val, n = _full(lambda xi: (1.0 + abs(xi)) ** (-2.0 * b) * inner(xi), -rad, rad, (0.0,), limit=400)
+        evals += n
+        return math.sqrt(val)
+
+    div = [norm(a0, r) for r in radii]
+    conv = [norm(a1, r) for r in radii]
+    return div, conv, evals
+
+
+@pytest.mark.parametrize("a0, a1", [(1.0, -1.0), (-1.3, 0.7), (2.0, -0.5), (-1.0, -2.0)])
+def test_nonequivalence_half_line_matches_full_line(a0, a1):
+    radii = [4.0, 8.0]
+    tab = nonequivalence_demo(a0, a1, 0.0, 3.0, radii)
+    div, conv, evals = _ref_nonequivalence(a0, a1, 3.0, radii)
+    np.testing.assert_allclose(tab.divergent_norms, div, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(tab.convergent_norms, conv, rtol=1e-9, atol=0.0)
+    assert 0 < tab.neval <= 0.6 * evals
+
+
+def test_counted_quad_warns_again():
+    # full_output=1 turns QUADPACK's warning into a message; it is warned again
+    with pytest.warns(IntegrationWarning, match="maximum number of subdivisions"):
+        val, n = _counted_quad(lambda x: abs(x - 0.3) ** -0.5, 0.0, 1.0, limit=1)
+    assert n > 0 and np.isfinite(val)
