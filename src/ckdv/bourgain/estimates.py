@@ -206,16 +206,16 @@ class NonequivalenceTable:
 
 
 def nonequivalence_demo(
-    a0: float, a1: float, s: float, b: float, R
+    a0: float, a1: float, s: float, b: float, radii
 ) -> NonequivalenceTable:
     """Truncation ladder exhibiting a field with finite a1-norm and divergent a0-norm.
 
     The field has |Fhat|^2 = (1+|xi|)^(-2s-2b) (1+|tau + a1 xi^3|)^(-4b),
-    concentrated along the a1-characteristic.  Norms are computed over
-    the box |xi| <= R, |tau| <= R semi-analytically: the tau integral of
-    the a1-norm is in closed form, the a0-norm uses nested quadrature.
-    The xi integrand is even (see norm_sq), so both norms integrate over
-    0 <= xi <= R and double.
+    concentrated along the a1-characteristic.  For each R in the list
+    radii, norms are computed over the box |xi| <= R, |tau| <= R
+    semi-analytically: the tau integral of the a1-norm is in closed form,
+    the a0-norm uses nested quadrature.  The xi integrand is even (see
+    norm_sq), so both norms integrate over 0 <= xi <= R and double.
     """
     if b <= 0.5:
         raise ValueError("the construction needs b > 1/2")
@@ -223,7 +223,7 @@ def nonequivalence_demo(
         raise ValueError("the construction needs s > 1/2 - b")
     if a0 == 0.0 or a1 == 0.0:
         raise ValueError("both speeds must be nonzero")
-    radii = list(R) if np.ndim(R) else [R / 8.0, R / 4.0, R / 2.0, float(R)]
+    radii = list(radii)
     tb, nb, mfb = 2.0 * b, -2.0 * b, -4.0 * b
     evals = 0
 

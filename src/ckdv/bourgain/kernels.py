@@ -422,39 +422,21 @@ def _check_region_b2(p):
 
 # --- default sample grids -----------------------------------------------
 
-def _samples_level_set(p):
-    return [(a, eta) for a in (0.5, 1.0, 4.0, 16.0, 64.0) for eta in (0.25, 1.0, 4.0, 16.0)]
-
-
-def _samples_peak_pair(p):
-    return [(0.0, 0.0), (2.0, 0.0), (-5.0, 3.0), (20.0, 0.0), (100.0, -50.0), (0.7, -0.7)]
-
-
 _XI_SAMPLES = (-8.0, -3.0, -1.0, -0.2, 0.2, 1.0, 3.0, 8.0)
 _Y_SAMPLES = (
     -6.0, -3.0, -2.2, -2.0, -1.8, -1.1, -0.85, -0.75, -0.7,
     -0.3, -0.26, -0.24, 0.0, 1.0, 4.0,
 )
-
-
-def _samples_xi_y(p):
-    return [(xi, y) for xi in _XI_SAMPLES for y in _Y_SAMPLES]
-
-
-def _samples_xi_y_origin(p):
-    ys = (-4.0, -1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0, 4.0)
-    return [(xi, y) for xi in _XI_SAMPLES for y in ys]
-
-
-def _samples_xi1_tau1(p):
-    out = []
-    for xi1 in (1.0, 2.0, 4.0, -1.5, -3.0):
-        cube = xi1**3
-        for center in (cube, -cube, 0.0):
-            for d in (0.3, 3.0, 30.0):
-                out.append((xi1, center + d))
-        out.append((xi1, 5.0))
-    return out
+_LEVEL_SET_SAMPLES = [(a, eta) for a in (0.5, 1.0, 4.0, 16.0, 64.0) for eta in (0.25, 1.0, 4.0, 16.0)]
+_PEAK_PAIR_SAMPLES = [(0.0, 0.0), (2.0, 0.0), (-5.0, 3.0), (20.0, 0.0), (100.0, -50.0), (0.7, -0.7)]
+_XI_Y = [(xi, y) for xi in _XI_SAMPLES for y in _Y_SAMPLES]
+_XI_Y_ORIGIN = [(xi, y) for xi in _XI_SAMPLES for y in (-4.0, -1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0, 4.0)]
+# per xi1: tau1 at distances 0.3, 3 and 30 above xi1^3, -xi1^3 and 0, then tau1 = 5
+_XI1_TAU1 = [
+    (xi1, tau1)
+    for xi1 in (1.0, 2.0, 4.0, -1.5, -3.0)
+    for tau1 in [c + d for c in (xi1**3, -(xi1**3), 0.0) for d in (0.3, 3.0, 30.0)] + [5.0]
+]
 
 
 @dataclass(frozen=True)
@@ -462,47 +444,47 @@ class KernelDef:
     check: Callable
     evaluate: Callable
     default_params: dict
-    default_samples: Callable
+    default_samples: list
 
 
 KERNELS = {
-    "level_set": KernelDef(_check_level_set, _k_level_set, {"b": 0.6}, _samples_level_set),
+    "level_set": KernelDef(_check_level_set, _k_level_set, {"b": 0.6}, _LEVEL_SET_SAMPLES),
     "peak_pair": KernelDef(
-        _check_peak_pair, _k_peak_pair, {"alpha": 2.0, "beta": 2.0}, _samples_peak_pair
+        _check_peak_pair, _k_peak_pair, {"alpha": 2.0, "beta": 2.0}, _PEAK_PAIR_SAMPLES
     ),
     "flip_weighted_aux": KernelDef(
         _check_flip_weighted_aux, _k_flip_weighted_aux,
-        {"s": -0.5, "b": 0.6, "b_prime": -0.5}, _samples_xi_y,
+        {"s": -0.5, "b": 0.6, "b_prime": -0.5}, _XI_Y,
     ),
     "flip_core": KernelDef(
-        _check_flip_core, _k_flip_core, {"b": 0.6, "b_prime": -0.3}, _samples_xi_y
+        _check_flip_core, _k_flip_core, {"b": 0.6, "b_prime": -0.3}, _XI_Y
     ),
     "flip_region_a": KernelDef(
         _check_flip_region_a, _k_flip_region_a,
-        {"s": -0.5, "b": 0.6, "b_prime": -0.45}, _samples_xi_y,
+        {"s": -0.5, "b": 0.6, "b_prime": -0.45}, _XI_Y,
     ),
     "flip_region_b": KernelDef(
         _check_region_b_sharp, _k_flip_region_b,
-        {"s": -0.6, "b": 0.7, "b_prime": -0.25}, _samples_xi1_tau1,
+        {"s": -0.6, "b": 0.7, "b_prime": -0.25}, _XI1_TAU1,
     ),
     "mixed_core": KernelDef(
-        _check_mixed_core, _k_mixed_core, {"b": 0.6, "b_prime": -0.3}, _samples_xi_y
+        _check_mixed_core, _k_mixed_core, {"b": 0.6, "b_prime": -0.3}, _XI_Y
     ),
     "mixed_region_a1": KernelDef(
         _check_mixed_region_a, _k_mixed_region_a1,
-        {"s": -0.6, "b": 0.6, "b_prime": -0.45}, _samples_xi_y,
+        {"s": -0.6, "b": 0.6, "b_prime": -0.45}, _XI_Y,
     ),
     "mixed_region_b1": KernelDef(
         _check_region_b_sharp, _k_mixed_region_b1,
-        {"s": -0.6, "b": 0.7, "b_prime": -0.25}, _samples_xi1_tau1,
+        {"s": -0.6, "b": 0.7, "b_prime": -0.25}, _XI1_TAU1,
     ),
     "mixed_region_a2": KernelDef(
         _check_mixed_region_a, _k_mixed_region_a2,
-        {"s": -0.6, "b": 0.6, "b_prime": -0.45}, _samples_xi_y_origin,
+        {"s": -0.6, "b": 0.6, "b_prime": -0.45}, _XI_Y_ORIGIN,
     ),
     "mixed_region_b2": KernelDef(
         _check_region_b2, _k_mixed_region_b2,
-        {"s": -0.6, "b": 0.75, "b_prime": -0.22}, _samples_xi1_tau1,
+        {"s": -0.6, "b": 0.75, "b_prime": -0.22}, _XI1_TAU1,
     ),
 }
 
@@ -540,7 +522,7 @@ def kernel_bound_check(
         ) from None
     p = {**kd.default_params, **(params or {})}
     kd.check(p)
-    samples = list(sample_grid) if sample_grid is not None else kd.default_samples(p)
+    samples = list(sample_grid if sample_grid is not None else kd.default_samples)
     q = quad_spec or QuadSpec()
     qf = q.refined()
     base, n_base = zip(*(kd.evaluate(smp, p, q) for smp in samples))

@@ -163,27 +163,17 @@ def bracket_norm(u0: SpectralField, s: float) -> float:
     return float(np.sqrt(np.sum(w * np.abs(u0.coeffs) ** 2) * g.dxi))
 
 
-def random_field(
-    stg: SpaceTimeGrid,
-    rng: np.random.Generator,
-    band_x: float | None = None,
-    band_t: float | None = None,
-    decay: float = 0.0,
-) -> SpaceTimeField:
-    """Hermitian random field with optional frequency band limits.
+def random_field(stg: SpaceTimeGrid, rng: np.random.Generator, decay: float = 0.0) -> SpaceTimeField:
+    """Hermitian random field with complex Gaussian coefficients.
 
     decay > 0 damps coefficients like (1+|xi|)^-decay * (1+|tau|)^-decay
     to model smoother data.
     """
     nx, nt = stg.x.n, stg.t.n
     c = rng.standard_normal((nx, nt)) + 1j * rng.standard_normal((nx, nt))
-    xi = stg.x.xi[:, None]
-    tau = stg.t.xi[None, :]
-    if band_x is not None:
-        c = np.where(np.abs(xi) <= band_x, c, 0.0)
-    if band_t is not None:
-        c = np.where(np.abs(tau) <= band_t, c, 0.0)
     if decay > 0.0:
+        xi = stg.x.xi[:, None]
+        tau = stg.t.xi[None, :]
         c = c * (1.0 + np.abs(xi)) ** -decay * (1.0 + np.abs(tau)) ** -decay
     return SpaceTimeField(hermitian_symmetrize(c), stg)
 
@@ -193,12 +183,13 @@ def _check_xgrid(u0: SpectralField, stg: SpaceTimeGrid) -> None:
         raise ValueError("initial datum grid does not match the space-time grid")
 
 
-def free_field(u0: SpectralField, a: float, stg: SpaceTimeGrid, windowed: bool = True) -> SpaceTimeField:
-    """psi(t) * (free evolution of u0 with speed a), as a space-time field."""
+def free_field(u0: SpectralField, a: float, stg: SpaceTimeGrid) -> SpaceTimeField:
+    """psi(t) * (free evolution of u0 with speed a), as a space-time field.
+
+    The window psi vanishes for |t| >= 2.
+    """
     _check_xgrid(u0, stg)
-    slices = u0.coeffs[:, None] * stg.phase(a)
-    if windowed:
-        slices = slices * psi(stg.t.x)[None, :]
+    slices = u0.coeffs[:, None] * stg.phase(a) * psi(stg.t.x)[None, :]
     return from_time_slices(slices, stg)
 
 

@@ -72,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="conserved functionals of one stored snapshot")
     p.add_argument("--config", required=True, help="JSON with 'system' and 'snapshot' keys")
     p.add_argument("--out", help="output directory (overrides the config)")
-    p.add_argument("--seed", type=_u64, help="accepted for uniformity; unused")
     p.add_argument("--quiet", action="store_true")
     return parser
 

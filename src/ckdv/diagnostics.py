@@ -47,8 +47,8 @@ def _mean_integral(field: SpectralField):
 def _oversampled(state: State) -> tuple[np.ndarray, np.ndarray, float]:
     """u and v on a 2x-oversampled grid, where cubic integrands are exact
     for 2/3-band data, and the fine spacing."""
-    u, dxf = sg.oversampled_values(state.u, 2)
-    v, _ = sg.oversampled_values(state.v, 2)
+    u, dxf = sg.oversampled_values(state.u)
+    v, _ = sg.oversampled_values(state.v)
     return u, v, dxf
 
 

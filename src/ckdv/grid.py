@@ -197,14 +197,14 @@ def l2_norm(field: SpectralField) -> float:
     return float(np.sqrt(np.sum(np.abs(field.coeffs) ** 2) * field.grid.dxi))
 
 
-def oversampled_values(field: SpectralField, factor: int = 2) -> tuple[np.ndarray, float]:
-    """Samples of the field on a factor-times finer grid (zero padding).
+def oversampled_values(field: SpectralField) -> tuple[np.ndarray, float]:
+    """Samples of the field on a twice finer grid (zero padding).
 
     Returns (values, fine dx).  Used for quadrature of cubic integrands,
     which a 2x refinement renders exact for grid-band-limited fields.
     """
     grid = field.grid
-    nf = factor * grid.n
+    nf = 2 * grid.n
     fine = np.zeros(field.coeffs.shape[:-1] + (nf,), dtype=np.complex128)
     fine[..., grid.k % nf] = field.coeffs
     kf = np.fft.fftfreq(nf, d=1.0 / nf).astype(np.int64)

@@ -34,7 +34,7 @@ from .bourgain import (
     nonequivalence_demo,
     random_field,
 )
-from .diagnostics import collect, record_for, sobolev_norm
+from .diagnostics import collect, sobolev_norm
 from .grid import Grid, SpectralField, forward, inverse, to_full
 from .solver import StepperConfig, picard_iterate, simulate
 from .systems import (
@@ -165,7 +165,7 @@ _SYSTEMS = {
 }
 
 _GRID = {"n": (_int, MISSING), "period": (_finite, MISSING), "dealias_fraction": (_finite, 2.0 / 3.0)}
-_STEPPER = _fields(StepperConfig, scheme=_text)
+_STEPPER = _fields(StepperConfig)
 
 
 def build_system(d: dict):
@@ -204,6 +204,16 @@ def _parse_profile(d, where: str) -> dict:
 _INITIAL = {side: (partial(_parse_profile, where=f"initial.{side}"), {}) for side in ("u", "v")}
 
 
+def _band_noise(g: Grid, rng: np.random.Generator, decay: float, band: float) -> np.ndarray:
+    """Grid samples of complex Gaussian coefficients damped by (1 + |xi|)^-decay,
+    kept on the resolved band and, when band > 0, on |xi| <= band."""
+    c = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+    c *= g.keep * (1.0 + np.abs(g.xi)) ** -decay
+    if band > 0.0:
+        c[np.abs(g.xi) > band] = 0.0
+    return SpectralField(c, g).values()
+
+
 def _component_samples(p: dict, g: Grid, rng: np.random.Generator) -> np.ndarray:
     kind, x = p["kind"], g.x
     if kind == "zero":
@@ -222,13 +232,8 @@ def _component_samples(p: dict, g: Grid, rng: np.random.Generator) -> np.ndarray
         c = p["speed"]
         arg = 0.5 * np.sqrt(c) * (x - p["center"])
         return 0.5 * c / np.cosh(arg) ** 2
-    # random_band: Hermitian noise limited to the resolved band
-    coeffs = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
-    damp = (1.0 + np.abs(g.xi)) ** (-p["decay"])
-    coeffs *= damp * g.keep
-    if p["band"] > 0.0:
-        coeffs[np.abs(g.xi) > p["band"]] = 0.0
-    vals = SpectralField(coeffs, g).values()
+    # random_band, scaled to peak at the amplitude
+    vals = _band_noise(g, rng, p["decay"], p["band"])
     peak = np.max(np.abs(vals))
     if peak > 0.0:
         vals = vals * (p["amplitude"] / peak)
@@ -465,14 +470,7 @@ def _sup_gaps(a: np.ndarray, b: np.ndarray, g: Grid) -> np.ndarray:
 
 def _random_direction(g: Grid, rng: np.random.Generator, s: float, band: float):
     """Unit-joint-norm perturbation direction on the resolved band."""
-    parts = []
-    for _ in range(2):
-        c = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
-        c *= g.keep * (1.0 + np.abs(g.xi)) ** (-1.0)
-        if band > 0.0:
-            c[np.abs(g.xi) > band] = 0.0
-        parts.append(forward(SpectralField(c, g).values(), g))
-    du, dv = parts
+    du, dv = (forward(_band_noise(g, rng, 1.0, band), g) for _ in range(2))
     scale = float(np.hypot(sobolev_norm(du, s), sobolev_norm(dv, s)))
     if scale == 0.0:
         raise ValueError("degenerate perturbation direction")
@@ -497,12 +495,11 @@ def _run_simulate(cfg: ExperimentConfig, emit: _Emitter):
     rng = np.random.default_rng(cfg.seed)
     state = make_initial(cfg.initial, cfg.grid, rng)
     emit.snapshot("snapshot_initial.ckdv", state)
+    # every row, t = 0 included, reads the dealiased samples simulate records
+    traj = simulate(state, cfg.system, cfg.horizon, cfg.stepper, sample_dt=cfg.sample_dt)
     if cfg.horizon > 0.0:
-        traj = simulate(state, cfg.system, cfg.horizon, cfg.stepper, sample_dt=cfg.sample_dt)
         emit.snapshot("snapshot_final.ckdv", traj.states[-1])
-        records = collect(traj, cfg.system, cfg.params["s"])
-    else:
-        records = [record_for(state, cfg.system, cfg.params["s"])]
+    records = collect(traj, cfg.system, cfg.params["s"])
     rows = [r.row() for r in records]
     emit.csv("diagnostics.csv", DIAGNOSTICS_SCHEMA, rows)
     ok = all(r.valid for r in records)
@@ -577,7 +574,7 @@ def _run_scaling(cfg: ExperimentConfig, emit: _Emitter):
     base = simulate(base0, cfg.system, cfg.horizon, cfg.stepper, sample_dt=cfg.sample_dt)
     lam3 = lam**3
     scaled0 = _scaled_state(base0, lam)
-    st2 = StepperConfig(cfg.stepper.dt / lam3, cfg.stepper.scheme, cfg.stepper.cfl_guard)
+    st2 = dataclasses.replace(cfg.stepper, dt=cfg.stepper.dt / lam3)
     scaled = simulate(
         scaled0, cfg.system, cfg.horizon / lam3, st2, sample_dt=cfg.sample_dt / lam3
     )
@@ -656,7 +653,7 @@ def _run_convergence(cfg: ExperimentConfig, emit: _Emitter):
     T = cfg.horizon
 
     def final_half(dt: float) -> np.ndarray:
-        st = StepperConfig(dt, cfg.stepper.scheme, cfg.stepper.cfl_guard)
+        st = dataclasses.replace(cfg.stepper, dt=dt)
         return simulate(state0, cfg.system, T, st, sample_dt=max(T, dt)).half[-1]
 
     ref = final_half(ref_dt)

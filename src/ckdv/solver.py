@@ -13,13 +13,13 @@ Agreement between the two routes is a correctness check for both.
 Internally both routes hold the stacked half spectrum (modes k = 0..n/2
 of u and v) and share one `systems.SpectralRhs` kernel.  A `Trajectory`
 stores its samples in that layout too; full-layout States are made only
-for an observer, for `step`'s result, or when `Trajectory.states` is read.
+for `step`'s result or when `Trajectory.states` is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
@@ -35,14 +35,11 @@ from .systems import NotDiagonalError  # noqa: F401  (re-exported: the solvers r
 @dataclass(frozen=True)
 class StepperConfig:
     dt: float
-    scheme: str = "IFRK4"
     cfl_guard: float = 10.0  # max allowed per-step growth of max |u-hat|
 
     def __post_init__(self):
         if not (self.dt > 0.0):
             raise ValueError("dt must be positive")
-        if self.scheme != "IFRK4":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if not (self.cfl_guard > 1.0):
             raise ValueError("cfl_guard must exceed 1")
 
@@ -174,45 +171,33 @@ def simulate(
     spec: SystemSpec | NormalForm,
     T: float,
     config: StepperConfig,
-    observers: Iterable[Callable[[State], None]] = (),
     sample_dt: float = 0.01,
 ) -> Trajectory:
     """Evolve to time initial.t + T, sampling roughly every sample_dt.
 
-    The final time is hit exactly (a short last step if T is not a
-    multiple of dt).  Observers are called on each stored snapshot.
-    Every step is guarded by config.cfl_guard, and a mode exceeding 1e8
-    times the initial coefficient maximum aborts; BlowupDetected carries
-    the last completed time.
+    The samples start with the dealiased initial state; T = 0 gives that
+    one sample.  The final time is hit exactly (a short last step if T is
+    not a multiple of dt).  Every step is guarded by config.cfl_guard, and
+    a mode exceeding 1e8 times the initial coefficient maximum aborts;
+    BlowupDetected carries the last completed time.
     """
     if T < 0.0:
         raise ValueError("T must be nonnegative")
     form = systems.lower(spec)
     c = form.dispersion()
     g = initial.grid
-    observers = tuple(observers)
     times: list[float] = []
     rows: list[np.ndarray] = []
-    states: list[State] = []
 
     def record(w, t):
         times.append(t)
         rows.append(w)
-        if observers:
-            states.append(_to_state(w, g, t))
-            for obs in observers:
-                obs(states[-1])
-
-    def trajectory() -> Trajectory:
-        traj = Trajectory(np.array(times), np.stack(rows), g, spec)
-        traj._states = states if observers else None  # the States the observers saw
-        return traj
 
     w = np.where(g.keep[: g.n // 2 + 1], _to_half(initial), 0.0)
     t0 = initial.t
     record(w, t0)
     if T == 0.0:
-        return trajectory()
+        return Trajectory(np.array(times), np.stack(rows), g, spec)
 
     dt = config.dt
     n_full = int(np.floor(T / dt + 1e-9))
@@ -235,7 +220,7 @@ def simulate(
         E_r = _half_phases(g, c, 0.5 * remainder)
         w = _guarded_step(rhs, w, t0 + n_full * dt, remainder, E_r, E_r * E_r, n_full + 1, guard, m0)
     record(w, t0 + T)
-    return trajectory()
+    return Trajectory(np.array(times), np.stack(rows), g, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,12 @@ Systems:
       u_t + u_xxx + a3*v_xxx + u*u_x + a1*v*v_x + a2*(u*v)_x = 0
       b1*v_t + v_xxx + b2*a3*u_xxx + v*v_x + b2*a2*u*u_x
              + b2*a1*(u*v)_x + r*v_x = 0
+    Dividing the second equation by b1 gives the GeneralCoupled form
+    (`gear_grimshaw_as_general`), so with (u*v)_x = u*v_x + v*u_x:
+      D = -[[1, a3], [b2*a3/b1, 1/b1]]
+      Q[0] = -[[1, a2], [a2, a1]]
+      Q[1] = -[[b2*a2, b2*a1], [b2*a1, 1]] / b1
+      R = [[0, 0], [0, -r/b1]]
 
   GeneralCoupled(a11, a12, a21, a22, b1..b6, r):
       u_t + a11*u_xxx + a12*v_xxx + b1*(u*v)_x + b2*u*u_x + b3*v*v_x = 0
@@ -188,10 +194,27 @@ class NormalForm:
         return float(self.D[0, 0]), float(self.D[1, 1])
 
 
+def gear_grimshaw_as_general(spec: GearGrimshaw) -> GeneralCoupled:
+    """Rewrite the two-parameter internal-wave system in the general matrix form.
+
+    The second equation is divided through by b1 so both equations read
+    u_t + (matrix) u_xxx + (quadratics) = 0.
+    """
+    b1, b2 = spec.b1, spec.b2
+    return GeneralCoupled(
+        a11=1.0, a12=spec.a3, a21=b2 * spec.a3 / b1, a22=1.0 / b1,
+        b1=spec.a2, b2=1.0, b3=spec.a1,
+        b4=b2 * spec.a1 / b1, b5=b2 * spec.a2 / b1, b6=1.0 / b1,
+        r=spec.r / b1,
+    )
+
+
 def lower(spec: SystemSpec | NormalForm) -> NormalForm:
     """The normal form of a system; a NormalForm is returned unchanged."""
     if isinstance(spec, NormalForm):
         return spec
+    if isinstance(spec, GearGrimshaw):
+        return lower(gear_grimshaw_as_general(spec))
     Q = np.zeros((2, 2, 2))
     R = np.zeros((2, 2))
     if isinstance(spec, (HirotaSatsuma, Feng)):
@@ -201,15 +224,9 @@ def lower(spec: SystemSpec | NormalForm) -> NormalForm:
             Q[1] = [[0.0, -spec.c], [0.0, -spec.d]]
         else:
             Q[1, 0, 1] = -3.0
-    elif isinstance(spec, GearGrimshaw):
-        D = -gg_dispersion_matrix(spec.b1, spec.b2, spec.a3)
-        # (u*v)_x = u*v_x + v*u_x
-        Q[0] = [[-1.0, -spec.a2], [-spec.a2, -spec.a1]]
-        Q[1] = [[-spec.b2 * spec.a2, -spec.b2 * spec.a1], [-spec.b2 * spec.a1, -1.0]]
-        Q[1] /= spec.b1
-        R[1, 1] = -spec.r / spec.b1
     elif isinstance(spec, GeneralCoupled):
         D = -spec.dispersion_matrix
+        # (u*v)_x = u*v_x + v*u_x
         Q[0] = [[-spec.b2, -spec.b1], [-spec.b1, -spec.b3]]
         Q[1] = [[-spec.b5, -spec.b4], [-spec.b4, -spec.b6]]
         R[1, 1] = -spec.r

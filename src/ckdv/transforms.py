@@ -36,7 +36,7 @@ from . import grid as sg
 from .grid import Grid, SpectralField
 from .solver import Trajectory
 from .systems import GearGrimshaw, GeneralCoupled, NormalForm, SystemSpec, lower
-from .systems import gg_dispersion_matrix  # noqa: F401  (re-exported; lower uses it)
+from .systems import gear_grimshaw_as_general, gg_dispersion_matrix  # noqa: F401  (re-exported)
 
 
 class SingularTransform(ValueError):
@@ -147,21 +147,6 @@ def diagonal_form(spec: SystemSpec | NormalForm) -> tuple[NormalForm, np.ndarray
     P, P_inv = d.T, d.T_inv
     Q = np.einsum("ia,abc,bj,ck->ijk", P_inv, form.Q, P, P)
     return NormalForm(np.diag([-d.alpha_plus, -d.alpha_minus]), Q, P_inv @ form.R @ P), P
-
-
-def gear_grimshaw_as_general(spec: GearGrimshaw) -> GeneralCoupled:
-    """Rewrite the two-parameter internal-wave system in the general matrix form.
-
-    The second equation is divided through by b1 so both equations read
-    u_t + (matrix) u_xxx + (quadratics) = 0.
-    """
-    b1, b2 = spec.b1, spec.b2
-    return GeneralCoupled(
-        a11=1.0, a12=spec.a3, a21=b2 * spec.a3 / b1, a22=1.0 / b1,
-        b1=spec.a2, b2=1.0, b3=spec.a1,
-        b4=b2 * spec.a1 / b1, b5=b2 * spec.a2 / b1, b6=1.0 / b1,
-        r=spec.r / b1,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -281,32 +266,29 @@ def _interp_half(traj: Trajectory, tau: float) -> np.ndarray:
     return np.tensordot(_lagrange_coeffs(src_times[i0 : i0 + k], tau), traj.half[i0 : i0 + k], axes=1)
 
 
-def scaling_map(traj, lam: float, times=None, out_grid=None):
+def scaling_map(traj: Trajectory, lam: float, times=None, out_grid=None) -> Trajectory:
     """Rescale a trajectory by u -> lam^2 u(lam x, lam^3 t).
 
-    The output lives on a box of length period/lam (so that scaled
-    solutions remain periodic) at times t = t_src / lam^3 by default.
-    Spatial values come from exact trigonometric interpolation; time
-    values from 4-point polynomial interpolation on the stored cadence
-    (exact when the query hits a stored sample).  A Trajectory gives a
-    Trajectory; a list of States gives a list of States.
+    The output trajectory lives on a box of length period/lam (so that
+    scaled solutions remain periodic) at times t = t_src / lam^3 by
+    default.  Spatial values come from exact trigonometric interpolation;
+    time values from 4-point polynomial interpolation on the stored
+    cadence (exact when the query hits a stored sample).
     """
     if not (lam > 0.0):
         raise ValueError("scaling factor must be positive")
-    src = traj if isinstance(traj, Trajectory) else Trajectory.from_states(traj)
-    g = src.grid
+    g = traj.grid
     if out_grid is None:
         out_grid = Grid(g.n, g.period / lam, g.dealias_fraction)
-    times = src.times / lam**3 if times is None else np.asarray(times, dtype=np.float64)
+    times = traj.times / lam**3 if times is None else np.asarray(times, dtype=np.float64)
     lam2 = lam * lam
     pts = lam * out_grid.x
     half = np.empty((len(times), 2, out_grid.n // 2 + 1), dtype=np.complex128)
     for i, t in enumerate(times):
-        for j, c in enumerate(sg.to_full(_interp_half(src, lam**3 * float(t)))):
+        for j, c in enumerate(sg.to_full(_interp_half(traj, lam**3 * float(t)))):
             vals = lam2 * sg.evaluate_at(SpectralField(c, g), pts)
             half[i, j] = sg.to_half(sg.forward(vals, out_grid).coeffs)
-    out = Trajectory(times, half, out_grid, src.spec)
-    return out if isinstance(traj, Trajectory) else out.states
+    return Trajectory(times, half, out_grid, traj.spec)
 
 
 # ---------------------------------------------------------------------------

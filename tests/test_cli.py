@@ -39,6 +39,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["simulate"]) == 2  # kind needs --config
     assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 2
     assert main(["simulate", "--config", write_config(tmp_path, simulate_payload(initial={"u": 3}))]) == 2
+    diag = write_config(
+        tmp_path,
+        {"system": {"name": "hirota_satsuma", "a": -0.5, "b": 1.0}, "snapshot": snapshot_file(tmp_path)},
+        name="diag.json",
+    )
+    assert main(["diagnose", "--config", diag, "--out", str(tmp_path / "d")]) == 0
+    assert main(["diagnose", "--config", diag, "--seed", "1"]) == 2  # diagnose draws nothing at random
     capsys.readouterr()
 
 

@@ -141,9 +141,9 @@ def test_record_for_flags_nonfinite(grid64):
 )
 def test_collect_matches_per_snapshot_records(grid128, gaussian128, spec, s):
     # collect evaluates the stacked samples, bit for bit what record_for gives per snapshot
-    seen = []
     st = State(gaussian128, SpectralField(0.5 * gaussian128.coeffs, grid128))
-    traj = simulate(st, spec, 0.02, StepperConfig(2e-3), observers=[seen.append], sample_dt=0.01)
+    traj = simulate(st, spec, 0.02, StepperConfig(2e-3), sample_dt=0.01)
+    seen = traj.states
     records = collect(traj, spec, s)
     assert [r.t for r in records] == [st.t for st in seen] == list(traj.times)
     np.testing.assert_array_equal([r.row() for r in records], [record_for(st, spec, s).row() for st in seen])

@@ -206,20 +206,20 @@ def test_hermitian_defect(grid64):
 def test_oversampled_values_cubic_quadrature(grid64):
     # for a band-limited cubic integrand the 2x rectangle rule is exact
     f = field_from_callable(lambda x: np.cos(x), grid64)
-    vals, dxf = oversampled_values(f, 2)
+    vals, dxf = oversampled_values(f)
     assert vals.size == 2 * grid64.n
     assert dxf == pytest.approx(grid64.dx / 2.0)
     integral = np.sum(vals**3) * dxf  # integral of cos^3 over a full period
     assert abs(integral) < 1e-12
     g = field_from_callable(lambda x: 1.0 + np.cos(x), grid64)
-    gv, gdx = oversampled_values(g, 2)
+    gv, gdx = oversampled_values(g)
     # (1 + cos)^3 integrates to 2*pi * (1 + 3/2)
     assert np.sum(gv**3) * gdx == pytest.approx(5.0 * np.pi, rel=1e-13)
 
 
 def test_oversampled_values_match_evaluate_at(grid64):
     f = field_from_callable(lambda x: np.exp(np.cos(x)), grid64)
-    vals, dxf = oversampled_values(f, 2)
+    vals, dxf = oversampled_values(f)
     fine_x = -0.5 * grid64.period + dxf * np.arange(2 * grid64.n)
     assert np.max(np.abs(vals - evaluate_at(f, fine_x))) < 1e-11
 

@@ -93,6 +93,8 @@ def test_build_grid_and_stepper_rejections():
         build_stepper({"scheme": "IFRK4"})
     with pytest.raises(ConfigError):
         build_stepper({"dt": 1e-3, "scheme": "euler"})
+    with pytest.raises(ConfigError, match="scheme"):
+        build_stepper({"dt": 1e-3, "scheme": "IFRK4"})  # IF-RK4 is the only scheme, not a key
     with pytest.raises(ConfigError, match="cfl_guard"):
         build_stepper({"dt": 1e-3, "cfl_guard": "x"})
 
@@ -330,6 +332,19 @@ def test_run_writes_manifest_and_files(tmp_path):
     assert payload["summary"]["records"] >= 2
     header = (tmp_path / "diagnostics.csv").read_text().splitlines()[0]
     assert header == ",".join(DIAGNOSTICS_SCHEMA)
+
+
+def test_simulate_first_row_does_not_depend_on_horizon(tmp_path):
+    # the t = 0 row reads the dealiased initial state whether or not the run steps
+    d = json.loads((Path(__file__).resolve().parent.parent / "configs" / "simulate.json").read_text())
+    rows = {}
+    for horizon in (0.0, 0.05):
+        out = tmp_path / str(horizon)
+        assert run(config_from_dict({**d, "horizon": horizon}), out_dir=out).status == "pass"
+        rows[horizon] = (out / "diagnostics.csv").read_text().splitlines()[1]
+    assert rows[0.0] == rows[0.05]
+    assert not (tmp_path / "0.0" / "snapshot_final.ckdv").exists()
+    assert (tmp_path / "0.05" / "snapshot_final.ckdv").exists()
 
 
 def test_run_records_errors_in_manifest(tmp_path):

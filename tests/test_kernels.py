@@ -197,7 +197,7 @@ def test_even_kernels_half_line_matches_full_line(kid):
     p = kd.default_params
     half_evals = full_evals = 0
     for q in (QuadSpec(), QuadSpec().refined()):
-        for smp in kd.default_samples(p):
+        for smp in kd.default_samples:
             got, n = kd.evaluate(smp, p, q)
             want, n_ref = FULL_LINE[kid](smp, p, q)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0), (smp, q)

@@ -45,6 +45,30 @@ def test_dispersion_coeffs_gear_grimshaw():
         lower(coupled).dispersion()
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GearGrimshaw(0.7, 0.3, 0.5, 2.0, 0.5, r=0.4),
+        GearGrimshaw(1.3, -0.2, 0.0, 0.7, 1.9),
+        GearGrimshaw(0.1, 0.2, 3.0, 1.1, 0.3, r=-2.0),
+    ],
+)
+def test_gear_grimshaw_normal_form_exact(spec):
+    # read off the GG equations in d/dt form, the second divided by b1,
+    # with (u*v)_x = u*v_x + v*u_x; Q[i, j, k] multiplies w_j d_x w_k
+    a1, a2, a3, b1, b2, r = spec.a1, spec.a2, spec.a3, spec.b1, spec.b2, spec.r
+    D = -np.array([[1.0, a3], [b2 * a3 / b1, 1.0 / b1]])
+    Q = -np.array([
+        [[1.0, a2], [a2, a1]],
+        [[b2 * a2 / b1, b2 * a1 / b1], [b2 * a1 / b1, 1.0 / b1]],
+    ])
+    R = np.array([[0.0, 0.0], [0.0, -r / b1]])
+    form = lower(spec)
+    assert np.array_equal(form.D, D)
+    assert np.array_equal(form.Q, Q)
+    assert np.array_equal(form.R, R)
+
+
 def test_dispersion_coeffs_general_coupled():
     diag = GeneralCoupled(2.0, 0.0, 0.0, 3.0, *([0.0] * 6))
     assert lower(diag).dispersion() == (-2.0, -3.0)

@@ -13,6 +13,7 @@ from ckdv import (
     Sakovich,
     SingularTransform,
     State,
+    Trajectory,
     diagonal_form,
     diagonalize,
     field_from_callable,
@@ -175,47 +176,49 @@ def test_gg_change_of_variables_warns_on_boundary_mass():
 
 def test_scaling_map_identity(decaying_pair):
     g, u0, v0 = decaying_pair
-    states = [State(u0, v0, 0.0)]
-    out = scaling_map(states, 1.0)
-    assert out[0].grid.compatible(g)
-    assert np.max(np.abs(out[0].u.coeffs - u0.coeffs)) < 1e-12
+    traj = Trajectory.from_states([State(u0, v0, 0.0)])
+    out = scaling_map(traj, 1.0)
+    assert isinstance(out, Trajectory)
+    assert out.grid.compatible(g)
+    assert np.max(np.abs(out.states[0].u.coeffs - u0.coeffs)) < 1e-12
 
 
 def test_scaling_map_pointwise_action(decaying_pair):
     g, u0, v0 = decaying_pair
-    out = scaling_map([State(u0, v0, 0.0)], 2.0)
-    og = out[0].grid
+    out = scaling_map(Trajectory.from_states([State(u0, v0, 0.0)]), 2.0)
+    og = out.grid
     assert og.period == pytest.approx(g.period / 2.0)
     want = 4.0 * evaluate_at(u0, 2.0 * og.x)
-    assert np.max(np.abs(inverse(out[0].u) - want)) < 1e-10
+    assert np.max(np.abs(inverse(out.states[0].u) - want)) < 1e-10
 
 
 def test_scaling_map_composes(decaying_pair):
     g, u0, v0 = decaying_pair
-    once = scaling_map(scaling_map([State(u0, v0, 0.0)], 2.0), 2.0)
-    direct = scaling_map([State(u0, v0, 0.0)], 4.0)
-    assert once[0].grid.compatible(direct[0].grid)
-    assert np.max(np.abs(once[0].u.coeffs - direct[0].u.coeffs)) < 1e-9
+    traj = Trajectory.from_states([State(u0, v0, 0.0)])
+    once = scaling_map(scaling_map(traj, 2.0), 2.0)
+    direct = scaling_map(traj, 4.0)
+    assert once.grid.compatible(direct.grid)
+    assert np.max(np.abs(once.states[0].u.coeffs - direct.states[0].u.coeffs)) < 1e-9
 
 
 def test_scaling_map_time_relabeling(decaying_pair):
     g, u0, v0 = decaying_pair
-    states = [State(u0, v0, 0.0), State(u0, v0, 0.8)]
-    out = scaling_map(states, 2.0)
-    assert [st.t for st in out] == [0.0, pytest.approx(0.1)]
+    traj = Trajectory.from_states([State(u0, v0, 0.0), State(u0, v0, 0.8)])
+    out = scaling_map(traj, 2.0)
+    assert [st.t for st in out.states] == [0.0, pytest.approx(0.1)]
 
 
 def test_scaling_map_validation(decaying_pair):
     g, u0, v0 = decaying_pair
-    states = [State(u0, v0, 0.0)]
+    traj = Trajectory.from_states([State(u0, v0, 0.0)])
     with pytest.raises(ValueError):
-        scaling_map(states, 0.0)
+        scaling_map(traj, 0.0)
     with pytest.raises(ValueError):
-        scaling_map(states, -1.0)
+        scaling_map(traj, -1.0)
     with pytest.raises(ValueError):
-        scaling_map(states, 2.0, times=[5.0])  # 5 * 8 outside coverage
+        scaling_map(traj, 2.0, times=[5.0])  # 5 * 8 outside coverage
     with pytest.raises(ValueError):
-        scaling_map([], 2.0)
+        scaling_map(Trajectory.from_states([]), 2.0)
 
 
 def test_sakovich_reduce_diagonalizes():
