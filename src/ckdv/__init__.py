@@ -12,7 +12,6 @@ from .grid import (
     forward,
     inverse,
     l2_norm,
-    product,
     spectral_derivative,
     zero_field,
 )
@@ -54,7 +53,6 @@ from .solver import (
     step,
 )
 from .diagnostics import (
-    DiagnosticRecord,
     MixedNormBreakdown,
     collect,
     gg_invariants,
@@ -78,7 +76,7 @@ from . import bourgain
 __all__ = [
     "__version__",
     "Grid", "SpectralField", "dealias", "evaluate_at", "field_from_callable",
-    "forward", "inverse", "l2_norm", "product", "spectral_derivative", "zero_field",
+    "forward", "inverse", "l2_norm", "spectral_derivative", "zero_field",
     "BlowupDetected", "Feng", "GearGrimshaw", "GeneralCoupled", "HirotaSatsuma",
     "NormalForm", "NotDiagonalError", "Sakovich", "State", "gg_dispersion_matrix",
     "hs_as_kdv", "lower", "nonlinear_rhs",
@@ -88,7 +86,7 @@ __all__ = [
     "scaling_map",
     "PicardReport", "StepperConfig", "Trajectory",
     "linear_propagate", "picard_iterate", "simulate", "step",
-    "DiagnosticRecord", "MixedNormBreakdown", "collect",
+    "MixedNormBreakdown", "collect",
     "gg_invariants", "hs_invariants", "mixed_norms", "record_for", "sobolev_norm",
     "psi", "psi_T",
     "read_snapshot", "write_csv", "write_snapshot",

@@ -212,10 +212,11 @@ def nonequivalence_demo(
 
     The field has |Fhat|^2 = (1+|xi|)^(-2s-2b) (1+|tau + a1 xi^3|)^(-4b),
     concentrated along the a1-characteristic.  For each R in the list
-    radii, norms are computed over the box |xi| <= R, |tau| <= R
-    semi-analytically: the tau integral of the a1-norm is in closed form,
-    the a0-norm uses nested quadrature.  The xi integrand is even (see
-    norm_sq), so both norms integrate over 0 <= xi <= R and double.
+    radii (two or more distinct positive values, over which the growth
+    exponent is fitted), norms are computed over the box |xi| <= R,
+    |tau| <= R semi-analytically: the tau integral of the a1-norm is in
+    closed form, the a0-norm uses nested quadrature.  The xi integrand is
+    even (see norm_sq), so both norms integrate over 0 <= xi <= R and double.
     """
     if b <= 0.5:
         raise ValueError("the construction needs b > 1/2")
@@ -224,6 +225,8 @@ def nonequivalence_demo(
     if a0 == 0.0 or a1 == 0.0:
         raise ValueError("both speeds must be nonzero")
     radii = list(radii)
+    if len(set(radii)) < 2 or min(radii) <= 0.0:
+        raise ValueError("the growth fit needs two or more distinct positive radii")
     tb, nb, mfb = 2.0 * b, -2.0 * b, -4.0 * b
     evals = 0
 
@@ -260,8 +263,8 @@ def nonequivalence_demo(
 
     div = [math.sqrt(norm_sq(a0, r)) for r in radii]
     conv = [math.sqrt(norm_sq(a1, r)) for r in radii]
-    slope = float(np.polyfit(np.log(radii), np.log(div), 1)[0]) if len(radii) > 1 else 0.0
-    rel = abs(conv[-1] - conv[-2]) / conv[-1] if len(conv) > 1 and conv[-1] > 0 else 0.0
+    slope = float(np.polyfit(np.log(radii), np.log(div), 1)[0])
+    rel = abs(conv[-1] - conv[-2]) / conv[-1]
     return NonequivalenceTable(radii, div, conv, slope, rel, rel < 1e-3, evals)
 
 

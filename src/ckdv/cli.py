@@ -12,9 +12,11 @@ import sys
 from dataclasses import MISSING
 from pathlib import Path
 
-from .diagnostics import record_for
+import numpy as np
+
+from .diagnostics import COLUMNS, record_for
 from .harness import (
-    DIAGNOSTICS_SCHEMA,
+    _NEEDS_DYNAMICS,
     ConfigError,
     _finite,
     _optional,
@@ -23,7 +25,6 @@ from .harness import (
     _text,
     build_system,
     config_from_dict,
-    load_config,
     run,
 )
 from .io import read_snapshot, write_csv
@@ -38,9 +39,6 @@ _SUBCOMMAND_KIND = {
     "noneq": "nonequivalence",
     "convergence": "convergence_study",
 }
-
-# kinds that run with built-in defaults when --config is omitted
-_CONFIG_OPTIONAL = {"bourgain_suite", "kernel_suite", "nonequivalence"}
 
 _DIAGNOSE = {
     "system": (build_system, MISSING),
@@ -82,17 +80,15 @@ def _emit(msg: str, quiet: bool) -> None:
 
 
 def _cmd_experiment(args, kind: str) -> int:
-    if args.config is not None:
-        cfg = load_config(args.config)
-    elif kind in _CONFIG_OPTIONAL:
-        cfg = config_from_dict({"kind": kind})
-    else:
+    # a kind without dynamics runs with built-in defaults when --config is omitted
+    if args.config is None and kind in _NEEDS_DYNAMICS:
         raise ConfigError(f"subcommand for kind '{kind}' requires --config")
+    d = {"kind": kind} if args.config is None else _read_json(args.config)
+    if args.seed is not None and isinstance(d, dict):
+        d = dict(d, seed=args.seed)
+    cfg = config_from_dict(d)
     if cfg.kind != kind:
         raise ConfigError(f"config kind '{cfg.kind}' does not match subcommand kind '{kind}'")
-    if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.raw = dict(cfg.raw, seed=args.seed)
     manifest = run(cfg, out_dir=args.out)
     out = Path(args.out if args.out is not None else (cfg.output_dir or "."))
     _emit(f"status: {manifest.status}", args.quiet)
@@ -110,14 +106,15 @@ def _cmd_diagnose(args) -> int:
         state = read_snapshot(d["snapshot"])
     except (OSError, ValueError) as e:
         raise ConfigError(f"cannot load snapshot: {e}") from None
-    rec = record_for(state, d["system"], d["s"])
+    row = record_for(state, d["system"], d["s"])
     out = Path(args.out if args.out is not None else (d["output_dir"] or "."))
     out.mkdir(parents=True, exist_ok=True)
-    write_csv([rec.row()], DIAGNOSTICS_SCHEMA, out / "diagnostics.csv")
+    write_csv([row], COLUMNS, out / "diagnostics.csv")
     if not args.quiet:
-        print(",".join(DIAGNOSTICS_SCHEMA))
-        print(",".join("%.17g" % v for v in rec.row()))
-    return 0 if rec.valid else 1
+        print(",".join(COLUMNS))
+        print(",".join("%.17g" % v for v in row))
+    # an infinite functional marks the row invalid
+    return 1 if np.isinf(row).any() else 0
 
 
 def main(argv=None) -> int:

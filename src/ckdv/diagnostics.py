@@ -10,7 +10,9 @@ quadrature artifact.
 Every functional acts on the last axis of the coefficients, so a field
 whose coefficients carry leading axes (one row per sample) gives one
 value per row; `collect` and `mixed_norms` evaluate a whole trajectory
-that way, straight from its half-spectrum array.
+that way, straight from its half-spectrum array.  `collect` returns the
+diagnostics table, one row per sample under COLUMNS, and `record_for`
+one state's row.
 """
 
 from __future__ import annotations
@@ -105,53 +107,33 @@ def gg_invariants(state: State, params: GearGrimshaw) -> tuple[float, float, flo
     return phi1, phi2, phi3, phi4
 
 
-@dataclass
-class DiagnosticRecord:
-    t: float
-    V: float
-    F: float
-    phi1: float
-    phi2: float
-    phi3: float
-    phi4: float
-    sobolev_u: float
-    sobolev_v: float
-    valid: bool = True
-
-    def row(self) -> list[float]:
-        """Column order used by the diagnostics CSV schema."""
-        return [
-            self.t, self.V, self.F,
-            self.phi1, self.phi2, self.phi3, self.phi4,
-            self.sobolev_u, self.sobolev_v,
-        ]
+# the columns of the diagnostics table, one row per sample
+COLUMNS = ("t", "V", "F", "phi1", "phi2", "phi3", "phi4", "Hs_u", "Hs_v")
 
 
-def _records(state: State, spec: SystemSpec, s: float) -> list[DiagnosticRecord]:
-    """One record per sample; the state's coefficients and t may carry a leading time axis."""
+def _table(state: State, spec: SystemSpec, s: float) -> np.ndarray:
+    """The (samples, 9) table; the state's coefficients and t may carry a leading time axis."""
     V = F = np.nan
     phi = (np.nan,) * 4
     if isinstance(spec, (HirotaSatsuma, Feng)):
         V, F = hs_invariants(state, spec.a, spec.b)
     elif isinstance(spec, GearGrimshaw):
         phi = gg_invariants(state, spec)
-    cols = np.stack(np.broadcast_arrays(
+    return np.stack(np.broadcast_arrays(
         state.t, V, F, *phi, sobolev_norm(state.u, s), sobolev_norm(state.v, s)
-    ), axis=-1).reshape(-1, 9)
-    # NaN marks a functional that does not apply; an infinite one is invalid
-    valid = ~np.isinf(cols[:, 1:]).any(axis=-1)
-    return [DiagnosticRecord(*map(float, c), valid=bool(ok)) for c, ok in zip(cols, valid)]
+    ), axis=-1).reshape(-1, len(COLUMNS))
 
 
-def record_for(state: State, spec: SystemSpec, s: float = 1.0) -> DiagnosticRecord:
-    """Evaluate every applicable functional; inapplicable ones are NaN."""
-    return _records(state, spec, s)[0]
+def record_for(state: State, spec: SystemSpec, s: float = 1.0) -> np.ndarray:
+    """The table row (COLUMNS) of one state; NaN marks a functional that does
+    not apply, and an infinite entry an invalid row."""
+    return _table(state, spec, s)[0]
 
 
-def collect(traj, spec: SystemSpec, s: float = 1.0) -> list[DiagnosticRecord]:
-    """One record per sample of a Trajectory, evaluated on its stacked samples."""
+def collect(traj, spec: SystemSpec, s: float = 1.0) -> np.ndarray:
+    """The (samples, 9) table (COLUMNS) of a Trajectory, evaluated on its stacked samples."""
     u, v = (SpectralField(sg.to_full(traj.half[:, i]), traj.grid) for i in range(2))
-    return _records(State(u, v, traj.times), spec, s)
+    return _table(State(u, v, traj.times), spec, s)
 
 
 @dataclass

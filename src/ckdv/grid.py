@@ -155,14 +155,6 @@ def dealias(field: SpectralField) -> SpectralField:
     return SpectralField(np.where(field.grid.keep, field.coeffs, 0.0), field.grid)
 
 
-def product(f: SpectralField, g: SpectralField, dealias_result: bool = True) -> SpectralField:
-    """Pseudo-spectral product: multiply on the grid, transform back."""
-    if not f.grid.compatible(g.grid):
-        raise ValueError("fields live on incompatible grids")
-    h = forward(inverse(f) * inverse(g), f.grid)
-    return dealias(h) if dealias_result else h
-
-
 def evaluate_at(field: SpectralField, points: np.ndarray) -> np.ndarray:
     """Evaluate the band-limited interpolant at arbitrary points.
 

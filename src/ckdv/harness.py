@@ -34,7 +34,7 @@ from .bourgain import (
     nonequivalence_demo,
     random_field,
 )
-from .diagnostics import collect, sobolev_norm
+from .diagnostics import COLUMNS, collect, sobolev_norm
 from .grid import Grid, SpectralField, forward, inverse, to_full
 from .solver import StepperConfig, picard_iterate, simulate
 from .systems import (
@@ -46,9 +46,6 @@ from .systems import (
     State,
 )
 from .transforms import scaling_map
-
-DIAGNOSTICS_SCHEMA = ["t", "V", "F", "phi1", "phi2", "phi3", "phi4", "Hs_u", "Hs_v"]
-
 
 class ConfigError(ValueError):
     """Malformed configuration; rejected before any computation."""
@@ -123,7 +120,6 @@ _pow2 = _check(_int, lambda n: n >= 16 and n & (n - 1) == 0, "a power of two >= 
 _nonneg = _check(_finite, lambda x: x >= 0.0, ">= 0")
 _count = _check(_int, lambda n: n >= 1, "an integer >= 1")
 _seed = _check(_int, lambda n: 0 <= n < 2**64, "an integer in [0, 2**64)")
-_flag = _check(lambda v: v, lambda v: isinstance(v, bool), "true or false")
 _text = _check(lambda v: v, lambda v: isinstance(v, str), "a string")
 
 
@@ -260,7 +256,6 @@ _PARAMS = {
     "picard_study": {
         "n_iters": (_count, 8), "s": (_finite, 0.0),
         "time_resolution": (_check(_int, lambda n: n >= 9 and n % 2 == 1, "odd and >= 9"), 201),
-        "apply_cutoffs": (_flag, False), "compare_stepper": (_flag, True),
     },
     "convergence_study": {
         "dt_values": (_ladder(_positive), (4e-3, 2e-3, 1e-3, 5e-4)),
@@ -331,8 +326,7 @@ def _work(kind: str, p: dict, horizon: float, sample_dt: float, dt: float) -> tu
         return 2.0 * steps, 3.0 * samples
     if kind == "picard_study":
         # every iterate is kept; the stepper reference stores two states
-        samples = (p["n_iters"] + 1.0) * p["time_resolution"] + 2.0
-        return (steps if p["compare_stepper"] else 0.0), samples
+        return steps, (p["n_iters"] + 1.0) * p["time_resolution"] + 2.0
     if kind == "convergence_study":
         dts = [*p["dt_values"], p["reference_dt"]]
         return sum(horizon / d for d in dts), 2.0 * len(dts)
@@ -477,17 +471,13 @@ def _random_direction(g: Grid, rng: np.random.Generator, s: float, band: float):
     return SpectralField(du.coeffs / scale, g), SpectralField(dv.coeffs / scale, g)
 
 
-def _drift_summary(rows) -> dict:
+def _drift_summary(table: np.ndarray) -> dict:
     """Relative drift of each conserved column over the run."""
-    names = DIAGNOSTICS_SCHEMA[1:7]
-    arr = np.asarray(rows, dtype=np.float64)
     out = {}
-    for j, name in enumerate(names, start=1):
-        col = arr[:, j]
-        if not np.all(np.isfinite(col)):
-            continue
-        ref = max(1.0, abs(col[0]))
-        out[name] = float(np.max(np.abs(col - col[0])) / ref)
+    for name in ("V", "F", "phi1", "phi2", "phi3", "phi4"):
+        col = table[:, COLUMNS.index(name)]
+        if np.all(np.isfinite(col)):
+            out[name] = float(np.max(np.abs(col - col[0])) / max(1.0, abs(col[0])))
     return out
 
 
@@ -499,16 +489,14 @@ def _run_simulate(cfg: ExperimentConfig, emit: _Emitter):
     traj = simulate(state, cfg.system, cfg.horizon, cfg.stepper, sample_dt=cfg.sample_dt)
     if cfg.horizon > 0.0:
         emit.snapshot("snapshot_final.ckdv", traj.states[-1])
-    records = collect(traj, cfg.system, cfg.params["s"])
-    rows = [r.row() for r in records]
-    emit.csv("diagnostics.csv", DIAGNOSTICS_SCHEMA, rows)
-    ok = all(r.valid for r in records)
+    table = collect(traj, cfg.system, cfg.params["s"])
+    emit.csv("diagnostics.csv", COLUMNS, table)
     summary = {
-        "records": len(rows),
-        "final_time": records[-1].t,
-        "drift": _drift_summary(rows),
+        "records": len(table),
+        "final_time": float(traj.times[-1]),
+        "drift": _drift_summary(table),
     }
-    return summary, ok
+    return summary, not np.isinf(table).any()
 
 
 def _run_lipschitz(cfg: ExperimentConfig, emit: _Emitter):
@@ -517,8 +505,6 @@ def _run_lipschitz(cfg: ExperimentConfig, emit: _Emitter):
     rng = np.random.default_rng(cfg.seed)
     base0 = make_initial(cfg.initial, cfg.grid, rng)
     base_norm = float(_joint_norm(np.stack([base0.u.coeffs, base0.v.coeffs]), cfg.grid, s))
-    if base_norm == 0.0:
-        raise ValueError("relative perturbation ladder needs nonzero initial data")
     base = simulate(base0, cfg.system, cfg.horizon, cfg.stepper, sample_dt=cfg.sample_dt)
     # the stabilization pair: the two smallest relative perturbations
     pair = sorted(set(p["deltas"]))[:2]
@@ -621,7 +607,6 @@ def _run_picard(cfg: ExperimentConfig, emit: _Emitter):
         n_iters=p["n_iters"],
         time_resolution=p["time_resolution"],
         s=p["s"],
-        apply_cutoffs=p["apply_cutoffs"],
     )
     rows = []
     for k, d in enumerate(report.diffs):
@@ -634,7 +619,7 @@ def _run_picard(cfg: ExperimentConfig, emit: _Emitter):
     }
     # the comparison only means something at a fixed point; a divergent
     # iterate would also blow up the reference simulation
-    if report.converged and p["compare_stepper"]:
+    if report.converged:
         traj = simulate(
             state0, cfg.system, cfg.horizon, cfg.stepper,
             sample_dt=max(cfg.horizon, cfg.stepper.dt),

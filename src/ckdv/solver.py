@@ -24,7 +24,6 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from . import bump
 from . import grid as sg
 from . import systems
 from .grid import Grid, SpectralField
@@ -57,7 +56,6 @@ class Trajectory:
     times: np.ndarray
     half: np.ndarray
     grid: Grid
-    spec: SystemSpec | NormalForm | None = None
     _states: list[State] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -72,7 +70,7 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
 
     @classmethod
-    def from_states(cls, states: Iterable[State], spec: SystemSpec | NormalForm | None = None):
+    def from_states(cls, states: Iterable[State]):
         """The trajectory through full-layout States; their modes k = 0..n/2 are kept."""
         states = list(states)
         if not states:
@@ -81,7 +79,7 @@ class Trajectory:
         if not all(st.grid.compatible(g) for st in states):
             raise ValueError("all states must share one grid")
         half = np.stack([_to_half(st) for st in states])
-        return cls(np.array([st.t for st in states], dtype=np.float64), half, g, spec)
+        return cls(np.array([st.t for st in states], dtype=np.float64), half, g)
 
     @property
     def states(self) -> list[State]:
@@ -197,7 +195,7 @@ def simulate(
     t0 = initial.t
     record(w, t0)
     if T == 0.0:
-        return Trajectory(np.array(times), np.stack(rows), g, spec)
+        return Trajectory(np.array(times), np.stack(rows), g)
 
     dt = config.dt
     n_full = int(np.floor(T / dt + 1e-9))
@@ -220,7 +218,7 @@ def simulate(
         E_r = _half_phases(g, c, 0.5 * remainder)
         w = _guarded_step(rhs, w, t0 + n_full * dt, remainder, E_r, E_r * E_r, n_full + 1, guard, m0)
     record(w, t0 + T)
-    return Trajectory(np.array(times), np.stack(rows), g, spec)
+    return Trajectory(np.array(times), np.stack(rows), g)
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +258,14 @@ def picard_iterate(
     n_iters: int = 8,
     time_resolution: int = 201,
     s: float = 0.0,
-    apply_cutoffs: bool = False,
 ) -> tuple[list[Trajectory], PicardReport]:
     """Iterate the Duhamel map on a stored uniform time grid over [0, T].
 
     Iterate 0 is the free evolution; each subsequent iterate feeds the
     previous one through u(t) = U(t)u0 + int_0^t U(t-t') G(t') dt',
     with the pulled-back integral int_0^t e^{+i c xi^3 t'} G-hat(t') dt'
-    accumulated by cumulative Simpson quadrature.  With apply_cutoffs
-    the free term is multiplied by the unit bump and the integral term
-    by its T-rescaling; both are identically 1 on [0, T] for T <= 1.
+    accumulated by cumulative Simpson quadrature.  No time cutoffs are
+    applied; the paper's are identically 1 on [0, T] for T <= 1.
 
     Divergence is reported, never raised.
     """
@@ -289,14 +285,7 @@ def picard_iterate(
     w0 = np.where(g.keep[:m], _to_half(initial), 0.0)
     # axes: component, time sample, mode (half spectrum)
     phase = _half_phases(g, c, times[:, None])
-    if apply_cutoffs:
-        free_w = bump.psi(times)[:, None]
-        duh_w = bump.psi_T(times, T)[:, None]
-    else:
-        free_w = 1.0
-        duh_w = 1.0
-
-    free = free_w * (phase * w0[:, None, :])
+    free = phase * w0[:, None, :]
     rhs = systems.SpectralRhs(form, g)
     # H^s weights of the half spectrum: modes 0 < k < n/2 stand for +-k
     hs_weight = (1.0 + g.xi[:m] ** 2) ** s * g.dxi
@@ -304,7 +293,7 @@ def picard_iterate(
 
     def iterate(w: np.ndarray) -> Trajectory:
         # (component, time, mode) -> (time, component, mode), a view
-        return Trajectory(times, np.moveaxis(w, 0, 1), g, spec)
+        return Trajectory(times, np.moveaxis(w, 0, 1), g)
 
     def sup_hs_distance(a: np.ndarray, b: np.ndarray) -> float:
         norms = np.sqrt(np.sum(hs_weight * np.abs(a - b) ** 2, axis=-1))
@@ -320,7 +309,7 @@ def picard_iterate(
             with np.errstate(over="ignore", invalid="ignore"):
                 integrand = np.conj(phase) * rhs(cur, times)
                 acc = _cumulative_simpson_c(integrand, times[1] - times[0], axis=1)
-                new = free + duh_w * (phase * acc)
+                new = free + phase * acc
                 d = sup_hs_distance(new, cur)
         except systems.BlowupDetected:
             diverged = True

@@ -156,13 +156,6 @@ class State:
         return State(self.u.copy(), self.v.copy(), self.t)
 
 
-def gg_dispersion_matrix(b1: float, b2: float, a3: float) -> np.ndarray:
-    """Third-derivative coupling matrix after dividing the second equation by b1."""
-    if not (b1 > 0.0 and b2 > 0.0):
-        raise ValueError("requires b1 > 0 and b2 > 0")
-    return np.array([[1.0, a3], [b2 * a3 / b1, 1.0 / b1]])
-
-
 @dataclass(frozen=True, eq=False)
 class NormalForm:
     """U_t = D U_xxx + sum_jk Q[:, j, k] w_j d_x w_k + R d_x U, in d/dt form.
@@ -207,6 +200,11 @@ def gear_grimshaw_as_general(spec: GearGrimshaw) -> GeneralCoupled:
         b4=b2 * spec.a1 / b1, b5=b2 * spec.a2 / b1, b6=1.0 / b1,
         r=spec.r / b1,
     )
+
+
+def gg_dispersion_matrix(b1: float, b2: float, a3: float) -> np.ndarray:
+    """Third-derivative coupling matrix after dividing the second equation by b1."""
+    return gear_grimshaw_as_general(GearGrimshaw(0.0, 0.0, a3, b1, b2)).dispersion_matrix
 
 
 def lower(spec: SystemSpec | NormalForm) -> NormalForm:

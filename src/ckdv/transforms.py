@@ -11,9 +11,9 @@ Three families of coordinate changes live here:
     non-diagonal inv(A2)) are simulated through it explicitly: map the
     data to W0 = P^-1 U0, evolve W with the diagonal normal form, and
     map back with U = P W;
-  * the two-speed mixing map that decouples the cross-dispersion
-    system into components riding on stretched coordinates
-    alpha^(1/3) * x, together with its inverse;
+  * the two-speed mixing map W = P^-1 U, in the same eigenbasis, that
+    decouples the linear Gear-Grimshaw flow into unit-speed Airy flows
+    of the components read at alpha_j^(1/3) * x, and its inverse;
   * the amplitude/space/time rescaling u -> lam^2 u(lam x, lam^3 t)
     applied to whole trajectories.
 
@@ -153,83 +153,61 @@ def diagonal_form(spec: SystemSpec | NormalForm) -> tuple[NormalForm, np.ndarray
 # Two-speed mixing map and its inverse.
 
 
-def _mixing_constants(params) -> tuple[float, float, float, float]:
-    """Return (a3, lam, alpha_plus, alpha_minus) for the mixing map."""
-    if isinstance(params, GearGrimshaw):
-        b1, b2, a3 = params.b1, params.b2, params.a3
-    else:
-        b1, b2, a3 = params
-    if a3 == 0.0:
+def _mixing_basis(params: GearGrimshaw) -> tuple[Diagonalization, np.ndarray]:
+    """The eigenbasis of the cross-dispersion matrix, and the stretches alpha_pm^(1/3)."""
+    if params.a3 == 0.0:
         raise NotApplicable("a3 = 0: the system is already decoupled, no mixing map")
-    lam, ap, am = gg_lambda_alpha(b1, b2, a3)
-    if min(abs(ap), abs(am)) < _TIE:
+    d = diagonalize(gear_grimshaw_as_general(params).dispersion_matrix)
+    if not d.nonzero:
         raise SingularTransform(
-            f"zero dispersion eigenvalue (alpha_+ = {ap}, alpha_- = {am}); "
+            f"zero dispersion eigenvalue (alpha_+ = {d.alpha_plus}, alpha_- = {d.alpha_minus}); "
             "the stretched coordinate x / alpha^(1/3) is undefined"
         )
-    return a3, lam, ap, am
+    return d, np.cbrt([d.alpha_plus, d.alpha_minus])
 
 
-def _warn_on_boundary_mass(field: SpectralField, label: str) -> None:
-    vals = field.values()
-    peak = float(np.abs(vals).max())
-    if peak == 0.0:
-        return
-    m = max(1, field.grid.n // 16)
-    edge = max(float(np.abs(vals[:m]).max()), float(np.abs(vals[-m:]).max()))
-    if edge > 1e-12 * peak:
-        warnings.warn(
-            f"{label} does not decay at the box boundary "
-            f"(edge/peak = {edge / peak:.2e} > 1e-12); rescaled evaluation wraps",
-            DecayViolationWarning,
-            stacklevel=3,
-        )
+def _checked_grid(a: SpectralField, b: SpectralField, labels: tuple[str, str]) -> Grid:
+    """The grid a and b share; warns for each that does not decay at the box boundary."""
+    if not a.grid.compatible(b.grid):
+        raise ValueError(f"{labels[0]} and {labels[1]} must share a grid")
+    for field, label in zip((a, b), labels):
+        vals = field.values()
+        peak = float(np.abs(vals).max())
+        m = max(1, field.grid.n // 16)
+        edge = max(float(np.abs(vals[:m]).max()), float(np.abs(vals[-m:]).max()))
+        if edge > 1e-12 * peak > 0.0:
+            warnings.warn(
+                f"{label} does not decay at the box boundary "
+                f"(edge/peak = {edge / peak:.2e} > 1e-12); rescaled evaluation wraps",
+                DecayViolationWarning,
+                stacklevel=3,
+            )
+    return a.grid
 
 
 def gg_change_of_variables(
-    u0: SpectralField, v0: SpectralField, params
+    u0: SpectralField, v0: SpectralField, params: GearGrimshaw
 ) -> tuple[SpectralField, SpectralField]:
-    """Forward mixing map onto the decoupled components.
+    """Forward mixing map onto the decoupled components: W = P^-1 U.
 
-    u~(x) = ((1 - alpha_-)/lam) u(alpha_+^(1/3) x) + (a3/lam) v(alpha_+^(1/3) x)
-    v~(x) = ((alpha_+ - 1)/lam) u(alpha_-^(1/3) x) - (a3/lam) v(alpha_-^(1/3) x)
-
-    Negative alpha uses the real cube root, so the argument reflects.
+    P and alpha_+ >= alpha_- come from `diagonalize` of the cross-dispersion
+    matrix, and component j of W is read at alpha_j^(1/3) x, so that each
+    rides the unit-speed Airy flow.  Negative alpha uses the real cube
+    root, so the argument reflects.
     """
-    a3, lam, ap, am = _mixing_constants(params)
-    g = u0.grid
-    if not g.compatible(v0.grid):
-        raise ValueError("u0 and v0 must share a grid")
-    _warn_on_boundary_mass(u0, "u0")
-    _warn_on_boundary_mass(v0, "v0")
-    xp = float(np.cbrt(ap)) * g.x
-    xm = float(np.cbrt(am)) * g.x
-    ut = ((1.0 - am) / lam) * sg.evaluate_at(u0, xp) + (a3 / lam) * sg.evaluate_at(v0, xp)
-    vt = ((ap - 1.0) / lam) * sg.evaluate_at(u0, xm) - (a3 / lam) * sg.evaluate_at(v0, xm)
-    return sg.forward(ut, g), sg.forward(vt, g)
+    d, stretch = _mixing_basis(params)
+    g = _checked_grid(u0, v0, ("u0", "v0"))
+    w = [d.T_inv[j] @ [sg.evaluate_at(f, c * g.x) for f in (u0, v0)] for j, c in enumerate(stretch)]
+    return sg.forward(w[0], g), sg.forward(w[1], g)
 
 
 def gg_change_of_variables_inverse(
-    ut: SpectralField, vt: SpectralField, params
+    ut: SpectralField, vt: SpectralField, params: GearGrimshaw
 ) -> tuple[SpectralField, SpectralField]:
-    """Inverse of the mixing map.
-
-    u(x) = u~(x / alpha_+^(1/3)) + v~(x / alpha_-^(1/3))
-    v(x) = ((alpha_+ - 1)/a3) u~(x / alpha_+^(1/3))
-         - ((1 - alpha_-)/a3) v~(x / alpha_-^(1/3))
-    """
-    a3, lam, ap, am = _mixing_constants(params)
-    g = ut.grid
-    if not g.compatible(vt.grid):
-        raise ValueError("ut and vt must share a grid")
-    _warn_on_boundary_mass(ut, "ut")
-    _warn_on_boundary_mass(vt, "vt")
-    xp = g.x / float(np.cbrt(ap))
-    xm = g.x / float(np.cbrt(am))
-    up = sg.evaluate_at(ut, xp)
-    vm = sg.evaluate_at(vt, xm)
-    u = up + vm
-    v = ((ap - 1.0) / a3) * up - ((1.0 - am) / a3) * vm
+    """Inverse of the mixing map: U = P W, with w_j read at x / alpha_j^(1/3)."""
+    d, stretch = _mixing_basis(params)
+    g = _checked_grid(ut, vt, ("ut", "vt"))
+    u, v = d.T @ [sg.evaluate_at(f, g.x / c) for f, c in zip((ut, vt), stretch)]
     return sg.forward(u, g), sg.forward(v, g)
 
 
@@ -288,7 +266,7 @@ def scaling_map(traj: Trajectory, lam: float, times=None, out_grid=None) -> Traj
         for j, c in enumerate(sg.to_full(_interp_half(traj, lam**3 * float(t)))):
             vals = lam2 * sg.evaluate_at(SpectralField(c, g), pts)
             half[i, j] = sg.to_half(sg.forward(vals, out_grid).coeffs)
-    return Trajectory(times, half, out_grid, traj.spec)
+    return Trajectory(times, half, out_grid)
 
 
 # ---------------------------------------------------------------------------

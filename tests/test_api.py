@@ -1,9 +1,11 @@
-"""The package's public name list."""
+"""The package's public name lists."""
 
 import ckdv
+from ckdv import bourgain
 
 
 def test_all_names_resolve_once():
-    assert len(ckdv.__all__) == len(set(ckdv.__all__))
-    missing = [name for name in ckdv.__all__ if not hasattr(ckdv, name)]
-    assert missing == []
+    for module in (ckdv, bourgain):
+        assert len(module.__all__) == len(set(module.__all__)), module.__name__
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], module.__name__

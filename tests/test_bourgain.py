@@ -308,6 +308,10 @@ def test_nonequivalence_demo_validation():
         nonequivalence_demo(1.0, -1.0, -3.0, 3.0, [4.0, 8.0])
     with pytest.raises(ValueError):
         nonequivalence_demo(0.0, -1.0, 0.0, 3.0, [4.0, 8.0])
+    # one radius admits no growth fit and no stabilization check
+    for radii in ([8.0], [8.0, 8.0], [], [0.0, 8.0], [-8.0, 8.0]):
+        with pytest.raises(ValueError, match="two or more distinct positive radii"):
+            nonequivalence_demo(1.0, -1.0, 0.0, 3.0, radii)
 
 
 def test_linear_estimate_check_cheap():

@@ -71,6 +71,15 @@ def test_library_precondition_exits_2_before_any_output(tmp_path, capsys, comman
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("key", ["apply_cutoffs", "compare_stepper"])
+def test_removed_picard_keys_exit_2(tmp_path, capsys, key):
+    payload = simulate_payload(kind="picard_study", params={key: True})
+    out = tmp_path / "o"
+    assert main(["picard", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "simulate" in capsys.readouterr().out
@@ -184,6 +193,21 @@ def test_diagnose_happy_path(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("t,")
     assert len(lines[1].split(",")) == len(lines[0].split(","))
+    assert (out / "diagnostics.csv").read_text().splitlines() == lines
+
+
+def test_diagnose_infinite_functional_exits_1(tmp_path, capsys):
+    g = Grid(64, 8.0 * np.pi)
+    path = tmp_path / "huge.ckdv"
+    write_snapshot(path, State(field_from_callable(lambda x: 1e200 * np.exp(-(x**2)), g),
+                               field_from_callable(lambda x: np.exp(-(x**2)), g)))
+    system = {"name": "gear_grimshaw", "a1": 0.0, "a2": 0.0, "a3": 0.0, "b1": 1.0, "b2": 1.0}
+    cfg = write_config(tmp_path, {"system": system, "snapshot": str(path)}, name="diag.json")
+    out = tmp_path / "d"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["diagnose", "--config", cfg, "--out", str(out)]) == 1
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert "inf" in row  # phi3 = int(b2 u^2 + b1 v^2) dx overflows
     assert (out / "diagnostics.csv").exists()
 
 

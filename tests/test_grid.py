@@ -11,7 +11,6 @@ from ckdv import (
     forward,
     inverse,
     l2_norm,
-    product,
     spectral_derivative,
     zero_field,
 )
@@ -144,31 +143,6 @@ def SpectralFieldOfOnes(grid):
     from ckdv import SpectralField
 
     return SpectralField(np.ones(grid.n, dtype=np.complex128), grid)
-
-
-def test_product_of_low_modes_is_exact(grid64):
-    # modes 3 and 5 produce modes 2 and 8, all inside the kept band
-    f = field_from_callable(lambda x: np.cos(3.0 * x), grid64)
-    g = field_from_callable(lambda x: np.cos(5.0 * x), grid64)
-    h = inverse(product(f, g))
-    expect = 0.5 * (np.cos(2.0 * grid64.x) + np.cos(8.0 * grid64.x))
-    assert np.max(np.abs(h - expect)) < 1e-12
-
-
-def test_product_dealiases_by_default(grid64):
-    # 12 + 12 = 24 exceeds the kept band (2/3 * 32 = 21.33)
-    f = field_from_callable(lambda x: np.cos(12.0 * x), grid64)
-    h = product(f, f)
-    assert abs(h.coeffs[24]) == 0.0
-    raw = product(f, f, dealias_result=False)
-    assert abs(raw.coeffs[24]) > 1e-8
-
-
-def test_product_rejects_incompatible_grids(grid64):
-    f = zero_field(grid64)
-    g = zero_field(Grid(128, 2.0 * np.pi))
-    with pytest.raises(ValueError):
-        product(f, g)
 
 
 def test_evaluate_at_matches_grid_and_offgrid(grid64):

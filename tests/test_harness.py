@@ -21,10 +21,10 @@ from ckdv import (
 )
 from ckdv import harness
 from ckdv.bourgain import LinearEstimateReport
+from ckdv.diagnostics import COLUMNS
 from ckdv.grid import Grid
 from ckdv.io import read_csv
 from ckdv.harness import (
-    DIAGNOSTICS_SCHEMA,
     build_grid,
     build_stepper,
     build_system,
@@ -151,6 +151,10 @@ def test_config_validation_matrix():
         config_from_dict(simulate_config(horizon=2.5e4, sample_dt=5e-3))
     with pytest.raises(ConfigError, match="budget"):  # 10 steps, every Picard iterate kept
         config_from_dict(simulate_config(kind="picard_study", params={"n_iters": 10**6, "time_resolution": 201}))
+    # Picard runs without cutoffs and always checks a converged run against the stepper
+    for key in ("apply_cutoffs", "compare_stepper"):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(simulate_config(kind="picard_study", params={key: True}))
 
 
 # each of these used to pass validation and then end the run as status "error"
@@ -206,10 +210,7 @@ def test_run_time_failures_rejected_up_front(name):
 
 def test_parsed_params_are_typed_and_defaulted():
     cfg = config_from_dict(simulate_config(kind="picard_study", params={"n_iters": 4.0}))
-    assert cfg.params == {
-        "n_iters": 4, "time_resolution": 201, "s": 0.0,
-        "apply_cutoffs": False, "compare_stepper": True,
-    }
+    assert cfg.params == {"n_iters": 4, "time_resolution": 201, "s": 0.0}
     assert type(cfg.params["n_iters"]) is int
     assert cfg.initial["u"] == {"kind": "gaussian", "amplitude": 0.5, "width": 1.0, "center": 0.0}
     assert cfg.initial["v"] == {"kind": "zero"}
@@ -331,7 +332,7 @@ def test_run_writes_manifest_and_files(tmp_path):
     assert payload["kind"] == "simulate"
     assert payload["summary"]["records"] >= 2
     header = (tmp_path / "diagnostics.csv").read_text().splitlines()[0]
-    assert header == ",".join(DIAGNOSTICS_SCHEMA)
+    assert header == ",".join(COLUMNS)
 
 
 def test_simulate_first_row_does_not_depend_on_horizon(tmp_path):

@@ -45,17 +45,22 @@ def test_stepper_config_validation():
 def test_trajectory_validation(grid64):
     st = State(zero_field(grid64), zero_field(grid64), 0.0)
     with pytest.raises(ValueError):
-        Trajectory.from_states([], HirotaSatsuma(1.0, 1.0))
+        Trajectory.from_states([])
     with pytest.raises(ValueError):
-        Trajectory.from_states([st, st.copy()], HirotaSatsuma(1.0, 1.0))  # equal times
+        Trajectory.from_states([st, st.copy()])  # equal times
     other = State(zero_field(Grid(128, 2.0 * np.pi)), zero_field(Grid(128, 2.0 * np.pi)), 1.0)
     with pytest.raises(ValueError):
-        Trajectory.from_states([st, other], HirotaSatsuma(1.0, 1.0))
+        Trajectory.from_states([st, other])
     same_n = State(zero_field(Grid(64, 4.0 * np.pi)), zero_field(Grid(64, 4.0 * np.pi)), 1.0)
     with pytest.raises(ValueError):
         Trajectory.from_states([st, same_n])
     half = np.zeros((3, 2, grid64.n // 2 + 1), dtype=complex)
     assert Trajectory([0.0, 0.5, 1.0], half, grid64).half is half
+    # a trajectory carries no system spec
+    with pytest.raises(TypeError):
+        Trajectory([0.0, 0.5, 1.0], half, grid64, HirotaSatsuma(1.0, 1.0))
+    with pytest.raises(TypeError):
+        Trajectory.from_states([st], HirotaSatsuma(1.0, 1.0))
     for times, h in (
         ([0.0, 1.0, 0.5], half),  # not increasing
         ([0.0, float("nan"), 1.0], half),
@@ -213,6 +218,8 @@ def test_picard_validation(grid64):
         picard_iterate(st, spec, 0.1, time_resolution=7)  # too few
     with pytest.raises(ValueError):
         picard_iterate(st, spec, 0.1, n_iters=0)
+    with pytest.raises(TypeError):
+        picard_iterate(st, spec, 0.1, apply_cutoffs=True)  # the cutoffs are not an option
 
 
 def test_picard_contracts_for_small_data():
