@@ -17,7 +17,6 @@ import numpy as np
 from ..grid import SpectralField, forward
 from .kernels import _counted_quad
 from .spacetime import (
-    NormParams,
     SpaceTimeField,
     bracket_norm,
     duhamel_field,
@@ -109,8 +108,8 @@ def embedding_check(
         raise ValueError("b must be >= 0")
     if a == 0.0 or a0 == 0.0 or a1 == 0.0:
         raise ValueError("all three speeds must be nonzero")
-    lhs = xsb_norm(F, NormParams(a, s, b))
-    rhs = xsb_norm(F, NormParams(a0, s, b)) + xsb_norm(F, NormParams(a1, s, b))
+    lhs = xsb_norm(F, a, s, b)
+    rhs = xsb_norm(F, a0, s, b) + xsb_norm(F, a1, s, b)
     c = embedding_constant(a, a0, a1, b)
     return EmbeddingResult(lhs, rhs, c, lhs <= c * rhs * (1.0 + 1e-12))
 
@@ -139,8 +138,8 @@ def intersection_equivalence(
     """
     a0, a1 = pair_first
     a2, a3 = pair_second
-    n1 = xsb_norm(F, NormParams(a0, s, b)) + xsb_norm(F, NormParams(a1, s, b))
-    n2 = xsb_norm(F, NormParams(a2, s, b)) + xsb_norm(F, NormParams(a3, s, b))
+    n1 = xsb_norm(F, a0, s, b) + xsb_norm(F, a1, s, b)
+    n2 = xsb_norm(F, a2, s, b) + xsb_norm(F, a3, s, b)
     c_hi = embedding_constant(a2, a0, a1, b) + embedding_constant(a3, a0, a1, b)
     c_lo = 1.0 / (
         embedding_constant(a0, a2, a3, b) + embedding_constant(a1, a2, a3, b)
@@ -278,20 +277,13 @@ class LinearEstimateReport:
     target_exponent: float
 
 
-def _validate_linear_params(b: float, b_prime: float, T: float) -> None:
-    if not (-0.5 < b_prime <= 0.0 <= b <= b_prime + 1.0):
-        raise ValueError("need -1/2 < b' <= 0 <= b <= b' + 1")
-    if not (0.0 < T <= 1.0):
-        raise ValueError("need T in (0, 1]")
-
-
 def linear_estimate_check(
     u0: SpectralField,
     a: float,
     s: float,
     b: float,
     b_prime: float,
-    T: float,
+    *,
     n_fields: int = 50,
     seed: int = 7,
     n_t: int = 512,
@@ -307,14 +299,20 @@ def linear_estimate_check(
     the space-time weight, which is what makes the ratio exactly
     field-independent in the continuum.
 
-    Inhomogeneous part: for a ladder of horizons T, a forcing family
+    Inhomogeneous part: for each horizon T of `t_ladder`, a forcing family
     with modulation concentrated at |tau + a xi^3| ~ 1.5/T is pushed
     through the windowed source-to-solution map; the log-log slope of
-    lhs/rhs against T is compared with b' + 1 - b.
+    lhs/rhs against T is compared with b' + 1 - b.  The slope is fitted
+    over the ladder, so it needs two or more distinct horizons, each in
+    (0, 1]; anything else is a ValueError.
     """
     if a == 0.0:
         raise ValueError("a must be nonzero")
-    _validate_linear_params(b, b_prime, T)
+    if not (-0.5 < b_prime <= 0.0 <= b <= b_prime + 1.0):
+        raise ValueError("need -1/2 < b' <= 0 <= b <= b' + 1")
+    ladder = [float(x) for x in t_ladder]
+    if len(set(ladder)) < 2 or not all(0.0 < x <= 1.0 for x in ladder):
+        raise ValueError(f"t_ladder needs two or more distinct horizons in (0, 1], got {ladder}")
     stg = make_st_grid(u0.grid.n, u0.grid.period, n_t=n_t)
     tau_max = float(np.max(np.abs(stg.t.xi)))
     # keep |a| xi_band^3 well inside the tau band so e^{-i a xi^3 t} is resolved
@@ -330,12 +328,11 @@ def linear_estimate_check(
         vals = SpectralField(c, g).values()  # realize, then re-transform
         data.append(forward(vals, g))
     ratios = []
-    p_free = NormParams(a, s, b)
     for w0 in data:
         denom = bracket_norm(w0, s)
         if denom == 0.0:
             continue
-        ratios.append(xsb_norm(free_field(w0, a, stg), p_free) / denom)
+        ratios.append(xsb_norm(free_field(w0, a, stg), a, s, b) / denom)
     mean = float(np.mean(ratios))
     cv = float(np.std(ratios) / mean) if mean > 0 else float("inf")
 
@@ -345,9 +342,6 @@ def linear_estimate_check(
     t = stg.t.x
     phase = stg.phase(a)
     d_ratios = []
-    ladder = [float(x) for x in t_ladder]
-    p_lhs = NormParams(a, s, b)
-    p_rhs = NormParams(a, s, b_prime)
     for Tj in ladder:
         # sigma0 T >> 1 keeps the modulation in the power-law regime of
         # the bracket weight; at sigma0 ~ 1/T the +1 in 1+|tau+a xi^3|
@@ -357,7 +351,7 @@ def linear_estimate_check(
         slices = g_hat[:, None] * phase * envelope[None, :]
         F = from_time_slices(slices, stg)
         w = duhamel_field(slices, a, stg, Tj)
-        d_ratios.append(xsb_norm(w, p_lhs) / xsb_norm(F, p_rhs))
+        d_ratios.append(xsb_norm(w, a, s, b) / xsb_norm(F, a, s, b_prime))
     slope = float(np.polyfit(np.log(ladder), np.log(d_ratios), 1)[0])
     return LinearEstimateReport(
         ratios, cv, ladder, d_ratios, slope, b_prime + 1.0 - b
@@ -560,4 +554,4 @@ def cutoff_data_membership(
     """
     stg = make_st_grid(u0.grid.n, u0.grid.period, n_t=n_t)
     F = stationary_field(u0, stg)
-    return xsb_norm(F, NormParams(1.0, s, b)) + xsb_norm(F, NormParams(-1.0, s, b))
+    return xsb_norm(F, 1.0, s, b) + xsb_norm(F, -1.0, s, b)

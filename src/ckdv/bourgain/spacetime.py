@@ -130,14 +130,6 @@ def hermitian_symmetrize(coeffs: np.ndarray) -> np.ndarray:
     return 0.5 * (coeffs + mirrored)
 
 
-@dataclass(frozen=True)
-class NormParams:
-    a: float
-    s: float
-    b: float
-    b_prime: float = 0.0
-
-
 def weight_table(stg: SpaceTimeGrid, a: float, s: float, b: float) -> np.ndarray:
     """(1 + |tau + a xi^3|)^(2b) (1 + |xi|)^(2s), built once per grid and key."""
     xi = stg.x.xi[:, None]
@@ -148,11 +140,11 @@ def weight_table(stg: SpaceTimeGrid, a: float, s: float, b: float) -> np.ndarray
     )
 
 
-def xsb_norm(field: SpaceTimeField, p: NormParams) -> float:
+def xsb_norm(field: SpaceTimeField, a: float, s: float, b: float) -> float:
     """Riemann-sum discretization of the dispersive-weighted norm."""
-    if p.a == 0.0:
+    if a == 0.0:
         raise ValueError("the modulation weight needs a nonzero dispersion speed a")
-    w = weight_table(field.grid, p.a, p.s, p.b)
+    w = weight_table(field.grid, a, s, b)
     return float(np.sqrt(np.sum(w * np.abs(field.coeffs) ** 2) * field.grid.cell))
 
 

@@ -1,4 +1,4 @@
-"""Smooth time cutoff shared by the solver and the norm machinery.
+"""Smooth time cutoff of the space-time norm machinery.
 
 psi is the classic mollifier-based bump: identically 1 on |t| <= 1,
 identically 0 on |t| >= 2, smooth and monotone on the transition.  The

@@ -16,6 +16,7 @@ import numpy as np
 
 from .diagnostics import COLUMNS, record_for
 from .harness import (
+    _CONFIGS,
     _NEEDS_DYNAMICS,
     ConfigError,
     _finite,
@@ -65,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run a '{kind}' experiment")
         p.add_argument("--config", help="JSON experiment configuration")
         p.add_argument("--out", help="output directory (overrides the config)")
-        p.add_argument("--seed", type=_u64, help="RNG seed (overrides the config)")
+        if "seed" in _CONFIGS[kind]:
+            p.add_argument("--seed", type=_u64, help="RNG seed (overrides the config)")
         p.add_argument("--quiet", action="store_true", help="suppress the summary printout")
     p = sub.add_parser("diagnose", help="conserved functionals of one stored snapshot")
     p.add_argument("--config", required=True, help="JSON with 'system' and 'snapshot' keys")
@@ -84,8 +86,9 @@ def _cmd_experiment(args, kind: str) -> int:
     if args.config is None and kind in _NEEDS_DYNAMICS:
         raise ConfigError(f"subcommand for kind '{kind}' requires --config")
     d = {"kind": kind} if args.config is None else _read_json(args.config)
-    if args.seed is not None and isinstance(d, dict):
-        d = dict(d, seed=args.seed)
+    seed = getattr(args, "seed", None)  # only a kind that takes a seed has --seed
+    if seed is not None and isinstance(d, dict):
+        d = dict(d, seed=seed)
     cfg = config_from_dict(d)
     if cfg.kind != kind:
         raise ConfigError(f"config kind '{cfg.kind}' does not match subcommand kind '{kind}'")

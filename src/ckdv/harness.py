@@ -257,10 +257,7 @@ _PARAMS = {
         "n_iters": (_count, 8), "s": (_finite, 0.0),
         "time_resolution": (_check(_int, lambda n: n >= 9 and n % 2 == 1, "odd and >= 9"), 201),
     },
-    "convergence_study": {
-        "dt_values": (_ladder(_positive), (4e-3, 2e-3, 1e-3, 5e-4)),
-        "reference_dt": (_optional(_positive), None),  # None: a quarter of the finest dt
-    },
+    "convergence_study": {"dt_values": (_ladder(_positive), (4e-3, 2e-3, 1e-3, 5e-4))},
     "bourgain_suite": {
         "s": (_finite, 0.0), "b": (_finite, 0.6), "b_prime": (_finite, -0.3), "a": (_nonzero, 1.0),
         "n_x": (_pow2, 128), "period_x": (_positive, 16.0 * np.pi),
@@ -277,27 +274,38 @@ _PARAMS = {
     },
 }
 
-_NEEDS_DYNAMICS = {"simulate", "lipschitz_probe", "scaling_probe", "picard_study", "convergence_study"}
-
-_TOP = {
-    "kind": (_text, MISSING),
-    "horizon": (_nonneg, 0.0),
-    "sample_dt": (_positive, 0.01),
-    "seed": (_seed, 0),
-    "output_dir": (_optional(_text), None),
-}
-
+_SEED = {"seed": (_seed, 0)}
 _DYNAMICS = {
     "system": (build_system, MISSING),
     "grid": (build_grid, MISSING),
     "stepper": (build_stepper, MISSING),
     "initial": (partial(_parse, table=_INITIAL, where="initial"), {}),
+    "horizon": (_nonneg, 0.0),
+    **_SEED,
 }
+# a sampled run stores a state every sample_dt; Picard samples time_resolution
+# points and a convergence study keeps only final states
+_SAMPLED = {**_DYNAMICS, "sample_dt": (_positive, 0.01)}
+
+# the top-level keys each kind reads, besides kind, output_dir and params
+_TOP = {
+    "simulate": _SAMPLED,
+    "lipschitz_probe": _SAMPLED,
+    "scaling_probe": _SAMPLED,
+    "picard_study": _DYNAMICS,
+    "convergence_study": _DYNAMICS,
+    "bourgain_suite": _SEED,
+    "kernel_suite": {},
+    "nonequivalence": {},
+}
+
+_NEEDS_DYNAMICS = {kind for kind, keys in _TOP.items() if "stepper" in keys}
 
 _CONFIGS = {
     kind: {
-        **_TOP,
-        **(_DYNAMICS if kind in _NEEDS_DYNAMICS else {}),
+        "kind": (_text, MISSING),
+        "output_dir": (_optional(_text), None),
+        **_TOP[kind],
         "params": (partial(_parse, table=params, where=f"params for '{kind}'"), {}),
     }
     for kind, params in _PARAMS.items()
@@ -312,9 +320,16 @@ MAX_STEPS = 10**7
 MAX_SNAPSHOT_BYTES = 2**31
 
 
-def _work(kind: str, p: dict, horizon: float, sample_dt: float, dt: float) -> tuple[float, float]:
+def _work(kind: str, p: dict, horizon: float, sample_dt: Optional[float], dt: float) -> tuple[float, float]:
     """(IF-RK4 steps, stored samples) of a dynamics run, as floats so that no count overflows."""
     steps = horizon / dt
+    if kind == "picard_study":
+        # every iterate is kept; the stepper reference stores two states
+        return steps, (p["n_iters"] + 1.0) * p["time_resolution"] + 2.0
+    if kind == "convergence_study":
+        # one run per dt_values entry and the reference run at dt
+        dts = [*p["dt_values"], dt]
+        return sum(horizon / d for d in dts), 2.0 * len(dts)
     # simulate stores every round(sample_dt/dt)-th step, plus the first and last states
     samples = horizon / (max(1.0, np.round(sample_dt / dt)) * dt) + 2.0
     if kind == "lipschitz_probe":
@@ -324,24 +339,20 @@ def _work(kind: str, p: dict, horizon: float, sample_dt: float, dt: float) -> tu
         # the rescaled run divides dt and the horizon alike by lam^3, so it takes
         # as many steps; the predicted trajectory is a third one of that length
         return 2.0 * steps, 3.0 * samples
-    if kind == "picard_study":
-        # every iterate is kept; the stepper reference stores two states
-        return steps, (p["n_iters"] + 1.0) * p["time_resolution"] + 2.0
-    if kind == "convergence_study":
-        dts = [*p["dt_values"], p["reference_dt"]]
-        return sum(horizon / d for d in dts), 2.0 * len(dts)
     return steps, samples
 
 
 @dataclass(kw_only=True)
 class ExperimentConfig:
+    """A validated config; a key its kind does not take stays None."""
+
     kind: str
     raw: dict
-    horizon: float
-    sample_dt: float
-    seed: int
     output_dir: Optional[str]
     params: dict
+    horizon: Optional[float] = None
+    sample_dt: Optional[float] = None
+    seed: Optional[int] = None
     system: object = None
     grid: Optional[Grid] = None
     stepper: Optional[StepperConfig] = None
@@ -355,12 +366,8 @@ class ExperimentConfig:
         two_wave = isinstance(self.system, HirotaSatsuma) and self.system.a != 0.0
         if self.kind == "scaling_probe" and not two_wave:
             raise ValueError("scaling covariance is set up for the two-wave system with a != 0")
-        if self.kind == "convergence_study":
-            finest = min(p["dt_values"])
-            if p["reference_dt"] is None:
-                p["reference_dt"] = finest / 4.0
-            if p["reference_dt"] >= finest:
-                raise ValueError("reference_dt must be finer than every entry of dt_values")
+        if self.kind == "convergence_study" and self.stepper.dt >= min(p["dt_values"]):
+            raise ValueError("stepper.dt, the reference step, must be finer than every entry of dt_values")
         if self.kind in _NEEDS_DYNAMICS:
             steps, samples = _work(self.kind, p, self.horizon, self.sample_dt, self.stepper.dt)
             stored = samples * 2 * (self.grid.n // 2 + 1) * 16
@@ -422,7 +429,7 @@ class RunManifest:
     kind: str
     config: dict
     version: str
-    seed: int
+    seed: Optional[int]  # None for a kind that draws nothing at random
     wall_time_s: float
     files: list
     summary: dict
@@ -632,7 +639,7 @@ def _run_picard(cfg: ExperimentConfig, emit: _Emitter):
 
 def _run_convergence(cfg: ExperimentConfig, emit: _Emitter):
     dts = sorted(cfg.params["dt_values"], reverse=True)
-    ref_dt = cfg.params["reference_dt"]
+    ref_dt = cfg.stepper.dt
     rng = np.random.default_rng(cfg.seed)
     state0 = make_initial(cfg.initial, cfg.grid, rng)
     T = cfg.horizon
@@ -670,7 +677,7 @@ def _run_bourgain(cfg: ExperimentConfig, emit: _Emitter):
     gx = Grid(n_x, period_x)
     u0 = forward(np.exp(-(gx.x**2)), gx)
     rep = linear_estimate_check(
-        u0, p["a"], s, b, p["b_prime"], T=max(p["t_values"]),
+        u0, p["a"], s, b, p["b_prime"],
         n_fields=p["n_fields"], seed=cfg.seed, n_t=p["n_t"], t_ladder=p["t_values"],
     )
     emit.csv(

@@ -228,7 +228,7 @@ def test_c10_linear_estimates():
     ok = True
     details = []
     for b, bp in ((0.6, -0.3), (0.55, -0.45), (0.75, 0.0)):
-        rep = linear_estimate_check(u0, 1.0, 0.0, b, bp, T=1.0, n_fields=50, seed=7, n_t=512)
+        rep = linear_estimate_check(u0, 1.0, 0.0, b, bp, n_fields=50, seed=7, n_t=512)
         err = abs(rep.fitted_exponent - rep.target_exponent)
         ok &= rep.free_cv < 1e-2 and err <= 0.1
         details.append(f"(b={b},b'={bp}): cv {rep.free_cv:.2e}, exponent err {err:.3f}")

@@ -20,7 +20,6 @@ from ckdv.bourgain.estimates import (
     weight_comparison_bound,
 )
 from ckdv.bourgain.spacetime import (
-    NormParams,
     SpaceTimeField,
     bracket_norm,
     duhamel_field,
@@ -76,9 +75,9 @@ def test_xsb_norm_flat_weight_is_l2(stg):
     l2 = np.sqrt(np.sum(vals**2) * stg.x.dx * stg.t.dx)
     # with s = b = 0 the weight is 1 regardless of the speed
     for a in (1.0, -1.0, 2.0):
-        assert xsb_norm(F, NormParams(a, 0.0, 0.0)) == pytest.approx(l2, rel=1e-12)
+        assert xsb_norm(F, a, 0.0, 0.0) == pytest.approx(l2, rel=1e-12)
     with pytest.raises(ValueError):
-        xsb_norm(F, NormParams(0.0, 0.0, 0.5))
+        xsb_norm(F, 0.0, 0.0, 0.5)
 
 
 def band_limited(F, band_x, band_t):
@@ -94,8 +93,8 @@ def band_limited(F, band_x, band_t):
 def test_xsb_norm_monotone_in_b_on_characteristic(stg):
     # a field concentrated off its characteristic grows with b
     F = band_limited(random_field(stg, np.random.default_rng(2)), 2.0, 3.0)
-    n_low = xsb_norm(F, NormParams(1.0, 0.0, 0.4))
-    n_high = xsb_norm(F, NormParams(1.0, 0.0, 0.8))
+    n_low = xsb_norm(F, 1.0, 0.0, 0.4)
+    n_high = xsb_norm(F, 1.0, 0.0, 0.8)
     assert n_high >= n_low
 
 
@@ -318,17 +317,19 @@ def test_linear_estimate_check_cheap():
     g = Grid(64, 8.0 * np.pi)
     u0 = field_from_callable(lambda x: np.exp(-(x**2)), g)
     rep = linear_estimate_check(
-        u0, 1.0, 0.0, 0.6, -0.3, 0.5, n_fields=8, n_t=256, t_ladder=(0.2, 0.4, 0.6, 0.8, 1.0)
+        u0, 1.0, 0.0, 0.6, -0.3, n_fields=8, n_t=256, t_ladder=(0.2, 0.4, 0.6, 0.8, 1.0)
     )
     assert rep.free_cv < 1e-2
     assert len(rep.free_ratios) == 8
     assert abs(rep.fitted_exponent - rep.target_exponent) < 0.15
     with pytest.raises(ValueError):
-        linear_estimate_check(u0, 0.0, 0.0, 0.6, -0.3, 0.5)
+        linear_estimate_check(u0, 0.0, 0.0, 0.6, -0.3)
     with pytest.raises(ValueError):
-        linear_estimate_check(u0, 1.0, 0.0, 0.6, 0.1, 0.5)
-    with pytest.raises(ValueError):
-        linear_estimate_check(u0, 1.0, 0.0, 0.6, -0.3, 1.5)
+        linear_estimate_check(u0, 1.0, 0.0, 0.6, 0.1)
+    # the exponent is fitted over the ladder: two or more distinct horizons in (0, 1]
+    for t_ladder in ((0.5,), (0.5, 0.5), (0.5, 1.5), (0.0, 0.5)):
+        with pytest.raises(ValueError, match="two or more distinct horizons"):
+            linear_estimate_check(u0, 1.0, 0.0, 0.6, -0.3, n_fields=2, n_t=64, t_ladder=t_ladder)
 
 
 def test_bilinear_ratio_band_stability_cheap():
@@ -473,7 +474,7 @@ def test_linear_estimate_free_ratios_match_per_field_reference():
     g = Grid(32, 8.0 * np.pi)
     u0 = field_from_callable(lambda x: np.exp(-(x**2)), g)
     a, s, b, n_t, seed = -1.5, 0.3, 0.6, 64, 4
-    rep = linear_estimate_check(u0, a, s, b, -0.3, 0.5, n_fields=6, seed=seed, n_t=n_t,
+    rep = linear_estimate_check(u0, a, s, b, -0.3, n_fields=6, seed=seed, n_t=n_t,
                                 t_ladder=(0.5, 1.0))
     # the battery, drawn as linear_estimate_check draws it
     stg = make_st_grid(g.n, g.period, n_t=n_t)

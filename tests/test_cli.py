@@ -7,7 +7,7 @@ import pytest
 
 from ckdv import State, field_from_callable, write_snapshot
 from ckdv.bourgain import kernel_bound_check, nonequivalence_demo
-from ckdv.cli import main
+from ckdv.cli import build_parser, main
 from ckdv.grid import Grid
 from ckdv.io import format_value
 
@@ -31,6 +31,21 @@ def simulate_payload(**over):
     }
     base.update(over)
     return base
+
+
+def unsampled_payload(kind, **over):
+    """simulate_payload for a dynamics kind that takes no sample_dt."""
+    d = simulate_payload(kind=kind, **over)
+    del d["sample_dt"]
+    return d
+
+
+def assert_rejected(tmp_path, capsys, command, payload, word):
+    """The config exits 2 with `word` in the message and writes no output."""
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    assert word in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
@@ -65,19 +80,43 @@ def test_bad_value_exits_2_before_any_output(tmp_path, capsys):
     ],
 )
 def test_library_precondition_exits_2_before_any_output(tmp_path, capsys, command, payload, word):
-    out = tmp_path / "o"
-    assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
-    assert word in capsys.readouterr().err
-    assert not (out / "manifest.json").exists()
+    assert_rejected(tmp_path, capsys, command, payload, word)
 
 
 @pytest.mark.parametrize("key", ["apply_cutoffs", "compare_stepper"])
 def test_removed_picard_keys_exit_2(tmp_path, capsys, key):
-    payload = simulate_payload(kind="picard_study", params={key: True})
-    out = tmp_path / "o"
-    assert main(["picard", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
-    assert key in capsys.readouterr().err
-    assert not (out / "manifest.json").exists()
+    assert_rejected(tmp_path, capsys, "picard", unsampled_payload("picard_study", params={key: True}), key)
+
+
+# each key that a kind accepted without reading it, and the reference step rule
+@pytest.mark.parametrize(
+    "command, payload, word",
+    [
+        *[(cmd, {"kind": kind, "horizon": 1.0}, "horizon")
+          for cmd, kind in (("bourgain", "bourgain_suite"), ("kernels", "kernel_suite"), ("noneq", "nonequivalence"))],
+        *[(cmd, {"kind": kind, "sample_dt": 0.05}, "sample_dt")
+          for cmd, kind in (("bourgain", "bourgain_suite"), ("kernels", "kernel_suite"), ("noneq", "nonequivalence"))],
+        ("picard", simulate_payload(kind="picard_study"), "sample_dt"),
+        ("convergence", simulate_payload(kind="convergence_study", params={"dt_values": [1e-2, 2e-2]}), "sample_dt"),
+        ("kernels", {"kind": "kernel_suite", "seed": 0}, "seed"),
+        ("noneq", {"kind": "nonequivalence", "seed": 0}, "seed"),
+        ("convergence",
+         unsampled_payload("convergence_study", params={"dt_values": [1e-2, 2e-2], "reference_dt": 1e-3}),
+         "reference_dt"),
+        ("convergence", unsampled_payload("convergence_study", params={"dt_values": [2e-3, 1e-2]}), "stepper.dt"),
+    ],
+)
+def test_unread_keys_exit_2(tmp_path, capsys, command, payload, word):
+    assert_rejected(tmp_path, capsys, command, payload, word)
+
+
+def test_seed_flag_only_where_a_seed_is_read(capsys):
+    parser = build_parser()
+    assert parser.parse_args(["bourgain", "--seed", "1"]).seed == 1
+    assert parser.parse_args(["convergence", "--config", "c.json", "--seed", "1"]).seed == 1
+    for command in ("kernels", "noneq"):
+        assert main([command, "--seed", "1"]) == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_help_exits_0(capsys):
@@ -139,6 +178,7 @@ def test_kernels_restricted_config(tmp_path, capsys):
     assert main(["kernels", "--config", cfg, "--out", str(out)]) == 0
     assert "status: pass" in capsys.readouterr().out
     payload = json.loads((out / "manifest.json").read_text())
+    assert payload["seed"] is None  # a kernel suite draws nothing at random
     assert payload["summary"]["kernels"] == 1
     _, report = kernel_bound_check("peak_pair")
     assert payload["summary"]["neval"] == {"peak_pair": report.neval}
@@ -152,7 +192,6 @@ def test_noneq_quick_config(tmp_path, capsys):
         tmp_path,
         {
             "kind": "nonequivalence",
-            "seed": 0,
             "params": {"a0": 1.0, "a1": -1.0, "s": 0.0, "b": 3.0,
                        "radii": [8.0, 16.0, 32.0, 64.0]},
         },

@@ -1,6 +1,7 @@
 """Experiment configuration validation and the run-to-manifest pipeline."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,13 @@ def simulate_config(**over):
     }
     base.update(over)
     return base
+
+
+def unsampled_config(kind, **over):
+    """simulate_config for a dynamics kind that takes no sample_dt."""
+    d = simulate_config(kind=kind, **over)
+    del d["sample_dt"]
+    return d
 
 
 def test_build_system_each_kind():
@@ -150,72 +158,127 @@ def test_config_validation_matrix():
     with pytest.raises(ConfigError, match="5e[+]06 IF-RK4 steps"):  # within the step budget, each step stored
         config_from_dict(simulate_config(horizon=2.5e4, sample_dt=5e-3))
     with pytest.raises(ConfigError, match="budget"):  # 10 steps, every Picard iterate kept
-        config_from_dict(simulate_config(kind="picard_study", params={"n_iters": 10**6, "time_resolution": 201}))
+        config_from_dict(unsampled_config("picard_study", params={"n_iters": 10**6, "time_resolution": 201}))
     # Picard runs without cutoffs and always checks a converged run against the stepper
     for key in ("apply_cutoffs", "compare_stepper"):
         with pytest.raises(ConfigError, match=key):
-            config_from_dict(simulate_config(kind="picard_study", params={key: True}))
+            config_from_dict(unsampled_config("picard_study", params={key: True}))
 
 
-# each of these used to pass validation and then end the run as status "error"
+# each of these used to pass validation and then end the run as status "error";
+# each case names the message of its own rule, so no other fault can stand in for it
+_B_RANGE = "need -1/2 < b_prime <= 0 <= b <= b_prime + 1"
+_LADDER = "must be two or more distinct values"
 RUN_TIME_FAILURES = {
-    "negative_seed": simulate_config(seed=-1),
-    "s_not_a_number": simulate_config(params={"s": "abc"}),
-    "coefficient_not_a_number": simulate_config(system={"name": "hirota_satsuma", "a": "x", "b": 1.0}),
-    "gaussian_width_0": simulate_config(initial={"u": {"kind": "gaussian", "width": 0}}),
-    "nan_amplitude": simulate_config(initial={"u": {"kind": "gaussian", "amplitude": float("nan")}}),
-    "picard_horizon_0": simulate_config(kind="picard_study", horizon=0.0),
-    "picard_n_iters_0": simulate_config(kind="picard_study", params={"n_iters": 0}),
-    "picard_even_time_resolution": simulate_config(kind="picard_study", params={"time_resolution": 200}),
-    "lipschitz_deltas_not_a_list": simulate_config(kind="lipschitz_probe", params={"deltas": "abc"}),
-    "convergence_one_dt": simulate_config(kind="convergence_study", params={"dt_values": [1e-3]}),
-    "scaling_repeated_lambdas": simulate_config(kind="scaling_probe", params={"lambdas": [2.0, 2.0]}),
-    "lipschitz_no_initial": {**simulate_config(kind="lipschitz_probe"), "initial": {}},
-    "lipschitz_zero_amplitude": simulate_config(
-        kind="lipschitz_probe", initial={"u": {"kind": "gaussian", "amplitude": 0.0}}
+    "negative_seed": (simulate_config(seed=-1), "'seed' must be an integer in [0, 2**64)"),
+    "s_not_a_number": (simulate_config(params={"s": "abc"}), "'s' must be a finite number"),
+    "coefficient_not_a_number": (
+        simulate_config(system={"name": "hirota_satsuma", "a": "x", "b": 1.0}), "'a' must be a finite number"
+    ),
+    "gaussian_width_0": (
+        simulate_config(initial={"u": {"kind": "gaussian", "width": 0}}), "'width' must be positive"
+    ),
+    "nan_amplitude": (
+        simulate_config(initial={"u": {"kind": "gaussian", "amplitude": float("nan")}}),
+        "'amplitude' must be a finite number",
+    ),
+    "picard_horizon_0": (unsampled_config("picard_study", horizon=0.0), "horizon must be > 0 for a Picard study"),
+    "picard_n_iters_0": (unsampled_config("picard_study", params={"n_iters": 0}), "'n_iters' must be an integer >= 1"),
+    "picard_even_time_resolution": (
+        unsampled_config("picard_study", params={"time_resolution": 200}), "'time_resolution' must be odd and >= 9"
+    ),
+    "lipschitz_deltas_not_a_list": (
+        simulate_config(kind="lipschitz_probe", params={"deltas": "abc"}), "'deltas' must be a list"
+    ),
+    "convergence_one_dt": (
+        unsampled_config("convergence_study", params={"dt_values": [1e-3]}), f"'dt_values' {_LADDER}"
+    ),
+    "scaling_repeated_lambdas": (
+        simulate_config(kind="scaling_probe", params={"lambdas": [2.0, 2.0]}), f"'lambdas' {_LADDER}"
+    ),
+    "lipschitz_no_initial": (
+        {**simulate_config(kind="lipschitz_probe"), "initial": {}}, "needs nonzero initial data"
+    ),
+    "lipschitz_zero_amplitude": (
+        simulate_config(kind="lipschitz_probe", initial={"u": {"kind": "gaussian", "amplitude": 0.0}}),
+        "needs nonzero initial data",
     ),
     **{
-        f"bourgain_{name}": {"kind": "bourgain_suite", "params": params}
-        for name, params in {
-            "n_x_100": {"n_x": 100},
-            "n_t_24": {"n_t": 24},
-            "n_t_8": {"n_t": 8},
-            "a_0": {"a": 0},
-            "embedding_speed_0": {"embedding_speeds": [2.0, 0.0, 3.0]},
-            "embedding_reference_speeds_equal": {"embedding_speeds": [2.0, 1.0, 1.0]},
-            "pair_speed_0": {"pair_second": [0.0, 2.5]},
-            "pair_speeds_equal": {"pair_first": [1.0, 1.0]},
-            "b_negative": {"b": -0.1},
-            "b_prime_positive": {"b_prime": 0.1},
-            "b_above_b_prime_plus_1": {"b": 0.9},
-            "t_value_above_1": {"t_values": [0.5, 1.5]},
-            "one_t_value": {"t_values": [0.5]},
-            "repeated_t_values": {"t_values": [0.5, 0.5]},
+        f"bourgain_{name}": ({"kind": "bourgain_suite", "params": params}, message)
+        for name, (params, message) in {
+            "n_x_100": ({"n_x": 100}, "'n_x' must be a power of two >= 16"),
+            "n_t_24": ({"n_t": 24}, "'n_t' must be a power of two >= 16"),
+            "n_t_8": ({"n_t": 8}, "'n_t' must be a power of two >= 16"),
+            "a_0": ({"a": 0}, "'a' must be nonzero"),
+            "embedding_speed_0": ({"embedding_speeds": [2.0, 0.0, 3.0]}, "'embedding_speeds' must be nonzero"),
+            "embedding_reference_speeds_equal": (
+                {"embedding_speeds": [2.0, 1.0, 1.0]}, "reference speeds in embedding_speeds must differ"
+            ),
+            "pair_speed_0": ({"pair_second": [0.0, 2.5]}, "'pair_second' must be nonzero"),
+            "pair_speeds_equal": ({"pair_first": [1.0, 1.0]}, "reference speeds in pair_first must differ"),
+            "b_negative": ({"b": -0.1}, _B_RANGE),
+            "b_prime_positive": ({"b_prime": 0.1}, _B_RANGE),
+            "b_above_b_prime_plus_1": ({"b": 0.9}, _B_RANGE),
+            "t_value_above_1": ({"t_values": [0.5, 1.5]}, "'t_values' must be in (0, 1]"),
+            "one_t_value": ({"t_values": [0.5]}, f"'t_values' {_LADDER}"),
+            "repeated_t_values": ({"t_values": [0.5, 0.5]}, f"'t_values' {_LADDER}"),
         }.items()
     },
-    "nonequivalence_b_0.4": {"kind": "nonequivalence", "params": {"b": 0.4}},
-    "nonequivalence_s_too_low": {"kind": "nonequivalence", "params": {"s": -3.0}},
-    "nonequivalence_a0_0": {"kind": "nonequivalence", "params": {"a0": 0.0}},
-    "nonequivalence_a1_0": {"kind": "nonequivalence", "params": {"a1": 0.0}},
-    "nonequivalence_one_radius": {"kind": "nonequivalence", "params": {"radii": [8.0]}},
-    "nonequivalence_repeated_radii": {"kind": "nonequivalence", "params": {"radii": [8.0, 8.0]}},
+    "nonequivalence_b_0.4": (
+        {"kind": "nonequivalence", "params": {"b": 0.4}}, "needs b > 1/2 and s > 1/2 - b"
+    ),
+    "nonequivalence_s_too_low": (
+        {"kind": "nonequivalence", "params": {"s": -3.0}}, "needs b > 1/2 and s > 1/2 - b"
+    ),
+    "nonequivalence_a0_0": ({"kind": "nonequivalence", "params": {"a0": 0.0}}, "'a0' must be nonzero"),
+    "nonequivalence_a1_0": ({"kind": "nonequivalence", "params": {"a1": 0.0}}, "'a1' must be nonzero"),
+    "nonequivalence_one_radius": ({"kind": "nonequivalence", "params": {"radii": [8.0]}}, f"'radii' {_LADDER}"),
+    "nonequivalence_repeated_radii": (
+        {"kind": "nonequivalence", "params": {"radii": [8.0, 8.0]}}, f"'radii' {_LADDER}"
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(RUN_TIME_FAILURES))
 def test_run_time_failures_rejected_up_front(name):
-    with pytest.raises(ConfigError):
-        config_from_dict(RUN_TIME_FAILURES[name])
+    config, message = RUN_TIME_FAILURES[name]
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        config_from_dict(config)
 
 
 def test_parsed_params_are_typed_and_defaulted():
-    cfg = config_from_dict(simulate_config(kind="picard_study", params={"n_iters": 4.0}))
+    cfg = config_from_dict(unsampled_config("picard_study", params={"n_iters": 4.0}))
     assert cfg.params == {"n_iters": 4, "time_resolution": 201, "s": 0.0}
     assert type(cfg.params["n_iters"]) is int
     assert cfg.initial["u"] == {"kind": "gaussian", "amplitude": 0.5, "width": 1.0, "center": 0.0}
     assert cfg.initial["v"] == {"kind": "zero"}
-    conv = config_from_dict(simulate_config(kind="convergence_study", params={"dt_values": [1e-3, 4e-3]}))
-    assert conv.params["reference_dt"] == 1e-3 / 4.0
+    assert cfg.sample_dt is None
+    # a convergence study's reference is its own stepper.dt, finer than every dt_values entry
+    conv = config_from_dict(unsampled_config("convergence_study", params={"dt_values": [1e-2, 4e-2]}))
+    assert conv.params == {"dt_values": [1e-2, 4e-2]} and conv.stepper.dt == 5e-3
+    for dt_values in ([5e-3, 1e-2], [1e-3, 1e-2]):
+        with pytest.raises(ConfigError, match=re.escape("stepper.dt, the reference step, must be finer")):
+            config_from_dict(unsampled_config("convergence_study", params={"dt_values": dt_values}))
+    static = config_from_dict({"kind": "kernel_suite"})
+    assert static.horizon is None and static.sample_dt is None and static.seed is None
+
+
+def test_top_level_keys_per_kind():
+    dynamics = {"system", "grid", "stepper", "initial", "horizon", "seed"}
+    accepted = {
+        "simulate": dynamics | {"sample_dt"},
+        "lipschitz_probe": dynamics | {"sample_dt"},
+        "scaling_probe": dynamics | {"sample_dt"},
+        "picard_study": dynamics,
+        "convergence_study": dynamics,
+        "bourgain_suite": {"seed"},
+        "kernel_suite": set(),
+        "nonequivalence": set(),
+    }
+    assert {kind: set(table) for kind, table in harness._CONFIGS.items()} == {
+        kind: keys | {"kind", "output_dir", "params"} for kind, keys in accepted.items()
+    }
+    assert harness._NEEDS_DYNAMICS == {kind for kind, keys in accepted.items() if "stepper" in keys}
 
 
 CONFIG_FILES = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
