@@ -25,29 +25,23 @@ from .systems import (
     NotDiagonalError,
     Sakovich,
     State,
+    gear_grimshaw_as_general,
     gg_dispersion_matrix,
     hs_as_kdv,
     lower,
     nonlinear_rhs,
 )
 from .transforms import (
-    DecayViolationWarning,
     NotApplicable,
-    SingularTransform,
     diagonal_form,
     diagonalize,
-    gear_grimshaw_as_general,
-    gg_change_of_variables,
-    gg_change_of_variables_inverse,
     gg_lambda_alpha,
-    gg_offdiag_coeffs,
     scaling_map,
 )
 from .solver import (
     PicardReport,
     StepperConfig,
     Trajectory,
-    linear_propagate,
     picard_iterate,
     simulate,
     step,
@@ -78,14 +72,10 @@ __all__ = [
     "Grid", "SpectralField", "dealias", "evaluate_at", "field_from_callable",
     "forward", "inverse", "l2_norm", "spectral_derivative", "zero_field",
     "BlowupDetected", "Feng", "GearGrimshaw", "GeneralCoupled", "HirotaSatsuma",
-    "NormalForm", "NotDiagonalError", "Sakovich", "State", "gg_dispersion_matrix",
-    "hs_as_kdv", "lower", "nonlinear_rhs",
-    "DecayViolationWarning", "NotApplicable", "SingularTransform", "diagonal_form",
-    "diagonalize", "gear_grimshaw_as_general", "gg_change_of_variables",
-    "gg_change_of_variables_inverse", "gg_lambda_alpha", "gg_offdiag_coeffs",
-    "scaling_map",
-    "PicardReport", "StepperConfig", "Trajectory",
-    "linear_propagate", "picard_iterate", "simulate", "step",
+    "NormalForm", "NotDiagonalError", "Sakovich", "State", "gear_grimshaw_as_general",
+    "gg_dispersion_matrix", "hs_as_kdv", "lower", "nonlinear_rhs",
+    "NotApplicable", "diagonal_form", "diagonalize", "gg_lambda_alpha", "scaling_map",
+    "PicardReport", "StepperConfig", "Trajectory", "picard_iterate", "simulate", "step",
     "MixedNormBreakdown", "collect",
     "gg_invariants", "hs_invariants", "mixed_norms", "record_for", "sobolev_norm",
     "psi", "psi_T",

@@ -23,7 +23,6 @@ from .spacetime import (
     free_field,
     from_time_slices,
     make_st_grid,
-    stationary_field,
     xsb_norm,
 )
 
@@ -542,16 +541,3 @@ def bilinear_ratio(
         (s, b, b_prime, a_left, a_right, a_out),
     )
 
-
-def cutoff_data_membership(
-    u0: SpectralField, s: float, b: float, n_t: int = 256
-) -> float:
-    """Intersection norm of the windowed stationary field psi(t) u0(x).
-
-    Smooth enough data lands in both unit-speed spaces; the return value
-    is the sum of the two norms, to be examined on a refinement ladder
-    by the caller.
-    """
-    stg = make_st_grid(u0.grid.n, u0.grid.period, n_t=n_t)
-    F = stationary_field(u0, stg)
-    return xsb_norm(F, 1.0, s, b) + xsb_norm(F, -1.0, s, b)

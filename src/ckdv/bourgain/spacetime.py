@@ -185,13 +185,6 @@ def free_field(u0: SpectralField, a: float, stg: SpaceTimeGrid) -> SpaceTimeFiel
     return from_time_slices(slices, stg)
 
 
-def stationary_field(u0: SpectralField, stg: SpaceTimeGrid) -> SpaceTimeField:
-    """psi(t) * u0(x): windowed data with no time evolution."""
-    _check_xgrid(u0, stg)
-    slices = u0.coeffs[:, None] * psi(stg.t.x)[None, :]
-    return from_time_slices(slices, stg)
-
-
 def duhamel_field(
     forcing_slices: np.ndarray, a: float, stg: SpaceTimeGrid, T: float
 ) -> SpaceTimeField:

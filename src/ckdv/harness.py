@@ -637,6 +637,15 @@ def _run_picard(cfg: ExperimentConfig, emit: _Emitter):
     return summary, ok
 
 
+# the RK4 order window of acceptance criterion c03
+CONVERGENCE_ORDER_RANGE = (3.7, 4.3)
+# the linear-estimate bounds of acceptance criterion c10
+FREE_CV_BOUND = 1e-2
+DUHAMEL_EXPONENT_TOLERANCE = 0.1
+# the refinement bound of acceptance criterion c11
+KERNEL_REL_CHANGE_BOUND = 0.05
+
+
 def _run_convergence(cfg: ExperimentConfig, emit: _Emitter):
     dts = sorted(cfg.params["dt_values"], reverse=True)
     ref_dt = cfg.stepper.dt
@@ -661,14 +670,15 @@ def _run_convergence(cfg: ExperimentConfig, emit: _Emitter):
         rows.append([dt, err, order])
     emit.csv("convergence.csv", ["dt", "error", "order"], rows)
     fitted = float(np.polyfit(np.log(dts), np.log(errs), 1)[0]) if min(errs) > 0 else float("nan")
-    summary = {"orders": orders, "fitted_order": fitted, "reference_dt": ref_dt}
-    ok = bool(np.isfinite(fitted))
+    lo, hi = CONVERGENCE_ORDER_RANGE
+    summary = {
+        "orders": orders,
+        "fitted_order": fitted,
+        "fitted_order_range": CONVERGENCE_ORDER_RANGE,
+        "reference_dt": ref_dt,
+    }
+    ok = bool(lo <= fitted <= hi)
     return summary, ok
-
-
-# the linear-estimate bounds of acceptance criterion c10
-FREE_CV_BOUND = 1e-2
-DUHAMEL_EXPONENT_TOLERANCE = 0.1
 
 
 def _run_bourgain(cfg: ExperimentConfig, emit: _Emitter):
@@ -742,9 +752,10 @@ def _run_kernels(cfg: ExperimentConfig, emit: _Emitter):
         "kernels": len(rows),
         "all_stable": all(r.stable for r in reports),
         "max_rel_change": max(r.rel_change for r in reports),
+        "max_rel_change_bound": KERNEL_REL_CHANGE_BOUND,
         "neval": {r.kernel_id: r.neval for r in reports},
     }
-    return summary, summary["all_stable"]
+    return summary, bool(summary["all_stable"] and summary["max_rel_change"] < KERNEL_REL_CHANGE_BOUND)
 
 
 def _run_noneq(cfg: ExperimentConfig, emit: _Emitter):

@@ -28,7 +28,6 @@ from . import grid as sg
 from . import systems
 from .grid import Grid, SpectralField
 from .systems import BlowupDetected, NormalForm, State, SystemSpec
-from .systems import NotDiagonalError  # noqa: F401  (re-exported: the solvers raise it)
 
 
 @dataclass(frozen=True)
@@ -88,25 +87,12 @@ class Trajectory:
         return self._states
 
 
-def _phases(xi: np.ndarray, c: float, dt: float) -> np.ndarray:
-    return np.exp((-1j * c * dt) * xi**3)
-
-
 def _half_phases(grid: Grid, c: tuple[float, float], dt) -> np.ndarray:
     """exp(-i*c_j*xi^3*dt) for both components on the half spectrum: shape
     (2, n/2+1), or (2, nt, n/2+1) for a column dt of nt times.  The Nyquist
     mode does not rotate (`Grid.xi_odd`)."""
     xi = grid.xi_odd[: grid.n // 2 + 1]
-    return np.stack([_phases(xi, cj, dt) for cj in c])
-
-
-def linear_propagate(state: State, spec: SystemSpec | NormalForm, dt: float) -> State:
-    """Advance the linear flow exactly: each mode gains exp(-i*c*xi^3*dt)."""
-    c_u, c_v = systems.lower(spec).dispersion()
-    g = state.grid
-    u = SpectralField(state.u.coeffs * _phases(g.xi_odd, c_u, dt), g)
-    v = SpectralField(state.v.coeffs * _phases(g.xi_odd, c_v, dt), g)
-    return State(u, v, state.t + dt)
+    return np.stack([np.exp((-1j * cj * dt) * xi**3) for cj in c])
 
 
 def _to_half(state: State) -> np.ndarray:

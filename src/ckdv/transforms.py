@@ -1,6 +1,6 @@
-"""Dispersion-matrix diagonalization, variable changes, and scalings.
+"""Dispersion-matrix diagonalization and trajectory rescaling.
 
-Three families of coordinate changes live here:
+Two families of coordinate changes live here:
 
   * eigen-decomposition of a 2x2 third-derivative coupling matrix,
     with the explicit eigenvector convention whose first row is all
@@ -11,22 +11,17 @@ Three families of coordinate changes live here:
     non-diagonal inv(A2)) are simulated through it explicitly: map the
     data to W0 = P^-1 U0, evolve W with the diagonal normal form, and
     map back with U = P W;
-  * the two-speed mixing map W = P^-1 U, in the same eigenbasis, that
-    decouples the linear Gear-Grimshaw flow into unit-speed Airy flows
-    of the components read at alpha_j^(1/3) * x, and its inverse;
   * the amplitude/space/time rescaling u -> lam^2 u(lam x, lam^3 t)
     applied to whole trajectories.
 
 Rescaled spatial evaluation is exact trigonometric interpolation, so
-the input data must decay near the box boundary for the periodic
-surrogate to be faithful; a DecayViolationWarning is emitted when it
-does not.
+the periodic surrogate is faithful only for data that decay near the
+box boundary.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,20 +30,11 @@ import numpy as np
 from . import grid as sg
 from .grid import Grid, SpectralField
 from .solver import Trajectory
-from .systems import GearGrimshaw, GeneralCoupled, NormalForm, SystemSpec, lower
-from .systems import gear_grimshaw_as_general, gg_dispersion_matrix  # noqa: F401  (re-exported)
-
-
-class SingularTransform(ValueError):
-    """A requested change of variables divides by a vanishing eigenvalue."""
+from .systems import NormalForm, SystemSpec, lower
 
 
 class NotApplicable(ValueError):
     """The operation's structural precondition does not hold for this input."""
-
-
-class DecayViolationWarning(UserWarning):
-    """Data does not decay at the box boundary; rescaled evaluation is suspect."""
 
 
 _TIE = 1e-12
@@ -70,8 +56,6 @@ class Diagonalization:
     T_inv: Optional[np.ndarray]
     eigenvalues_real: bool
     eigenvalues_distinct: bool
-    nonzero: bool
-    opposite: bool
 
 
 def diagonalize(A) -> Diagonalization:
@@ -83,7 +67,7 @@ def diagonalize(A) -> Diagonalization:
     disc = 0.25 * tr * tr - det
     if disc < 0.0:
         nan = float("nan")
-        return Diagonalization(nan, nan, nan, None, None, False, False, False, False)
+        return Diagonalization(nan, nan, nan, None, None, False, False)
     root = math.sqrt(disc)
     ap = 0.5 * tr + root
     am = 0.5 * tr - root
@@ -109,9 +93,7 @@ def diagonalize(A) -> Diagonalization:
         # defective (Jordan block): no eigenbasis exists
         T = None
         T_inv = None
-    nonzero = min(abs(ap), abs(am)) > _TIE * scale
-    opposite = abs(ap + am) < _TIE
-    return Diagonalization(ap, am, gap, T, T_inv, True, distinct, nonzero, opposite)
+    return Diagonalization(ap, am, gap, T, T_inv, True, distinct)
 
 
 def gg_lambda_alpha(b1: float, b2: float, a3: float) -> tuple[float, float, float]:
@@ -147,68 +129,6 @@ def diagonal_form(spec: SystemSpec | NormalForm) -> tuple[NormalForm, np.ndarray
     P, P_inv = d.T, d.T_inv
     Q = np.einsum("ia,abc,bj,ck->ijk", P_inv, form.Q, P, P)
     return NormalForm(np.diag([-d.alpha_plus, -d.alpha_minus]), Q, P_inv @ form.R @ P), P
-
-
-# ---------------------------------------------------------------------------
-# Two-speed mixing map and its inverse.
-
-
-def _mixing_basis(params: GearGrimshaw) -> tuple[Diagonalization, np.ndarray]:
-    """The eigenbasis of the cross-dispersion matrix, and the stretches alpha_pm^(1/3)."""
-    if params.a3 == 0.0:
-        raise NotApplicable("a3 = 0: the system is already decoupled, no mixing map")
-    d = diagonalize(gear_grimshaw_as_general(params).dispersion_matrix)
-    if not d.nonzero:
-        raise SingularTransform(
-            f"zero dispersion eigenvalue (alpha_+ = {d.alpha_plus}, alpha_- = {d.alpha_minus}); "
-            "the stretched coordinate x / alpha^(1/3) is undefined"
-        )
-    return d, np.cbrt([d.alpha_plus, d.alpha_minus])
-
-
-def _checked_grid(a: SpectralField, b: SpectralField, labels: tuple[str, str]) -> Grid:
-    """The grid a and b share; warns for each that does not decay at the box boundary."""
-    if not a.grid.compatible(b.grid):
-        raise ValueError(f"{labels[0]} and {labels[1]} must share a grid")
-    for field, label in zip((a, b), labels):
-        vals = field.values()
-        peak = float(np.abs(vals).max())
-        m = max(1, field.grid.n // 16)
-        edge = max(float(np.abs(vals[:m]).max()), float(np.abs(vals[-m:]).max()))
-        if edge > 1e-12 * peak > 0.0:
-            warnings.warn(
-                f"{label} does not decay at the box boundary "
-                f"(edge/peak = {edge / peak:.2e} > 1e-12); rescaled evaluation wraps",
-                DecayViolationWarning,
-                stacklevel=3,
-            )
-    return a.grid
-
-
-def gg_change_of_variables(
-    u0: SpectralField, v0: SpectralField, params: GearGrimshaw
-) -> tuple[SpectralField, SpectralField]:
-    """Forward mixing map onto the decoupled components: W = P^-1 U.
-
-    P and alpha_+ >= alpha_- come from `diagonalize` of the cross-dispersion
-    matrix, and component j of W is read at alpha_j^(1/3) x, so that each
-    rides the unit-speed Airy flow.  Negative alpha uses the real cube
-    root, so the argument reflects.
-    """
-    d, stretch = _mixing_basis(params)
-    g = _checked_grid(u0, v0, ("u0", "v0"))
-    w = [d.T_inv[j] @ [sg.evaluate_at(f, c * g.x) for f in (u0, v0)] for j, c in enumerate(stretch)]
-    return sg.forward(w[0], g), sg.forward(w[1], g)
-
-
-def gg_change_of_variables_inverse(
-    ut: SpectralField, vt: SpectralField, params: GearGrimshaw
-) -> tuple[SpectralField, SpectralField]:
-    """Inverse of the mixing map: U = P W, with w_j read at x / alpha_j^(1/3)."""
-    d, stretch = _mixing_basis(params)
-    g = _checked_grid(ut, vt, ("ut", "vt"))
-    u, v = d.T @ [sg.evaluate_at(f, g.x / c) for f, c in zip((ut, vt), stretch)]
-    return sg.forward(u, g), sg.forward(v, g)
 
 
 # ---------------------------------------------------------------------------
@@ -268,50 +188,3 @@ def scaling_map(traj: Trajectory, lam: float, times=None, out_grid=None) -> Traj
             half[i, j] = sg.to_half(sg.forward(vals, out_grid).coeffs)
     return Trajectory(times, half, out_grid)
 
-
-# ---------------------------------------------------------------------------
-# Nonlinearity coefficients after diagonalizing a cross-coupled system.
-
-
-@dataclass(frozen=True)
-class OffdiagCoeffs:
-    """The six constants of the diagonalized nonlinearity.
-
-    C1(V) V_x = prefactor * [[a v1 + b v2, b v1 + c v2],
-                             [d v1 + e v2, e v1 + f v2]] V_x,
-    so each transformed equation carries only (v1 v1)_x, (v2 v2)_x and
-    (v1 v2)_x terms.  structure_defect records how far the computed
-    matrix is from that pattern (identically zero up to rounding).
-    """
-
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
-    f: float
-    prefactor: float
-    structure_defect: float
-
-
-def gg_offdiag_coeffs(spec: GeneralCoupled) -> OffdiagCoeffs:
-    if spec.a12 == 0.0:
-        raise NotApplicable("a12 = 0: the dispersion matrix is already lower-triangular")
-    form, _ = diagonal_form(spec)
-    lam = form.D[1, 1] - form.D[0, 0]
-    if not lam > _TIE:
-        raise NotApplicable("dispersion matrix has a repeated eigenvalue")
-    prefactor = spec.a12 / lam
-    # M_j[i, k] multiplies d_x v_k in equation i (left-hand side) per unit v_j
-    M1, M2 = -form.Q.transpose(1, 0, 2) / prefactor
-    defect = max(abs(M1[0, 1] - M2[0, 0]), abs(M1[1, 1] - M2[1, 0]))
-    return OffdiagCoeffs(
-        a=float(M1[0, 0]),
-        b=float(M2[0, 0]),
-        c=float(M2[0, 1]),
-        d=float(M1[1, 0]),
-        e=float(M2[1, 0]),
-        f=float(M2[1, 1]),
-        prefactor=float(prefactor),
-        structure_defect=float(defect),
-    )

@@ -7,7 +7,6 @@ from ckdv.bourgain.estimates import (
     _mode_normals,
     admissible,
     bilinear_ratio,
-    cutoff_data_membership,
     embedding_check,
     embedding_constant,
     epsilon_s,
@@ -30,7 +29,6 @@ from ckdv.bourgain.spacetime import (
     inverse2,
     make_st_grid,
     random_field,
-    stationary_field,
     weight_table,
     xsb_norm,
 )
@@ -140,14 +138,6 @@ def test_random_field_band_limits(stg):
     assert np.all(B.coeffs[np.broadcast_to(outside, B.coeffs.shape)] == 0.0)
     assert np.any(B.coeffs != 0.0)
     assert np.max(np.abs(forward2(inverse2(B), stg).coeffs - B.coeffs)) < 1e-12
-
-
-def test_stationary_field_values(stg):
-    u0 = field_from_callable(lambda x: np.exp(-(x**2)), stg.x)
-    F = stationary_field(u0, stg)
-    vals = inverse2(F)
-    want = u0.values()[:, None] * psi(stg.t.x)[None, :]
-    assert np.max(np.abs(vals - want)) < 1e-12
 
 
 def test_free_field_initial_slice(stg):
@@ -505,12 +495,3 @@ def test_spacetime_tables_built_once_and_read_only(stg):
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
     assert hash(stg) == hash((stg.x, stg.t))  # the cache is not part of the grid's identity
-
-
-def test_cutoff_data_membership_refines():
-    g = Grid(64, 8.0 * np.pi)
-    u0 = field_from_callable(lambda x: np.exp(-(x**2)), g)
-    m1 = cutoff_data_membership(u0, 0.0, 0.6, n_t=128)
-    m2 = cutoff_data_membership(u0, 0.0, 0.6, n_t=256)
-    assert m1 > 0.0 and np.isfinite(m1)
-    assert abs(m2 - m1) / m2 < 1e-5

@@ -1,5 +1,6 @@
 """Experiment configuration validation and the run-to-manifest pipeline."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -281,7 +282,8 @@ def test_top_level_keys_per_kind():
     assert harness._NEEDS_DYNAMICS == {kind for kind, keys in accepted.items() if "stepper" in keys}
 
 
-CONFIG_FILES = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+CONFIG_FILES = sorted(CONFIG_DIR.glob("*.json"))
 MUTANTS = (None, "x", float("nan"), -1, 1.5, 1e12, 1e-12, [], [0.5, "x"], {}, {"k": 1})
 
 
@@ -474,3 +476,33 @@ def test_bourgain_verdict_asserts_c10_bounds(monkeypatch, tmp_path, free_cv, exp
     assert (s["duhamel_exponent"], s["duhamel_target"]) == (exponent, target)
     assert s["duhamel_exponent_tolerance"] == 0.1
     assert s["embedding_all_pass"] and s["equivalence_all_pass"]
+
+
+@pytest.mark.parametrize("power", [2.0, 0.5])
+def test_convergence_verdict_asserts_c03_order(monkeypatch, tmp_path, power):
+    # raising every error to a power scales the fitted order by it: 4.06 -> 8.1 or 2.0
+    sup_gaps = harness._sup_gaps
+    monkeypatch.setattr(harness, "_sup_gaps", lambda a, b, g: sup_gaps(a, b, g) ** power)
+    manifest = run(load_config(CONFIG_DIR / "convergence.json"), out_dir=tmp_path)
+    assert manifest.status == "fail"
+    assert manifest.summary["fitted_order_range"] == [3.7, 4.3]
+
+
+@pytest.mark.parametrize("rel_change, status", [(0.049, "pass"), (0.05, "fail")])
+def test_kernel_verdict_asserts_c11_bound(monkeypatch, tmp_path, rel_change, status):
+    check = harness.kernel_bound_check
+
+    def shifted(kernel_id):
+        peak, rep = check(kernel_id)
+        return peak, dataclasses.replace(rep, rel_change=rel_change)
+
+    monkeypatch.setattr(harness, "kernel_bound_check", shifted)
+    manifest = run(config_from_dict({"kind": "kernel_suite", "params": {"kernels": ["peak_pair"]}}), out_dir=tmp_path)
+    assert manifest.status == status
+    s = manifest.summary
+    assert s["all_stable"] and (s["max_rel_change"], s["max_rel_change_bound"]) == (rel_change, 0.05)
+
+
+@pytest.mark.parametrize("path", CONFIG_FILES, ids=lambda p: p.name)
+def test_shipped_config_passes(path, tmp_path):
+    assert run(load_config(path), out_dir=tmp_path).status == "pass"

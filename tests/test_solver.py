@@ -1,4 +1,4 @@
-"""Stepper, exact linear flow, and the integral-equation iteration."""
+"""Stepper and the integral-equation iteration."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from ckdv import (
     field_from_callable,
     hs_as_kdv,
     inverse,
-    linear_propagate,
     picard_iterate,
     simulate,
     step,
@@ -22,7 +21,7 @@ from ckdv import (
 )
 from ckdv import solver
 from ckdv.diagnostics import gg_invariants, sobolev_norm
-from ckdv.grid import Grid, SpectralField, dealias, hermitian_defect, l2_norm, to_full, to_half
+from ckdv.grid import Grid, SpectralField, dealias, hermitian_defect, to_full, to_half
 from ckdv.systems import SpectralRhs, lower, nonlinear_rhs
 from ckdv.transforms import diagonal_form
 
@@ -73,44 +72,10 @@ def test_trajectory_validation(grid64):
             Trajectory(times, h, grid64)
 
 
-def test_linear_propagate_single_mode(grid64):
-    # one cosine mode rotates: u(x, t) = cos(k x - c k^3 t) for u_t = c u_xxx
-    a = 0.5
-    spec = HirotaSatsuma(a, 1.0)
-    k = 3
-    st = State(
-        field_from_callable(lambda x: np.cos(k * x), grid64), zero_field(grid64)
-    )
-    dt = 0.37
-    out = linear_propagate(st, spec, dt)
-    want = np.cos(k * grid64.x - a * k**3 * dt)
-    assert np.max(np.abs(inverse(out.u) - want)) < 1e-12
-    assert out.t == pytest.approx(dt)
-
-
-def test_linear_propagate_composes_and_reverses(grid128, gaussian128):
-    spec = HirotaSatsuma(-1.0, 1.0)
-    st = State(gaussian128, gaussian128.copy())
-    once = linear_propagate(st, spec, 0.7)
-    twice = linear_propagate(linear_propagate(st, spec, 0.3), spec, 0.4)
-    assert np.max(np.abs(once.u.coeffs - twice.u.coeffs)) < 1e-12
-    back = linear_propagate(once, spec, -0.7)
-    assert np.max(np.abs(back.u.coeffs - st.u.coeffs)) < 1e-12
-
-
-def test_linear_propagate_preserves_l2(grid128, gaussian128):
-    spec = HirotaSatsuma(-1.0, 1.0)
-    st = State(gaussian128, zero_field(grid128))
-    out = linear_propagate(st, spec, 1.3)
-    assert l2_norm(out.u) == pytest.approx(l2_norm(st.u), rel=1e-13)
-
-
 def test_not_diagonal_raises():
     g = Grid(64, 2.0 * np.pi)
     st = State(zero_field(g), zero_field(g))
     coupled = GearGrimshaw(0.1, 0.2, 0.3, 2.0, 0.5)
-    with pytest.raises(NotDiagonalError):
-        linear_propagate(st, coupled, 0.1)
     with pytest.raises(NotDiagonalError):
         step(st, coupled, StepperConfig(1e-3))
     with pytest.raises(NotDiagonalError):
@@ -405,18 +370,14 @@ def test_nyquist_mode_stays_real_on_undealiased_grid():
     assert len(traj.states) == 11
     for s in traj.states:
         assert hermitian_defect(s.u) <= 1e-14 and hermitian_defect(s.v) <= 1e-14
-    out = linear_propagate(st, HirotaSatsuma(0.5, 1.0), 0.37)
-    assert out.u.coeffs[g.n // 2] == st.u.coeffs[g.n // 2]
 
 
 def test_batched_rhs_matches_per_sample(five_systems):
     g = Grid(64, 8.0 * np.pi)
     times = np.linspace(0.0, 0.4, 7)
     for name, spec in five_systems.items():
-        states = [
-            State(dealias(linear_propagate(pair_state(g), spec, t).u), dealias(pair_state(g).v), t)
-            for t in times
-        ]
+        u, v = pair_state(g).u, dealias(pair_state(g).v)
+        states = [State(dealias(SpectralField((1.0 + t) * u.coeffs, g)), v, t) for t in times]
         w = np.stack([[to_half(s.u.coeffs) for s in states], [to_half(s.v.coeffs) for s in states]])
         got = SpectralRhs(spec, g)(w, times)
         assert got.shape == w.shape

@@ -1,34 +1,25 @@
-"""Diagonalization, mixing maps, rescaling, and system reductions."""
-
-import warnings
+"""Diagonalization, rescaling, and system reductions."""
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from ckdv import (
-    DecayViolationWarning,
     GearGrimshaw,
     GeneralCoupled,
     NotApplicable,
     Sakovich,
-    SingularTransform,
     State,
     Trajectory,
     diagonal_form,
     diagonalize,
     field_from_callable,
     gear_grimshaw_as_general,
-    gg_change_of_variables,
-    gg_change_of_variables_inverse,
     gg_dispersion_matrix,
     gg_lambda_alpha,
-    gg_offdiag_coeffs,
     inverse,
     lower,
     nonlinear_rhs,
     scaling_map,
-    zero_field,
 )
 from ckdv.grid import Grid, SpectralField, evaluate_at
 
@@ -76,10 +67,6 @@ def test_diagonalize_scalar_matrix():
 
 
 def test_diagonalize_flags():
-    d = diagonalize(np.diag([2.0, -2.0]))
-    assert d.nonzero and d.opposite
-    d = diagonalize(np.diag([2.0, 0.0]))
-    assert not d.nonzero and not d.opposite
     with pytest.raises(ValueError):
         diagonalize(np.eye(3))
 
@@ -129,89 +116,6 @@ def decaying_pair():
     u0 = field_from_callable(lambda x: np.exp(-(x**2)) * (1.0 + 0.3 * x), g)
     v0 = field_from_callable(lambda x: 0.5 * np.exp(-((x - 1.0) ** 2) / 1.5), g)
     return g, u0, v0
-
-
-def test_gg_change_of_variables_round_trip(decaying_pair):
-    g, u0, v0 = decaying_pair
-    # the inverse map samples beyond the box (arguments x / alpha^(1/3)),
-    # so the comparison stays clear of the wrapped edge region; |x| <= 7
-    # still covers the entire support of the data
-    interior = np.abs(g.x) <= 7.0
-    for a3 in (1.0, -1.0):
-        params = GearGrimshaw(0.0, 0.0, a3, 2.0, 0.5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DecayViolationWarning)
-            ut, vt = gg_change_of_variables(u0, v0, params)
-            ur, vr = gg_change_of_variables_inverse(ut, vt, params)
-        assert np.max(np.abs(inverse(ur) - inverse(u0))[interior]) < 1e-12
-        assert np.max(np.abs(inverse(vr) - inverse(v0))[interior]) < 1e-12
-
-
-@pytest.mark.parametrize("b1, b2, a3", [(2.0, 0.5, 1.0), (2.0, 0.5, -1.0), (2.0, 2.0, 1.0), (0.5, 3.0, -0.7)])
-def test_gg_change_of_variables_closed_form(decaying_pair, b1, b2, a3):
-    # u~(x) = ((1 - alpha_-)/lam) u(alpha_+^(1/3) x) + (a3/lam) v(alpha_+^(1/3) x)
-    # v~(x) = ((alpha_+ - 1)/lam) u(alpha_-^(1/3) x) - (a3/lam) v(alpha_-^(1/3) x)
-    g, u0, v0 = decaying_pair
-    lam, ap, am = gg_lambda_alpha(b1, b2, a3)
-    xp, xm = np.cbrt(ap) * g.x, np.cbrt(am) * g.x
-    want_u = ((1.0 - am) / lam) * evaluate_at(u0, xp) + (a3 / lam) * evaluate_at(v0, xp)
-    want_v = ((ap - 1.0) / lam) * evaluate_at(u0, xm) - (a3 / lam) * evaluate_at(v0, xm)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DecayViolationWarning)
-        ut, vt = gg_change_of_variables(u0, v0, GearGrimshaw(0.0, 0.0, a3, b1, b2))
-    assert np.max(np.abs(inverse(ut) - want_u)) < 1e-14
-    assert np.max(np.abs(inverse(vt) - want_v)) < 1e-14
-
-
-@pytest.mark.parametrize("a3", [1.0, -1.0])
-def test_gg_change_of_variables_decouples_linear_flow(decaying_pair, a3):
-    # u_t + A u_xxx = 0 with A the cross-dispersion matrix, written out from the
-    # equations, is U(t)^ = expm(i xi^3 t A) U(0)^ mode by mode; its image under the
-    # mixing map must be two unit-speed Airy flows, exp(i xi^3 t), of the mapped data
-    g, u0, v0 = decaying_pair
-    b1, b2 = 2.0, 0.5
-    A = np.array([[1.0, a3], [b2 * a3 / b1, 1.0 / b1]])
-    # by t = 0.05 the fast modes (group speed 3 xi^2) wrap the box, where the
-    # periodizations of the stretched and unstretched flows differ
-    t = 0.02
-    U = np.einsum("kij,jk->ik", expm(1j * t * g.xi_odd[:, None, None] ** 3 * A), np.stack([u0.coeffs, v0.coeffs]))
-    params = GearGrimshaw(0.0, 0.0, a3, b1, b2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DecayViolationWarning)
-        mapped_t = gg_change_of_variables(SpectralField(U[0], g), SpectralField(U[1], g), params)
-        mapped_0 = gg_change_of_variables(u0, v0, params)
-    airy = np.exp(1j * t * g.xi_odd**3)
-    interior = np.abs(g.x) <= 7.0
-    for got, w0 in zip(mapped_t, mapped_0):
-        want = inverse(SpectralField(w0.coeffs * airy, g))
-        assert np.max(np.abs(want - inverse(w0))) > 1e-3  # the flow moves the data
-        assert np.max(np.abs(inverse(got) - want)[interior]) < 1e-12
-
-
-def test_gg_change_of_variables_decoupled_case(decaying_pair):
-    g, u0, v0 = decaying_pair
-    with pytest.raises(NotApplicable):
-        gg_change_of_variables(u0, v0, GearGrimshaw(0.0, 0.0, 0.0, 2.0, 0.5))
-
-
-def test_gg_change_of_variables_singular_eigenvalue(decaying_pair):
-    g, u0, v0 = decaying_pair
-    # b2 * a3^2 = 1 makes alpha_- vanish
-    with pytest.raises(SingularTransform):
-        gg_change_of_variables(u0, v0, GearGrimshaw(0.0, 0.0, 1.0, 1.0, 1.0))
-    with pytest.raises(SingularTransform):
-        gg_change_of_variables_inverse(u0, v0, GearGrimshaw(0.0, 0.0, 1.0, 1.0, 1.0))
-
-
-def test_gg_change_of_variables_warns_on_boundary_mass():
-    g = Grid(64, 2.0 * np.pi)
-    u0 = field_from_callable(lambda x: np.cos(x), g)
-    v0 = zero_field(g)
-    params = GearGrimshaw(0.0, 0.0, 1.0, 2.0, 0.5)
-    with pytest.warns(DecayViolationWarning):
-        gg_change_of_variables(u0, v0, params)
-    with pytest.warns(DecayViolationWarning):
-        gg_change_of_variables_inverse(u0, v0, params)
 
 
 def test_scaling_map_identity(decaying_pair):
@@ -306,43 +210,3 @@ def test_diagonal_form_rhs_consistency(grid64, name):
     assert np.max(np.abs(got - want)) < 1e-12
     assert np.max(np.abs(P @ form.D @ P_inv - lower(spec).D)) < 1e-12
 
-
-def test_gg_offdiag_coeffs_structure():
-    gg = GearGrimshaw(0.7, 0.3, 0.5, 2.0, 0.5)
-    gen = gear_grimshaw_as_general(gg)
-    oc = gg_offdiag_coeffs(gen)
-    assert oc.structure_defect < 1e-12
-    d = diagonalize(gen.dispersion_matrix)
-    assert oc.prefactor == pytest.approx(gen.a12 / d.lam)
-
-    # reconstruct the mixed nonlinearity and compare to the stated pattern
-    def nonlin(u, v):
-        return np.array(
-            [
-                [gen.b2 * u + gen.b1 * v, gen.b1 * u + gen.b3 * v],
-                [gen.b5 * u + gen.b4 * v, gen.b4 * u + gen.b6 * v],
-            ]
-        )
-
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        v1, v2 = rng.uniform(-2.0, 2.0, size=2)
-        u, v = d.T @ np.array([v1, v2])
-        got = d.T_inv @ nonlin(u, v) @ d.T
-        want = oc.prefactor * np.array(
-            [
-                [oc.a * v1 + oc.b * v2, oc.b * v1 + oc.c * v2],
-                [oc.d * v1 + oc.e * v2, oc.e * v1 + oc.f * v2],
-            ]
-        )
-        assert np.max(np.abs(got - want)) < 1e-10
-
-
-def test_gg_offdiag_coeffs_rejections():
-    base = dict(b1=0.0, b2=0.0, b3=0.0, b4=0.0, b5=0.0, b6=0.0, r=0.0)
-    with pytest.raises(NotApplicable):
-        gg_offdiag_coeffs(GeneralCoupled(a11=1.0, a12=0.0, a21=0.0, a22=2.0, **base))
-    with pytest.raises(NotApplicable):
-        gg_offdiag_coeffs(GeneralCoupled(a11=0.0, a12=1.0, a21=-1.0, a22=0.0, **base))
-    with pytest.raises(NotApplicable):
-        gg_offdiag_coeffs(GeneralCoupled(a11=1.0, a12=1.0, a21=0.0, a22=1.0, **base))
