@@ -44,7 +44,6 @@ from .solver import (
     Trajectory,
     picard_iterate,
     simulate,
-    step,
 )
 from .diagnostics import (
     MixedNormBreakdown,
@@ -75,7 +74,7 @@ __all__ = [
     "NormalForm", "NotDiagonalError", "Sakovich", "State", "gear_grimshaw_as_general",
     "gg_dispersion_matrix", "hs_as_kdv", "lower", "nonlinear_rhs",
     "NotApplicable", "diagonal_form", "diagonalize", "gg_lambda_alpha", "scaling_map",
-    "PicardReport", "StepperConfig", "Trajectory", "picard_iterate", "simulate", "step",
+    "PicardReport", "StepperConfig", "Trajectory", "picard_iterate", "simulate",
     "MixedNormBreakdown", "collect",
     "gg_invariants", "hs_invariants", "mixed_norms", "record_for", "sobolev_norm",
     "psi", "psi_T",

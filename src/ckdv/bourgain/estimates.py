@@ -192,6 +192,10 @@ def _tail_antiderivative(u: float, b: float) -> float:
     return math.copysign((1.0 - (1.0 + abs(u)) ** (1.0 - 2.0 * b)) / (2.0 * b - 1.0), u)
 
 
+# the convergent norm has settled when its last relative change is below this (c09)
+NONEQ_REL_CHANGE_BOUND = 1e-3
+
+
 @dataclass
 class NonequivalenceTable:
     radii: list[float]
@@ -262,8 +266,11 @@ def nonequivalence_demo(
     div = [math.sqrt(norm_sq(a0, r)) for r in radii]
     conv = [math.sqrt(norm_sq(a1, r)) for r in radii]
     slope = float(np.polyfit(np.log(radii), np.log(div), 1)[0])
-    rel = abs(conv[-1] - conv[-2]) / conv[-1]
-    return NonequivalenceTable(radii, div, conv, slope, rel, rel < 1e-3, evals)
+    # the settling change is over the two largest distinct radii, whatever the list order
+    at = dict(zip(radii, conv))
+    lo, hi = sorted(at)[-2:]
+    rel = abs(at[hi] - at[lo]) / at[hi]
+    return NonequivalenceTable(radii, div, conv, slope, rel, rel < NONEQ_REL_CHANGE_BOUND, evals)
 
 
 @dataclass

@@ -489,6 +489,10 @@ KERNELS = {
 }
 
 
+# a kernel is refinement-stable when its max moves by less than this (c11)
+REL_CHANGE_BOUND = 0.05
+
+
 @dataclass
 class KernelReport:
     kernel_id: str
@@ -512,7 +516,7 @@ def kernel_bound_check(
     """Max of one kernel over its outer samples, plus a refinement report.
 
     The second evaluation doubles the truncation radius and tightens the
-    adaptive tolerance; stability means the max moved by less than 5%.
+    adaptive tolerance; stability means the max moved by less than REL_CHANGE_BOUND.
     """
     try:
         kd = KERNELS[kernel_id]
@@ -532,7 +536,7 @@ def kernel_bound_check(
     rel = abs(max_fine - max_base) / max(max_base, 1e-300)
     i = int(np.argmax(fine))
     report = KernelReport(
-        kernel_id, p, samples, list(fine), max_base, max_fine, rel, rel < 0.05, samples[i],
+        kernel_id, p, samples, list(fine), max_base, max_fine, rel, rel < REL_CHANGE_BOUND, samples[i],
         sum(n_base) + sum(n_fine),
     )
     return max_fine, report

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Each subcommand runs one experiment kind from a JSON config and exits
-0 on pass, 1 on an experiment failure or error, 2 on a usage or
-configuration problem.
+Each subcommand runs one experiment kind from a JSON config, prints its
+summary and one line per check, and exits 0 on pass, 1 on an experiment
+failure or error, 2 on a usage or configuration problem.
 """
 
 from __future__ import annotations
@@ -99,6 +99,9 @@ def _cmd_experiment(args, kind: str) -> int:
         _emit(f"error: {manifest.error}", args.quiet)
     for key, val in manifest.summary.items():
         _emit(f"{key}: {val}", args.quiet)
+    for c in manifest.checks:
+        verdict = "ok" if c["passed"] else "FAILED"
+        _emit(f"check {c['name']}: {c['value']} {c['relation']} {c['bound']} {verdict}", args.quiet)
     _emit(f"manifest: {out / 'manifest.json'}", args.quiet)
     return 0 if manifest.status == "pass" else 1
 

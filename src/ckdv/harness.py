@@ -7,6 +7,8 @@ records failures instead of leaving half-written output behind.
 
 Each config block has one table, key -> (converter, default); `_parse`
 checks a block against it in one pass, so runners read typed values.
+Each runner returns its summary and its checks; a run passes when every
+check does.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import dataclasses
 import json
 import math
 import numbers
+import operator
 import time
 from dataclasses import MISSING, dataclass
 from functools import partial
@@ -34,6 +37,8 @@ from .bourgain import (
     nonequivalence_demo,
     random_field,
 )
+from .bourgain.estimates import NONEQ_REL_CHANGE_BOUND
+from .bourgain.kernels import REL_CHANGE_BOUND
 from .diagnostics import COLUMNS, collect, sobolev_norm
 from .grid import Grid, SpectralField, forward, inverse, to_full
 from .solver import StepperConfig, picard_iterate, simulate
@@ -433,7 +438,8 @@ class RunManifest:
     wall_time_s: float
     files: list
     summary: dict
-    status: str  # "pass", "fail", or "error"
+    checks: list  # check_bound entries; empty on error
+    status: str  # "pass" when every check passed, "fail", or "error"
     error: Optional[str] = None
 
     def write(self, path) -> None:
@@ -455,6 +461,30 @@ class _Emitter:
     def snapshot(self, name: str, state: State) -> None:
         ckio.write_snapshot(self.out / name, state)
         self.files.append(name)
+
+
+# The acceptance bound of each check that a runner shares with a paper
+# criterion, as (relation, bound); the criteria read them from here.
+BOUNDS = {
+    "fitted_order": ("in", (3.7, 4.3)),  # c03: the RK4 order window
+    "covariance_max_err": ("<", 1e-6),  # c05: scaling covariance of the solver
+    "exponent_err": ("<=", 0.05),  # c05: each fitted norm exponent against 1.5 + s
+    "contraction_ratio": ("<", 0.9),  # c06: small-data Picard contraction
+    "stepper_linf": ("<", 1e-6),  # c06: the Picard fixed point against the stepper
+    "free_cv": ("<", 1e-2),  # c10: spread of the free-evolution ratios
+    "duhamel_exponent_err": ("<=", 0.1),  # c10: Duhamel exponent against b' + 1 - b
+}
+
+_RELATIONS = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, "==": operator.eq,
+    "in": lambda v, b: b[0] <= v <= b[1],
+}
+
+
+def check_bound(name: str, value, relation: str, bound) -> dict:
+    """One entry of a run's checks: `value relation bound`, and whether it holds."""
+    passed = bool(_RELATIONS[relation](value, bound))
+    return {"name": name, "value": value, "relation": relation, "bound": bound, "passed": passed}
 
 
 def _joint_norm(coeffs: np.ndarray, g: Grid, s: float) -> np.ndarray:
@@ -503,7 +533,7 @@ def _run_simulate(cfg: ExperimentConfig, emit: _Emitter):
         "final_time": float(traj.times[-1]),
         "drift": _drift_summary(table),
     }
-    return summary, not np.isinf(table).any()
+    return summary, [check_bound("infinite_entries", int(np.isinf(table).sum()), "==", 0)]
 
 
 def _run_lipschitz(cfg: ExperimentConfig, emit: _Emitter):
@@ -542,8 +572,8 @@ def _run_lipschitz(cfg: ExperimentConfig, emit: _Emitter):
         "max_ratio": max(r[3] for r in rows),
         "stabilization_rel_diff": max(stab) if stab else None,
     }
-    ok = all(np.isfinite(r[3]) for r in rows)
-    return summary, ok
+    nonfinite = sum(not np.isfinite(r[3]) for r in rows)
+    return summary, [check_bound("nonfinite_ratios", nonfinite, "==", 0)]
 
 
 def _scaled_state(base: State, lam: float) -> State:
@@ -576,6 +606,7 @@ def _run_scaling(cfg: ExperimentConfig, emit: _Emitter):
     cov_rows = [[t, eu, ev] for t, (eu, ev) in zip(scaled.times, gaps)]
     emit.csv("covariance.csv", ["t", "max_err_u", "max_err_v"], cov_rows)
     cov_max = float(gaps.max())
+    checks = [check_bound("covariance_max_err", cov_max, *BOUNDS["covariance_max_err"])]
 
     norm_rows = []
     fit_rows = []
@@ -586,35 +617,21 @@ def _run_scaling(cfg: ExperimentConfig, emit: _Emitter):
             val = sobolev_norm(_scaled_state(base0, lam_i).u, s)
             norms.append(val)
             norm_rows.append([s, lam_i, val])
-        if all(v > 0.0 for v in norms):
-            slope = float(np.polyfit(np.log(lambdas), np.log(norms), 1)[0])
-        else:
-            slope = float("nan")
-        exponents[s] = slope
+        positive = all(v > 0.0 for v in norms)
+        slope = float(np.polyfit(np.log(lambdas), np.log(norms), 1)[0]) if positive else float("nan")
+        exponents["%g" % s] = slope
         fit_rows.append([s, slope, 1.5 + s])
+        checks.append(check_bound(f"exponent_err[{s:g}]", abs(slope - (1.5 + s)), *BOUNDS["exponent_err"]))
     emit.csv("scaling_norms.csv", ["s", "lambda", "norm"], norm_rows)
     emit.csv("scaling_fit.csv", ["s", "fitted_exponent", "expected_exponent"], fit_rows)
-    summary = {
-        "lam": lam,
-        "covariance_max_err": cov_max,
-        "exponents": {("%g" % s): exponents[s] for s in s_values},
-    }
-    ok = np.isfinite(cov_max)
-    return summary, ok
+    return {"lam": lam, "covariance_max_err": cov_max, "exponents": exponents}, checks
 
 
 def _run_picard(cfg: ExperimentConfig, emit: _Emitter):
-    p = cfg.params
     rng = np.random.default_rng(cfg.seed)
     state0 = make_initial(cfg.initial, cfg.grid, rng)
-    iters, report = picard_iterate(
-        state0,
-        cfg.system,
-        cfg.horizon,
-        n_iters=p["n_iters"],
-        time_resolution=p["time_resolution"],
-        s=p["s"],
-    )
+    # the params are picard_iterate's n_iters, time_resolution and s
+    iters, report = picard_iterate(state0, cfg.system, cfg.horizon, **cfg.params)
     rows = []
     for k, d in enumerate(report.diffs):
         ratio = report.ratios[k - 1] if 0 < k <= len(report.ratios) else float("nan")
@@ -624,6 +641,11 @@ def _run_picard(cfg: ExperimentConfig, emit: _Emitter):
         "contraction_ratio": report.contraction_ratio,
         "converged": report.converged,
     }
+    # the small-data regime: the iteration contracts onto the stepper's solution
+    checks = [
+        check_bound("converged", report.converged, "==", True),
+        check_bound("contraction_ratio", report.contraction_ratio, *BOUNDS["contraction_ratio"]),
+    ]
     # the comparison only means something at a fixed point; a divergent
     # iterate would also blow up the reference simulation
     if report.converged:
@@ -633,17 +655,8 @@ def _run_picard(cfg: ExperimentConfig, emit: _Emitter):
         )
         gaps = _sup_gaps(iters[-1].half[-1], traj.half[-1], cfg.grid)
         summary["stepper_linf"] = float(gaps.max())
-    ok = all(np.isfinite(d) for d in report.diffs)
-    return summary, ok
-
-
-# the RK4 order window of acceptance criterion c03
-CONVERGENCE_ORDER_RANGE = (3.7, 4.3)
-# the linear-estimate bounds of acceptance criterion c10
-FREE_CV_BOUND = 1e-2
-DUHAMEL_EXPONENT_TOLERANCE = 0.1
-# the refinement bound of acceptance criterion c11
-KERNEL_REL_CHANGE_BOUND = 0.05
+        checks.append(check_bound("stepper_linf", summary["stepper_linf"], *BOUNDS["stepper_linf"]))
+    return summary, checks
 
 
 def _run_convergence(cfg: ExperimentConfig, emit: _Emitter):
@@ -659,26 +672,11 @@ def _run_convergence(cfg: ExperimentConfig, emit: _Emitter):
 
     ref = final_half(ref_dt)
     errs = [float(_sup_gaps(final_half(dt), ref, cfg.grid).max()) for dt in dts]
-    rows = []
-    orders = []
-    for i, (dt, err) in enumerate(zip(dts, errs)):
-        if i == 0:
-            order = float("nan")
-        else:
-            order = float(np.log(errs[i - 1] / err) / np.log(dts[i - 1] / dt))
-            orders.append(order)
-        rows.append([dt, err, order])
-    emit.csv("convergence.csv", ["dt", "error", "order"], rows)
+    orders = [float(np.log(errs[i - 1] / errs[i]) / np.log(dts[i - 1] / dts[i])) for i in range(1, len(dts))]
+    emit.csv("convergence.csv", ["dt", "error", "order"], zip(dts, errs, [float("nan"), *orders]))
     fitted = float(np.polyfit(np.log(dts), np.log(errs), 1)[0]) if min(errs) > 0 else float("nan")
-    lo, hi = CONVERGENCE_ORDER_RANGE
-    summary = {
-        "orders": orders,
-        "fitted_order": fitted,
-        "fitted_order_range": CONVERGENCE_ORDER_RANGE,
-        "reference_dt": ref_dt,
-    }
-    ok = bool(lo <= fitted <= hi)
-    return summary, ok
+    summary = {"orders": orders, "fitted_order": fitted, "reference_dt": ref_dt}
+    return summary, [check_bound("fitted_order", fitted, *BOUNDS["fitted_order"])]
 
 
 def _run_bourgain(cfg: ExperimentConfig, emit: _Emitter):
@@ -719,20 +717,18 @@ def _run_bourgain(cfg: ExperimentConfig, emit: _Emitter):
     )
     summary = {
         "free_cv": rep.free_cv,
-        "free_cv_bound": FREE_CV_BOUND,
         "duhamel_exponent": rep.fitted_exponent,
         "duhamel_target": rep.target_exponent,
-        "duhamel_exponent_tolerance": DUHAMEL_EXPONENT_TOLERANCE,
         "embedding_all_pass": all(r[4] for r in emb_rows),
         "equivalence_all_pass": all(r[5] for r in eqv_rows),
     }
-    ok = bool(
-        rep.free_cv < FREE_CV_BOUND
-        and abs(rep.fitted_exponent - rep.target_exponent) <= DUHAMEL_EXPONENT_TOLERANCE
-        and summary["embedding_all_pass"]
-        and summary["equivalence_all_pass"]
-    )
-    return summary, ok
+    exponent_err = abs(rep.fitted_exponent - rep.target_exponent)
+    return summary, [
+        check_bound("free_cv", rep.free_cv, *BOUNDS["free_cv"]),
+        check_bound("duhamel_exponent_err", exponent_err, *BOUNDS["duhamel_exponent_err"]),
+        check_bound("embedding_all_pass", summary["embedding_all_pass"], "==", True),
+        check_bound("equivalence_all_pass", summary["equivalence_all_pass"], "==", True),
+    ]
 
 
 def _run_kernels(cfg: ExperimentConfig, emit: _Emitter):
@@ -750,21 +746,16 @@ def _run_kernels(cfg: ExperimentConfig, emit: _Emitter):
     )
     summary = {
         "kernels": len(rows),
-        "all_stable": all(r.stable for r in reports),
         "max_rel_change": max(r.rel_change for r in reports),
-        "max_rel_change_bound": KERNEL_REL_CHANGE_BOUND,
         "neval": {r.kernel_id: r.neval for r in reports},
     }
-    return summary, bool(summary["all_stable"] and summary["max_rel_change"] < KERNEL_REL_CHANGE_BOUND)
+    return summary, [check_bound("max_rel_change", summary["max_rel_change"], "<", REL_CHANGE_BOUND)]
 
 
 def _run_noneq(cfg: ExperimentConfig, emit: _Emitter):
     p = cfg.params
     tab = nonequivalence_demo(p["a0"], p["a1"], p["s"], p["b"], p["radii"])
-    rows = [
-        [R, dv, cv]
-        for R, dv, cv in zip(tab.radii, tab.divergent_norms, tab.convergent_norms)
-    ]
+    rows = zip(tab.radii, tab.divergent_norms, tab.convergent_norms)
     emit.csv("nonequivalence.csv", ["R", "divergent_norm", "convergent_norm"], rows)
     summary = {
         "growth_exponent": tab.growth_exponent,
@@ -772,8 +763,10 @@ def _run_noneq(cfg: ExperimentConfig, emit: _Emitter):
         "stabilized": tab.stabilized,
         "neval": tab.neval,
     }
-    ok = bool(tab.stabilized and tab.growth_exponent > 0.0)
-    return summary, ok
+    return summary, [
+        check_bound("growth_exponent", tab.growth_exponent, ">", 0.0),
+        check_bound("final_rel_change", tab.final_rel_change, "<", NONEQ_REL_CHANGE_BOUND),
+    ]
 
 
 _RUNNERS = {
@@ -798,10 +791,10 @@ def run(config: ExperimentConfig, out_dir=None) -> RunManifest:
     t0 = time.perf_counter()
     error = None
     try:
-        summary, ok = _RUNNERS[config.kind](config, emit)
-        status = "pass" if ok else "fail"
+        summary, checks = _RUNNERS[config.kind](config, emit)
+        status = "pass" if all(c["passed"] for c in checks) else "fail"
     except Exception as e:  # recorded, not raised: the manifest is the report
-        summary = {}
+        summary, checks = {}, []
         status = "error"
         error = f"{type(e).__name__}: {e}"
     manifest = RunManifest(
@@ -812,6 +805,7 @@ def run(config: ExperimentConfig, out_dir=None) -> RunManifest:
         wall_time_s=time.perf_counter() - t0,
         files=list(emit.files),
         summary=_jsonable(summary),
+        checks=_jsonable(checks),
         status=status,
         error=error,
     )

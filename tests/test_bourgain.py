@@ -284,6 +284,15 @@ def test_nonequivalence_demo_growth_and_stability():
     assert rel / table.convergent_norms[1] < 1e-2
 
 
+def test_nonequivalence_settling_uses_the_two_largest_distinct_radii():
+    # a repeated or out-of-order ladder settles as its sorted distinct radii do
+    want = nonequivalence_demo(1.0, -1.0, 0.0, 3.0, [8.0, 16.0])
+    assert want.final_rel_change > 1e-3 and not want.stabilized
+    for radii in ([8.0, 16.0, 16.0], [16.0, 8.0], [16.0, 8.0, 8.0]):
+        got = nonequivalence_demo(1.0, -1.0, 0.0, 3.0, radii)
+        assert (got.final_rel_change, got.stabilized) == (want.final_rel_change, want.stabilized)
+
+
 def test_nonequivalence_demo_equal_speeds_agree():
     table = nonequivalence_demo(2.0, 2.0, 0.0, 3.0, [4.0, 8.0])
     assert np.allclose(table.divergent_norms, table.convergent_norms, rtol=1e-10)

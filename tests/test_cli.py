@@ -1,11 +1,12 @@
 """Exit codes and output of the console entry point, driven through main()."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from ckdv import State, field_from_callable, write_snapshot
+from ckdv import State, field_from_callable, harness, write_snapshot
 from ckdv.bourgain import kernel_bound_check, nonequivalence_demo
 from ckdv.cli import build_parser, main
 from ckdv.grid import Grid
@@ -137,6 +138,7 @@ def test_simulate_pass_and_quiet(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     text = capsys.readouterr().out
     assert "status: pass" in text
+    assert "check infinite_entries: 0 == 0 ok" in text.splitlines()
     assert "manifest.json" in text
     assert (out / "manifest.json").exists()
 
@@ -185,6 +187,21 @@ def test_kernels_restricted_config(tmp_path, capsys):
     head, row = (out / "kernels.csv").read_text().splitlines()
     assert head == "kernel,max_value,max_refined,rel_change,stable,argmax"
     assert row.split(",")[-1] == ";".join(format_value(v) for v in report.argmax)
+
+
+def test_failed_check_is_printed_and_exits_1(tmp_path, capsys, monkeypatch):
+    check = harness.kernel_bound_check
+
+    def at_bound(kernel_id):
+        peak, rep = check(kernel_id)
+        return peak, dataclasses.replace(rep, rel_change=0.05)
+
+    monkeypatch.setattr(harness, "kernel_bound_check", at_bound)
+    cfg = write_config(tmp_path, {"kind": "kernel_suite", "params": {"kernels": ["peak_pair"]}})
+    assert main(["kernels", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "status: fail" in lines
+    assert "check max_rel_change: 0.05 < 0.05 FAILED" in lines
 
 
 def test_noneq_quick_config(tmp_path, capsys):

@@ -458,49 +458,89 @@ BOURGAIN_CHEAP = {
 }
 
 
-@pytest.mark.parametrize(
-    "free_cv, exponent, status",
-    [(1e-3, 0.15, "pass"), (2e-2, 0.15, "fail"), (1e-3, 0.25, "fail"), (1e-3, -0.05, "fail")],
-)
-def test_bourgain_verdict_asserts_c10_bounds(monkeypatch, tmp_path, free_cv, exponent, status):
-    target = 0.1
-
-    def report(*args, **kwargs):
-        return LinearEstimateReport([1.0, 1.0], free_cv, [0.5, 1.0], [1.0, 1.0], exponent, target)
-
-    monkeypatch.setattr(harness, "linear_estimate_check", report)
-    manifest = run(config_from_dict(BOURGAIN_CHEAP), out_dir=tmp_path)
-    assert manifest.status == status
-    s = manifest.summary
-    assert (s["free_cv"], s["free_cv_bound"]) == (free_cv, 1e-2)
-    assert (s["duhamel_exponent"], s["duhamel_target"]) == (exponent, target)
-    assert s["duhamel_exponent_tolerance"] == 0.1
-    assert s["embedding_all_pass"] and s["equivalence_all_pass"]
+def replaced(**fields):
+    """Patch of a call returning a report, or (value, report): the report with `fields` replaced."""
+    def patch(call):
+        def patched(*args, **kwargs):
+            out = call(*args, **kwargs)
+            if isinstance(out, tuple):
+                return out[0], dataclasses.replace(out[1], **fields)
+            return dataclasses.replace(out, **fields)
+        return patched
+    return patch
 
 
-@pytest.mark.parametrize("power", [2.0, 0.5])
-def test_convergence_verdict_asserts_c03_order(monkeypatch, tmp_path, power):
+def linear_estimate(free_cv, exponent):
+    """Patch of linear_estimate_check: a fixed report with Duhamel target 0.1."""
+    rep = LinearEstimateReport([1.0, 1.0], free_cv, [0.5, 1.0], [1.0, 1.0], exponent, 0.1)
+    return lambda call: lambda *args, **kwargs: rep
+
+
+def sup_gaps(op):
+    """Patch of _sup_gaps: `op` applied to each gap it returns."""
+    return lambda call: lambda a, b, g: op(call(a, b, g))
+
+
+PEAK_PAIR = {"kind": "kernel_suite", "params": {"kernels": ["peak_pair"]}}
+
+# case -> (config, harness name patched, patch, the checks that then fail)
+VERDICT_CASES = {
+    "simulate_infinite": (
+        simulate_config(), "collect", lambda call: lambda *a: call(*a) + np.inf, ["infinite_entries"]
+    ),
+    # NaN norms of the (samples, 2, n) trajectory gaps, not of the (2, n) base state
+    "lipschitz_nonfinite": (
+        simulate_config(kind="lipschitz_probe", params={"deltas": [3e-3, 3e-4], "n_directions": 1}),
+        "_joint_norm", lambda call: lambda c, g, s: call(c, g, s) * (np.nan if c.ndim == 3 else 1.0),
+        ["nonfinite_ratios"],
+    ),
+    "bourgain_within": (BOURGAIN_CHEAP, "linear_estimate_check", linear_estimate(1e-3, 0.15), []),
+    "bourgain_free_cv": (BOURGAIN_CHEAP, "linear_estimate_check", linear_estimate(2e-2, 0.15), ["free_cv"]),
+    "bourgain_exponent_high": (
+        BOURGAIN_CHEAP, "linear_estimate_check", linear_estimate(1e-3, 0.25), ["duhamel_exponent_err"]
+    ),
+    "bourgain_exponent_low": (
+        BOURGAIN_CHEAP, "linear_estimate_check", linear_estimate(1e-3, -0.05), ["duhamel_exponent_err"]
+    ),
+    "bourgain_embedding": ("bourgain.json", "embedding_check", replaced(passed=False), ["embedding_all_pass"]),
+    "bourgain_equivalence": (
+        "bourgain.json", "intersection_equivalence", replaced(passed=False), ["equivalence_all_pass"]
+    ),
     # raising every error to a power scales the fitted order by it: 4.06 -> 8.1 or 2.0
-    sup_gaps = harness._sup_gaps
-    monkeypatch.setattr(harness, "_sup_gaps", lambda a, b, g: sup_gaps(a, b, g) ** power)
-    manifest = run(load_config(CONFIG_DIR / "convergence.json"), out_dir=tmp_path)
-    assert manifest.status == "fail"
-    assert manifest.summary["fitted_order_range"] == [3.7, 4.3]
+    "convergence_order_high": ("convergence.json", "_sup_gaps", sup_gaps(lambda e: e**2.0), ["fitted_order"]),
+    "convergence_order_low": ("convergence.json", "_sup_gaps", sup_gaps(lambda e: e**0.5), ["fitted_order"]),
+    "kernel_below_bound": (PEAK_PAIR, "kernel_bound_check", replaced(rel_change=0.049), []),
+    "kernel_at_bound": (PEAK_PAIR, "kernel_bound_check", replaced(rel_change=0.05), ["max_rel_change"]),
+    "scaling_covariance": ("scaling.json", "_sup_gaps", sup_gaps(lambda e: e + 1e-6), ["covariance_max_err"]),
+    # the box of lam*u0(lam x) shrinks by lam, so period^-0.1 adds 0.1 to the fitted exponent at s = 1
+    "scaling_exponent": (
+        "scaling.json", "sobolev_norm",
+        lambda call: lambda f, s: call(f, s) * (f.grid.period ** -0.1 if s == 1.0 else 1.0),
+        ["exponent_err[1]"],
+    ),
+    "picard_converged": ("picard.json", "picard_iterate", replaced(converged=False), ["converged"]),
+    "picard_contraction": (
+        "picard.json", "picard_iterate", replaced(contraction_ratio=0.9), ["contraction_ratio"]
+    ),
+    "picard_stepper_gap": ("picard.json", "_sup_gaps", sup_gaps(lambda e: e + 1e-6), ["stepper_linf"]),
+    "noneq_growth": (
+        "nonequivalence.json", "nonequivalence_demo", replaced(growth_exponent=0.0), ["growth_exponent"]
+    ),
+    "noneq_settling": (
+        "nonequivalence.json", "nonequivalence_demo", replaced(final_rel_change=1e-3), ["final_rel_change"]
+    ),
+}
 
 
-@pytest.mark.parametrize("rel_change, status", [(0.049, "pass"), (0.05, "fail")])
-def test_kernel_verdict_asserts_c11_bound(monkeypatch, tmp_path, rel_change, status):
-    check = harness.kernel_bound_check
-
-    def shifted(kernel_id):
-        peak, rep = check(kernel_id)
-        return peak, dataclasses.replace(rep, rel_change=rel_change)
-
-    monkeypatch.setattr(harness, "kernel_bound_check", shifted)
-    manifest = run(config_from_dict({"kind": "kernel_suite", "params": {"kernels": ["peak_pair"]}}), out_dir=tmp_path)
-    assert manifest.status == status
-    s = manifest.summary
-    assert s["all_stable"] and (s["max_rel_change"], s["max_rel_change_bound"]) == (rel_change, 0.05)
+@pytest.mark.parametrize("case", VERDICT_CASES)
+def test_run_passes_only_when_every_check_does(monkeypatch, tmp_path, case):
+    config, name, patch, failing = VERDICT_CASES[case]
+    monkeypatch.setattr(harness, name, patch(getattr(harness, name)))
+    cfg = load_config(CONFIG_DIR / config) if isinstance(config, str) else config_from_dict(config)
+    manifest = run(cfg, out_dir=tmp_path)
+    assert [c["name"] for c in manifest.checks if not c["passed"]] == failing
+    assert manifest.status == ("fail" if failing else "pass")
+    assert json.loads((tmp_path / "manifest.json").read_text())["checks"] == manifest.checks
 
 
 @pytest.mark.parametrize("path", CONFIG_FILES, ids=lambda p: p.name)

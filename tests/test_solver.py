@@ -16,7 +16,6 @@ from ckdv import (
     inverse,
     picard_iterate,
     simulate,
-    step,
     zero_field,
 )
 from ckdv import solver
@@ -76,8 +75,9 @@ def test_not_diagonal_raises():
     g = Grid(64, 2.0 * np.pi)
     st = State(zero_field(g), zero_field(g))
     coupled = GearGrimshaw(0.1, 0.2, 0.3, 2.0, 0.5)
+    cfg = StepperConfig(1e-3)
     with pytest.raises(NotDiagonalError):
-        step(st, coupled, StepperConfig(1e-3))
+        simulate(st, coupled, cfg.dt, cfg)
     with pytest.raises(NotDiagonalError):
         simulate(st, coupled, 0.1, StepperConfig(1e-3))
 
@@ -159,8 +159,9 @@ def test_step_growth_guard():
     g = Grid(128, 8.0 * np.pi)
     big = field_from_callable(lambda x: 50.0 * np.cos(x), g)
     st = State(big, zero_field(g))
+    cfg = StepperConfig(0.1, cfl_guard=1.5)
     with pytest.raises(BlowupDetected):
-        step(st, HirotaSatsuma(-1.0, 1.0), StepperConfig(0.1, cfl_guard=1.5))
+        simulate(st, HirotaSatsuma(-1.0, 1.0), cfg.dt, cfg)
 
 
 def test_simulate_blowup_reports_time():
@@ -356,7 +357,8 @@ def test_snapshots_are_full_layout_and_hermitian(grid128):
         for f in (st.u, st.v):
             assert f.coeffs.shape == (grid128.n,)
             assert hermitian_defect(f) <= 1e-14
-    out = step(traj.states[-1], spec, StepperConfig(5e-3))
+    cfg = StepperConfig(5e-3)
+    out = simulate(traj.states[-1], spec, cfg.dt, cfg).states[-1]
     assert out.u.coeffs.shape == (grid128.n,) and hermitian_defect(out.u) <= 1e-14
 
 
@@ -400,8 +402,9 @@ def test_nonfinite_state_raises_with_time(grid64):
     bad.coeffs[3] = np.nan
     st = State(bad, zero_field(grid64), 0.3)
     spec = HirotaSatsuma(1.0, 1.0)
+    cfg = StepperConfig(1e-3)
     with pytest.raises(BlowupDetected) as exc:
-        step(st, spec, StepperConfig(1e-3))
+        simulate(st, spec, cfg.dt, cfg)
     assert exc.value.time == 0.3
     with pytest.raises(BlowupDetected) as exc:
         simulate(st, spec, 0.01, StepperConfig(1e-3))
@@ -412,8 +415,10 @@ def test_guard_messages_name_guard_ratio_and_step():
     g = Grid(128, 8.0 * np.pi)
     big = field_from_callable(lambda x: 50.0 * np.cos(x), g)
     st = State(big, zero_field(g), 0.2)
+    # a step short enough that the per-step growth (~470x) stays below the 1e8 growth cap
+    cfg = StepperConfig(0.01, cfl_guard=1.5)
     with pytest.raises(BlowupDetected) as exc:
-        step(st, HirotaSatsuma(-1.0, 1.0), StepperConfig(0.1, cfl_guard=1.5))
+        simulate(st, HirotaSatsuma(-1.0, 1.0), cfg.dt, cfg)
     msg = str(exc.value)
     assert "cfl_guard" in msg and "step 1" in msg and "growth" in msg
     assert exc.value.time == 0.2
