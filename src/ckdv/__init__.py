@@ -22,22 +22,19 @@ from .systems import (
     GeneralCoupled,
     HirotaSatsuma,
     NormalForm,
-    NotDiagonalError,
+    NotApplicable,
     Sakovich,
     State,
+    diagonal_form,
+    diagonalize,
     gear_grimshaw_as_general,
     gg_dispersion_matrix,
+    gg_lambda_alpha,
     hs_as_kdv,
     lower,
     nonlinear_rhs,
 )
-from .transforms import (
-    NotApplicable,
-    diagonal_form,
-    diagonalize,
-    gg_lambda_alpha,
-    scaling_map,
-)
+from .transforms import scaling_map
 from .solver import (
     PicardReport,
     StepperConfig,
@@ -71,9 +68,9 @@ __all__ = [
     "Grid", "SpectralField", "dealias", "evaluate_at", "field_from_callable",
     "forward", "inverse", "l2_norm", "spectral_derivative", "zero_field",
     "BlowupDetected", "Feng", "GearGrimshaw", "GeneralCoupled", "HirotaSatsuma",
-    "NormalForm", "NotDiagonalError", "Sakovich", "State", "gear_grimshaw_as_general",
-    "gg_dispersion_matrix", "hs_as_kdv", "lower", "nonlinear_rhs",
-    "NotApplicable", "diagonal_form", "diagonalize", "gg_lambda_alpha", "scaling_map",
+    "NormalForm", "NotApplicable", "Sakovich", "State", "diagonal_form", "diagonalize",
+    "gear_grimshaw_as_general", "gg_dispersion_matrix", "gg_lambda_alpha", "hs_as_kdv",
+    "lower", "nonlinear_rhs", "scaling_map",
     "PicardReport", "StepperConfig", "Trajectory", "picard_iterate", "simulate",
     "MixedNormBreakdown", "collect",
     "gg_invariants", "hs_invariants", "mixed_norms", "record_for", "sobolev_norm",

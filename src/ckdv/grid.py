@@ -15,6 +15,8 @@ true continuum-convention coefficients (the centering phase is folded
 in), so a field may be evaluated off-grid by direct summation.  A
 field's coefficients may carry leading axes, one field per row; the
 transforms, derivatives and oversampling below act on the last axis.
+`cumulative_simpson_c` is the time quadrature both Duhamel integrals
+(`solver.picard_iterate`, `bourgain.spacetime.duhamel_field`) use.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import cumulative_simpson
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -204,3 +207,14 @@ def oversampled_values(field: SpectralField) -> tuple[np.ndarray, float]:
     dxf = grid.period / nf
     vals = np.fft.ifft(fine * sign).real * (SQRT_2PI / dxf)
     return vals, dxf
+
+
+def cumulative_simpson_c(y: np.ndarray, dx: float, axis: int) -> np.ndarray:
+    """Cumulative Simpson integral of complex y along `axis`, from 0 at the first sample.
+
+    scipy's cumulative_simpson drops the imaginary part of complex input,
+    so the real and imaginary parts go in as one real array, on a new last axis.
+    """
+    re_im = np.ascontiguousarray(y)[..., None].view(np.float64)
+    out = cumulative_simpson(re_im, dx=dx, axis=axis % y.ndim, initial=0.0)
+    return np.ascontiguousarray(out).view(np.complex128)[..., 0]

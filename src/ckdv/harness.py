@@ -49,6 +49,7 @@ from .systems import (
     HirotaSatsuma,
     Sakovich,
     State,
+    diagonal_form,
 )
 from .transforms import scaling_map
 
@@ -170,8 +171,15 @@ _STEPPER = _fields(StepperConfig)
 
 
 def build_system(d: dict):
+    """The system spec of a config block; its dispersion must have a real eigenbasis."""
     name, (cls, table) = _pick(d, "name", _SYSTEMS, "system")
-    return _parse({k: v for k, v in d.items() if k != "name"}, table, f"system '{name}'", cls)
+
+    def make(**values):
+        spec = cls(**values)
+        diagonal_form(spec)  # NotApplicable for a complex or defective dispersion
+        return spec
+
+    return _parse({k: v for k, v in d.items() if k != "name"}, table, f"system '{name}'", make)
 
 
 def build_grid(d: dict) -> Grid:
@@ -256,7 +264,8 @@ _PARAMS = {
     },
     "scaling_probe": {
         "lam": (_positive, 2.0), "lambdas": (_ladder(_positive), (1.0, 2.0, 4.0, 8.0)),
-        "s_values": (_list_of(_finite), (-1.5, -1.0, -0.75, 0.0, 1.0)),
+        "s_values": (_check(_list_of(_finite), lambda v: len(set(v)) == len(v), "distinct values"),
+                     (-1.5, -1.0, -0.75, 0.0, 1.0)),
     },
     "picard_study": {
         "n_iters": (_count, 8), "s": (_finite, 0.0),
@@ -611,12 +620,10 @@ def _run_scaling(cfg: ExperimentConfig, emit: _Emitter):
     norm_rows = []
     fit_rows = []
     exponents = {}
+    scaled_u = [_scaled_state(base0, lam_i).u for lam_i in lambdas]
     for s in s_values:
-        norms = []
-        for lam_i in lambdas:
-            val = sobolev_norm(_scaled_state(base0, lam_i).u, s)
-            norms.append(val)
-            norm_rows.append([s, lam_i, val])
+        norms = [sobolev_norm(u, s) for u in scaled_u]
+        norm_rows += [[s, lam_i, val] for lam_i, val in zip(lambdas, norms)]
         positive = all(v > 0.0 for v in norms)
         slope = float(np.polyfit(np.log(lambdas), np.log(norms), 1)[0]) if positive else float("nan")
         exponents["%g" % s] = slope

@@ -1,19 +1,22 @@
 """Time evolution by integrating-factor RK4 and Duhamel fixed-point iteration.
 
-Every routine reads the system's normal form (`systems.lower`).  The
-linear part of every diagonal-dispersion system is solved exactly
-in Fourier space (each mode rotates by exp(-i*c*xi^3*t)); the
-nonlinearity is advanced by classical RK4 applied to the
-integrating-factor variable.  `picard_iterate` solves the same problem
-a second, independent way: successive substitution into the integral
-equation u(t) = U(t)u0 + int_0^t U(t - t') G(t') dt', with the time
-integral done by cumulative Simpson quadrature on a stored time grid.
+Every routine reads the system's normal form in the eigenbasis of its
+dispersion (`systems.diagonal_form`): it maps the data in by
+W0 = P^-1 U0, evolves W, and returns U = P W at every stored sample, so
+a system coupled at third order runs like any other.  The linear part is
+solved exactly in Fourier space (each mode of w_j rotates by
+exp(-i*c_j*xi^3*t), c = diag(D)); the nonlinearity is advanced by
+classical RK4 applied to the integrating-factor variable.
+`picard_iterate` solves the same problem a second, independent way:
+successive substitution into the integral equation
+u(t) = U(t)u0 + int_0^t U(t - t') G(t') dt', with the time integral done
+by cumulative Simpson quadrature on a stored time grid.
 Agreement between the two routes is a correctness check for both.
 
 Internally both routes hold the stacked half spectrum (modes k = 0..n/2
-of u and v) and share one `systems.SpectralRhs` kernel.  A `Trajectory`
-stores its samples in that layout too; full-layout States are made only
-when `Trajectory.states` is read.
+of w_0 and w_1) and share one `systems.SpectralRhs` kernel.  A
+`Trajectory` stores u and v in that layout too; full-layout States are
+made only when `Trajectory.states` is read.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from . import grid as sg
 from . import systems
@@ -152,12 +154,13 @@ def simulate(
     one sample.  The final time is hit exactly (a short last step if T is
     not a multiple of dt).  Every step is guarded by config.cfl_guard, and
     a mode exceeding 1e8 times the initial coefficient maximum aborts;
-    BlowupDetected carries the last completed time.
+    BlowupDetected carries the last completed time.  For a system coupled
+    at third order both guards act on the eigenbasis coefficients W.
     """
     if T < 0.0:
         raise ValueError("T must be nonnegative")
-    form = systems.lower(spec)
-    c = form.dispersion()
+    form, P = systems.diagonal_form(spec)
+    c = np.diag(form.D)
     g = initial.grid
     times: list[float] = []
     rows: list[np.ndarray] = []
@@ -166,11 +169,17 @@ def simulate(
         times.append(t)
         rows.append(w)
 
+    def trajectory():
+        half = np.stack(rows)
+        return Trajectory(np.array(times), half if P is None else P @ half, g)
+
     w = np.where(g.keep[: g.n // 2 + 1], _to_half(initial), 0.0)
+    if P is not None:
+        w = np.linalg.solve(P, w)
     t0 = initial.t
     record(w, t0)
     if T == 0.0:
-        return Trajectory(np.array(times), np.stack(rows), g)
+        return trajectory()
 
     dt = config.dt
     n_full = int(np.floor(T / dt + 1e-9))
@@ -193,19 +202,11 @@ def simulate(
         E_r = _half_phases(g, c, 0.5 * remainder)
         w = _guarded_step(rhs, w, t0 + n_full * dt, remainder, E_r, E_r * E_r, n_full + 1, guard, m0)
     record(w, t0 + T)
-    return Trajectory(np.array(times), np.stack(rows), g)
+    return trajectory()
 
 
 # ---------------------------------------------------------------------------
 # Successive substitution into the integral equation.
-
-
-def _cumulative_simpson_c(y: np.ndarray, dx: float, axis: int) -> np.ndarray:
-    # scipy's cumulative_simpson drops the imaginary part of complex input,
-    # so integrate the interleaved real and imaginary parts as real columns
-    re_im = np.ascontiguousarray(y).view(np.float64)
-    out = cumulative_simpson(re_im, dx=dx, axis=axis, initial=0.0)
-    return np.ascontiguousarray(out).view(np.complex128)
 
 
 @dataclass
@@ -240,7 +241,8 @@ def picard_iterate(
     previous one through u(t) = U(t)u0 + int_0^t U(t-t') G(t') dt',
     with the pulled-back integral int_0^t e^{+i c xi^3 t'} G-hat(t') dt'
     accumulated by cumulative Simpson quadrature.  No time cutoffs are
-    applied; the paper's are identically 1 on [0, T] for T <= 1.
+    applied; the paper's are identically 1 on [0, T] for T <= 1.  The
+    iteration runs on W and the distances d_k are measured on U = P W.
 
     Divergence is reported, never raised.
     """
@@ -250,14 +252,16 @@ def picard_iterate(
         raise ValueError("time_resolution must be odd and at least 9")
     if n_iters < 1:
         raise ValueError("n_iters must be at least 1")
-    form = systems.lower(spec)
-    c = form.dispersion()
+    form, P = systems.diagonal_form(spec)
+    c = np.diag(form.D)
     g = initial.grid
     m = g.n // 2 + 1
     nt = time_resolution
     times = np.linspace(0.0, T, nt)
 
     w0 = np.where(g.keep[:m], _to_half(initial), 0.0)
+    if P is not None:
+        w0 = np.linalg.solve(P, w0)
     # axes: component, time sample, mode (half spectrum)
     phase = _half_phases(g, c, times[:, None])
     free = phase * w0[:, None, :]
@@ -266,12 +270,16 @@ def picard_iterate(
     hs_weight = (1.0 + g.xi[:m] ** 2) ** s * g.dxi
     hs_weight[1:-1] *= 2.0
 
-    def iterate(w: np.ndarray) -> Trajectory:
-        # (component, time, mode) -> (time, component, mode), a view
-        return Trajectory(times, np.moveaxis(w, 0, 1), g)
+    def to_u(w: np.ndarray) -> np.ndarray:
+        # U = P W on (component, time, mode) arrays
+        return w if P is None else np.tensordot(P, w, axes=1)
 
-    def sup_hs_distance(a: np.ndarray, b: np.ndarray) -> float:
-        norms = np.sqrt(np.sum(hs_weight * np.abs(a - b) ** 2, axis=-1))
+    def iterate(w: np.ndarray) -> Trajectory:
+        # (component, time, mode) -> (time, component, mode), a view when P is None
+        return Trajectory(times, np.moveaxis(to_u(w), 0, 1), g)
+
+    def sup_hs_distance(diff: np.ndarray) -> float:
+        norms = np.sqrt(np.sum(hs_weight * np.abs(to_u(diff)) ** 2, axis=-1))
         return float(np.max(norms[0] + norms[1]))
 
     cur = free
@@ -283,9 +291,9 @@ def picard_iterate(
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 integrand = np.conj(phase) * rhs(cur, times)
-                acc = _cumulative_simpson_c(integrand, times[1] - times[0], axis=1)
+                acc = sg.cumulative_simpson_c(integrand, times[1] - times[0], axis=1)
                 new = free + phase * acc
-                d = sup_hs_distance(new, cur)
+                d = sup_hs_distance(new - cur)
         except systems.BlowupDetected:
             diverged = True
             break

@@ -7,12 +7,14 @@ Every system lowers to one normal form (`lower` -> `NormalForm`):
 with U = (w_0, w_1) = (u, v), a 2x2 dispersion matrix D, a table Q of
 quadratic coefficients and a 2x2 first-order drift R.  `lower` is the one
 place that dispatches on the system classes; the solvers read only the
-normal form.  When D is diagonal, each component has its own linear flow
-u_t = c u_xxx and `NormalForm.dispersion` reports (c_u, c_v); a system
-coupled at third order is first brought to diagonal D by the change of
-variables in `transforms.diagonal_form`.  `SpectralRhs` evaluates the
-Q/R part pseudo-spectrally on half spectra, with dealiasing applied to
-the products, and `nonlinear_rhs` is its full-layout form.
+normal form.  `diagonal_form` brings any normal form to diagonal D by
+the change of variables U = P W into the eigenbasis of the dispersion
+(P is None when D is already diagonal), so that each component has its
+own linear flow w_t = c w_xxx with c read off diag(D); it rejects a
+dispersion with complex or defective eigenstructure.  The solvers apply
+it themselves.  `SpectralRhs` evaluates the Q/R part pseudo-spectrally
+on half spectra, with dealiasing applied to the products, and
+`nonlinear_rhs` is its full-layout form.
 
 Systems:
 
@@ -47,8 +49,9 @@ Systems:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -64,8 +67,8 @@ class BlowupDetected(RuntimeError):
         self.time = time
 
 
-class NotDiagonalError(ValueError):
-    """The system's third-derivative coupling matrix is not diagonal."""
+class NotApplicable(ValueError):
+    """The operation's structural precondition does not hold for this input."""
 
 
 @dataclass(frozen=True)
@@ -175,17 +178,6 @@ class NormalForm:
                 raise ValueError(f"{name} must have shape {shape}")
             object.__setattr__(self, name, m)
 
-    def dispersion(self) -> tuple[float, float]:
-        """Per-component constants (c_u, c_v) of the u_t = c*u_xxx linear flow.
-
-        Raises NotDiagonalError when the components are coupled at third order.
-        """
-        if self.D[0, 1] != 0.0 or self.D[1, 0] != 0.0:
-            raise NotDiagonalError(
-                "third-derivative coupling is not diagonal; use transforms.diagonal_form first"
-            )
-        return float(self.D[0, 0]), float(self.D[1, 1])
-
 
 def gear_grimshaw_as_general(spec: GearGrimshaw) -> GeneralCoupled:
     """Rewrite the two-parameter internal-wave system in the general matrix form.
@@ -238,6 +230,103 @@ def lower(spec: SystemSpec | NormalForm) -> NormalForm:
     else:
         raise TypeError(f"unknown system spec {type(spec)!r}")
     return NormalForm(D, Q, R)
+
+
+_TIE = 1e-12
+
+
+@dataclass(frozen=True)
+class Diagonalization:
+    """Eigen-structure of a 2x2 real matrix A with T_inv @ A @ T diagonal.
+
+    alpha_plus >= alpha_minus (ties within 1e-12 treated as equal);
+    lam is the gap alpha_plus - alpha_minus.  T, T_inv are None when
+    the eigenvalues are complex or the matrix is defective.
+    """
+
+    alpha_plus: float
+    alpha_minus: float
+    lam: float
+    T: Optional[np.ndarray]
+    T_inv: Optional[np.ndarray]
+    eigenvalues_real: bool
+    eigenvalues_distinct: bool
+
+
+def diagonalize(A) -> Diagonalization:
+    A = np.asarray(A, dtype=np.float64)
+    if A.shape != (2, 2):
+        raise ValueError("expected a 2x2 matrix")
+    tr = A[0, 0] + A[1, 1]
+    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    disc = 0.25 * tr * tr - det
+    if disc < 0.0:
+        nan = float("nan")
+        return Diagonalization(nan, nan, nan, None, None, False, False)
+    root = math.sqrt(disc)
+    ap = 0.5 * tr + root
+    am = 0.5 * tr - root
+    gap = ap - am
+    scale = max(1.0, float(np.abs(A).max()))
+    distinct = gap > _TIE
+    T: Optional[np.ndarray]
+    if distinct:
+        if A[0, 1] != 0.0:
+            # first row all ones, second row solves the eigenvector relation
+            T = np.array([[1.0, 1.0], [(ap - A[0, 0]) / A[0, 1], (am - A[0, 0]) / A[0, 1]]])
+        elif A[1, 0] != 0.0:
+            T = np.array([[(ap - A[1, 1]) / A[1, 0], (am - A[1, 1]) / A[1, 0]], [1.0, 1.0]])
+        elif A[0, 0] >= A[1, 1]:
+            T = np.eye(2)
+        else:
+            T = np.array([[0.0, 1.0], [1.0, 0.0]])
+        T_inv = np.linalg.inv(T)
+    elif float(np.abs(A - ap * np.eye(2)).max()) <= _TIE * scale:
+        T = np.eye(2)
+        T_inv = np.eye(2)
+    else:
+        # defective (Jordan block): no eigenbasis exists
+        T = None
+        T_inv = None
+    return Diagonalization(ap, am, gap, T, T_inv, True, distinct)
+
+
+def gg_lambda_alpha(b1: float, b2: float, a3: float) -> tuple[float, float, float]:
+    """Gap and eigenvalues of the cross-dispersion matrix, in closed form.
+
+    For the matrix [[1, a3], [b2*a3/b1, 1/b1]] (b1, b2 > 0) the
+    eigenvalues are alpha_pm = (1 + 1/b1 +- lam)/2 with
+    lam = sqrt((1 - 1/b1)^2 + 4*b2*a3^2/b1).
+    """
+    if not (b1 > 0.0 and b2 > 0.0):
+        raise ValueError("requires b1 > 0 and b2 > 0")
+    lam = math.sqrt((1.0 - 1.0 / b1) ** 2 + 4.0 * b2 * a3 * a3 / b1)
+    ap = 0.5 * (1.0 + 1.0 / b1 + lam)
+    am = 0.5 * (1.0 + 1.0 / b1 - lam)
+    return lam, ap, am
+
+
+def diagonal_form(spec: SystemSpec | NormalForm) -> tuple[NormalForm, Optional[np.ndarray]]:
+    """The normal form in the eigenbasis of its dispersion, and P with U = P W.
+
+    W_t = D' W_xxx + Q'(W, W_x) + R' W_x with D' = diag(-alpha_+, -alpha_-),
+    where alpha_+ >= alpha_- are the eigenvalues of the dispersion matrix
+    -D (the u_t + A u_xxx convention), Q' = einsum(P^-1, Q, P, P) and
+    R' = P^-1 R P.  A D that is already diagonal gives the normal form
+    itself and P None.  Raises NotApplicable when -D has complex
+    eigenvalues or is defective.
+    """
+    form = lower(spec)
+    if form.D[0, 1] == 0.0 and form.D[1, 0] == 0.0:
+        return form, None
+    d = diagonalize(-form.D)
+    if not d.eigenvalues_real:
+        raise NotApplicable("dispersion matrix has complex eigenvalues")
+    if d.T is None:
+        raise NotApplicable("dispersion matrix is defective (no eigenbasis)")
+    P, P_inv = d.T, d.T_inv
+    Q = np.einsum("ia,abc,bj,ck->ijk", P_inv, form.Q, P, P)
+    return NormalForm(np.diag([-d.alpha_plus, -d.alpha_minus]), Q, P_inv @ form.R @ P), P
 
 
 class SpectralRhs:

@@ -111,6 +111,15 @@ def test_unread_keys_exit_2(tmp_path, capsys, command, payload, word):
     assert_rejected(tmp_path, capsys, command, payload, word)
 
 
+# a11 = a22 with a12*a21 < 0 gives a complex pair; a21 = 0 with a12 != 0 a Jordan block
+@pytest.mark.parametrize("a21, problem", [(-1.0, "has complex eigenvalues"), (0.0, "is defective")])
+def test_dispersion_without_eigenbasis_exits_2(tmp_path, capsys, a21, problem):
+    system = {"name": "general_coupled", "a11": 1.0, "a12": 1.0, "a21": a21, "a22": 1.0,
+              **{f"b{i}": 0.0 for i in range(1, 7)}}
+    word = f"system 'general_coupled': dispersion matrix {problem}"
+    assert_rejected(tmp_path, capsys, "simulate", simulate_payload(system=system), word)
+
+
 def test_seed_flag_only_where_a_seed_is_read(capsys):
     parser = build_parser()
     assert parser.parse_args(["bourgain", "--seed", "1"]).seed == 1

@@ -197,6 +197,9 @@ RUN_TIME_FAILURES = {
     "scaling_repeated_lambdas": (
         simulate_config(kind="scaling_probe", params={"lambdas": [2.0, 2.0]}), f"'lambdas' {_LADDER}"
     ),
+    "scaling_repeated_s_values": (
+        simulate_config(kind="scaling_probe", params={"s_values": [1.0, 1.0]}), "'s_values' must be distinct values"
+    ),
     "lipschitz_no_initial": (
         {**simulate_config(kind="lipschitz_probe"), "initial": {}}, "needs nonzero initial data"
     ),
@@ -546,3 +549,23 @@ def test_run_passes_only_when_every_check_does(monkeypatch, tmp_path, case):
 @pytest.mark.parametrize("path", CONFIG_FILES, ids=lambda p: p.name)
 def test_shipped_config_passes(path, tmp_path):
     assert run(load_config(path), out_dir=tmp_path).status == "pass"
+
+
+def test_gear_grimshaw_config_conserves_phi3_and_phi4(tmp_path):
+    drift = run(load_config(CONFIG_DIR / "gear_grimshaw.json"), out_dir=tmp_path).summary["drift"]
+    assert drift["phi3"] < 1e-8 and drift["phi4"] < 1e-8  # c02's bound
+
+
+# c01's Gear-Grimshaw constants: coupled at third order, alpha+- = 3, -1
+GG_C01 = {"name": "gear_grimshaw", "a1": 0.7, "a2": 0.3, "a3": 2.0, "b1": 1.0, "b2": 1.0}
+
+
+@pytest.mark.parametrize(
+    "config, check", [("picard.json", "stepper_linf"), ("convergence.json", "fitted_order")]
+)
+def test_cross_coupled_study_meets_its_bound(tmp_path, config, check):
+    # c06's 1e-6 between the Picard fixed point and the stepper; c03's order window
+    d = json.loads((CONFIG_DIR / config).read_text())
+    manifest = run(config_from_dict({**d, "system": GG_C01}), out_dir=tmp_path)
+    assert manifest.status == "pass"
+    assert check in [c["name"] for c in manifest.checks]

@@ -7,7 +7,6 @@ from ckdv import (
     BlowupDetected,
     GearGrimshaw,
     HirotaSatsuma,
-    NotDiagonalError,
     State,
     StepperConfig,
     Trajectory,
@@ -21,8 +20,7 @@ from ckdv import (
 from ckdv import solver
 from ckdv.diagnostics import gg_invariants, sobolev_norm
 from ckdv.grid import Grid, SpectralField, dealias, hermitian_defect, to_full, to_half
-from ckdv.systems import SpectralRhs, lower, nonlinear_rhs
-from ckdv.transforms import diagonal_form
+from ckdv.systems import SpectralRhs, diagonal_form, lower, nonlinear_rhs
 
 
 def soliton(c, x):
@@ -71,32 +69,38 @@ def test_trajectory_validation(grid64):
             Trajectory(times, h, grid64)
 
 
-def test_not_diagonal_raises():
-    g = Grid(64, 2.0 * np.pi)
-    st = State(zero_field(g), zero_field(g))
-    coupled = GearGrimshaw(0.1, 0.2, 0.3, 2.0, 0.5)
-    cfg = StepperConfig(1e-3)
-    with pytest.raises(NotDiagonalError):
-        simulate(st, coupled, cfg.dt, cfg)
-    with pytest.raises(NotDiagonalError):
-        simulate(st, coupled, 0.1, StepperConfig(1e-3))
-
-
 def mix(M, st):
     """The State with (u, v) coefficients replaced by M @ (u, v)."""
     u, v = np.tensordot(M, np.stack([st.u.coeffs, st.v.coeffs]), axes=1)
     return State(SpectralField(u, st.grid), SpectralField(v, st.grid), st.t)
 
 
-def test_cross_coupled_gear_grimshaw_conserves_phi3():
-    # a3 != 0: simulate W = P^-1 U with the diagonal normal form, read U = P W
-    g = Grid(256, 8.0 * np.pi)
+def test_coupled_simulate_matches_the_diagonal_form_recipe():
+    # the reference maps the data to W0 = P^-1 U0 by hand, evolves W with the
+    # diagonal normal form and reads U = P W at every sample
+    g = Grid(64, 8.0 * np.pi)
     gg = GearGrimshaw(0.7, 0.3, 0.5, 2.0, 0.5)
     form, P = diagonal_form(gg)
+    st = State(
+        field_from_callable(lambda x: np.exp(-((x / 1.5) ** 2)), g),
+        field_from_callable(lambda x: 0.5 * np.exp(-(((x - 2.0) / 2.0) ** 2)), g),
+    )
+    cfg = StepperConfig(1e-3)
+    got = simulate(st, gg, 0.1, cfg, sample_dt=0.02)
+    want = simulate(mix(np.linalg.inv(P), st), form, 0.1, cfg, sample_dt=0.02)
+    assert np.array_equal(got.times, want.times)
+    assert np.max(np.abs(got.half - np.einsum("ij,tjk->tik", P, want.half))) < 1e-13
+    assert simulate(st, gg, 0.0, cfg).half.shape == (1, 2, g.n // 2 + 1)
+
+
+def test_cross_coupled_gear_grimshaw_conserves_phi3():
+    # a3 != 0: simulate runs in the eigenbasis of the dispersion and returns (u, v)
+    g = Grid(256, 8.0 * np.pi)
+    gg = GearGrimshaw(0.7, 0.3, 0.5, 2.0, 0.5)
     u0 = field_from_callable(lambda x: np.exp(-((x / 1.5) ** 2)), g)
     v0 = field_from_callable(lambda x: 0.5 * np.exp(-(((x - 2.0) / 2.0) ** 2)), g)
-    traj = simulate(mix(np.linalg.inv(P), State(u0, v0)), form, 1.0, StepperConfig(2e-4), sample_dt=0.1)
-    invariants = np.array([gg_invariants(mix(P, w), gg) for w in traj.states])
+    traj = simulate(State(u0, v0), gg, 1.0, StepperConfig(2e-4), sample_dt=0.1)
+    invariants = np.array([gg_invariants(w, gg) for w in traj.states])
     assert len(invariants) == 11
     drift = np.max(np.abs(invariants - invariants[0]), axis=0) / np.abs(invariants[0])
     assert drift[2] < 1e-8 and drift[3] < 1e-8  # phi3 and phi4, which carries the a3 term
@@ -314,7 +318,7 @@ def full_layout_ifrk4(st, spec, dt, n_steps):
     g = st.grid
     # odd-derivative convention: the Nyquist mode (k = n/2) does not rotate
     xi = np.where(g.k == g.n // 2, 0.0, g.xi)
-    E = np.stack([np.exp((-1j * c * 0.5 * dt) * xi**3) for c in lower(spec).dispersion()])
+    E = np.stack([np.exp((-1j * c * 0.5 * dt) * xi**3) for c in np.diag(lower(spec).D)])
     E2 = E * E
 
     def rhs(w, t):

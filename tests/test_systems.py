@@ -9,11 +9,12 @@ from ckdv import (
     GearGrimshaw,
     GeneralCoupled,
     HirotaSatsuma,
+    NotApplicable,
     Sakovich,
     State,
     Grid,
-    NotDiagonalError,
     dealias,
+    diagonal_form,
     field_from_callable,
     forward,
     hs_as_kdv,
@@ -32,17 +33,29 @@ def make_state(grid, fu, fv, t=0.0):
     )
 
 
+def dispersion(spec):
+    """diag(D) of a diagonal normal form, which diagonal_form keeps as it is (P None)."""
+    form, P = diagonal_form(spec)
+    assert P is None and np.array_equal(form.D, np.diag(np.diag(lower(spec).D)))
+    return tuple(np.diag(form.D))
+
+
+def assert_coupled(spec):
+    """diagonal_form gives a diagonal D' and a P with P D' P^-1 = D."""
+    form, P = diagonal_form(spec)
+    assert P is not None and form.D[0, 1] == form.D[1, 0] == 0.0
+    assert np.max(np.abs(P @ form.D @ np.linalg.inv(P) - lower(spec).D)) < 1e-12
+
+
 def test_dispersion_coeffs_hs_and_feng():
-    assert lower(HirotaSatsuma(0.5, 1.0)).dispersion() == (0.5, -1.0)
-    assert lower(Feng(-2.0, 1.0, 1.0, 0.0)).dispersion() == (-2.0, -1.0)
+    assert dispersion(HirotaSatsuma(0.5, 1.0)) == (0.5, -1.0)
+    assert dispersion(Feng(-2.0, 1.0, 1.0, 0.0)) == (-2.0, -1.0)
 
 
 def test_dispersion_coeffs_gear_grimshaw():
     diag = GearGrimshaw(0.1, 0.2, 0.0, 2.0, 0.5)
-    assert lower(diag).dispersion() == (-1.0, -0.5)
-    coupled = GearGrimshaw(0.1, 0.2, 0.3, 2.0, 0.5)
-    with pytest.raises(NotDiagonalError):
-        lower(coupled).dispersion()
+    assert dispersion(diag) == (-1.0, -0.5)
+    assert_coupled(GearGrimshaw(0.1, 0.2, 0.3, 2.0, 0.5))
 
 
 @pytest.mark.parametrize(
@@ -71,22 +84,23 @@ def test_gear_grimshaw_normal_form_exact(spec):
 
 def test_dispersion_coeffs_general_coupled():
     diag = GeneralCoupled(2.0, 0.0, 0.0, 3.0, *([0.0] * 6))
-    assert lower(diag).dispersion() == (-2.0, -3.0)
-    coupled = GeneralCoupled(2.0, 0.1, 0.0, 3.0, *([0.0] * 6))
-    with pytest.raises(NotDiagonalError):
-        lower(coupled).dispersion()
+    assert dispersion(diag) == (-2.0, -3.0)
+    assert_coupled(GeneralCoupled(2.0, 0.1, 0.0, 3.0, *([0.0] * 6)))
 
 
 def test_dispersion_coeffs_sakovich():
     eye = np.eye(2)
     diag = Sakovich(np.zeros((2, 2)), np.zeros((2, 2)), np.diag([0.5, -2.0]))
-    cu, cv = lower(diag).dispersion()
+    cu, cv = dispersion(diag)
     assert cu == pytest.approx(-2.0)
     assert cv == pytest.approx(0.5)
-    coupled = Sakovich(np.zeros((2, 2)), np.zeros((2, 2)), np.array([[1.0, 0.5], [0.0, 1.0]]))
-    with pytest.raises(NotDiagonalError):
-        lower(coupled).dispersion()
-    assert lower(Sakovich(np.zeros((2, 2)), np.zeros((2, 2)), eye)).dispersion() == (-1.0, -1.0)
+    # inv(A2) = [[1, -0.5], [0, 1]] is a Jordan block: coupled, with no eigenbasis
+    jordan = Sakovich(np.zeros((2, 2)), np.zeros((2, 2)), np.array([[1.0, 0.5], [0.0, 1.0]]))
+    assert lower(jordan).D[0, 1] != 0.0
+    with pytest.raises(NotApplicable, match="defective"):
+        diagonal_form(jordan)
+    assert_coupled(Sakovich(np.zeros((2, 2)), np.zeros((2, 2)), np.array([[2.0, 0.5], [0.0, 1.0]])))
+    assert dispersion(Sakovich(np.zeros((2, 2)), np.zeros((2, 2)), eye)) == (-1.0, -1.0)
 
 
 def test_gear_grimshaw_requires_positive_b():
