@@ -34,7 +34,6 @@ from .systems import (
     lower,
     nonlinear_rhs,
 )
-from .transforms import scaling_map
 from .solver import (
     PicardReport,
     StepperConfig,
@@ -70,7 +69,7 @@ __all__ = [
     "BlowupDetected", "Feng", "GearGrimshaw", "GeneralCoupled", "HirotaSatsuma",
     "NormalForm", "NotApplicable", "Sakovich", "State", "diagonal_form", "diagonalize",
     "gear_grimshaw_as_general", "gg_dispersion_matrix", "gg_lambda_alpha", "hs_as_kdv",
-    "lower", "nonlinear_rhs", "scaling_map",
+    "lower", "nonlinear_rhs",
     "PicardReport", "StepperConfig", "Trajectory", "picard_iterate", "simulate",
     "MixedNormBreakdown", "collect",
     "gg_invariants", "hs_invariants", "mixed_norms", "record_for", "sobolev_norm",

@@ -10,7 +10,9 @@ discretized so that Parseval holds exactly on the grid:
     sum_k |fhat_k|**2 * dxi == sum_j |f_j|**2 * dx.
 
 Wavenumbers are xi_k = 2*pi*k/L for integer k in {-n/2+1, ..., n/2},
-stored in FFT layout; the Nyquist slot carries +n/2.  Coefficients are
+stored in FFT layout; the Nyquist slot carries +n/2.  Dealiasing follows
+the 2/3 rule: it keeps |k| <= n/3, so a dealiased field has no Nyquist
+mode, while a raw field from `forward` may.  Coefficients are
 true continuum-convention coefficients (the centering phase is folded
 in), so a field may be evaluated off-grid by direct summation.  A
 field's coefficients may carry leading axes, one field per row; the
@@ -36,18 +38,15 @@ def _is_power_of_two(n: int) -> bool:
 class Grid:
     """Uniform periodic grid with cached spectral tables."""
 
-    def __init__(self, n: int, period: float, dealias_fraction: float = 2.0 / 3.0):
+    def __init__(self, n: int, period: float):
         if not isinstance(n, (int, np.integer)):
             raise ValueError(f"n must be an integer, got {n!r}")
         if not _is_power_of_two(int(n)) or n < 16:
             raise ValueError(f"n must be a power of two >= 16, got {n}")
         if not (period > 0.0) or not np.isfinite(period):
             raise ValueError(f"period must be positive and finite, got {period}")
-        if not (0.0 < dealias_fraction <= 1.0):
-            raise ValueError(f"dealias_fraction must lie in (0, 1], got {dealias_fraction}")
         self.n = int(n)
         self.period = float(period)
-        self.dealias_fraction = float(dealias_fraction)
 
         self.dx = self.period / self.n
         self.dxi = 2.0 * np.pi / self.period
@@ -59,22 +58,19 @@ class Grid:
         self.k = k
         self.xi = self.dxi * k
         # odd-order multipliers (i*xi, exp(-i*c*xi^3*t)) take xi = 0 at the
-        # Nyquist mode, whose sign is ambiguous, so they keep it real
+        # Nyquist mode, whose sign is ambiguous, so a raw field (from forward
+        # or a snapshot), which still carries that mode, keeps it real
         self.xi_odd = np.where(k == self.n // 2, 0.0, self.xi)
         # centering phase (-1)**k maps raw FFT output to continuum coefficients
         self._sign = np.where(k % 2 == 0, 1.0, -1.0)
-        # keep |k| <= fraction*(n/2); strict inequality zeroes the rest
-        self.keep = ~(np.abs(k) > self.dealias_fraction * (self.n / 2.0))
+        # the 2/3 rule: keep |k| <= n/3, which drops the Nyquist mode too
+        self.keep = 3 * np.abs(k) <= self.n
 
     def __repr__(self):
-        return f"Grid(n={self.n}, period={self.period:.6g}, dealias_fraction={self.dealias_fraction:.4g})"
+        return f"Grid(n={self.n}, period={self.period:.6g})"
 
     def compatible(self, other: "Grid") -> bool:
-        return (
-            self.n == other.n
-            and self.period == other.period
-            and self.dealias_fraction == other.dealias_fraction
-        )
+        return self.n == other.n and self.period == other.period
 
 
 @dataclass
@@ -154,7 +150,7 @@ def spectral_derivative(field: SpectralField, order) -> SpectralField:
 
 
 def dealias(field: SpectralField) -> SpectralField:
-    """Zero every mode with |k| beyond the retained fraction of n/2."""
+    """Zero every mode with |k| > n/3 (the 2/3 rule)."""
     return SpectralField(np.where(field.grid.keep, field.coeffs, 0.0), field.grid)
 
 

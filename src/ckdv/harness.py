@@ -51,7 +51,6 @@ from .systems import (
     State,
     diagonal_form,
 )
-from .transforms import scaling_map
 
 class ConfigError(ValueError):
     """Malformed configuration; rejected before any computation."""
@@ -142,9 +141,15 @@ def _list_of(convert, length=None):
     return converted
 
 
+def _distinct(convert, least: int = 1):
+    """Converter: a list of `least` or more distinct entries, each converted; a run does each once."""
+    what = "two or more distinct values" if least == 2 else "distinct values"
+    return _check(_list_of(convert), lambda v: len(set(v)) == len(v) >= least, what)
+
+
 def _ladder(convert):
-    """Converter: a list of two or more distinct entries, each converted; an exponent is fitted over it."""
-    return _check(_list_of(convert), lambda v: len(set(v)) >= 2, "two or more distinct values")
+    """Converter: an exponent is fitted over the ladder, so it takes two or more distinct entries."""
+    return _distinct(convert, 2)
 
 
 def _kernel_id(v) -> str:
@@ -166,7 +171,7 @@ _SYSTEMS = {
     "sakovich": (Sakovich, _fields(Sakovich, _list_of(_list_of(_finite, 2), 2))),
 }
 
-_GRID = {"n": (_int, MISSING), "period": (_finite, MISSING), "dealias_fraction": (_finite, 2.0 / 3.0)}
+_GRID = {"n": (_int, MISSING), "period": (_finite, MISSING)}
 _STEPPER = _fields(StepperConfig)
 
 
@@ -260,12 +265,11 @@ _PARAMS = {
     "simulate": {"s": (_finite, 1.0)},
     "lipschitz_probe": {
         "s": (_finite, 1.0), "n_directions": (_count, 1), "direction_band": (_nonneg, 0.0),
-        "deltas": (_list_of(_positive), (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)),
+        "deltas": (_distinct(_positive), (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)),
     },
     "scaling_probe": {
         "lam": (_positive, 2.0), "lambdas": (_ladder(_positive), (1.0, 2.0, 4.0, 8.0)),
-        "s_values": (_check(_list_of(_finite), lambda v: len(set(v)) == len(v), "distinct values"),
-                     (-1.5, -1.0, -0.75, 0.0, 1.0)),
+        "s_values": (_distinct(_finite), (-1.5, -1.0, -0.75, 0.0, 1.0)),
     },
     "picard_study": {
         "n_iters": (_count, 8), "s": (_finite, 0.0),
@@ -351,7 +355,7 @@ def _work(kind: str, p: dict, horizon: float, sample_dt: Optional[float], dt: fl
         return runs * steps, runs * samples
     if kind == "scaling_probe":
         # the rescaled run divides dt and the horizon alike by lam^3, so it takes
-        # as many steps; the predicted trajectory is a third one of that length
+        # as many steps; the prediction lam * base.half is a third array of that length
         return 2.0 * steps, 3.0 * samples
     return steps, samples
 
@@ -553,7 +557,7 @@ def _run_lipschitz(cfg: ExperimentConfig, emit: _Emitter):
     base_norm = float(_joint_norm(np.stack([base0.u.coeffs, base0.v.coeffs]), cfg.grid, s))
     base = simulate(base0, cfg.system, cfg.horizon, cfg.stepper, sample_dt=cfg.sample_dt)
     # the stabilization pair: the two smallest relative perturbations
-    pair = sorted(set(p["deltas"]))[:2]
+    pair = sorted(p["deltas"])[:2]
     rows = []
     stab = []
     for d_idx in range(p["n_directions"]):
@@ -585,16 +589,13 @@ def _run_lipschitz(cfg: ExperimentConfig, emit: _Emitter):
     return summary, [check_bound("nonfinite_ratios", nonfinite, "==", 0)]
 
 
-def _scaled_state(base: State, lam: float) -> State:
-    """lam^2 u0(lam x) on the box shrunk by lam; grid samples map exactly."""
-    g = base.grid
-    g2 = Grid(g.n, g.period / lam, g.dealias_fraction)
-    lam2 = lam * lam
-    return State(
-        forward(lam2 * base.u.values(), g2),
-        forward(lam2 * base.v.values(), g2),
-        0.0,
-    )
+def _rescaled(coeffs: np.ndarray, g: Grid, lam: float) -> tuple[np.ndarray, Grid]:
+    """The KdV rescaling lam^2 u(lam x) of coefficients on g, and its grid, the box shrunk by lam.
+
+    Grid(n, L/lam) has g's sample indices, at x/lam with dx/lam, so the
+    rescaled field's coefficients are exactly lam * coeffs, in either layout.
+    """
+    return lam * coeffs, Grid(g.n, g.period / lam)
 
 
 def _run_scaling(cfg: ExperimentConfig, emit: _Emitter):
@@ -605,13 +606,17 @@ def _run_scaling(cfg: ExperimentConfig, emit: _Emitter):
 
     base = simulate(base0, cfg.system, cfg.horizon, cfg.stepper, sample_dt=cfg.sample_dt)
     lam3 = lam**3
-    scaled0 = _scaled_state(base0, lam)
+    c0, g2 = _rescaled(np.stack([base0.u.coeffs, base0.v.coeffs]), cfg.grid, lam)
     st2 = dataclasses.replace(cfg.stepper, dt=cfg.stepper.dt / lam3)
     scaled = simulate(
-        scaled0, cfg.system, cfg.horizon / lam3, st2, sample_dt=cfg.sample_dt / lam3
+        State(SpectralField(c0[0], g2), SpectralField(c0[1], g2)),
+        cfg.system, cfg.horizon / lam3, st2, sample_dt=cfg.sample_dt / lam3,
     )
-    predicted = scaling_map(base, lam, times=scaled.times, out_grid=scaled0.grid)
-    gaps = _sup_gaps(scaled.half, predicted.half, scaled0.grid)
+    # the prediction at scaled time t is the base sample at lam^3 t
+    times = lam3 * scaled.times
+    if times.shape != base.times.shape or not np.allclose(times, base.times, rtol=1e-12, atol=0.0):
+        raise RuntimeError("rescaled trajectory sampling cadence mismatch")
+    gaps = _sup_gaps(scaled.half, _rescaled(base.half, cfg.grid, lam)[0], g2)
     cov_rows = [[t, eu, ev] for t, (eu, ev) in zip(scaled.times, gaps)]
     emit.csv("covariance.csv", ["t", "max_err_u", "max_err_v"], cov_rows)
     cov_max = float(gaps.max())
@@ -620,7 +625,7 @@ def _run_scaling(cfg: ExperimentConfig, emit: _Emitter):
     norm_rows = []
     fit_rows = []
     exponents = {}
-    scaled_u = [_scaled_state(base0, lam_i).u for lam_i in lambdas]
+    scaled_u = [SpectralField(*_rescaled(base0.u.coeffs, cfg.grid, lam_i)) for lam_i in lambdas]
     for s in s_values:
         norms = [sobolev_norm(u, s) for u in scaled_u]
         norm_rows += [[s, lam_i, val] for lam_i, val in zip(lambdas, norms)]

@@ -63,7 +63,8 @@ def write_snapshot(path, state: State) -> None:
     Path(path).write_bytes(head + body)
 
 
-def read_snapshot(path, dealias_fraction: float = 2.0 / 3.0) -> State:
+def read_snapshot(path) -> State:
+    """The State a snapshot stores, on Grid(n, period); its fields are raw (not dealiased)."""
     raw = Path(path).read_bytes()
     if raw[:4] != SNAPSHOT_MAGIC:
         raise ValueError(f"{path}: bad magic {raw[:4]!r}")
@@ -76,5 +77,5 @@ def read_snapshot(path, dealias_fraction: float = 2.0 / 3.0) -> State:
         raise ValueError(f"{path}: length {len(raw)}, header implies {expected}")
     u = np.frombuffer(raw, dtype="<f8", count=n, offset=28)
     v = np.frombuffer(raw, dtype="<f8", count=n, offset=28 + 8 * n)
-    g = Grid(n, period, dealias_fraction)
+    g = Grid(n, period)
     return State(forward(u.copy(), g), forward(v.copy(), g), t)

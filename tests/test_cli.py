@@ -89,6 +89,13 @@ def test_removed_picard_keys_exit_2(tmp_path, capsys, key):
     assert_rejected(tmp_path, capsys, "picard", unsampled_payload("picard_study", params={key: True}), key)
 
 
+def test_removed_dealias_fraction_key_exits_2(tmp_path, capsys):
+    # every grid keeps |k| <= n/3, so the key is unknown even at its old default
+    grid = {"n": 64, "period": 8.0 * np.pi, "dealias_fraction": 2.0 / 3.0}
+    word = "unknown key(s) in grid: dealias_fraction"
+    assert_rejected(tmp_path, capsys, "simulate", simulate_payload(grid=grid), word)
+
+
 # each key that a kind accepted without reading it, and the reference step rule
 @pytest.mark.parametrize(
     "command, payload, word",

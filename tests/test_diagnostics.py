@@ -55,9 +55,9 @@ def test_hs_invariants_cubic_terms(grid64):
 
 
 def test_hs_invariants_count_no_nyquist_slope():
-    # a pure Nyquist u = 0.05*(-1)^j on a full-layout grid has zero u_x, as in
+    # a pure Nyquist u = 0.05*(-1)^j, raw from forward, has zero u_x, as in
     # the solver, so V = 0 (the cubic term vanishes on the oversampled grid)
-    g = Grid(64, 8.0 * np.pi, dealias_fraction=1.0)
+    g = Grid(64, 8.0 * np.pi)
     u = forward(0.05 * (-1.0) ** np.arange(g.n), g)
     assert l2_norm(spectral_derivative(u, 1)) == 0.0
     V, F = hs_invariants(State(u, zero_field(g)), 0.5, 1.0)

@@ -32,6 +32,7 @@ from ckdv.harness import (
     build_system,
     make_initial,
 )
+from ckdv.systems import SpectralRhs
 
 
 def simulate_config(**over):
@@ -199,6 +200,16 @@ RUN_TIME_FAILURES = {
     ),
     "scaling_repeated_s_values": (
         simulate_config(kind="scaling_probe", params={"s_values": [1.0, 1.0]}), "'s_values' must be distinct values"
+    ),
+    # a repeated entry once two distinct ones are present: each entry is one run or one set of rows
+    "convergence_repeated_dt": (
+        unsampled_config("convergence_study", params={"dt_values": [4e-2, 2e-2, 2e-2]}), f"'dt_values' {_LADDER}"
+    ),
+    "scaling_repeated_lambda": (
+        simulate_config(kind="scaling_probe", params={"lambdas": [1.0, 2.0, 2.0]}), f"'lambdas' {_LADDER}"
+    ),
+    "lipschitz_repeated_deltas": (
+        simulate_config(kind="lipschitz_probe", params={"deltas": [1e-2, 1e-2]}), "'deltas' must be distinct values"
     ),
     "lipschitz_no_initial": (
         {**simulate_config(kind="lipschitz_probe"), "initial": {}}, "needs nonzero initial data"
@@ -544,6 +555,15 @@ def test_run_passes_only_when_every_check_does(monkeypatch, tmp_path, case):
     assert [c["name"] for c in manifest.checks if not c["passed"]] == failing
     assert manifest.status == ("fail" if failing else "pass")
     assert json.loads((tmp_path / "manifest.json").read_text())["checks"] == manifest.checks
+
+
+def test_scaling_covariance_catches_a_zero_order_term(monkeypatch, tmp_path):
+    # u_t = ... + 1e-3 u breaks the KdV scaling, so the rescaled run leaves lam * base.half;
+    # the norm ladder reads only the initial data, so its exponents still pass
+    call = SpectralRhs.__call__
+    monkeypatch.setattr(SpectralRhs, "__call__", lambda self, w, t: call(self, w, t) + 1e-3 * w)
+    manifest = run(load_config(CONFIG_DIR / "scaling.json"), out_dir=tmp_path)
+    assert [c["name"] for c in manifest.checks if not c["passed"]] == ["covariance_max_err"]
 
 
 @pytest.mark.parametrize("path", CONFIG_FILES, ids=lambda p: p.name)

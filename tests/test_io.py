@@ -97,12 +97,3 @@ def test_snapshot_rejects_corruption(tmp_path):
     truncated.write_bytes(raw[:-8])
     with pytest.raises(ValueError, match="length"):
         read_snapshot(truncated)
-
-
-def test_snapshot_custom_dealias_fraction(tmp_path):
-    g = Grid(32, 2.0 * np.pi, dealias_fraction=1.0)
-    st = State(field_from_callable(np.sin, g), field_from_callable(np.cos, g))
-    path = tmp_path / "s.bin"
-    write_snapshot(path, st)
-    back = read_snapshot(path, dealias_fraction=1.0)
-    assert back.grid.dealias_fraction == 1.0

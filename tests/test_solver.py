@@ -304,11 +304,8 @@ def test_simulate_builds_states_only_on_demand(monkeypatch, grid128, gaussian128
 # ---------------------------------------------------------------------------
 # The half-spectrum kernel against a full-layout reference.
 
-def pair_state(g, t=0.0, nyquist=0.0):
-    # nyquist adds (-1)^j on the grid, the Nyquist mode alone
-    u = field_from_callable(
-        lambda x: 0.6 * np.exp(-((x / 1.5) ** 2)) + nyquist * np.cos(np.pi * (x - g.x[0]) / g.dx), g
-    )
+def pair_state(g, t=0.0):
+    u = field_from_callable(lambda x: 0.6 * np.exp(-((x / 1.5) ** 2)), g)
     v = field_from_callable(lambda x: 0.3 * np.exp(-(((x - 1.0) / 2.0) ** 2)), g)
     return State(u, v, t)
 
@@ -337,10 +334,9 @@ def full_layout_ifrk4(st, spec, dt, n_steps):
     return w
 
 
-@pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0])
-def test_simulate_matches_full_layout_ifrk4(fraction, five_systems):
-    g = Grid(64, 8.0 * np.pi, dealias_fraction=fraction)
-    st = pair_state(g, t=0.1, nyquist=0.05 if fraction == 1.0 else 0.0)
+def test_simulate_matches_full_layout_ifrk4(five_systems):
+    g = Grid(64, 8.0 * np.pi)
+    st = pair_state(g, t=0.1)
     dt, n_steps = 2e-3, 20
     for name, spec in five_systems.items():
         final = simulate(st, spec, n_steps * dt, StepperConfig(dt), sample_dt=1.0).states[-1]
@@ -348,8 +344,6 @@ def test_simulate_matches_full_layout_ifrk4(fraction, five_systems):
         got = np.stack([final.u.coeffs, final.v.coeffs])
         assert final.t == pytest.approx(st.t + n_steps * dt)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
-        if fraction == 1.0:
-            assert abs(want[0, g.n // 2]) > 1e-3  # the Nyquist mode was kept and evolved
 
 
 def test_snapshots_are_full_layout_and_hermitian(grid128):
@@ -364,18 +358,6 @@ def test_snapshots_are_full_layout_and_hermitian(grid128):
     cfg = StepperConfig(5e-3)
     out = simulate(traj.states[-1], spec, cfg.dt, cfg).states[-1]
     assert out.u.coeffs.shape == (grid128.n,) and hermitian_defect(out.u) <= 1e-14
-
-
-def test_nyquist_mode_stays_real_on_undealiased_grid():
-    # the kept k = n/2 mode of a dealias_fraction=1.0 grid neither rotates nor
-    # feeds a derivative, so every snapshot stays conjugate symmetric
-    g = Grid(64, 8.0 * np.pi, dealias_fraction=1.0)
-    st = pair_state(g, nyquist=0.05)
-    assert abs(st.u.coeffs[g.n // 2]) > 1e-3
-    traj = simulate(st, HirotaSatsuma(0.5, 1.0), 10 * 2e-3, StepperConfig(2e-3), sample_dt=2e-3)
-    assert len(traj.states) == 11
-    for s in traj.states:
-        assert hermitian_defect(s.u) <= 1e-14 and hermitian_defect(s.v) <= 1e-14
 
 
 def test_batched_rhs_matches_per_sample(five_systems):

@@ -1,4 +1,4 @@
-"""Diagonalization, rescaling, and system reductions."""
+"""Diagonalization and system reductions."""
 
 import numpy as np
 import pytest
@@ -9,19 +9,16 @@ from ckdv import (
     NotApplicable,
     Sakovich,
     State,
-    Trajectory,
     diagonal_form,
     diagonalize,
     field_from_callable,
     gear_grimshaw_as_general,
     gg_dispersion_matrix,
     gg_lambda_alpha,
-    inverse,
     lower,
     nonlinear_rhs,
-    scaling_map,
 )
-from ckdv.grid import Grid, SpectralField, evaluate_at
+from ckdv.grid import SpectralField
 
 
 def test_diagonalize_random_similarity_family():
@@ -108,61 +105,6 @@ def test_gear_grimshaw_as_general_same_dynamics(grid64):
     du_b, dv_b = nonlinear_rhs(gen, st)
     assert np.max(np.abs(du_a.coeffs - du_b.coeffs)) < 1e-12
     assert np.max(np.abs(dv_a.coeffs - dv_b.coeffs)) < 1e-12
-
-
-@pytest.fixture
-def decaying_pair():
-    g = Grid(256, 8.0 * np.pi)
-    u0 = field_from_callable(lambda x: np.exp(-(x**2)) * (1.0 + 0.3 * x), g)
-    v0 = field_from_callable(lambda x: 0.5 * np.exp(-((x - 1.0) ** 2) / 1.5), g)
-    return g, u0, v0
-
-
-def test_scaling_map_identity(decaying_pair):
-    g, u0, v0 = decaying_pair
-    traj = Trajectory.from_states([State(u0, v0, 0.0)])
-    out = scaling_map(traj, 1.0)
-    assert isinstance(out, Trajectory)
-    assert out.grid.compatible(g)
-    assert np.max(np.abs(out.states[0].u.coeffs - u0.coeffs)) < 1e-12
-
-
-def test_scaling_map_pointwise_action(decaying_pair):
-    g, u0, v0 = decaying_pair
-    out = scaling_map(Trajectory.from_states([State(u0, v0, 0.0)]), 2.0)
-    og = out.grid
-    assert og.period == pytest.approx(g.period / 2.0)
-    want = 4.0 * evaluate_at(u0, 2.0 * og.x)
-    assert np.max(np.abs(inverse(out.states[0].u) - want)) < 1e-10
-
-
-def test_scaling_map_composes(decaying_pair):
-    g, u0, v0 = decaying_pair
-    traj = Trajectory.from_states([State(u0, v0, 0.0)])
-    once = scaling_map(scaling_map(traj, 2.0), 2.0)
-    direct = scaling_map(traj, 4.0)
-    assert once.grid.compatible(direct.grid)
-    assert np.max(np.abs(once.states[0].u.coeffs - direct.states[0].u.coeffs)) < 1e-9
-
-
-def test_scaling_map_time_relabeling(decaying_pair):
-    g, u0, v0 = decaying_pair
-    traj = Trajectory.from_states([State(u0, v0, 0.0), State(u0, v0, 0.8)])
-    out = scaling_map(traj, 2.0)
-    assert [st.t for st in out.states] == [0.0, pytest.approx(0.1)]
-
-
-def test_scaling_map_validation(decaying_pair):
-    g, u0, v0 = decaying_pair
-    traj = Trajectory.from_states([State(u0, v0, 0.0)])
-    with pytest.raises(ValueError):
-        scaling_map(traj, 0.0)
-    with pytest.raises(ValueError):
-        scaling_map(traj, -1.0)
-    with pytest.raises(ValueError):
-        scaling_map(traj, 2.0, times=[5.0])  # 5 * 8 outside coverage
-    with pytest.raises(ValueError):
-        scaling_map(Trajectory.from_states([]), 2.0)
 
 
 def test_sakovich_reduce_diagonalizes():
