@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from ..grid import SpectralField, forward
 from .kernels import _counted_quad
@@ -429,14 +430,25 @@ def bilinear_ratio(
     (i, j) and pair (m-1-i, m-1-j) put conjugate values on mirrored
     output cells and carry equal shares of the output norm: only the
     pairs with xi_i + xi_j < 0 are formed, and the row xi_out = 0 they
-    leave out has zero weight.
+    leave out has zero weight.  With equal speeds pair (j, i) lands on
+    pair (i, j)'s cells, so row i <= j carries fu[i] fv[j] + fu[j] fv[i]
+    (the diagonal once) into one inverse FFT.  The output weight is
+    tabulated per (row, slot), zero on FFT padding; a row that shares no
+    cell is weighted in place, the rest are summed per cell first.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    for name, val in (("band", band), ("dxi", dxi), ("dtau", dtau)):
+        if not (math.isfinite(val) and val > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {val}")
+    if not (math.isfinite(sigma_window) and sigma_window >= 0.0):
+        raise ValueError(f"sigma_window must be non-negative and finite, got {sigma_window}")
     variant = "same_sign_pair" if a_left == a_right else "mixed_pair"
     ok = admissible(s, b, b_prime, variant)
 
     h = int(round(band / dxi))
+    if h < 1:
+        raise ValueError(f"band {band} holds no mode off xi = 0 at dxi {dxi}")
     m = 2 * h + 1
     kap = int(round(sigma_window / dtau))
     kk = 2 * kap + 1
@@ -470,25 +482,16 @@ def bilinear_ratio(
         # row h - i is the conjugate mirror of row h + i: a real field
         return np.concatenate((np.conj(rows[:0:-1, ::-1]), rows)) * sup
 
-    # every pairwise interaction is a short 1-d convolution of the two
-    # windows, planted at the integer offset t_left[i] + t_right[j];
-    # coincident output cells must be summed coherently before squaring
+    same = variant == "same_sign_pair"
     ll = 2 * kk - 1
-    pos_span = int(np.max(np.abs(t_left)) + np.max(np.abs(t_right))) + 2 * kap + 1
-    stride = np.int64(2 * pos_span + 1)
-    # the half plane xi_out < 0 (i + j < 2h) of the mirror symmetry
-    idx = np.arange(m, dtype=np.int64)
-    left, right = np.nonzero(idx[:, None] + idx[None, :] < 2 * h)
-    # np.nonzero lists the pairs row by row; left row i meets right rows [0, width[i])
-    width = np.bincount(left, minlength=m)
+    nfft = next_fast_len(ll)
+    pairs = np.add.outer(np.arange(m), np.arange(m)) < 2 * h
+    left, right = np.nonzero(np.triu(pairs) if same else pairs)
+    width = np.bincount(left, minlength=m)  # row by row: left i meets right j0 = i or 0 onwards
     runs = np.concatenate(([0], np.cumsum(width)))
-    base = (left + right) * stride + t_left[left] + t_right[right] - 2 * kap + pos_span
-    keys = base[:, None] + np.arange(ll, dtype=np.int64)[None, :]
-    uniq, inv = np.unique(keys.ravel(), return_inverse=True)
-    n_out, rem = np.divmod(uniq, stride)
-    tau_out = (rem - pos_span) * dtau
-    xi_out = xi2[n_out]
-    sig_out = tau_out + a_out * xi_out**3
+    shift = t_left[left] + t_right[right] - 2 * kap  # pair (i, j) fills slots shift + [0, ll) of row i + j
+    xi_out = xi2[left + right][:, None]
+    sig_out = (shift[:, None] + np.arange(nfft)) * dtau + a_out * xi_out**3
 
     # the modulation weight must be averaged over each output cell, not
     # sampled at its center: near the resonant lines sigma sweeps
@@ -503,45 +506,57 @@ def bilinear_ratio(
         return np.sign(y) * ((1.0 + np.abs(y)) ** p - 1.0) / p
 
     def f2(y):
-        ay = np.abs(y)
-        return ((1.0 + ay) ** (p + 1.0) - 1.0) / (p * (p + 1.0)) - ay / p
+        return ((1.0 + np.abs(y)) ** (p + 1.0) - 1.0) / (p * (p + 1.0)) - np.abs(y) / p
 
     spread = 3.0 * abs(a_out) * xi_out**2 * dxi
-    lo = np.minimum(dtau, spread)
-    hi = np.maximum(dtau, spread)
+    lo, hi = np.minimum(dtau, spread), np.maximum(dtau, spread)
 
     def tau_avg(y):
         return (f2(y + hi / 2.0) - f2(y - hi / 2.0)) / hi
 
-    lo_safe = np.maximum(lo, 1e-300)
     mod_avg = np.where(
         lo > 1e-9 * dtau,
-        (tau_avg(sig_out + lo / 2.0) - tau_avg(sig_out - lo / 2.0)) / lo_safe,
+        (tau_avg(sig_out + lo / 2.0) - tau_avg(sig_out - lo / 2.0)) / np.maximum(lo, 1e-300),
         (f1(sig_out + hi / 2.0) - f1(sig_out - hi / 2.0)) / hi,
     )
     # the factor 2 restores the mirror half; the convolution's cell / 2 pi
     # and the output Riemann sum's cell are folded in here, once
-    w_out = mod_avg * (1.0 + np.abs(xi_out)) ** (2.0 * s) * xi_out**2
-    w_out *= 2.0 * cell * (cell / TWO_PI) ** 2
+    w_slot = mod_avg * (1.0 + np.abs(xi_out)) ** (2.0 * s) * xi_out**2
+    w_slot *= 2.0 * cell * (cell / TWO_PI) ** 2
+    w_slot[:, ll:] = 0.0
 
-    prod = np.empty((left.size, ll), dtype=complex)
+    stride = 2 * int(np.max(np.abs(shift))) + 2 * ll  # keeps xi_out rows 2 ll apart
+    key = (left + right) * stride + shift  # orders rows by (xi_out, first slot)
+    order = np.argsort(key, kind="stable")
+    near = np.diff(key[order]) < ll  # overlapping neighbours
+    ov = np.union1d(order[1:][near], order[:-1][near])
+    ov_keys = (key[ov, None] + np.arange(ll)).ravel()
+    cells, at, ov_inv = np.unique(ov_keys, return_index=True, return_inverse=True)
+    w_cell = w_slot[ov, :ll].ravel()[at]
+    w_slot[ov] = 0.0
+    w_slot = np.repeat(w_slot, 2, axis=1)  # on the (real, imag) float view of each slot
+
+    prod = np.empty((left.size, nfft), dtype=complex)
+    flat = prod.view(np.float64)
     ratios = []
     for trial in range(trials):
-        u = draw(trial, 0, sup_left)
-        v = draw(trial, 1, sup_right)
+        u, v = draw(trial, 0, sup_left), draw(trial, 1, sup_right)
         nu = math.sqrt(float(np.sum(w_left * np.abs(u) ** 2)) * cell)
         nv = math.sqrt(float(np.sum(w_right * np.abs(v) ** 2)) * cell)
         if nu == 0.0 or nv == 0.0:
             continue
-        fu = np.fft.fft(u, n=ll, axis=1)
-        fv = np.fft.fft(v, n=ll, axis=1)
+        fu = np.fft.fft(u, n=nfft, axis=1)
+        fv = np.fft.fft(v, n=nfft, axis=1)
         for i in range(m):
-            np.multiply(fu[i], fv[: width[i]], out=prod[runs[i] : runs[i + 1]])
+            j0 = i if same else 0
+            np.multiply(fu[i], fv[j0 : j0 + width[i]], out=prod[runs[i] : runs[i + 1]])
+            if same:  # the swapped pair (j, i) of every j > i
+                prod[runs[i] + 1 : runs[i + 1]] += fu[i + 1 : i + width[i]] * fv[i]
         np.fft.ifft(prod, axis=1, out=prod)
-        acc = np.zeros(uniq.size, dtype=complex)
-        np.add.at(acc, inv, prod.ravel())
-        num = math.sqrt(float(np.sum(w_out * np.abs(acc) ** 2)))
-        ratios.append(num / (nu * nv))
+        acc = np.zeros(cells.size, dtype=complex)
+        np.add.at(acc, ov_inv, prod[ov, :ll].ravel())
+        num_sq = np.einsum("ij,ij,ij->", w_slot, flat, flat) + np.vdot(w_cell, np.abs(acc) ** 2)
+        ratios.append(math.sqrt(float(num_sq)) / (nu * nv))
     qs = {q: float(np.quantile(ratios, q)) for q in (0.5, 0.9, 1.0)}
     return BilinearReport(
         max(ratios), ratios, qs, ok, variant, band,

@@ -1,5 +1,7 @@
 """Space-time norms, weight comparisons, and the estimate checkers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -352,6 +354,36 @@ def test_bilinear_ratio_flags_and_validation():
         bilinear_ratio(0.0, 0.6, -0.4, -1.0, -1.0, -1.0, trials=0)
 
 
+@pytest.mark.parametrize(
+    "name, kw",
+    [
+        ("band", dict(band=0.2)),  # rounds to h = 0 at dxi = 0.5: an empty half plane
+        ("band", dict(band=-3.0)),
+        ("band", dict(band=float("inf"))),
+        ("dxi", dict(dxi=-0.5)),
+        ("dxi", dict(dxi=float("nan"))),
+        ("dtau", dict(dtau=0.0)),
+        ("sigma_window", dict(sigma_window=-1.0)),
+    ],
+)
+def test_bilinear_ratio_rejects_unusable_lattices(name, kw):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        bilinear_ratio(0.0, 0.6, -0.4, 1.0, -1.0, 1.0, trials=1, **kw)
+
+
+def test_bilinear_ratio_memory_peak():
+    # per-slot weights and one product array at band 32; a unique and
+    # scatter over every (pair, slot) of this mixed case peaks near 82 MiB
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        bilinear_ratio(-0.6, 0.6, -0.4, 1.0, -1.0, 1.0, trials=2, band=32.0, seed=5)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * 2**20
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**40 + 5])
 def test_bilinear_draw_streams_match_tuple_seeds(seed):
     kk = 5
@@ -459,6 +491,9 @@ def _bilinear_full_plane(s, b, b_prime, a_left, a_right, a_out, trials, band, se
         (-0.3, (2.0, -0.5, 1.3), 5.0, 0.5, 0.5),  # |a| != 1, mixed
         (0.0, (-1.0, -1.0, 1.0), 4.0, 0.4, 0.3),  # off-default lattice
         (0.4, (1.0, -1.0, -1.0), 4.8, 0.6, 0.8),  # s > 0 on a coarse lattice
+        (0.0, (1.0, 0.25, 1.0), 6.0, 0.5, 0.5),  # resonant unequal speeds: rows mostly overlap
+        (-0.6, (1.104, 0.396, -1.0), 6.0, 0.5, 0.5),  # resonant unequal speeds with a_out < 0
+        (0.0, (1.0, 1.0, 0.0), 5.0, 0.5, 0.5),  # a_out = 0: the cell average without spread
     ],
 )
 def test_bilinear_ratio_half_plane_matches_full_plane(s, speeds, band, dxi, dtau):
