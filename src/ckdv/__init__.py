@@ -7,7 +7,6 @@ from .grid import (
     Grid,
     SpectralField,
     dealias,
-    evaluate_at,
     field_from_callable,
     forward,
     inverse,
@@ -28,7 +27,6 @@ from .systems import (
     diagonal_form,
     diagonalize,
     gear_grimshaw_as_general,
-    gg_dispersion_matrix,
     gg_lambda_alpha,
     hs_as_kdv,
     lower,
@@ -64,11 +62,11 @@ from . import bourgain
 
 __all__ = [
     "__version__",
-    "Grid", "SpectralField", "dealias", "evaluate_at", "field_from_callable",
+    "Grid", "SpectralField", "dealias", "field_from_callable",
     "forward", "inverse", "l2_norm", "spectral_derivative", "zero_field",
     "BlowupDetected", "Feng", "GearGrimshaw", "GeneralCoupled", "HirotaSatsuma",
     "NormalForm", "NotApplicable", "Sakovich", "State", "diagonal_form", "diagonalize",
-    "gear_grimshaw_as_general", "gg_dispersion_matrix", "gg_lambda_alpha", "hs_as_kdv",
+    "gear_grimshaw_as_general", "gg_lambda_alpha", "hs_as_kdv",
     "lower", "nonlinear_rhs",
     "PicardReport", "StepperConfig", "Trajectory", "picard_iterate", "simulate",
     "MixedNormBreakdown", "collect",

@@ -491,7 +491,9 @@ def bilinear_ratio(
     runs = np.concatenate(([0], np.cumsum(width)))
     shift = t_left[left] + t_right[right] - 2 * kap  # pair (i, j) fills slots shift + [0, ll) of row i + j
     xi_out = xi2[left + right][:, None]
-    sig_out = (shift[:, None] + np.arange(nfft)) * dtau + a_out * xi_out**3
+
+    def sig_out(rows):  # the output modulation at each slot, on the selected rows
+        return (shift[rows, None] + np.arange(nfft)) * dtau + a_out * xi_out[rows] ** 3
 
     # the modulation weight must be averaged over each output cell, not
     # sampled at its center: near the resonant lines sigma sweeps
@@ -511,14 +513,16 @@ def bilinear_ratio(
     spread = 3.0 * abs(a_out) * xi_out**2 * dxi
     lo, hi = np.minimum(dtau, spread), np.maximum(dtau, spread)
 
-    def tau_avg(y):
+    def tau_avg(y, hi):
         return (f2(y + hi / 2.0) - f2(y - hi / 2.0)) / hi
 
-    mod_avg = np.where(
-        lo > 1e-9 * dtau,
-        (tau_avg(sig_out + lo / 2.0) - tau_avg(sig_out - lo / 2.0)) / np.maximum(lo, 1e-300),
-        (f1(sig_out + hi / 2.0) - f1(sig_out - hi / 2.0)) / hi,
-    )
+    wide = lo[:, 0] > 1e-9 * dtau  # rows averaged over the xi sweep too; the rest over tau alone
+    y, lw, hw = sig_out(wide), lo[wide], hi[wide]
+    avg_wide = (tau_avg(y + lw / 2.0, hw) - tau_avg(y - lw / 2.0, hw)) / lw
+    y, hn = sig_out(~wide), hi[~wide]
+    avg_narrow = (f1(y + hn / 2.0) - f1(y - hn / 2.0)) / hn
+    mod_avg = np.empty((left.size, nfft))
+    mod_avg[wide], mod_avg[~wide] = avg_wide, avg_narrow
     # the factor 2 restores the mirror half; the convolution's cell / 2 pi
     # and the output Riemann sum's cell are folded in here, once
     w_slot = mod_avg * (1.0 + np.abs(xi_out)) ** (2.0 * s) * xi_out**2

@@ -200,7 +200,7 @@ def duhamel_field(
         raise ValueError("time grid must contain t = 0")
     phase = stg.phase(a)
     integrand = np.conj(phase) * forcing_slices
-    # the uniform cadence goes in as dx, which keeps scipy on its equal-step rule
+    # the time grid is uniform, so its spacing is the equal-step rule's dx
     acc = sg.cumulative_simpson_c(integrand, stg.t.dx, axis=1)
     acc = acc - acc[:, i0][:, None]
     slices = phase * acc * psi_T(t, T)[None, :]

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -154,19 +153,6 @@ def dealias(field: SpectralField) -> SpectralField:
     return SpectralField(np.where(field.grid.keep, field.coeffs, 0.0), field.grid)
 
 
-def evaluate_at(field: SpectralField, points: np.ndarray) -> np.ndarray:
-    """Evaluate the band-limited interpolant at arbitrary points.
-
-    Exact for the trigonometric polynomial the coefficients represent;
-    cost is O(n * len(points)).
-    """
-    grid = field.grid
-    points = np.atleast_1d(np.asarray(points, dtype=np.float64))
-    phases = np.exp(1j * points[:, None] * grid.xi[None, :])
-    vals = phases @ field.coeffs * (grid.dxi / SQRT_2PI)
-    return vals.real
-
-
 def reflect(field: SpectralField) -> SpectralField:
     """The field x -> f(-x) on the same grid."""
     c = field.coeffs
@@ -208,9 +194,24 @@ def oversampled_values(field: SpectralField) -> tuple[np.ndarray, float]:
 def cumulative_simpson_c(y: np.ndarray, dx: float, axis: int) -> np.ndarray:
     """Cumulative Simpson integral of complex y along `axis`, from 0 at the first sample.
 
-    scipy's cumulative_simpson drops the imaginary part of complex input,
-    so the real and imaginary parts go in as one real array, on a new last axis.
+    Reproduces scipy 1.17's equal-step `cumulative_simpson(..., initial=0.0)`
+    operation for operation on the (real, imag) float view, so the output is
+    bit-identical.  Hand-written because scipy forms the forward and backward
+    rule on every interval of a transposed copy and keeps half; this forms
+    only the intervals used and sums them in place.  Needs 3 or more samples.
     """
-    re_im = np.ascontiguousarray(y)[..., None].view(np.float64)
-    out = cumulative_simpson(re_im, dx=dx, axis=axis % y.ndim, initial=0.0)
-    return np.ascontiguousarray(out).view(np.complex128)[..., 0]
+    n = y.shape[axis]
+    if n < 3:
+        raise ValueError(f"need at least 3 samples along axis {axis}, got {n}")
+    out = np.zeros(y.shape, dtype=np.complex128)  # row 0 stays 0: the integral's start
+    f, acc = (np.moveaxis(z[..., None].view(np.float64), axis % y.ndim, 0)  # float (re, im) views
+              for z in (np.ascontiguousarray(y), out))
+    d3 = dx / 3
+    a, b, c = f[:-2:2], 2 * f[1:-1:2], f[2::2]
+    acc[1:-1:2] = d3 * (5 * a / 4 + b - c / 4)  # forward, even intervals
+    acc[2::2] = d3 * (5 * c / 4 + b - a / 4)  # backward, odd intervals
+    if n % 2 == 0:  # the last interval is even, and scipy takes it backward too
+        acc[-1] = d3 * (5 * f[-1] / 4 + 2 * f[-2] - f[-3] / 4)
+    np.cumsum(acc[1:], axis=0, out=acc[1:])
+    acc += 0.0  # scipy adds `initial`, which turns a -0.0 sum into +0.0
+    return out

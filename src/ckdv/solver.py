@@ -265,6 +265,7 @@ def picard_iterate(
     # axes: component, time sample, mode (half spectrum)
     phase = _half_phases(g, c, times[:, None])
     free = phase * w0[:, None, :]
+    phase_conj = np.conj(phase)
     rhs = systems.SpectralRhs(form, g)
     # H^s weights of the half spectrum: modes 0 < k < n/2 stand for +-k
     hs_weight = (1.0 + g.xi[:m] ** 2) ** s * g.dxi
@@ -290,7 +291,7 @@ def picard_iterate(
         # overflow of a diverging iterate is a result (reported), not an error
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                integrand = np.conj(phase) * rhs(cur, times)
+                integrand = phase_conj * rhs(cur, times)
                 acc = sg.cumulative_simpson_c(integrand, times[1] - times[0], axis=1)
                 new = free + phase * acc
                 d = sup_hs_distance(new - cur)

@@ -194,11 +194,6 @@ def gear_grimshaw_as_general(spec: GearGrimshaw) -> GeneralCoupled:
     )
 
 
-def gg_dispersion_matrix(b1: float, b2: float, a3: float) -> np.ndarray:
-    """Third-derivative coupling matrix after dividing the second equation by b1."""
-    return gear_grimshaw_as_general(GearGrimshaw(0.0, 0.0, a3, b1, b2)).dispersion_matrix
-
-
 def lower(spec: SystemSpec | NormalForm) -> NormalForm:
     """The normal form of a system; a NormalForm is returned unchanged."""
     if isinstance(spec, NormalForm):

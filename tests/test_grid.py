@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
 
 from ckdv import (
     Grid,
     dealias,
-    evaluate_at,
     field_from_callable,
     forward,
     inverse,
@@ -14,7 +14,23 @@ from ckdv import (
     spectral_derivative,
     zero_field,
 )
-from ckdv.grid import hermitian_defect, oversampled_values, reflect, to_full, to_half
+from ckdv.grid import (
+    SQRT_2PI,
+    cumulative_simpson_c,
+    hermitian_defect,
+    oversampled_values,
+    reflect,
+    to_full,
+    to_half,
+)
+
+
+def evaluate_at(field, points):
+    """Reference: the band-limited interpolant at arbitrary points, by O(n m) direct sum."""
+    grid = field.grid
+    points = np.atleast_1d(np.asarray(points, dtype=np.float64))
+    phases = np.exp(1j * points[:, None] * grid.xi[None, :])
+    return (phases @ field.coeffs * (grid.dxi / SQRT_2PI)).real
 
 
 def test_grid_layout(grid64):
@@ -199,3 +215,74 @@ def test_half_spectrum_round_trip(grid64):
     assert np.max(np.abs(to_full(half) - f.coeffs)) <= 1e-15 * np.max(np.abs(f.coeffs))
     stacked = np.stack([half, 2.0 * half])
     assert np.array_equal(to_full(stacked)[1], to_full(2.0 * half))
+
+
+def scipy_cumulative_simpson_c(y, dx, axis):
+    """scipy's equal-step rule on the (real, imag) float view of y, on a new last axis."""
+    re_im = np.ascontiguousarray(y)[..., None].view(np.float64)
+    with np.errstate(all="ignore"):
+        out = cumulative_simpson(re_im, dx=dx, axis=axis % y.ndim, initial=0.0)
+    return np.ascontiguousarray(out).view(np.complex128)[..., 0]
+
+
+def _simpson_input(shape, rng):
+    y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    flat = y.reshape(-1)
+    # nan of both signs: a sum keeps its first nan operand, so operand order shows in the bytes
+    specials = [np.inf, -np.inf, np.nan, -np.nan, -0.0, 1e300]
+    at = rng.choice(flat.size, size=min(flat.size, 2 * len(specials)), replace=False)
+    for k, i in enumerate(at):
+        v = specials[k % len(specials)]
+        flat[i] = complex(v, flat[i].imag) if k % 2 else complex(flat[i].real, v)
+    return y
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 9, 10, 321, 512])
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_cumulative_simpson_c_bytes_match_scipy(n, axis):
+    rng = np.random.default_rng(n)
+    shape = [2, 3, 2]
+    shape[axis] = n
+    y = _simpson_input(tuple(shape), rng)
+    with np.errstate(all="ignore"):
+        got = cumulative_simpson_c(y, 0.37, axis)
+        nc = np.repeat(y, 2, axis=-1)[..., ::2]  # the same values, not contiguous
+        assert not nc.flags.c_contiguous
+        got_nc = cumulative_simpson_c(nc, 0.37, axis)
+    want = scipy_cumulative_simpson_c(y, 0.37, axis)
+    assert got.shape == want.shape and got.dtype == np.complex128
+    assert got.tobytes() == want.tobytes()
+    assert got_nc.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 10])
+def test_cumulative_simpson_c_special_values(n):
+    ys = [np.full((n, 2), complex(fill, -0.0)) for fill in (0.0, -0.0, np.inf, -np.inf)]
+    # nan of alternating sign: each sum propagates its first nan operand
+    alt = np.zeros((n, 2), dtype=complex)
+    alt[::2] = complex(np.nan, -np.nan)
+    alt[1::2] = complex(-np.nan, np.nan)
+    # a nan in the last sample alone reaches only the last interval
+    last = np.ones((n, 2), dtype=complex)
+    last[-1] = complex(np.nan, -np.nan)
+    for y in ys + [alt, last]:
+        for dx in (0.5, -0.5):  # dx < 0 makes every interval of a zero field -0.0
+            want = scipy_cumulative_simpson_c(y, dx, 0)
+            with np.errstate(all="ignore"):
+                assert cumulative_simpson_c(y, dx, 0).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, 10])
+def test_cumulative_simpson_c_exact_for_quadratics(n):
+    t = np.linspace(0.0, 1.3, n)
+    a, b, c = 0.7 - 0.2j, -1.1 + 0.4j, 2.3 + 1.5j
+    y = np.stack([a + b * t + c * t**2, (a + b * t + c * t**2) * 1j])
+    primitive = a * t + b * t**2 / 2 + c * t**3 / 3
+    got = cumulative_simpson_c(y, t[1] - t[0], axis=1)
+    assert got[0, 0] == 0.0
+    assert np.max(np.abs(got - np.stack([primitive, primitive * 1j]))) < 1e-13
+
+
+def test_cumulative_simpson_c_needs_three_samples():
+    with pytest.raises(ValueError):
+        cumulative_simpson_c(np.ones((2, 4), dtype=complex), 0.1, axis=0)

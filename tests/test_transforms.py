@@ -13,7 +13,6 @@ from ckdv import (
     diagonalize,
     field_from_callable,
     gear_grimshaw_as_general,
-    gg_dispersion_matrix,
     gg_lambda_alpha,
     lower,
     nonlinear_rhs,
@@ -80,7 +79,7 @@ def test_gg_lambda_alpha_matches_diagonalize():
         b2 = rng.uniform(0.2, 3.0)
         a3 = rng.uniform(-2.0, 2.0)
         lam, ap, am = gg_lambda_alpha(b1, b2, a3)
-        d = diagonalize(gg_dispersion_matrix(b1, b2, a3))
+        d = diagonalize(gear_grimshaw_as_general(GearGrimshaw(0.0, 0.0, a3, b1, b2)).dispersion_matrix)
         assert ap == pytest.approx(d.alpha_plus, abs=1e-10)
         assert am == pytest.approx(d.alpha_minus, abs=1e-10)
         assert lam == pytest.approx(ap - am, abs=1e-12)
@@ -90,13 +89,14 @@ def test_gg_lambda_alpha_requires_positive_b():
     with pytest.raises(ValueError):
         gg_lambda_alpha(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        gg_dispersion_matrix(1.0, -1.0, 1.0)
+        GearGrimshaw(0.0, 0.0, 1.0, 1.0, -1.0)
 
 
 def test_gear_grimshaw_as_general_same_dynamics(grid64):
     gg = GearGrimshaw(0.7, 0.3, 0.5, 2.0, 0.5, r=0.4)
     gen = gear_grimshaw_as_general(gg)
-    assert np.allclose(gen.dispersion_matrix, gg_dispersion_matrix(2.0, 0.5, 0.5))
+    # second row divided by b1: [[1, a3], [b2 a3 / b1, 1 / b1]]
+    assert np.allclose(gen.dispersion_matrix, [[1.0, 0.5], [0.125, 0.5]])
     st = State(
         field_from_callable(lambda x: np.sin(x), grid64),
         field_from_callable(lambda x: np.cos(2.0 * x), grid64),
