@@ -2,7 +2,9 @@
 
 Each subcommand runs one experiment kind from a JSON config, prints its
 summary and one line per check, and exits 0 on pass, 1 on an experiment
-failure or error, 2 on a usage or configuration problem.
+failure or error, 2 on a usage or configuration problem.  The kind's
+`harness.KINDS` record names the subcommand; the subcommand takes `--seed`
+when the kind reads a seed, and needs `--config` when it has a work estimate.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ import numpy as np
 
 from .diagnostics import COLUMNS, record_for
 from .harness import (
-    _CONFIGS,
-    _NEEDS_DYNAMICS,
+    KINDS,
     ConfigError,
     _finite,
     _optional,
@@ -29,17 +30,6 @@ from .harness import (
     run,
 )
 from .io import read_snapshot, write_csv
-
-_SUBCOMMAND_KIND = {
-    "simulate": "simulate",
-    "picard": "picard_study",
-    "lipschitz": "lipschitz_probe",
-    "scaling": "scaling_probe",
-    "bourgain": "bourgain_suite",
-    "kernels": "kernel_suite",
-    "noneq": "nonequivalence",
-    "convergence": "convergence_study",
-}
 
 _DIAGNOSE = {
     "system": (build_system, MISSING),
@@ -62,13 +52,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectral simulation and estimate verification for coupled third-order wave systems.",
     )
     sub = parser.add_subparsers(dest="cmd")
-    for name, kind in _SUBCOMMAND_KIND.items():
-        p = sub.add_parser(name, help=f"run a '{kind}' experiment")
+    for kind, k in KINDS.items():
+        p = sub.add_parser(k.command, help=f"run a '{kind}' experiment")
         p.add_argument("--config", help="JSON experiment configuration")
         p.add_argument("--out", help="output directory (overrides the config)")
-        if "seed" in _CONFIGS[kind]:
+        if "seed" in k.top:
             p.add_argument("--seed", type=_u64, help="RNG seed (overrides the config)")
         p.add_argument("--quiet", action="store_true", help="suppress the summary printout")
+        p.set_defaults(kind=kind)
     p = sub.add_parser("diagnose", help="conserved functionals of one stored snapshot")
     p.add_argument("--config", required=True, help="JSON with 'system' and 'snapshot' keys")
     p.add_argument("--out", help="output directory (overrides the config)")
@@ -83,7 +74,7 @@ def _emit(msg: str, quiet: bool) -> None:
 
 def _cmd_experiment(args, kind: str) -> int:
     # a kind without dynamics runs with built-in defaults when --config is omitted
-    if args.config is None and kind in _NEEDS_DYNAMICS:
+    if args.config is None and KINDS[kind].work is not None:
         raise ConfigError(f"subcommand for kind '{kind}' requires --config")
     d = {"kind": kind} if args.config is None else _read_json(args.config)
     seed = getattr(args, "seed", None)  # only a kind that takes a seed has --seed
@@ -135,7 +126,7 @@ def main(argv=None) -> int:
     try:
         if args.cmd == "diagnose":
             return _cmd_diagnose(args)
-        return _cmd_experiment(args, _SUBCOMMAND_KIND[args.cmd])
+        return _cmd_experiment(args, args.kind)
     except ConfigError as e:
         print(f"ckdv: {e}", file=sys.stderr)
         return 2

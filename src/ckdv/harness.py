@@ -7,7 +7,11 @@ records failures instead of leaving half-written output behind.
 
 Each config block has one table, key -> (converter, default); `_parse`
 checks a block against it in one pass, so runners read typed values.
-Each runner returns its summary and its checks; a run passes when every
+Each experiment kind is declared once, in its `KINDS` record: its CLI
+subcommand, its top-level keys, its params table, the rule that spans
+its keys, its work estimate (dynamics kinds only) and its runner.  The
+parser, the work budget, `run` and the CLI all read that record.  Each
+runner returns its summary and its checks; a run passes when every
 check does.
 """
 
@@ -22,7 +26,7 @@ import time
 from dataclasses import MISSING, dataclass
 from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -195,29 +199,6 @@ def build_stepper(d: dict) -> StepperConfig:
     return _parse(d, _STEPPER, "stepper", StepperConfig)
 
 
-_PROFILES = {
-    kind: {"kind": (_text, kind), **table}
-    for kind, table in {
-        "zero": {},
-        "gaussian": {"amplitude": (_finite, 1.0), "width": (_positive, 1.0), "center": (_finite, 0.0)},
-        "sine": {"amplitude": (_finite, 1.0), "mode": (_int, 1), "phase": (_finite, 0.0)},
-        "modulated_gaussian": {
-            "amplitude": (_finite, 1.0), "width": (_positive, 1.0),
-            "center": (_finite, 0.0), "mode": (_int, 12),
-        },
-        "soliton": {"speed": (_positive, 4.0), "center": (_finite, 0.0)},
-        "random_band": {"amplitude": (_finite, 1.0), "band": (_nonneg, 0.0), "decay": (_finite, 2.0)},
-    }.items()
-}
-
-
-def _parse_profile(d, where: str) -> dict:
-    return _parse(d, _pick(d, "kind", _PROFILES, where, default="zero")[1], where)
-
-
-_INITIAL = {side: (partial(_parse_profile, where=f"initial.{side}"), {}) for side in ("u", "v")}
-
-
 def _band_noise(g: Grid, rng: np.random.Generator, decay: float, band: float) -> np.ndarray:
     """Grid samples of complex Gaussian coefficients damped by (1 + |xi|)^-decay,
     kept on the resolved band and, when band > 0, on |xi| <= band."""
@@ -228,25 +209,8 @@ def _band_noise(g: Grid, rng: np.random.Generator, decay: float, band: float) ->
     return SpectralField(c, g).values()
 
 
-def _component_samples(p: dict, g: Grid, rng: np.random.Generator) -> np.ndarray:
-    kind, x = p["kind"], g.x
-    if kind == "zero":
-        return np.zeros(g.n)
-    if kind == "gaussian":
-        return p["amplitude"] * np.exp(-(((x - p["center"]) / p["width"]) ** 2))
-    if kind == "sine":
-        return p["amplitude"] * np.sin(2.0 * np.pi * p["mode"] * x / g.period + p["phase"])
-    if kind == "modulated_gaussian":
-        c = p["center"]
-        env = np.exp(-(((x - c) / p["width"]) ** 2))
-        return p["amplitude"] * env * np.cos(2.0 * np.pi * p["mode"] * (x - c) / g.period)
-    if kind == "soliton":
-        # (c/2) sech^2(sqrt(c)/2 (x - x0)) travels right at speed c under
-        # w_t + w_xxx + 6 w w_x = 0
-        c = p["speed"]
-        arg = 0.5 * np.sqrt(c) * (x - p["center"])
-        return 0.5 * c / np.cosh(arg) ** 2
-    # random_band, scaled to peak at the amplitude
+def _random_band(p: dict, g: Grid, rng: np.random.Generator) -> np.ndarray:
+    # scaled to peak at the amplitude
     vals = _band_noise(g, rng, p["decay"], p["band"])
     peak = np.max(np.abs(vals))
     if peak > 0.0:
@@ -254,43 +218,44 @@ def _component_samples(p: dict, g: Grid, rng: np.random.Generator) -> np.ndarray
     return vals
 
 
+# each initial profile: its key table, and its sampler (p, grid, rng) -> grid samples
+_PROFILES = {
+    "zero": ({}, lambda p, g, rng: np.zeros(g.n)),
+    "gaussian": (
+        {"amplitude": (_finite, 1.0), "width": (_positive, 1.0), "center": (_finite, 0.0)},
+        lambda p, g, rng: p["amplitude"] * np.exp(-(((g.x - p["center"]) / p["width"]) ** 2)),
+    ),
+    "sine": (
+        {"amplitude": (_finite, 1.0), "mode": (_int, 1), "phase": (_finite, 0.0)},
+        lambda p, g, rng: p["amplitude"] * np.sin(2.0 * np.pi * p["mode"] * g.x / g.period + p["phase"]),
+    ),
+    "modulated_gaussian": (
+        {"amplitude": (_finite, 1.0), "width": (_positive, 1.0), "center": (_finite, 0.0), "mode": (_int, 12)},
+        lambda p, g, rng: p["amplitude"] * np.exp(-(((g.x - p["center"]) / p["width"]) ** 2))
+        * np.cos(2.0 * np.pi * p["mode"] * (g.x - p["center"]) / g.period),
+    ),
+    # (c/2) sech^2(sqrt(c)/2 (x - x0)) travels right at speed c under w_t + w_xxx + 6 w w_x = 0
+    "soliton": (
+        {"speed": (_positive, 4.0), "center": (_finite, 0.0)},
+        lambda p, g, rng: 0.5 * p["speed"] / np.cosh(0.5 * np.sqrt(p["speed"]) * (g.x - p["center"])) ** 2,
+    ),
+    "random_band": ({"amplitude": (_finite, 1.0), "band": (_nonneg, 0.0), "decay": (_finite, 2.0)}, _random_band),
+}
+
+
+def _parse_profile(d, where: str) -> dict:
+    kind, (table, _) = _pick(d, "kind", _PROFILES, where, default="zero")
+    return _parse(d, {"kind": (_text, kind), **table}, where)
+
+
+_INITIAL = {side: (partial(_parse_profile, where=f"initial.{side}"), {}) for side in ("u", "v")}
+
+
 def make_initial(d: Optional[dict], g: Grid, rng: np.random.Generator) -> State:
     init = _parse({} if d is None else d, _INITIAL, "initial")
-    u = forward(_component_samples(init["u"], g, rng), g)
-    v = forward(_component_samples(init["v"], g, rng), g)
+    u, v = (forward(_PROFILES[p["kind"]][1](p, g, rng), g) for p in (init["u"], init["v"]))
     return State(u, v, 0.0)
 
-
-_PARAMS = {
-    "simulate": {"s": (_finite, 1.0)},
-    "lipschitz_probe": {
-        "s": (_finite, 1.0), "n_directions": (_count, 1), "direction_band": (_nonneg, 0.0),
-        "deltas": (_distinct(_positive), (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)),
-    },
-    "scaling_probe": {
-        "lam": (_positive, 2.0), "lambdas": (_ladder(_positive), (1.0, 2.0, 4.0, 8.0)),
-        "s_values": (_distinct(_finite), (-1.5, -1.0, -0.75, 0.0, 1.0)),
-    },
-    "picard_study": {
-        "n_iters": (_count, 8), "s": (_finite, 0.0),
-        "time_resolution": (_check(_int, lambda n: n >= 9 and n % 2 == 1, "odd and >= 9"), 201),
-    },
-    "convergence_study": {"dt_values": (_ladder(_positive), (4e-3, 2e-3, 1e-3, 5e-4))},
-    "bourgain_suite": {
-        "s": (_finite, 0.0), "b": (_finite, 0.6), "b_prime": (_finite, -0.3), "a": (_nonzero, 1.0),
-        "n_x": (_pow2, 128), "period_x": (_positive, 16.0 * np.pi),
-        "n_t": (_pow2, 512), "period_t": (_positive, 8.0), "n_fields": (_count, 50),
-        "t_values": (_ladder(_unit_time), (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)),
-        "embedding_speeds": (_list_of(_nonzero, 3), (2.0, 1.0, 3.0)),
-        "pair_first": (_list_of(_nonzero, 2), (1.0, 3.0)),
-        "pair_second": (_list_of(_nonzero, 2), (1.5, 2.5)), "n_embed_fields": (_count, 64),
-    },
-    "kernel_suite": {"kernels": (_list_of(_kernel_id), tuple(KERNELS))},
-    "nonequivalence": {
-        "a0": (_nonzero, 1.0), "a1": (_nonzero, -1.0), "s": (_finite, 0.0), "b": (_finite, 3.0),
-        "radii": (_ladder(_positive), (8.0, 16.0, 32.0, 64.0)),
-    },
-}
 
 _SEED = {"seed": (_seed, 0)}
 _DYNAMICS = {
@@ -305,30 +270,6 @@ _DYNAMICS = {
 # points and a convergence study keeps only final states
 _SAMPLED = {**_DYNAMICS, "sample_dt": (_positive, 0.01)}
 
-# the top-level keys each kind reads, besides kind, output_dir and params
-_TOP = {
-    "simulate": _SAMPLED,
-    "lipschitz_probe": _SAMPLED,
-    "scaling_probe": _SAMPLED,
-    "picard_study": _DYNAMICS,
-    "convergence_study": _DYNAMICS,
-    "bourgain_suite": _SEED,
-    "kernel_suite": {},
-    "nonequivalence": {},
-}
-
-_NEEDS_DYNAMICS = {kind for kind, keys in _TOP.items() if "stepper" in keys}
-
-_CONFIGS = {
-    kind: {
-        "kind": (_text, MISSING),
-        "output_dir": (_optional(_text), None),
-        **_TOP[kind],
-        "params": (partial(_parse, table=params, where=f"params for '{kind}'"), {}),
-    }
-    for kind, params in _PARAMS.items()
-}
-
 
 # The work budget.  A dynamics run may take at most MAX_STEPS IF-RK4 steps
 # over all its simulations, and store at most MAX_SNAPSHOT_BYTES of samples
@@ -336,28 +277,6 @@ _CONFIGS = {
 # shipped config and benchmark workload sits at least 100x below both.
 MAX_STEPS = 10**7
 MAX_SNAPSHOT_BYTES = 2**31
-
-
-def _work(kind: str, p: dict, horizon: float, sample_dt: Optional[float], dt: float) -> tuple[float, float]:
-    """(IF-RK4 steps, stored samples) of a dynamics run, as floats so that no count overflows."""
-    steps = horizon / dt
-    if kind == "picard_study":
-        # every iterate is kept; the stepper reference stores two states
-        return steps, (p["n_iters"] + 1.0) * p["time_resolution"] + 2.0
-    if kind == "convergence_study":
-        # one run per dt_values entry and the reference run at dt
-        dts = [*p["dt_values"], dt]
-        return sum(horizon / d for d in dts), 2.0 * len(dts)
-    # simulate stores every round(sample_dt/dt)-th step, plus the first and last states
-    samples = horizon / (max(1.0, np.round(sample_dt / dt)) * dt) + 2.0
-    if kind == "lipschitz_probe":
-        runs = 1 + p["n_directions"] * len(p["deltas"])
-        return runs * steps, runs * samples
-    if kind == "scaling_probe":
-        # the rescaled run divides dt and the horizon alike by lam^3, so it takes
-        # as many steps; the prediction lam * base.half is a third array of that length
-        return 2.0 * steps, 3.0 * samples
-    return steps, samples
 
 
 @dataclass(kw_only=True)
@@ -377,41 +296,31 @@ class ExperimentConfig:
     initial: Optional[dict] = None
 
     def __post_init__(self):
-        # rules that span keys; _parse reports a ValueError here as a ConfigError
-        p = self.params
-        if self.kind == "picard_study" and self.horizon == 0.0:
-            raise ValueError("horizon must be > 0 for a Picard study")
-        two_wave = isinstance(self.system, HirotaSatsuma) and self.system.a != 0.0
-        if self.kind == "scaling_probe" and not two_wave:
-            raise ValueError("scaling covariance is set up for the two-wave system with a != 0")
-        if self.kind == "convergence_study" and self.stepper.dt >= min(p["dt_values"]):
-            raise ValueError("stepper.dt, the reference step, must be finer than every entry of dt_values")
-        if self.kind in _NEEDS_DYNAMICS:
-            steps, samples = _work(self.kind, p, self.horizon, self.sample_dt, self.stepper.dt)
+        # the budget, then the kind's rule that spans keys; _parse reports a
+        # ValueError here as a ConfigError
+        k = KINDS[self.kind]
+        if k.work is not None:
+            steps, samples = k.work(self)
             stored = samples * 2 * (self.grid.n // 2 + 1) * 16
             if steps > MAX_STEPS or stored > MAX_SNAPSHOT_BYTES:
                 raise ValueError(
                     f"the run takes {steps:.3g} IF-RK4 steps and stores {stored:.3g} bytes "
                     f"of samples; the budget is {MAX_STEPS:.0e} steps and {MAX_SNAPSHOT_BYTES} bytes"
                 )
-        if self.kind == "lipschitz_probe":
-            data = make_initial(self.initial, self.grid, np.random.default_rng(self.seed))
-            if not (np.any(data.u.coeffs) or np.any(data.v.coeffs)):
-                raise ValueError("the relative perturbation ladder needs nonzero initial data")
-        if self.kind == "bourgain_suite":
-            if not (-0.5 < p["b_prime"] <= 0.0 <= p["b"] <= p["b_prime"] + 1.0):
-                raise ValueError("need -1/2 < b_prime <= 0 <= b <= b_prime + 1")
-            # the last two embedding speeds and each pair are reference speeds
-            for key, start in (("embedding_speeds", 1), ("pair_first", 0), ("pair_second", 0)):
-                if p[key][start] == p[key][start + 1]:
-                    raise ValueError(f"the reference speeds in {key} must differ")
-        if self.kind == "nonequivalence" and not (p["b"] > 0.5 and p["s"] > 0.5 - p["b"]):
-            raise ValueError("the nonequivalence construction needs b > 1/2 and s > 1/2 - b")
+        fault = k.rule and k.rule(self)
+        if fault:
+            raise ValueError(fault)
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Validate, type and default every block of a config in one pass."""
-    kind, table = _pick(d, "kind", _CONFIGS, "config")
+    kind, k = _pick(d, "kind", KINDS, "config")
+    table = {
+        "kind": (_text, MISSING),
+        "output_dir": (_optional(_text), None),
+        **k.top,
+        "params": (partial(_parse, table=k.params, where=f"params for '{kind}'"), {}),
+    }
     return _parse(d, table, f"{kind} config", partial(ExperimentConfig, raw=d))
 
 
@@ -486,6 +395,7 @@ BOUNDS = {
     "stepper_linf": ("<", 1e-6),  # c06: the Picard fixed point against the stepper
     "free_cv": ("<", 1e-2),  # c10: spread of the free-evolution ratios
     "duhamel_exponent_err": ("<=", 0.1),  # c10: Duhamel exponent against b' + 1 - b
+    "stabilization_rel_diff": ("<", 1e-3),  # the Lipschitz ratio settles as delta -> 0
 }
 
 _RELATIONS = {
@@ -557,7 +467,7 @@ def _run_lipschitz(cfg: ExperimentConfig, emit: _Emitter):
     base_norm = float(_joint_norm(np.stack([base0.u.coeffs, base0.v.coeffs]), cfg.grid, s))
     base = simulate(base0, cfg.system, cfg.horizon, cfg.stepper, sample_dt=cfg.sample_dt)
     # the stabilization pair: the two smallest relative perturbations
-    pair = sorted(p["deltas"])[:2]
+    small, next_small = sorted(p["deltas"])[:2]
     rows = []
     stab = []
     for d_idx in range(p["n_directions"]):
@@ -577,16 +487,20 @@ def _run_lipschitz(cfg: ExperimentConfig, emit: _Emitter):
             sup = float(np.max(_joint_norm(to_full(pert.half - base.half), cfg.grid, s)))
             ratios[delta] = sup / eps
             rows.append([d_idx, delta, eps, ratios[delta]])
-        if len(pair) == 2 and ratios[pair[1]] > 0.0:
-            stab.append(abs(ratios[pair[0]] - ratios[pair[1]]) / ratios[pair[1]])
+        # inf, so that the check fails, when the pair gives no finite relative difference
+        a, b = ratios[small], ratios[next_small]
+        stab.append(abs(a - b) / b if math.isfinite(a) and 0.0 < b < math.inf else math.inf)
     emit.csv("lipschitz.csv", ["direction", "delta_rel", "delta_abs", "ratio"], rows)
     summary = {
         "base_norm": base_norm,
         "max_ratio": max(r[3] for r in rows),
-        "stabilization_rel_diff": max(stab) if stab else None,
+        "stabilization_rel_diff": max(stab),
     }
     nonfinite = sum(not np.isfinite(r[3]) for r in rows)
-    return summary, [check_bound("nonfinite_ratios", nonfinite, "==", 0)]
+    return summary, [
+        check_bound("nonfinite_ratios", nonfinite, "==", 0),
+        check_bound("stabilization_rel_diff", summary["stabilization_rel_diff"], *BOUNDS["stabilization_rel_diff"]),
+    ]
 
 
 def _rescaled(coeffs: np.ndarray, g: Grid, lam: float) -> tuple[np.ndarray, Grid]:
@@ -700,16 +614,8 @@ def _run_bourgain(cfg: ExperimentConfig, emit: _Emitter):
         u0, p["a"], s, b, p["b_prime"],
         n_fields=p["n_fields"], seed=cfg.seed, n_t=p["n_t"], t_ladder=p["t_values"],
     )
-    emit.csv(
-        "linear_free.csv",
-        ["field", "ratio"],
-        [[i, r] for i, r in enumerate(rep.free_ratios)],
-    )
-    emit.csv(
-        "linear_duhamel.csv",
-        ["T", "ratio"],
-        [[t, r] for t, r in zip(rep.duhamel_T, rep.duhamel_ratios)],
-    )
+    emit.csv("linear_free.csv", ["field", "ratio"], enumerate(rep.free_ratios))
+    emit.csv("linear_duhamel.csv", ["T", "ratio"], zip(rep.duhamel_T, rep.duhamel_ratios))
 
     stg = make_st_grid(min(n_x, 64), period_x, min(p["n_t"], 256), p["period_t"])
     rng = np.random.default_rng((cfg.seed, 1))
@@ -722,11 +628,7 @@ def _run_bourgain(cfg: ExperimentConfig, emit: _Emitter):
         qr = intersection_equivalence(F, p["pair_first"], p["pair_second"], s, b)
         eqv_rows.append([i, qr.norm_first, qr.norm_second, qr.c_lo, qr.c_hi, qr.passed])
     emit.csv("embedding.csv", ["field", "lhs", "rhs", "constant", "passed"], emb_rows)
-    emit.csv(
-        "equivalence.csv",
-        ["field", "norm_first", "norm_second", "c_lo", "c_hi", "passed"],
-        eqv_rows,
-    )
+    emit.csv("equivalence.csv", ["field", "norm_first", "norm_second", "c_lo", "c_hi", "passed"], eqv_rows)
     summary = {
         "free_cv": rep.free_cv,
         "duhamel_exponent": rep.fitted_exponent,
@@ -751,11 +653,7 @@ def _run_kernels(cfg: ExperimentConfig, emit: _Emitter):
          ";".join(ckio.format_value(v) for v in r.argmax)]
         for r in reports
     ]
-    emit.csv(
-        "kernels.csv",
-        ["kernel", "max_value", "max_refined", "rel_change", "stable", "argmax"],
-        rows,
-    )
+    emit.csv("kernels.csv", ["kernel", "max_value", "max_refined", "rel_change", "stable", "argmax"], rows)
     summary = {
         "kernels": len(rows),
         "max_rel_change": max(r.rel_change for r in reports),
@@ -781,15 +679,104 @@ def _run_noneq(cfg: ExperimentConfig, emit: _Emitter):
     ]
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "lipschitz_probe": _run_lipschitz,
-    "scaling_probe": _run_scaling,
-    "picard_study": _run_picard,
-    "convergence_study": _run_convergence,
-    "bourgain_suite": _run_bourgain,
-    "kernel_suite": _run_kernels,
-    "nonequivalence": _run_noneq,
+def _sampled_work(cfg: ExperimentConfig, runs=1, arrays=None) -> tuple[float, float]:
+    """(IF-RK4 steps, stored samples) of `runs` simulate runs that store `arrays`
+    (by default `runs`) trajectories, as floats so that no count overflows.
+    A run stores every round(sample_dt/dt)-th step, plus its first and last states."""
+    dt = cfg.stepper.dt
+    samples = cfg.horizon / (max(1.0, np.round(cfg.sample_dt / dt)) * dt) + 2.0
+    return runs * (cfg.horizon / dt), (runs if arrays is None else arrays) * samples
+
+
+def _lipschitz_rule(cfg: ExperimentConfig) -> Optional[str]:
+    data = make_initial(cfg.initial, cfg.grid, np.random.default_rng(cfg.seed))
+    if not (np.any(data.u.coeffs) or np.any(data.v.coeffs)):
+        return "the relative perturbation ladder needs nonzero initial data"
+    return None
+
+
+def _bourgain_rule(cfg: ExperimentConfig) -> Optional[str]:
+    p = cfg.params
+    if not (-0.5 < p["b_prime"] <= 0.0 <= p["b"] <= p["b_prime"] + 1.0):
+        return "need -1/2 < b_prime <= 0 <= b <= b_prime + 1"
+    # the last two embedding speeds and each pair are reference speeds
+    for key, start in (("embedding_speeds", 1), ("pair_first", 0), ("pair_second", 0)):
+        if p[key][start] == p[key][start + 1]:
+            return f"the reference speeds in {key} must differ"
+    return None
+
+
+@dataclass(frozen=True)
+class KindDef:
+    """One experiment kind, as the parser, the work budget, `run` and the CLI read it."""
+
+    command: str  # the CLI subcommand
+    top: dict  # the top-level keys it reads, besides kind, output_dir and params
+    params: dict
+    runner: Callable  # (cfg, emit) -> (summary, checks)
+    rule: Optional[Callable] = None  # cfg -> the message of a fault that spans keys, or None
+    work: Optional[Callable] = None  # cfg -> (IF-RK4 steps, stored samples); dynamics kinds only
+
+
+KINDS = {
+    "simulate": KindDef("simulate", _SAMPLED, {"s": (_finite, 1.0)}, _run_simulate, work=_sampled_work),
+    # the base run, and one run per direction and delta
+    "lipschitz_probe": KindDef(
+        "lipschitz", _SAMPLED,
+        {"s": (_finite, 1.0), "n_directions": (_count, 1), "direction_band": (_nonneg, 0.0),
+         "deltas": (_ladder(_positive), (1e-1, 1e-2, 1e-3, 1e-4, 1e-5))},
+        _run_lipschitz, rule=_lipschitz_rule,
+        work=lambda c: _sampled_work(c, 1 + c.params["n_directions"] * len(c.params["deltas"])),
+    ),
+    # the rescaled run divides dt and the horizon alike by lam^3, so it takes as many
+    # steps; the prediction lam * base.half is a third array of that length
+    "scaling_probe": KindDef(
+        "scaling", _SAMPLED,
+        {"lam": (_positive, 2.0), "lambdas": (_ladder(_positive), (1.0, 2.0, 4.0, 8.0)),
+         "s_values": (_distinct(_finite), (-1.5, -1.0, -0.75, 0.0, 1.0))},
+        _run_scaling,
+        rule=lambda c: None if isinstance(c.system, HirotaSatsuma) and c.system.a != 0.0
+        else "scaling covariance is set up for the two-wave system with a != 0",
+        work=partial(_sampled_work, runs=2.0, arrays=3.0),
+    ),
+    # every iterate is kept; the stepper reference stores two states
+    "picard_study": KindDef(
+        "picard", _DYNAMICS,
+        {"n_iters": (_count, 8), "s": (_finite, 0.0),
+         "time_resolution": (_check(_int, lambda n: n >= 9 and n % 2 == 1, "odd and >= 9"), 201)},
+        _run_picard,
+        rule=lambda c: "horizon must be > 0 for a Picard study" if c.horizon == 0.0 else None,
+        work=lambda c: (c.horizon / c.stepper.dt, (c.params["n_iters"] + 1.0) * c.params["time_resolution"] + 2.0),
+    ),
+    # one run per dt_values entry and the reference run at stepper.dt, each storing two states
+    "convergence_study": KindDef(
+        "convergence", _DYNAMICS, {"dt_values": (_ladder(_positive), (4e-3, 2e-3, 1e-3, 5e-4))},
+        _run_convergence,
+        rule=lambda c: "stepper.dt, the reference step, must be finer than every entry of dt_values"
+        if c.stepper.dt >= min(c.params["dt_values"]) else None,
+        work=lambda c: (sum(c.horizon / d for d in [*c.params["dt_values"], c.stepper.dt]),
+                        2.0 * (len(c.params["dt_values"]) + 1)),
+    ),
+    "bourgain_suite": KindDef(
+        "bourgain", _SEED,
+        {"s": (_finite, 0.0), "b": (_finite, 0.6), "b_prime": (_finite, -0.3), "a": (_nonzero, 1.0),
+         "n_x": (_pow2, 128), "period_x": (_positive, 16.0 * np.pi),
+         "n_t": (_pow2, 512), "period_t": (_positive, 8.0), "n_fields": (_count, 50),
+         "t_values": (_ladder(_unit_time), (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)),
+         "embedding_speeds": (_list_of(_nonzero, 3), (2.0, 1.0, 3.0)),
+         "pair_first": (_list_of(_nonzero, 2), (1.0, 3.0)),
+         "pair_second": (_list_of(_nonzero, 2), (1.5, 2.5)), "n_embed_fields": (_count, 64)},
+        _run_bourgain, rule=_bourgain_rule,
+    ),
+    "kernel_suite": KindDef("kernels", {}, {"kernels": (_list_of(_kernel_id), tuple(KERNELS))}, _run_kernels),
+    "nonequivalence": KindDef(
+        "noneq", {},
+        {"a0": (_nonzero, 1.0), "a1": (_nonzero, -1.0), "s": (_finite, 0.0), "b": (_finite, 3.0),
+         "radii": (_ladder(_positive), (8.0, 16.0, 32.0, 64.0))},
+        _run_noneq,
+        rule=lambda c: None if c.params["b"] > 0.5 and c.params["s"] > 0.5 - c.params["b"]
+        else "the nonequivalence construction needs b > 1/2 and s > 1/2 - b",
+    ),
 }
 
 
@@ -803,7 +790,7 @@ def run(config: ExperimentConfig, out_dir=None) -> RunManifest:
     t0 = time.perf_counter()
     error = None
     try:
-        summary, checks = _RUNNERS[config.kind](config, emit)
+        summary, checks = KINDS[config.kind].runner(config, emit)
         status = "pass" if all(c["passed"] for c in checks) else "fail"
     except Exception as e:  # recorded, not raised: the manifest is the report
         summary, checks = {}, []

@@ -2,11 +2,12 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
-from ckdv import State, field_from_callable, harness, write_snapshot
+from ckdv import ConfigError, State, cli, field_from_callable, harness, write_snapshot
 from ckdv.bourgain import kernel_bound_check, nonequivalence_demo
 from ckdv.cli import build_parser, main
 from ckdv.grid import Grid
@@ -127,18 +128,53 @@ def test_dispersion_without_eigenbasis_exits_2(tmp_path, capsys, a21, problem):
     assert_rejected(tmp_path, capsys, "simulate", simulate_payload(system=system), word)
 
 
-def test_seed_flag_only_where_a_seed_is_read(capsys):
-    parser = build_parser()
-    assert parser.parse_args(["bourgain", "--seed", "1"]).seed == 1
-    assert parser.parse_args(["convergence", "--config", "c.json", "--seed", "1"]).seed == 1
-    for command in ("kernels", "noneq"):
-        assert main([command, "--seed", "1"]) == 2
-        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+# subcommand -> (kind, takes --seed, needs --config)
+SUBCOMMANDS = {
+    "simulate": ("simulate", True, True),
+    "lipschitz": ("lipschitz_probe", True, True),
+    "scaling": ("scaling_probe", True, True),
+    "picard": ("picard_study", True, True),
+    "convergence": ("convergence_study", True, True),
+    "bourgain": ("bourgain_suite", True, False),
+    "kernels": ("kernel_suite", False, False),
+    "noneq": ("nonequivalence", False, False),
+}
 
 
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
-    assert "simulate" in capsys.readouterr().out
+    listed = re.search(r"\{([a-z,]+)\}", capsys.readouterr().out).group(1).split(",")
+    assert sorted(listed) == sorted([*SUBCOMMANDS, "diagnose"])
+
+
+def test_seed_flag_only_where_a_seed_is_read(capsys):
+    parser = build_parser()
+    for command, (_, takes_seed, _) in SUBCOMMANDS.items():
+        if takes_seed:
+            assert parser.parse_args([command, "--seed", "1"]).seed == 1
+        else:
+            assert main([command, "--seed", "1"]) == 2
+            assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_subcommand_kind_and_config(monkeypatch, capsys, command):
+    kind, _, needs_config = SUBCOMMANDS[command]
+    assert build_parser().parse_args([command]).kind == kind
+    # stop at the parse: the config a run without --config starts from
+    seen = []
+
+    def stop(d):
+        seen.append(d)
+        raise ConfigError("stopped")
+
+    monkeypatch.setattr(cli, "config_from_dict", stop)
+    assert main([command]) == 2
+    err = capsys.readouterr().err
+    if needs_config:
+        assert err == f"ckdv: subcommand for kind '{kind}' requires --config\n" and seen == []
+    else:
+        assert seen == [{"kind": kind}]
 
 
 def test_kind_mismatch_exits_2(tmp_path, capsys):

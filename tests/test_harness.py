@@ -208,9 +208,11 @@ RUN_TIME_FAILURES = {
     "scaling_repeated_lambda": (
         simulate_config(kind="scaling_probe", params={"lambdas": [1.0, 2.0, 2.0]}), f"'lambdas' {_LADDER}"
     ),
+    # the stabilization check compares the two smallest deltas
     "lipschitz_repeated_deltas": (
-        simulate_config(kind="lipschitz_probe", params={"deltas": [1e-2, 1e-2]}), "'deltas' must be distinct values"
+        simulate_config(kind="lipschitz_probe", params={"deltas": [1e-2, 1e-2]}), f"'deltas' {_LADDER}"
     ),
+    "lipschitz_one_delta": (simulate_config(kind="lipschitz_probe", params={"deltas": [1e-2]}), f"'deltas' {_LADDER}"),
     "lipschitz_no_initial": (
         {**simulate_config(kind="lipschitz_probe"), "initial": {}}, "needs nonzero initial data"
     ),
@@ -290,10 +292,14 @@ def test_top_level_keys_per_kind():
         "kernel_suite": set(),
         "nonequivalence": set(),
     }
-    assert {kind: set(table) for kind, table in harness._CONFIGS.items()} == {
-        kind: keys | {"kind", "output_dir", "params"} for kind, keys in accepted.items()
+    assert {kind: set(k.top) for kind, k in harness.KINDS.items()} == accepted
+    # a kind has a work estimate exactly when it steps a system
+    assert {kind for kind, k in harness.KINDS.items() if k.work} == {
+        kind for kind, keys in accepted.items() if "stepper" in keys
     }
-    assert harness._NEEDS_DYNAMICS == {kind for kind, keys in accepted.items() if "stepper" in keys}
+    for kind, keys in accepted.items():
+        with pytest.raises(ConfigError, match=re.escape(f"unknown key(s) in {kind} config: extra")):
+            config_from_dict({"kind": kind, "output_dir": None, "params": {}, "extra": 1, **dict.fromkeys(keys)})
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -335,11 +341,17 @@ def test_mutated_shipped_configs_validate_or_raise_config_error(data):
 def test_shipped_configs_sit_far_below_the_work_budget():
     for path in CONFIG_FILES:
         cfg = load_config(path)
-        if cfg.kind in harness._NEEDS_DYNAMICS:
-            steps, samples = harness._work(cfg.kind, cfg.params, cfg.horizon, cfg.sample_dt, cfg.stepper.dt)
+        work = harness.KINDS[cfg.kind].work
+        if work is not None:
+            steps, samples = work(cfg)
             stored = samples * 2 * (cfg.grid.n // 2 + 1) * 16
             assert 100 * steps <= harness.MAX_STEPS, path.name
             assert 100 * stored <= harness.MAX_SNAPSHOT_BYTES, path.name
+
+
+def test_every_kind_has_a_shipped_config():
+    # the README promises one working example per kind
+    assert {json.loads(path.read_text())["kind"] for path in CONFIG_FILES} == set(harness.KINDS)
 
 
 def test_config_static_kinds_reject_dynamics_blocks():
@@ -502,11 +514,18 @@ VERDICT_CASES = {
     "simulate_infinite": (
         simulate_config(), "collect", lambda call: lambda *a: call(*a) + np.inf, ["infinite_entries"]
     ),
-    # NaN norms of the (samples, 2, n) trajectory gaps, not of the (2, n) base state
+    # NaN norms of the (samples, 2, n) trajectory gaps, not of the (2, n) base state;
+    # NaN ratios leave no finite stabilization difference, so that check fails too
     "lipschitz_nonfinite": (
         simulate_config(kind="lipschitz_probe", params={"deltas": [3e-3, 3e-4], "n_directions": 1}),
         "_joint_norm", lambda call: lambda c, g, s: call(c, g, s) * (np.nan if c.ndim == 3 else 1.0),
-        ["nonfinite_ratios"],
+        ["nonfinite_ratios", "stabilization_rel_diff"],
+    ),
+    # squared gap norms make each ratio proportional to delta: the two smallest differ tenfold
+    "lipschitz_not_linear": (
+        simulate_config(kind="lipschitz_probe", params={"deltas": [3e-3, 3e-4], "n_directions": 1}),
+        "_joint_norm", lambda call: lambda c, g, s: call(c, g, s) ** (2.0 if c.ndim == 3 else 1.0),
+        ["stabilization_rel_diff"],
     ),
     "bourgain_within": (BOURGAIN_CHEAP, "linear_estimate_check", linear_estimate(1e-3, 0.15), []),
     "bourgain_free_cv": (BOURGAIN_CHEAP, "linear_estimate_check", linear_estimate(2e-2, 0.15), ["free_cv"]),
