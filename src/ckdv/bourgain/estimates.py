@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import next_fast_len
 
+from ..diagnostics import loglog_slope
 from ..grid import SpectralField, forward
+from ..parallel import ordered_map
 from .kernels import _counted_quad
 from .spacetime import (
     SpaceTimeField,
@@ -231,15 +233,13 @@ def nonequivalence_demo(
     if len(set(radii)) < 2 or min(radii) <= 0.0:
         raise ValueError("the growth fit needs two or more distinct positive radii")
     tb, nb, mfb = 2.0 * b, -2.0 * b, -4.0 * b
-    evals = 0
 
     def tau_closed(xi: float, rad: float) -> float:
         # int_{-R}^{R} (1+|tau + a1 xi^3|)^(-2b) dtau after cancelling weights
         c = a1 * xi**3
         return _tail_antiderivative(rad + c, b) - _tail_antiderivative(-rad + c, b)
 
-    def tau_quad(xi: float, rad: float, a_top: float) -> float:
-        nonlocal evals
+    def tau_quad(xi: float, rad: float, a_top: float, evals: list) -> float:
         xi3 = xi**3
         c_top, c_bot = a_top * xi3, a1 * xi3
         pts = sorted({-rad, rad, *(p for p in (-c_top, -c_bot) if -rad < p < rad)})
@@ -248,29 +248,33 @@ def nonequivalence_demo(
         for lo, hi in zip(pts[:-1], pts[1:]):
             val, n = _counted_quad(fn, lo, hi, limit=200)
             total += val
-            evals += n
+            evals.append(n)
         return total
 
-    def norm_sq(a_top: float, rad: float) -> float:
+    def norm_sq(a_top: float, rad: float) -> tuple[float, int]:
+        # (squared norm, integrand evaluations, inner ones included).
         # Even in xi: both centres a*xi^3 are odd in xi and the tau box is
         # symmetric, so t -> -t maps the tau integral at -xi onto the one
         # at xi (tau_closed is even because _tail_antiderivative is odd).
-        nonlocal evals
+        evals = []
         if a_top == a1:
             fn = lambda xi: (1.0 + abs(xi)) ** nb * tau_closed(xi, rad)
         else:
-            fn = lambda xi: (1.0 + abs(xi)) ** nb * tau_quad(xi, rad, a_top)
+            fn = lambda xi: (1.0 + abs(xi)) ** nb * tau_quad(xi, rad, a_top, evals)
         val, n = _counted_quad(fn, 0.0, rad, limit=400)
-        evals += n
-        return 2.0 * val
+        return 2.0 * val, sum(evals) + n
 
-    div = [math.sqrt(norm_sq(a0, r)) for r in radii]
-    conv = [math.sqrt(norm_sq(a1, r)) for r in radii]
-    slope = float(np.polyfit(np.log(radii), np.log(div), 1)[0])
+    # each distinct norm once, the divergent ones at the largest radii, which cost the most, first
+    jobs = sorted({(a, r) for a in (a0, a1) for r in radii}, key=lambda j: (j[0] != a0, -j[1]))
+    done = dict(zip(jobs, ordered_map(lambda job: norm_sq(*job), jobs)))
+    div = [math.sqrt(done[a0, r][0]) for r in radii]
+    conv = [math.sqrt(done[a1, r][0]) for r in radii]
+    slope = loglog_slope(radii, div)
     # the settling change is over the two largest distinct radii, whatever the list order
     at = dict(zip(radii, conv))
     lo, hi = sorted(at)[-2:]
     rel = abs(at[hi] - at[lo]) / at[hi]
+    evals = sum(done[a, r][1] for a in (a0, a1) for r in radii)  # a repeated radius counts each time
     return NonequivalenceTable(radii, div, conv, slope, rel, rel < NONEQ_REL_CHANGE_BOUND, evals)
 
 
@@ -359,7 +363,7 @@ def linear_estimate_check(
         F = from_time_slices(slices, stg)
         w = duhamel_field(slices, a, stg, Tj)
         d_ratios.append(xsb_norm(w, a, s, b) / xsb_norm(F, a, s, b_prime))
-    slope = float(np.polyfit(np.log(ladder), np.log(d_ratios), 1)[0])
+    slope = loglog_slope(ladder, d_ratios)
     return LinearEstimateReport(
         ratios, cv, ladder, d_ratios, slope, b_prime + 1.0 - b
     )

@@ -36,6 +36,11 @@ def sobolev_norm(field: SpectralField, s: float):
     return np.sqrt(np.sum(w * np.abs(field.coeffs) ** 2, axis=-1) * g.dxi)
 
 
+def loglog_slope(x, y) -> float:
+    """The least-squares slope of log y against log x."""
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
+
+
 def _l2_inner(f: SpectralField, g: SpectralField):
     """int f*g dx for real fields, summed spectrally."""
     return np.sum(f.coeffs * np.conj(g.coeffs), axis=-1).real * f.grid.dxi

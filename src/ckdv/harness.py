@@ -22,6 +22,7 @@ import json
 import math
 import numbers
 import operator
+import platform
 import time
 from dataclasses import MISSING, dataclass
 from functools import partial
@@ -29,6 +30,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
+import scipy
 
 from . import io as ckio
 from .bourgain import (
@@ -43,8 +45,9 @@ from .bourgain import (
 )
 from .bourgain.estimates import NONEQ_REL_CHANGE_BOUND
 from .bourgain.kernels import REL_CHANGE_BOUND
-from .diagnostics import COLUMNS, collect, sobolev_norm
+from .diagnostics import COLUMNS, collect, loglog_slope, sobolev_norm
 from .grid import Grid, SpectralField, forward, inverse, to_full
+from .parallel import ordered_map, usable_cpus
 from .solver import StepperConfig, picard_iterate, simulate
 from .systems import (
     Feng,
@@ -362,6 +365,7 @@ class RunManifest:
     summary: dict
     checks: list  # check_bound entries; empty on error
     status: str  # "pass" when every check passed, "fail", or "error"
+    env: dict  # python, numpy and scipy versions; usable_cpus, the width of ordered_map's pool
     error: Optional[str] = None
 
     def write(self, path) -> None:
@@ -544,7 +548,7 @@ def _run_scaling(cfg: ExperimentConfig, emit: _Emitter):
         norms = [sobolev_norm(u, s) for u in scaled_u]
         norm_rows += [[s, lam_i, val] for lam_i, val in zip(lambdas, norms)]
         positive = all(v > 0.0 for v in norms)
-        slope = float(np.polyfit(np.log(lambdas), np.log(norms), 1)[0]) if positive else float("nan")
+        slope = loglog_slope(lambdas, norms) if positive else float("nan")
         exponents["%g" % s] = slope
         fit_rows.append([s, slope, 1.5 + s])
         checks.append(check_bound(f"exponent_err[{s:g}]", abs(slope - (1.5 + s)), *BOUNDS["exponent_err"]))
@@ -600,7 +604,7 @@ def _run_convergence(cfg: ExperimentConfig, emit: _Emitter):
     errs = [float(_sup_gaps(final_half(dt), ref, cfg.grid).max()) for dt in dts]
     orders = [float(np.log(errs[i - 1] / errs[i]) / np.log(dts[i - 1] / dts[i])) for i in range(1, len(dts))]
     emit.csv("convergence.csv", ["dt", "error", "order"], zip(dts, errs, [float("nan"), *orders]))
-    fitted = float(np.polyfit(np.log(dts), np.log(errs), 1)[0]) if min(errs) > 0 else float("nan")
+    fitted = loglog_slope(dts, errs) if min(errs) > 0 else float("nan")
     summary = {"orders": orders, "fitted_order": fitted, "reference_dt": ref_dt}
     return summary, [check_bound("fitted_order", fitted, *BOUNDS["fitted_order"])]
 
@@ -646,7 +650,7 @@ def _run_bourgain(cfg: ExperimentConfig, emit: _Emitter):
 
 
 def _run_kernels(cfg: ExperimentConfig, emit: _Emitter):
-    reports = [kernel_bound_check(kid)[1] for kid in cfg.params["kernels"]]
+    reports = [rep for _, rep in ordered_map(kernel_bound_check, cfg.params["kernels"])]
     # argmax is the refined pass's maximizing sample, written "x;y"
     rows = [
         [r.kernel_id, r.max_base, r.max_refined, r.rel_change, r.stable,
@@ -806,6 +810,8 @@ def run(config: ExperimentConfig, out_dir=None) -> RunManifest:
         summary=_jsonable(summary),
         checks=_jsonable(checks),
         status=status,
+        env={"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
+             "usable_cpus": usable_cpus()},
         error=error,
     )
     manifest.write(out / "manifest.json")

@@ -26,6 +26,7 @@ from ckdv.bourgain import LinearEstimateReport
 from ckdv.diagnostics import COLUMNS
 from ckdv.grid import Grid
 from ckdv.io import read_csv
+from ckdv.parallel import usable_cpus
 from ckdv.harness import (
     build_grid,
     build_stepper,
@@ -459,6 +460,17 @@ def test_run_is_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_two_runs_write_the_same_env(tmp_path):
+    cfg = config_from_dict(simulate_config())
+    run(cfg, out_dir=tmp_path / "a")
+    run(cfg, out_dir=tmp_path / "b")
+    env = [json.loads((tmp_path / d / "manifest.json").read_text())["env"] for d in "ab"]
+    assert env[0] == env[1]
+    assert set(env[0]) == {"python", "numpy", "scipy", "usable_cpus"}
+    assert env[0]["usable_cpus"] == usable_cpus() >= 1
+    assert env[0]["numpy"] == np.__version__
+
+
 def test_run_seed_changes_random_data(tmp_path):
     base = simulate_config(initial={"u": {"kind": "random_band", "band": 3.0}})
     run(config_from_dict(base), out_dir=tmp_path / "a")
@@ -544,6 +556,11 @@ VERDICT_CASES = {
     "convergence_order_low": ("convergence.json", "_sup_gaps", sup_gaps(lambda e: e**0.5), ["fitted_order"]),
     "kernel_below_bound": (PEAK_PAIR, "kernel_bound_check", replaced(rel_change=0.049), []),
     "kernel_at_bound": (PEAK_PAIR, "kernel_bound_check", replaced(rel_change=0.05), ["max_rel_change"]),
+    # two kernels make a pool of two workers (on two or more CPUs), so the patch runs in a worker
+    "kernel_at_bound_two_kernels": (
+        {"kind": "kernel_suite", "params": {"kernels": ["peak_pair", "level_set"]}},
+        "kernel_bound_check", replaced(rel_change=0.05), ["max_rel_change"],
+    ),
     "scaling_covariance": ("scaling.json", "_sup_gaps", sup_gaps(lambda e: e + 1e-6), ["covariance_max_err"]),
     # the box of lam*u0(lam x) shrinks by lam, so period^-0.1 adds 0.1 to the fitted exponent at s = 1
     "scaling_exponent": (
