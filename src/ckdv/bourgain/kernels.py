@@ -7,6 +7,17 @@ the asserted bound reads "<= constant": kernels whose bound carries an
 explicit decay factor are multiplied by that factor's reciprocal
 denominator before being reported.
 
+The integrands fall into five families, with <u> = 1 + |u|:
+- even brackets (1 + k|c - x^2|)^(-2b): level_set, flip_weighted_aux and
+  flip_core, all through _even_bracket;
+- |x^2 - 1/4|^(-2s) <xi^3 (c - 3x^2)>^(-2b) on a quadratic level set: flip_region_a;
+- two peaks <x - a'>^(-alpha) <x - a>^(-beta): peak_pair;
+- cubic brackets <xi^3 mu(x)>^(-2b), mu = 2x^3 - 3x^2 + 3x + z: mixed_core, and
+  mixed_region_a1 and _a2 with a weight |x - x^2|^(-2s) on a cubic level set;
+- |x|^(2+2s) |x xi1 (x - xi1)|^(-2s) <x>^(2s) <level(x)>^(2b') on a cubic
+  (flip_region_b, mixed_region_b1) or quadratic (mixed_region_b2) level set
+  less |x - xi1| < 1, all through _region_b.
+
 Region indicators are implemented exactly as the reduced sets are
 defined; since the level-set polynomials are monotone (cubic with
 positive-definite derivative) or quadratic, membership decomposes into
@@ -23,9 +34,10 @@ integrand calls QUADPACK made for it.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,6 +55,16 @@ class QuadSpec:
     limit: int = 200
     epsabs: float = 1e-11
     epsrel: float = 1e-9
+
+    def __post_init__(self):
+        # a zero or negative radius would integrate nothing and read as a stable 0
+        if not (math.isfinite(self.x_max) and self.x_max > 0.0):
+            raise ValueError(f"QuadSpec.x_max must be positive and finite, got {self.x_max!r}")
+        if isinstance(self.limit, bool) or not isinstance(self.limit, numbers.Integral) or self.limit < 1:
+            raise ValueError(f"QuadSpec.limit must be an integer >= 1, got {self.limit!r}")
+        tols = (self.epsabs, self.epsrel)
+        if not all(math.isfinite(e) and e >= 0.0 for e in tols) or tols == (0.0, 0.0):
+            raise ValueError(f"QuadSpec.epsabs and QuadSpec.epsrel must be finite, >= 0, not both 0: {tols!r}")
 
     def refined(self) -> "QuadSpec":
         return QuadSpec(2.0 * self.x_max, 2 * self.limit, 0.1 * self.epsabs, 0.1 * self.epsrel)
@@ -72,11 +94,6 @@ def _quad(fn, lo: float, hi: float, q: QuadSpec, pts=()) -> tuple[float, int]:
                          points=inner or None)
 
 
-def _require(cond: bool, constraint: str) -> None:
-    if not cond:
-        raise HypothesisViolation(f"hypothesis failed: {constraint}")
-
-
 def _monotone_root(f: Callable[[float], float], guess: float) -> float:
     """Root of a strictly monotone function, bracket expanded from a guess."""
     span = 1.0 + abs(guess)
@@ -89,95 +106,72 @@ def _monotone_root(f: Callable[[float], float], guess: float) -> float:
     raise RuntimeError("failed to bracket a monotone root")
 
 
-def _segments(breaks, member, strip=None):
-    """Member subintervals between consecutive breakpoints.
-
-    strip = (lo, hi) removes an open interval (an excluded neighborhood)
-    by adding its endpoints as breakpoints; membership is decided at
-    midpoints.
-    """
-    pts = sorted(set(float(b) for b in breaks))
-    if strip is not None:
-        pts = sorted(set(pts) | set(strip))
-    segs = []
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        if hi - lo <= 0.0:
-            continue
-        if member(0.5 * (lo + hi)):
-            segs.append((lo, hi))
-    return segs
-
-
 # --- individual kernels -------------------------------------------------
 #
 # Each kernel returns (value, integrand evaluations).  Integrands are single
 # expressions over constants computed once per sample.
 
+def _even_bracket(k: float, c: float, nb: float, peak: float, q: QuadSpec) -> tuple[float, int]:
+    """2 int_0^x_max (1 + k|c - x^2|)^nb dx for k >= 0, with a break at peak.
+
+    The integrand is even, so this is its integral over [-x_max, x_max]
+    with breaks at +-peak; a peak outside (0, x_max) is dropped.
+    """
+    val, n = _quad(lambda x: (1.0 + k * abs(c - x * x)) ** nb, 0.0, q.x_max, q, pts=(peak,))
+    return 2.0 * val, n
+
+
 def _k_level_set(sample, p, q: QuadSpec) -> tuple[float, int]:
     a, eta = sample
     if a == 0.0 or eta == 0.0:
         raise HypothesisViolation("hypothesis failed: a != 0 and eta != 0")
-    aa, ae, e2, nb = abs(a), abs(eta), eta * eta, -2.0 * p["b"]
-    # even: x enters only as x^2, over [-x_max, x_max] with breaks +-|eta|
-    fn = lambda x: (1.0 + aa * abs(x * x - e2)) ** nb
-    val, n = _quad(fn, 0.0, q.x_max, q, pts=(ae,))
-    return 2.0 * val * aa * ae, n
+    aa, ae = abs(a), abs(eta)
+    val, n = _even_bracket(aa, eta * eta, -2.0 * p["b"], ae, q)
+    return val * aa * ae, n
 
 
 def _k_peak_pair(sample, p, q: QuadSpec) -> tuple[float, int]:
     a, a_prime = sample
-    alpha, beta = p["alpha"], p["beta"]
-    na, nbeta = -alpha, -beta
-    lo = min(a, a_prime) - q.x_max
-    hi = max(a, a_prime) + q.x_max
+    na, nbeta = -p["alpha"], -p["beta"]
+    lo, hi = min(a, a_prime) - q.x_max, max(a, a_prime) + q.x_max
     fn = lambda x: (1.0 + abs(x - a_prime)) ** na * (1.0 + abs(x - a)) ** nbeta
     val, n = _quad(fn, lo, hi, q, pts=(a, a_prime))
-    return val * (1.0 + abs(a - a_prime)) ** alpha, n
+    return val * (1.0 + abs(a - a_prime)) ** p["alpha"], n
+
+
+def _flip_pref(xi: float, y: float, s: float, bp: float) -> float:
+    """|xi|^(3-4s) <xi^3 (y + 2)>^(2b') <xi>^(2s), shared by two flip kernels."""
+    return abs(xi) ** (3.0 - 4.0 * s) * _br(xi**3 * (y + 2.0)) ** (2.0 * bp) * _br(xi) ** (2.0 * s)
 
 
 def _k_flip_weighted_aux(sample, p, q: QuadSpec) -> tuple[float, int]:
     xi, y = sample
     if xi == 0.0:
         return 0.0, 0
-    s, b, bp = p["s"], p["b"], p["b_prime"]
-    xi3 = abs(xi) ** 3
-    pref = (
-        abs(xi) ** (3.0 - 4.0 * s)
-        * _br(xi**3 * (y + 2.0)) ** (2.0 * bp)
-        * _br(xi) ** (2.0 * s)
-        * abs(y + 2.0) ** (-2.0 * s)
-    )
-    c, nb = y + 0.75, -2.0 * b
-    # even: x enters only as x^2, over [-x_max, x_max] with breaks +-sqrt(c)
-    fn = lambda x: (1.0 + abs(xi3 * (c - x * x))) ** nb
-    val, n = _quad(fn, 0.0, q.x_max, q, pts=(math.sqrt(c),) if c > 0.0 else ())
-    return pref * 2.0 * val, n
+    s = p["s"]
+    pref = _flip_pref(xi, y, s, p["b_prime"]) * abs(y + 2.0) ** (-2.0 * s)
+    c = y + 0.75
+    val, n = _even_bracket(abs(xi) ** 3, c, -2.0 * p["b"], math.sqrt(max(c, 0.0)), q)
+    return pref * val, n
 
 
 def _k_flip_core(sample, p, q: QuadSpec) -> tuple[float, int]:
     xi, y = sample
     if xi == 0.0:
         return 0.0, 0
-    b, bp = p["b"], p["b_prime"]
     xi3 = abs(xi) ** 3
-    pref = xi3 * (1.0 + xi3 * abs(3.0 * y + 2.0)) ** (2.0 * bp)
-    c, nb = y + 0.25, -2.0 * b
-    # even: x enters only as x^2, over [-x_max, x_max] with breaks +-sqrt(c)
-    fn = lambda x: (1.0 + xi3 * abs(c - x * x)) ** nb
-    val, n = _quad(fn, 0.0, q.x_max, q, pts=(math.sqrt(c),) if c > 0.0 else ())
-    return pref * 2.0 * val, n
+    pref = xi3 * (1.0 + xi3 * abs(3.0 * y + 2.0)) ** (2.0 * p["b_prime"])
+    c = y + 0.25
+    val, n = _even_bracket(xi3, c, -2.0 * p["b"], math.sqrt(max(c, 0.0)), q)
+    return pref * val, n
 
 
 def _k_flip_region_a(sample, p, q: QuadSpec) -> tuple[float, int]:
     xi, y = sample
     if xi == 0.0:
         return 0.0, 0
-    s, b, bp = p["s"], p["b"], p["b_prime"]
-    pref = (
-        abs(xi) ** (3.0 - 4.0 * s)
-        * _br(xi**3 * (y + 2.0)) ** (2.0 * bp)
-        * _br(xi) ** (2.0 * s)
-    )
+    s, b = p["s"], p["b"]
+    pref = _flip_pref(xi, y, s, p["b_prime"])
     # membership set: |y + 3/4 - 3 x^2| <= 2|y + 2|  <=>  x^2 in [lo2, hi2]
     m = 2.0 * abs(y + 2.0)
     hi2 = (y + 0.75 + m) / 3.0
@@ -204,10 +198,8 @@ def _k_mixed_core(sample, p, q: QuadSpec) -> tuple[float, int]:
     xi, z = sample
     if xi == 0.0:
         return 0.0, 0
-    b, bp = p["b"], p["b_prime"]
-    xi3 = abs(xi) ** 3
-    pref = xi3 * (1.0 + xi3 * abs(z + 2.0)) ** (2.0 * bp)
-    nb = -2.0 * b
+    xi3, nb = abs(xi) ** 3, -2.0 * p["b"]
+    pref = xi3 * (1.0 + xi3 * abs(z + 2.0)) ** (2.0 * p["b_prime"])
     fn = lambda x: (1.0 + xi3 * abs(2.0 * x**3 - 3.0 * x * x + 3.0 * x + z)) ** nb
     val, n = _quad(fn, -q.x_max, q.x_max, q, pts=(_mixed_core_root(z),))
     return pref * val, n
@@ -215,10 +207,7 @@ def _k_mixed_core(sample, p, q: QuadSpec) -> tuple[float, int]:
 
 @lru_cache(maxsize=256)
 def _a1_roots(y: float) -> tuple[float, float, float]:
-    """Roots of mu + m, mu - m and mu for mu = 2x^3 - 3x^2 + 3x + y, m = 2|y + 2|.
-
-    They do not depend on xi, so they are cached per y.
-    """
+    """Roots of mu + m, mu - m and mu for mu = 2x^3 - 3x^2 + 3x + y, m = 2|y + 2|; cached per y."""
     m = 2.0 * abs(y + 2.0)
     mu = lambda x: 2.0 * x**3 - 3.0 * x * x + 3.0 * x + y
     x_lo = _monotone_root(lambda x: mu(x) + m, 0.0)
@@ -228,10 +217,7 @@ def _a1_roots(y: float) -> tuple[float, float, float]:
 
 @lru_cache(maxsize=256)
 def _a2_roots(y: float) -> tuple[float, float, float]:
-    """Roots of nu - m, nu + m and nu for nu = y - 3(x - x^2) - 2x^3, m = 2|y|.
-
-    They do not depend on xi, so they are cached per y.
-    """
+    """Roots of nu - m, nu + m and nu for nu = y - 3(x - x^2) - 2x^3, m = 2|y|; cached per y."""
     m = 2.0 * abs(y)
     nu = lambda x: y - 3.0 * (x - x * x) - 2.0 * x**3  # strictly decreasing
     x_lo = _monotone_root(lambda x: nu(x) - m, 0.0)
@@ -275,59 +261,51 @@ def _k_mixed_region_a2(sample, p, q: QuadSpec) -> tuple[float, int]:
     return pref * val, n
 
 
-def _cubic_level(xi1: float, tau1: float):
-    """The monotone level polynomial tau1 + 2 xi^3 - xi1^3 - 3 xi xi1 (xi - xi1).
+def _region_b(fn, member, breaks, pts, xi1: float, m_center: float, b: float, q: QuadSpec):
+    """<m_center>^(-b) sqrt(int fn) over the member set less |x - xi1| < 1, and the evaluations.
 
-    Shared by both cubic region kernels; only the modulation magnitude
-    that scales the region differs between them.
+    The excluded neighborhood's endpoints join the breaks, and each interval
+    between consecutive breaks is in or out as its midpoint is.
     """
-    return lambda xi: (
-        tau1 + 2.0 * xi**3 - xi1**3 - 3.0 * xi * xi1 * (xi - xi1)
-    )
+    cuts = sorted({float(c) for c in breaks} | {xi1 - 1.0, xi1 + 1.0})
+    total, evals = 0.0, 0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if member(0.5 * (lo + hi)):
+            val, n = _quad(fn, lo, hi, q, pts=pts)
+            total += val
+            evals += n
+    return _br(m_center) ** (-b) * math.sqrt(max(total, 0.0)), evals
 
 
-def _b_kernel_value(sample, p, q: QuadSpec, m_center: float) -> tuple[float, int]:
-    """Common evaluator for the two cubic region kernels.
+def _k_cubic_region_b(sample, p, q: QuadSpec, sign: float) -> tuple[float, int]:
+    """flip_region_b (sign -1) and mixed_region_b1 (sign +1).
 
-    m_center is tau1 - xi1^3 or tau1 + xi1^3: it sets both the region
-    width and the prefactor decay.
+    m_center = tau1 + sign xi1^3 sets both the region width and the
+    prefactor decay; the level tau1 + 2x^3 - xi1^3 - 3x xi1 (x - xi1) is
+    monotone in x.
     """
     xi1, tau1 = sample
     s, b, bp = p["s"], p["b"], p["b_prime"]
     if abs(xi1) < 1.0:
         return 0.0, 0
+    x13 = xi1**3
+    m_center = tau1 + sign * x13
     M = abs(m_center)
     if M == 0.0:
         return 0.0, 0
-    mu = _cubic_level(xi1, tau1)
+    mu = lambda x: tau1 + 2.0 * x**3 - x13 - 3.0 * x * xi1 * (x - xi1)
     guess = np.cbrt(max(M, 1.0))
     lo = _monotone_root(lambda x: mu(x) + 2.0 * M, -guess)
     hi = _monotone_root(lambda x: mu(x) - 2.0 * M, guess)
     root0 = _monotone_root(mu, 0.5 * (lo + hi))
-
-    x13, e0, e1, e2, e3 = xi1**3, 2.0 * (1.0 + s), -2.0 * s, 2.0 * s, 2.0 * bp
+    e0, e1, e2, e3 = 2.0 * (1.0 + s), -2.0 * s, 2.0 * s, 2.0 * bp
     fn = lambda x: (
         abs(x) ** e0 * abs(x * xi1 * (x - xi1)) ** e1 * (1.0 + abs(x)) ** e2
         * (1.0 + abs(tau1 + 2.0 * x**3 - x13 - 3.0 * x * xi1 * (x - xi1))) ** e3
     )
     member = lambda x: abs(mu(x)) <= 2.0 * M * (1.0 + 1e-12) and abs(x - xi1) >= 1.0
     breaks = [lo, hi] + [p for p in (root0, 0.0) if lo < p < hi]
-    total, evals = 0.0, 0
-    for a, bnd in _segments(breaks, member, strip=(xi1 - 1.0, xi1 + 1.0)):
-        val, n = _quad(fn, a, bnd, q, pts=(root0, 0.0))
-        total += val
-        evals += n
-    return _br(m_center) ** (-b) * math.sqrt(max(total, 0.0)), evals
-
-
-def _k_flip_region_b(sample, p, q: QuadSpec) -> tuple[float, int]:
-    xi1, tau1 = sample
-    return _b_kernel_value(sample, p, q, m_center=tau1 - xi1**3)
-
-
-def _k_mixed_region_b1(sample, p, q: QuadSpec) -> tuple[float, int]:
-    xi1, tau1 = sample
-    return _b_kernel_value(sample, p, q, m_center=tau1 + xi1**3)
+    return _region_b(fn, member, breaks, (root0, 0.0), xi1, m_center, b, q)
 
 
 def _k_mixed_region_b2(sample, p, q: QuadSpec) -> tuple[float, int]:
@@ -335,89 +313,40 @@ def _k_mixed_region_b2(sample, p, q: QuadSpec) -> tuple[float, int]:
     s, b, bp = p["s"], p["b"], p["b_prime"]
     if abs(xi1) < 1.0:
         return 0.0, 0
-    M = abs(tau1 - xi1**3)
+    x13 = xi1**3
+    m_center = tau1 - x13
+    M = abs(m_center)
     if M == 0.0:
         return 0.0, 0
-    kappa = lambda xi: tau1 + 3.0 * xi * xi1 * (xi - xi1) + xi1**3
-    # quadratic levels kappa = +-2M
+    # quadratic levels kappa = tau1 + 3 x xi1 (x - xi1) + xi1^3 = +-2M
     c2, c1 = 3.0 * xi1, -3.0 * xi1 * xi1
-    roots = []
-    for level in (2.0 * M, -2.0 * M):
-        disc = c1 * c1 - 4.0 * c2 * (tau1 + xi1**3 - level)
-        if disc >= 0.0:
-            r = math.sqrt(disc)
-            roots.extend([(-c1 - r) / (2.0 * c2), (-c1 + r) / (2.0 * c2)])
+    discs = [c1 * c1 - 4.0 * c2 * (tau1 + x13 - level) for level in (2.0 * M, -2.0 * M)]
+    roots = [(-c1 + sg * math.sqrt(d)) / (2.0 * c2) for d in discs if d >= 0.0 for sg in (-1.0, 1.0)]
     if not roots:
         return 0.0, 0
-    breaks = roots + [xi1 / 2.0, 0.0]
-
-    x13, e0, e1, e2, e3 = xi1**3, 2.0 * (1.0 + s), -2.0 * s, 2.0 * s, 2.0 * bp
+    e0, e1, e2, e3 = 2.0 * (1.0 + s), -2.0 * s, 2.0 * s, 2.0 * bp
     fn = lambda x: (
         abs(x) ** e0 * abs(x * xi1 * (x - xi1)) ** e1 * (1.0 + abs(x)) ** e2
         * (1.0 + abs(tau1 + 3.0 * x * xi1 * (x - xi1) + x13)) ** e3
     )
-    member = lambda x: abs(kappa(x)) <= 2.0 * M and abs(x - xi1) >= 1.0
-    total, evals = 0.0, 0
-    for a, bnd in _segments(breaks, member, strip=(xi1 - 1.0, xi1 + 1.0)):
-        val, n = _quad(fn, a, bnd, q, pts=(0.0,))
-        total += val
-        evals += n
-    return _br(tau1 - xi1**3) ** (-b) * math.sqrt(max(total, 0.0)), evals
+    member = lambda x: abs(tau1 + 3.0 * x * xi1 * (x - xi1) + x13) <= 2.0 * M and abs(x - xi1) >= 1.0
+    return _region_b(fn, member, roots + [xi1 / 2.0, 0.0], (0.0,), xi1, m_center, b, q)
 
 
-# --- hypothesis checkers ------------------------------------------------
+# --- hypotheses: (statement, test) pairs over the params, checked in order --
 
-def _check_level_set(p):
-    _require(p["b"] > 0.5, "b > 1/2")
-
-
-def _check_peak_pair(p):
-    _require(0.0 <= p["alpha"] <= p["beta"], "0 <= alpha <= beta")
-    _require(p["beta"] > 1.0, "beta > 1")
-
-
-def _check_flip_weighted_aux(p):
-    _require(-0.75 <= p["s"] <= 0.0, "s in [-3/4, 0]")
-    _require(p["b_prime"] <= p["s"] / 3.0 - 0.25, "b' <= s/3 - 1/4")
-    _require(p["b"] > 0.5, "b > 1/2")
-
-
-def _check_flip_core(p):
-    _require(p["b_prime"] <= -0.25, "b' <= -1/4")
-    _require(p["b"] > 0.5, "b > 1/2")
-
-
-def _check_flip_region_a(p):
-    _require(-0.75 <= p["s"] <= -0.25, "s in [-3/4, -1/4]")
-    _require(-0.5 <= p["b_prime"] <= p["s"] / 3.0 - 0.25, "b' in [-1/2, s/3 - 1/4]")
-    _require(p["b"] > 0.5, "b > 1/2")
-
-
-def _check_mixed_core(p):
-    _require(p["b_prime"] <= 0.0, "b' <= 0")
-    _require(p["b"] > 0.5, "b > 1/2")
-
-
-def _check_mixed_region_a(p):
-    _require(-0.75 <= p["s"] <= -0.5, "s in [-3/4, -1/2]")
-    _require(-0.5 <= p["b_prime"] <= p["s"] / 3.0 - 0.25, "b' in [-1/2, s/3 - 1/4]")
-    _require(p["b"] > 0.5, "b > 1/2")
-
-
-def _check_region_b_sharp(p):
-    _require(-0.75 < p["s"] <= -0.5, "s in (-3/4, -1/2]")
-    _require(-0.5 < p["b_prime"] <= 0.0, "b' in (-1/2, 0]")
-    _require(p["b"] > 0.5, "b > 1/2")
-    lim = min(-p["s"] - 1.5, p["s"] - 1.0 / 6.0)
-    _require(p["b_prime"] - p["b"] <= lim, "b' - b <= min(-s - 3/2, s - 1/6)")
-
-
-def _check_region_b2(p):
-    _require(-0.75 < p["s"] <= -0.5, "s in (-3/4, -1/2]")
-    _require(-0.5 < p["b_prime"] <= 0.0, "b' in (-1/2, 0]")
-    _require(p["b"] > 0.5, "b > 1/2")
-    lim = min(-p["s"] - 1.5, p["s"] / 3.0 - 0.75)
-    _require(p["b_prime"] - p["b"] <= lim, "b' - b <= min(-s - 3/2, s/3 - 3/4)")
+_B_HALF = ("b > 1/2", lambda p: p["b"] > 0.5)
+_BP_REGION_A = ("b' in [-1/2, s/3 - 1/4]", lambda p: -0.5 <= p["b_prime"] <= p["s"] / 3.0 - 0.25)
+_REGION_B = (
+    ("s in (-3/4, -1/2]", lambda p: -0.75 < p["s"] <= -0.5),
+    ("b' in (-1/2, 0]", lambda p: -0.5 < p["b_prime"] <= 0.0),
+    _B_HALF,
+)
+_MIXED_REGION_A = (("s in [-3/4, -1/2]", lambda p: -0.75 <= p["s"] <= -0.5), _BP_REGION_A, _B_HALF)
+_REGION_B_SHARP = (*_REGION_B, ("b' - b <= min(-s - 3/2, s - 1/6)",
+                                lambda p: p["b_prime"] - p["b"] <= min(-p["s"] - 1.5, p["s"] - 1.0 / 6.0)))
+_REGION_B2 = (*_REGION_B, ("b' - b <= min(-s - 3/2, s/3 - 3/4)",
+                           lambda p: p["b_prime"] - p["b"] <= min(-p["s"] - 1.5, p["s"] / 3.0 - 0.75)))
 
 
 # --- default sample grids -----------------------------------------------
@@ -441,50 +370,51 @@ _XI1_TAU1 = [
 
 @dataclass(frozen=True)
 class KernelDef:
-    check: Callable
+    requires: tuple  # (statement, test) pairs, each test a predicate of the params
     evaluate: Callable
     default_params: dict
     default_samples: list
 
 
 KERNELS = {
-    "level_set": KernelDef(_check_level_set, _k_level_set, {"b": 0.6}, _LEVEL_SET_SAMPLES),
+    "level_set": KernelDef((_B_HALF,), _k_level_set, {"b": 0.6}, _LEVEL_SET_SAMPLES),
     "peak_pair": KernelDef(
-        _check_peak_pair, _k_peak_pair, {"alpha": 2.0, "beta": 2.0}, _PEAK_PAIR_SAMPLES
+        (("0 <= alpha <= beta", lambda p: 0.0 <= p["alpha"] <= p["beta"]), ("beta > 1", lambda p: p["beta"] > 1.0)),
+        _k_peak_pair, {"alpha": 2.0, "beta": 2.0}, _PEAK_PAIR_SAMPLES,
     ),
     "flip_weighted_aux": KernelDef(
-        _check_flip_weighted_aux, _k_flip_weighted_aux,
-        {"s": -0.5, "b": 0.6, "b_prime": -0.5}, _XI_Y,
+        (("s in [-3/4, 0]", lambda p: -0.75 <= p["s"] <= 0.0),
+         ("b' <= s/3 - 1/4", lambda p: p["b_prime"] <= p["s"] / 3.0 - 0.25), _B_HALF),
+        _k_flip_weighted_aux, {"s": -0.5, "b": 0.6, "b_prime": -0.5}, _XI_Y,
     ),
     "flip_core": KernelDef(
-        _check_flip_core, _k_flip_core, {"b": 0.6, "b_prime": -0.3}, _XI_Y
+        (("b' <= -1/4", lambda p: p["b_prime"] <= -0.25), _B_HALF),
+        _k_flip_core, {"b": 0.6, "b_prime": -0.3}, _XI_Y,
     ),
     "flip_region_a": KernelDef(
-        _check_flip_region_a, _k_flip_region_a,
-        {"s": -0.5, "b": 0.6, "b_prime": -0.45}, _XI_Y,
+        (("s in [-3/4, -1/4]", lambda p: -0.75 <= p["s"] <= -0.25), _BP_REGION_A, _B_HALF),
+        _k_flip_region_a, {"s": -0.5, "b": 0.6, "b_prime": -0.45}, _XI_Y,
     ),
     "flip_region_b": KernelDef(
-        _check_region_b_sharp, _k_flip_region_b,
+        _REGION_B_SHARP, partial(_k_cubic_region_b, sign=-1.0),
         {"s": -0.6, "b": 0.7, "b_prime": -0.25}, _XI1_TAU1,
     ),
     "mixed_core": KernelDef(
-        _check_mixed_core, _k_mixed_core, {"b": 0.6, "b_prime": -0.3}, _XI_Y
+        (("b' <= 0", lambda p: p["b_prime"] <= 0.0), _B_HALF),
+        _k_mixed_core, {"b": 0.6, "b_prime": -0.3}, _XI_Y,
     ),
     "mixed_region_a1": KernelDef(
-        _check_mixed_region_a, _k_mixed_region_a1,
-        {"s": -0.6, "b": 0.6, "b_prime": -0.45}, _XI_Y,
+        _MIXED_REGION_A, _k_mixed_region_a1, {"s": -0.6, "b": 0.6, "b_prime": -0.45}, _XI_Y,
     ),
     "mixed_region_b1": KernelDef(
-        _check_region_b_sharp, _k_mixed_region_b1,
+        _REGION_B_SHARP, partial(_k_cubic_region_b, sign=1.0),
         {"s": -0.6, "b": 0.7, "b_prime": -0.25}, _XI1_TAU1,
     ),
     "mixed_region_a2": KernelDef(
-        _check_mixed_region_a, _k_mixed_region_a2,
-        {"s": -0.6, "b": 0.6, "b_prime": -0.45}, _XI_Y_ORIGIN,
+        _MIXED_REGION_A, _k_mixed_region_a2, {"s": -0.6, "b": 0.6, "b_prime": -0.45}, _XI_Y_ORIGIN,
     ),
     "mixed_region_b2": KernelDef(
-        _check_region_b2, _k_mixed_region_b2,
-        {"s": -0.6, "b": 0.75, "b_prime": -0.22}, _XI1_TAU1,
+        _REGION_B2, _k_mixed_region_b2, {"s": -0.6, "b": 0.75, "b_prime": -0.22}, _XI1_TAU1,
     ),
 }
 
@@ -518,15 +448,19 @@ def kernel_bound_check(
     The second evaluation doubles the truncation radius and tightens the
     adaptive tolerance; stability means the max moved by less than REL_CHANGE_BOUND.
     """
-    try:
-        kd = KERNELS[kernel_id]
-    except KeyError:
-        raise KeyError(
-            f"unknown kernel {kernel_id!r}; choose from {sorted(KERNELS)}"
-        ) from None
+    if kernel_id not in KERNELS:
+        raise KeyError(f"unknown kernel {kernel_id!r}; choose from {sorted(KERNELS)}")
+    kd = KERNELS[kernel_id]
+    unknown = sorted(set(params or {}) - set(kd.default_params))
+    if unknown:
+        raise ValueError(f"unknown params {unknown} for kernel {kernel_id!r}; it takes {sorted(kd.default_params)}")
     p = {**kd.default_params, **(params or {})}
-    kd.check(p)
+    for statement, holds in kd.requires:
+        if not holds(p):
+            raise HypothesisViolation(f"hypothesis failed: {statement}")
     samples = list(sample_grid if sample_grid is not None else kd.default_samples)
+    if not samples:
+        raise ValueError("kernel_bound_check needs at least one sample")
     q = quad_spec or QuadSpec()
     qf = q.refined()
     base, n_base = zip(*(kd.evaluate(smp, p, q) for smp in samples))

@@ -57,6 +57,7 @@ from .systems import (
     Sakovich,
     State,
     diagonal_form,
+    lower,
 )
 
 class ConfigError(ValueError):
@@ -739,8 +740,9 @@ KINDS = {
         {"lam": (_positive, 2.0), "lambdas": (_ladder(_positive), (1.0, 2.0, 4.0, 8.0)),
          "s_values": (_distinct(_finite), (-1.5, -1.0, -0.75, 0.0, 1.0))},
         _run_scaling,
-        rule=lambda c: None if isinstance(c.system, HirotaSatsuma) and c.system.a != 0.0
-        else "scaling covariance is set up for the two-wave system with a != 0",
+        # lam^2 u(lam x, lam^3 t) maps solutions to solutions only without a first-order drift
+        rule=lambda c: "scaling covariance needs a system without first-order drift (R = 0 in its normal form)"
+        if lower(c.system).R.any() else None,
         work=partial(_sampled_work, runs=2.0, arrays=3.0),
     ),
     # every iterate is kept; the stepper reference stores two states

@@ -602,6 +602,23 @@ def test_scaling_covariance_catches_a_zero_order_term(monkeypatch, tmp_path):
     assert [c["name"] for c in manifest.checks if not c["passed"]] == ["covariance_max_err"]
 
 
+# Gear-Grimshaw without the r term: no first-order drift, so lam^2 u(lam x, lam^3 t) is a symmetry
+GG_NO_DRIFT = {"name": "gear_grimshaw", "a1": 0.7, "a2": 0.3, "a3": 0.4, "b1": 2.0, "b2": 0.5}
+
+
+def test_scaling_probe_takes_any_drift_free_system(tmp_path):
+    data = json.loads((CONFIG_DIR / "scaling.json").read_text())
+    manifest = run(config_from_dict({**data, "system": GG_NO_DRIFT}), out_dir=tmp_path)
+    assert manifest.status == "pass"
+    assert manifest.summary["covariance_max_err"] <= harness.BOUNDS["covariance_max_err"][1]
+
+
+def test_scaling_probe_rejects_a_first_order_drift():
+    data = json.loads((CONFIG_DIR / "scaling.json").read_text())
+    with pytest.raises(ConfigError, match="needs a system without first-order drift"):
+        config_from_dict({**data, "system": {**GG_NO_DRIFT, "r": 0.3}})
+
+
 @pytest.mark.parametrize("path", CONFIG_FILES, ids=lambda p: p.name)
 def test_shipped_config_passes(path, tmp_path):
     assert run(load_config(path), out_dir=tmp_path).status == "pass"

@@ -1,6 +1,7 @@
 """Integral kernel evaluations: closed forms, hypothesis guards, stability."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,18 +66,25 @@ def test_level_set_scale_invariance():
 
 
 def test_hypothesis_violations_raise():
-    with pytest.raises(HypothesisViolation):
-        kernel_bound_check("level_set", params={"b": 0.4})
-    with pytest.raises(HypothesisViolation):
-        kernel_bound_check("peak_pair", params={"alpha": 3.0, "beta": 2.0})
-    with pytest.raises(HypothesisViolation):
-        kernel_bound_check("peak_pair", params={"alpha": 0.5, "beta": 1.0})
-    with pytest.raises(HypothesisViolation):
-        kernel_bound_check("flip_core", params={"b_prime": -0.1})
-    with pytest.raises(HypothesisViolation):
-        kernel_bound_check("mixed_region_a1", params={"s": -0.4})
-    with pytest.raises(HypothesisViolation):
-        kernel_bound_check("flip_region_b", params={"s": -0.5, "b": 0.6, "b_prime": 0.0})
+    # one violating params set per kernel hypothesis family; the message names
+    # the statement that failed, so no hypothesis can drop out unnoticed
+    cases = [
+        ("level_set", {"b": 0.4}, "b > 1/2"),
+        ("peak_pair", {"alpha": 3.0, "beta": 2.0}, "0 <= alpha <= beta"),
+        ("peak_pair", {"alpha": 0.5, "beta": 1.0}, "beta > 1"),
+        ("flip_weighted_aux", {"b_prime": -0.1}, "b' <= s/3 - 1/4"),
+        ("flip_core", {"b_prime": -0.1}, "b' <= -1/4"),
+        ("flip_region_a", {"b_prime": -0.6}, "b' in [-1/2, s/3 - 1/4]"),
+        ("flip_region_b", {"s": -0.5, "b": 0.6, "b_prime": 0.0}, "b' - b <= min(-s - 3/2, s - 1/6)"),
+        ("mixed_core", {"b_prime": 0.1}, "b' <= 0"),
+        ("mixed_region_a1", {"s": -0.4}, "s in [-3/4, -1/2]"),
+        ("mixed_region_a2", {"b_prime": -0.3}, "b' in [-1/2, s/3 - 1/4]"),
+        ("mixed_region_b1", {"b": 0.6}, "b' - b <= min(-s - 3/2, s - 1/6)"),
+        ("mixed_region_b2", {"b": 0.7}, "b' - b <= min(-s - 3/2, s/3 - 3/4)"),
+    ]
+    for kid, params, statement in cases:
+        with pytest.raises(HypothesisViolation, match=re.escape(f"hypothesis failed: {statement}")):
+            kernel_bound_check(kid, params=params)
 
 
 def test_level_set_rejects_degenerate_sample():
@@ -99,6 +107,31 @@ def test_custom_params_override_defaults():
         "level_set", params={"b": 0.8}, sample_grid=[(1.0, 1.0)]
     )
     assert report.params == {"b": 0.8}
+
+
+def test_unknown_params_are_rejected():
+    # a misspelled key used to be merged in unread, and the run reported it
+    with pytest.raises(ValueError, match=re.escape("unknown params ['B'] for kernel 'level_set'")):
+        kernel_bound_check("level_set", params={"B": 0.8}, sample_grid=[(1.0, 1.0)])
+
+
+def test_empty_sample_grid_is_rejected():
+    with pytest.raises(ValueError, match="at least one sample"):
+        kernel_bound_check("flip_core", sample_grid=[])
+
+
+@pytest.mark.parametrize("fields, message", [
+    *(({field: value}, f"QuadSpec.{field}") for field, value in [
+        ("x_max", 0.0), ("x_max", -60.0), ("x_max", math.inf), ("x_max", math.nan),
+        ("limit", 0), ("limit", 50.5), ("limit", True),
+        ("epsabs", -1e-11), ("epsabs", math.nan), ("epsrel", math.inf),
+    ]),
+    ({"epsabs": 0.0, "epsrel": 0.0}, "not both 0"),
+])
+def test_quad_spec_rejects_invalid_values(fields, message):
+    # x_max <= 0 used to integrate nothing, so every kernel read 0 and passed c11 as stable
+    with pytest.raises(ValueError, match=message):
+        QuadSpec(**fields)
 
 
 def test_quad_spec_refinement():
