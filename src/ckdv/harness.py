@@ -401,6 +401,9 @@ BOUNDS = {
     "free_cv": ("<", 1e-2),  # c10: spread of the free-evolution ratios
     "duhamel_exponent_err": ("<=", 0.1),  # c10: Duhamel exponent against b' + 1 - b
     "stabilization_rel_diff": ("<", 1e-3),  # the Lipschitz ratio settles as delta -> 0
+    "V_drift": ("<", 1e-6),  # c02: max |V - V(0)| / |V(0)| of the two-wave Hamiltonian
+    "F_drift": ("<", 1e-8),  # c02: the same for the two-wave quadratic law F
+    "phi3_drift": ("<", 1e-8),  # c02: the same for the internal-wave quadratic law phi3
 }
 
 _RELATIONS = {
@@ -461,7 +464,13 @@ def _run_simulate(cfg: ExperimentConfig, emit: _Emitter):
         "final_time": float(traj.times[-1]),
         "drift": _drift_summary(table),
     }
-    return summary, [check_bound("infinite_entries", int(np.isinf(table).sum()), "==", 0)]
+    checks = [check_bound("infinite_entries", int(np.isinf(table).sum()), "==", 0)]
+    # c02's drift of each law the system conserves; Feng's V and F hold only when it is HS
+    for name in {HirotaSatsuma: ("V", "F"), GearGrimshaw: ("phi3",)}.get(type(cfg.system), ()):
+        col = table[:, COLUMNS.index(name)]
+        drift = float(np.max(np.abs(col - col[0])) / abs(col[0])) if np.isfinite(col).all() else np.inf
+        checks.append(check_bound(f"{name}_drift", drift, *BOUNDS[f"{name}_drift"]))
+    return summary, checks
 
 
 def _run_lipschitz(cfg: ExperimentConfig, emit: _Emitter):

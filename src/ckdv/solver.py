@@ -106,39 +106,59 @@ def _to_state(w: np.ndarray, g: Grid, t: float) -> State:
     return State(SpectralField(u, g), SpectralField(v, g), t)
 
 
-def _ifrk4_step(rhs, w, t, dt, E, E2):
-    """One RK4 step in the integrating-factor variable; E = half-step phase, E2 = E*E."""
-    k1 = rhs(w, t)
-    k2 = rhs(E * (w + 0.5 * dt * k1), t + 0.5 * dt)
-    k3 = rhs(E * w + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = rhs(E2 * w + dt * E * k3, t + dt)
-    return E2 * w + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
+class _GuardedStep:
+    """One IF-RK4 step of size dt in the integrating-factor variable, then the
+    growth guards on max |coefficient|; built once per (rhs, dt).
 
-
-def _guarded_step(rhs, w, t, dt, E, E2, index: int, cfl_guard: float, m0: float):
-    """_ifrk4_step, then the growth guards on max |coefficient|.
+    It holds E (the half-step phase), E^2, dt*E, 2*E and the stage buffers,
+    calls `rhs` with `out=` (and uses what it returns) and overwrites w in
+    place, so a step allocates nothing.  Each product keeps its operand order
+    in E^2 w + dt/6 (E^2 k1 + 2E (k2 + k3) + k4): complex products are not
+    bitwise commutative, and the result matches the expression bit for bit.
 
     The step fails when it grows the maximum by more than cfl_guard, or
     past 1e8 times the initial maximum m0.
     BlowupDetected names the guard, the growth ratio and the step index,
     with .time the time the step started from.
     """
-    before = np.abs(w).max()
-    w = _ifrk4_step(rhs, w, t, dt, E, E2)
-    after = np.abs(w).max()
-    if after > 1e8 * m0:
-        raise BlowupDetected(
-            f"growth cap tripped at step {index}: max |coefficient| is {after / m0:.2e} "
-            "times its initial value, past 1e8",
-            time=t,
-        )
-    if before > 0.0 and after > cfl_guard * before:
-        raise BlowupDetected(
-            f"cfl_guard tripped at step {index}: per-step growth {after / before:.2e} "
-            f"exceeds {cfl_guard:g}",
-            time=t,
-        )
-    return w
+
+    def __init__(self, rhs, E: np.ndarray, dt: float, cfl_guard: float, m0: float):
+        self.rhs, self.dt, self.cfl_guard, self.m0 = rhs, dt, cfl_guard, m0
+        self.E, self.E2, self.dtE, self.twoE = E, E * E, dt * E, 2.0 * E
+        self.k1, self.k2, self.k3, self.k4, self.stage, self.Ew, self.E2w = np.empty((7, *E.shape), E.dtype)
+        self.absw = np.empty(E.shape)
+
+    def __call__(self, w: np.ndarray, t: float, index: int, before: float) -> float:
+        """Advance w from t by dt in place; before is max |w|, and max |w| after is returned."""
+        rhs, dt, E, stage = self.rhs, self.dt, self.E, self.stage
+        h = 0.5 * dt
+        np.multiply(E, w, out=self.Ew)
+        np.multiply(self.E2, w, out=self.E2w)
+        k1 = rhs(w, t, out=self.k1)
+        np.multiply(E, np.add(w, np.multiply(h, k1, out=stage), out=stage), out=stage)
+        k2 = rhs(stage, t + h, out=self.k2)
+        np.add(self.Ew, np.multiply(h, k2, out=stage), out=stage)
+        k3 = rhs(stage, t + h, out=self.k3)
+        np.add(self.E2w, np.multiply(self.dtE, k3, out=stage), out=stage)
+        k4 = rhs(stage, t + dt, out=self.k4)
+        acc = np.multiply(self.E2, k1, out=k1)
+        np.add(acc, np.multiply(self.twoE, np.add(k2, k3, out=k2), out=k2), out=acc)
+        np.add(acc, k4, out=acc)
+        np.add(self.E2w, np.multiply(dt / 6.0, acc, out=acc), out=w)
+        after = np.abs(w, out=self.absw).max()
+        if after > 1e8 * self.m0:
+            raise BlowupDetected(
+                f"growth cap tripped at step {index}: max |coefficient| is {after / self.m0:.2e} "
+                "times its initial value, past 1e8",
+                time=t,
+            )
+        if before > 0.0 and after > self.cfl_guard * before:
+            raise BlowupDetected(
+                f"cfl_guard tripped at step {index}: per-step growth {after / before:.2e} "
+                f"exceeds {self.cfl_guard:g}",
+                time=t,
+            )
+        return after
 
 
 def simulate(
@@ -156,53 +176,46 @@ def simulate(
     a mode exceeding 1e8 times the initial coefficient maximum aborts;
     BlowupDetected carries the last completed time.  For a system coupled
     at third order both guards act on the eigenbasis coefficients W.
+    The state is advanced in place in one stage workspace per step size;
+    only the stored samples are copied out.
     """
     if T < 0.0:
         raise ValueError("T must be nonnegative")
     form, P = systems.diagonal_form(spec)
     c = np.diag(form.D)
     g = initial.grid
-    times: list[float] = []
-    rows: list[np.ndarray] = []
-
-    def record(w, t):
-        times.append(t)
-        rows.append(w)
-
-    def trajectory():
-        half = np.stack(rows)
-        return Trajectory(np.array(times), half if P is None else P @ half, g)
-
     w = np.where(g.keep[: g.n // 2 + 1], _to_half(initial), 0.0)
     if P is not None:
         w = np.linalg.solve(P, w)
     t0 = initial.t
-    record(w, t0)
-    if T == 0.0:
-        return trajectory()
 
     dt = config.dt
     n_full = int(np.floor(T / dt + 1e-9))
     remainder = T - n_full * dt
     if remainder < 1e-12 * max(1.0, T):
         remainder = 0.0
+    n_steps = n_full + (remainder > 0.0)
     stride = max(1, int(round(sample_dt / dt)))
+    # stored samples: the data, every stride-th step before the last, and the end
+    stored = range(stride, n_steps, stride)
+    times = [t0, *(t0 + k * dt for k in stored)] + ([t0 + T] if T > 0.0 else [])
+    half = np.empty((len(times), *w.shape), dtype=w.dtype)
+    half[0] = w
 
-    rhs = systems.SpectralRhs(form, g)
-    E = _half_phases(g, c, 0.5 * dt)
-    E2 = E * E
-    m0 = max(np.abs(w).max(), 1e-300)
-    guard = config.cfl_guard
-
-    for k in range(1, n_full + 1):
-        w = _guarded_step(rhs, w, t0 + (k - 1) * dt, dt, E, E2, k, guard, m0)
-        if k % stride == 0 and not (k == n_full and remainder == 0.0):
-            record(w, t0 + k * dt)
-    if remainder > 0.0:
-        E_r = _half_phases(g, c, 0.5 * remainder)
-        w = _guarded_step(rhs, w, t0 + n_full * dt, remainder, E_r, E_r * E_r, n_full + 1, guard, m0)
-    record(w, t0 + T)
-    return trajectory()
+    if T > 0.0:
+        rhs = systems.SpectralRhs(form, g)
+        before = np.abs(w).max()
+        m0 = max(before, 1e-300)
+        full = _GuardedStep(rhs, _half_phases(g, c, 0.5 * dt), dt, config.cfl_guard, m0)
+        for k in range(1, n_full + 1):
+            before = full(w, t0 + (k - 1) * dt, k, before)
+            if k % stride == 0 and k < n_steps:
+                half[k // stride] = w
+        if remainder > 0.0:
+            last = _GuardedStep(rhs, _half_phases(g, c, 0.5 * remainder), remainder, config.cfl_guard, m0)
+            last(w, t0 + n_full * dt, n_steps, before)
+        half[-1] = w
+    return Trajectory(times, half if P is None else P @ half, g)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +304,9 @@ def picard_iterate(
         # overflow of a diverging iterate is a result (reported), not an error
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                integrand = phase_conj * rhs(cur, times)
+                # an explicit ufunc: `phase_conj * rhs(...)` may run as `rhs(...) *= phase_conj`
+                # (numpy reuses large temporaries), and complex products are not bitwise commutative
+                integrand = np.multiply(phase_conj, rhs(cur, times))
                 acc = sg.cumulative_simpson_c(integrand, times[1] - times[0], axis=1)
                 new = free + phase * acc
                 d = sup_hs_distance(new - cur)

@@ -331,7 +331,9 @@ class SpectralRhs:
     k = 0..n/2 of (u, v), one row per time sample in the 3-D case.  One
     irfft gives u, v, u_x, v_x on the grid; the Q and R products of the
     normal form are summed there and checked for finiteness once; one rfft brings
-    the result back, dealiased.  Input is expected dealiased.
+    the result back, dealiased.  Input is expected dealiased.  A call with
+    `out` allocates nothing: it reuses intermediate arrays kept on the
+    instance, one set per shape of w.  A call without makes them afresh.
     """
 
     def __init__(self, spec: SystemSpec | NormalForm, grid: Grid):
@@ -345,26 +347,50 @@ class SpectralRhs:
         self._quad = form.Q.reshape(2, 4)
         self._drift = form.R if form.R.any() else None
         self._n = grid.n
+        self._work: dict[tuple, tuple] = {}
 
-    def __call__(self, w: np.ndarray, t) -> np.ndarray:
+    def _buffers(self, shape: tuple) -> tuple:
+        rows, n = shape[1] if len(shape) == 3 else 1, self._n
+        # w times each row of to_grid, dead once transformed: its memory then holds
+        # every w_j * d_x w_k, and after that the finiteness mask
+        spec = np.empty((2, 2, rows, shape[-1]), dtype=np.complex128)
+        f = np.empty((2, rows * n))  # the right-hand side on the grid
+        return (
+            spec,
+            np.empty((2, 2, rows, n)),  # [[u, v], [u_x, v_x]] on the grid
+            spec.reshape(-1).view(np.float64)[: 4 * rows * n].reshape(2, 2, rows, n),
+            f,
+            f.reshape(2, rows, n),
+            np.empty((2, rows * n)) if self._drift is not None else None,  # the drift part of f
+            spec.reshape(-1).view(np.bool_)[: 2 * rows * n].reshape(2, rows, n),
+        )
+
+    def __call__(self, w: np.ndarray, t, out: np.ndarray | None = None) -> np.ndarray:
         """d/dt of w from the nonlinearity; t is the time, or one per sample row.
 
+        Writes into `out` (C-contiguous, w's shape) when given, and returns it.
         Raises BlowupDetected, with the (first offending) time, when the
         products are not finite.
         """
         shape = w.shape
-        n = self._n
-        val, der = np.fft.irfft(w.reshape(1, 2, -1, shape[-1]) * self._to_grid, n, axis=-1)
-        f = self._quad @ (val[:, None] * der[None]).reshape(4, -1)
+        if out is None:  # a one-off call, as Picard's sweep over all samples: nothing is kept
+            work, out = self._buffers(shape), np.empty(shape, dtype=np.complex128)
+        else:
+            work = self._work.get(shape) or self._work.setdefault(shape, self._buffers(shape))
+        spec, values, products, f, f3, drift, finite = work
+        np.multiply(w.reshape(1, 2, -1, shape[-1]), self._to_grid, out=spec)
+        val, der = np.fft.irfft(spec, self._n, axis=-1, out=values)
+        np.multiply(val[:, None], der[None], out=products)
+        np.matmul(self._quad, products.reshape(4, -1), out=f)
         if self._drift is not None:
-            f += self._drift @ der.reshape(2, -1)
-        f = f.reshape(2, -1, n)
-        finite = np.isfinite(f)
-        if not finite.all():
+            f += np.matmul(self._drift, der.reshape(2, -1), out=drift)
+        if not np.isfinite(f3, out=finite).all():
             if np.ndim(t):
                 t = t[np.argmin(finite.all(axis=(0, 2)))]
             raise BlowupDetected("non-finite values in right-hand side", time=float(t))
-        return (np.fft.rfft(f, axis=-1) * self._to_spec).reshape(shape)
+        result = np.fft.rfft(f3, axis=-1, out=out.reshape(2, -1, shape[-1]))
+        np.multiply(result, self._to_spec, out=result)
+        return out
 
 
 def nonlinear_rhs(spec: SystemSpec | NormalForm, state: State) -> tuple[SpectralField, SpectralField]:

@@ -87,7 +87,7 @@ def test_c02_conserved_functional_drift():
     traj = simulate(gaussian_pair(g), gg, 1.0, dt, sample_dt=0.1)
     d3 = rel_drift([gg_invariants(s, gg)[2] for s in traj.states])
 
-    ok = dF < 1e-8 and d3 < 1e-8 and dV < 1e-6
+    ok = dF < BOUNDS["F_drift"][1] and d3 < BOUNDS["phi3_drift"][1] and dV < BOUNDS["V_drift"][1]
     report(2, ok, f"two-wave V drift {dV:.3g}, F drift {dF:.3g}; internal-wave phi3 drift {d3:.3g}")
 
 

@@ -524,7 +524,8 @@ PEAK_PAIR = {"kind": "kernel_suite", "params": {"kernels": ["peak_pair"]}}
 # case -> (config, harness name patched, patch, the checks that then fail)
 VERDICT_CASES = {
     "simulate_infinite": (
-        simulate_config(), "collect", lambda call: lambda *a: call(*a) + np.inf, ["infinite_entries"]
+        simulate_config(), "collect", lambda call: lambda *a: call(*a) + np.inf,
+        ["infinite_entries", "V_drift", "F_drift"],  # a non-finite column has no finite drift
     ),
     # NaN norms of the (samples, 2, n) trajectory gaps, not of the (2, n) base state;
     # NaN ratios leave no finite stabilization difference, so that check fails too
@@ -597,7 +598,7 @@ def test_scaling_covariance_catches_a_zero_order_term(monkeypatch, tmp_path):
     # u_t = ... + 1e-3 u breaks the KdV scaling, so the rescaled run leaves lam * base.half;
     # the norm ladder reads only the initial data, so its exponents still pass
     call = SpectralRhs.__call__
-    monkeypatch.setattr(SpectralRhs, "__call__", lambda self, w, t: call(self, w, t) + 1e-3 * w)
+    monkeypatch.setattr(SpectralRhs, "__call__", lambda self, w, t, out=None: call(self, w, t, out) + 1e-3 * w)
     manifest = run(load_config(CONFIG_DIR / "scaling.json"), out_dir=tmp_path)
     assert [c["name"] for c in manifest.checks if not c["passed"]] == ["covariance_max_err"]
 
@@ -622,6 +623,26 @@ def test_scaling_probe_rejects_a_first_order_drift():
 @pytest.mark.parametrize("path", CONFIG_FILES, ids=lambda p: p.name)
 def test_shipped_config_passes(path, tmp_path):
     assert run(load_config(path), out_dir=tmp_path).status == "pass"
+
+
+@pytest.mark.parametrize("system, drifts", [
+    ({"name": "hirota_satsuma", "a": -0.5, "b": 1.0}, ["V_drift", "F_drift"]),
+    ({"name": "gear_grimshaw", "a1": 0.7, "a2": 0.3, "a3": 0.4, "b1": 2.0, "b2": 0.5}, ["phi3_drift"]),
+    ({"name": "feng", "a": 0.5, "b": 1.0, "c": 2.0, "d": 0.5}, []),  # its V and F columns drift
+    ({"name": "general_coupled", "a11": 1.0, "a12": 0.0, "a21": 0.0, "a22": 0.5,
+      "b1": 0.2, "b2": 0.3, "b3": 0.4, "b4": 0.5, "b5": 0.6, "b6": 0.7}, []),
+])
+def test_simulate_checks_c02_drift_of_each_law_the_system_conserves(monkeypatch, tmp_path, system, drifts):
+    cfg = config_from_dict(simulate_config(system=system))
+    manifest = run(cfg, out_dir=tmp_path / "exact")
+    assert manifest.status == "pass"
+    assert [c["name"] for c in manifest.checks] == ["infinite_entries", *drifts]
+    # a 1e-3 w term grows each quadratic law by about 2e-3 per unit time, past c02's 1e-8
+    call = SpectralRhs.__call__
+    monkeypatch.setattr(SpectralRhs, "__call__", lambda self, w, t, out=None: call(self, w, t, out) + 1e-3 * w)
+    manifest = run(cfg, out_dir=tmp_path / "patched")
+    assert [c["name"] for c in manifest.checks if not c["passed"]] == drifts
+    assert manifest.status == ("fail" if drifts else "pass")
 
 
 def test_gear_grimshaw_config_conserves_phi3_and_phi4(tmp_path):

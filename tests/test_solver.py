@@ -1,5 +1,7 @@
 """Stepper and the integral-equation iteration."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -415,3 +417,95 @@ def test_guard_messages_name_guard_ratio_and_step():
     assert ("cfl_guard" in msg or "growth cap" in msg) and "at step " in msg
     k = int(msg.split("at step ")[1].split(":")[0])
     assert exc.value.time == pytest.approx((k - 1) * 5e-2)
+
+
+# ---------------------------------------------------------------------------
+# The in-place stepper against the allocating four-stage expression.
+
+def ifrk4_reference(rhs, w, t, dt, E, E2):
+    """One IF-RK4 step written with temporaries; E = half-step phase, E2 = E*E.
+
+    The arrays here stay far below numpy's 256 KiB threshold for reusing a
+    temporary, so every product runs in the operand order written.
+    """
+    k1 = rhs(w, t)
+    k2 = rhs(E * (w + 0.5 * dt * k1), t + 0.5 * dt)
+    k3 = rhs(E * w + 0.5 * dt * k2, t + 0.5 * dt)
+    k4 = rhs(E2 * w + dt * E * k3, t + dt)
+    return E2 * w + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
+
+
+def reference_half(st, spec, T, dt, sample_dt):
+    """simulate(...).half, stepped by ifrk4_reference with its own sample bookkeeping."""
+    form, P = diagonal_form(spec)
+    g, c = st.grid, np.diag(form.D)
+    rhs = SpectralRhs(form, g)
+    w = np.where(g.keep[: g.n // 2 + 1], np.stack([to_half(st.u.coeffs), to_half(st.v.coeffs)]), 0.0)
+    if P is not None:
+        w = np.linalg.solve(P, w)
+    n_full = int(np.floor(T / dt + 1e-9))
+    remainder = T - n_full * dt
+    if remainder < 1e-12 * max(1.0, T):
+        remainder = 0.0
+    stride = max(1, int(round(sample_dt / dt)))
+    rows = [w]
+    E = solver._half_phases(g, c, 0.5 * dt)
+    for k in range(1, n_full + 1):
+        w = ifrk4_reference(rhs, w, st.t + (k - 1) * dt, dt, E, E * E)
+        if k % stride == 0 and not (k == n_full and remainder == 0.0):
+            rows.append(w)
+    if remainder > 0.0:
+        E = solver._half_phases(g, c, 0.5 * remainder)
+        w = ifrk4_reference(rhs, w, st.t + n_full * dt, remainder, E, E * E)
+    rows.append(w)
+    half = np.stack(rows)
+    return half if P is None else P @ half
+
+
+@pytest.mark.parametrize("T", [0.04, 0.0537])  # a multiple of dt, and one that ends in a short step
+def test_simulate_is_bit_identical_to_the_allocating_step(five_systems, T):
+    g = Grid(64, 8.0 * np.pi)
+    st = pair_state(g, t=0.1)
+    specs = {**five_systems, "gear_grimshaw_cross": GearGrimshaw(0.7, 0.3, 0.4, 2.0, 0.5)}
+    for name, spec in specs.items():
+        got = simulate(st, spec, T, StepperConfig(2e-3), sample_dt=0.01)
+        assert np.array_equal(got.half, reference_half(st, spec, T, 2e-3, 0.01)), name
+
+
+def test_rhs_into_out_equals_the_allocating_call(five_systems):
+    g = Grid(64, 8.0 * np.pi)
+    m = g.n // 2 + 1
+    rng = np.random.default_rng(3)
+    for name, spec in five_systems.items():
+        rhs = SpectralRhs(spec, g)
+        for shape, t in (((2, m), 0.3), ((2, 5, m), np.linspace(0.0, 0.4, 5))):
+            w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * g.keep[:m]
+            w[..., 0] = w[..., 0].real
+            want = SpectralRhs(spec, g)(w, t)
+            buf = np.empty_like(w)
+            assert rhs(w, t, out=buf) is buf
+            assert np.array_equal(buf, want) and np.array_equal(rhs(w, t), want), name
+
+
+def test_recorded_samples_own_their_memory(monkeypatch):
+    g = Grid(64, 8.0 * np.pi)
+    st, spec, cfg = pair_state(g), HirotaSatsuma(0.5, 1.0), StepperConfig(2e-3)
+    handed = []  # every state, stage and output array the stepper gives the kernel
+    call = SpectralRhs.__call__
+
+    def spy(self, w, t, out=None):
+        handed.extend(a for a in (w, out) if a is not None)
+        return call(self, w, t, out)
+
+    monkeypatch.setattr(SpectralRhs, "__call__", spy)
+    traj = simulate(st, spec, 0.0537, cfg, sample_dt=0.01)
+    monkeypatch.undo()
+    rows = list(traj.half)
+    assert len(rows) == 7 and handed
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(rows, 2))
+    assert not any(np.shares_memory(row, a) for row in rows for a in handed)
+    data = np.stack([to_half(dealias(st.u).coeffs), to_half(dealias(st.v).coeffs)])
+    assert np.array_equal(traj.half[0], data)
+    kept = traj.half.copy()
+    simulate(st, spec, 0.0537, cfg, sample_dt=0.01)
+    assert np.array_equal(traj.half, kept)
