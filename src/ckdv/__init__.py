@@ -42,8 +42,6 @@ from .solver import (
 from .diagnostics import (
     MixedNormBreakdown,
     collect,
-    gg_invariants,
-    hs_invariants,
     mixed_norms,
     record_for,
     sobolev_norm,
@@ -69,8 +67,7 @@ __all__ = [
     "gear_grimshaw_as_general", "gg_lambda_alpha", "hs_as_kdv",
     "lower", "nonlinear_rhs",
     "PicardReport", "StepperConfig", "Trajectory", "picard_iterate", "simulate",
-    "MixedNormBreakdown", "collect",
-    "gg_invariants", "hs_invariants", "mixed_norms", "record_for", "sobolev_norm",
+    "MixedNormBreakdown", "collect", "mixed_norms", "record_for", "sobolev_norm",
     "psi", "psi_T",
     "read_snapshot", "write_csv", "write_snapshot",
     "ConfigError", "ExperimentConfig", "RunManifest", "config_from_dict",

@@ -17,13 +17,12 @@ from ckdv import (
     HirotaSatsuma,
     State,
     StepperConfig,
+    collect,
     config_from_dict,
     field_from_callable,
     forward,
-    gg_invariants,
     gg_lambda_alpha,
     hs_as_kdv,
-    hs_invariants,
     inverse,
     load_config,
     picard_iterate,
@@ -41,6 +40,7 @@ from ckdv.bourgain import (
     pointwise_bound_scan,
     random_field,
 )
+from ckdv.diagnostics import COLUMNS
 from ckdv.harness import BOUNDS, check_bound
 from ckdv.io import read_csv
 
@@ -79,13 +79,13 @@ def test_c02_conserved_functional_drift():
 
     hs = HirotaSatsuma(0.5, 1.0)
     traj = simulate(gaussian_pair(g), hs, 1.0, dt, sample_dt=0.1)
-    vals = [hs_invariants(s, hs.a, hs.b) for s in traj.states]
-    dV = rel_drift([v for v, _ in vals])
-    dF = rel_drift([f for _, f in vals])
+    table = collect(traj, hs)
+    dV = rel_drift(table[:, COLUMNS.index("V")])
+    dF = rel_drift(table[:, COLUMNS.index("F")])
 
     gg = GearGrimshaw(0.7, 0.3, 0.0, 2.0, 0.5)
     traj = simulate(gaussian_pair(g), gg, 1.0, dt, sample_dt=0.1)
-    d3 = rel_drift([gg_invariants(s, gg)[2] for s in traj.states])
+    d3 = rel_drift(collect(traj, gg)[:, COLUMNS.index("phi3")])
 
     ok = dF < BOUNDS["F_drift"][1] and d3 < BOUNDS["phi3_drift"][1] and dV < BOUNDS["V_drift"][1]
     report(2, ok, f"two-wave V drift {dV:.3g}, F drift {dF:.3g}; internal-wave phi3 drift {d3:.3g}")

@@ -1,11 +1,13 @@
 """The package's public name lists."""
 
 import ast
+import typing
 from pathlib import Path
 from types import ModuleType
 
 import ckdv
 from ckdv import bourgain
+from ckdv.systems import SystemSpec
 
 
 def _public(module, names):
@@ -61,3 +63,32 @@ def test_every_public_name_has_a_caller_or_a_reason():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert {*ckdv.__all__, *bourgain.__all__, *defined} - used == set(UNREFERENCED)
+
+
+# the only places that may branch on a system's class: the normal form and the conservation laws
+CLASS_DISPATCH = {("systems", "lower"), ("diagnostics", "_laws")}
+
+
+def test_only_lower_and_the_law_table_dispatch_on_system_class():
+    # isinstance(x, <a system class>) anywhere, and type(x) used as a value (a key,
+    # an operand) rather than for its name, name the function they sit in
+    classes = {cls.__name__ for cls in typing.get_args(SystemSpec)}
+    found = set()
+    for path in (ROOT / "src" / "ckdv").rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                continue
+            by_isinstance = node.func.id == "isinstance" and classes & {
+                n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)
+            }
+            by_type = node.func.id == "type" and not isinstance(
+                parents[node], (ast.Attribute, ast.FormattedValue)
+            )
+            if by_isinstance or by_type:
+                scope = node
+                while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                    scope = parents[scope]
+                found.add((path.stem, getattr(scope, "name", "<module>")))
+    assert found == CLASS_DISPATCH

@@ -14,8 +14,6 @@ from ckdv import (
     Trajectory,
     collect,
     field_from_callable,
-    gg_invariants,
-    hs_invariants,
     mixed_norms,
     record_for,
     simulate,
@@ -26,12 +24,26 @@ from ckdv.diagnostics import COLUMNS
 from ckdv.grid import Grid, SpectralField, forward, l2_norm, spectral_derivative
 
 
+def named(row):
+    return dict(zip(COLUMNS, row))
+
+
+def hs_laws(st, a, b):
+    rec = named(record_for(st, HirotaSatsuma(a, b)))
+    return rec["V"], rec["F"]
+
+
+def gg_laws(st, spec):
+    rec = named(record_for(st, spec))
+    return rec["phi1"], rec["phi2"], rec["phi3"], rec["phi4"]
+
+
 def test_hs_invariants_sine_oracle(grid64):
     # u = 0, v = sin x on a 2*pi box: V = b*pi, F = (2/3) b*pi
     b = 2.0
     st = State(zero_field(grid64), field_from_callable(np.sin, grid64))
     for a in (-1.0, 0.5, 2.0):
-        V, F = hs_invariants(st, a, b)
+        V, F = hs_laws(st, a, b)
         assert V == pytest.approx(b * np.pi, rel=1e-13)
         assert F == pytest.approx(2.0 / 3.0 * b * np.pi, rel=1e-13)
 
@@ -40,7 +52,7 @@ def test_hs_invariants_cosine_oracle(grid64):
     # u = cos x, v = 0: V = (1+a) pi / 2 (the cubic term integrates to zero)
     a, b = 0.7, 3.0
     st = State(field_from_callable(np.cos, grid64), zero_field(grid64))
-    V, F = hs_invariants(st, a, b)
+    V, F = hs_laws(st, a, b)
     assert V == pytest.approx(0.5 * (1.0 + a) * np.pi, rel=1e-13)
     assert F == pytest.approx(np.pi, rel=1e-13)
 
@@ -49,7 +61,7 @@ def test_hs_invariants_cubic_terms(grid64):
     # u = 1 + cos x has int u^3 = 2 pi + 3 pi = 5 pi
     a, b = 0.0, 1.0
     st = State(field_from_callable(lambda x: 1.0 + np.cos(x), grid64), zero_field(grid64))
-    V, _ = hs_invariants(st, a, b)
+    V, _ = hs_laws(st, a, b)
     want = 0.5 * (1.0 + a) * np.pi - (1.0 + a) * 5.0 * np.pi
     assert V == pytest.approx(want, rel=1e-13)
 
@@ -60,7 +72,7 @@ def test_hs_invariants_count_no_nyquist_slope():
     g = Grid(64, 8.0 * np.pi)
     u = forward(0.05 * (-1.0) ** np.arange(g.n), g)
     assert l2_norm(spectral_derivative(u, 1)) == 0.0
-    V, F = hs_invariants(State(u, zero_field(g)), 0.5, 1.0)
+    V, F = hs_laws(State(u, zero_field(g)), 0.5, 1.0)
     assert V == 0.0
     assert F == pytest.approx(0.05**2 * g.period, rel=1e-13)
 
@@ -69,13 +81,13 @@ def test_gg_invariants_cosine_oracle(grid64):
     u = field_from_callable(np.cos, grid64)
     st = State(u, u.copy())
     base = GearGrimshaw(0.0, 0.0, 0.0, 1.0, 1.0)
-    p1, p2, p3, p4 = gg_invariants(st, base)
+    p1, p2, p3, p4 = gg_laws(st, base)
     assert abs(p1) < 1e-13 and abs(p2) < 1e-13
     assert p3 == pytest.approx(2.0 * np.pi, rel=1e-13)
     assert p4 == pytest.approx(2.0 * np.pi, rel=1e-13)
     # the a3 cross term adds 2 b2 a3 int sin^2 = 2 b2 a3 pi; r subtracts r pi
     crossed = GearGrimshaw(0.0, 0.0, 0.5, 1.0, 1.0, r=0.3)
-    p4c = gg_invariants(st, crossed)[3]
+    p4c = gg_laws(st, crossed)[3]
     assert p4c == pytest.approx(2.0 * np.pi + 2.0 * 0.5 * np.pi - 0.3 * np.pi, rel=1e-13)
 
 
@@ -84,7 +96,7 @@ def test_gg_invariants_mean_terms(grid64):
         field_from_callable(lambda x: 1.5 + 0.0 * x, grid64),
         field_from_callable(lambda x: -0.5 + 0.0 * x, grid64),
     )
-    p1, p2, _, _ = gg_invariants(st, GearGrimshaw(0.0, 0.0, 0.0, 1.0, 1.0))
+    p1, p2, _, _ = gg_laws(st, GearGrimshaw(0.0, 0.0, 0.0, 1.0, 1.0))
     assert p1 == pytest.approx(1.5 * 2.0 * np.pi, rel=1e-13)
     assert p2 == pytest.approx(-0.5 * 2.0 * np.pi, rel=1e-13)
 
@@ -104,10 +116,6 @@ def test_sobolev_norm_single_mode(grid64):
         assert sobolev_norm(f, s) == pytest.approx(want, rel=1e-12)
 
 
-def named(row):
-    return dict(zip(COLUMNS, row))
-
-
 def test_record_for_hs(grid64):
     st = State(zero_field(grid64), field_from_callable(np.sin, grid64), t=0.5)
     row = record_for(st, HirotaSatsuma(0.5, 2.0), s=1.0)
@@ -119,10 +127,18 @@ def test_record_for_hs(grid64):
     assert not np.isinf(row).any()
 
 
-def test_record_for_feng_uses_hs_functionals(grid64):
-    st = State(zero_field(grid64), field_from_callable(np.sin, grid64))
-    rec = named(record_for(st, Feng(0.5, 2.0, 1.0, 0.0)))
-    assert rec["V"] == pytest.approx(2.0 * np.pi)
+def test_record_for_feng_declares_its_own_laws(grid64):
+    # u = cos x, v = sin x: F = int u^2 + (2b/c) int v^2 = (1 + 2b/c) pi, for every d;
+    # V is the Hirota-Satsuma Hamiltonian, which Feng conserves only at (c, d) = (3, 0)
+    st = State(field_from_callable(np.cos, grid64), field_from_callable(np.sin, grid64))
+    b, c = 2.0, 0.5
+    for d in (0.0, 0.7):
+        rec = named(record_for(st, Feng(0.5, b, c, d)))
+        assert math.isnan(rec["V"])
+        assert rec["F"] == pytest.approx((1.0 + 2.0 * b / c) * np.pi, rel=1e-13)
+    assert math.isnan(named(record_for(st, Feng(0.5, b, 0.0, 0.0)))["F"])
+    as_hs = named(record_for(st, Feng(0.5, b, 3.0, 0.0)))
+    assert [as_hs["V"], as_hs["F"]] == list(hs_laws(st, 0.5, b))
 
 
 def test_record_for_gg(grid64):

@@ -628,9 +628,11 @@ def test_shipped_config_passes(path, tmp_path):
 @pytest.mark.parametrize("system, drifts", [
     ({"name": "hirota_satsuma", "a": -0.5, "b": 1.0}, ["V_drift", "F_drift"]),
     ({"name": "gear_grimshaw", "a1": 0.7, "a2": 0.3, "a3": 0.4, "b1": 2.0, "b2": 0.5}, ["phi3_drift"]),
-    ({"name": "feng", "a": 0.5, "b": 1.0, "c": 2.0, "d": 0.5}, []),  # its V and F columns drift
+    ({"name": "feng", "a": 0.5, "b": 1.0, "c": 2.0, "d": 0.5}, ["F_drift"]),  # F = int u^2 + (2b/c) v^2
     ({"name": "general_coupled", "a11": 1.0, "a12": 0.0, "a21": 0.0, "a22": 0.5,
       "b1": 0.2, "b2": 0.3, "b3": 0.4, "b4": 0.5, "b5": 0.6, "b6": 0.7}, []),
+    ({"name": "feng", "a": -1.0, "b": 2.0, "c": 3.0, "d": 0.5}, ["F_drift"]),  # d != 0: no Hamiltonian V
+    ({"name": "feng", "a": 0.5, "b": 1.0, "c": 3.0, "d": 0.0}, ["V_drift", "F_drift"]),  # Hirota-Satsuma
 ])
 def test_simulate_checks_c02_drift_of_each_law_the_system_conserves(monkeypatch, tmp_path, system, drifts):
     cfg = config_from_dict(simulate_config(system=system))
@@ -643,6 +645,16 @@ def test_simulate_checks_c02_drift_of_each_law_the_system_conserves(monkeypatch,
     manifest = run(cfg, out_dir=tmp_path / "patched")
     assert [c["name"] for c in manifest.checks if not c["passed"]] == drifts
     assert manifest.status == ("fail" if drifts else "pass")
+
+
+@pytest.mark.parametrize("d", [0.0, 0.5])
+def test_feng_conserves_f_with_both_fields_moving(tmp_path, d):
+    # v != 0 brings in F's (2b/c) int v^2 term, which c != 3 sets apart from Hirota-Satsuma's 2b/3
+    initial = {"u": {"kind": "gaussian", "amplitude": 0.5}, "v": {"kind": "gaussian", "amplitude": 0.25, "center": 1.0}}
+    system = {"name": "feng", "a": -1.0, "b": 2.0, "c": 1.5, "d": d}
+    manifest = run(config_from_dict(simulate_config(system=system, initial=initial)), out_dir=tmp_path)
+    assert [c["name"] for c in manifest.checks] == ["infinite_entries", "F_drift"]
+    assert manifest.status == "pass"
 
 
 def test_gear_grimshaw_config_conserves_phi3_and_phi4(tmp_path):
