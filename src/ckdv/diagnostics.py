@@ -141,8 +141,7 @@ def record_for(state: State, spec: SystemSpec, s: float = 1.0) -> np.ndarray:
 
 def collect(traj, spec: SystemSpec, s: float = 1.0) -> np.ndarray:
     """The (samples, 9) table (COLUMNS) of a Trajectory, evaluated on its stacked samples."""
-    u, v = (SpectralField(sg.to_full(traj.half[:, i]), traj.grid) for i in range(2))
-    return _table(State(u, v, traj.times), spec, s)
+    return _table(State.from_half(np.moveaxis(traj.half, 1, 0), traj.grid, traj.times), spec, s)
 
 
 @dataclass
@@ -191,9 +190,9 @@ def mixed_norms(traj, r: float, T: float) -> dict[str, MixedNormBreakdown]:
     """
     times, half = _window(traj, T)
     g = traj.grid
+    st = State.from_half(np.moveaxis(half, 1, 0), g, times)  # one row per sample
     out = {}
-    for i, name in enumerate(("u", "v")):
-        f = SpectralField(sg.to_full(half[:, i]), g)  # one row per sample
+    for name, f in (("u", st.u), ("v", st.v)):
         df = sg.spectral_derivative(f, 1)
         vals = f.values()  # (nt, nx)
         dvals = df.values()

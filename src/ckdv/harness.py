@@ -132,6 +132,7 @@ _unit_time = _check(_finite, lambda x: 0.0 < x <= 1.0, "in (0, 1]")
 _pow2 = _check(_int, lambda n: n >= 16 and n & (n - 1) == 0, "a power of two >= 16")
 _nonneg = _check(_finite, lambda x: x >= 0.0, ">= 0")
 _count = _check(_int, lambda n: n >= 1, "an integer >= 1")
+_pairs = _check(_int, lambda n: n >= 2, "an integer >= 2")  # a ratio or a spread needs two
 _seed = _check(_int, lambda n: 0 <= n < 2**64, "an integer in [0, 2**64)")
 _text = _check(lambda v: v, lambda v: isinstance(v, str), "a string")
 
@@ -404,6 +405,9 @@ BOUNDS = {
     "V_drift": ("<", 1e-6),  # c02: max |V - V(0)| / |V(0)| of the two-wave Hamiltonian
     "F_drift": ("<", 1e-8),  # c02: the same for the two-wave quadratic law F
     "phi3_drift": ("<", 1e-8),  # c02: the same for the internal-wave quadratic law phi3
+    "growth_exponent": (">", 0.0),  # c09: the divergent norms grow with the radius
+    "final_rel_change": ("<", NONEQ_REL_CHANGE_BOUND),  # c09: the convergent norms settle
+    "max_rel_change": ("<", REL_CHANGE_BOUND),  # c11: each kernel's sup is stable under refinement
 }
 
 _RELATIONS = {
@@ -668,7 +672,7 @@ def _run_kernels(cfg: ExperimentConfig, emit: _Emitter):
         "max_rel_change": max(r.rel_change for r in reports),
         "neval": {r.kernel_id: r.neval for r in reports},
     }
-    return summary, [check_bound("max_rel_change", summary["max_rel_change"], "<", REL_CHANGE_BOUND)]
+    return summary, [check_bound("max_rel_change", summary["max_rel_change"], *BOUNDS["max_rel_change"])]
 
 
 def _run_noneq(cfg: ExperimentConfig, emit: _Emitter):
@@ -683,8 +687,8 @@ def _run_noneq(cfg: ExperimentConfig, emit: _Emitter):
         "neval": tab.neval,
     }
     return summary, [
-        check_bound("growth_exponent", tab.growth_exponent, ">", 0.0),
-        check_bound("final_rel_change", tab.final_rel_change, "<", NONEQ_REL_CHANGE_BOUND),
+        check_bound("growth_exponent", tab.growth_exponent, *BOUNDS["growth_exponent"]),
+        check_bound("final_rel_change", tab.final_rel_change, *BOUNDS["final_rel_change"]),
     ]
 
 
@@ -752,7 +756,7 @@ KINDS = {
     # every iterate is kept; the stepper reference stores two states
     "picard_study": KindDef(
         "picard", _DYNAMICS,
-        {"n_iters": (_count, 8), "s": (_finite, 0.0),
+        {"n_iters": (_pairs, 8), "s": (_finite, 0.0),
          "time_resolution": (_check(_int, lambda n: n >= 9 and n % 2 == 1, "odd and >= 9"), 201)},
         _run_picard,
         rule=lambda c: "horizon must be > 0 for a Picard study" if c.horizon == 0.0 else None,
@@ -771,14 +775,14 @@ KINDS = {
         "bourgain", _SEED,
         {"s": (_finite, 0.0), "b": (_finite, 0.6), "b_prime": (_finite, -0.3), "a": (_nonzero, 1.0),
          "n_x": (_pow2, 128), "period_x": (_positive, 16.0 * np.pi),
-         "n_t": (_pow2, 512), "period_t": (_positive, 8.0), "n_fields": (_count, 50),
+         "n_t": (_pow2, 512), "period_t": (_positive, 8.0), "n_fields": (_pairs, 50),
          "t_values": (_ladder(_unit_time), (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)),
          "embedding_speeds": (_list_of(_nonzero, 3), (2.0, 1.0, 3.0)),
          "pair_first": (_list_of(_nonzero, 2), (1.0, 3.0)),
          "pair_second": (_list_of(_nonzero, 2), (1.5, 2.5)), "n_embed_fields": (_count, 64)},
         _run_bourgain, rule=_bourgain_rule,
     ),
-    "kernel_suite": KindDef("kernels", {}, {"kernels": (_list_of(_kernel_id), tuple(KERNELS))}, _run_kernels),
+    "kernel_suite": KindDef("kernels", {}, {"kernels": (_distinct(_kernel_id), tuple(KERNELS))}, _run_kernels),
     "nonequivalence": KindDef(
         "noneq", {},
         {"a0": (_nonzero, 1.0), "a1": (_nonzero, -1.0), "s": (_finite, 0.0), "b": (_finite, 3.0),

@@ -1,8 +1,8 @@
 """Time evolution by integrating-factor RK4 and Duhamel fixed-point iteration.
 
-Every routine reads the system's normal form in the eigenbasis of its
-dispersion (`systems.diagonal_form`): it maps the data in by
-W0 = P^-1 U0, evolves W, and returns U = P W at every stored sample, so
+Both routes enter the eigenbasis of the system's dispersion through
+`_eigenbasis` (`systems.diagonal_form`, then the dealiased data
+W0 = P^-1 U0), evolve W, and return U = P W at every stored sample, so
 a system coupled at third order runs like any other.  The linear part is
 solved exactly in Fourier space (each mode of w_j rotates by
 exp(-i*c_j*xi^3*t), c = diag(D)); the nonlinearity is advanced by
@@ -14,9 +14,10 @@ by cumulative Simpson quadrature on a stored time grid.
 Agreement between the two routes is a correctness check for both.
 
 Internally both routes hold the stacked half spectrum (modes k = 0..n/2
-of w_0 and w_1) and share one `systems.SpectralRhs` kernel.  A
-`Trajectory` stores u and v in that layout too; full-layout States are
-made only when `Trajectory.states` is read.
+of w_0 and w_1) and call one `systems.SpectralRhs` per run with `out=`:
+IF-RK4 on a (2, n/2+1) stage, Picard's sweep on all (2, nt, n/2+1)
+samples.  A `Trajectory` stores u and v in that layout too; full-layout
+States are made only when `Trajectory.states` is read.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import grid as sg
 from . import systems
-from .grid import Grid, SpectralField
+from .grid import Grid
 from .systems import BlowupDetected, NormalForm, State, SystemSpec
 
 
@@ -79,13 +80,13 @@ class Trajectory:
         g = states[0].grid
         if not all(st.grid.compatible(g) for st in states):
             raise ValueError("all states must share one grid")
-        half = np.stack([_to_half(st) for st in states])
+        half = np.stack([st.half() for st in states])
         return cls(np.array([st.t for st in states], dtype=np.float64), half, g)
 
     @property
     def states(self) -> list[State]:
         if self._states is None:
-            self._states = [_to_state(w, self.grid, float(t)) for w, t in zip(self.half, self.times)]
+            self._states = [State.from_half(w, self.grid, float(t)) for w, t in zip(self.half, self.times)]
         return self._states
 
 
@@ -97,13 +98,13 @@ def _half_phases(grid: Grid, c: tuple[float, float], dt) -> np.ndarray:
     return np.stack([np.exp((-1j * cj * dt) * xi**3) for cj in c])
 
 
-def _to_half(state: State) -> np.ndarray:
-    return np.stack([sg.to_half(state.u.coeffs), sg.to_half(state.v.coeffs)])
-
-
-def _to_state(w: np.ndarray, g: Grid, t: float) -> State:
-    u, v = sg.to_full(w)
-    return State(SpectralField(u, g), SpectralField(v, g), t)
+def _eigenbasis(initial: State, spec: SystemSpec | NormalForm):
+    """(kernel, c = diag(D), P, W0 = P^-1 U0) of spec's eigenbasis (`systems.diagonal_form`),
+    W0 the dealiased stacked half spectrum of `initial`."""
+    form, P = systems.diagonal_form(spec)
+    g = initial.grid
+    w = np.where(g.keep[: g.n // 2 + 1], initial.half(), 0.0)
+    return systems.SpectralRhs(form, g), np.diag(form.D), P, (w if P is None else np.linalg.solve(P, w))
 
 
 class _GuardedStep:
@@ -181,12 +182,8 @@ def simulate(
     """
     if T < 0.0:
         raise ValueError("T must be nonnegative")
-    form, P = systems.diagonal_form(spec)
-    c = np.diag(form.D)
+    rhs, c, P, w = _eigenbasis(initial, spec)
     g = initial.grid
-    w = np.where(g.keep[: g.n // 2 + 1], _to_half(initial), 0.0)
-    if P is not None:
-        w = np.linalg.solve(P, w)
     t0 = initial.t
 
     dt = config.dt
@@ -203,7 +200,6 @@ def simulate(
     half[0] = w
 
     if T > 0.0:
-        rhs = systems.SpectralRhs(form, g)
         before = np.abs(w).max()
         m0 = max(before, 1e-300)
         full = _GuardedStep(rhs, _half_phases(g, c, 0.5 * dt), dt, config.cfl_guard, m0)
@@ -265,21 +261,15 @@ def picard_iterate(
         raise ValueError("time_resolution must be odd and at least 9")
     if n_iters < 1:
         raise ValueError("n_iters must be at least 1")
-    form, P = systems.diagonal_form(spec)
-    c = np.diag(form.D)
+    rhs, c, P, w0 = _eigenbasis(initial, spec)
     g = initial.grid
     m = g.n // 2 + 1
-    nt = time_resolution
-    times = np.linspace(0.0, T, nt)
-
-    w0 = np.where(g.keep[:m], _to_half(initial), 0.0)
-    if P is not None:
-        w0 = np.linalg.solve(P, w0)
+    times = np.linspace(0.0, T, time_resolution)
     # axes: component, time sample, mode (half spectrum)
     phase = _half_phases(g, c, times[:, None])
     free = phase * w0[:, None, :]
     phase_conj = np.conj(phase)
-    rhs = systems.SpectralRhs(form, g)
+    rhs_out = np.empty_like(free)  # the sweep's RHS, then its integrand
     # H^s weights of the half spectrum: modes 0 < k < n/2 stand for +-k
     hs_weight = (1.0 + g.xi[:m] ** 2) ** s * g.dxi
     hs_weight[1:-1] *= 2.0
@@ -304,15 +294,14 @@ def picard_iterate(
         # overflow of a diverging iterate is a result (reported), not an error
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                # an explicit ufunc: `phase_conj * rhs(...)` may run as `rhs(...) *= phase_conj`
-                # (numpy reuses large temporaries), and complex products are not bitwise commutative
-                integrand = np.multiply(phase_conj, rhs(cur, times))
-                acc = sg.cumulative_simpson_c(integrand, times[1] - times[0], axis=1)
-                new = free + phase * acc
+                integrand = rhs(cur, times, out=rhs_out)
+                np.multiply(phase_conj, integrand, out=integrand)
+                # the accumulator becomes the new iterate, which the returned Trajectory keeps
+                new = sg.cumulative_simpson_c(integrand, times[1] - times[0], axis=1)
+                np.add(free, np.multiply(phase, new, out=new), out=new)
                 d = sup_hs_distance(new - cur)
         except systems.BlowupDetected:
-            diverged = True
-            break
+            d = np.inf
         if not np.isfinite(d):
             diverged = True
             break

@@ -13,8 +13,8 @@ the change of variables U = P W into the eigenbasis of the dispersion
 own linear flow w_t = c w_xxx with c read off diag(D); it rejects a
 dispersion with complex or defective eigenstructure.  The solvers apply
 it themselves.  `SpectralRhs` evaluates the Q/R part pseudo-spectrally
-on half spectra, with dealiasing applied to the products, and
-`nonlinear_rhs` is its full-layout form.
+on stacked half spectra (`State.half`, `State.from_half`), with
+dealiasing applied to the products; `nonlinear_rhs` is its full-layout form.
 
 Systems:
 
@@ -157,6 +157,16 @@ class State:
 
     def copy(self) -> "State":
         return State(self.u.copy(), self.v.copy(), self.t)
+
+    def half(self) -> np.ndarray:
+        """The stacked half spectrum, shape (2, ..., n/2+1): modes k = 0..n/2 of u and v."""
+        return np.stack([sg.to_half(self.u.coeffs), sg.to_half(self.v.coeffs)])
+
+    @classmethod
+    def from_half(cls, w: np.ndarray, grid: Grid, t=0.0) -> "State":
+        """The state whose u and v have the half spectra w[0] and w[1]; rows of w[i] stay rows."""
+        u, v = sg.to_full(w)
+        return cls(SpectralField(u, grid), SpectralField(v, grid), t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,9 +341,9 @@ class SpectralRhs:
     k = 0..n/2 of (u, v), one row per time sample in the 3-D case.  One
     irfft gives u, v, u_x, v_x on the grid; the Q and R products of the
     normal form are summed there and checked for finiteness once; one rfft brings
-    the result back, dealiased.  Input is expected dealiased.  A call with
-    `out` allocates nothing: it reuses intermediate arrays kept on the
-    instance, one set per shape of w.  A call without makes them afresh.
+    the result back, dealiased.  Input is expected dealiased.  Every call works
+    in intermediates kept on the instance, one set per shape of w; `out` only
+    chooses where the result goes, and a call with it allocates nothing.
     """
 
     def __init__(self, spec: SystemSpec | NormalForm, grid: Grid):
@@ -373,10 +383,8 @@ class SpectralRhs:
         products are not finite.
         """
         shape = w.shape
-        if out is None:  # a one-off call, as Picard's sweep over all samples: nothing is kept
-            work, out = self._buffers(shape), np.empty(shape, dtype=np.complex128)
-        else:
-            work = self._work.get(shape) or self._work.setdefault(shape, self._buffers(shape))
+        work = self._work.get(shape) or self._work.setdefault(shape, self._buffers(shape))
+        out = np.empty(shape, dtype=np.complex128) if out is None else out
         spec, values, products, f, f3, drift, finite = work
         np.multiply(w.reshape(1, 2, -1, shape[-1]), self._to_grid, out=spec)
         val, der = np.fft.irfft(spec, self._n, axis=-1, out=values)
@@ -400,10 +408,8 @@ def nonlinear_rhs(spec: SystemSpec | NormalForm, state: State) -> tuple[Spectral
     grid and the combined result dealiased.  Input fields are expected
     dealiased; the output always is.
     """
-    g = state.grid
-    w = np.stack([sg.to_half(state.u.coeffs), sg.to_half(state.v.coeffs)])
-    du, dv = sg.to_full(SpectralRhs(spec, g)(w, state.t))
-    return SpectralField(du, g), SpectralField(dv, g)
+    d = State.from_half(SpectralRhs(spec, state.grid)(state.half(), state.t), state.grid)
+    return d.u, d.v
 
 
 def hs_as_kdv(w0: SpectralField, a: float) -> State:

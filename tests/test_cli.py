@@ -85,6 +85,19 @@ def test_library_precondition_exits_2_before_any_output(tmp_path, capsys, comman
     assert_rejected(tmp_path, capsys, command, payload, word)
 
 
+@pytest.mark.parametrize(
+    "command, payload, key",
+    [
+        ("picard", unsampled_payload("picard_study", params={"n_iters": 1}), "n_iters"),
+        ("bourgain", {"kind": "bourgain_suite", "params": {"n_fields": 1}}, "n_fields"),
+        ("kernels", {"kind": "kernel_suite", "params": {"kernels": ["level_set", "level_set"]}}, "kernels"),
+    ],
+)
+def test_config_whose_check_would_test_nothing_exits_2(tmp_path, capsys, command, payload, key):
+    # one sweep fits a ratio of 0, one field has a spread of 0, a repeated kernel runs twice
+    assert_rejected(tmp_path, capsys, command, payload, f"'{key}' must be")
+
+
 @pytest.mark.parametrize("key", ["apply_cutoffs", "compare_stepper"])
 def test_removed_picard_keys_exit_2(tmp_path, capsys, key):
     assert_rejected(tmp_path, capsys, "picard", unsampled_payload("picard_study", params={key: True}), key)

@@ -21,7 +21,7 @@ from ckdv import (
 )
 from ckdv import solver
 from ckdv.diagnostics import COLUMNS, collect, sobolev_norm
-from ckdv.grid import Grid, SpectralField, dealias, hermitian_defect, to_full, to_half
+from ckdv.grid import Grid, SpectralField, cumulative_simpson_c, dealias, hermitian_defect, to_full, to_half
 from ckdv.systems import SpectralRhs, diagonal_form, lower, nonlinear_rhs
 
 
@@ -435,14 +435,19 @@ def ifrk4_reference(rhs, w, t, dt, E, E2):
     return E2 * w + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
 
 
+def eigenbasis_reference(st, spec):
+    """(normal form, P, dealiased W0 = P^-1 U0), written out without the solver's helpers."""
+    form, P = diagonal_form(spec)
+    g = st.grid
+    w = np.where(g.keep[: g.n // 2 + 1], np.stack([to_half(st.u.coeffs), to_half(st.v.coeffs)]), 0.0)
+    return form, P, (w if P is None else np.linalg.solve(P, w))
+
+
 def reference_half(st, spec, T, dt, sample_dt):
     """simulate(...).half, stepped by ifrk4_reference with its own sample bookkeeping."""
-    form, P = diagonal_form(spec)
+    form, P, w = eigenbasis_reference(st, spec)
     g, c = st.grid, np.diag(form.D)
     rhs = SpectralRhs(form, g)
-    w = np.where(g.keep[: g.n // 2 + 1], np.stack([to_half(st.u.coeffs), to_half(st.v.coeffs)]), 0.0)
-    if P is not None:
-        w = np.linalg.solve(P, w)
     n_full = int(np.floor(T / dt + 1e-9))
     remainder = T - n_full * dt
     if remainder < 1e-12 * max(1.0, T):
@@ -485,6 +490,57 @@ def test_rhs_into_out_equals_the_allocating_call(five_systems):
             buf = np.empty_like(w)
             assert rhs(w, t, out=buf) is buf
             assert np.array_equal(buf, want) and np.array_equal(rhs(w, t), want), name
+
+
+def test_rhs_calls_of_one_shape_share_one_workspace(five_systems):
+    g = Grid(64, 8.0 * np.pi)
+    m = g.n // 2 + 1
+    rng = np.random.default_rng(4)
+    for name, spec in five_systems.items():
+        rhs = SpectralRhs(spec, g)
+        for shape, t in (((2, m), 0.3), ((2, 5, m), np.linspace(0.0, 0.4, 5))):
+            w1, w2 = ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * g.keep[:m] for _ in range(2))
+            first = rhs(w1, t)  # a call without out works in the kept set too
+            work = rhs._work[shape]
+            kept = first.copy()
+            second = rhs(w2, t, out=np.empty_like(w2))
+            third = rhs(w1, t)
+            assert rhs._work[shape] is work, name
+            results = (first, second, third)
+            assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(results, 2)), name
+            assert not any(np.shares_memory(r, x) for r in results for x in work if x is not None), name
+            assert np.array_equal(first, kept) and np.array_equal(third, kept), name
+        assert len(rhs._work) == 2, name  # one buffer set per shape
+
+
+def picard_reference(st, spec, T, n_iters, nt):
+    """picard_iterate's iterates as (time, component, mode) arrays, by the sweep written with
+    temporaries.  `acc` is named, so numpy cannot reuse it for `phase * acc`, and each complex
+    product runs in the operand order written."""
+    form, P, w0 = eigenbasis_reference(st, spec)
+    g, c = st.grid, np.diag(form.D)
+    times = np.linspace(0.0, T, nt)
+    phase = solver._half_phases(g, c, times[:, None])
+    free = phase * w0[:, None, :]
+    phase_conj = np.conj(phase)
+    rhs = SpectralRhs(form, g)
+    cur, rows = free, [free]
+    for _ in range(n_iters):
+        acc = cumulative_simpson_c(np.multiply(phase_conj, rhs(cur, times)), times[1] - times[0], axis=1)
+        cur = free + phase * acc
+        rows.append(cur)
+    return [np.moveaxis(w if P is None else np.tensordot(P, w, axes=1), 0, 1) for w in rows]
+
+
+@pytest.mark.parametrize("spec", [HirotaSatsuma(-0.5, 1.0), GearGrimshaw(0.7, 0.3, 0.4, 2.0, 0.5)],
+                         ids=["diagonal", "gear_grimshaw_cross"])
+def test_picard_sweep_is_bit_identical_to_the_allocating_sweep(spec):
+    st = small_pair(Grid(64, 8.0 * np.pi))
+    iters, report = picard_iterate(st, spec, 0.2, n_iters=4, time_resolution=65)
+    want = picard_reference(st, spec, 0.2, 4, 65)
+    assert len(iters) == len(want) == 5 and len(report.diffs) == 4
+    for k, (it, w) in enumerate(zip(iters, want)):
+        assert np.array_equal(it.half, w), k
 
 
 def test_recorded_samples_own_their_memory(monkeypatch):
