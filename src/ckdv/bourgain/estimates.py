@@ -13,12 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from ..diagnostics import loglog_slope
 from ..grid import SpectralField, forward
 from ..parallel import ordered_map
-from .kernels import _counted_quad
+from .kernels import _counted_quad, import_quadrature
 from .spacetime import (
     SpaceTimeField,
     bracket_norm,
@@ -266,6 +265,7 @@ def nonequivalence_demo(
 
     # each distinct norm once, the divergent ones at the largest radii, which cost the most, first
     jobs = sorted({(a, r) for a in (a0, a1) for r in radii}, key=lambda j: (j[0] != a0, -j[1]))
+    import_quadrature()
     done = dict(zip(jobs, ordered_map(lambda job: norm_sq(*job), jobs)))
     div = [math.sqrt(done[a0, r][0]) for r in radii]
     conv = [math.sqrt(done[a1, r][0]) for r in radii]
@@ -399,6 +399,19 @@ def _mode_normals(seed: int, trial: int, which: int, modes: int, size: int) -> n
     return out
 
 
+def _fast_len(n: int) -> int:
+    """The least 2^a 3^b 5^c 7^d 11^e >= n >= 1: scipy.fft.next_fast_len's size for complex input."""
+    m = n
+    while True:
+        k = m
+        for p in (2, 3, 5, 7, 11):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
+
+
 def bilinear_ratio(
     s: float,
     b: float,
@@ -488,7 +501,7 @@ def bilinear_ratio(
 
     same = variant == "same_sign_pair"
     ll = 2 * kk - 1
-    nfft = next_fast_len(ll)
+    nfft = _fast_len(ll)
     pairs = np.add.outer(np.arange(m), np.arange(m)) < 2 * h
     left, right = np.nonzero(np.triu(pairs) if same else pairs)
     width = np.bincount(left, minlength=m)  # row by row: left i meets right j0 = i or 0 onwards

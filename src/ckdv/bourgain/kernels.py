@@ -41,8 +41,6 @@ from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq
 
 
 class HypothesisViolation(ValueError):
@@ -80,6 +78,7 @@ def _counted_quad(fn, lo: float, hi: float, **kw) -> tuple[float, int]:
     full_output=1 hands QUADPACK's warning back as a message instead of
     warning, so the message is warned here.
     """
+    from scipy.integrate import IntegrationWarning, quad  # on first use: see import_quadrature
     out = quad(fn, lo, hi, full_output=1, **kw)
     if len(out) > 3:
         warnings.warn(out[3], IntegrationWarning, stacklevel=2)
@@ -94,8 +93,19 @@ def _quad(fn, lo: float, hi: float, q: QuadSpec, pts=()) -> tuple[float, int]:
                          points=inner or None)
 
 
+def import_quadrature() -> None:
+    """Import scipy's quadrature and root finder, which _counted_quad and _monotone_root
+    import on first use so that `import ckdv` and the numpy-only kinds never load them.
+
+    ordered_map's forked workers inherit the parent's modules, so a caller that fans
+    quadratures out calls this first; otherwise every worker imports them again."""
+    import scipy.integrate  # noqa: F401
+    import scipy.optimize  # noqa: F401
+
+
 def _monotone_root(f: Callable[[float], float], guess: float) -> float:
     """Root of a strictly monotone function, bracket expanded from a guess."""
+    from scipy.optimize import brentq  # on first use: see import_quadrature
     span = 1.0 + abs(guess)
     lo, hi = guess - span, guess + span
     for _ in range(80):

@@ -44,7 +44,7 @@ from .bourgain import (
     random_field,
 )
 from .bourgain.estimates import NONEQ_REL_CHANGE_BOUND
-from .bourgain.kernels import REL_CHANGE_BOUND
+from .bourgain.kernels import REL_CHANGE_BOUND, import_quadrature
 from .diagnostics import COLUMNS, _laws, collect, loglog_slope, sobolev_norm
 from .grid import Grid, SpectralField, forward, inverse, to_full
 from .parallel import ordered_map, usable_cpus
@@ -659,6 +659,7 @@ def _run_bourgain(cfg: ExperimentConfig, emit: _Emitter):
 
 
 def _run_kernels(cfg: ExperimentConfig, emit: _Emitter):
+    import_quadrature()
     reports = [rep for _, rep in ordered_map(kernel_bound_check, cfg.params["kernels"])]
     # argmax is the refined pass's maximizing sample, written "x;y"
     rows = [

@@ -31,7 +31,9 @@ def ordered_map(fn, items) -> list:
     """[fn(x) for x in items], on min(len(items), usable_cpus()) forked workers, or inline at width 1.
 
     Only indices and results are pickled, so fn may be a closure.  The parent re-emits each
-    task's warnings, as from the module that warned, and re-raises its exception, in task order."""
+    task's warnings, as from the module that warned, and re-raises its exception, in task order.
+    The workers inherit only the modules the parent has imported, so import what fn needs before
+    the call; a module first imported inside fn is imported again by every worker."""
     items = list(items)
     width = min(len(items), usable_cpus())
     if width <= 1:

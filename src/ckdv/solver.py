@@ -252,6 +252,8 @@ def picard_iterate(
     accumulated by cumulative Simpson quadrature.  No time cutoffs are
     applied; the paper's are identically 1 on [0, T] for T <= 1.  The
     iteration runs on W and the distances d_k are measured on U = P W.
+    n_iters must be at least 2: the contraction ratio is fitted to the
+    d_k, and one distance alone fits to 0 and would read as converged.
 
     Divergence is reported, never raised.
     """
@@ -259,8 +261,8 @@ def picard_iterate(
         raise ValueError("T must be positive")
     if time_resolution < 9 or time_resolution % 2 == 0:
         raise ValueError("time_resolution must be odd and at least 9")
-    if n_iters < 1:
-        raise ValueError("n_iters must be at least 1")
+    if n_iters < 2:
+        raise ValueError("n_iters must be at least 2")
     rhs, c, P, w0 = _eigenbasis(initial, spec)
     g = initial.grid
     m = g.n // 2 + 1

@@ -1,4 +1,9 @@
-"""Shared fixtures: small grids and smooth compactly-concentrated fields."""
+"""Shared fixtures: small grids and smooth compactly-concentrated fields, and a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,3 +42,20 @@ def five_systems():
 
 def seeded(seed):
     return np.random.default_rng(seed)
+
+
+@pytest.fixture
+def fresh_python():
+    """Run code in a new interpreter that imports ckdv from this checkout; its stdout, stripped.
+
+    For what only a fresh process shows, such as the modules an import loads:
+    the test process has imported far more than ckdv does."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+
+    def python(code: str) -> str:
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        return out.stdout.strip()
+
+    return python

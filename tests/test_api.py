@@ -1,6 +1,7 @@
-"""The package's public name lists."""
+"""The package's public name lists, its code rules, and what importing it loads."""
 
 import ast
+import json
 import typing
 from pathlib import Path
 from types import ModuleType
@@ -92,3 +93,53 @@ def test_only_lower_and_the_law_table_dispatch_on_system_class():
                     scope = parents[scope]
                 found.add((path.stem, getattr(scope, "name", "<module>")))
     assert found == CLASS_DISPATCH
+
+
+# what `import scipy` does not load; only the quadrature kinds (kernel_suite, nonequivalence) need them
+SCIPY_SUBPACKAGES = ("scipy.integrate", "scipy.optimize", "scipy.fft", "scipy.special", "scipy.linalg")
+
+
+def test_import_and_the_numpy_kinds_load_no_scipy_subpackage(fresh_python):
+    code = f"""
+import json, sys, tempfile
+import ckdv
+
+def loaded():
+    return sorted(set({SCIPY_SUBPACKAGES!r}) & set(sys.modules))
+
+seen = {{"import": loaded()}}
+small = {{
+    "simulate.json": {{"horizon": 0.01, "sample_dt": 0.01}},
+    "picard.json": {{"horizon": 0.05, "params": {{"n_iters": 2, "time_resolution": 9}}}},
+    "bourgain.json": {{"params": {{"n_x": 32, "n_t": 64, "n_fields": 2, "n_embed_fields": 2,
+                                 "t_values": [0.5, 1.0]}}}},
+}}
+for name, over in small.items():
+    cfg = json.loads(open({str(ROOT / "configs")!r} + "/" + name).read())
+    cfg.update(over)
+    manifest = ckdv.run(ckdv.config_from_dict(cfg), out_dir=tempfile.mkdtemp())
+    assert manifest.status != "error", manifest.error
+    seen[cfg["kind"]] = loaded()
+print(json.dumps(seen))
+"""
+    assert json.loads(fresh_python(code)) == dict.fromkeys(
+        ("import", "simulate", "picard_study", "bourgain_suite"), []
+    )
+
+
+def test_no_module_level_scipy_subpackage_import():
+    # a scipy subpackage is imported inside the function that needs it, so that
+    # `import ckdv` stays as light as numpy and `import scipy` (for its version)
+    found = []
+    for path in (ROOT / "src" / "ckdv").rglob("*.py"):
+        stack = list(ast.parse(path.read_text()).body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue  # runs when called, not at import
+            if isinstance(node, ast.Import):
+                found += [(path.name, a.name) for a in node.names if a.name.startswith("scipy.")]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy."):
+                found.append((path.name, node.module))
+            stack.extend(ast.iter_child_nodes(node))
+    assert found == []

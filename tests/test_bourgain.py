@@ -4,8 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from ckdv.bourgain.estimates import (
+    _fast_len,
     _mode_normals,
     admissible,
     bilinear_ratio,
@@ -398,6 +400,12 @@ def test_bilinear_draw_streams_match_tuple_seeds(seed):
 def test_bilinear_negative_seed_raises():
     with pytest.raises(ValueError):
         bilinear_ratio(0.0, 0.6, -0.4, 1.0, 1.0, -1.0, trials=1, band=2.0, seed=-1)
+
+
+def test_bilinear_fft_length_is_scipys_for_complex_input():
+    # the trial's FFT length, and with it every c12 number, is the one scipy.fft picks
+    sizes = range(1, 4097)
+    assert [_fast_len(n) for n in sizes] == [next_fast_len(n) for n in sizes]
 
 
 def _bilinear_full_plane(s, b, b_prime, a_left, a_right, a_out, trials, band, seed, dxi, dtau,

@@ -3,8 +3,6 @@
 import json
 import multiprocessing
 import os
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -60,13 +58,33 @@ def test_closures_map_in_order_on_workers(two_cpus):
     assert ordered_map(abs, []) == []
 
 
-def test_import_loads_no_process_machinery():
+def test_import_loads_no_process_machinery(fresh_python):
     # the helper imports it on first use, so a run that forks nothing pays nothing for it
-    src = str(Path(__file__).resolve().parent.parent / "src")
     code = "import sys, ckdv; print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    assert fresh_python(code) == "[]"
+
+
+@pytest.mark.parametrize("cfg", [
+    {"kind": "kernel_suite", "params": {"kernels": KERNEL_IDS[:2]}},
+    {"kind": "nonequivalence", "params": {"radii": [4.0, 8.0]}},
+], ids=["kernel_suite", "nonequivalence"])
+def test_fan_out_callers_fork_with_the_quadrature_loaded(fresh_python, cfg):
+    # forked workers inherit the parent's modules: a caller that reached ordered_map
+    # before importing scipy.integrate would have every worker import it again
+    code = f"""
+import sys, tempfile
+from ckdv import config_from_dict, harness, run
+from ckdv.bourgain import estimates
+
+loaded = []
+def spy(fn, items):
+    loaded.append("scipy.integrate" in sys.modules)
+    return [fn(x) for x in items]
+harness.ordered_map = estimates.ordered_map = spy
+assert run(config_from_dict({cfg!r}), out_dir=tempfile.mkdtemp()).status != "error"
+print(loaded)
+"""
+    assert fresh_python(code) == "[True]"
 
 
 @pytest.mark.parametrize("n_cpus, n_items", [(1, 4), (2, 1)])

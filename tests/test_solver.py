@@ -188,8 +188,9 @@ def test_picard_validation(grid64):
         picard_iterate(st, spec, 0.1, time_resolution=40)  # even
     with pytest.raises(ValueError):
         picard_iterate(st, spec, 0.1, time_resolution=7)  # too few
-    with pytest.raises(ValueError):
-        picard_iterate(st, spec, 0.1, n_iters=0)
+    for n_iters in (0, 1):  # one sweep's single distance would fit to ratio 0, "converged"
+        with pytest.raises(ValueError, match="n_iters must be at least 2"):
+            picard_iterate(st, spec, 0.1, n_iters=n_iters)
     with pytest.raises(TypeError):
         picard_iterate(st, spec, 0.1, apply_cutoffs=True)  # the cutoffs are not an option
 
