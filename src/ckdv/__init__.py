@@ -40,9 +40,7 @@ from .solver import (
     simulate,
 )
 from .diagnostics import (
-    MixedNormBreakdown,
     collect,
-    mixed_norms,
     record_for,
     sobolev_norm,
 )
@@ -67,7 +65,7 @@ __all__ = [
     "gear_grimshaw_as_general", "gg_lambda_alpha", "hs_as_kdv",
     "lower", "nonlinear_rhs",
     "PicardReport", "StepperConfig", "Trajectory", "picard_iterate", "simulate",
-    "MixedNormBreakdown", "collect", "mixed_norms", "record_for", "sobolev_norm",
+    "collect", "record_for", "sobolev_norm",
     "psi", "psi_T",
     "read_snapshot", "write_csv", "write_snapshot",
     "ConfigError", "ExperimentConfig", "RunManifest", "config_from_dict",

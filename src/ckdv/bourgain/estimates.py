@@ -460,6 +460,9 @@ def bilinear_ratio(
             raise ValueError(f"{name} must be positive and finite, got {val}")
     if not (math.isfinite(sigma_window) and sigma_window >= 0.0):
         raise ValueError(f"sigma_window must be non-negative and finite, got {sigma_window}")
+    for name, val in (("a_left", a_left), ("a_right", a_right), ("a_out", a_out)):
+        if val == 0.0:
+            raise ValueError(f"{name} must be nonzero, got {val}")
     variant = "same_sign_pair" if a_left == a_right else "mixed_pair"
     ok = admissible(s, b, b_prime, variant)
 
@@ -509,20 +512,14 @@ def bilinear_ratio(
     shift = t_left[left] + t_right[right] - 2 * kap  # pair (i, j) fills slots shift + [0, ll) of row i + j
     xi_out = xi2[left + right][:, None]
 
-    def sig_out(rows):  # the output modulation at each slot, on the selected rows
-        return (shift[rows, None] + np.arange(nfft)) * dtau + a_out * xi_out[rows] ** 3
-
     # the modulation weight must be averaged over each output cell, not
     # sampled at its center: near the resonant lines sigma sweeps
     # 3 a xi^2 dxi within one cell, and the pointwise value would give
     # the resonant set lattice measure dxi where the continuum gives it
     # measure ~ xi^-2, inflating the ratio without bound as the band
-    # grows; the average has a closed form through antiderivatives of
-    # (1 + |y|)^(2 b')
+    # grows; the average over tau and that sweep has a closed form
+    # through antiderivatives of (1 + |y|)^(2 b')
     p = 1.0 + 2.0 * b_prime
-
-    def f1(y):
-        return np.sign(y) * ((1.0 + np.abs(y)) ** p - 1.0) / p
 
     def f2(y):
         return ((1.0 + np.abs(y)) ** (p + 1.0) - 1.0) / (p * (p + 1.0)) - np.abs(y) / p
@@ -530,16 +527,13 @@ def bilinear_ratio(
     spread = 3.0 * abs(a_out) * xi_out**2 * dxi
     lo, hi = np.minimum(dtau, spread), np.maximum(dtau, spread)
 
-    def tau_avg(y, hi):
+    def tau_avg(y):
         return (f2(y + hi / 2.0) - f2(y - hi / 2.0)) / hi
 
-    wide = lo[:, 0] > 1e-9 * dtau  # rows averaged over the xi sweep too; the rest over tau alone
-    y, lw, hw = sig_out(wide), lo[wide], hi[wide]
-    avg_wide = (tau_avg(y + lw / 2.0, hw) - tau_avg(y - lw / 2.0, hw)) / lw
-    y, hn = sig_out(~wide), hi[~wide]
-    avg_narrow = (f1(y + hn / 2.0) - f1(y - hn / 2.0)) / hn
-    mod_avg = np.empty((left.size, nfft))
-    mod_avg[wide], mod_avg[~wide] = avg_wide, avg_narrow
+    def cell_avg(y):  # over tau and the xi sweep, about each slot's output modulation y
+        return (tau_avg(y + lo / 2.0) - tau_avg(y - lo / 2.0)) / lo
+
+    mod_avg = cell_avg((shift[:, None] + np.arange(nfft)) * dtau + a_out * xi_out**3)
     # the factor 2 restores the mirror half; the convolution's cell / 2 pi
     # and the output Riemann sum's cell are folded in here, once
     w_slot = mod_avg * (1.0 + np.abs(xi_out)) ** (2.0 * s) * xi_out**2

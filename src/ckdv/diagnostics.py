@@ -1,4 +1,4 @@
-"""Conserved functionals, Sobolev norms, and mixed space-time norms.
+"""Conserved functionals and Sobolev norms.
 
 Quadratic integrands are summed exactly in Fourier space (Parseval);
 cubic integrands are evaluated on a 2x-oversampled physical grid where
@@ -16,17 +16,15 @@ phi1-phi4; a column a system does not conserve is NaN.
 
 Every functional acts on the last axis of the coefficients, so a field
 whose coefficients carry leading axes (one row per sample) gives one
-value per row; `collect` and `mixed_norms` evaluate a whole trajectory
-that way, straight from its half-spectrum array.  `collect` returns the
-diagnostics table, one row per sample under COLUMNS, and `record_for`
-one state's row.
+value per row; `collect` evaluates a whole trajectory that way, straight
+from its half-spectrum array, and returns the diagnostics table, one row
+per sample under COLUMNS.  `record_for` gives one state's row.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -142,68 +140,3 @@ def record_for(state: State, spec: SystemSpec, s: float = 1.0) -> np.ndarray:
 def collect(traj, spec: SystemSpec, s: float = 1.0) -> np.ndarray:
     """The (samples, 9) table (COLUMNS) of a Trajectory, evaluated on its stacked samples."""
     return _table(State.from_half(np.moveaxis(traj.half, 1, 0), traj.grid, traj.times), spec, s)
-
-
-@dataclass
-class MixedNormBreakdown:
-    """The five components of the working space-time norm, plus their sum.
-
-    max_norm_s       max over t of the H^r norm
-    deriv_lt4_lxinf  first derivative in L^4 over t of the sup in x
-    frac_lxinf_lt2   D^r of the first derivative, sup in x of L^2 in t
-    lx2_ltinf        (1+T)^(-1/2) times the L^2 in x of the sup in t
-    deriv_lxinf_lt2  first derivative, sup in x of L^2 in t
-    """
-
-    max_norm_s: float
-    deriv_lt4_lxinf: float
-    frac_lxinf_lt2: float
-    lx2_ltinf: float
-    deriv_lxinf_lt2: float
-
-    @property
-    def total(self) -> float:
-        return (
-            self.max_norm_s
-            + self.deriv_lt4_lxinf
-            + self.frac_lxinf_lt2
-            + self.lx2_ltinf
-            + self.deriv_lxinf_lt2
-        )
-
-
-def _window(traj, T: float) -> tuple[np.ndarray, np.ndarray]:
-    """(times, half) of the samples with |t| <= T."""
-    tol = 1e-9 * max(1.0, T)
-    picked = np.abs(traj.times) <= T + tol
-    if np.count_nonzero(picked) < 2:
-        raise ValueError("trajectory must store at least two samples with |t| <= T")
-    return traj.times[picked], traj.half[picked]
-
-
-def mixed_norms(traj, r: float, T: float) -> dict[str, MixedNormBreakdown]:
-    """Component breakdown of the working norm over the window |t| <= T.
-
-    Time integrals use the composite trapezoid rule on the stored
-    cadence; spatial sups are grid maxima.  Returns one breakdown per
-    field component.
-    """
-    times, half = _window(traj, T)
-    g = traj.grid
-    st = State.from_half(np.moveaxis(half, 1, 0), g, times)  # one row per sample
-    out = {}
-    for name, f in (("u", st.u), ("v", st.v)):
-        df = sg.spectral_derivative(f, 1)
-        vals = f.values()  # (nt, nx)
-        dvals = df.values()
-        frac = sg.spectral_derivative(df, float(r)).values()
-        c1 = float(np.max(sobolev_norm(f, r)))
-        c2 = float(np.trapezoid(np.max(np.abs(dvals), axis=1) ** 4, times) ** 0.25)
-        c3 = float(np.sqrt(np.max(np.trapezoid(frac**2, times, axis=0))))
-        c4 = float(
-            (1.0 + T) ** -0.5
-            * np.sqrt(np.sum(np.max(np.abs(vals), axis=0) ** 2) * g.dx)
-        )
-        c5 = float(np.sqrt(np.max(np.trapezoid(dvals**2, times, axis=0))))
-        out[name] = MixedNormBreakdown(c1, c2, c3, c4, c5)
-    return out

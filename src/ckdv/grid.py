@@ -126,26 +126,17 @@ def zero_field(grid: Grid) -> SpectralField:
     return SpectralField(np.zeros(grid.n, dtype=np.complex128), grid)
 
 
-def spectral_derivative(field: SpectralField, order) -> SpectralField:
-    """Derivative by Fourier multiplier.
+def spectral_derivative(field: SpectralField, order: int) -> SpectralField:
+    """The order-th derivative by the Fourier multiplier (i*xi)**order.
 
-    An integer order m applies (i*xi)**m; odd m uses xi_odd, so the
-    Nyquist mode has zero derivative, as in the solver.  A non-integer
-    (float) order s >= 0 applies the modulus multiplier |xi|**s, with
-    |0|**s = 0 for s > 0 and the zero mode left alone for s = 0.
+    The order is an integer >= 0; odd orders use xi_odd, so the Nyquist
+    mode has zero derivative, as in the solver.
     """
+    if not (isinstance(order, (int, np.integer)) and order >= 0):
+        raise ValueError(f"derivative order must be an integer >= 0, got {order!r}")
     grid = field.grid
-    if isinstance(order, (int, np.integer)):
-        m = int(order)
-        if m < 0:
-            raise ValueError("derivative order must be >= 0")
-        mult = (1j * (grid.xi_odd if m % 2 else grid.xi)) ** m
-    else:
-        s = float(order)
-        if s < 0:
-            raise ValueError("fractional derivative exponent must be >= 0")
-        mult = np.abs(grid.xi) ** s
-    return SpectralField(field.coeffs * mult, grid)
+    m = int(order)
+    return SpectralField(field.coeffs * (1j * (grid.xi_odd if m % 2 else grid.xi)) ** m, grid)
 
 
 def dealias(field: SpectralField) -> SpectralField:

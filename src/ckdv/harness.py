@@ -459,17 +459,28 @@ def _run_simulate(cfg: ExperimentConfig, emit: _Emitter):
         "drift": {},
     }
     checks = [check_bound("infinite_entries", int(np.isinf(table).sum()), "==", 0)]
-    # the drift of each conservation law; c02 bounds max |q - q0| / |q0| of those in BOUNDS
     for name in _laws(cfg.system):
-        col = table[:, COLUMNS.index(name)]
-        drift = np.inf
-        if np.isfinite(col).all():
-            gap = np.max(np.abs(col - col[0]))
-            summary["drift"][name] = float(gap / max(1.0, abs(col[0])))
-            drift = float(gap / abs(col[0]))
-        if f"{name}_drift" in BOUNDS:
+        bounded = f"{name}_drift" in BOUNDS
+        summary["drift"][name] = drift = _drift(table[:, COLUMNS.index(name)], relative=bounded)
+        if bounded:
             checks.append(check_bound(f"{name}_drift", drift, *BOUNDS[f"{name}_drift"]))
     return summary, checks
+
+
+def _drift(col: np.ndarray, relative: bool) -> float:
+    """The drift max |q - q0| / scale of one law's column, inf if the column is not finite.
+
+    c02's drift, for the laws it bounds, is relative: scale |q0|, and a law
+    that starts at 0 has drift 0.0 if it never moves and inf if it does.
+    The other laws (phi1 = int u is 0 for odd data) take scale max(1, |q0|).
+    """
+    if not np.isfinite(col).all():
+        return math.inf
+    gap, q0 = float(np.max(np.abs(col - col[0]))), abs(float(col[0]))
+    scale = q0 if relative else max(1.0, q0)
+    if scale == 0.0:
+        return 0.0 if gap == 0.0 else math.inf
+    return gap / scale
 
 
 def _run_lipschitz(cfg: ExperimentConfig, emit: _Emitter):

@@ -23,7 +23,7 @@ States are made only when `Trajectory.states` is read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,18 +70,6 @@ class Trajectory:
             )
         if not np.all(np.diff(self.times) > 0.0):
             raise ValueError("times must be strictly increasing")
-
-    @classmethod
-    def from_states(cls, states: Iterable[State]):
-        """The trajectory through full-layout States; their modes k = 0..n/2 are kept."""
-        states = list(states)
-        if not states:
-            raise ValueError("trajectory needs at least one state")
-        g = states[0].grid
-        if not all(st.grid.compatible(g) for st in states):
-            raise ValueError("all states must share one grid")
-        half = np.stack([st.half() for st in states])
-        return cls(np.array([st.t for st in states], dtype=np.float64), half, g)
 
     @property
     def states(self) -> list[State]:

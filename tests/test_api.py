@@ -41,7 +41,6 @@ UNREFERENCED = {
     "f_w": "criterion identity: the weight function c07 scans",
     "gg_lambda_alpha": "criterion identity: c01's decoupling constants",
     "hs_as_kdv": "criterion identity: the two-wave system as a reflected KdV solution",
-    "mixed_norms": "the paper's Picard norm, until its contraction is measured or it is deleted",
 }
 
 

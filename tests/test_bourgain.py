@@ -366,11 +366,15 @@ def test_bilinear_ratio_flags_and_validation():
         ("dxi", dict(dxi=float("nan"))),
         ("dtau", dict(dtau=0.0)),
         ("sigma_window", dict(sigma_window=-1.0)),
+        # X^a_{s,b} is defined for a != 0 only: a zero speed has no characteristic to window
+        ("a_out", dict(a_out=0.0)),
+        ("a_left", dict(a_left=0.0)),
     ],
 )
 def test_bilinear_ratio_rejects_unusable_lattices(name, kw):
+    args = dict(s=0.0, b=0.6, b_prime=-0.4, a_left=1.0, a_right=-1.0, a_out=1.0, trials=1)
     with pytest.raises(ValueError, match=f"^{name} "):
-        bilinear_ratio(0.0, 0.6, -0.4, 1.0, -1.0, 1.0, trials=1, **kw)
+        bilinear_ratio(**{**args, **kw})
 
 
 def test_bilinear_ratio_memory_peak():
@@ -501,7 +505,6 @@ def _bilinear_full_plane(s, b, b_prime, a_left, a_right, a_out, trials, band, se
         (0.4, (1.0, -1.0, -1.0), 4.8, 0.6, 0.8),  # s > 0 on a coarse lattice
         (0.0, (1.0, 0.25, 1.0), 6.0, 0.5, 0.5),  # resonant unequal speeds: rows mostly overlap
         (-0.6, (1.104, 0.396, -1.0), 6.0, 0.5, 0.5),  # resonant unequal speeds with a_out < 0
-        (0.0, (1.0, 1.0, 0.0), 5.0, 0.5, 0.5),  # a_out = 0: the cell average without spread
     ],
 )
 def test_bilinear_ratio_half_plane_matches_full_plane(s, speeds, band, dxi, dtau):

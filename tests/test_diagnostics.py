@@ -11,10 +11,8 @@ from ckdv import (
     HirotaSatsuma,
     State,
     StepperConfig,
-    Trajectory,
     collect,
     field_from_callable,
-    mixed_norms,
     record_for,
     simulate,
     sobolev_norm,
@@ -169,44 +167,3 @@ def test_collect_matches_per_snapshot_records(grid128, gaussian128, spec, s):
     assert table.shape == (len(seen), len(COLUMNS))
     assert list(table[:, COLUMNS.index("t")]) == [st.t for st in seen] == list(traj.times)
     np.testing.assert_array_equal(table, [record_for(st, spec, s) for st in seen])
-
-
-def stationary_traj(field, times):
-    sts = [State(field.copy(), zero_field(field.grid), float(t)) for t in times]
-    return Trajectory.from_states(sts)
-
-
-def test_mixed_norms_stationary_factorization(grid128, gaussian128):
-    # a time-constant trajectory factorizes every mixed norm in closed form
-    T = 0.75
-    r = 0.5
-    traj = stationary_traj(gaussian128, np.linspace(-T, T, 9))
-    out = mixed_norms(traj, r, T)
-    g = gaussian128
-    gx = spectral_derivative(g, 1)
-    sup_gx = np.max(np.abs(gx.values()))
-    bu = out["u"]
-    assert bu.max_norm_s == pytest.approx(sobolev_norm(g, r), rel=1e-12)
-    assert bu.deriv_lt4_lxinf == pytest.approx((2.0 * T) ** 0.25 * sup_gx, rel=1e-12)
-    frac = spectral_derivative(gx, float(r))
-    assert bu.frac_lxinf_lt2 == pytest.approx(
-        np.sqrt(2.0 * T) * np.max(np.abs(frac.values())), rel=1e-12
-    )
-    dx = g.grid.dx
-    lx2 = np.sqrt(np.sum(np.abs(g.values()) ** 2) * dx)
-    assert bu.lx2_ltinf == pytest.approx((1.0 + T) ** -0.5 * lx2, rel=1e-12)
-    assert bu.deriv_lxinf_lt2 == pytest.approx(np.sqrt(2.0 * T) * sup_gx, rel=1e-12)
-    assert bu.total == pytest.approx(
-        bu.max_norm_s + bu.deriv_lt4_lxinf + bu.frac_lxinf_lt2 + bu.lx2_ltinf + bu.deriv_lxinf_lt2
-    )
-    # the v component is identically zero
-    assert out["v"].total == 0.0
-
-
-def test_mixed_norms_window_selection(grid128, gaussian128):
-    traj = stationary_traj(gaussian128, [-2.0, -0.5, 0.0, 0.5, 2.0])
-    out = mixed_norms(traj, 0.5, 1.0)  # keeps only |t| <= 1
-    ref = mixed_norms(stationary_traj(gaussian128, [-0.5, 0.0, 0.5]), 0.5, 1.0)
-    assert out["u"].deriv_lxinf_lt2 == pytest.approx(ref["u"].deriv_lxinf_lt2, rel=1e-13)
-    with pytest.raises(ValueError):
-        mixed_norms(stationary_traj(gaussian128, [-2.0, 2.0]), 0.5, 1.0)

@@ -527,7 +527,21 @@ def sup_gaps(op):
     return lambda call: lambda a, b, g: op(call(a, b, g))
 
 
+def law_moves(column):
+    """Patch of collect: `column` of the table gains 1e-3 t."""
+    def patch(call):
+        def collect(*args):
+            table = call(*args)
+            table[:, COLUMNS.index(column)] += 1e-3 * table[:, COLUMNS.index("t")]
+            return table
+        return collect
+    return patch
+
+
 PEAK_PAIR = {"kind": "kernel_suite", "params": {"kernels": ["peak_pair"]}}
+# no initial block: zero data, so V and F start at 0
+ZERO_DATA = {k: v for k, v in simulate_config(system={"name": "hirota_satsuma", "a": 0.5, "b": 1.0}).items()
+             if k != "initial"}
 
 # case -> (config, harness name patched, patch, the checks that then fail)
 VERDICT_CASES = {
@@ -535,6 +549,9 @@ VERDICT_CASES = {
         simulate_config(), "collect", lambda call: lambda *a: call(*a) + np.inf,
         ["infinite_entries", "V_drift", "F_drift"],  # a non-finite column has no finite drift
     ),
+    # a law that starts at 0 drifts by 0.0 while it stays there and by inf once it moves
+    "simulate_zero_data": (ZERO_DATA, "collect", lambda call: call, []),
+    "simulate_zero_data_V_moves": (ZERO_DATA, "collect", law_moves("V"), ["V_drift"]),
     # NaN norms of the (samples, 2, n) trajectory gaps, not of the (2, n) base state;
     # NaN ratios leave no finite stabilization difference, so that check fails too
     "lipschitz_nonfinite": (
@@ -655,9 +672,14 @@ def test_simulate_checks_c02_drift_of_each_law_the_system_conserves(monkeypatch,
     # a 1e-3 w term grows each quadratic law by about 2e-3 per unit time, past c02's 1e-8
     call = SpectralRhs.__call__
     monkeypatch.setattr(SpectralRhs, "__call__", lambda self, w, t, out=None: call(self, w, t, out) + 1e-3 * w)
-    manifest = run(cfg, out_dir=tmp_path / "patched")
-    assert [c["name"] for c in manifest.checks if not c["passed"]] == drifts
-    assert manifest.status == ("fail" if drifts else "pass")
+    patched = run(cfg, out_dir=tmp_path / "patched")
+    assert [c["name"] for c in patched.checks if not c["passed"]] == drifts
+    assert patched.status == ("fail" if drifts else "pass")
+    # the summary reports each checked law's drift as its check does; here |V(0)|, |F(0)| < 1
+    for m in (manifest, patched):
+        assert {c["name"]: c["value"] for c in m.checks[1:]} == {
+            f"{law}_drift": d for law, d in m.summary["drift"].items() if f"{law}_drift" in drifts
+        }
 
 
 @pytest.mark.parametrize("d", [0.0, 0.5])
