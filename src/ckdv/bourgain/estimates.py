@@ -306,9 +306,9 @@ def linear_estimate_check(
     constant depending only on (b, psi); the battery of random data
     (u0 plus n_fields - 1 random fields on its grid, band-limited so no
     modulation aliases off the tau grid) must show a tiny coefficient of
-    variation.  The spatial norm uses the (1+|xi|)^s weight matched to
-    the space-time weight, which is what makes the ratio exactly
-    field-independent in the continuum.
+    variation, so n_fields must be 2 or more.  The spatial norm uses the
+    (1+|xi|)^s weight matched to the space-time weight, which is what makes
+    the ratio exactly field-independent in the continuum.
 
     Inhomogeneous part: for each horizon T of `t_ladder`, a forcing family
     with modulation concentrated at |tau + a xi^3| ~ 1.5/T is pushed
@@ -321,6 +321,8 @@ def linear_estimate_check(
         raise ValueError("a must be nonzero")
     if not (-0.5 < b_prime <= 0.0 <= b <= b_prime + 1.0):
         raise ValueError("need -1/2 < b' <= 0 <= b <= b' + 1")
+    if n_fields < 2:  # free_cv is the spread of one ratio per field
+        raise ValueError("n_fields must be at least 2")
     ladder = [float(x) for x in t_ladder]
     if len(set(ladder)) < 2 or not all(0.0 < x <= 1.0 for x in ladder):
         raise ValueError(f"t_ladder needs two or more distinct horizons in (0, 1], got {ladder}")

@@ -5,7 +5,8 @@ convention
 
     Fhat(xi, tau) = (2*pi)**(-1) * iint exp(-i*(x*xi + t*tau)) F dx dt,
 
-realized as the product of two unitary one-variable transforms.  The
+realized as the product of two unitary one-variable transforms, the
+space grid's and the time grid's `Grid.to_coeffs` along axes 0 and 1.  The
 weighted norm of interest is
 
     ||F||^2 = iint (1 + |tau + a*xi^3|)^(2b) (1 + |xi|)^(2s) |Fhat|^2,
@@ -26,8 +27,6 @@ import numpy as np
 from .. import grid as sg
 from ..bump import psi, psi_T
 from ..grid import Grid, SpectralField
-
-SQRT_2PI = sg.SQRT_2PI
 
 
 @dataclass(frozen=True)
@@ -81,32 +80,15 @@ class SpaceTimeField:
         return SpaceTimeField(self.coeffs.copy(), self.grid)
 
 
-def _forward_axis(arr: np.ndarray, g: Grid, axis: int) -> np.ndarray:
-    shape = [1, 1]
-    shape[axis] = g.n
-    sign = g._sign.reshape(shape)
-    return np.fft.fft(arr, axis=axis) * sign * (g.dx / SQRT_2PI)
-
-
-def _inverse_axis(arr: np.ndarray, g: Grid, axis: int) -> np.ndarray:
-    shape = [1, 1]
-    shape[axis] = g.n
-    sign = g._sign.reshape(shape)
-    return np.fft.ifft(arr * sign, axis=axis) * (SQRT_2PI / g.dx)
-
-
 def forward2(values: np.ndarray, stg: SpaceTimeGrid) -> SpaceTimeField:
     """Transform real samples F(x_j, t_m) to continuum-convention coefficients."""
     values = np.asarray(values, dtype=np.float64)
-    c = _forward_axis(values.astype(np.complex128), stg.x, 0)
-    c = _forward_axis(c, stg.t, 1)
-    return SpaceTimeField(c, stg)
+    return SpaceTimeField(stg.t.to_coeffs(stg.x.to_coeffs(values, axis=0), axis=1), stg)
 
 
 def inverse2(field: SpaceTimeField) -> np.ndarray:
-    c = _inverse_axis(field.coeffs, field.grid.t, 1)
-    c = _inverse_axis(c, field.grid.x, 0)
-    return c.real
+    stg = field.grid
+    return stg.x.to_values(stg.t.to_values(field.coeffs, axis=1), axis=0).real
 
 
 def from_time_slices(slice_coeffs: np.ndarray, stg: SpaceTimeGrid) -> SpaceTimeField:
@@ -117,7 +99,7 @@ def from_time_slices(slice_coeffs: np.ndarray, stg: SpaceTimeGrid) -> SpaceTimeF
     """
     if slice_coeffs.shape != (stg.x.n, stg.t.n):
         raise ValueError("slice_coeffs shape does not match the grid")
-    return SpaceTimeField(_forward_axis(slice_coeffs, stg.t, 1), stg)
+    return SpaceTimeField(stg.t.to_coeffs(slice_coeffs, axis=1), stg)
 
 
 def hermitian_symmetrize(coeffs: np.ndarray) -> np.ndarray:

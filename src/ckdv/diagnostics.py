@@ -23,7 +23,6 @@ per sample under COLUMNS.  `record_for` gives one state's row.
 
 from __future__ import annotations
 
-import math
 import operator
 from functools import reduce
 
@@ -32,8 +31,6 @@ import numpy as np
 from . import grid as sg
 from .grid import SpectralField
 from .systems import Feng, GearGrimshaw, HirotaSatsuma, State, SystemSpec
-
-SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def sobolev_norm(field: SpectralField, s: float):
@@ -68,7 +65,7 @@ def _integrals(state: State, names) -> dict:
     cubic = {f for fs in factors.values() if len(fs) == 3 for f in fs}
     fine = {f: sg.oversampled_values(fields[f]) for f in cubic}
     integral = {
-        1: lambda f: fields[f].coeffs[..., 0].real * SQRT_2PI,
+        1: lambda f: fields[f].coeffs[..., 0].real * sg.SQRT_2PI,
         2: lambda f, g: _l2_inner(fields[f], fields[g]),
         3: lambda f, g, h: np.sum(fine[f][0] * fine[g][0] * fine[h][0], axis=-1) * fine[f][1],
     }

@@ -14,9 +14,10 @@ stored in FFT layout; the Nyquist slot carries +n/2.  Dealiasing follows
 the 2/3 rule: it keeps |k| <= n/3, so a dealiased field has no Nyquist
 mode, while a raw field from `forward` may.  Coefficients are
 true continuum-convention coefficients (the centering phase is folded
-in), so a field may be evaluated off-grid by direct summation.  A
-field's coefficients may carry leading axes, one field per row; the
-transforms, derivatives and oversampling below act on the last axis.
+in), so a field may be evaluated off-grid by direct summation.  Every
+transform goes through `Grid.to_coeffs`/`Grid.to_values`.  A field's
+coefficients may carry leading axes, one field per row; the transforms,
+derivatives and oversampling below act on the last axis.
 `cumulative_simpson_c` is the time quadrature both Duhamel integrals
 (`solver.picard_iterate`, `bourgain.spacetime.duhamel_field`) use.
 """
@@ -32,6 +33,11 @@ SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _along(table: np.ndarray, ndim: int, axis: int) -> np.ndarray:
+    """A per-mode table shaped to broadcast along `axis` of an ndim-dimensional array."""
+    return table.reshape((-1,) + (1,) * (ndim - 1 - axis % ndim))
 
 
 class Grid:
@@ -68,6 +74,17 @@ class Grid:
     def __repr__(self):
         return f"Grid(n={self.n}, period={self.period:.6g})"
 
+    def to_coeffs(self, samples: np.ndarray, axis: int = -1) -> np.ndarray:
+        """FFT-layout coefficients of samples on self.x along `axis`: FFT, centering sign, dx/sqrt(2*pi)."""
+        return np.fft.fft(samples, axis=axis) * _along(self._sign * (self.dx / SQRT_2PI), samples.ndim, axis)
+
+    def to_values(self, coeffs: np.ndarray, axis: int = -1) -> np.ndarray:
+        """Complex samples on self.x of FFT-layout coefficients along `axis`; to_coeffs' inverse."""
+        vals = np.fft.ifft(coeffs * _along(self._sign, coeffs.ndim, axis), axis=axis)
+        re_im = vals.view(np.float64)
+        re_im *= SQRT_2PI / self.dx  # a real scale, so .real is bit for bit ifft(...).real * scale
+        return vals
+
     def compatible(self, other: "Grid") -> bool:
         return self.n == other.n and self.period == other.period
 
@@ -91,14 +108,12 @@ def forward(samples: np.ndarray, grid: Grid) -> SpectralField:
     samples = np.asarray(samples, dtype=np.float64)
     if samples.shape != (grid.n,):
         raise ValueError(f"samples shape {samples.shape} does not match grid n={grid.n}")
-    coeffs = np.fft.fft(samples) * (grid._sign * (grid.dx / SQRT_2PI))
-    return SpectralField(coeffs, grid)
+    return SpectralField(grid.to_coeffs(samples), grid)
 
 
 def inverse(field: SpectralField) -> np.ndarray:
     """Real samples of the field on grid.x."""
-    grid = field.grid
-    return np.fft.ifft(field.coeffs * grid._sign).real * (SQRT_2PI / grid.dx)
+    return field.grid.to_values(field.coeffs).real
 
 
 def to_half(coeffs: np.ndarray) -> np.ndarray:
@@ -172,14 +187,10 @@ def oversampled_values(field: SpectralField) -> tuple[np.ndarray, float]:
     which a 2x refinement renders exact for grid-band-limited fields.
     """
     grid = field.grid
-    nf = 2 * grid.n
-    fine = np.zeros(field.coeffs.shape[:-1] + (nf,), dtype=np.complex128)
-    fine[..., grid.k % nf] = field.coeffs
-    kf = np.fft.fftfreq(nf, d=1.0 / nf).astype(np.int64)
-    sign = np.where(kf % 2 == 0, 1.0, -1.0)
-    dxf = grid.period / nf
-    vals = np.fft.ifft(fine * sign).real * (SQRT_2PI / dxf)
-    return vals, dxf
+    fine = Grid(2 * grid.n, grid.period)
+    padded = np.zeros(field.coeffs.shape[:-1] + (fine.n,), dtype=np.complex128)
+    padded[..., grid.k % fine.n] = field.coeffs
+    return fine.to_values(padded).real.copy(), fine.dx  # a copy frees the complex samples
 
 
 def cumulative_simpson_c(y: np.ndarray, dx: float, axis: int) -> np.ndarray:

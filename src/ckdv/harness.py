@@ -45,7 +45,7 @@ from .bourgain import (
 )
 from .bourgain.estimates import NONEQ_REL_CHANGE_BOUND
 from .bourgain.kernels import REL_CHANGE_BOUND, import_quadrature
-from .diagnostics import COLUMNS, _laws, collect, loglog_slope, sobolev_norm
+from .diagnostics import COLUMNS, _laws, collect, loglog_slope, record_for, sobolev_norm
 from .grid import Grid, SpectralField, forward, inverse, to_full
 from .parallel import ordered_map, usable_cpus
 from .solver import StepperConfig, picard_iterate, simulate
@@ -68,8 +68,8 @@ def _parse(block, table: dict, where: str, make=dict):
     """make(**values) of `block` checked against `table`; any fault is a ConfigError.
 
     A default of MISSING marks a required key; other defaults pass through
-    their converter like given values.  A nested block's ConfigError
-    passes through, naming its own block.
+    their converter like given values.  An unreadable file is a fault too.
+    A nested block's ConfigError passes through, naming its own block.
     """
     if not isinstance(block, dict):
         raise ConfigError(f"{where} must be an object")
@@ -88,7 +88,7 @@ def _parse(block, table: dict, where: str, make=dict):
         return make(**values)
     except ConfigError:
         raise
-    except (TypeError, ValueError, OverflowError) as e:
+    except (TypeError, ValueError, OverflowError, OSError) as e:
         raise ConfigError(f"{at} {e}") from None
 
 
@@ -299,6 +299,7 @@ class ExperimentConfig:
     grid: Optional[Grid] = None
     stepper: Optional[StepperConfig] = None
     initial: Optional[dict] = None
+    snapshot: Optional[State] = None
 
     def __post_init__(self):
         # the budget, then the kind's rule that spans keys; _parse reports a
@@ -340,19 +341,21 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(_read_json(path))
 
 
-def _jsonable(obj):
+def _jsonable(obj, strict: bool = False):
+    """obj in plain Python types; `strict` writes a non-finite float as "inf", "-inf" or "nan", as JSON must."""
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return {str(k): _jsonable(v, strict) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [_jsonable(v, strict) for v in obj]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return float(obj)
+        x = float(obj)
+        return str(x) if strict and not math.isfinite(x) else x
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return [_jsonable(v, strict) for v in obj.tolist()]
     return obj
 
 
@@ -371,8 +374,8 @@ class RunManifest:
     error: Optional[str] = None
 
     def write(self, path) -> None:
-        payload = _jsonable(dataclasses.asdict(self))
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        payload = _jsonable(dataclasses.asdict(self), strict=True)
+        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 class _Emitter:
@@ -450,7 +453,7 @@ def _run_simulate(cfg: ExperimentConfig, emit: _Emitter):
     # every row, t = 0 included, reads the dealiased samples simulate records
     traj = simulate(state, cfg.system, cfg.horizon, cfg.stepper, sample_dt=cfg.sample_dt)
     if cfg.horizon > 0.0:
-        emit.snapshot("snapshot_final.ckdv", traj.states[-1])
+        emit.snapshot("snapshot_final.ckdv", State.from_half(traj.half[-1], cfg.grid, float(traj.times[-1])))
     table = collect(traj, cfg.system, cfg.params["s"])
     emit.csv("diagnostics.csv", COLUMNS, table)
     summary = {
@@ -465,6 +468,13 @@ def _run_simulate(cfg: ExperimentConfig, emit: _Emitter):
         if bounded:
             checks.append(check_bound(f"{name}_drift", drift, *BOUNDS[f"{name}_drift"]))
     return summary, checks
+
+
+def _run_diagnose(cfg: ExperimentConfig, emit: _Emitter):
+    # the fields as the snapshot stores them, not dealiased
+    row = record_for(cfg.snapshot, cfg.system, cfg.params["s"])
+    emit.csv("diagnostics.csv", COLUMNS, [row])
+    return dict(zip(COLUMNS, row)), [check_bound("infinite_entries", int(np.isinf(row).sum()), "==", 0)]
 
 
 def _drift(col: np.ndarray, relative: bool) -> float:
@@ -802,6 +812,11 @@ KINDS = {
         _run_noneq,
         rule=lambda c: None if c.params["b"] > 0.5 and c.params["s"] > 0.5 - c.params["b"]
         else "the nonequivalence construction needs b > 1/2 and s > 1/2 - b",
+    ),
+    # one stored state's diagnostics row; the snapshot file is read at parse time
+    "diagnose": KindDef(
+        "diagnose", {"system": (build_system, MISSING), "snapshot": (lambda v: ckio.read_snapshot(_text(v)), MISSING)},
+        {"s": (_finite, 1.0)}, _run_diagnose,
     ),
 }
 

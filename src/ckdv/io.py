@@ -66,6 +66,8 @@ def write_snapshot(path, state: State) -> None:
 def read_snapshot(path) -> State:
     """The State a snapshot stores, on Grid(n, period); its fields are raw (not dealiased)."""
     raw = Path(path).read_bytes()
+    if len(raw) < 28:
+        raise ValueError(f"{path}: length {len(raw)}, shorter than the 28-byte header")
     if raw[:4] != SNAPSHOT_MAGIC:
         raise ValueError(f"{path}: bad magic {raw[:4]!r}")
     version, n = struct.unpack("<II", raw[4:12])

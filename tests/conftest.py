@@ -1,5 +1,7 @@
-"""Shared fixtures: small grids and smooth compactly-concentrated fields, and a fresh interpreter."""
+"""Shared fixtures: small grids and smooth compactly-concentrated fields, a fresh interpreter,
+and a strict JSON reader."""
 
+import json
 import os
 import subprocess
 import sys
@@ -59,3 +61,12 @@ def fresh_python():
         return out.stdout.strip()
 
     return python
+
+
+@pytest.fixture
+def strict_json():
+    """Read a JSON file, refusing the non-standard tokens NaN, Infinity and -Infinity."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return lambda path: json.loads(Path(path).read_text(), parse_constant=refuse)

@@ -94,6 +94,33 @@ def test_only_lower_and_the_law_table_dispatch_on_system_class():
     assert found == CLASS_DISPATCH
 
 
+def _scoped_nodes(path):
+    """(node, qualified name of the function or class it sits in, or "<module>") for each node of a file."""
+    tree = ast.parse(path.read_text())
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        names, scope = [], parents.get(node)
+        while scope is not None:
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.insert(0, scope.name)
+            scope = parents.get(scope)
+        yield node, ".".join(names) or "<module>"
+
+
+def test_only_grid_holds_the_transform_convention():
+    # the dx/sqrt(2*pi) scale and the centring sign (-1)**k live in grid.py; the
+    # RHS kernel folds the sign into its fused half-spectrum tables, once
+    assigned, sign_read = set(), set()
+    for path in (ROOT / "src" / "ckdv").rglob("*.py"):
+        for node, scope in _scoped_nodes(path):
+            if isinstance(node, ast.Name) and node.id == "SQRT_2PI" and isinstance(node.ctx, ast.Store):
+                assigned.add(path.stem)
+            elif isinstance(node, ast.Attribute) and node.attr == "_sign" and path.stem != "grid":
+                sign_read.add((path.stem, scope))
+    assert assigned == {"grid"}
+    assert sign_read == {("systems", "SpectralRhs.__init__")}
+
+
 # what `import scipy` does not load; only the quadrature kinds (kernel_suite, nonequivalence) need them
 SCIPY_SUBPACKAGES = ("scipy.integrate", "scipy.optimize", "scipy.fft", "scipy.special", "scipy.linalg")
 

@@ -329,6 +329,10 @@ def test_linear_estimate_check_cheap():
         linear_estimate_check(u0, 0.0, 0.0, 0.6, -0.3)
     with pytest.raises(ValueError):
         linear_estimate_check(u0, 1.0, 0.0, 0.6, 0.1)
+    # one field forms one ratio, whose spread free_cv is 0 whatever the estimate
+    for n_fields in (0, 1):
+        with pytest.raises(ValueError, match="n_fields must be at least 2"):
+            linear_estimate_check(u0, 1.0, 0.0, 0.6, -0.3, n_fields=n_fields, n_t=64)
     # the exponent is fitted over the ladder: two or more distinct horizons in (0, 1]
     for t_ladder in ((0.5,), (0.5, 0.5), (0.5, 1.5), (0.0, 0.5)):
         with pytest.raises(ValueError, match="two or more distinct horizons"):

@@ -7,9 +7,20 @@ import re
 import numpy as np
 import pytest
 
-from ckdv import ConfigError, State, cli, field_from_callable, harness, write_snapshot
+from ckdv import (
+    ConfigError,
+    HirotaSatsuma,
+    State,
+    cli,
+    field_from_callable,
+    harness,
+    read_snapshot,
+    record_for,
+    write_snapshot,
+)
 from ckdv.bourgain import kernel_bound_check, nonequivalence_demo
 from ckdv.cli import build_parser, main
+from ckdv.diagnostics import COLUMNS
 from ckdv.grid import Grid
 from ckdv.io import format_value
 
@@ -56,11 +67,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["simulate"]) == 2  # kind needs --config
     assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 2
     assert main(["simulate", "--config", write_config(tmp_path, simulate_payload(initial={"u": 3}))]) == 2
-    diag = write_config(
-        tmp_path,
-        {"system": {"name": "hirota_satsuma", "a": -0.5, "b": 1.0}, "snapshot": snapshot_file(tmp_path)},
-        name="diag.json",
-    )
+    diag = write_config(tmp_path, diagnose_payload(snapshot_file(tmp_path)), name="diag.json")
     assert main(["diagnose", "--config", diag, "--out", str(tmp_path / "d")]) == 0
     assert main(["diagnose", "--config", diag, "--seed", "1"]) == 2  # diagnose draws nothing at random
     capsys.readouterr()
@@ -151,13 +158,14 @@ SUBCOMMANDS = {
     "bourgain": ("bourgain_suite", True, False),
     "kernels": ("kernel_suite", False, False),
     "noneq": ("nonequivalence", False, False),
+    "diagnose": ("diagnose", False, False),
 }
 
 
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     listed = re.search(r"\{([a-z,]+)\}", capsys.readouterr().out).group(1).split(",")
-    assert sorted(listed) == sorted([*SUBCOMMANDS, "diagnose"])
+    assert sorted(listed) == sorted(SUBCOMMANDS)
 
 
 def test_seed_flag_only_where_a_seed_is_read(capsys):
@@ -298,61 +306,62 @@ def snapshot_file(tmp_path):
     return str(path)
 
 
-def test_diagnose_happy_path(tmp_path, capsys):
+def diagnose_payload(snapshot, system=None, **params):
+    return {"kind": "diagnose", "system": system or {"name": "hirota_satsuma", "a": -0.5, "b": 1.0},
+            "snapshot": snapshot, "params": params}
+
+
+def test_diagnose_happy_path(tmp_path, capsys, strict_json):
     snap = snapshot_file(tmp_path)
-    cfg = write_config(
-        tmp_path,
-        {
-            "system": {"name": "hirota_satsuma", "a": -0.5, "b": 1.0},
-            "snapshot": snap,
-            "s": 1.0,
-        },
-        name="diag.json",
-    )
+    cfg = write_config(tmp_path, diagnose_payload(snap, s=1.0), name="diag.json")
     out = tmp_path / "d"
     assert main(["diagnose", "--config", cfg, "--out", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("t,")
-    assert len(lines[1].split(",")) == len(lines[0].split(","))
-    assert (out / "diagnostics.csv").read_text().splitlines() == lines
+    # the row of the stored fields, not dealiased
+    row = record_for(read_snapshot(snap), HirotaSatsuma(-0.5, 1.0), 1.0)
+    assert (out / "diagnostics.csv").read_text().splitlines() == [
+        ",".join(COLUMNS), ",".join(format_value(v) for v in row)
+    ]
+    assert lines == [
+        "status: pass", *(f"{c}: {v}" for c, v in zip(COLUMNS, row.tolist())),
+        "check infinite_entries: 0 == 0 ok", f"manifest: {out / 'manifest.json'}",
+    ]
+    payload = strict_json(out / "manifest.json")  # HS leaves phi1-phi4 NaN, written as "nan"
+    assert payload["kind"] == "diagnose" and payload["files"] == ["diagnostics.csv"]
+    assert payload["summary"]["t"] == 0.25 and payload["summary"]["phi1"] == "nan"
+    assert [c["name"] for c in payload["checks"]] == ["infinite_entries"]
 
 
-def test_diagnose_infinite_functional_exits_1(tmp_path, capsys):
+def test_diagnose_infinite_functional_exits_1(tmp_path, capsys, strict_json):
     g = Grid(64, 8.0 * np.pi)
     path = tmp_path / "huge.ckdv"
     write_snapshot(path, State(field_from_callable(lambda x: 1e200 * np.exp(-(x**2)), g),
                                field_from_callable(lambda x: np.exp(-(x**2)), g)))
     system = {"name": "gear_grimshaw", "a1": 0.0, "a2": 0.0, "a3": 0.0, "b1": 1.0, "b2": 1.0}
-    cfg = write_config(tmp_path, {"system": system, "snapshot": str(path)}, name="diag.json")
+    cfg = write_config(tmp_path, diagnose_payload(str(path), system), name="diag.json")
     out = tmp_path / "d"
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["diagnose", "--config", cfg, "--out", str(out)]) == 1
-    row = capsys.readouterr().out.splitlines()[1].split(",")
-    assert "inf" in row  # phi3 = int(b2 u^2 + b1 v^2) dx overflows
-    assert (out / "diagnostics.csv").exists()
+    lines = capsys.readouterr().out.splitlines()
+    assert "status: fail" in lines and "phi3: inf" in lines  # phi3 = int(b2 u^2 + b1 v^2) dx overflows
+    check = strict_json(out / "manifest.json")["checks"][0]
+    assert check["name"] == "infinite_entries" and check["value"] > 0 and not check["passed"]
+    assert "inf" in (out / "diagnostics.csv").read_text().splitlines()[1].split(",")
 
 
 def test_diagnose_rejections(tmp_path, capsys):
     snap = snapshot_file(tmp_path)
-    bad_key = write_config(
-        tmp_path,
-        {"system": {"name": "feng", "a": 1.0, "b": 1.0, "c": 1.0, "d": 0.0},
-         "snapshot": snap, "extra": 1},
-        name="bad1.json",
-    )
-    assert main(["diagnose", "--config", bad_key]) == 2
-    missing = write_config(
-        tmp_path,
-        {"system": {"name": "feng", "a": 1.0, "b": 1.0, "c": 1.0, "d": 0.0},
-         "snapshot": str(tmp_path / "nope.ckdv")},
-        name="bad2.json",
-    )
-    assert main(["diagnose", "--config", missing]) == 2
-    bad_s = write_config(
-        tmp_path,
-        {"system": {"name": "feng", "a": 1.0, "b": 1.0, "c": 1.0, "d": 0.0},
-         "snapshot": snap, "s": "abc"},
-        name="bad3.json",
-    )
-    assert main(["diagnose", "--config", bad_s]) == 2
-    capsys.readouterr()
+    feng = {"name": "feng", "a": 1.0, "b": 1.0, "c": 1.0, "d": 0.0}
+    stub = tmp_path / "stub.ckdv"
+    stub.write_bytes(b"CKDV\x01\x00")  # shorter than the snapshot header
+    for name, payload, word in [
+        ("extra", dict(diagnose_payload(snap, feng), extra=1), "unknown key(s) in diagnose config: extra"),
+        ("top_s", dict(diagnose_payload(snap, feng), s=1.0), "unknown key(s) in diagnose config: s"),
+        ("bad_s", diagnose_payload(snap, feng, s="abc"), "'s' must be a finite number"),
+        ("missing", diagnose_payload(str(tmp_path / "nope.ckdv"), feng), "'snapshot' [Errno 2] No such file"),
+        ("truncated", diagnose_payload(str(stub), feng), "length 6, shorter than the 28-byte header"),
+    ]:
+        out = tmp_path / name
+        assert main(["diagnose", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert word in capsys.readouterr().err, name
+        assert not out.exists()

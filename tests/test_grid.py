@@ -198,6 +198,20 @@ def test_oversampled_values_match_evaluate_at(grid64):
     assert np.max(np.abs(vals - evaluate_at(f, fine_x))) < 1e-11
 
 
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_to_coeffs_and_to_values_along_an_axis(axis):
+    # the reference: the convention written out along one axis, sign then scale
+    g = Grid(32, 5.0)
+    rng = np.random.default_rng(axis % 2)
+    arr = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    shape = [1, 1]
+    shape[axis] = g.n
+    sign = g._sign.reshape(shape)
+    assert np.array_equal(g.to_coeffs(arr, axis=axis), np.fft.fft(arr, axis=axis) * sign * (g.dx / SQRT_2PI))
+    assert np.array_equal(g.to_values(arr, axis=axis), np.fft.ifft(arr * sign, axis=axis) * (SQRT_2PI / g.dx))
+    assert np.allclose(g.to_values(g.to_coeffs(arr, axis=axis), axis=axis), arr, rtol=0.0, atol=1e-13)
+
+
 def test_half_spectrum_round_trip(grid64):
     f = field_from_callable(lambda x: np.exp(np.sin(x)) + np.cos(3.0 * x), grid64)
     half = to_half(f.coeffs)

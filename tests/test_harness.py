@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from ckdv import (
     GeneralCoupled,
     HirotaSatsuma,
     Sakovich,
+    State,
     config_from_dict,
     load_config,
     run,
@@ -300,6 +302,7 @@ def test_top_level_keys_per_kind():
         "bourgain_suite": {"seed"},
         "kernel_suite": set(),
         "nonequivalence": set(),
+        "diagnose": {"system", "snapshot"},
     }
     assert {kind: set(k.top) for kind, k in harness.KINDS.items()} == accepted
     # a kind has a work estimate exactly when it steps a system
@@ -433,6 +436,27 @@ def test_run_writes_manifest_and_files(tmp_path):
     assert payload["summary"]["records"] >= 2
     header = (tmp_path / "diagnostics.csv").read_text().splitlines()[0]
     assert header == ",".join(COLUMNS)
+
+
+def test_manifest_is_strict_json(tmp_path, strict_json):
+    # u = 0 has every H^s norm 0, so no exponent is fitted: each reads NaN
+    cfg = config_from_dict(simulate_config(
+        kind="scaling_probe", initial={"v": {"kind": "gaussian", "amplitude": 0.5}}
+    ))
+    manifest = run(cfg, out_dir=tmp_path)
+    assert all(np.isnan(x) for x in manifest.summary["exponents"].values())  # floats in memory
+    payload = strict_json(tmp_path / "manifest.json")
+    assert set(payload["summary"]["exponents"].values()) == {"nan"}
+    assert harness._jsonable([math.inf, -math.inf, math.nan, 1.5], strict=True) == ["inf", "-inf", "nan", 1.5]
+
+
+def test_simulate_builds_two_states(monkeypatch, tmp_path):
+    # one for the diagnostics table of the stacked samples, one for the final snapshot
+    made = []
+    from_half = State.from_half.__func__
+    monkeypatch.setattr(State, "from_half", classmethod(lambda cls, *a: made.append(1) or from_half(cls, *a)))
+    assert run(config_from_dict(simulate_config()), out_dir=tmp_path).status == "pass"
+    assert len(made) == 2
 
 
 def test_simulate_first_row_does_not_depend_on_horizon(tmp_path):
@@ -609,14 +633,15 @@ VERDICT_CASES = {
 
 
 @pytest.mark.parametrize("case", VERDICT_CASES)
-def test_run_passes_only_when_every_check_does(monkeypatch, tmp_path, case):
+def test_run_passes_only_when_every_check_does(monkeypatch, tmp_path, case, strict_json):
     config, name, patch, failing = VERDICT_CASES[case]
     monkeypatch.setattr(harness, name, patch(getattr(harness, name)))
     cfg = load_config(CONFIG_DIR / config) if isinstance(config, str) else config_from_dict(config)
     manifest = run(cfg, out_dir=tmp_path)
     assert [c["name"] for c in manifest.checks if not c["passed"]] == failing
     assert manifest.status == ("fail" if failing else "pass")
-    assert json.loads((tmp_path / "manifest.json").read_text())["checks"] == manifest.checks
+    # the file holds the same checks, a non-finite value written as a string
+    assert strict_json(tmp_path / "manifest.json")["checks"] == harness._jsonable(manifest.checks, strict=True)
 
 
 def test_scaling_covariance_catches_a_zero_order_term(monkeypatch, tmp_path):

@@ -97,3 +97,9 @@ def test_snapshot_rejects_corruption(tmp_path):
     truncated.write_bytes(raw[:-8])
     with pytest.raises(ValueError, match="length"):
         read_snapshot(truncated)
+
+    # shorter than the header: a ValueError naming the path and the length, not a struct.error
+    stub = tmp_path / "h.bin"
+    stub.write_bytes(b"CKDV\x01\x00")
+    with pytest.raises(ValueError, match="h.bin: length 6, shorter than the 28-byte header"):
+        read_snapshot(stub)
