@@ -16,8 +16,7 @@ import numpy as np
 
 from ..diagnostics import loglog_slope
 from ..grid import SpectralField, forward
-from ..parallel import ordered_map
-from .kernels import _counted_quad, import_quadrature
+from .kernels import QuadSpec, _batched_quad, _pieces
 from .spacetime import (
     SpaceTimeField,
     bracket_norm,
@@ -189,13 +188,16 @@ def admissible(s: float, b: float, b_prime: float, variant: str) -> bool:
     )
 
 
-def _tail_antiderivative(u: float, b: float) -> float:
-    """Odd antiderivative of (1 + |u|)^(-2b), vanishing at 0 (needs b > 1/2)."""
-    return math.copysign((1.0 - (1.0 + abs(u)) ** (1.0 - 2.0 * b)) / (2.0 * b - 1.0), u)
+def _tail_antiderivative(u, b: float):
+    """Odd antiderivative of (1 + |u|)^(-2b), vanishing at 0 (needs b > 1/2); elementwise."""
+    return np.copysign((1.0 - (1.0 + np.abs(u)) ** (1.0 - 2.0 * b)) / (2.0 * b - 1.0), u)
 
 
 # the convergent norm has settled when its last relative change is below this (c09)
 NONEQ_REL_CHANGE_BOUND = 1e-3
+# both levels of the nested norm quadrature: no absolute floor, 1e-12 relative
+_NONEQ_INNER = QuadSpec(limit=200, epsabs=0.0, epsrel=1e-12)
+_NONEQ_OUTER = QuadSpec(limit=400, epsabs=0.0, epsrel=1e-12)
 
 
 @dataclass
@@ -206,7 +208,7 @@ class NonequivalenceTable:
     growth_exponent: float
     final_rel_change: float
     stabilized: bool
-    neval: int  # integrand evaluations, inner and outer, over both norms
+    neval: int  # integrand evaluations, inner and outer, over the distinct norms
 
 
 def nonequivalence_demo(
@@ -220,7 +222,12 @@ def nonequivalence_demo(
     exponent is fitted), norms are computed over the box |xi| <= R,
     |tau| <= R semi-analytically: the tau integral of the a1-norm is in
     closed form, the a0-norm uses nested quadrature.  The xi integrand is
-    even (see norm_sq), so both norms integrate over 0 <= xi <= R and double.
+    even (see outer), so both norms integrate over 0 <= xi <= R and double.
+
+    Every distinct norm is one integral of one _batched_quad call, broken at
+    the kinks xi = (R/|a0|)^(1/3) and (R/|a1|)^(1/3), where a centre a xi^3
+    leaves the tau box; the inner tau integrals of all its xi nodes go through
+    one call per evaluation.  Both levels run at epsabs = 0, epsrel = 1e-12.
     """
     if b <= 0.5:
         raise ValueError("the construction needs b > 1/2")
@@ -232,50 +239,43 @@ def nonequivalence_demo(
     if len(set(radii)) < 2 or min(radii) <= 0.0:
         raise ValueError("the growth fit needs two or more distinct positive radii")
     tb, nb, mfb = 2.0 * b, -2.0 * b, -4.0 * b
+    inner_evals = [0]
 
-    def tau_closed(xi: float, rad: float) -> float:
-        # int_{-R}^{R} (1+|tau + a1 xi^3|)^(-2b) dtau after cancelling weights
-        c = a1 * xi**3
-        return _tail_antiderivative(rad + c, b) - _tail_antiderivative(-rad + c, b)
+    def tau_quad(xi, a_top, rad):
+        # int_{-R}^{R} (1+|tau + a_top xi^3|)^(2b) (1+|tau + a1 xi^3|)^(-4b) dtau, per node
+        c_top, c_bot = a_top * xi**3, a1 * xi**3
+        lo, hi, owner = _pieces(-rad, rad, -c_top, -c_bot)
+        fn = lambda t, c_top, c_bot: (1.0 + np.abs(t + c_top)) ** tb * (1.0 + np.abs(t + c_bot)) ** mfb
+        val, n = _batched_quad(fn, lo, hi, owner, (c_top, c_bot), xi.size, _NONEQ_INNER)
+        inner_evals[0] += n
+        return val
 
-    def tau_quad(xi: float, rad: float, a_top: float, evals: list) -> float:
-        xi3 = xi**3
-        c_top, c_bot = a_top * xi3, a1 * xi3
-        pts = sorted({-rad, rad, *(p for p in (-c_top, -c_bot) if -rad < p < rad)})
-        fn = lambda t: (1.0 + abs(t + c_top)) ** tb * (1.0 + abs(t + c_bot)) ** mfb
-        total = 0.0
-        for lo, hi in zip(pts[:-1], pts[1:]):
-            val, n = _counted_quad(fn, lo, hi, limit=200)
-            total += val
-            evals.append(n)
-        return total
-
-    def norm_sq(a_top: float, rad: float) -> tuple[float, int]:
-        # (squared norm, integrand evaluations, inner ones included).
+    def outer(xi, a_top, rad):
         # Even in xi: both centres a*xi^3 are odd in xi and the tau box is
         # symmetric, so t -> -t maps the tau integral at -xi onto the one
-        # at xi (tau_closed is even because _tail_antiderivative is odd).
-        evals = []
-        if a_top == a1:
-            fn = lambda xi: (1.0 + abs(xi)) ** nb * tau_closed(xi, rad)
-        else:
-            fn = lambda xi: (1.0 + abs(xi)) ** nb * tau_quad(xi, rad, a_top, evals)
-        val, n = _counted_quad(fn, 0.0, rad, limit=400)
-        return 2.0 * val, sum(evals) + n
+        # at xi (the closed form is even because _tail_antiderivative is odd).
+        # A norm with a_top == a1 cancels its weights and takes the closed form.
+        xi, a_top, rad = np.broadcast_arrays(xi, a_top, rad)
+        c = a1 * xi**3
+        tau = _tail_antiderivative(rad + c, b) - _tail_antiderivative(-rad + c, b)
+        nested = a_top != a1
+        if nested.any():
+            tau[nested] = tau_quad(xi[nested], a_top[nested], rad[nested])
+        return (1.0 + np.abs(xi)) ** nb * tau
 
-    # each distinct norm once, the divergent ones at the largest radii, which cost the most, first
-    jobs = sorted({(a, r) for a in (a0, a1) for r in radii}, key=lambda j: (j[0] != a0, -j[1]))
-    import_quadrature()
-    done = dict(zip(jobs, ordered_map(lambda job: norm_sq(*job), jobs)))
-    div = [math.sqrt(done[a0, r][0]) for r in radii]
-    conv = [math.sqrt(done[a1, r][0]) for r in radii]
+    jobs = sorted({(a, r) for a in (a0, a1) for r in radii})  # each distinct norm once
+    a_top, rad = (np.array(v) for v in zip(*jobs))
+    lo, hi, owner = _pieces(0.0, rad, np.cbrt(rad / abs(a0)), np.cbrt(rad / abs(a1)))
+    val, n_outer = _batched_quad(outer, lo, hi, owner, (a_top, rad), len(jobs), _NONEQ_OUTER)
+    done = dict(zip(jobs, np.sqrt(2.0 * val).tolist()))
+    div = [done[a0, r] for r in radii]
+    conv = [done[a1, r] for r in radii]
     slope = loglog_slope(radii, div)
     # the settling change is over the two largest distinct radii, whatever the list order
     at = dict(zip(radii, conv))
     lo, hi = sorted(at)[-2:]
     rel = abs(at[hi] - at[lo]) / at[hi]
-    evals = sum(done[a, r][1] for a in (a0, a1) for r in radii)  # a repeated radius counts each time
-    return NonequivalenceTable(radii, div, conv, slope, rel, rel < NONEQ_REL_CHANGE_BOUND, evals)
+    return NonequivalenceTable(radii, div, conv, slope, rel, rel < NONEQ_REL_CHANGE_BOUND, n_outer + inner_evals[0])
 
 
 @dataclass

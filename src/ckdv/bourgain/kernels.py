@@ -21,23 +21,24 @@ The integrands fall into five families, with <u> = 1 + |u|:
 Region indicators are implemented exactly as the reduced sets are
 defined; since the level-set polynomials are monotone (cubic with
 positive-definite derivative) or quadratic, membership decomposes into
-finitely many intervals computed from polynomial roots, and each
-interval is integrated adaptively.
+finitely many intervals computed from polynomial roots.
+
+Every kernel evaluates all the samples of one pass at once: it builds
+each sample's intervals as numpy arrays and integrates them all in one
+call of _batched_quad, which also counts the integrand evaluations.
 
 Half-line rule: an integrand that depends on x only through x^2, with
 limits and breakpoints symmetric about 0, is integrated over x >= 0 and
 doubled.  level_set, flip_weighted_aux, flip_core and flip_region_a are
-of this kind.  Every kernel evaluation also returns the number of
-integrand calls QUADPACK made for it.
+of this kind.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -50,7 +51,7 @@ class HypothesisViolation(ValueError):
 @dataclass(frozen=True)
 class QuadSpec:
     x_max: float = 60.0
-    limit: int = 200
+    limit: int = 200  # panels per integral; _batched_quad raises past it
     epsabs: float = 1e-11
     epsrel: float = 1e-9
 
@@ -68,279 +69,301 @@ class QuadSpec:
         return QuadSpec(2.0 * self.x_max, 2 * self.limit, 0.1 * self.epsabs, 0.1 * self.epsrel)
 
 
-def _br(u: float) -> float:
-    return 1.0 + abs(u)
+def _br(u):
+    return 1.0 + np.abs(u)
 
 
-def _counted_quad(fn, lo: float, hi: float, **kw) -> tuple[float, int]:
-    """scipy's quad, returning (value, integrand evaluations).
+# --- the batched adaptive rule ------------------------------------------
+#
+# Gauss-Kronrod 10-21 on [-1, 1] (QUADPACK's qk21): the 21 Kronrod nodes in
+# increasing order, their weights, and the 10-point Gauss weights on the
+# same nodes, 0 at the nodes Gauss does not use.
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208745027450, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.zeros(11)
+_WG[1::2] = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+             0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+             0.295524224714752870173892994651338)
+_GK_X = np.concatenate([-_XGK, _XGK[-2::-1]])
+_GK_WK = np.concatenate([_WGK, _WGK[-2::-1]])
+_GK_WG = np.concatenate([_WG, _WG[-2::-1]])
+_EPS = np.finfo(np.float64).eps
 
-    full_output=1 hands QUADPACK's warning back as a message instead of
-    warning, so the message is warned here.
+
+def _gk21(fn, lo, hi, args) -> np.ndarray:
+    """Rows lo, hi, Kronrod value, QUADPACK's error estimate and its roundoff floor of each panel."""
+    half = 0.5 * (hi - lo)
+    f = fn((0.5 * (lo + hi))[:, None] + half[:, None] * _GK_X, *(a[:, None] for a in args))
+    kron = f @ _GK_WK
+    err = np.abs(f @ _GK_WG - kron) * half
+    asc = (np.abs(f - 0.5 * kron[:, None]) @ _GK_WK) * half  # spread of f about its mean
+    floor = 50.0 * _EPS * (np.abs(f) @ _GK_WK) * half
+    ratio = np.divide(200.0 * err, asc, out=np.ones_like(err), where=asc > 0.0)
+    err = np.where(asc > 0.0, asc * np.minimum(1.0, ratio**1.5), err)
+    return np.vstack([lo, hi, kron * half, np.maximum(err, floor), floor])
+
+
+def _batched_quad(fn, lo, hi, owner, args, count: int, q: QuadSpec) -> tuple[np.ndarray, int]:
+    """Integrals 0..count-1, integral i the sum of fn over the pieces lo[k] < x < hi[k] with
+    owner[k] == i, and the number of integrand evaluations.
+
+    args are per-integral arrays: fn(x, *(a[owner] for a in args)) is called with x of shape
+    (panels, 21) and each argument on a column, once for every live panel of every integral.
+    Each integral is refined on its own, under one budget max(q.epsabs, q.epsrel |I|): while
+    its summed error estimate exceeds the budget, each of its panels whose estimate exceeds
+    the budget's equal share is bisected, unless the estimate is at the panel's roundoff floor
+    50 eps int|f| or the panel is too narrow to halve.  An integral that would pass q.limit
+    panels raises RuntimeError: the cap is an error, not a warning.  A kink between a panel's
+    end and its outermost node is invisible to the estimate, so callers cut at every kink.
     """
-    from scipy.integrate import IntegrationWarning, quad  # on first use: see import_quadrature
-    out = quad(fn, lo, hi, full_output=1, **kw)
-    if len(out) > 3:
-        warnings.warn(out[3], IntegrationWarning, stacklevel=2)
-    return out[0], out[2]["neval"]
+    owner = np.asarray(owner)
+    args = [np.asarray(a, dtype=np.float64) for a in args]
+    panels = _gk21(fn, np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64), [a[owner] for a in args])
+    neval = owner.size * _GK_X.size
+    out = np.zeros(count)
+    while owner.size:
+        lo, hi, val, err, floor = panels
+        total = np.bincount(owner, val, count)
+        budget = np.maximum(q.epsabs, q.epsrel * np.abs(total))
+        n = np.bincount(owner, minlength=count)
+        mid = 0.5 * (lo + hi)
+        split = (
+            (np.bincount(owner, err, count) > budget)[owner]
+            & (err * n[owner] > budget[owner]) & (err > floor) & (lo < mid) & (mid < hi)
+        )
+        n_split = np.bincount(owner[split], minlength=count)
+        if np.any(n + n_split > q.limit):
+            raise RuntimeError(f"adaptive quadrature needs more than its cap of {q.limit} panels "
+                               f"per integral to reach epsabs={q.epsabs:g}, epsrel={q.epsrel:g}")
+        settled = (n > 0) & (n_split == 0)
+        out[settled] = total[settled]
+        stay = (n_split > 0)[owner] & ~split
+        halves = np.tile(owner[split], 2)
+        new = _gk21(fn, np.concatenate([lo[split], mid[split]]), np.concatenate([mid[split], hi[split]]),
+                    [a[halves] for a in args])
+        neval += halves.size * _GK_X.size
+        panels = np.concatenate([panels[:, stay], new], axis=1)
+        owner = np.concatenate([owner[stay], halves])
+    return out, neval
 
 
-def _quad(fn, lo: float, hi: float, q: QuadSpec, pts=()) -> tuple[float, int]:
-    if hi <= lo:
-        return 0.0, 0
-    inner = sorted({float(p) for p in pts if lo < p < hi})
-    return _counted_quad(fn, lo, hi, limit=q.limit, epsabs=q.epsabs, epsrel=q.epsrel,
-                         points=inner or None)
+def _pieces(lo, hi, *pts):
+    """(lo, hi, owner) of the pieces of each [lo[i], hi[i]] cut at the pts[j][i] inside it.
+
+    An empty or reversed interval has no pieces, and a nan point cuts nothing."""
+    lo, hi, *pts = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (lo, hi, *pts)))
+    inner = [np.where((lo < p) & (p < hi), p, np.nan) for p in pts]
+    cuts = np.sort(np.column_stack([lo, *inner, hi]), axis=1)  # nan sorts last
+    left, right = cuts[:, :-1], cuts[:, 1:]
+    keep = (right > left) & (hi > lo)[:, None]
+    return left[keep], right[keep], np.nonzero(keep)[0]
 
 
-def import_quadrature() -> None:
-    """Import scipy's quadrature and root finder, which _counted_quad and _monotone_root
-    import on first use so that `import ckdv` and the numpy-only kinds never load them.
-
-    ordered_map's forked workers inherit the parent's modules, so a caller that fans
-    quadratures out calls this first; otherwise every worker imports them again."""
-    import scipy.integrate  # noqa: F401
-    import scipy.optimize  # noqa: F401
-
-
-def _monotone_root(f: Callable[[float], float], guess: float) -> float:
-    """Root of a strictly monotone function, bracket expanded from a guess."""
-    from scipy.optimize import brentq  # on first use: see import_quadrature
-    span = 1.0 + abs(guess)
-    lo, hi = guess - span, guess + span
+def _increasing_root(f, guess):
+    """Elementwise roots of f, increasing in x: a bracket about each guess doubles until it
+    holds a sign change, then bisection narrows it to 1e-15 (1 + |x|)."""
+    span = 1.0 + np.abs(guess)
     for _ in range(80):
-        if f(lo) * f(hi) <= 0.0:
-            return float(brentq(f, lo, hi, xtol=1e-13, rtol=1e-14))
-        span *= 2.0
         lo, hi = guess - span, guess + span
-    raise RuntimeError("failed to bracket a monotone root")
+        short = (f(lo) > 0.0) | (f(hi) < 0.0)
+        if not short.any():
+            break
+        span = np.where(short, 2.0 * span, span)
+    else:
+        raise RuntimeError("failed to bracket a monotone root")
+    while np.any(hi - lo > 1e-15 * (1.0 + np.abs(lo))):
+        mid = 0.5 * (lo + hi)
+        below = f(mid) <= 0.0
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 # --- individual kernels -------------------------------------------------
 #
-# Each kernel returns (value, integrand evaluations).  Integrands are single
-# expressions over constants computed once per sample.
+# Each kernel takes the samples of one pass as an (n, 2) array and returns
+# (values, integrand evaluations).  Integrands are single expressions over
+# per-sample columns.
 
-def _even_bracket(k: float, c: float, nb: float, peak: float, q: QuadSpec) -> tuple[float, int]:
-    """2 int_0^x_max (1 + k|c - x^2|)^nb dx for k >= 0, with a break at peak.
+def _even_bracket(k, c, nb: float, peak, ok, q: QuadSpec) -> tuple[np.ndarray, int]:
+    """2 int_0^x_max (1 + k|c - x^2|)^nb dx for k >= 0 where ok (else 0), with a break at peak.
 
     The integrand is even, so this is its integral over [-x_max, x_max]
     with breaks at +-peak; a peak outside (0, x_max) is dropped.
     """
-    val, n = _quad(lambda x: (1.0 + k * abs(c - x * x)) ** nb, 0.0, q.x_max, q, pts=(peak,))
+    lo, hi, owner = _pieces(0.0, np.where(ok, q.x_max, 0.0), peak)
+    val, n = _batched_quad(lambda x, k, c: (1.0 + k * np.abs(c - x * x)) ** nb, lo, hi, owner, (k, c), len(k), q)
     return 2.0 * val, n
 
 
-def _k_level_set(sample, p, q: QuadSpec) -> tuple[float, int]:
-    a, eta = sample
-    if a == 0.0 or eta == 0.0:
+def _k_level_set(smp, p, q: QuadSpec) -> tuple[np.ndarray, int]:
+    a, eta = smp.T
+    if np.any((a == 0.0) | (eta == 0.0)):
         raise HypothesisViolation("hypothesis failed: a != 0 and eta != 0")
-    aa, ae = abs(a), abs(eta)
-    val, n = _even_bracket(aa, eta * eta, -2.0 * p["b"], ae, q)
+    aa, ae = np.abs(a), np.abs(eta)
+    val, n = _even_bracket(aa, eta * eta, -2.0 * p["b"], ae, True, q)
     return val * aa * ae, n
 
 
-def _k_peak_pair(sample, p, q: QuadSpec) -> tuple[float, int]:
-    a, a_prime = sample
+def _k_peak_pair(smp, p, q: QuadSpec) -> tuple[np.ndarray, int]:
+    a, a_prime = smp.T
     na, nbeta = -p["alpha"], -p["beta"]
-    lo, hi = min(a, a_prime) - q.x_max, max(a, a_prime) + q.x_max
-    fn = lambda x: (1.0 + abs(x - a_prime)) ** na * (1.0 + abs(x - a)) ** nbeta
-    val, n = _quad(fn, lo, hi, q, pts=(a, a_prime))
-    return val * (1.0 + abs(a - a_prime)) ** p["alpha"], n
+    lo, hi, owner = _pieces(np.minimum(a, a_prime) - q.x_max, np.maximum(a, a_prime) + q.x_max, a, a_prime)
+    fn = lambda x, a, ap: (1.0 + np.abs(x - ap)) ** na * (1.0 + np.abs(x - a)) ** nbeta
+    val, n = _batched_quad(fn, lo, hi, owner, (a, a_prime), len(a), q)
+    return val * (1.0 + np.abs(a - a_prime)) ** p["alpha"], n
 
 
-def _flip_pref(xi: float, y: float, s: float, bp: float) -> float:
+def _flip_pref(xi, y, s: float, bp: float):
     """|xi|^(3-4s) <xi^3 (y + 2)>^(2b') <xi>^(2s), shared by two flip kernels."""
-    return abs(xi) ** (3.0 - 4.0 * s) * _br(xi**3 * (y + 2.0)) ** (2.0 * bp) * _br(xi) ** (2.0 * s)
+    return np.abs(xi) ** (3.0 - 4.0 * s) * _br(xi**3 * (y + 2.0)) ** (2.0 * bp) * _br(xi) ** (2.0 * s)
 
 
-def _k_flip_weighted_aux(sample, p, q: QuadSpec) -> tuple[float, int]:
-    xi, y = sample
-    if xi == 0.0:
-        return 0.0, 0
+def _k_flip_weighted_aux(smp, p, q: QuadSpec) -> tuple[np.ndarray, int]:
+    xi, y = smp.T
     s = p["s"]
-    pref = _flip_pref(xi, y, s, p["b_prime"]) * abs(y + 2.0) ** (-2.0 * s)
+    pref = _flip_pref(xi, y, s, p["b_prime"]) * np.abs(y + 2.0) ** (-2.0 * s)
     c = y + 0.75
-    val, n = _even_bracket(abs(xi) ** 3, c, -2.0 * p["b"], math.sqrt(max(c, 0.0)), q)
+    val, n = _even_bracket(np.abs(xi) ** 3, c, -2.0 * p["b"], np.sqrt(np.maximum(c, 0.0)), xi != 0.0, q)
     return pref * val, n
 
 
-def _k_flip_core(sample, p, q: QuadSpec) -> tuple[float, int]:
-    xi, y = sample
-    if xi == 0.0:
-        return 0.0, 0
-    xi3 = abs(xi) ** 3
-    pref = xi3 * (1.0 + xi3 * abs(3.0 * y + 2.0)) ** (2.0 * p["b_prime"])
+def _k_flip_core(smp, p, q: QuadSpec) -> tuple[np.ndarray, int]:
+    xi, y = smp.T
+    xi3 = np.abs(xi) ** 3
+    pref = xi3 * (1.0 + xi3 * np.abs(3.0 * y + 2.0)) ** (2.0 * p["b_prime"])
     c = y + 0.25
-    val, n = _even_bracket(xi3, c, -2.0 * p["b"], math.sqrt(max(c, 0.0)), q)
+    val, n = _even_bracket(xi3, c, -2.0 * p["b"], np.sqrt(np.maximum(c, 0.0)), xi != 0.0, q)
     return pref * val, n
 
 
-def _k_flip_region_a(sample, p, q: QuadSpec) -> tuple[float, int]:
-    xi, y = sample
-    if xi == 0.0:
-        return 0.0, 0
+def _k_flip_region_a(smp, p, q: QuadSpec) -> tuple[np.ndarray, int]:
+    xi, y = smp.T
     s, b = p["s"], p["b"]
     pref = _flip_pref(xi, y, s, p["b_prime"])
     # membership set: |y + 3/4 - 3 x^2| <= 2|y + 2|  <=>  x^2 in [lo2, hi2]
-    m = 2.0 * abs(y + 2.0)
+    m = 2.0 * np.abs(y + 2.0)
     hi2 = (y + 0.75 + m) / 3.0
     lo2 = (y + 0.75 - m) / 3.0
-    if hi2 <= 0.0:
-        return 0.0, 0
-    xi3, c, ns, nb = xi**3, y + 0.75, -2.0 * s, -2.0 * b
+    c, ns, nb = y + 0.75, -2.0 * s, -2.0 * b
     # even: x enters only as x^2, and the set, the breaks +-1/2 and
     # +-sqrt(c/3) are symmetric; so is the pair of intervals when lo2 > 0
-    fn = lambda x: abs(x * x - 0.25) ** ns * (1.0 + abs(xi3 * (c - 3.0 * x * x))) ** nb
-    pts = (0.5, math.sqrt(c / 3.0)) if c > 0.0 else (0.5,)
-    val, n = _quad(fn, math.sqrt(lo2) if lo2 > 0.0 else 0.0, math.sqrt(hi2), q, pts=pts)
+    fn = lambda x, xi3, c: np.abs(x * x - 0.25) ** ns * (1.0 + np.abs(xi3 * (c - 3.0 * x * x))) ** nb
+    lo = np.sqrt(np.maximum(lo2, 0.0))
+    hi = np.where((xi != 0.0) & (hi2 > 0.0), np.sqrt(np.maximum(hi2, 0.0)), lo)
+    lo, hi, owner = _pieces(lo, hi, 0.5, np.where(c > 0.0, np.sqrt(np.maximum(c, 0.0) / 3.0), np.nan))
+    val, n = _batched_quad(fn, lo, hi, owner, (xi**3, c), len(xi), q)
     return pref * 2.0 * val, n
 
 
-@lru_cache(maxsize=256)
-def _mixed_core_root(z: float) -> float:
-    """Root of 2x^3 - 3x^2 + 3x + z; independent of xi, so cached per z."""
-    mu = lambda x: 2.0 * x**3 - 3.0 * x * x + 3.0 * x + z
-    return _monotone_root(mu, -np.cbrt(z / 2.0) if z != 0.0 else 0.0)
+def _mu(x, z):
+    """2x^3 - 3x^2 + 3x + z, strictly increasing in x: the mixed kernels' cubic level."""
+    return 2.0 * x**3 - 3.0 * x * x + 3.0 * x + z
 
 
-def _k_mixed_core(sample, p, q: QuadSpec) -> tuple[float, int]:
-    xi, z = sample
-    if xi == 0.0:
-        return 0.0, 0
-    xi3, nb = abs(xi) ** 3, -2.0 * p["b"]
-    pref = xi3 * (1.0 + xi3 * abs(z + 2.0)) ** (2.0 * p["b_prime"])
-    fn = lambda x: (1.0 + xi3 * abs(2.0 * x**3 - 3.0 * x * x + 3.0 * x + z)) ** nb
-    val, n = _quad(fn, -q.x_max, q.x_max, q, pts=(_mixed_core_root(z),))
+def _k_mixed_core(smp, p, q: QuadSpec) -> tuple[np.ndarray, int]:
+    xi, z = smp.T
+    xi3, nb = np.abs(xi) ** 3, -2.0 * p["b"]
+    pref = xi3 * (1.0 + xi3 * np.abs(z + 2.0)) ** (2.0 * p["b_prime"])
+    root = _increasing_root(lambda x: _mu(x, z), np.zeros_like(z))
+    lo, hi, owner = _pieces(-q.x_max, np.where(xi != 0.0, q.x_max, -q.x_max), root)
+    fn = lambda x, xi3, z: (1.0 + xi3 * np.abs(_mu(x, z))) ** nb
+    val, n = _batched_quad(fn, lo, hi, owner, (xi3, z), len(xi), q)
     return pref * val, n
 
 
-@lru_cache(maxsize=256)
-def _a1_roots(y: float) -> tuple[float, float, float]:
-    """Roots of mu + m, mu - m and mu for mu = 2x^3 - 3x^2 + 3x + y, m = 2|y + 2|; cached per y."""
-    m = 2.0 * abs(y + 2.0)
-    mu = lambda x: 2.0 * x**3 - 3.0 * x * x + 3.0 * x + y
-    x_lo = _monotone_root(lambda x: mu(x) + m, 0.0)
-    x_hi = _monotone_root(lambda x: mu(x) - m, 0.0)
-    return x_lo, x_hi, _monotone_root(mu, 0.0)
-
-
-@lru_cache(maxsize=256)
-def _a2_roots(y: float) -> tuple[float, float, float]:
-    """Roots of nu - m, nu + m and nu for nu = y - 3(x - x^2) - 2x^3, m = 2|y|; cached per y."""
-    m = 2.0 * abs(y)
-    nu = lambda x: y - 3.0 * (x - x * x) - 2.0 * x**3  # strictly decreasing
-    x_lo = _monotone_root(lambda x: nu(x) - m, 0.0)
-    x_hi = _monotone_root(lambda x: nu(x) + m, 0.0)
-    return x_lo, x_hi, _monotone_root(nu, 0.0)
-
-
-def _k_mixed_region_a1(sample, p, q: QuadSpec) -> tuple[float, int]:
-    xi, y = sample
-    if xi == 0.0:
-        return 0.0, 0
+def _mixed_region_a(xi, z, center, p, q: QuadSpec) -> tuple[np.ndarray, int]:
+    """|xi|^(3-2s) <xi^3 center>^(2b') int |x - x^2|^(-2s) <xi^3 mu(x, z)>^(-2b) over |mu(x, z)| <= 2|center|."""
     s, b, bp = p["s"], p["b"], p["b_prime"]
-    m = 2.0 * abs(y + 2.0)
-    if m == 0.0:
-        return 0.0, 0
-    pref = abs(xi) ** (3.0 - 2.0 * s) * _br(xi**3 * (y + 2.0)) ** (2.0 * bp)
-    x_lo, x_hi, root0 = _a1_roots(y)
-    xi3, ns, nb = xi**3, -2.0 * s, -2.0 * b
-    fn = lambda x: abs(x - x * x) ** ns * (
-        1.0 + abs(xi3 * (2.0 * x**3 - 3.0 * x * x + 3.0 * x + y))
-    ) ** nb
-    val, n = _quad(fn, x_lo, x_hi, q, pts=(root0, 0.0, 1.0))
+    m = 2.0 * np.abs(center)
+    pref = np.abs(xi) ** (3.0 - 2.0 * s) * _br(xi**3 * center) ** (2.0 * bp)
+    zeros = np.zeros_like(z)
+    x_lo = _increasing_root(lambda x: _mu(x, z) + m, zeros)
+    x_hi = _increasing_root(lambda x: _mu(x, z) - m, zeros)
+    root0 = _increasing_root(lambda x: _mu(x, z), zeros)
+    lo, hi, owner = _pieces(x_lo, np.where((xi != 0.0) & (m != 0.0), x_hi, x_lo), root0, 0.0, 1.0)
+    ns, nb = -2.0 * s, -2.0 * b
+    fn = lambda x, xi3, z: np.abs(x - x * x) ** ns * (1.0 + np.abs(xi3 * _mu(x, z))) ** nb
+    val, n = _batched_quad(fn, lo, hi, owner, (xi**3, z), len(xi), q)
     return pref * val, n
 
 
-def _k_mixed_region_a2(sample, p, q: QuadSpec) -> tuple[float, int]:
-    xi, y = sample
-    if xi == 0.0:
-        return 0.0, 0
-    s, b, bp = p["s"], p["b"], p["b_prime"]
-    m = 2.0 * abs(y)
-    if m == 0.0:
-        return 0.0, 0
-    pref = abs(xi) ** (3.0 - 2.0 * s) * _br(xi**3 * y) ** (2.0 * bp)
-    x_lo, x_hi, root0 = _a2_roots(y)
-    xi3, ns, nb = xi**3, -2.0 * s, -2.0 * b
-    fn = lambda x: abs(x - x * x) ** ns * (
-        1.0 + abs(xi3 * (y - 3.0 * (x - x * x) - 2.0 * x**3))
-    ) ** nb
-    val, n = _quad(fn, x_lo, x_hi, q, pts=(root0, 0.0, 1.0))
-    return pref * val, n
+def _k_mixed_region_a1(smp, p, q: QuadSpec) -> tuple[np.ndarray, int]:
+    xi, y = smp.T
+    return _mixed_region_a(xi, y, y + 2.0, p, q)
 
 
-def _region_b(fn, member, breaks, pts, xi1: float, m_center: float, b: float, q: QuadSpec):
-    """<m_center>^(-b) sqrt(int fn) over the member set less |x - xi1| < 1, and the evaluations.
+def _k_mixed_region_a2(smp, p, q: QuadSpec) -> tuple[np.ndarray, int]:
+    # the level y - 3(x - x^2) - 2x^3 is -mu(x, -y)
+    xi, y = smp.T
+    return _mixed_region_a(xi, -y, y, p, q)
 
-    The excluded neighborhood's endpoints join the breaks, and each interval
-    between consecutive breaks is in or out as its midpoint is.
+
+def _region_b(level, width, lo, hi, pts, xi1, tau1, m_center, p, q: QuadSpec) -> tuple[np.ndarray, int]:
+    """<m_center>^(-b) sqrt(int w) over the set |level(x)| <= width in [lo, hi], less |x - xi1| < 1,
+    and the evaluations; w = |x|^(2+2s) |x xi1 (x - xi1)|^(-2s) <x>^(2s) <level(x)>^(2b').
+
+    [lo, hi] is cut at pts and at xi1 +- 1, and each piece is in or out as its midpoint is.
     """
-    cuts = sorted({float(c) for c in breaks} | {xi1 - 1.0, xi1 + 1.0})
-    total, evals = 0.0, 0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if member(0.5 * (lo + hi)):
-            val, n = _quad(fn, lo, hi, q, pts=pts)
-            total += val
-            evals += n
-    return _br(m_center) ** (-b) * math.sqrt(max(total, 0.0)), evals
+    s, bp = p["s"], p["b_prime"]
+    lo, hi, owner = _pieces(lo, hi, *pts, xi1 - 1.0, xi1 + 1.0)
+    mid, x1 = 0.5 * (lo + hi), xi1[owner]
+    keep = (np.abs(level(mid, x1, tau1[owner])) <= width[owner]) & (np.abs(mid - x1) >= 1.0)
+    fn = lambda x, xi1, tau1: (
+        np.abs(x) ** (2.0 * (1.0 + s)) * np.abs(x * xi1 * (x - xi1)) ** (-2.0 * s)
+        * (1.0 + np.abs(x)) ** (2.0 * s) * (1.0 + np.abs(level(x, xi1, tau1))) ** (2.0 * bp)
+    )
+    val, n = _batched_quad(fn, lo[keep], hi[keep], owner[keep], (xi1, tau1), len(xi1), q)
+    return _br(m_center) ** (-p["b"]) * np.sqrt(np.maximum(val, 0.0)), n
 
 
-def _k_cubic_region_b(sample, p, q: QuadSpec, sign: float) -> tuple[float, int]:
+def _k_cubic_region_b(smp, p, q: QuadSpec, sign: float) -> tuple[np.ndarray, int]:
     """flip_region_b (sign -1) and mixed_region_b1 (sign +1).
 
     m_center = tau1 + sign xi1^3 sets both the region width and the
     prefactor decay; the level tau1 + 2x^3 - xi1^3 - 3x xi1 (x - xi1) is
     monotone in x.
     """
-    xi1, tau1 = sample
-    s, b, bp = p["s"], p["b"], p["b_prime"]
-    if abs(xi1) < 1.0:
-        return 0.0, 0
-    x13 = xi1**3
-    m_center = tau1 + sign * x13
-    M = abs(m_center)
-    if M == 0.0:
-        return 0.0, 0
-    mu = lambda x: tau1 + 2.0 * x**3 - x13 - 3.0 * x * xi1 * (x - xi1)
-    guess = np.cbrt(max(M, 1.0))
-    lo = _monotone_root(lambda x: mu(x) + 2.0 * M, -guess)
-    hi = _monotone_root(lambda x: mu(x) - 2.0 * M, guess)
-    root0 = _monotone_root(mu, 0.5 * (lo + hi))
-    e0, e1, e2, e3 = 2.0 * (1.0 + s), -2.0 * s, 2.0 * s, 2.0 * bp
-    fn = lambda x: (
-        abs(x) ** e0 * abs(x * xi1 * (x - xi1)) ** e1 * (1.0 + abs(x)) ** e2
-        * (1.0 + abs(tau1 + 2.0 * x**3 - x13 - 3.0 * x * xi1 * (x - xi1))) ** e3
-    )
-    member = lambda x: abs(mu(x)) <= 2.0 * M * (1.0 + 1e-12) and abs(x - xi1) >= 1.0
-    breaks = [lo, hi] + [p for p in (root0, 0.0) if lo < p < hi]
-    return _region_b(fn, member, breaks, (root0, 0.0), xi1, m_center, b, q)
+    xi1, tau1 = smp.T
+    m_center = tau1 + sign * xi1**3
+    M = np.abs(m_center)
+    mu = lambda x, xi1, tau1: tau1 + 2.0 * x**3 - xi1**3 - 3.0 * x * xi1 * (x - xi1)
+    guess = np.cbrt(np.maximum(M, 1.0))
+    lo = _increasing_root(lambda x: mu(x, xi1, tau1) + 2.0 * M, -guess)
+    hi = _increasing_root(lambda x: mu(x, xi1, tau1) - 2.0 * M, guess)
+    root0 = _increasing_root(lambda x: mu(x, xi1, tau1), 0.5 * (lo + hi))
+    hi = np.where((np.abs(xi1) >= 1.0) & (M != 0.0), hi, lo)
+    return _region_b(mu, 2.0 * M * (1.0 + 1e-12), lo, hi, (root0, 0.0), xi1, tau1, m_center, p, q)
 
 
-def _k_mixed_region_b2(sample, p, q: QuadSpec) -> tuple[float, int]:
-    xi1, tau1 = sample
-    s, b, bp = p["s"], p["b"], p["b_prime"]
-    if abs(xi1) < 1.0:
-        return 0.0, 0
-    x13 = xi1**3
-    m_center = tau1 - x13
-    M = abs(m_center)
-    if M == 0.0:
-        return 0.0, 0
-    # quadratic levels kappa = tau1 + 3 x xi1 (x - xi1) + xi1^3 = +-2M
-    c2, c1 = 3.0 * xi1, -3.0 * xi1 * xi1
-    discs = [c1 * c1 - 4.0 * c2 * (tau1 + x13 - level) for level in (2.0 * M, -2.0 * M)]
-    roots = [(-c1 + sg * math.sqrt(d)) / (2.0 * c2) for d in discs if d >= 0.0 for sg in (-1.0, 1.0)]
-    if not roots:
-        return 0.0, 0
-    e0, e1, e2, e3 = 2.0 * (1.0 + s), -2.0 * s, 2.0 * s, 2.0 * bp
-    fn = lambda x: (
-        abs(x) ** e0 * abs(x * xi1 * (x - xi1)) ** e1 * (1.0 + abs(x)) ** e2
-        * (1.0 + abs(tau1 + 3.0 * x * xi1 * (x - xi1) + x13)) ** e3
-    )
-    member = lambda x: abs(tau1 + 3.0 * x * xi1 * (x - xi1) + x13) <= 2.0 * M and abs(x - xi1) >= 1.0
-    return _region_b(fn, member, roots + [xi1 / 2.0, 0.0], (0.0,), xi1, m_center, b, q)
+def _k_mixed_region_b2(smp, p, q: QuadSpec) -> tuple[np.ndarray, int]:
+    xi1, tau1 = smp.T
+    m_center = tau1 - xi1**3
+    M = np.abs(m_center)
+    ok = (np.abs(xi1) >= 1.0) & (M != 0.0)
+    # the quadratic level kappa = tau1 + 3 x xi1 (x - xi1) + xi1^3 has |kappa| <= 2M
+    # between its roots at +-2M (nan: none)
+    c2, c1 = 3.0 * np.where(ok, xi1, 1.0), -3.0 * xi1 * xi1
+    roots = []
+    for level in (2.0 * M, -2.0 * M):
+        d = c1 * c1 - 4.0 * c2 * (tau1 + xi1**3 - level)
+        roots += [np.where(d >= 0.0, (-c1 + sg * np.sqrt(np.maximum(d, 0.0))) / (2.0 * c2), np.nan)
+                  for sg in (-1.0, 1.0)]
+    lo, hi = np.fmin.reduce(roots), np.fmax.reduce(roots)
+    kappa = lambda x, xi1, tau1: tau1 + 3.0 * x * xi1 * (x - xi1) + xi1**3
+    return _region_b(kappa, 2.0 * M, lo, np.where(ok, hi, lo), (*roots, xi1 / 2.0, 0.0), xi1, tau1, m_center, p, q)
 
 
 # --- hypotheses: (statement, test) pairs over the params, checked in order --
@@ -381,7 +404,7 @@ _XI1_TAU1 = [
 @dataclass(frozen=True)
 class KernelDef:
     requires: tuple  # (statement, test) pairs, each test a predicate of the params
-    evaluate: Callable
+    evaluate: Callable  # (samples as an (n, 2) array, params, QuadSpec) -> (values, evaluations)
     default_params: dict
     default_samples: list
 
@@ -472,15 +495,15 @@ def kernel_bound_check(
     if not samples:
         raise ValueError("kernel_bound_check needs at least one sample")
     q = quad_spec or QuadSpec()
-    qf = q.refined()
-    base, n_base = zip(*(kd.evaluate(smp, p, q) for smp in samples))
-    fine, n_fine = zip(*(kd.evaluate(smp, p, qf) for smp in samples))
-    max_base = max(base)
-    max_fine = max(fine)
+    smp = np.asarray(samples, dtype=np.float64)
+    base, n_base = kd.evaluate(smp, p, q)
+    fine, n_fine = kd.evaluate(smp, p, q.refined())
+    max_base = float(base.max())
+    max_fine = float(fine.max())
     rel = abs(max_fine - max_base) / max(max_base, 1e-300)
     i = int(np.argmax(fine))
     report = KernelReport(
-        kernel_id, p, samples, list(fine), max_base, max_fine, rel, rel < REL_CHANGE_BOUND, samples[i],
-        sum(n_base) + sum(n_fine),
+        kernel_id, p, samples, fine.tolist(), max_base, max_fine, rel, rel < REL_CHANGE_BOUND, samples[i],
+        n_base + n_fine,
     )
     return max_fine, report

@@ -22,6 +22,7 @@ import json
 import math
 import numbers
 import operator
+import os
 import platform
 import time
 from dataclasses import MISSING, dataclass
@@ -44,10 +45,9 @@ from .bourgain import (
     random_field,
 )
 from .bourgain.estimates import NONEQ_REL_CHANGE_BOUND
-from .bourgain.kernels import REL_CHANGE_BOUND, import_quadrature
+from .bourgain.kernels import REL_CHANGE_BOUND
 from .diagnostics import COLUMNS, _laws, collect, loglog_slope, record_for, sobolev_norm
 from .grid import Grid, SpectralField, forward, inverse, to_full
-from .parallel import ordered_map, usable_cpus
 from .solver import StepperConfig, picard_iterate, simulate
 from .systems import (
     Feng,
@@ -370,7 +370,7 @@ class RunManifest:
     summary: dict
     checks: list  # check_bound entries; empty on error
     status: str  # "pass" when every check passed, "fail", or "error"
-    env: dict  # python, numpy and scipy versions; usable_cpus, the width of ordered_map's pool
+    env: dict  # python, numpy and scipy versions, and the number of CPUs the run could use
     error: Optional[str] = None
 
     def write(self, path) -> None:
@@ -680,8 +680,12 @@ def _run_bourgain(cfg: ExperimentConfig, emit: _Emitter):
 
 
 def _run_kernels(cfg: ExperimentConfig, emit: _Emitter):
-    import_quadrature()
-    reports = [rep for _, rep in ordered_map(kernel_bound_check, cfg.params["kernels"])]
+    reports = []
+    for kid in cfg.params["kernels"]:
+        try:
+            reports.append(kernel_bound_check(kid)[1])
+        except Exception as e:  # the manifest names the kernel that failed
+            raise RuntimeError(f"kernel {kid}: {type(e).__name__}: {e}") from e
     # argmax is the refined pass's maximizing sample, written "x;y"
     rows = [
         [r.kernel_id, r.max_base, r.max_refined, r.rel_change, r.stable,
@@ -821,6 +825,10 @@ KINDS = {
 }
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def run(config: ExperimentConfig, out_dir=None) -> RunManifest:
     """Execute one experiment; the manifest is written last, as a completion marker."""
     from . import __version__
@@ -848,7 +856,7 @@ def run(config: ExperimentConfig, out_dir=None) -> RunManifest:
         checks=_jsonable(checks),
         status=status,
         env={"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
-             "usable_cpus": usable_cpus()},
+             "usable_cpus": _usable_cpus()},
         error=error,
     )
     manifest.write(out / "manifest.json")

@@ -121,8 +121,9 @@ def test_only_grid_holds_the_transform_convention():
     assert sign_read == {("systems", "SpectralRhs.__init__")}
 
 
-# what `import scipy` does not load; only the quadrature kinds (kernel_suite, nonequivalence) need them
+# what `import scipy` does not load, and the process machinery; no kind needs any of them
 SCIPY_SUBPACKAGES = ("scipy.integrate", "scipy.optimize", "scipy.fft", "scipy.special", "scipy.linalg")
+UNUSED = (*SCIPY_SUBPACKAGES, "multiprocessing", "concurrent.futures")
 
 
 def test_import_and_the_numpy_kinds_load_no_scipy_subpackage(fresh_python):
@@ -131,7 +132,7 @@ import json, sys, tempfile
 import ckdv
 
 def loaded():
-    return sorted(set({SCIPY_SUBPACKAGES!r}) & set(sys.modules))
+    return sorted(set({UNUSED!r}) & set(sys.modules))
 
 seen = {{"import": loaded()}}
 small = {{
@@ -139,6 +140,8 @@ small = {{
     "picard.json": {{"horizon": 0.05, "params": {{"n_iters": 2, "time_resolution": 9}}}},
     "bourgain.json": {{"params": {{"n_x": 32, "n_t": 64, "n_fields": 2, "n_embed_fields": 2,
                                  "t_values": [0.5, 1.0]}}}},
+    "kernels.json": {{"params": {{"kernels": ["level_set", "mixed_region_b2"]}}}},
+    "nonequivalence.json": {{"params": {{"radii": [4.0, 8.0]}}}},
 }}
 for name, over in small.items():
     cfg = json.loads(open({str(ROOT / "configs")!r} + "/" + name).read())
@@ -149,7 +152,7 @@ for name, over in small.items():
 print(json.dumps(seen))
 """
     assert json.loads(fresh_python(code)) == dict.fromkeys(
-        ("import", "simulate", "picard_study", "bourgain_suite"), []
+        ("import", "simulate", "picard_study", "bourgain_suite", "kernel_suite", "nonequivalence"), []
     )
 
 

@@ -28,7 +28,6 @@ from ckdv.bourgain import LinearEstimateReport
 from ckdv.diagnostics import COLUMNS
 from ckdv.grid import Grid
 from ckdv.io import read_csv
-from ckdv.parallel import usable_cpus
 from ckdv.harness import (
     build_grid,
     build_stepper,
@@ -499,7 +498,7 @@ def test_two_runs_write_the_same_env(tmp_path):
     env = [json.loads((tmp_path / d / "manifest.json").read_text())["env"] for d in "ab"]
     assert env[0] == env[1]
     assert set(env[0]) == {"python", "numpy", "scipy", "usable_cpus"}
-    assert env[0]["usable_cpus"] == usable_cpus() >= 1
+    assert env[0]["usable_cpus"] == harness._usable_cpus() >= 1
     assert env[0]["numpy"] == np.__version__
 
 
