@@ -1,7 +1,10 @@
 """Integral kernel evaluations: closed forms, hypothesis guards, stability."""
 
 import math
+import os
 import re
+import subprocess
+import threading
 
 import numpy as np
 import pytest
@@ -217,6 +220,23 @@ def test_quadrature_runs_repeat_their_manifests(tmp_path, cfg):
     assert {**vars(one), "wall_time_s": 0} == {**vars(two), "wall_time_s": 0}
     for name in one.files:
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+@pytest.mark.parametrize("cfg", [
+    {"kind": "kernel_suite", "params": {"kernels": ["level_set", "mixed_region_b2"]}},
+    {"kind": "nonequivalence", "params": {"radii": [4.0, 8.0]}},
+], ids=["kernel_suite", "nonequivalence"])
+def test_quadrature_kinds_start_no_process_or_thread(monkeypatch, tmp_path, cfg):
+    # the batched rule does all the work in the calling thread: a run that tried
+    # to fork, spawn or start a thread would end in error
+    def refuse(*args, **kwargs):
+        raise AssertionError("a quadrature run started a process or a thread")
+
+    for owner, name in [(os, "fork"), (os, "posix_spawn"), (subprocess.Popen, "__init__"),
+                        (threading.Thread, "start")]:
+        monkeypatch.setattr(owner, name, refuse)
+    manifest = run(config_from_dict(cfg), out_dir=tmp_path)
+    assert manifest.status != "error", manifest.error  # two radii may fail c09's bound, but not raise
 
 
 # --- half-line rule -------------------------------------------------------
