@@ -25,7 +25,6 @@ from .systems import (
     Sakovich,
     State,
     diagonal_form,
-    diagonalize,
     gear_grimshaw_as_general,
     gg_lambda_alpha,
     hs_as_kdv,
@@ -61,7 +60,7 @@ __all__ = [
     "Grid", "SpectralField", "dealias", "field_from_callable",
     "forward", "inverse", "l2_norm", "spectral_derivative", "zero_field",
     "BlowupDetected", "Feng", "GearGrimshaw", "GeneralCoupled", "HirotaSatsuma",
-    "NormalForm", "NotApplicable", "Sakovich", "State", "diagonal_form", "diagonalize",
+    "NormalForm", "NotApplicable", "Sakovich", "State", "diagonal_form",
     "gear_grimshaw_as_general", "gg_lambda_alpha", "hs_as_kdv",
     "lower", "nonlinear_rhs",
     "PicardReport", "StepperConfig", "Trajectory", "picard_iterate", "simulate",

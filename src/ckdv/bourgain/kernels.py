@@ -354,14 +354,14 @@ def _k_mixed_region_b2(smp, p, q: QuadSpec) -> tuple[np.ndarray, int]:
     M = np.abs(m_center)
     ok = (np.abs(xi1) >= 1.0) & (M != 0.0)
     # the quadratic level kappa = tau1 + 3 x xi1 (x - xi1) + xi1^3 has |kappa| <= 2M
-    # between its roots at +-2M (nan: none)
+    # between its roots at +-2M, and the weight <kappa>^(2b') kinks at its zeros (nan: none)
     c2, c1 = 3.0 * np.where(ok, xi1, 1.0), -3.0 * xi1 * xi1
     roots = []
-    for level in (2.0 * M, -2.0 * M):
+    for level in (2.0 * M, -2.0 * M, 0.0):
         d = c1 * c1 - 4.0 * c2 * (tau1 + xi1**3 - level)
         roots += [np.where(d >= 0.0, (-c1 + sg * np.sqrt(np.maximum(d, 0.0))) / (2.0 * c2), np.nan)
                   for sg in (-1.0, 1.0)]
-    lo, hi = np.fmin.reduce(roots), np.fmax.reduce(roots)
+    lo, hi = np.fmin.reduce(roots[:4]), np.fmax.reduce(roots[:4])
     kappa = lambda x, xi1, tau1: tau1 + 3.0 * x * xi1 * (x - xi1) + xi1**3
     return _region_b(kappa, 2.0 * M, lo, np.where(ok, hi, lo), (*roots, xi1 / 2.0, 0.0), xi1, tau1, m_center, p, q)
 

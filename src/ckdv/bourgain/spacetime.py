@@ -76,9 +76,6 @@ class SpaceTimeField:
     def values(self) -> np.ndarray:
         return inverse2(self)
 
-    def copy(self) -> "SpaceTimeField":
-        return SpaceTimeField(self.coeffs.copy(), self.grid)
-
 
 def forward2(values: np.ndarray, stg: SpaceTimeGrid) -> SpaceTimeField:
     """Transform real samples F(x_j, t_m) to continuum-convention coefficients."""

@@ -17,13 +17,6 @@ from pathlib import Path
 from .harness import KINDS, ConfigError, _read_json, config_from_dict, run
 
 
-def _u64(text: str) -> int:
-    v = int(text)
-    if not (0 <= v < 2**64):
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
-    return v
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ckdv",
@@ -35,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON experiment configuration")
         p.add_argument("--out", help="output directory (overrides the config)")
         if "seed" in k.top:
-            p.add_argument("--seed", type=_u64, help="RNG seed (overrides the config)")
+            p.add_argument("--seed", type=int, help="RNG seed (overrides the config)")
         p.add_argument("--quiet", action="store_true", help="suppress the summary printout")
         p.set_defaults(kind=kind)
     return parser

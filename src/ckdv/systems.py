@@ -237,65 +237,6 @@ def lower(spec: SystemSpec | NormalForm) -> NormalForm:
     return NormalForm(D, Q, R)
 
 
-_TIE = 1e-12
-
-
-@dataclass(frozen=True)
-class Diagonalization:
-    """Eigen-structure of a 2x2 real matrix A with T_inv @ A @ T diagonal.
-
-    alpha_plus >= alpha_minus (ties within 1e-12 treated as equal);
-    lam is the gap alpha_plus - alpha_minus.  T, T_inv are None when
-    the eigenvalues are complex or the matrix is defective.
-    """
-
-    alpha_plus: float
-    alpha_minus: float
-    lam: float
-    T: Optional[np.ndarray]
-    T_inv: Optional[np.ndarray]
-    eigenvalues_real: bool
-    eigenvalues_distinct: bool
-
-
-def diagonalize(A) -> Diagonalization:
-    A = np.asarray(A, dtype=np.float64)
-    if A.shape != (2, 2):
-        raise ValueError("expected a 2x2 matrix")
-    tr = A[0, 0] + A[1, 1]
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    disc = 0.25 * tr * tr - det
-    if disc < 0.0:
-        nan = float("nan")
-        return Diagonalization(nan, nan, nan, None, None, False, False)
-    root = math.sqrt(disc)
-    ap = 0.5 * tr + root
-    am = 0.5 * tr - root
-    gap = ap - am
-    scale = max(1.0, float(np.abs(A).max()))
-    distinct = gap > _TIE
-    T: Optional[np.ndarray]
-    if distinct:
-        if A[0, 1] != 0.0:
-            # first row all ones, second row solves the eigenvector relation
-            T = np.array([[1.0, 1.0], [(ap - A[0, 0]) / A[0, 1], (am - A[0, 0]) / A[0, 1]]])
-        elif A[1, 0] != 0.0:
-            T = np.array([[(ap - A[1, 1]) / A[1, 0], (am - A[1, 1]) / A[1, 0]], [1.0, 1.0]])
-        elif A[0, 0] >= A[1, 1]:
-            T = np.eye(2)
-        else:
-            T = np.array([[0.0, 1.0], [1.0, 0.0]])
-        T_inv = np.linalg.inv(T)
-    elif float(np.abs(A - ap * np.eye(2)).max()) <= _TIE * scale:
-        T = np.eye(2)
-        T_inv = np.eye(2)
-    else:
-        # defective (Jordan block): no eigenbasis exists
-        T = None
-        T_inv = None
-    return Diagonalization(ap, am, gap, T, T_inv, True, distinct)
-
-
 def gg_lambda_alpha(b1: float, b2: float, a3: float) -> tuple[float, float, float]:
     """Gap and eigenvalues of the cross-dispersion matrix, in closed form.
 
@@ -311,27 +252,44 @@ def gg_lambda_alpha(b1: float, b2: float, a3: float) -> tuple[float, float, floa
     return lam, ap, am
 
 
+_TIE = 1e-12  # eigenvalues this close are one double eigenvalue
+
+
 def diagonal_form(spec: SystemSpec | NormalForm) -> tuple[NormalForm, Optional[np.ndarray]]:
     """The normal form in the eigenbasis of its dispersion, and P with U = P W.
 
     W_t = D' W_xxx + Q'(W, W_x) + R' W_x with D' = diag(-alpha_+, -alpha_-),
     where alpha_+ >= alpha_- are the eigenvalues of the dispersion matrix
-    -D (the u_t + A u_xxx convention), Q' = einsum(P^-1, Q, P, P) and
-    R' = P^-1 R P.  A D that is already diagonal gives the normal form
-    itself and P None.  Raises NotApplicable when -D has complex
-    eigenvalues or is defective.
+    A = -D (the u_t + A u_xxx convention), Q' = einsum(P^-1, Q, P, P) and
+    R' = P^-1 R P.  One row of P is all ones.  A D that is already diagonal
+    gives the normal form itself and P None; eigenvalues within 1e-12 of
+    each other give P = I when A is that close to scalar.  Raises
+    NotApplicable when A has complex eigenvalues or is defective.
     """
     form = lower(spec)
-    if form.D[0, 1] == 0.0 and form.D[1, 0] == 0.0:
+    A = -form.D
+    if A[0, 1] == 0.0 and A[1, 0] == 0.0:
         return form, None
-    d = diagonalize(-form.D)
-    if not d.eigenvalues_real:
+    tr = A[0, 0] + A[1, 1]
+    disc = 0.25 * tr * tr - (A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
+    if disc < 0.0:
         raise NotApplicable("dispersion matrix has complex eigenvalues")
-    if d.T is None:
+    root = math.sqrt(disc)
+    ap, am = 0.5 * tr + root, 0.5 * tr - root
+    if ap - am > _TIE:
+        # each eigenvector p has one entry 1; the other solves the row of A p = alpha p whose
+        # off-diagonal entry is nonzero
+        if A[0, 1] != 0.0:
+            P = np.array([[1.0, 1.0], [(ap - A[0, 0]) / A[0, 1], (am - A[0, 0]) / A[0, 1]]])
+        else:
+            P = np.array([[(ap - A[1, 1]) / A[1, 0], (am - A[1, 1]) / A[1, 0]], [1.0, 1.0]])
+        P_inv = np.linalg.inv(P)
+    elif float(np.abs(A - ap * np.eye(2)).max()) <= _TIE * max(1.0, float(np.abs(A).max())):
+        P = P_inv = np.eye(2)
+    else:
         raise NotApplicable("dispersion matrix is defective (no eigenbasis)")
-    P, P_inv = d.T, d.T_inv
     Q = np.einsum("ia,abc,bj,ck->ijk", P_inv, form.Q, P, P)
-    return NormalForm(np.diag([-d.alpha_plus, -d.alpha_minus]), Q, P_inv @ form.R @ P), P
+    return NormalForm(np.diag([-ap, -am]), Q, P_inv @ form.R @ P), P
 
 
 class SpectralRhs:

@@ -1,5 +1,5 @@
 """Shared fixtures: small grids and smooth compactly-concentrated fields, a fresh interpreter,
-and a strict JSON reader."""
+a strict JSON reader, and each shipped config run once per session."""
 
 import json
 import os
@@ -10,7 +10,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ckdv import Feng, GearGrimshaw, GeneralCoupled, Grid, HirotaSatsuma, Sakovich, field_from_callable
+from ckdv import (
+    Feng,
+    GearGrimshaw,
+    GeneralCoupled,
+    Grid,
+    HirotaSatsuma,
+    Sakovich,
+    field_from_callable,
+    load_config,
+    run,
+)
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture
@@ -70,3 +82,20 @@ def strict_json():
         raise ValueError(f"non-standard JSON token {token}")
 
     return lambda path: json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+@pytest.fixture(scope="session")
+def shipped_run(tmp_path_factory):
+    """(manifest, output directory) of run() on configs/<name>.json.
+
+    Each config runs on its first request and at most once per session; the
+    tests that read a run only read it."""
+    runs = {}
+
+    def get(name: str):
+        if name not in runs:
+            out = tmp_path_factory.mktemp(f"shipped_{name}")
+            runs[name] = (run(load_config(CONFIG_DIR / f"{name}.json"), out_dir=out), out)
+        return runs[name]
+
+    return get

@@ -247,6 +247,16 @@ def test_seed_override_lands_in_manifest(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_out_of_range_seed_exits_2_before_any_output(tmp_path, capsys):
+    # the config's own seed check owns the range: the flag is parsed as a plain int
+    cfg = write_config(tmp_path, simulate_payload())
+    out = tmp_path / "o"
+    for seed in ("-1", str(2**64)):
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--seed", seed]) == 2
+        assert "'seed' must be an integer in [0, 2**64)" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+
 def test_kernels_restricted_config(tmp_path, capsys):
     cfg = write_config(tmp_path, {"kind": "kernel_suite", "params": {"kernels": ["peak_pair"]}})
     out = tmp_path / "o"

@@ -670,8 +670,8 @@ def test_scaling_probe_rejects_a_first_order_drift():
 
 
 @pytest.mark.parametrize("path", CONFIG_FILES, ids=lambda p: p.name)
-def test_shipped_config_passes(path, tmp_path):
-    assert run(load_config(path), out_dir=tmp_path).status == "pass"
+def test_shipped_config_passes(path, shipped_run):
+    assert shipped_run(path.stem)[0].status == "pass"
 
 
 @pytest.mark.parametrize("system, drifts", [
@@ -716,8 +716,8 @@ def test_feng_conserves_f_with_both_fields_moving(tmp_path, d):
     assert manifest.status == "pass"
 
 
-def test_gear_grimshaw_config_conserves_phi3_and_phi4(tmp_path):
-    drift = run(load_config(CONFIG_DIR / "gear_grimshaw.json"), out_dir=tmp_path).summary["drift"]
+def test_gear_grimshaw_config_conserves_phi3_and_phi4(shipped_run):
+    drift = shipped_run("gear_grimshaw")[0].summary["drift"]
     assert drift["phi3"] < 1e-8 and drift["phi4"] < 1e-8  # c02's bound
 
 

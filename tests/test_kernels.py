@@ -333,6 +333,51 @@ def test_even_kernels_half_line_matches_full_line(kid, monkeypatch):
     assert kernel_bound_check(kid)[1].neval == sum(calls) > 0
 
 
+def _real_roots(c2, c1, c0):
+    d = c1 * c1 - 4.0 * c2 * c0
+    return [] if d < 0.0 else [(-c1 + sg * math.sqrt(d)) / (2.0 * c2) for sg in (-1.0, 1.0)]
+
+
+def _ref_mixed_region_b2(sample, p):
+    """(prefactor, integral) of mixed_region_b2, whose value is prefactor * sqrt(integral).
+
+    The set |kappa| <= 2M, less |x - xi1| < 1, is cut at its edges; quad is
+    given the zeros of kappa, where <kappa>^(2b') kinks, and 0 as points.
+    """
+    xi1, tau1 = sample
+    s, bp = p["s"], p["b_prime"]
+    M = abs(tau1 - xi1**3)
+    pref = (1.0 + M) ** (-p["b"])
+    if abs(xi1) < 1.0 or M == 0.0:
+        return pref, 0.0
+    c2, c1, c0 = 3.0 * xi1, -3.0 * xi1 * xi1, tau1 + xi1**3
+    kappa = lambda x: (c2 * x + c1) * x + c0
+    fn = lambda x: (
+        abs(x) ** (2.0 + 2.0 * s) * abs(x * xi1 * (x - xi1)) ** (-2.0 * s)
+        * (1.0 + abs(x)) ** (2.0 * s) * (1.0 + abs(kappa(x))) ** (2.0 * bp)
+    )
+    edges = sorted(_real_roots(c2, c1, c0 - 2.0 * M) + _real_roots(c2, c1, c0 + 2.0 * M) + [xi1 - 1.0, xi1 + 1.0])
+    pts = (*_real_roots(c2, c1, c0), 0.0)
+    inside = lambda x: abs(kappa(x)) <= 2.0 * M and abs(x - xi1) >= 1.0
+    return pref, sum(_full(fn, lo, hi, pts) for lo, hi in zip(edges, edges[1:]) if inside(0.5 * (lo + hi)))
+
+
+def test_mixed_region_b2_matches_tight_quadpack(monkeypatch):
+    kd = KERNELS["mixed_region_b2"]
+    p = kd.default_params
+    samples = np.asarray(kd.default_samples, dtype=np.float64)
+    for q in (QuadSpec(), QuadSpec().refined()):
+        got, _ = kd.evaluate(samples, p, q)
+        for smp, value in zip(kd.default_samples, got):
+            pref, full = _ref_mixed_region_b2(smp, p)
+            # the integral under the root within its budget max(epsabs, epsrel |I|),
+            # plus the reference's own error
+            tol = max(q.epsabs, q.epsrel * full) + TIGHT["epsrel"] * full
+            assert abs((value / pref) ** 2 - full) <= tol, (smp, q)
+    calls = counted_rule(monkeypatch, kernels)
+    assert kernel_bound_check("mixed_region_b2")[1].neval == sum(calls) > 0
+
+
 def _ref_nonequivalence(a0, a1, b, radii):
     """Both norm ladders by nested quadrature over |xi| <= R, broken at the kinks."""
 

@@ -1,4 +1,4 @@
-"""Diagonalization and system reductions."""
+"""The eigenbasis change of variables (`diagonal_form`) and system reductions."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,11 @@ import pytest
 from ckdv import (
     GearGrimshaw,
     GeneralCoupled,
+    NormalForm,
     NotApplicable,
     Sakovich,
     State,
     diagonal_form,
-    diagonalize,
     field_from_callable,
     gear_grimshaw_as_general,
     gg_lambda_alpha,
@@ -20,51 +20,60 @@ from ckdv import (
 from ckdv.grid import SpectralField
 
 
-def test_diagonalize_random_similarity_family():
+def dispersion_only(A) -> NormalForm:
+    """The normal form u_t + A u_xxx = 0: D = -A, no Q and no R."""
+    return NormalForm(-np.asarray(A, dtype=np.float64), np.zeros((2, 2, 2)), np.zeros((2, 2)))
+
+
+def test_diagonal_form_random_similarity_family():
     rng = np.random.default_rng(42)
     done = 0
     while done < 1000:
-        P = rng.uniform(-1.0, 1.0, size=(2, 2))
-        if abs(np.linalg.det(P)) < 0.3:
+        S = rng.uniform(-1.0, 1.0, size=(2, 2))
+        if abs(np.linalg.det(S)) < 0.3:
             continue
         d1 = rng.uniform(-3.0, 3.0)
         d2 = d1 - rng.uniform(0.1, 3.0)  # distinct by construction
-        A = P @ np.diag([d1, d2]) @ np.linalg.inv(P)
-        d = diagonalize(A)
-        assert d.eigenvalues_real and d.eigenvalues_distinct
-        assert d.alpha_plus == pytest.approx(d1, abs=1e-8)
-        assert d.alpha_minus == pytest.approx(d2, abs=1e-8)
-        assert d.lam == pytest.approx(d1 - d2, abs=1e-8)
-        # the columns of T are eigenvectors: A T = T diag(alpha+, alpha-)
-        resid = A @ d.T - d.T @ np.diag([d.alpha_plus, d.alpha_minus])
-        assert np.max(np.abs(resid)) < 1e-10 * max(1.0, np.abs(A).max())
-        assert np.max(np.abs(d.T @ d.T_inv - np.eye(2))) < 1e-10
+        A = S @ np.diag([d1, d2]) @ np.linalg.inv(S)
+        form, P = diagonal_form(dispersion_only(A))
+        alpha_plus, alpha_minus = -np.diag(form.D)
+        assert np.array_equal(form.D, np.diag(np.diag(form.D)))
+        assert alpha_plus == pytest.approx(d1, abs=1e-8)
+        assert alpha_minus == pytest.approx(d2, abs=1e-8)
+        # the columns of P are eigenvectors, P D' P^-1 = D, and one row of P is all ones
+        scale = max(1.0, np.abs(A).max())
+        assert np.max(np.abs(A @ P - P @ np.diag([alpha_plus, alpha_minus]))) < 1e-10 * scale
+        assert np.max(np.abs(P @ form.D @ np.linalg.inv(P) + A)) < 1e-10 * scale
+        assert np.all(P[0] == 1.0) or np.all(P[1] == 1.0)
         done += 1
 
 
-def test_diagonalize_complex_pair():
-    d = diagonalize([[0.0, -1.0], [1.0, 0.0]])
-    assert not d.eigenvalues_real
-    assert d.T is None and d.T_inv is None
-    assert np.isnan(d.alpha_plus) and np.isnan(d.alpha_minus) and np.isnan(d.lam)
+def test_diagonal_form_rejects_a_complex_pair():
+    with pytest.raises(NotApplicable, match="complex eigenvalues"):
+        diagonal_form(dispersion_only([[0.0, -1.0], [1.0, 0.0]]))
 
 
-def test_diagonalize_defective_block():
-    d = diagonalize([[1.0, 1.0], [0.0, 1.0]])
-    assert d.eigenvalues_real and not d.eigenvalues_distinct
-    assert d.T is None
+def test_diagonal_form_rejects_a_defective_block():
+    with pytest.raises(NotApplicable, match="defective"):
+        diagonal_form(dispersion_only([[1.0, 1.0], [0.0, 1.0]]))
 
 
-def test_diagonalize_scalar_matrix():
-    d = diagonalize(2.0 * np.eye(2))
-    assert d.eigenvalues_real and not d.eigenvalues_distinct
-    assert np.array_equal(d.T, np.eye(2))
-    assert d.alpha_plus == d.alpha_minus == 2.0
+def test_diagonal_form_near_scalar_dispersion_is_its_own_eigenbasis():
+    # a nonzero off-diagonal entry, but eigenvalues within the tie tolerance: P = I
+    form, P = diagonal_form(dispersion_only([[2.0, 1e-14], [0.0, 2.0]]))
+    assert np.array_equal(P, np.eye(2))
+    assert np.array_equal(form.D, -2.0 * np.eye(2))
+    # an exactly scalar dispersion is already diagonal
+    assert diagonal_form(dispersion_only(2.0 * np.eye(2)))[1] is None
+    # a gap of 1e-6 is past the tie tolerance: an eigenbasis with a row of ones
+    form, P = diagonal_form(dispersion_only([[2.0 + 1e-6, 1.0], [0.0, 2.0]]))
+    assert np.array_equal(P[0], [1.0, 1.0]) and P[1, 1] != 0.0
+    assert form.D[1, 1] - form.D[0, 0] == pytest.approx(1e-6, rel=1e-3)
 
 
-def test_diagonalize_flags():
+def test_diagonal_form_rejects_a_3x3_dispersion():
     with pytest.raises(ValueError):
-        diagonalize(np.eye(3))
+        diagonal_form(NormalForm(-np.eye(3), np.zeros((2, 2, 2)), np.zeros((2, 2))))
 
 
 def test_gg_lambda_alpha_reference_point():
@@ -72,16 +81,17 @@ def test_gg_lambda_alpha_reference_point():
     assert (lam, ap, am) == (4.0, 3.0, -1.0)
 
 
-def test_gg_lambda_alpha_matches_diagonalize():
+def test_gg_lambda_alpha_matches_diagonal_form():
     rng = np.random.default_rng(3)
     for _ in range(200):
         b1 = rng.uniform(0.2, 3.0)
         b2 = rng.uniform(0.2, 3.0)
         a3 = rng.uniform(-2.0, 2.0)
         lam, ap, am = gg_lambda_alpha(b1, b2, a3)
-        d = diagonalize(gear_grimshaw_as_general(GearGrimshaw(0.0, 0.0, a3, b1, b2)).dispersion_matrix)
-        assert ap == pytest.approx(d.alpha_plus, abs=1e-10)
-        assert am == pytest.approx(d.alpha_minus, abs=1e-10)
+        A = gear_grimshaw_as_general(GearGrimshaw(0.0, 0.0, a3, b1, b2)).dispersion_matrix
+        alpha_plus, alpha_minus = -np.diag(diagonal_form(dispersion_only(A))[0].D)
+        assert ap == pytest.approx(alpha_plus, abs=1e-10)
+        assert am == pytest.approx(alpha_minus, abs=1e-10)
         assert lam == pytest.approx(ap - am, abs=1e-12)
 
 
