@@ -14,10 +14,12 @@ stored in FFT layout; the Nyquist slot carries +n/2.  Dealiasing follows
 the 2/3 rule: it keeps |k| <= n/3, so a dealiased field has no Nyquist
 mode, while a raw field from `forward` may.  Coefficients are
 true continuum-convention coefficients (the centering phase is folded
-in), so a field may be evaluated off-grid by direct summation.  Every
-transform goes through `Grid.to_coeffs`/`Grid.to_values`.  A field's
-coefficients may carry leading axes, one field per row; the transforms,
-derivatives and oversampling below act on the last axis.
+in), so a field may be evaluated off-grid by direct summation.  Fields
+go through `Grid.to_coeffs`/`Grid.to_values` (numpy.fft's complex pair);
+`systems.SpectralRhs` through `irfft_into`/`rfft_into`, pocketfft's real
+gufuncs called directly, or numpy.fft's real pair where numpy lacks them.
+A field's coefficients may carry leading axes, one field per row; the
+transforms, derivatives and oversampling below act on the last axis.
 `cumulative_simpson_c` is the time quadrature both Duhamel integrals
 (`solver.picard_iterate`, `bourgain.spacetime.duhamel_field`) use.
 """
@@ -33,6 +35,19 @@ SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _real_pair(umath) -> tuple:
+    """Last-axis (irfft, rfft) into `out`, n even: `umath`'s pocketfft gufuncs when both have the
+    signatures numpy.fft calls them with, else numpy.fft's pair; bit for bit the same either way."""
+    inv, fwd = getattr(umath, "irfft", None), getattr(umath, "rfft_n_even", None)
+    if getattr(inv, "signature", None) == "(m),()->(n)" and getattr(fwd, "signature", None) == "(n),()->(m)":
+        # numpy's factors, 1/n inverse (np.reciprocal(n, dtype=np.float64) bit for bit) and 1 forward
+        return lambda c, out: inv(c, 1.0 / out.shape[-1], out=out), lambda f, out: fwd(f, 1, out=out)
+    return lambda c, out: np.fft.irfft(c, out.shape[-1], out=out), lambda f, out: np.fft.rfft(f, out=out)
+
+
+irfft_into, rfft_into = _real_pair(getattr(np.fft, "_pocketfft_umath", None))
 
 
 def _along(table: np.ndarray, ndim: int, axis: int) -> np.ndarray:

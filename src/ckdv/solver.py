@@ -259,7 +259,7 @@ def picard_iterate(
     phase = _half_phases(g, c, times[:, None])
     free = phase * w0[:, None, :]
     phase_conj = np.conj(phase)
-    rhs_out = np.empty_like(free)  # the sweep's RHS, then its integrand
+    rhs_out = np.empty_like(free)  # the sweep's RHS, then its integrand, then new - cur
     # H^s weights of the half spectrum: modes 0 < k < n/2 stand for +-k
     hs_weight = (1.0 + g.xi[:m] ** 2) ** s * g.dxi
     hs_weight[1:-1] *= 2.0
@@ -273,7 +273,8 @@ def picard_iterate(
         return Trajectory(times, np.moveaxis(to_u(w), 0, 1), g)
 
     def sup_hs_distance(diff: np.ndarray) -> float:
-        norms = np.sqrt(np.sum(hs_weight * np.abs(to_u(diff)) ** 2, axis=-1))
+        mag = np.abs(to_u(diff))  # squared and weighted in place; freed before the quadrature's peak
+        norms = np.sqrt(np.sum(np.multiply(hs_weight, np.square(mag, out=mag), out=mag), axis=-1))
         return float(np.max(norms[0] + norms[1]))
 
     cur = free
@@ -289,7 +290,7 @@ def picard_iterate(
                 # the accumulator becomes the new iterate, which the returned Trajectory keeps
                 new = sg.cumulative_simpson_c(integrand, times[1] - times[0], axis=1)
                 np.add(free, np.multiply(phase, new, out=new), out=new)
-                d = sup_hs_distance(new - cur)
+                d = sup_hs_distance(np.subtract(new, cur, out=rhs_out))
         except systems.BlowupDetected:
             d = np.inf
         if not np.isfinite(d):

@@ -297,11 +297,12 @@ class SpectralRhs:
 
     Called on w of shape (2, m) or (2, nt, m), m = n/2 + 1: the modes
     k = 0..n/2 of (u, v), one row per time sample in the 3-D case.  One
-    irfft gives u, v, u_x, v_x on the grid; the Q and R products of the
-    normal form are summed there and checked for finiteness once; one rfft brings
-    the result back, dealiased.  Input is expected dealiased.  Every call works
-    in intermediates kept on the instance, one set per shape of w; `out` only
-    chooses where the result goes, and a call with it allocates nothing.
+    `grid.irfft_into` gives u, v, u_x, v_x on the grid; the Q and R products of
+    the normal form are summed there and checked for finiteness once; one
+    `grid.rfft_into` brings the result back, dealiased.  Input is expected
+    dealiased.  Every call works in intermediates and views kept on the instance,
+    one set per shape of w; `out` only chooses where the result goes, and a call
+    with it allocates nothing.
     """
 
     def __init__(self, spec: SystemSpec | NormalForm, grid: Grid):
@@ -309,8 +310,7 @@ class SpectralRhs:
         m = grid.n // 2 + 1
         sign = grid._sign[:m]
         # rows [[u, v], [u_x, v_x]]: centring sign, i*xi and the inverse scale in one table
-        to_grid = np.stack([sign, 1j * grid.xi_odd[:m] * sign]) * (sg.SQRT_2PI / grid.dx)
-        self._to_grid = to_grid[:, None, None, :]
+        self._to_grid = np.stack([sign, 1j * grid.xi_odd[:m] * sign]) * (sg.SQRT_2PI / grid.dx)
         self._to_spec = np.where(grid.keep[:m], sign * (grid.dx / sg.SQRT_2PI), 0.0)
         self._quad = form.Q.reshape(2, 4)
         self._drift = form.R if form.R.any() else None
@@ -318,19 +318,19 @@ class SpectralRhs:
         self._work: dict[tuple, tuple] = {}
 
     def _buffers(self, shape: tuple) -> tuple:
-        rows, n = shape[1] if len(shape) == 3 else 1, self._n
+        on_grid = shape[:-1] + (self._n,)  # w's shape with n samples in place of m modes
         # w times each row of to_grid, dead once transformed: its memory then holds
         # every w_j * d_x w_k, and after that the finiteness mask
-        spec = np.empty((2, 2, rows, shape[-1]), dtype=np.complex128)
-        f = np.empty((2, rows * n))  # the right-hand side on the grid
+        spec = np.empty((2, *shape), dtype=np.complex128)
+        val, der = values = np.empty((2, *on_grid))  # [[u, v], [u_x, v_x]] on the grid
+        products = spec.reshape(-1).view(np.float64)[: 2 * values[0].size].reshape(2, *on_grid)
+        f = np.empty((2, val[0].size))  # the right-hand side on the grid
         return (
-            spec,
-            np.empty((2, 2, rows, n)),  # [[u, v], [u_x, v_x]] on the grid
-            spec.reshape(-1).view(np.float64)[: 4 * rows * n].reshape(2, 2, rows, n),
-            f,
-            f.reshape(2, rows, n),
-            np.empty((2, rows * n)) if self._drift is not None else None,  # the drift part of f
-            spec.reshape(-1).view(np.bool_)[: 2 * rows * n].reshape(2, rows, n),
+            self._to_grid.reshape(2, *(1,) * (len(shape) - 1), shape[-1]), spec, values,
+            val[:, None], der[None], products, products.reshape(4, -1), der.reshape(2, -1),
+            f, f.reshape(on_grid),
+            np.empty_like(f) if self._drift is not None else None,  # the drift part of f
+            spec.reshape(-1).view(np.bool_)[: f.size].reshape(on_grid),
         )
 
     def __call__(self, w: np.ndarray, t, out: np.ndarray | None = None) -> np.ndarray:
@@ -343,19 +343,19 @@ class SpectralRhs:
         shape = w.shape
         work = self._work.get(shape) or self._work.setdefault(shape, self._buffers(shape))
         out = np.empty(shape, dtype=np.complex128) if out is None else out
-        spec, values, products, f, f3, drift, finite = work
-        np.multiply(w.reshape(1, 2, -1, shape[-1]), self._to_grid, out=spec)
-        val, der = np.fft.irfft(spec, self._n, axis=-1, out=values)
-        np.multiply(val[:, None], der[None], out=products)
-        np.matmul(self._quad, products.reshape(4, -1), out=f)
-        if self._drift is not None:
-            f += np.matmul(self._drift, der.reshape(2, -1), out=drift)
-        if not np.isfinite(f3, out=finite).all():
+        to_grid, spec, values, val, der, products, flat, der_flat, f, f_grid, drift, finite = work
+        np.multiply(w, to_grid, out=spec)
+        sg.irfft_into(spec, out=values)
+        np.multiply(val, der, out=products)
+        np.matmul(self._quad, flat, out=f)
+        if drift is not None:
+            f += np.matmul(self._drift, der_flat, out=drift)
+        if not np.isfinite(f_grid, out=finite).all():
             if np.ndim(t):
                 t = t[np.argmin(finite.all(axis=(0, 2)))]
             raise BlowupDetected("non-finite values in right-hand side", time=float(t))
-        result = np.fft.rfft(f3, axis=-1, out=out.reshape(2, -1, shape[-1]))
-        np.multiply(result, self._to_spec, out=result)
+        sg.rfft_into(f_grid, out=out)
+        np.multiply(out, self._to_spec, out=out)
         return out
 
 

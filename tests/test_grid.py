@@ -14,6 +14,7 @@ from ckdv import (
     spectral_derivative,
     zero_field,
 )
+from ckdv import grid as grid_module
 from ckdv.grid import (
     SQRT_2PI,
     cumulative_simpson_c,
@@ -210,6 +211,49 @@ def test_to_coeffs_and_to_values_along_an_axis(axis):
     assert np.array_equal(g.to_coeffs(arr, axis=axis), np.fft.fft(arr, axis=axis) * sign * (g.dx / SQRT_2PI))
     assert np.array_equal(g.to_values(arr, axis=axis), np.fft.ifft(arr * sign, axis=axis) * (SQRT_2PI / g.dx))
     assert np.allclose(g.to_values(g.to_coeffs(arr, axis=axis), axis=axis), arr, rtol=0.0, atol=1e-13)
+
+
+class _StubGufunc:
+    """Stands in for one of pocketfft's gufuncs: the given signature, and a log of its calls."""
+
+    def __init__(self, signature, calls):
+        self.signature, self.calls = signature, calls
+
+    def __call__(self, a, fct, out):
+        self.calls.append(self.signature)
+        return out
+
+
+@pytest.mark.parametrize("sigs, chosen", [
+    (("(m),()->(n)", "(n),()->(m)"), True),
+    (("(m),()->(n)", "(n)->(m)"), False),  # a forward gufunc without numpy 2's factor argument
+    (("(m)->(n)", "(n),()->(m)"), False),
+    ((None, "(n),()->(m)"), False),  # no signature: not a gufunc
+])
+def test_real_pair_takes_the_gufuncs_only_with_the_expected_signatures(sigs, chosen):
+    calls = []
+    umath = type("Umath", (), {"irfft": _StubGufunc(sigs[0], calls), "rfft_n_even": _StubGufunc(sigs[1], calls)})
+    inv, fwd = grid_module._real_pair(umath)
+    rng = np.random.default_rng(9)
+    f = rng.standard_normal((2, 3, 32))
+    c = np.fft.rfft(f)
+    got_f, got_c = inv(c, out=np.empty_like(f)), fwd(f, out=np.empty_like(c))
+    assert calls == (list(sigs) if chosen else [])
+    if not chosen:  # numpy.fft's own pair
+        assert np.array_equal(got_f, np.fft.irfft(c, 32)) and np.array_equal(got_c, c)
+    for missing in (None, type("Empty", (), {})):
+        inv, fwd = grid_module._real_pair(missing)
+        assert np.array_equal(inv(c, out=np.empty_like(f)), np.fft.irfft(c, 32))
+
+
+def test_real_pair_on_this_numpy_matches_numpy_fft():
+    # the pair the solver runs on, bit for bit numpy.fft's, on the shapes SpectralRhs hands it
+    rng = np.random.default_rng(8)
+    for n in (16, 256, 2048):
+        c = rng.standard_normal((2, 2, 3, n // 2 + 1)) + 1j * rng.standard_normal((2, 2, 3, n // 2 + 1))
+        f = rng.standard_normal((2, 3, n))
+        assert np.array_equal(grid_module.irfft_into(c, out=np.empty((2, 2, 3, n))), np.fft.irfft(c, n))
+        assert np.array_equal(grid_module.rfft_into(f, out=np.empty(c.shape[1:], complex)), np.fft.rfft(f))
 
 
 def test_half_spectrum_round_trip(grid64):

@@ -19,9 +19,10 @@ from ckdv import (
     simulate,
     zero_field,
 )
+from ckdv import grid as sg
 from ckdv import solver
 from ckdv.diagnostics import COLUMNS, collect, sobolev_norm
-from ckdv.grid import Grid, SpectralField, cumulative_simpson_c, dealias, hermitian_defect, to_full, to_half
+from ckdv.grid import SQRT_2PI, Grid, SpectralField, cumulative_simpson_c, dealias, hermitian_defect, to_full, to_half
 from ckdv.systems import SpectralRhs, diagonal_form, lower, nonlinear_rhs
 
 
@@ -479,6 +480,40 @@ def test_rhs_into_out_equals_the_allocating_call(five_systems):
             buf = np.empty_like(w)
             assert rhs(w, t, out=buf) is buf
             assert np.array_equal(buf, want) and np.array_equal(rhs(w, t), want), name
+
+
+def rhs_reference(spec, g, w):
+    """SpectralRhs(spec, g)(w, t) written with numpy.fft's public irfft/rfft and temporaries,
+    one row of the transforms per component and time sample, product for product."""
+    form = lower(spec)
+    m, lead = g.n // 2 + 1, (1,) * (w.ndim - 1)
+    sign = g._sign[:m]
+    to_grid = np.stack([sign, 1j * g.xi_odd[:m] * sign]) * (SQRT_2PI / g.dx)
+    val, der = np.fft.irfft(w[None] * to_grid.reshape(2, *lead, m), g.n, axis=-1)
+    f = form.Q.reshape(2, 4) @ (val[:, None] * der[None]).reshape(4, -1)
+    if form.R.any():
+        f = f + form.R @ der.reshape(2, -1)
+    to_spec = np.where(g.keep[:m], sign * (g.dx / SQRT_2PI), 0.0)
+    return np.fft.rfft(f.reshape(val.shape), axis=-1) * to_spec
+
+
+@pytest.mark.parametrize("pair", ["gufuncs", "fallback"])
+def test_rhs_matches_the_public_fft_reference_bitwise(five_systems, pair, monkeypatch):
+    if pair == "fallback":
+        monkeypatch.setattr(sg, "irfft_into", sg._real_pair(None)[0])
+        monkeypatch.setattr(sg, "rfft_into", sg._real_pair(None)[1])
+    specs = {**five_systems, "gear_grimshaw_cross": GearGrimshaw(0.7, 0.3, 0.4, 2.0, 0.5)}
+    rng = np.random.default_rng(5)
+    for n in (64, 256, 2048):
+        g = Grid(n, 8.0 * np.pi)
+        m = n // 2 + 1
+        for shape, t in (((2, m), 0.3), ((2, 3, m), np.linspace(0.0, 0.4, 3))):
+            w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * g.keep[:m] / n
+            w[..., 0] = w[..., 0].real
+            for name, spec in specs.items():
+                form = diagonal_form(spec)[0]  # the eigenbasis form the solver hands SpectralRhs
+                got = SpectralRhs(form, g)(w, t, out=np.empty_like(w))
+                assert np.array_equal(got, rhs_reference(form, g, w)), (name, n, shape)
 
 
 def test_rhs_calls_of_one_shape_share_one_workspace(five_systems):
