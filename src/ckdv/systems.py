@@ -270,12 +270,13 @@ def diagonal_form(spec: SystemSpec | NormalForm) -> tuple[NormalForm, Optional[n
     A = -form.D
     if A[0, 1] == 0.0 and A[1, 0] == 0.0:
         return form, None
-    tr = A[0, 0] + A[1, 1]
-    disc = 0.25 * tr * tr - (A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
+    # alpha = A11 + h +- root with h = (A00 - A11)/2: no tr^2 - 4 det cancellation, and exact for a triangular A
+    h = 0.5 * (A[0, 0] - A[1, 1])
+    disc = h * h + A[0, 1] * A[1, 0]
     if disc < 0.0:
         raise NotApplicable("dispersion matrix has complex eigenvalues")
     root = math.sqrt(disc)
-    ap, am = 0.5 * tr + root, 0.5 * tr - root
+    ap, am = A[1, 1] + (h + root), A[1, 1] + (h - root)
     if ap - am > _TIE:
         # each eigenvector p has one entry 1; the other solves the row of A p = alpha p whose
         # off-diagonal entry is nonzero

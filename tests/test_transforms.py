@@ -71,6 +71,16 @@ def test_diagonal_form_near_scalar_dispersion_is_its_own_eigenbasis():
     assert form.D[1, 1] - form.D[0, 0] == pytest.approx(1e-6, rel=1e-3)
 
 
+@pytest.mark.parametrize("g", [1e-9, 1e-8, 3e-8, 1e-7])
+def test_diagonal_form_resolves_a_small_gap_of_a_triangular_dispersion(g):
+    # eigenvalues 2 + g and 2; the gap is the stored A00 - A11, since 2 + g itself rounds
+    A = np.array([[2.0 + g, 1.0], [0.0, 2.0]])
+    form, P = diagonal_form(dispersion_only(A))
+    gap = form.D[1, 1] - form.D[0, 0]
+    assert gap == pytest.approx(A[0, 0] - A[1, 1], rel=1e-12) and gap == pytest.approx(g, rel=1e-7)
+    assert np.max(np.abs(P @ form.D @ np.linalg.inv(P) + A)) < 1e-12
+
+
 def test_diagonal_form_rejects_a_3x3_dispersion():
     with pytest.raises(ValueError):
         diagonal_form(NormalForm(-np.eye(3), np.zeros((2, 2, 2)), np.zeros((2, 2))))
