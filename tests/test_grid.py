@@ -246,16 +246,6 @@ def test_real_pair_takes_the_gufuncs_only_with_the_expected_signatures(sigs, cho
         assert np.array_equal(inv(c, out=np.empty_like(f)), np.fft.irfft(c, 32))
 
 
-def test_real_pair_on_this_numpy_matches_numpy_fft():
-    # the pair the solver runs on, bit for bit numpy.fft's, on the shapes SpectralRhs hands it
-    rng = np.random.default_rng(8)
-    for n in (16, 256, 2048):
-        c = rng.standard_normal((2, 2, 3, n // 2 + 1)) + 1j * rng.standard_normal((2, 2, 3, n // 2 + 1))
-        f = rng.standard_normal((2, 3, n))
-        assert np.array_equal(grid_module.irfft_into(c, out=np.empty((2, 2, 3, n))), np.fft.irfft(c, n))
-        assert np.array_equal(grid_module.rfft_into(f, out=np.empty(c.shape[1:], complex)), np.fft.rfft(f))
-
-
 def test_half_spectrum_round_trip(grid64):
     f = field_from_callable(lambda x: np.exp(np.sin(x)) + np.cos(3.0 * x), grid64)
     half = to_half(f.coeffs)

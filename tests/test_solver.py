@@ -484,7 +484,7 @@ def test_rhs_into_out_equals_the_allocating_call(five_systems):
 
 def rhs_reference(spec, g, w):
     """SpectralRhs(spec, g)(w, t) written with numpy.fft's public irfft/rfft and temporaries,
-    one row of the transforms per component and time sample, product for product."""
+    product for product."""
     form = lower(spec)
     m, lead = g.n // 2 + 1, (1,) * (w.ndim - 1)
     sign = g._sign[:m]
