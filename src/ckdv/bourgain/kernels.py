@@ -21,7 +21,9 @@ The integrands fall into five families, with <u> = 1 + |u|:
 Region indicators are implemented exactly as the reduced sets are
 defined; since the level-set polynomials are monotone (cubic with
 positive-definite derivative) or quadratic, membership decomposes into
-finitely many intervals computed from polynomial roots.
+finitely many intervals computed from polynomial roots, the cubic ones in
+closed form by _cubic_root.  mixed_region_a1 and _a2 are also cut at points
+graded toward the kinks of their weight |x - x^2|^(-2s) at 0 and 1.
 
 Every kernel evaluates all the samples of one pass at once: it builds
 each sample's intervals as numpy arrays and integrates them all in one
@@ -172,23 +174,24 @@ def _pieces(lo, hi, *pts):
     return left[keep], right[keep], np.nonzero(keep)[0]
 
 
-def _increasing_root(f, guess):
-    """Elementwise roots of f, increasing in x: a bracket about each guess doubles until it
-    holds a sign change, then bisection narrows it to 1e-15 (1 + |x|)."""
-    span = 1.0 + np.abs(guess)
-    for _ in range(80):
-        lo, hi = guess - span, guess + span
-        short = (f(lo) > 0.0) | (f(hi) < 0.0)
-        if not short.any():
-            break
-        span = np.where(short, 2.0 * span, span)
-    else:
-        raise RuntimeError("failed to bracket a monotone root")
-    while np.any(hi - lo > 1e-15 * (1.0 + np.abs(lo))):
-        mid = 0.5 * (lo + hi)
-        below = f(mid) <= 0.0
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+def _cubic_root(xi, d):
+    """The real root of 2x^3 - 3 xi x^2 + 3 xi^2 x + d, elementwise; the cubic's derivative
+    6 (x - xi/2)^2 + 1.5 xi^2 is >= 0, so the root is unique.
+
+    Cardano on t^3 + p t + q (x = t + xi/2, p = 0.75 xi^2, q = (xi^3 + d)/2), in sums of like signs:
+    u^3 = -(q/2 + sign(q) hypot(q/2, (p/3)^1.5)), v = -p/(3u) and t = u + v = -q / (u^2 + p/3 + v^2).
+    Two Newton steps on the cubic, skipped where its derivative is 0, remove the rounding of + xi/2.
+    """
+    p, q = 0.75 * xi * xi, 0.5 * (xi**3 + d)
+    u = -np.cbrt(0.5 * q + np.copysign(np.hypot(0.5 * q, (p / 3.0) ** 1.5), q))
+    v = np.divide(-p, 3.0 * u, out=np.zeros_like(u), where=u != 0.0)
+    den = u * u + p / 3.0 + v * v
+    x = np.divide(-q, den, out=np.zeros_like(den), where=den > 0.0) + 0.5 * xi
+    for _ in range(2):
+        f = ((2.0 * x - 3.0 * xi) * x + 3.0 * xi * xi) * x + d
+        slope = (6.0 * x - 6.0 * xi) * x + 3.0 * xi * xi
+        x = x - np.divide(f, slope, out=np.zeros_like(x), where=slope > 0.0)
+    return x
 
 
 # --- individual kernels -------------------------------------------------
@@ -277,11 +280,15 @@ def _k_mixed_core(smp, p, q: QuadSpec) -> tuple[np.ndarray, int]:
     xi, z = smp.T
     xi3, nb = np.abs(xi) ** 3, -2.0 * p["b"]
     pref = xi3 * (1.0 + xi3 * np.abs(z + 2.0)) ** (2.0 * p["b_prime"])
-    root = _increasing_root(lambda x: _mu(x, z), np.zeros_like(z))
+    root = _cubic_root(1.0, z)
     lo, hi, owner = _pieces(-q.x_max, np.where(xi != 0.0, q.x_max, -q.x_max), root)
     fn = lambda x, xi3, z: (1.0 + xi3 * np.abs(_mu(x, z))) ** nb
     val, n = _batched_quad(fn, lo, hi, owner, (xi3, z), len(xi), q)
     return pref * val, n
+
+
+# the weight's kinks at 0 and 1, with cuts graded toward each from both sides
+_KINK_CUTS = tuple(k + g for k in (0.0, 1.0) for g in (-0.1, -0.01, -0.001, 0.0, 0.001, 0.01, 0.1))
 
 
 def _mixed_region_a(xi, z, center, p, q: QuadSpec) -> tuple[np.ndarray, int]:
@@ -289,11 +296,8 @@ def _mixed_region_a(xi, z, center, p, q: QuadSpec) -> tuple[np.ndarray, int]:
     s, b, bp = p["s"], p["b"], p["b_prime"]
     m = 2.0 * np.abs(center)
     pref = np.abs(xi) ** (3.0 - 2.0 * s) * _br(xi**3 * center) ** (2.0 * bp)
-    zeros = np.zeros_like(z)
-    x_lo = _increasing_root(lambda x: _mu(x, z) + m, zeros)
-    x_hi = _increasing_root(lambda x: _mu(x, z) - m, zeros)
-    root0 = _increasing_root(lambda x: _mu(x, z), zeros)
-    lo, hi, owner = _pieces(x_lo, np.where((xi != 0.0) & (m != 0.0), x_hi, x_lo), root0, 0.0, 1.0)
+    x_lo, root0, x_hi = _cubic_root(1.0, z + np.array([[1.0], [0.0], [-1.0]]) * m)
+    lo, hi, owner = _pieces(x_lo, np.where((xi != 0.0) & (m != 0.0), x_hi, x_lo), root0, *_KINK_CUTS)
     ns, nb = -2.0 * s, -2.0 * b
     fn = lambda x, xi3, z: np.abs(x - x * x) ** ns * (1.0 + np.abs(xi3 * _mu(x, z))) ** nb
     val, n = _batched_quad(fn, lo, hi, owner, (xi**3, z), len(xi), q)
@@ -340,10 +344,7 @@ def _k_cubic_region_b(smp, p, q: QuadSpec, sign: float) -> tuple[np.ndarray, int
     m_center = tau1 + sign * xi1**3
     M = np.abs(m_center)
     mu = lambda x, xi1, tau1: tau1 + 2.0 * x**3 - xi1**3 - 3.0 * x * xi1 * (x - xi1)
-    guess = np.cbrt(np.maximum(M, 1.0))
-    lo = _increasing_root(lambda x: mu(x, xi1, tau1) + 2.0 * M, -guess)
-    hi = _increasing_root(lambda x: mu(x, xi1, tau1) - 2.0 * M, guess)
-    root0 = _increasing_root(lambda x: mu(x, xi1, tau1), 0.5 * (lo + hi))
+    lo, root0, hi = _cubic_root(xi1, tau1 - xi1**3 + np.array([[2.0], [0.0], [-2.0]]) * M)
     hi = np.where((np.abs(xi1) >= 1.0) & (M != 0.0), hi, lo)
     return _region_b(mu, 2.0 * M * (1.0 + 1e-12), lo, hi, (root0, 0.0), xi1, tau1, m_center, p, q)
 
@@ -496,6 +497,8 @@ def kernel_bound_check(
         raise ValueError("kernel_bound_check needs at least one sample")
     q = quad_spec or QuadSpec()
     smp = np.asarray(samples, dtype=np.float64)
+    if not np.isfinite(smp).all():
+        raise ValueError("kernel_bound_check needs finite samples")
     base, n_base = kd.evaluate(smp, p, q)
     fine, n_fine = kd.evaluate(smp, p, q.refined())
     max_base = float(base.max())

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ckdv.bourgain.kernels import (
     HypothesisViolation,
     QuadSpec,
     _batched_quad,
+    _cubic_root,
     _pieces,
     kernel_bound_check,
 )
@@ -126,6 +128,13 @@ def test_empty_sample_grid_is_rejected():
         kernel_bound_check("flip_core", sample_grid=[])
 
 
+@pytest.mark.parametrize("sample", [(1.0, math.inf), (math.nan, 1.0)])
+def test_non_finite_samples_are_rejected(sample):
+    # a cubic level with an infinite constant term has no root to cut at
+    with pytest.raises(ValueError, match="finite samples"):
+        kernel_bound_check("mixed_core", sample_grid=[(1.0, 1.0), sample])
+
+
 @pytest.mark.parametrize("fields, message", [
     *(({field: value}, f"QuadSpec.{field}") for field, value in [
         ("x_max", 0.0), ("x_max", -60.0), ("x_max", math.inf), ("x_max", math.nan),
@@ -210,7 +219,7 @@ def test_a_raising_kernel_names_itself_in_the_manifest(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("cfg", [
-    {"kind": "kernel_suite", "params": {"kernels": ["level_set", "mixed_region_b2"]}},
+    {"kind": "kernel_suite", "params": {"kernels": ["level_set", "mixed_region_a1", "mixed_region_b2"]}},
     {"kind": "nonequivalence"},
 ], ids=["kernel_suite", "nonequivalence"])
 def test_quadrature_runs_repeat_their_manifests(tmp_path, cfg):
@@ -376,6 +385,91 @@ def test_mixed_region_b2_matches_tight_quadpack(monkeypatch):
             assert abs((value / pref) ** 2 - full) <= tol, (smp, q)
     calls = counted_rule(monkeypatch, kernels)
     assert kernel_bound_check("mixed_region_b2")[1].neval == sum(calls) > 0
+
+
+# mixed_region_a1 and _a2 integrate over |mu(x, z)| <= 2|center|: z and center per sample (xi, y)
+MIXED_REGION_A = {"mixed_region_a1": lambda y: (y, y + 2.0), "mixed_region_a2": lambda y: (-y, y)}
+
+
+def _mu_root(d):
+    """The real root of 2x^3 - 3x^2 + 3x + d, from numpy's companion-matrix eigenvalues."""
+    roots = np.roots([2.0, -3.0, 3.0, d])
+    return float(roots[np.argmin(np.abs(roots.imag))].real)
+
+
+def _ref_mixed_region_a(kid, sample, p):
+    """(prefactor, integral) of mixed_region_a1 or _a2, whose value is their product.
+
+    quad is given the zero of mu, where <xi^3 mu>^(-2b) kinks, and the kinks 0 and 1
+    of the weight |x - x^2|^(-2s) as points.
+    """
+    xi, y = sample
+    s, b, bp = p["s"], p["b"], p["b_prime"]
+    z, center = MIXED_REGION_A[kid](y)
+    m = 2.0 * abs(center)
+    pref = abs(xi) ** (3.0 - 2.0 * s) * (1.0 + abs(xi**3 * center)) ** (2.0 * bp)
+    if m == 0.0:
+        return pref, 0.0
+    mu = lambda x: ((2.0 * x - 3.0) * x + 3.0) * x + z
+    fn = lambda x: abs(x - x * x) ** (-2.0 * s) * (1.0 + abs(xi**3 * mu(x))) ** (-2.0 * b)
+    return pref, _full(fn, _mu_root(z + m), _mu_root(z - m), (_mu_root(z), 0.0, 1.0))
+
+
+@pytest.mark.parametrize("kid", sorted(MIXED_REGION_A))
+def test_mixed_region_a1_a2_match_tight_quadpack(kid, monkeypatch):
+    kd = KERNELS[kid]
+    p = kd.default_params
+    refs = [_ref_mixed_region_a(kid, smp, p) for smp in kd.default_samples]
+    for q in (QuadSpec(), QuadSpec().refined()):
+        got, _ = kd.evaluate(np.asarray(kd.default_samples, dtype=np.float64), p, q)
+        for smp, value, (pref, full) in zip(kd.default_samples, got, refs):
+            # the integral within its budget max(epsabs, epsrel |I|), plus the reference's own error
+            tol = max(q.epsabs, q.epsrel * full) + TIGHT["epsrel"] * full
+            assert abs(value / pref - full) <= tol, (smp, q)
+    calls = counted_rule(monkeypatch, kernels)
+    assert kernel_bound_check(kid)[1].neval == sum(calls) > 0
+
+
+# --- the closed-form cubic root --------------------------------------------
+
+def _root_rows(kid):
+    """(xi, d) of the cubics 2x^3 - 3 xi x^2 + 3 xi^2 x + d that kernel kid solves on its default
+    samples, d stacked as kid stacks it: lower edge, zero, upper edge (mixed_core: zero alone)."""
+    a, c = np.asarray(KERNELS[kid].default_samples, dtype=np.float64).T
+    if kid == "mixed_core":
+        return 1.0, c[None, :]
+    if kid in MIXED_REGION_A:
+        z, center = MIXED_REGION_A[kid](c)
+        return 1.0, z + np.array([[1.0], [0.0], [-1.0]]) * 2.0 * np.abs(center)
+    sign = -1.0 if kid == "flip_region_b" else 1.0
+    return a, c - a**3 + np.array([[2.0], [0.0], [-2.0]]) * np.abs(c + sign * a**3)
+
+
+def _residual_ulps(xi, d, x):
+    """|cubic(x)|, exact in rationals, in ulps of the sum of its terms' magnitudes."""
+    out = []
+    for xi_, d_, x_ in zip(*(np.broadcast_to(v, np.shape(x)).ravel().tolist() for v in (xi, d, x))):
+        xi_, d_, x_ = Fraction(xi_), Fraction(d_), Fraction(x_)
+        terms = (2 * x_**3, -3 * xi_ * x_**2, 3 * xi_**2 * x_, d_)
+        out.append(float(abs(sum(terms))) / np.spacing(float(sum(abs(t) for t in terms))))
+    return np.array(out)
+
+
+def _random_rows():
+    # xi = 0, where the cubic's derivative vanishes at x = 0, and |d| up to 3e6, stacked as region b stacks it
+    rng = np.random.default_rng(11)
+    tau1 = rng.choice([-1.0, 1.0], 400) * 10.0 ** rng.uniform(-12.0, 6.0, 400)
+    tau1[:2] = 0.0, 1e6
+    return 0.0, tau1 + np.array([[2.0], [0.0], [-2.0]]) * np.abs(tau1)
+
+
+@pytest.mark.parametrize("rows", ["mixed_core", *sorted(MIXED_REGION_A), "flip_region_b", "mixed_region_b1", "random"])
+def test_cubic_root_is_exact_to_rounding_and_ordered(rows):
+    xi, d = _random_rows() if rows == "random" else _root_rows(rows)
+    x = _cubic_root(xi, d)
+    assert np.all(_residual_ulps(xi, d, x) <= 2.0)
+    # the edges of |cubic| <= 2M bracket its zero: lower edge <= zero <= upper edge
+    assert np.all(np.diff(x, axis=0) >= 0.0)
 
 
 def _ref_nonequivalence(a0, a1, b, radii):
