@@ -9,6 +9,7 @@ stability statements.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ from .spacetime import (
     free_field,
     from_time_slices,
     make_st_grid,
+    weight_table,
     xsb_norm,
 )
 
@@ -38,10 +40,16 @@ def f_w(w):
 
 
 def pointwise_weight_ratio(x, tau, a: float, a0: float, a1: float):
-    """(1 + |tau + a x|) / ((1 + |tau + a0 x|) + (1 + |tau + a1 x|))."""
-    num = 1.0 + np.abs(tau + a * x)
-    den = (1.0 + np.abs(tau + a0 * x)) + (1.0 + np.abs(tau + a1 * x))
-    return num / den
+    """(1 + |tau + a x|) / ((1 + |tau + a0 x|) + (1 + |tau + a1 x|)), in three buffers."""
+    def bracket(c):  # 1 + |tau + c x|, in a new buffer
+        out = np.asarray(tau + c * x)
+        np.abs(out, out=out)
+        out += 1.0
+        return out
+
+    num, den = bracket(a), bracket(a0)
+    den += bracket(a1)
+    return np.divide(num, den, out=num)
 
 
 def weight_comparison_bound(a: float, a0: float, a1: float) -> float:
@@ -308,7 +316,9 @@ def linear_estimate_check(
     modulation aliases off the tau grid) must show a tiny coefficient of
     variation, so n_fields must be 2 or more.  The spatial norm uses the
     (1+|xi|)^s weight matched to the space-time weight, which is what makes
-    the ratio exactly field-independent in the continuum.
+    the ratio exactly field-independent in the continuum.  free_field(w0)
+    is w0's coefficients times a (xi, tau) table T that does not depend on
+    w0, so the squared norm is cell * sum_xi |w0(xi)|^2 sum_tau W |T|^2.
 
     Inhomogeneous part: for each horizon T of `t_ladder`, a forcing family
     with modulation concentrated at |tau + a xi^3| ~ 1.5/T is pushed
@@ -331,21 +341,22 @@ def linear_estimate_check(
     # keep |a| xi_band^3 well inside the tau band so e^{-i a xi^3 t} is resolved
     xi_band = 0.5 * (tau_max / abs(a)) ** (1.0 / 3.0)
 
-    rng = np.random.default_rng(seed)
     g = u0.grid
     mask = np.abs(g.xi) <= xi_band
+    # field k takes standard_normal(n) twice, real then imaginary parts
+    draws = np.random.default_rng(seed).standard_normal((n_fields - 1, 2, g.n))
     data = [u0]
-    while len(data) < n_fields:
-        c = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
-        c = np.where(mask, c, 0.0)
-        vals = SpectralField(c, g).values()  # realize, then re-transform
+    for re, im in draws:
+        vals = SpectralField(np.where(mask, re + 1j * im, 0.0), g).values()  # realize, then re-transform
         data.append(forward(vals, g))
+    unit = free_field(SpectralField(np.ones(g.n, dtype=complex), g), a, stg)
+    row = np.sum(weight_table(stg, a, s, b) * np.abs(unit.coeffs) ** 2, axis=1) * stg.cell
     ratios = []
     for w0 in data:
         denom = bracket_norm(w0, s)
         if denom == 0.0:
             continue
-        ratios.append(xsb_norm(free_field(w0, a, stg), a, s, b) / denom)
+        ratios.append(math.sqrt(float(np.dot(np.abs(w0.coeffs) ** 2, row))) / denom)
     mean = float(np.mean(ratios))
     cv = float(np.std(ratios) / mean) if mean > 0 else float("inf")
 
@@ -382,23 +393,52 @@ class BilinearReport:
     params: tuple
 
 
-def _mode_normals(seed: int, trial: int, which: int, modes: int, size: int) -> np.ndarray:
-    """Row i: standard_normal(size) of np.random.default_rng((seed, trial, which, i)), i < modes.
+def _stream_states(seed: int, trials, modes: int) -> np.ndarray:
+    """PCG64 (state, inc) of np.random.default_rng((seed, t, which, i)) at [2 k + which, i], t = trials[k].
 
-    SeedSequence reads that tuple as the uint32 words of its entries, each
-    little-endian and 0 as one word.  One words array whose last entry is
-    the mode index seeds the same streams without coercing a tuple per mode.
+    SeedSequence reads the tuple as its entries' uint32 words (little-endian, 0 as one word); its hash
+    runs here on uint32 arrays of all keys at once, and PCG64's set-seed step on Python ints.
     """
-    if min(seed, trial, which) < 0:
-        raise ValueError(f"seed keys must be non-negative, got {(seed, trial, which)}")
-    words = [(n >> b) & 0xFFFFFFFF for n in (seed, trial, which)
-             for b in range(0, max(n.bit_length(), 1), 32)]
-    words = np.array(words + [0], dtype=np.uint32)
-    out = np.empty((modes, size))
-    for i in range(modes):
-        words[-1] = i
-        out[i] = np.random.default_rng(words).standard_normal(size)
-    return out
+    if min(seed, *trials) < 0:
+        raise ValueError(f"seed keys must be non-negative, got seed {seed}, trials {trials}")
+    m32, m128 = 2**32 - 1, 2**128 - 1
+
+    def words(n):
+        return [(n >> b) & m32 for b in range(0, max(n.bit_length(), 1), 32)]
+
+    heads = [words(seed) + words(t) for t in trials]
+    ent = np.zeros((len(heads), 2, modes, max(map(len, heads)) + 2), dtype=np.uint32)
+    for k, head in enumerate(heads):  # the words of (seed, t, which, i), left-aligned
+        ent[k, :, :, : len(head)] = head
+        ent[k, 1, :, len(head)] = 1
+        ent[k, :, :, len(head) + 1] = np.arange(modes)
+    ent = ent.reshape(-1, ent.shape[-1])
+    n_words = np.repeat([len(head) + 2 for head in heads], 2 * modes)
+
+    def hasher(c, mult):  # SeedSequence's hashmix (NEP 19 constants); c advances per call
+        def hashmix(v):
+            nonlocal c
+            v = (v ^ c) * (c := c * mult & m32)
+            return v ^ (v >> 16)
+        return hashmix
+
+    def mix(x, y):
+        r = 0xCA01F9DD * x - 0x4973F715 * y
+        return r ^ (r >> 16)
+
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(ent[:, d]) for d in range(4)]  # every key has 4 words or more
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for p in range(4, ent.shape[1]):  # words past the pool, on the keys that have word p
+        for dst in range(4):
+            pool[dst] = np.where(n_words > p, mix(pool[dst], hashmix(ent[:, p])), pool[dst])
+    hashmix = hasher(0x8B51F9DD, 0x58F38DED)  # generate_state(4, uint64): 8 words, paired little-endian
+    out = [hashmix(pool[j % 4]).astype(np.uint64) for j in range(8)]
+    s_hi, s_lo, i_hi, i_lo = ((out[2 * j] | out[2 * j + 1] << 32).astype(object) for j in range(4))
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & m128
+    state = (((s_hi << 64 | s_lo) + inc) * 0x2360ED051FC65DA44385DF649FCCF645 + inc) & m128  # PCG64's LCG
+    return np.stack((state, inc), axis=1).reshape(-1, modes, 2)
 
 
 def _fast_len(n: int) -> int:
@@ -442,7 +482,10 @@ def bilinear_ratio(
     grows, and per-(trial, field, mode) coefficient streams make a
     larger band extend a draw instead of reshuffling it.  Stability of
     the max across a band ladder is the numerical shadow of
-    boundedness.
+    boundedness.  Mode i of field `which` (0 left, 1 right) in trial t
+    draws from np.random.default_rng((seed, t, which, i)); a generator costs
+    more to build than to draw from, so every key's PCG64 state is hashed
+    in one vectorized pass and one reused Generator fills each row.
 
     Each drawn field is its own conjugate mirror under
     (xi, tau) -> (-xi, -tau), and so is the output weight, so pair
@@ -496,9 +539,16 @@ def bilinear_ratio(
     w_left, sup_left = weights_and_support(t_left, a_left)
     w_right, sup_right = weights_and_support(t_right, a_right)
 
+    streams = _stream_states(seed, range(trials), h + 1)
+    gen = np.random.Generator(np.random.PCG64(0))
+    z = np.empty((h + 1, 2 * kk))
+
     def draw(trial, which, sup):
-        # standard_normal(2*kk) is standard_normal(kk) twice over: real, then imaginary parts
-        z = _mode_normals(seed, trial, which, h + 1, 2 * kk)
+        # row i: standard_normal(2 kk) of stream (trial, which, i), real then imaginary parts
+        for row, (state, inc) in zip(z, streams[2 * trial + which]):
+            gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                       "has_uint32": 0, "uinteger": 0}
+            gen.standard_normal(out=row)
         rows = (z[:, :kk] + 1j * z[:, kk:]) * sig_prof * amp[h:, None]
         rows[0] = 0.5 * (rows[0] + np.conj(rows[0, ::-1]))
         # row h - i is the conjugate mirror of row h + i: a real field
@@ -526,21 +576,19 @@ def bilinear_ratio(
     def f2(y):
         return ((1.0 + np.abs(y)) ** (p + 1.0) - 1.0) / (p * (p + 1.0)) - np.abs(y) / p
 
+    # that average over slot k's tau cell and xi sweep telescopes along the
+    # row to (D(e_k+1) - D(e_k)) / (dtau spread) over the slot edges e, with
+    # D(e) = f2(e + spread/2) - f2(e - spread/2): two f2 calls per edge
     spread = 3.0 * abs(a_out) * xi_out**2 * dxi
-    lo, hi = np.minimum(dtau, spread), np.maximum(dtau, spread)
-
-    def tau_avg(y):
-        return (f2(y + hi / 2.0) - f2(y - hi / 2.0)) / hi
-
-    def cell_avg(y):  # over tau and the xi sweep, about each slot's output modulation y
-        return (tau_avg(y + lo / 2.0) - tau_avg(y - lo / 2.0)) / lo
-
-    mod_avg = cell_avg((shift[:, None] + np.arange(nfft)) * dtau + a_out * xi_out**3)
+    edge = (shift[:, None] + np.arange(ll + 1) - 0.5) * dtau + a_out * xi_out**3
+    d_edge = f2(edge + spread / 2.0)
+    edge -= spread / 2.0
+    d_edge -= f2(edge)
+    w_slot = np.pad(np.diff(d_edge, axis=1), ((0, 0), (0, nfft - ll)))  # zero weight on the FFT padding
+    del edge, d_edge  # 8 MiB at band 32 that the trials need not hold
     # the factor 2 restores the mirror half; the convolution's cell / 2 pi
     # and the output Riemann sum's cell are folded in here, once
-    w_slot = mod_avg * (1.0 + np.abs(xi_out)) ** (2.0 * s) * xi_out**2
-    w_slot *= 2.0 * cell * (cell / TWO_PI) ** 2
-    w_slot[:, ll:] = 0.0
+    w_slot *= (1.0 + np.abs(xi_out)) ** (2.0 * s) * xi_out**2 * (2.0 * cell * (cell / TWO_PI) ** 2 / dtau) / spread
 
     stride = 2 * int(np.max(np.abs(shift))) + 2 * ll  # keeps xi_out rows 2 ll apart
     key = (left + right) * stride + shift  # orders rows by (xi_out, first slot)

@@ -8,7 +8,7 @@ from scipy.fft import next_fast_len
 
 from ckdv.bourgain.estimates import (
     _fast_len,
-    _mode_normals,
+    _stream_states,
     admissible,
     bilinear_ratio,
     embedding_check,
@@ -381,28 +381,46 @@ def test_bilinear_ratio_rejects_unusable_lattices(name, kw):
         bilinear_ratio(**{**args, **kw})
 
 
-def test_bilinear_ratio_memory_peak():
-    # per-slot weights and one product array at band 32; a unique and
-    # scatter over every (pair, slot) of this mixed case peaks near 82 MiB
+def _traced_peak(call):
+    """Peak traced allocation of call(), above what was live before it."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        bilinear_ratio(-0.6, 0.6, -0.4, 1.0, -1.0, 1.0, trials=2, band=32.0, seed=5)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < 60 * 2**20
 
 
+def test_bilinear_ratio_memory_peak():
+    # per-slot weights and one product array at band 32; a unique and
+    # scatter over every (pair, slot) of this mixed case peaks near 82 MiB
+    peak = _traced_peak(lambda: bilinear_ratio(-0.6, 0.6, -0.4, 1.0, -1.0, 1.0, trials=2, band=32.0, seed=5))
+    assert peak < 28 * 2**20
+
+
+def test_pointwise_scan_memory_peak():
+    # three 1000 x 1000 float buffers are 22.9 MiB; each further temporary adds 7.6
+    peak = _traced_peak(lambda: pointwise_bound_scan(1.3, -2.1, 0.7, n_side=1000, extent=1e3))
+    assert peak < 26 * 2**20
+
+
+# seeds and trials at and across 2^32 take one and two uint32 words, and
+# 2^40 + 5 takes two: keys of four, five and six words
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**40 + 5])
 def test_bilinear_draw_streams_match_tuple_seeds(seed):
-    kk = 5
-    for trial, which in ((0, 0), (3, 1), (2**33 + 7, 1)):
-        got = _mode_normals(seed, trial, which, 4, 2 * kk)
-        for i in range(4):
-            r = np.random.default_rng((seed, trial, which, i))
-            want = r.standard_normal(kk) + 1j * r.standard_normal(kk)
-            assert np.array_equal(got[i, :kk] + 1j * got[i, kk:], want)
+    trials, modes = [0, 3, 2**32 - 1, 2**32, 2**33 + 7], 6
+    streams = _stream_states(seed, trials, modes)
+    assert len(streams) == 2 * len(trials)
+    gen = np.random.Generator(np.random.PCG64(0))
+    for k, trial in enumerate(trials):
+        for which in (0, 1):
+            assert len(streams[2 * k + which]) == modes
+            for i, (state, inc) in enumerate(streams[2 * k + which]):
+                want = np.random.default_rng((seed, trial, which, i))
+                assert want.bit_generator.state["state"] == {"state": state, "inc": inc}
+                gen.bit_generator.state = {**want.bit_generator.state, "state": {"state": state, "inc": inc}}
+                assert np.array_equal(gen.standard_normal(7), want.standard_normal(7))
 
 
 def test_bilinear_negative_seed_raises():
@@ -517,6 +535,27 @@ def test_bilinear_ratio_half_plane_matches_full_plane(s, speeds, band, dxi, dtau
     want = _bilinear_full_plane(s, 0.6, -0.4, *speeds, **kw)
     assert len(rep.ratios) == len(want) == 3
     assert np.allclose(rep.ratios, want, rtol=1e-12, atol=0.0)
+
+
+# ratios of bilinear_ratio(s, 0.6, -0.4, *speeds, trials=4, band=band, seed=5)
+# at b153c2e, the last plan before the streams were seeded in one pass
+PINNED_BILINEAR = {
+    ((0.0, 1.0, 1.0, -1.0), 8.0): [0.018493557004840087, 0.021664081007790065, 0.020733216432643507, 0.019566909053791184],
+    ((0.0, 1.0, 1.0, -1.0), 16.0): [0.018144660924088892, 0.021181955204596783, 0.020292524459433057, 0.01913100256545939],
+    ((0.0, 1.0, 1.0, -1.0), 32.0): [0.017867610511160908, 0.02086250231812442, 0.01998449622593102, 0.01881973889538423],
+    ((-0.6, 1.0, -1.0, 1.0), 8.0): [0.03004136653012852, 0.03421716789425689, 0.034597407469700255, 0.03307984109682567],
+    ((-0.6, 1.0, -1.0, 1.0), 16.0): [0.03288065456055844, 0.03660574537603069, 0.036540786667389406, 0.03565038193868021],
+    ((-0.6, 1.0, -1.0, 1.0), 32.0): [0.03505623992228449, 0.03833989701161707, 0.03842909779601691, 0.03800387434206486],
+}
+
+
+@pytest.mark.parametrize("case, band", list(PINNED_BILINEAR))
+def test_bilinear_ratio_pinned_at_benchmark_bands(case, band):
+    # the full-plane reference is too slow past band 6; these pins reach the
+    # windowed plan's overlap scatter and swap merge at the bands c12 runs
+    s, *speeds = case
+    rep = bilinear_ratio(s, 0.6, -0.4, *speeds, trials=4, band=band, seed=5)
+    assert np.allclose(rep.ratios, PINNED_BILINEAR[case, band], rtol=1e-12, atol=0.0)
 
 
 def test_linear_estimate_free_ratios_match_per_field_reference():
