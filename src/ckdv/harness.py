@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-import scipy
 
 from . import io as ckio
 from .bourgain import (
@@ -282,6 +281,11 @@ _SAMPLED = {**_DYNAMICS, "sample_dt": (_positive, 0.01)}
 # shipped config and benchmark workload sits at least 100x below both.
 MAX_STEPS = 10**7
 MAX_SNAPSHOT_BYTES = 2**31
+# A bourgain_suite run may hold at most MAX_SNAPSHOT_BYTES at once and pass
+# over at most MAX_SPACETIME_POINTS points in its transforms and weighted
+# norms: about 5 minutes on a 2-core host, where the shipped config takes
+# 28 ns a point, against the 25 minutes MAX_STEPS IF-RK4 steps take at n = 256.
+MAX_SPACETIME_POINTS = MAX_STEPS * 2**10
 
 
 @dataclass(kw_only=True)
@@ -370,7 +374,7 @@ class RunManifest:
     summary: dict
     checks: list  # check_bound entries; empty on error
     status: str  # "pass" when every check passed, "fail", or "error"
-    env: dict  # python, numpy and scipy versions, and the number of CPUs the run could use
+    env: dict  # python and numpy versions, and the number of CPUs the run could use
     error: Optional[str] = None
 
     def write(self, path) -> None:
@@ -727,6 +731,21 @@ def _sampled_work(cfg: ExperimentConfig, runs=1, arrays=None) -> tuple[float, fl
     return runs * (cfg.horizon / dt), (runs if arrays is None else arrays) * samples
 
 
+def _spacetime_work(p: dict) -> tuple[float, float]:
+    """(bytes held at once, points passed over) of a bourgain_suite run, as floats.
+
+    It holds about 12 complex (n_x, n_t) fields at the Duhamel ladder's peak
+    (tracemalloc reads 11) and 32 bytes per mode of each of its n_fields
+    spatial data.  It passes over the (n_x, n_t) grid once for the free
+    battery and 4 times per horizon, over n_x twice per spatial datum, and
+    over the embedding grid, at most 64 x 256, 7 times per embedding field."""
+    n_x, n_t = float(p["n_x"]), float(p["n_t"])
+    held = 16.0 * n_x * (12.0 * n_t + 2.0 * p["n_fields"])
+    points = (n_x * n_t * (1.0 + 4.0 * len(p["t_values"])) + 2.0 * p["n_fields"] * n_x
+              + 7.0 * p["n_embed_fields"] * min(n_x, 64.0) * min(n_t, 256.0))
+    return held, points
+
+
 def _lipschitz_rule(cfg: ExperimentConfig) -> Optional[str]:
     data = make_initial(cfg.initial, cfg.grid, np.random.default_rng(cfg.seed))
     if not (np.any(data.u.coeffs) or np.any(data.v.coeffs)):
@@ -742,6 +761,10 @@ def _bourgain_rule(cfg: ExperimentConfig) -> Optional[str]:
     for key, start in (("embedding_speeds", 1), ("pair_first", 0), ("pair_second", 0)):
         if p[key][start] == p[key][start + 1]:
             return f"the reference speeds in {key} must differ"
+    held, points = _spacetime_work(p)
+    if held > MAX_SNAPSHOT_BYTES or points > MAX_SPACETIME_POINTS:
+        return (f"the run holds {held:.3g} bytes at once and passes over {points:.3g} space-time points; "
+                f"the budget is {MAX_SNAPSHOT_BYTES} bytes and {MAX_SPACETIME_POINTS:.3g} points")
     return None
 
 
@@ -855,8 +878,7 @@ def run(config: ExperimentConfig, out_dir=None) -> RunManifest:
         summary=_jsonable(summary),
         checks=_jsonable(checks),
         status=status,
-        env={"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
-             "usable_cpus": _usable_cpus()},
+        env={"python": platform.python_version(), "numpy": np.__version__, "usable_cpus": _usable_cpus()},
         error=error,
     )
     manifest.write(out / "manifest.json")

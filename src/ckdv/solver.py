@@ -168,8 +168,10 @@ def simulate(
     The state is advanced in place in one stage workspace per step size;
     only the stored samples are copied out.
     """
-    if T < 0.0:
-        raise ValueError("T must be nonnegative")
+    if not 0.0 <= T < np.inf:
+        raise ValueError(f"T must be finite and nonnegative, got {T!r}")
+    if not 0.0 < sample_dt < np.inf:
+        raise ValueError(f"sample_dt must be finite and positive, got {sample_dt!r}")
     rhs, c, P, w = _eigenbasis(initial, spec)
     g = initial.grid
     t0 = initial.t
@@ -245,8 +247,8 @@ def picard_iterate(
 
     Divergence is reported, never raised.
     """
-    if not (T > 0.0):
-        raise ValueError("T must be positive")
+    if not 0.0 < T < np.inf:
+        raise ValueError(f"T must be finite and positive, got {T!r}")
     if time_resolution < 9 or time_resolution % 2 == 0:
         raise ValueError("time_resolution must be odd and at least 9")
     if n_iters < 2:

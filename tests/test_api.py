@@ -121,54 +121,60 @@ def test_only_grid_holds_the_transform_convention():
     assert sign_read == {("systems", "SpectralRhs.__init__")}
 
 
-# what `import scipy` does not load, and the process machinery; no kind needs any of them
-SCIPY_SUBPACKAGES = ("scipy.integrate", "scipy.optimize", "scipy.fft", "scipy.special", "scipy.linalg")
-UNUSED = (*SCIPY_SUBPACKAGES, "multiprocessing", "concurrent.futures")
+# numpy and the standard library are the whole runtime; scipy is a test oracle only
+UNUSED = ("multiprocessing", "concurrent.futures")  # no kind runs work in parallel processes
 
 
-def test_import_and_the_numpy_kinds_load_no_scipy_subpackage(fresh_python):
+def test_every_kind_runs_with_scipy_refused(fresh_python):
+    small = {
+        "simulate.json": {"horizon": 0.01, "sample_dt": 0.01},
+        "lipschitz.json": {"horizon": 0.01, "sample_dt": 0.01, "params": {"n_directions": 1, "deltas": [1e-2, 1e-3]}},
+        "scaling.json": {"horizon": 0.01, "sample_dt": 0.01, "params": {"lambdas": [1.0, 2.0], "s_values": [0.0]}},
+        "picard.json": {"horizon": 0.05, "params": {"n_iters": 2, "time_resolution": 9}},
+        "convergence.json": {"horizon": 0.01, "stepper": {"dt": 5e-4}, "params": {"dt_values": [2e-3, 1e-3]}},
+        "bourgain.json": {"params": {"n_x": 32, "n_t": 64, "n_fields": 2, "n_embed_fields": 2, "t_values": [0.5, 1.0]}},
+        "kernels.json": {"params": {"kernels": ["level_set", "mixed_region_b2"]}},
+        "nonequivalence.json": {"params": {"radii": [4.0, 8.0]}},
+        "diagnose.json": {"snapshot": str(ROOT / "configs" / "simulate_final.ckdv")},
+    }
     code = f"""
 import json, sys, tempfile
+
+class RefuseScipy:  # an import hook under which `import scipy` and every `import scipy.x` fail
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError("refused: " + name)
+
+sys.meta_path.insert(0, RefuseScipy())
 import ckdv
 
 def loaded():
-    return sorted(set({UNUSED!r}) & set(sys.modules))
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m in {UNUSED!r})
 
 seen = {{"import": loaded()}}
-small = {{
-    "simulate.json": {{"horizon": 0.01, "sample_dt": 0.01}},
-    "picard.json": {{"horizon": 0.05, "params": {{"n_iters": 2, "time_resolution": 9}}}},
-    "bourgain.json": {{"params": {{"n_x": 32, "n_t": 64, "n_fields": 2, "n_embed_fields": 2,
-                                 "t_values": [0.5, 1.0]}}}},
-    "kernels.json": {{"params": {{"kernels": ["level_set", "mixed_region_b2"]}}}},
-    "nonequivalence.json": {{"params": {{"radii": [4.0, 8.0]}}}},
-}}
-for name, over in small.items():
+for name, over in {small!r}.items():
     cfg = json.loads(open({str(ROOT / "configs")!r} + "/" + name).read())
     cfg.update(over)
     manifest = ckdv.run(ckdv.config_from_dict(cfg), out_dir=tempfile.mkdtemp())
-    assert manifest.status != "error", manifest.error
+    assert manifest.status != "error", (name, manifest.error)
     seen[cfg["kind"]] = loaded()
 print(json.dumps(seen))
 """
-    assert json.loads(fresh_python(code)) == dict.fromkeys(
-        ("import", "simulate", "picard_study", "bourgain_suite", "kernel_suite", "nonequivalence"), []
-    )
+    assert json.loads(fresh_python(code)) == dict.fromkeys(["import", *ckdv.harness.KINDS], [])
 
 
-def test_no_module_level_scipy_subpackage_import():
-    # a scipy subpackage is imported inside the function that needs it, so that
-    # `import ckdv` stays as light as numpy and `import scipy` (for its version)
+def test_no_file_imports_scipy():
+    # at any scope, function bodies included, and by name through importlib or __import__
+    def scipy(name) -> bool:
+        return isinstance(name, str) and name.split(".")[0] == "scipy"
+
     found = []
     for path in (ROOT / "src" / "ckdv").rglob("*.py"):
-        stack = list(ast.parse(path.read_text()).body)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue  # runs when called, not at import
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
-                found += [(path.name, a.name) for a in node.names if a.name.startswith("scipy.")]
-            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy."):
+                found += [(path.name, a.name) for a in node.names if scipy(a.name)]
+            elif isinstance(node, ast.ImportFrom) and scipy(node.module):
                 found.append((path.name, node.module))
-            stack.extend(ast.iter_child_nodes(node))
+            elif isinstance(node, ast.Call):
+                found += [(path.name, a.value) for a in node.args if isinstance(a, ast.Constant) and scipy(a.value)]
     assert found == []

@@ -105,6 +105,33 @@ def test_config_whose_check_would_test_nothing_exits_2(tmp_path, capsys, command
     assert_rejected(tmp_path, capsys, command, payload, f"'{key}' must be")
 
 
+_RUNAWAY_SPACETIME = f"the budget is {harness.MAX_SNAPSHOT_BYTES} bytes and {harness.MAX_SPACETIME_POINTS:.3g} points"
+
+
+# each kind with a work budget, asked for runaway work: steps, samples, bytes or points
+@pytest.mark.parametrize(
+    "command, payload, word",
+    [
+        ("simulate", simulate_payload(horizon=1e9, sample_dt=1e-4), "budget"),
+        ("lipschitz", simulate_payload(kind="lipschitz_probe", horizon=1e6), "budget"),
+        ("scaling", simulate_payload(kind="scaling_probe", horizon=1e6), "budget"),
+        ("picard", unsampled_payload("picard_study", params={"n_iters": 10**6}), "budget"),
+        ("convergence", unsampled_payload("convergence_study", horizon=1e6, params={"dt_values": [1e-2, 2e-2]}),
+         "budget"),
+        ("bourgain", {"kind": "bourgain_suite", "params": {"n_x": 2**14, "n_t": 2**14}}, _RUNAWAY_SPACETIME),
+        ("bourgain", {"kind": "bourgain_suite", "params": {"n_fields": 10**9}}, _RUNAWAY_SPACETIME),
+        ("bourgain", {"kind": "bourgain_suite", "params": {"n_embed_fields": 10**9}}, _RUNAWAY_SPACETIME),
+    ],
+)
+def test_runaway_work_exits_2_before_the_runner(tmp_path, capsys, monkeypatch, command, payload, word):
+    def never(cfg, emit):
+        raise AssertionError("the runner of a runaway config was called")
+
+    kind = payload["kind"]
+    monkeypatch.setitem(harness.KINDS, kind, dataclasses.replace(harness.KINDS[kind], runner=never))
+    assert_rejected(tmp_path, capsys, command, payload, word)
+
+
 @pytest.mark.parametrize("key", ["apply_cutoffs", "compare_stepper"])
 def test_removed_picard_keys_exit_2(tmp_path, capsys, key):
     assert_rejected(tmp_path, capsys, "picard", unsampled_payload("picard_study", params={key: True}), key)

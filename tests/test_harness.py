@@ -358,6 +358,10 @@ def test_shipped_configs_sit_far_below_the_work_budget():
             stored = samples * 2 * (cfg.grid.n // 2 + 1) * 16
             assert 100 * steps <= harness.MAX_STEPS, path.name
             assert 100 * stored <= harness.MAX_SNAPSHOT_BYTES, path.name
+        if cfg.kind == "bourgain_suite":
+            held, points = harness._spacetime_work(cfg.params)
+            assert 100 * held <= harness.MAX_SNAPSHOT_BYTES, path.name
+            assert 100 * points <= harness.MAX_SPACETIME_POINTS, path.name
 
 
 def test_every_kind_has_a_shipped_config():
@@ -497,7 +501,7 @@ def test_two_runs_write_the_same_env(tmp_path):
     run(cfg, out_dir=tmp_path / "b")
     env = [json.loads((tmp_path / d / "manifest.json").read_text())["env"] for d in "ab"]
     assert env[0] == env[1]
-    assert set(env[0]) == {"python", "numpy", "scipy", "usable_cpus"}
+    assert set(env[0]) == {"python", "numpy", "usable_cpus"}  # no run calls scipy, so its version explains nothing
     assert env[0]["usable_cpus"] == harness._usable_cpus() >= 1
     assert env[0]["numpy"] == np.__version__
 

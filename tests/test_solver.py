@@ -142,6 +142,25 @@ def test_simulate_sampling_cadence(grid64):
         simulate(st, spec, -0.1, StepperConfig(0.1))
 
 
+@pytest.mark.parametrize(
+    "call, word",
+    [
+        (lambda st, spec: simulate(st, spec, np.nan, StepperConfig(0.1)), "T must be finite"),
+        (lambda st, spec: simulate(st, spec, np.inf, StepperConfig(0.1)), "T must be finite"),
+        (lambda st, spec: simulate(st, spec, 0.5, StepperConfig(0.1), sample_dt=np.nan), "sample_dt must be"),
+        (lambda st, spec: simulate(st, spec, 0.5, StepperConfig(0.1), sample_dt=np.inf), "sample_dt must be"),
+        (lambda st, spec: simulate(st, spec, 0.5, StepperConfig(0.1), sample_dt=-1.0), "sample_dt must be"),
+        (lambda st, spec: simulate(st, spec, 0.5, StepperConfig(0.1), sample_dt=0.0), "sample_dt must be"),
+        (lambda st, spec: picard_iterate(st, spec, np.inf), "T must be finite"),
+        (lambda st, spec: picard_iterate(st, spec, np.nan), "T must be finite"),
+    ],
+)
+def test_nonfinite_horizon_or_cadence_is_rejected_before_any_work(grid64, monkeypatch, call, word):
+    monkeypatch.setattr(solver, "_eigenbasis", None)  # the first piece of work either route does
+    with pytest.raises(ValueError, match=word):
+        call(State(zero_field(grid64), zero_field(grid64)), HirotaSatsuma(1.0, 1.0))
+
+
 def test_simulate_hits_fractional_final_time(grid64):
     st = State(zero_field(grid64), zero_field(grid64))
     spec = HirotaSatsuma(1.0, 1.0)
