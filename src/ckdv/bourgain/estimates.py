@@ -9,7 +9,6 @@ stability statements.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -79,6 +78,10 @@ def pointwise_bound_scan(
     The scan covers an n_side x n_side lattice in (x, tau) including
     points far off both characteristics and the degenerate axes.
     """
+    if n_side < 1:
+        raise ValueError(f"n_side must be at least 1, got {n_side}")
+    if not (math.isfinite(extent) and extent > 0.0):
+        raise ValueError(f"extent must be positive and finite, got {extent}")
     xs = np.linspace(-extent, extent, n_side)
     taus = np.linspace(-extent, extent, n_side)
     r = pointwise_weight_ratio(xs[None, :], taus[:, None], a, a0, a1)
@@ -244,7 +247,7 @@ def nonequivalence_demo(
     if a0 == 0.0 or a1 == 0.0:
         raise ValueError("both speeds must be nonzero")
     radii = list(radii)
-    if len(set(radii)) < 2 or min(radii) <= 0.0:
+    if len(set(radii)) < 2 or not all(0.0 < r < math.inf for r in radii):  # NaN fails both
         raise ValueError("the growth fit needs two or more distinct positive radii")
     tb, nb, mfb = 2.0 * b, -2.0 * b, -4.0 * b
     inner_evals = [0]
@@ -393,54 +396,6 @@ class BilinearReport:
     params: tuple
 
 
-def _stream_states(seed: int, trials, modes: int) -> np.ndarray:
-    """PCG64 (state, inc) of np.random.default_rng((seed, t, which, i)) at [2 k + which, i], t = trials[k].
-
-    SeedSequence reads the tuple as its entries' uint32 words (little-endian, 0 as one word); its hash
-    runs here on uint32 arrays of all keys at once, and PCG64's set-seed step on Python ints.
-    """
-    if min(seed, *trials) < 0:
-        raise ValueError(f"seed keys must be non-negative, got seed {seed}, trials {trials}")
-    m32, m128 = 2**32 - 1, 2**128 - 1
-
-    def words(n):
-        return [(n >> b) & m32 for b in range(0, max(n.bit_length(), 1), 32)]
-
-    heads = [words(seed) + words(t) for t in trials]
-    ent = np.zeros((len(heads), 2, modes, max(map(len, heads)) + 2), dtype=np.uint32)
-    for k, head in enumerate(heads):  # the words of (seed, t, which, i), left-aligned
-        ent[k, :, :, : len(head)] = head
-        ent[k, 1, :, len(head)] = 1
-        ent[k, :, :, len(head) + 1] = np.arange(modes)
-    ent = ent.reshape(-1, ent.shape[-1])
-    n_words = np.repeat([len(head) + 2 for head in heads], 2 * modes)
-
-    def hasher(c, mult):  # SeedSequence's hashmix (NEP 19 constants); c advances per call
-        def hashmix(v):
-            nonlocal c
-            v = (v ^ c) * (c := c * mult & m32)
-            return v ^ (v >> 16)
-        return hashmix
-
-    def mix(x, y):
-        r = 0xCA01F9DD * x - 0x4973F715 * y
-        return r ^ (r >> 16)
-
-    hashmix = hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(ent[:, d]) for d in range(4)]  # every key has 4 words or more
-    for src, dst in itertools.permutations(range(4), 2):
-        pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for p in range(4, ent.shape[1]):  # words past the pool, on the keys that have word p
-        for dst in range(4):
-            pool[dst] = np.where(n_words > p, mix(pool[dst], hashmix(ent[:, p])), pool[dst])
-    hashmix = hasher(0x8B51F9DD, 0x58F38DED)  # generate_state(4, uint64): 8 words, paired little-endian
-    out = [hashmix(pool[j % 4]).astype(np.uint64) for j in range(8)]
-    s_hi, s_lo, i_hi, i_lo = ((out[2 * j] | out[2 * j + 1] << 32).astype(object) for j in range(4))
-    inc = ((i_hi << 64 | i_lo) << 1 | 1) & m128
-    state = (((s_hi << 64 | s_lo) + inc) * 0x2360ED051FC65DA44385DF649FCCF645 + inc) & m128  # PCG64's LCG
-    return np.stack((state, inc), axis=1).reshape(-1, modes, 2)
-
-
 def _fast_len(n: int) -> int:
     """The least 2^a 3^b 5^c 7^d 11^e >= n >= 1: scipy.fft.next_fast_len's size for complex input."""
     m = n
@@ -479,13 +434,12 @@ def bilinear_ratio(
     window keeps the cost linear in the mode count instead of cubic in
     the band.  Mode amplitudes fall off integrably in xi and in the
     modulation offset, so both sides of the ratio saturate as the band
-    grows, and per-(trial, field, mode) coefficient streams make a
-    larger band extend a draw instead of reshuffling it.  Stability of
-    the max across a band ladder is the numerical shadow of
-    boundedness.  Mode i of field `which` (0 left, 1 right) in trial t
-    draws from np.random.default_rng((seed, t, which, i)); a generator costs
-    more to build than to draw from, so every key's PCG64 state is hashed
-    in one vectorized pass and one reused Generator fills each row.
+    grows.  Field `which` (0 left, 1 right) of trial t fills its rows
+    in order from one stream, np.random.default_rng((seed, t, which)):
+    row i is mode |xi| = i dxi, and the window width does not depend on
+    the band, so a larger band extends a draw instead of reshuffling
+    it.  Stability of the max across a band ladder is the numerical
+    shadow of boundedness.
 
     Each drawn field is its own conjugate mirror under
     (xi, tau) -> (-xi, -tau), and so is the output weight, so pair
@@ -500,14 +454,21 @@ def bilinear_ratio(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    for name, val in (("s", s), ("b", b), ("b_prime", b_prime)):
+        if not math.isfinite(val):
+            raise ValueError(f"{name} must be finite, got {val}")
+    if b_prime in (-0.5, -1.0):  # the output weight's f2 divides by p (p + 1), p = 1 + 2 b_prime
+        raise ValueError(f"b_prime must not be -1/2 or -1, got {b_prime}")
     for name, val in (("band", band), ("dxi", dxi), ("dtau", dtau)):
         if not (math.isfinite(val) and val > 0.0):
             raise ValueError(f"{name} must be positive and finite, got {val}")
     if not (math.isfinite(sigma_window) and sigma_window >= 0.0):
         raise ValueError(f"sigma_window must be non-negative and finite, got {sigma_window}")
     for name, val in (("a_left", a_left), ("a_right", a_right), ("a_out", a_out)):
-        if val == 0.0:
-            raise ValueError(f"{name} must be nonzero, got {val}")
+        if not (math.isfinite(val) and val != 0.0):
+            raise ValueError(f"{name} must be nonzero and finite, got {val}")
     variant = "same_sign_pair" if a_left == a_right else "mixed_pair"
     ok = admissible(s, b, b_prime, variant)
 
@@ -539,16 +500,9 @@ def bilinear_ratio(
     w_left, sup_left = weights_and_support(t_left, a_left)
     w_right, sup_right = weights_and_support(t_right, a_right)
 
-    streams = _stream_states(seed, range(trials), h + 1)
-    gen = np.random.Generator(np.random.PCG64(0))
-    z = np.empty((h + 1, 2 * kk))
-
     def draw(trial, which, sup):
-        # row i: standard_normal(2 kk) of stream (trial, which, i), real then imaginary parts
-        for row, (state, inc) in zip(z, streams[2 * trial + which]):
-            gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                       "has_uint32": 0, "uinteger": 0}
-            gen.standard_normal(out=row)
+        # each row: kk real parts, then kk imaginary parts
+        z = np.random.default_rng((seed, trial, which)).standard_normal((h + 1, 2 * kk))
         rows = (z[:, :kk] + 1j * z[:, kk:]) * sig_prof * amp[h:, None]
         rows[0] = 0.5 * (rows[0] + np.conj(rows[0, ::-1]))
         # row h - i is the conjugate mirror of row h + i: a real field

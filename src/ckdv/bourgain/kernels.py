@@ -497,6 +497,8 @@ def kernel_bound_check(
         raise ValueError("kernel_bound_check needs at least one sample")
     q = quad_spec or QuadSpec()
     smp = np.asarray(samples, dtype=np.float64)
+    if smp.ndim != 2 or smp.shape[1] != 2:
+        raise ValueError(f"sample_grid must hold (x, y) pairs, got shape {smp.shape}")
     if not np.isfinite(smp).all():
         raise ValueError("kernel_bound_check needs finite samples")
     base, n_base = kd.evaluate(smp, p, q)

@@ -135,6 +135,12 @@ def test_non_finite_samples_are_rejected(sample):
         kernel_bound_check("mixed_core", sample_grid=[(1.0, 1.0), sample])
 
 
+@pytest.mark.parametrize("sample_grid", [[(1.0, 2.0, 3.0)], [1.0, 2.0], [[(1.0, 2.0)]]])
+def test_samples_that_are_not_pairs_are_rejected(sample_grid):
+    with pytest.raises(ValueError, match="^sample_grid "):
+        kernel_bound_check("mixed_core", sample_grid=sample_grid)
+
+
 @pytest.mark.parametrize("fields, message", [
     *(({field: value}, f"QuadSpec.{field}") for field, value in [
         ("x_max", 0.0), ("x_max", -60.0), ("x_max", math.inf), ("x_max", math.nan),
