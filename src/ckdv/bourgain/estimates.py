@@ -16,7 +16,7 @@ import numpy as np
 
 from ..diagnostics import loglog_slope
 from ..grid import SpectralField, forward
-from .kernels import QuadSpec, _batched_quad, _pieces
+from .kernels import QuadSpec, _batched_quad, _graded, _pieces
 from .spacetime import (
     SpaceTimeField,
     bracket_norm,
@@ -29,6 +29,13 @@ from .spacetime import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def _require_finite(**values) -> None:
+    """Raise ValueError naming the first of values that is not finite."""
+    for name, val in values.items():
+        if not math.isfinite(val):
+            raise ValueError(f"{name} must be finite, got {val}")
 
 
 def f_w(w):
@@ -78,6 +85,7 @@ def pointwise_bound_scan(
     The scan covers an n_side x n_side lattice in (x, tau) including
     points far off both characteristics and the degenerate axes.
     """
+    _require_finite(a=a, a0=a0, a1=a1)
     if n_side < 1:
         raise ValueError(f"n_side must be at least 1, got {n_side}")
     if not (math.isfinite(extent) and extent > 0.0):
@@ -238,8 +246,10 @@ def nonequivalence_demo(
     Every distinct norm is one integral of one _batched_quad call, broken at
     the kinks xi = (R/|a0|)^(1/3) and (R/|a1|)^(1/3), where a centre a xi^3
     leaves the tau box; the inner tau integrals of all its xi nodes go through
-    one call per evaluation.  Both levels run at epsabs = 0, epsrel = 1e-12.
+    one call per evaluation, each cut at both centres and graded toward the
+    width-1 peak at tau = -a1 xi^3.  Both levels run at epsabs = 0, epsrel = 1e-12.
     """
+    _require_finite(a0=a0, a1=a1, s=s, b=b)
     if b <= 0.5:
         raise ValueError("the construction needs b > 1/2")
     if s <= 0.5 - b:
@@ -255,7 +265,7 @@ def nonequivalence_demo(
     def tau_quad(xi, a_top, rad):
         # int_{-R}^{R} (1+|tau + a_top xi^3|)^(2b) (1+|tau + a1 xi^3|)^(-4b) dtau, per node
         c_top, c_bot = a_top * xi**3, a1 * xi**3
-        lo, hi, owner = _pieces(-rad, rad, -c_top, -c_bot)
+        lo, hi, owner = _pieces(-rad, rad, -c_top, -c_bot, *_graded(-c_bot, 1.0, -rad, rad))
         fn = lambda t, c_top, c_bot: (1.0 + np.abs(t + c_top)) ** tb * (1.0 + np.abs(t + c_bot)) ** mfb
         val, n = _batched_quad(fn, lo, hi, owner, (c_top, c_bot), xi.size, _NONEQ_INNER)
         inner_evals[0] += n
@@ -456,9 +466,7 @@ def bilinear_ratio(
         raise ValueError("need at least one trial")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    for name, val in (("s", s), ("b", b), ("b_prime", b_prime)):
-        if not math.isfinite(val):
-            raise ValueError(f"{name} must be finite, got {val}")
+    _require_finite(s=s, b=b, b_prime=b_prime)
     if b_prime in (-0.5, -1.0):  # the output weight's f2 divides by p (p + 1), p = 1 + 2 b_prime
         raise ValueError(f"b_prime must not be -1/2 or -1, got {b_prime}")
     for name, val in (("band", band), ("dxi", dxi), ("dtau", dtau)):

@@ -25,6 +25,15 @@ finitely many intervals computed from polynomial roots, the cubic ones in
 closed form by _cubic_root.  mixed_region_a1 and _a2 are also cut at points
 graded toward the kinks of their weight |x - x^2|^(-2s) at 0 and 1.
 
+An integrand peaks where the level inside a bracket <k level(x)> has a root,
+and the peak is about 1/(k |level'|) wide there: 3e-13 for mixed_core at
+xi = -1e4.  _graded cuts each such root at -+ 4^j widths, j = 0, 1, ...,
+until the cuts leave the window, so the rule starts from panels on the
+peak's scale instead of halving toward it from the window's ends, and finds
+peaks far narrower than its node spacing.  peak_pair's two peaks are 1
+wide; an even bracket with no root (c <= 0) is graded from x = 0 on its
+decay scale sqrt((1 + k|c|)/k).
+
 Every kernel evaluates all the samples of one pass at once: it builds
 each sample's intervals as numpy arrays and integrates them all in one
 call of _batched_quad, which also counts the integrand evaluations.
@@ -129,7 +138,8 @@ def _batched_quad(fn, lo, hi, owner, args, count: int, q: QuadSpec) -> tuple[np.
     the budget's equal share is bisected, unless the estimate is at the panel's roundoff floor
     50 eps int|f| or the panel is too narrow to halve.  An integral that would pass q.limit
     panels raises RuntimeError: the cap is an error, not a warning.  A kink between a panel's
-    end and its outermost node is invisible to the estimate, so callers cut at every kink.
+    end and its outermost node is invisible to the estimate, and so is a peak narrower than the
+    node spacing, so callers cut at every kink and at cuts graded toward every narrow peak.
     """
     owner = np.asarray(owner)
     args = [np.asarray(a, dtype=np.float64) for a in args]
@@ -174,6 +184,19 @@ def _pieces(lo, hi, *pts):
     return left[keep], right[keep], np.nonzero(keep)[0]
 
 
+def _graded(center, slope, lo, hi) -> list:
+    """Cuts graded toward peaks 1/slope wide: center -+ 4^k / slope for k = 0, 1, ..., K - 1, as
+    2K columns (slope <= 0: no peak, no cuts), where K is the count at which the narrowest peak's
+    outermost cuts leave the widest window [lo, hi].  A cut outside its window cuts nothing."""
+    center, slope = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (center, slope)))
+    width = np.divide(1.0, slope, out=np.full(slope.shape, np.nan), where=slope > 0.0)
+    steep, span = np.max(slope[np.isfinite(slope)], initial=0.0), np.max(np.asarray(hi) - lo)
+    if steep <= 0.0 or span <= 0.0:
+        return []
+    grades = 1 + max(0, math.ceil(math.log(span * steep, 4.0)))
+    return [center + g * width for k in range(grades) for g in (-(4.0**k), 4.0**k)]
+
+
 def _cubic_root(xi, d):
     """The real root of 2x^3 - 3 xi x^2 + 3 xi^2 x + d, elementwise; the cubic's derivative
     6 (x - xi/2)^2 + 1.5 xi^2 is >= 0, so the root is unique.
@@ -200,13 +223,17 @@ def _cubic_root(xi, d):
 # (values, integrand evaluations).  Integrands are single expressions over
 # per-sample columns.
 
-def _even_bracket(k, c, nb: float, peak, ok, q: QuadSpec) -> tuple[np.ndarray, int]:
-    """2 int_0^x_max (1 + k|c - x^2|)^nb dx for k >= 0 where ok (else 0), with a break at peak.
+def _even_bracket(k, c, nb: float, ok, q: QuadSpec) -> tuple[np.ndarray, int]:
+    """2 int_0^x_max (1 + k|c - x^2|)^nb dx for k >= 0 where ok (else 0).
 
-    The integrand is even, so this is its integral over [-x_max, x_max]
-    with breaks at +-peak; a peak outside (0, x_max) is dropped.
+    The integrand is even, so this is its integral over [-x_max, x_max].  Where c > 0 it peaks
+    at x = sqrt(c), 1/(2k sqrt(c)) wide, and is cut there and graded toward it; elsewhere it
+    falls off from x = 0 on the scale sqrt((1 + k|c|)/k), and is graded from 0 on that scale.
     """
-    lo, hi, owner = _pieces(0.0, np.where(ok, q.x_max, 0.0), peak)
+    peak = np.sqrt(np.maximum(c, 0.0))
+    slope = np.where(c > 0.0, 2.0 * k * peak, np.sqrt(k / (1.0 + k * np.abs(c))))
+    hi = np.where(ok, q.x_max, 0.0)
+    lo, hi, owner = _pieces(0.0, hi, peak, *_graded(peak, slope, 0.0, hi))
     val, n = _batched_quad(lambda x, k, c: (1.0 + k * np.abs(c - x * x)) ** nb, lo, hi, owner, (k, c), len(k), q)
     return 2.0 * val, n
 
@@ -216,14 +243,15 @@ def _k_level_set(smp, p, q: QuadSpec) -> tuple[np.ndarray, int]:
     if np.any((a == 0.0) | (eta == 0.0)):
         raise HypothesisViolation("hypothesis failed: a != 0 and eta != 0")
     aa, ae = np.abs(a), np.abs(eta)
-    val, n = _even_bracket(aa, eta * eta, -2.0 * p["b"], ae, True, q)
+    val, n = _even_bracket(aa, eta * eta, -2.0 * p["b"], True, q)
     return val * aa * ae, n
 
 
 def _k_peak_pair(smp, p, q: QuadSpec) -> tuple[np.ndarray, int]:
     a, a_prime = smp.T
     na, nbeta = -p["alpha"], -p["beta"]
-    lo, hi, owner = _pieces(np.minimum(a, a_prime) - q.x_max, np.maximum(a, a_prime) + q.x_max, a, a_prime)
+    lo, hi = np.minimum(a, a_prime) - q.x_max, np.maximum(a, a_prime) + q.x_max
+    lo, hi, owner = _pieces(lo, hi, a, a_prime, *_graded(a, 1.0, lo, hi), *_graded(a_prime, 1.0, lo, hi))
     fn = lambda x, a, ap: (1.0 + np.abs(x - ap)) ** na * (1.0 + np.abs(x - a)) ** nbeta
     val, n = _batched_quad(fn, lo, hi, owner, (a, a_prime), len(a), q)
     return val * (1.0 + np.abs(a - a_prime)) ** p["alpha"], n
@@ -239,7 +267,7 @@ def _k_flip_weighted_aux(smp, p, q: QuadSpec) -> tuple[np.ndarray, int]:
     s = p["s"]
     pref = _flip_pref(xi, y, s, p["b_prime"]) * np.abs(y + 2.0) ** (-2.0 * s)
     c = y + 0.75
-    val, n = _even_bracket(np.abs(xi) ** 3, c, -2.0 * p["b"], np.sqrt(np.maximum(c, 0.0)), xi != 0.0, q)
+    val, n = _even_bracket(np.abs(xi) ** 3, c, -2.0 * p["b"], xi != 0.0, q)
     return pref * val, n
 
 
@@ -248,7 +276,7 @@ def _k_flip_core(smp, p, q: QuadSpec) -> tuple[np.ndarray, int]:
     xi3 = np.abs(xi) ** 3
     pref = xi3 * (1.0 + xi3 * np.abs(3.0 * y + 2.0)) ** (2.0 * p["b_prime"])
     c = y + 0.25
-    val, n = _even_bracket(xi3, c, -2.0 * p["b"], np.sqrt(np.maximum(c, 0.0)), xi != 0.0, q)
+    val, n = _even_bracket(xi3, c, -2.0 * p["b"], xi != 0.0, q)
     return pref * val, n
 
 
@@ -266,7 +294,8 @@ def _k_flip_region_a(smp, p, q: QuadSpec) -> tuple[np.ndarray, int]:
     fn = lambda x, xi3, c: np.abs(x * x - 0.25) ** ns * (1.0 + np.abs(xi3 * (c - 3.0 * x * x))) ** nb
     lo = np.sqrt(np.maximum(lo2, 0.0))
     hi = np.where((xi != 0.0) & (hi2 > 0.0), np.sqrt(np.maximum(hi2, 0.0)), lo)
-    lo, hi, owner = _pieces(lo, hi, 0.5, np.where(c > 0.0, np.sqrt(np.maximum(c, 0.0) / 3.0), np.nan))
+    x0 = np.where(c > 0.0, np.sqrt(np.maximum(c, 0.0) / 3.0), np.nan)
+    lo, hi, owner = _pieces(lo, hi, 0.5, x0, *_graded(x0, 6.0 * np.abs(xi**3) * x0, lo, hi))
     val, n = _batched_quad(fn, lo, hi, owner, (xi**3, c), len(xi), q)
     return pref * 2.0 * val, n
 
@@ -276,12 +305,18 @@ def _mu(x, z):
     return 2.0 * x**3 - 3.0 * x * x + 3.0 * x + z
 
 
+def _dmu(x):
+    """mu's slope 6x^2 - 6x + 3 >= 3/2."""
+    return (6.0 * x - 6.0) * x + 3.0
+
+
 def _k_mixed_core(smp, p, q: QuadSpec) -> tuple[np.ndarray, int]:
     xi, z = smp.T
     xi3, nb = np.abs(xi) ** 3, -2.0 * p["b"]
     pref = xi3 * (1.0 + xi3 * np.abs(z + 2.0)) ** (2.0 * p["b_prime"])
     root = _cubic_root(1.0, z)
-    lo, hi, owner = _pieces(-q.x_max, np.where(xi != 0.0, q.x_max, -q.x_max), root)
+    hi = np.where(xi != 0.0, q.x_max, -q.x_max)
+    lo, hi, owner = _pieces(-q.x_max, hi, root, *_graded(root, xi3 * _dmu(root), -q.x_max, hi))
     fn = lambda x, xi3, z: (1.0 + xi3 * np.abs(_mu(x, z))) ** nb
     val, n = _batched_quad(fn, lo, hi, owner, (xi3, z), len(xi), q)
     return pref * val, n
@@ -297,7 +332,9 @@ def _mixed_region_a(xi, z, center, p, q: QuadSpec) -> tuple[np.ndarray, int]:
     m = 2.0 * np.abs(center)
     pref = np.abs(xi) ** (3.0 - 2.0 * s) * _br(xi**3 * center) ** (2.0 * bp)
     x_lo, root0, x_hi = _cubic_root(1.0, z + np.array([[1.0], [0.0], [-1.0]]) * m)
-    lo, hi, owner = _pieces(x_lo, np.where((xi != 0.0) & (m != 0.0), x_hi, x_lo), root0, *_KINK_CUTS)
+    x_hi = np.where((xi != 0.0) & (m != 0.0), x_hi, x_lo)
+    peak_cuts = _graded(root0, np.abs(xi**3) * _dmu(root0), x_lo, x_hi)
+    lo, hi, owner = _pieces(x_lo, x_hi, root0, *_KINK_CUTS, *peak_cuts)
     ns, nb = -2.0 * s, -2.0 * b
     fn = lambda x, xi3, z: np.abs(x - x * x) ** ns * (1.0 + np.abs(xi3 * _mu(x, z))) ** nb
     val, n = _batched_quad(fn, lo, hi, owner, (xi**3, z), len(xi), q)
@@ -346,7 +383,8 @@ def _k_cubic_region_b(smp, p, q: QuadSpec, sign: float) -> tuple[np.ndarray, int
     mu = lambda x, xi1, tau1: tau1 + 2.0 * x**3 - xi1**3 - 3.0 * x * xi1 * (x - xi1)
     lo, root0, hi = _cubic_root(xi1, tau1 - xi1**3 + np.array([[2.0], [0.0], [-2.0]]) * M)
     hi = np.where((np.abs(xi1) >= 1.0) & (M != 0.0), hi, lo)
-    return _region_b(mu, 2.0 * M * (1.0 + 1e-12), lo, hi, (root0, 0.0), xi1, tau1, m_center, p, q)
+    pts = (root0, 0.0, *_graded(root0, (6.0 * root0 - 6.0 * xi1) * root0 + 3.0 * xi1 * xi1, lo, hi))
+    return _region_b(mu, 2.0 * M * (1.0 + 1e-12), lo, hi, pts, xi1, tau1, m_center, p, q)
 
 
 def _k_mixed_region_b2(smp, p, q: QuadSpec) -> tuple[np.ndarray, int]:
@@ -489,6 +527,9 @@ def kernel_bound_check(
     if unknown:
         raise ValueError(f"unknown params {unknown} for kernel {kernel_id!r}; it takes {sorted(kd.default_params)}")
     p = {**kd.default_params, **(params or {})}
+    bad = {name: val for name, val in p.items() if not math.isfinite(val)}
+    if bad:
+        raise ValueError(f"params of kernel {kernel_id!r} must be finite, got {bad}")
     for statement, holds in kd.requires:
         if not holds(p):
             raise HypothesisViolation(f"hypothesis failed: {statement}")
@@ -496,7 +537,10 @@ def kernel_bound_check(
     if not samples:
         raise ValueError("kernel_bound_check needs at least one sample")
     q = quad_spec or QuadSpec()
-    smp = np.asarray(samples, dtype=np.float64)
+    try:
+        smp = np.asarray(samples, dtype=np.float64)
+    except (TypeError, ValueError) as e:  # ragged, or not numbers
+        raise ValueError(f"sample_grid must hold (x, y) pairs of numbers: {e}") from None
     if smp.ndim != 2 or smp.shape[1] != 2:
         raise ValueError(f"sample_grid must hold (x, y) pairs, got shape {smp.shape}")
     if not np.isfinite(smp).all():

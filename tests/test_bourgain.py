@@ -215,6 +215,10 @@ def test_pointwise_bound_scan():
     for name, kw in (("extent", dict(extent=np.nan)), ("extent", dict(extent=0.0)), ("n_side", dict(n_side=0))):
         with pytest.raises(ValueError, match=f"^{name} "):
             pointwise_bound_scan(1.0, 2.0, -1.0, **{"n_side": 200, **kw})
+    # a non-finite speed used to come back as a scan with bound nan
+    for name, kw in (("a", dict(a=np.nan)), ("a0", dict(a0=np.inf)), ("a1", dict(a1=-np.inf))):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            pointwise_bound_scan(**{"a": 1.0, "a0": 2.0, "a1": -1.0, "n_side": 200, **kw})
 
 
 def test_embedding_constant_values():
@@ -312,6 +316,11 @@ def test_nonequivalence_demo_validation():
         nonequivalence_demo(1.0, -1.0, -3.0, 3.0, [4.0, 8.0])
     with pytest.raises(ValueError):
         nonequivalence_demo(0.0, -1.0, 0.0, 3.0, [4.0, 8.0])
+    # nan norms, a ZeroDivisionError, or (s) no error at all before these checks
+    for name, value in (("a0", np.nan), ("a1", np.inf), ("s", np.nan), ("b", np.inf)):
+        args = {"a0": 1.0, "a1": -1.0, "s": 0.0, "b": 3.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            nonequivalence_demo(**args, radii=[4.0, 8.0])
     # one radius admits no growth fit and no stabilization check
     for radii in ([8.0], [8.0, 8.0], [], [0.0, 8.0], [-8.0, 8.0], [8.0, np.inf], [np.nan, 8.0]):
         with pytest.raises(ValueError, match="two or more distinct positive radii"):

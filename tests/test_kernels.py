@@ -135,10 +135,18 @@ def test_non_finite_samples_are_rejected(sample):
         kernel_bound_check("mixed_core", sample_grid=[(1.0, 1.0), sample])
 
 
-@pytest.mark.parametrize("sample_grid", [[(1.0, 2.0, 3.0)], [1.0, 2.0], [[(1.0, 2.0)]]])
+@pytest.mark.parametrize("sample_grid", [[(1.0, 2.0, 3.0)], [1.0, 2.0], [[(1.0, 2.0)]], [(1.0, 2.0), (3.0,)]])
 def test_samples_that_are_not_pairs_are_rejected(sample_grid):
     with pytest.raises(ValueError, match="^sample_grid "):
         kernel_bound_check("mixed_core", sample_grid=sample_grid)
+
+
+@pytest.mark.parametrize("kid, params", [("level_set", {"b": math.inf}), ("mixed_core", {"b_prime": math.nan})])
+def test_non_finite_params_are_rejected(kid, params):
+    # b = inf used to pass "b > 1/2" and report zeros marked stable
+    (name,) = params
+    with pytest.raises(ValueError, match=f"params of kernel '{kid}' must be finite, got {{'{name}'"):
+        kernel_bound_check(kid, params=params, sample_grid=[(1.0, 1.0)])
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -434,6 +442,15 @@ def test_mixed_region_a1_a2_match_tight_quadpack(kid, monkeypatch):
             assert abs(value / pref - full) <= tol, (smp, q)
     calls = counted_rule(monkeypatch, kernels)
     assert kernel_bound_check(kid)[1].neval == sum(calls) > 0
+
+
+def test_mixed_core_finds_a_peak_far_narrower_than_gk21_node_spacing():
+    # At (xi, z) = (-1e4, -2) the prefactor is |xi|^3 and mu's root is x = 1 with mu'(1) = 3, so the
+    # peak is 1/(3e12) wide and the value tends to 2/((2b - 1) mu'(1)) = 10/3 at b = 0.6 as |xi|
+    # grows.  With the root as its only cut, the rule read 0.0122 and 0.00916 in its two passes.
+    _, r = kernel_bound_check("mixed_core", sample_grid=[(-1e4, -2.0)])
+    assert r.max_refined == pytest.approx(r.max_base, rel=1e-6, abs=0.0)
+    assert r.max_base == pytest.approx(10.0 / 3.0, rel=0.01, abs=0.0)
 
 
 # --- the closed-form cubic root --------------------------------------------
