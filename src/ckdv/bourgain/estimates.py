@@ -16,14 +16,14 @@ import numpy as np
 
 from ..diagnostics import loglog_slope
 from ..grid import SpectralField, forward
-from .kernels import QuadSpec, _batched_quad, _graded, _pieces
+from .kernels import QuadSpec, _batched_quad
 from .spacetime import (
     SpaceTimeField,
     bracket_norm,
     duhamel_field,
     free_field,
+    SpaceTimeGrid,
     from_time_slices,
-    make_st_grid,
     weight_table,
     xsb_norm,
 )
@@ -256,6 +256,8 @@ def nonequivalence_demo(
         raise ValueError("the construction needs s > 1/2 - b")
     if a0 == 0.0 or a1 == 0.0:
         raise ValueError("both speeds must be nonzero")
+    if a0 == a1:  # the divergent norm would be the convergent one
+        raise ValueError(f"a0 and a1 must differ, got {a0} for both")
     radii = list(radii)
     if len(set(radii)) < 2 or not all(0.0 < r < math.inf for r in radii):  # NaN fails both
         raise ValueError("the growth fit needs two or more distinct positive radii")
@@ -265,9 +267,8 @@ def nonequivalence_demo(
     def tau_quad(xi, a_top, rad):
         # int_{-R}^{R} (1+|tau + a_top xi^3|)^(2b) (1+|tau + a1 xi^3|)^(-4b) dtau, per node
         c_top, c_bot = a_top * xi**3, a1 * xi**3
-        lo, hi, owner = _pieces(-rad, rad, -c_top, -c_bot, *_graded(-c_bot, 1.0, -rad, rad))
         fn = lambda t, c_top, c_bot: (1.0 + np.abs(t + c_top)) ** tb * (1.0 + np.abs(t + c_bot)) ** mfb
-        val, n = _batched_quad(fn, lo, hi, owner, (c_top, c_bot), xi.size, _NONEQ_INNER)
+        val, n = _batched_quad(fn, -rad, rad, (c_top, c_bot), _NONEQ_INNER, cuts=[-c_top], peaks=[(-c_bot, 1.0)])
         inner_evals[0] += n
         return val
 
@@ -286,8 +287,8 @@ def nonequivalence_demo(
 
     jobs = sorted({(a, r) for a in (a0, a1) for r in radii})  # each distinct norm once
     a_top, rad = (np.array(v) for v in zip(*jobs))
-    lo, hi, owner = _pieces(0.0, rad, np.cbrt(rad / abs(a0)), np.cbrt(rad / abs(a1)))
-    val, n_outer = _batched_quad(outer, lo, hi, owner, (a_top, rad), len(jobs), _NONEQ_OUTER)
+    kinks = [np.cbrt(rad / abs(a0)), np.cbrt(rad / abs(a1))]
+    val, n_outer = _batched_quad(outer, 0.0, rad, (a_top, rad), _NONEQ_OUTER, cuts=kinks)
     done = dict(zip(jobs, np.sqrt(2.0 * val).tolist()))
     div = [done[a0, r] for r in radii]
     conv = [done[a1, r] for r in radii]
@@ -310,7 +311,7 @@ class LinearEstimateReport:
 
 
 def linear_estimate_check(
-    u0: SpectralField,
+    stg: SpaceTimeGrid,
     a: float,
     s: float,
     b: float,
@@ -318,20 +319,21 @@ def linear_estimate_check(
     *,
     n_fields: int = 50,
     seed: int = 7,
-    n_t: int = 512,
     t_ladder=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
 ) -> LinearEstimateReport:
-    """Statistical check of the two linear estimates.
+    """Statistical check of the two linear estimates on the grid stg, whose
+    time box must hold supp psi = [-2, 2].
 
     Free part: the ratio ||psi * (free evolution of u0)|| / ||u0||_s is a
     constant depending only on (b, psi); the battery of random data
-    (u0 plus n_fields - 1 random fields on its grid, band-limited so no
-    modulation aliases off the tau grid) must show a tiny coefficient of
-    variation, so n_fields must be 2 or more.  The spatial norm uses the
-    (1+|xi|)^s weight matched to the space-time weight, which is what makes
-    the ratio exactly field-independent in the continuum.  free_field(w0)
-    is w0's coefficients times a (xi, tau) table T that does not depend on
-    w0, so the squared norm is cell * sum_xi |w0(xi)|^2 sum_tau W |T|^2.
+    (u0 = e^(-x^2) on stg.x plus n_fields - 1 random fields on that grid,
+    band-limited so no modulation aliases off the tau grid) must show a
+    tiny coefficient of variation, so n_fields must be 2 or more.  The
+    spatial norm uses the (1+|xi|)^s weight matched to the space-time
+    weight, which is what makes the ratio exactly field-independent in the
+    continuum.  free_field(w0) is w0's coefficients times a (xi, tau) table
+    T that does not depend on w0, so the squared norm is
+    cell * sum_xi |w0(xi)|^2 sum_tau W |T|^2.
 
     Inhomogeneous part: for each horizon T of `t_ladder`, a forcing family
     with modulation concentrated at |tau + a xi^3| ~ 1.5/T is pushed
@@ -349,16 +351,17 @@ def linear_estimate_check(
     ladder = [float(x) for x in t_ladder]
     if len(set(ladder)) < 2 or not all(0.0 < x <= 1.0 for x in ladder):
         raise ValueError(f"t_ladder needs two or more distinct horizons in (0, 1], got {ladder}")
-    stg = make_st_grid(u0.grid.n, u0.grid.period, n_t=n_t)
+    if stg.t.period < 4.0:
+        raise ValueError(f"stg.t.period must be >= 4 for the time box to hold supp psi = [-2, 2], got {stg.t.period}")
     tau_max = float(np.max(np.abs(stg.t.xi)))
     # keep |a| xi_band^3 well inside the tau band so e^{-i a xi^3 t} is resolved
     xi_band = 0.5 * (tau_max / abs(a)) ** (1.0 / 3.0)
 
-    g = u0.grid
+    g = stg.x
     mask = np.abs(g.xi) <= xi_band
     # field k takes standard_normal(n) twice, real then imaginary parts
     draws = np.random.default_rng(seed).standard_normal((n_fields - 1, 2, g.n))
-    data = [u0]
+    data = [forward(np.exp(-(g.x**2)), g)]
     for re, im in draws:
         vals = SpectralField(np.where(mask, re + 1j * im, 0.0), g).values()  # realize, then re-transform
         data.append(forward(vals, g))

@@ -27,16 +27,17 @@ graded toward the kinks of their weight |x - x^2|^(-2s) at 0 and 1.
 
 An integrand peaks where the level inside a bracket <k level(x)> has a root,
 and the peak is about 1/(k |level'|) wide there: 3e-13 for mixed_core at
-xi = -1e4.  _graded cuts each such root at -+ 4^j widths, j = 0, 1, ...,
-until the cuts leave the window, so the rule starts from panels on the
-peak's scale instead of halving toward it from the window's ends, and finds
-peaks far narrower than its node spacing.  peak_pair's two peaks are 1
-wide; an even bracket with no root (c <= 0) is graded from x = 0 on its
-decay scale sqrt((1 + k|c|)/k).
+xi = -1e4.  Each kernel hands such a root to _batched_quad as a peak, which
+is cut at -+ 4^j widths, j = 0, 1, ..., until the cuts leave the window, so
+the rule starts from panels on the peak's scale instead of halving toward it
+from the window's ends; a peak narrower than the float spacing at its root
+is refused.  peak_pair's two peaks are 1 wide; an even bracket with no root
+(c <= 0) is graded from x = 0 on its decay scale sqrt((1 + k|c|)/k), and one
+whose peak sqrt(c) lies at or past x_max is refused.
 
-Every kernel evaluates all the samples of one pass at once: it builds
-each sample's intervals as numpy arrays and integrates them all in one
-call of _batched_quad, which also counts the integrand evaluations.
+Every kernel evaluates all the samples of one pass at once: it builds each
+sample's window, cuts and peaks as numpy arrays, and one call of
+_batched_quad cuts, integrates and counts the integrand evaluations.
 
 Half-line rule: an integrand that depends on x only through x^2, with
 limits and breakpoints symmetric about 0, is integrated over x >= 0 and
@@ -127,23 +128,29 @@ def _gk21(fn, lo, hi, args) -> np.ndarray:
     return np.vstack([lo, hi, kron * half, np.maximum(err, floor), floor])
 
 
-def _batched_quad(fn, lo, hi, owner, args, count: int, q: QuadSpec) -> tuple[np.ndarray, int]:
-    """Integrals 0..count-1, integral i the sum of fn over the pieces lo[k] < x < hi[k] with
-    owner[k] == i, and the number of integrand evaluations.
+def _batched_quad(fn, lo, hi, args, q: QuadSpec, cuts=(), peaks=(), keep=None) -> tuple[np.ndarray, int]:
+    """Integral i of fn over the window lo[i] < x < hi[i], for each i, and the integrand evaluations.
 
-    args are per-integral arrays: fn(x, *(a[owner] for a in args)) is called with x of shape
-    (panels, 21) and each argument on a column, once for every live panel of every integral.
-    Each integral is refined on its own, under one budget max(q.epsabs, q.epsrel |I|): while
-    its summed error estimate exceeds the budget, each of its panels whose estimate exceeds
-    the budget's equal share is bisected, unless the estimate is at the panel's roundoff floor
-    50 eps int|f| or the panel is too narrow to halve.  An integral that would pass q.limit
-    panels raises RuntimeError: the cap is an error, not a warning.  A kink between a panel's
-    end and its outermost node is invisible to the estimate, and so is a peak narrower than the
-    node spacing, so callers cut at every kink and at cuts graded toward every narrow peak.
+    The cutting policy: lo, hi, args, each of `cuts` and each (centre, slope) of `peaks` broadcast
+    to one entry per integral; each window is cut at its cuts, at each peak's centre and at the
+    cuts _graded grades toward it, and keep(mid, owner), if given, drops each piece whose midpoint
+    it rejects.  A kink between a panel's end and its outermost node is invisible to the error
+    estimate, and so is a peak narrower than the node spacing: every kink must be a cut and every
+    narrow peak a peak.  fn(x, *(a[owner] for a in args)) is called with x of shape (panels, 21)
+    and each argument on a column, once for every live panel of every integral.  Each integral is
+    refined on its own, under one budget max(q.epsabs, q.epsrel |I|): while its summed error
+    estimate exceeds the budget, each of its panels whose estimate exceeds the budget's equal
+    share is bisected, unless the estimate is at the panel's roundoff floor 50 eps int|f| or the
+    panel is too narrow to halve.  An integral that would pass q.limit panels raises RuntimeError.
     """
-    owner = np.asarray(owner)
-    args = [np.asarray(a, dtype=np.float64) for a in args]
-    panels = _gk21(fn, np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64), [a[owner] for a in args])
+    lo, hi, *args = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (lo, hi, *args)))
+    count = lo.size
+    graded = [g for centre, slope in peaks for g in _graded(centre, slope, lo, hi)]
+    lo, hi, owner = _pieces(lo, hi, *cuts, *(centre for centre, _ in peaks), *graded)
+    if keep is not None:
+        inside = keep(0.5 * (lo + hi), owner)
+        lo, hi, owner = lo[inside], hi[inside], owner[inside]
+    panels = _gk21(fn, lo, hi, [a[owner] for a in args])
     neval = owner.size * _GK_X.size
     out = np.zeros(count)
     while owner.size:
@@ -187,10 +194,15 @@ def _pieces(lo, hi, *pts):
 def _graded(center, slope, lo, hi) -> list:
     """Cuts graded toward peaks 1/slope wide: center -+ 4^k / slope for k = 0, 1, ..., K - 1, as
     2K columns (slope <= 0: no peak, no cuts), where K is the count at which the narrowest peak's
-    outermost cuts leave the widest window [lo, hi].  A cut outside its window cuts nothing."""
-    center, slope = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (center, slope)))
+    outermost cuts leave the widest window [lo, hi].  A cut outside its window cuts nothing; a peak
+    in its window whose nearest cuts round onto its center raises ValueError."""
+    center, slope, lo, hi = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (center, slope, lo, hi)))
     width = np.divide(1.0, slope, out=np.full(slope.shape, np.nan), where=slope > 0.0)
-    steep, span = np.max(slope[np.isfinite(slope)], initial=0.0), np.max(np.asarray(hi) - lo)
+    blind = (lo <= center) & (center <= hi) & ((center - width == center) | (center + width == center))
+    if blind.any():
+        i = np.argmax(blind)
+        raise ValueError(f"the peak at x = {center[i]:.17g} is {width[i]:.3g} wide, narrower than the float spacing there")
+    steep, span = np.max(slope[np.isfinite(slope)], initial=0.0), np.max(hi - lo)
     if steep <= 0.0 or span <= 0.0:
         return []
     grades = 1 + max(0, math.ceil(math.log(span * steep, 4.0)))
@@ -232,9 +244,12 @@ def _even_bracket(k, c, nb: float, ok, q: QuadSpec) -> tuple[np.ndarray, int]:
     """
     peak = np.sqrt(np.maximum(c, 0.0))
     slope = np.where(c > 0.0, 2.0 * k * peak, np.sqrt(k / (1.0 + k * np.abs(c))))
-    hi = np.where(ok, q.x_max, 0.0)
-    lo, hi, owner = _pieces(0.0, hi, peak, *_graded(peak, slope, 0.0, hi))
-    val, n = _batched_quad(lambda x, k, c: (1.0 + k * np.abs(c - x * x)) ** nb, lo, hi, owner, (k, c), len(k), q)
+    past = ok & (c > 0.0) & (peak >= q.x_max)
+    if past.any():
+        i = np.argmax(past)
+        raise ValueError(f"sample {i} has its even-bracket peak sqrt(c) = {peak[i]:g} at or past x_max = {q.x_max:g}")
+    fn = lambda x, k, c: (1.0 + k * np.abs(c - x * x)) ** nb
+    val, n = _batched_quad(fn, 0.0, np.where(ok, q.x_max, 0.0), (k, c), q, peaks=[(peak, slope)])
     return 2.0 * val, n
 
 
@@ -251,9 +266,8 @@ def _k_peak_pair(smp, p, q: QuadSpec) -> tuple[np.ndarray, int]:
     a, a_prime = smp.T
     na, nbeta = -p["alpha"], -p["beta"]
     lo, hi = np.minimum(a, a_prime) - q.x_max, np.maximum(a, a_prime) + q.x_max
-    lo, hi, owner = _pieces(lo, hi, a, a_prime, *_graded(a, 1.0, lo, hi), *_graded(a_prime, 1.0, lo, hi))
     fn = lambda x, a, ap: (1.0 + np.abs(x - ap)) ** na * (1.0 + np.abs(x - a)) ** nbeta
-    val, n = _batched_quad(fn, lo, hi, owner, (a, a_prime), len(a), q)
+    val, n = _batched_quad(fn, lo, hi, (a, a_prime), q, peaks=[(a, 1.0), (a_prime, 1.0)])
     return val * (1.0 + np.abs(a - a_prime)) ** p["alpha"], n
 
 
@@ -295,8 +309,7 @@ def _k_flip_region_a(smp, p, q: QuadSpec) -> tuple[np.ndarray, int]:
     lo = np.sqrt(np.maximum(lo2, 0.0))
     hi = np.where((xi != 0.0) & (hi2 > 0.0), np.sqrt(np.maximum(hi2, 0.0)), lo)
     x0 = np.where(c > 0.0, np.sqrt(np.maximum(c, 0.0) / 3.0), np.nan)
-    lo, hi, owner = _pieces(lo, hi, 0.5, x0, *_graded(x0, 6.0 * np.abs(xi**3) * x0, lo, hi))
-    val, n = _batched_quad(fn, lo, hi, owner, (xi**3, c), len(xi), q)
+    val, n = _batched_quad(fn, lo, hi, (xi**3, c), q, cuts=[0.5], peaks=[(x0, 6.0 * np.abs(xi**3) * x0)])
     return pref * 2.0 * val, n
 
 
@@ -316,9 +329,8 @@ def _k_mixed_core(smp, p, q: QuadSpec) -> tuple[np.ndarray, int]:
     pref = xi3 * (1.0 + xi3 * np.abs(z + 2.0)) ** (2.0 * p["b_prime"])
     root = _cubic_root(1.0, z)
     hi = np.where(xi != 0.0, q.x_max, -q.x_max)
-    lo, hi, owner = _pieces(-q.x_max, hi, root, *_graded(root, xi3 * _dmu(root), -q.x_max, hi))
     fn = lambda x, xi3, z: (1.0 + xi3 * np.abs(_mu(x, z))) ** nb
-    val, n = _batched_quad(fn, lo, hi, owner, (xi3, z), len(xi), q)
+    val, n = _batched_quad(fn, -q.x_max, hi, (xi3, z), q, peaks=[(root, xi3 * _dmu(root))])
     return pref * val, n
 
 
@@ -333,11 +345,9 @@ def _mixed_region_a(xi, z, center, p, q: QuadSpec) -> tuple[np.ndarray, int]:
     pref = np.abs(xi) ** (3.0 - 2.0 * s) * _br(xi**3 * center) ** (2.0 * bp)
     x_lo, root0, x_hi = _cubic_root(1.0, z + np.array([[1.0], [0.0], [-1.0]]) * m)
     x_hi = np.where((xi != 0.0) & (m != 0.0), x_hi, x_lo)
-    peak_cuts = _graded(root0, np.abs(xi**3) * _dmu(root0), x_lo, x_hi)
-    lo, hi, owner = _pieces(x_lo, x_hi, root0, *_KINK_CUTS, *peak_cuts)
     ns, nb = -2.0 * s, -2.0 * b
     fn = lambda x, xi3, z: np.abs(x - x * x) ** ns * (1.0 + np.abs(xi3 * _mu(x, z))) ** nb
-    val, n = _batched_quad(fn, lo, hi, owner, (xi**3, z), len(xi), q)
+    val, n = _batched_quad(fn, x_lo, x_hi, (xi**3, z), q, cuts=_KINK_CUTS, peaks=[(root0, np.abs(xi**3) * _dmu(root0))])
     return pref * val, n
 
 
@@ -352,21 +362,19 @@ def _k_mixed_region_a2(smp, p, q: QuadSpec) -> tuple[np.ndarray, int]:
     return _mixed_region_a(xi, -y, y, p, q)
 
 
-def _region_b(level, width, lo, hi, pts, xi1, tau1, m_center, p, q: QuadSpec) -> tuple[np.ndarray, int]:
+def _region_b(level, width, lo, hi, xi1, tau1, m_center, p, q: QuadSpec, cuts, peaks=()) -> tuple[np.ndarray, int]:
     """<m_center>^(-b) sqrt(int w) over the set |level(x)| <= width in [lo, hi], less |x - xi1| < 1,
     and the evaluations; w = |x|^(2+2s) |x xi1 (x - xi1)|^(-2s) <x>^(2s) <level(x)>^(2b').
 
-    [lo, hi] is cut at pts and at xi1 +- 1, and each piece is in or out as its midpoint is.
+    [lo, hi] is cut at cuts, at peaks and at xi1 +- 1, and each piece is in or out as its midpoint is.
     """
     s, bp = p["s"], p["b_prime"]
-    lo, hi, owner = _pieces(lo, hi, *pts, xi1 - 1.0, xi1 + 1.0)
-    mid, x1 = 0.5 * (lo + hi), xi1[owner]
-    keep = (np.abs(level(mid, x1, tau1[owner])) <= width[owner]) & (np.abs(mid - x1) >= 1.0)
+    keep = lambda mid, i: (np.abs(level(mid, xi1[i], tau1[i])) <= width[i]) & (np.abs(mid - xi1[i]) >= 1.0)
     fn = lambda x, xi1, tau1: (
         np.abs(x) ** (2.0 * (1.0 + s)) * np.abs(x * xi1 * (x - xi1)) ** (-2.0 * s)
         * (1.0 + np.abs(x)) ** (2.0 * s) * (1.0 + np.abs(level(x, xi1, tau1))) ** (2.0 * bp)
     )
-    val, n = _batched_quad(fn, lo[keep], hi[keep], owner[keep], (xi1, tau1), len(xi1), q)
+    val, n = _batched_quad(fn, lo, hi, (xi1, tau1), q, cuts=(*cuts, xi1 - 1.0, xi1 + 1.0), peaks=peaks, keep=keep)
     return _br(m_center) ** (-p["b"]) * np.sqrt(np.maximum(val, 0.0)), n
 
 
@@ -383,8 +391,8 @@ def _k_cubic_region_b(smp, p, q: QuadSpec, sign: float) -> tuple[np.ndarray, int
     mu = lambda x, xi1, tau1: tau1 + 2.0 * x**3 - xi1**3 - 3.0 * x * xi1 * (x - xi1)
     lo, root0, hi = _cubic_root(xi1, tau1 - xi1**3 + np.array([[2.0], [0.0], [-2.0]]) * M)
     hi = np.where((np.abs(xi1) >= 1.0) & (M != 0.0), hi, lo)
-    pts = (root0, 0.0, *_graded(root0, (6.0 * root0 - 6.0 * xi1) * root0 + 3.0 * xi1 * xi1, lo, hi))
-    return _region_b(mu, 2.0 * M * (1.0 + 1e-12), lo, hi, pts, xi1, tau1, m_center, p, q)
+    peak = (root0, (6.0 * root0 - 6.0 * xi1) * root0 + 3.0 * xi1 * xi1)
+    return _region_b(mu, 2.0 * M * (1.0 + 1e-12), lo, hi, xi1, tau1, m_center, p, q, (0.0,), [peak])
 
 
 def _k_mixed_region_b2(smp, p, q: QuadSpec) -> tuple[np.ndarray, int]:
@@ -402,7 +410,7 @@ def _k_mixed_region_b2(smp, p, q: QuadSpec) -> tuple[np.ndarray, int]:
                   for sg in (-1.0, 1.0)]
     lo, hi = np.fmin.reduce(roots[:4]), np.fmax.reduce(roots[:4])
     kappa = lambda x, xi1, tau1: tau1 + 3.0 * x * xi1 * (x - xi1) + xi1**3
-    return _region_b(kappa, 2.0 * M, lo, np.where(ok, hi, lo), (*roots, xi1 / 2.0, 0.0), xi1, tau1, m_center, p, q)
+    return _region_b(kappa, 2.0 * M, lo, np.where(ok, hi, lo), xi1, tau1, m_center, p, q, (*roots, xi1 / 2.0, 0.0))
 
 
 # --- hypotheses: (statement, test) pairs over the params, checked in order --

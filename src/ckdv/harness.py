@@ -130,6 +130,7 @@ _nonzero = _check(_finite, lambda x: x != 0.0, "nonzero")
 _unit_time = _check(_finite, lambda x: 0.0 < x <= 1.0, "in (0, 1]")
 _pow2 = _check(_int, lambda n: n >= 16 and n & (n - 1) == 0, "a power of two >= 16")
 _nonneg = _check(_finite, lambda x: x >= 0.0, ">= 0")
+_time_box = _check(_finite, lambda x: x >= 4.0, ">= 4, a time box that holds supp psi = [-2, 2]")
 _count = _check(_int, lambda n: n >= 1, "an integer >= 1")
 _pairs = _check(_int, lambda n: n >= 2, "an integer >= 2")  # a ratio or a spread needs two
 _seed = _check(_int, lambda n: 0 <= n < 2**64, "an integer in [0, 2**64)")
@@ -646,11 +647,9 @@ def _run_convergence(cfg: ExperimentConfig, emit: _Emitter):
 def _run_bourgain(cfg: ExperimentConfig, emit: _Emitter):
     p = cfg.params
     s, b, n_x, period_x = p["s"], p["b"], p["n_x"], p["period_x"]
-    gx = Grid(n_x, period_x)
-    u0 = forward(np.exp(-(gx.x**2)), gx)
     rep = linear_estimate_check(
-        u0, p["a"], s, b, p["b_prime"],
-        n_fields=p["n_fields"], seed=cfg.seed, n_t=p["n_t"], t_ladder=p["t_values"],
+        make_st_grid(n_x, period_x, p["n_t"], p["period_t"]), p["a"], s, b, p["b_prime"],
+        n_fields=p["n_fields"], seed=cfg.seed, t_ladder=p["t_values"],
     )
     emit.csv("linear_free.csv", ["field", "ratio"], enumerate(rep.free_ratios))
     emit.csv("linear_duhamel.csv", ["T", "ratio"], zip(rep.duhamel_T, rep.duhamel_ratios))
@@ -824,7 +823,7 @@ KINDS = {
         "bourgain", _SEED,
         {"s": (_finite, 0.0), "b": (_finite, 0.6), "b_prime": (_finite, -0.3), "a": (_nonzero, 1.0),
          "n_x": (_pow2, 128), "period_x": (_positive, 16.0 * np.pi),
-         "n_t": (_pow2, 512), "period_t": (_positive, 8.0), "n_fields": (_pairs, 50),
+         "n_t": (_pow2, 512), "period_t": (_time_box, 8.0), "n_fields": (_pairs, 50),
          "t_values": (_ladder(_unit_time), (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)),
          "embedding_speeds": (_list_of(_nonzero, 3), (2.0, 1.0, 3.0)),
          "pair_first": (_list_of(_nonzero, 2), (1.0, 3.0)),
@@ -837,7 +836,8 @@ KINDS = {
         {"a0": (_nonzero, 1.0), "a1": (_nonzero, -1.0), "s": (_finite, 0.0), "b": (_finite, 3.0),
          "radii": (_ladder(_positive), (8.0, 16.0, 32.0, 64.0))},
         _run_noneq,
-        rule=lambda c: None if c.params["b"] > 0.5 and c.params["s"] > 0.5 - c.params["b"]
+        rule=lambda c: "the nonequivalence construction needs a0 != a1" if c.params["a0"] == c.params["a1"]
+        else None if c.params["b"] > 0.5 and c.params["s"] > 0.5 - c.params["b"]
         else "the nonequivalence construction needs b > 1/2 and s > 1/2 - b",
     ),
     # one stored state's diagnostics row; the snapshot file is read at parse time

@@ -20,7 +20,6 @@ from ckdv import (
     collect,
     config_from_dict,
     field_from_callable,
-    forward,
     gg_lambda_alpha,
     hs_as_kdv,
     inverse,
@@ -193,12 +192,11 @@ def test_c09_norm_growth_separation(shipped_run):
 
 
 def test_c10_linear_estimates():
-    gx = Grid(128, 16.0 * np.pi)
-    u0 = forward(np.exp(-(gx.x**2)), gx)
+    stg = make_st_grid(128, 16.0 * np.pi, 512, 8.0)
     checks = []
     details = []
     for b, bp in ((0.6, -0.3), (0.55, -0.45), (0.75, 0.0)):
-        rep = linear_estimate_check(u0, 1.0, 0.0, b, bp, n_fields=50, seed=7, n_t=512)
+        rep = linear_estimate_check(stg, 1.0, 0.0, b, bp, n_fields=50, seed=7)
         err = abs(rep.fitted_exponent - rep.target_exponent)
         checks.append(check_bound("free_cv", rep.free_cv, *BOUNDS["free_cv"]))
         checks.append(check_bound("duhamel_exponent_err", err, *BOUNDS["duhamel_exponent_err"]))

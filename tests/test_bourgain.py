@@ -37,6 +37,7 @@ from ckdv.bourgain.spacetime import (
 )
 from ckdv.bump import psi, psi_T
 from ckdv.grid import Grid, SpectralField, field_from_callable, forward
+from ckdv.harness import ConfigError, config_from_dict
 
 
 @pytest.fixture
@@ -303,10 +304,14 @@ def test_nonequivalence_settling_uses_the_two_largest_distinct_radii():
         assert (got.final_rel_change, got.stabilized) == (want.final_rel_change, want.stabilized)
 
 
-def test_nonequivalence_demo_equal_speeds_agree():
-    table = nonequivalence_demo(2.0, 2.0, 0.0, 3.0, [4.0, 8.0])
-    assert np.allclose(table.divergent_norms, table.convergent_norms, rtol=1e-10)
-    assert abs(table.growth_exponent) < 0.05
+@pytest.mark.parametrize("a", [-1.0, 2.0])
+def test_nonequivalence_refuses_equal_speeds(a):
+    # with a0 == a1 the "divergent" norm is the convergent one, yet at a = -1 the run passed
+    # c09 with growth_exponent 0.00091 > 0 and final_rel_change 2.3e-4
+    with pytest.raises(ValueError, match=f"^a0 and a1 must differ, got {a} for both"):
+        nonequivalence_demo(a, a, 0.0, 3.0, [4.0, 8.0])
+    with pytest.raises(ConfigError, match="needs a0 != a1"):
+        config_from_dict({"kind": "nonequivalence", "params": {"a0": a, "a1": a}})
 
 
 def test_nonequivalence_demo_validation():
@@ -328,26 +333,34 @@ def test_nonequivalence_demo_validation():
 
 
 def test_linear_estimate_check_cheap():
-    g = Grid(64, 8.0 * np.pi)
-    u0 = field_from_callable(lambda x: np.exp(-(x**2)), g)
+    grid, small = make_st_grid(64, 8.0 * np.pi, n_t=256), make_st_grid(64, 8.0 * np.pi, n_t=64)
     rep = linear_estimate_check(
-        u0, 1.0, 0.0, 0.6, -0.3, n_fields=8, n_t=256, t_ladder=(0.2, 0.4, 0.6, 0.8, 1.0)
+        grid, 1.0, 0.0, 0.6, -0.3, n_fields=8, t_ladder=(0.2, 0.4, 0.6, 0.8, 1.0)
     )
     assert rep.free_cv < 1e-2
     assert len(rep.free_ratios) == 8
     assert abs(rep.fitted_exponent - rep.target_exponent) < 0.15
     with pytest.raises(ValueError):
-        linear_estimate_check(u0, 0.0, 0.0, 0.6, -0.3)
+        linear_estimate_check(grid, 0.0, 0.0, 0.6, -0.3)
     with pytest.raises(ValueError):
-        linear_estimate_check(u0, 1.0, 0.0, 0.6, 0.1)
+        linear_estimate_check(grid, 1.0, 0.0, 0.6, 0.1)
     # one field forms one ratio, whose spread free_cv is 0 whatever the estimate
     for n_fields in (0, 1):
         with pytest.raises(ValueError, match="n_fields must be at least 2"):
-            linear_estimate_check(u0, 1.0, 0.0, 0.6, -0.3, n_fields=n_fields, n_t=64)
+            linear_estimate_check(small, 1.0, 0.0, 0.6, -0.3, n_fields=n_fields)
     # the exponent is fitted over the ladder: two or more distinct horizons in (0, 1]
     for t_ladder in ((0.5,), (0.5, 0.5), (0.5, 1.5), (0.0, 0.5)):
         with pytest.raises(ValueError, match="two or more distinct horizons"):
-            linear_estimate_check(u0, 1.0, 0.0, 0.6, -0.3, n_fields=2, n_t=64, t_ladder=t_ladder)
+            linear_estimate_check(small, 1.0, 0.0, 0.6, -0.3, n_fields=2, t_ladder=t_ladder)
+
+
+@pytest.mark.parametrize("period_t", [2.0, 3.0, 3.99])
+def test_time_box_must_hold_psi_support(period_t):
+    # the box [-period_t/2, period_t/2) holds supp psi = [-2, 2] only from period_t = 4 on
+    with pytest.raises(ConfigError, match="'period_t' must be >= 4"):
+        config_from_dict({"kind": "bourgain_suite", "params": {"period_t": period_t}})
+    with pytest.raises(ValueError, match=f"^stg.t.period must be >= 4 .* got {period_t}"):
+        linear_estimate_check(make_st_grid(16, 4.0 * np.pi, 32, period_t), 1.0, 0.0, 0.6, -0.3)
 
 
 def test_bilinear_ratio_band_stability_cheap():
@@ -564,10 +577,9 @@ def test_linear_estimate_free_ratios_match_per_field_reference():
     g = Grid(32, 8.0 * np.pi)
     u0 = field_from_callable(lambda x: np.exp(-(x**2)), g)
     a, s, b, n_t, seed = -1.5, 0.3, 0.6, 64, 4
-    rep = linear_estimate_check(u0, a, s, b, -0.3, n_fields=6, seed=seed, n_t=n_t,
-                                t_ladder=(0.5, 1.0))
-    # the battery, drawn as linear_estimate_check draws it
     stg = make_st_grid(g.n, g.period, n_t=n_t)
+    rep = linear_estimate_check(stg, a, s, b, -0.3, n_fields=6, seed=seed, t_ladder=(0.5, 1.0))
+    # the battery, drawn as linear_estimate_check draws it
     mask = np.abs(g.xi) <= 0.5 * (np.max(np.abs(stg.t.xi)) / abs(a)) ** (1.0 / 3.0)
     rng = np.random.default_rng(seed)
     data = [u0]

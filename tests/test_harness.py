@@ -647,6 +647,16 @@ def test_run_passes_only_when_every_check_does(monkeypatch, tmp_path, case, stri
     assert strict_json(tmp_path / "manifest.json")["checks"] == harness._jsonable(manifest.checks, strict=True)
 
 
+def test_bourgain_period_t_sets_the_linear_study_box(tmp_path):
+    # the linear study once built its own box, 8 wide, so period_t 8 and 16 wrote identical CSVs
+    for period_t in (8.0, 16.0):
+        params = {**BOURGAIN_CHEAP["params"], "n_t": 128, "t_values": [0.5, 1.0], "period_t": period_t}
+        cfg = {**BOURGAIN_CHEAP, "params": params}
+        assert run(config_from_dict(cfg), out_dir=tmp_path / str(period_t)).status != "error"
+    for name in ("linear_free.csv", "linear_duhamel.csv"):
+        assert (tmp_path / "8.0" / name).read_bytes() != (tmp_path / "16.0" / name).read_bytes()
+
+
 def test_scaling_covariance_catches_a_zero_order_term(monkeypatch, tmp_path):
     # u_t = ... + 1e-3 u breaks the KdV scaling, so the rescaled run leaves lam * base.half;
     # the norm ladder reads only the initial data, so its exponents still pass

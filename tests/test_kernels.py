@@ -176,11 +176,11 @@ def counted_rule(monkeypatch, module):
     """Wrap module._batched_quad's integrands to count their evaluations; returns the count list."""
     calls, rule = [], module._batched_quad
 
-    def rule_counting(fn, *args):
+    def rule_counting(fn, *args, **kwargs):
         def counted(x, *a):
             calls.append(x.size)
             return fn(x, *a)
-        return rule(counted, *args)
+        return rule(counted, *args, **kwargs)
 
     monkeypatch.setattr(module, "_batched_quad", rule_counting)
     return calls
@@ -193,7 +193,7 @@ def test_batched_quad_matches_the_tail_antiderivative():
     b = rng.uniform(0.55, 3.0, 200)
     want = _tail_antiderivative(ends[:, 1], b) - _tail_antiderivative(ends[:, 0], b)
     q = QuadSpec(epsabs=0.0, epsrel=1e-12)
-    lo, hi, owner = _pieces(ends[:, 0], ends[:, 1], 0.0)
+    owner = _pieces(ends[:, 0], ends[:, 1], 0.0)[2]
     assert np.bincount(owner).max() == 2  # some intervals are two pieces, summed into one integral
     calls = []
 
@@ -201,7 +201,7 @@ def test_batched_quad_matches_the_tail_antiderivative():
         calls.append(u.size)
         return (1.0 + np.abs(u)) ** (-2.0 * b)
 
-    got, neval = _batched_quad(fn, lo, hi, owner, (b,), 200, q)
+    got, neval = _batched_quad(fn, ends[:, 0], ends[:, 1], (b,), q, cuts=[0.0])
     # the reference subtracts two values of up to 1/(2b - 1): allow for its cancellation
     cancel = 4.0 * np.finfo(float).eps / (2.0 * b - 1.0)
     assert np.all(np.abs(got - want) <= q.epsrel * np.abs(want) + cancel)
@@ -211,7 +211,7 @@ def test_batched_quad_matches_the_tail_antiderivative():
 def test_batched_quad_raises_at_its_panel_cap():
     # an integrable singularity off every bisection point needs more than 5 panels
     with pytest.raises(RuntimeError, match="cap of 5 panels per integral"):
-        _batched_quad(lambda x: np.abs(x - 0.3) ** -0.5, [0.0], [1.0], [0], (), 1, QuadSpec(limit=5))
+        _batched_quad(lambda x: np.abs(x - 0.3) ** -0.5, [0.0], [1.0], (), QuadSpec(limit=5))
 
 
 def test_a_raising_kernel_names_itself_in_the_manifest(monkeypatch, tmp_path):
@@ -451,6 +451,27 @@ def test_mixed_core_finds_a_peak_far_narrower_than_gk21_node_spacing():
     _, r = kernel_bound_check("mixed_core", sample_grid=[(-1e4, -2.0)])
     assert r.max_refined == pytest.approx(r.max_base, rel=1e-6, abs=0.0)
     assert r.max_base == pytest.approx(10.0 / 3.0, rel=0.01, abs=0.0)
+
+
+@pytest.mark.parametrize("xi, want", [(-1e5, 3.3311), (-3e5, None), (-1e6, None)])
+def test_kernels_refuse_a_peak_narrower_than_the_float_spacing(xi, want):
+    # At (-1e5, -2) the peak, 1/(3e15) wide, is 1.5 float spacings of x = 1 wide and reads right.
+    # Narrower, the cuts round onto the root: both passes read 8.4948 at -3e5 and 223.16 at -1e6,
+    # each marked stable, where the limit is 10/3.
+    if want is None:
+        with pytest.raises(ValueError, match=r"peak at x = 1 is .* wide, narrower than the float spacing"):
+            kernel_bound_check("mixed_core", sample_grid=[(xi, -2.0)])
+    else:
+        assert kernel_bound_check("mixed_core", sample_grid=[(xi, -2.0)])[0] == pytest.approx(want, abs=1e-4)
+
+
+@pytest.mark.parametrize("kid, sample", [("level_set", (1.0, 200.0)), ("level_set", (1.0, 60.0)),
+                                         ("flip_core", (1.0, 3600.0))])
+def test_even_brackets_refuse_a_peak_at_or_past_the_window_end(kid, sample):
+    # level_set's (1, 200), peak at x = 200, read 0.0748 base and 0.1717 refined and was
+    # outvoted by (4, 4)'s 6.635, the check marked stable; flip_core peaks at sqrt(y + 1/4)
+    with pytest.raises(ValueError, match=r"^sample 1 has its even-bracket peak sqrt\(c\) = .* at or past x_max = 60$"):
+        kernel_bound_check(kid, sample_grid=[(4.0, 4.0), sample])
 
 
 # --- the closed-form cubic root --------------------------------------------
