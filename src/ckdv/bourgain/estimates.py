@@ -29,6 +29,7 @@ from .spacetime import (
 )
 
 TWO_PI = 2.0 * math.pi
+SIGMA_WINDOW = 8.0  # half-width in tau of the modulation window each bilinear_ratio field fills
 
 
 def _require_finite(**values) -> None:
@@ -322,7 +323,8 @@ def linear_estimate_check(
     t_ladder=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
 ) -> LinearEstimateReport:
     """Statistical check of the two linear estimates on the grid stg, whose
-    time box must hold supp psi = [-2, 2].
+    time box must hold supp psi = [-2, 2] and whose time step must be below
+    2 min(t_ladder), so that psi_T of every horizon keeps a sample off t = 0.
 
     Free part: the ratio ||psi * (free evolution of u0)|| / ||u0||_s is a
     constant depending only on (b, psi); the battery of random data
@@ -353,6 +355,8 @@ def linear_estimate_check(
         raise ValueError(f"t_ladder needs two or more distinct horizons in (0, 1], got {ladder}")
     if stg.t.period < 4.0:
         raise ValueError(f"stg.t.period must be >= 4 for the time box to hold supp psi = [-2, 2], got {stg.t.period}")
+    if stg.t.dx >= 2.0 * min(ladder):  # psi_T is supported on |t| < 2T: only t = 0 would remain
+        raise ValueError(f"stg.t.dx = {stg.t.dx:g} must be below 2 * min(t_ladder) = {2.0 * min(ladder):g}")
     tau_max = float(np.max(np.abs(stg.t.xi)))
     # keep |a| xi_band^3 well inside the tau band so e^{-i a xi^3 t} is resolved
     xi_band = 0.5 * (tau_max / abs(a)) ** (1.0 / 3.0)
@@ -434,7 +438,6 @@ def bilinear_ratio(
     seed: int = 0,
     dxi: float = 0.5,
     dtau: float = 0.5,
-    sigma_window: float = 8.0,
 ) -> BilinearReport:
     """Randomized ratio study for the derivative-product estimate.
 
@@ -475,8 +478,6 @@ def bilinear_ratio(
     for name, val in (("band", band), ("dxi", dxi), ("dtau", dtau)):
         if not (math.isfinite(val) and val > 0.0):
             raise ValueError(f"{name} must be positive and finite, got {val}")
-    if not (math.isfinite(sigma_window) and sigma_window >= 0.0):
-        raise ValueError(f"sigma_window must be non-negative and finite, got {sigma_window}")
     for name, val in (("a_left", a_left), ("a_right", a_right), ("a_out", a_out)):
         if not (math.isfinite(val) and val != 0.0):
             raise ValueError(f"{name} must be nonzero and finite, got {val}")
@@ -487,7 +488,7 @@ def bilinear_ratio(
     if h < 1:
         raise ValueError(f"band {band} holds no mode off xi = 0 at dxi {dxi}")
     m = 2 * h + 1
-    kap = int(round(sigma_window / dtau))
+    kap = int(round(SIGMA_WINDOW / dtau))
     kk = 2 * kap + 1
     xi = dxi * (np.arange(m) - h)
     xi2 = dxi * (np.arange(2 * m - 1) - 2 * h)

@@ -760,6 +760,9 @@ def _bourgain_rule(cfg: ExperimentConfig) -> Optional[str]:
     for key, start in (("embedding_speeds", 1), ("pair_first", 0), ("pair_second", 0)):
         if p[key][start] == p[key][start + 1]:
             return f"the reference speeds in {key} must differ"
+    if p["period_t"] / p["n_t"] >= 2.0 * min(p["t_values"]):  # psi_T would keep only t = 0
+        return (f"the time step period_t / n_t = {p['period_t'] / p['n_t']:g} must be below "
+                f"2 * min(t_values) = {2.0 * min(p['t_values']):g}")
     held, points = _spacetime_work(p)
     if held > MAX_SNAPSHOT_BYTES or points > MAX_SPACETIME_POINTS:
         return (f"the run holds {held:.3g} bytes at once and passes over {points:.3g} space-time points; "

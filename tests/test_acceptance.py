@@ -1,23 +1,24 @@
 """Acceptance gate: one test per shipped guarantee, one pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the summary lines.
-A test either pins the tolerance it enforces or reads the session's run of
-the shipped config of its claim and asserts that every check of the run
-passed, so the bound is the one the runner (and the CLI) asserts.  The printed detail records the
-measured value so regressions are visible in the log, not just the verdict.
+A test either reads the session's run of the shipped config of its claim
+and asserts that the run's checks passed, so the bound is the one the
+runner (and the CLI) asserts, or calls the library and pins the tolerance
+it enforces, for a reason LIBRARY_CALLS records.  The printed detail
+records the measured value so regressions are visible in the log, not just
+the verdict.
 """
 
+import inspect
+import json
 from pathlib import Path
 
 import numpy as np
 
 from ckdv import (
-    GearGrimshaw,
     Grid,
     HirotaSatsuma,
-    State,
     StepperConfig,
-    collect,
     config_from_dict,
     field_from_callable,
     gg_lambda_alpha,
@@ -34,16 +35,25 @@ from ckdv.bourgain import (
     embedding_check,
     f_w,
     intersection_equivalence,
-    linear_estimate_check,
     make_st_grid,
     pointwise_bound_scan,
     random_field,
 )
-from ckdv.diagnostics import COLUMNS
-from ckdv.harness import BOUNDS, check_bound
+from ckdv.harness import make_initial
 from ckdv.io import read_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# the criteria that call the library directly, not only through a shipped run, and why
+LIBRARY_CALLS = {
+    1: "the decoupling constants are a closed-form function, not a run",
+    4: "no kind computes the travelling-profile error",
+    6: "its large-data case must diverge, and a picard_study run of it reports fail",
+    7: "no kind runs its lattice scans",
+    8: "its thousand-field ensemble differs from the one bourgain_suite draws",
+    12: "no kind runs the bilinear band ladder",
+    13: "it tests the random-band draw itself",
+}
 
 
 def report(n, ok, detail):
@@ -51,14 +61,11 @@ def report(n, ok, detail):
     assert ok, f"criterion {n:02d}: {detail}"
 
 
-def gaussian_pair(grid, scale=1.0):
-    u0 = field_from_callable(lambda x: scale * np.exp(-((x / 1.5) ** 2)), grid)
-    v0 = field_from_callable(lambda x: scale * 0.5 * np.exp(-(((x - 2.0) / 2.0) ** 2)), grid)
-    return State(u0, v0)
-
-
-def rel_drift(values):
-    return max(abs(v - values[0]) for v in values) / abs(values[0])
+def test_every_other_criterion_reads_a_shipped_run():
+    criteria = {int(name[6:8]): fn for name, fn in globals().items() if name.startswith("test_c")}
+    assert set(LIBRARY_CALLS) <= set(criteria)
+    for n, fn in criteria.items():
+        assert n in LIBRARY_CALLS or "shipped_run" in inspect.signature(fn).parameters, f"c{n:02d}"
 
 
 def test_c01_decoupling_constants():
@@ -67,21 +74,11 @@ def test_c01_decoupling_constants():
     report(1, err <= 1e-14, f"lambda,alpha+,alpha- = {got}, max dev {err:.3g}")
 
 
-def test_c02_conserved_functional_drift():
-    g = Grid(512, 8.0 * np.pi)
-    dt = StepperConfig(1e-4)
-
-    hs = HirotaSatsuma(0.5, 1.0)
-    traj = simulate(gaussian_pair(g), hs, 1.0, dt, sample_dt=0.1)
-    table = collect(traj, hs)
-    dV = rel_drift(table[:, COLUMNS.index("V")])
-    dF = rel_drift(table[:, COLUMNS.index("F")])
-
-    gg = GearGrimshaw(0.7, 0.3, 0.0, 2.0, 0.5)
-    traj = simulate(gaussian_pair(g), gg, 1.0, dt, sample_dt=0.1)
-    d3 = rel_drift(collect(traj, gg)[:, COLUMNS.index("phi3")])
-
-    ok = dF < BOUNDS["F_drift"][1] and d3 < BOUNDS["phi3_drift"][1] and dV < BOUNDS["V_drift"][1]
+def test_c02_conserved_functional_drift(shipped_run):
+    hs, _ = shipped_run("conservation_hs")  # checks V_drift and F_drift
+    gg, _ = shipped_run("conservation_gg")  # checks phi3_drift
+    dV, dF, d3 = hs.summary["drift"]["V"], hs.summary["drift"]["F"], gg.summary["drift"]["phi3"]
+    ok = hs.status == "pass" and gg.status == "pass"
     report(2, ok, f"two-wave V drift {dV:.3g}, F drift {dF:.3g}; internal-wave phi3 drift {d3:.3g}")
 
 
@@ -107,24 +104,8 @@ def test_c04_soliton_reduction():
     report(4, worst < 1e-6, f"travelling-profile sup error {worst:.3g} over {len(traj.states)} snapshots")
 
 
-def test_c05_scaling_covariance(tmp_path):
-    cfg = config_from_dict(
-        {
-            "kind": "scaling_probe",
-            "system": {"name": "hirota_satsuma", "a": -0.5, "b": 1.0},
-            "grid": {"n": 256, "period": 8.0 * np.pi},
-            "stepper": {"dt": 2e-4},
-            "horizon": 0.25,
-            "sample_dt": 0.05,
-            "initial": {
-                "u": {"kind": "modulated_gaussian", "amplitude": 1.0, "width": 2.0, "mode": 24},
-                "v": {"kind": "gaussian", "amplitude": 0.5, "width": 1.5, "center": 2.0},
-            },
-            "seed": 7,
-            "params": {"lam": 2.0, "lambdas": [1.0, 2.0, 4.0, 8.0], "s_values": [-1.5, 1.0]},
-        }
-    )
-    m = run(cfg, out_dir=tmp_path)
+def test_c05_scaling_covariance(shipped_run):
+    m, _ = shipped_run("scaling")
     cov = m.summary["covariance_max_err"]
     e_lo = m.summary["exponents"]["-1.5"]
     e_hi = m.summary["exponents"]["1"]
@@ -135,9 +116,12 @@ def test_c05_scaling_covariance(tmp_path):
 def test_c06_picard_stepper_agreement(shipped_run):
     m, _ = shipped_run("picard")  # small data: converged, contracting, at the stepper's solution
     small = m.summary
-    g = Grid(128, 8.0 * np.pi)
-    spec = HirotaSatsuma(-0.5, 1.0)
-    _, big = picard_iterate(gaussian_pair(g, scale=4.0), spec, 0.4, n_iters=24, time_resolution=321, s=0.0)
+    # the same study at 8 times the data, which must diverge
+    d = json.loads((CONFIG_DIR / "picard.json").read_text())
+    d["initial"]["u"]["amplitude"], d["initial"]["v"]["amplitude"] = 4.0, 2.0
+    cfg = config_from_dict(d)
+    big_data = make_initial(cfg.initial, cfg.grid, np.random.default_rng(cfg.seed))
+    _, big = picard_iterate(big_data, cfg.system, cfg.horizon, **cfg.params)
     ok = m.status == "pass" and not big.converged and big.contraction_ratio >= 1.0
     report(
         6,
@@ -191,17 +175,17 @@ def test_c09_norm_growth_separation(shipped_run):
     report(9, m.status == "pass", f"growth exponent {growth:.4g}, opposite-speed norm settles to {settle:.3g}")
 
 
-def test_c10_linear_estimates():
-    stg = make_st_grid(128, 16.0 * np.pi, 512, 8.0)
-    checks = []
+def test_c10_linear_estimates(shipped_run):
+    ok = True
     details = []
-    for b, bp in ((0.6, -0.3), (0.55, -0.45), (0.75, 0.0)):
-        rep = linear_estimate_check(stg, 1.0, 0.0, b, bp, n_fields=50, seed=7)
-        err = abs(rep.fitted_exponent - rep.target_exponent)
-        checks.append(check_bound("free_cv", rep.free_cv, *BOUNDS["free_cv"]))
-        checks.append(check_bound("duhamel_exponent_err", err, *BOUNDS["duhamel_exponent_err"]))
-        details.append(f"(b={b},b'={bp}): cv {rep.free_cv:.2e}, exponent err {err:.3f}")
-    report(10, all(c["passed"] for c in checks), "; ".join(details))
+    for name in ("bourgain", "bourgain_b055", "bourgain_b075"):  # one (b, b') pair each
+        m, _ = shipped_run(name)
+        checks = {c["name"]: c for c in m.checks}
+        cv, err = checks["free_cv"], checks["duhamel_exponent_err"]
+        ok &= cv["passed"] and err["passed"]
+        p = m.config["params"]
+        details.append(f"(b={p['b']},b'={p['b_prime']}): cv {cv['value']:.2e}, exponent err {err['value']:.3f}")
+    report(10, ok, "; ".join(details))
 
 
 def test_c11_kernel_bounds(shipped_run):

@@ -1,5 +1,6 @@
 """Space-time norms, weight comparisons, and the estimate checkers."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -352,6 +353,10 @@ def test_linear_estimate_check_cheap():
     for t_ladder in ((0.5,), (0.5, 0.5), (0.5, 1.5), (0.0, 0.5)):
         with pytest.raises(ValueError, match="two or more distinct horizons"):
             linear_estimate_check(small, 1.0, 0.0, 0.6, -0.3, n_fields=2, t_ladder=t_ladder)
+    # psi_T lives on |t| < 2T, so a time step of 2 min(t_ladder) or more keeps only t = 0
+    coarse = make_st_grid(16, 4.0 * np.pi, 32, 8.0)
+    with pytest.raises(ValueError, match=re.escape("stg.t.dx = 0.25 must be below 2 * min(t_ladder) = 0.2")):
+        linear_estimate_check(coarse, 1.0, 0.0, 0.6, -0.3, n_fields=2)
 
 
 @pytest.mark.parametrize("period_t", [2.0, 3.0, 3.99])
@@ -393,7 +398,7 @@ def test_bilinear_ratio_flags_and_validation():
         ("dxi", dict(dxi=-0.5)),
         ("dxi", dict(dxi=float("nan"))),
         ("dtau", dict(dtau=0.0)),
-        ("sigma_window", dict(sigma_window=-1.0)),
+        ("dtau", dict(dtau=float("nan"))),
         # X^a_{s,b} is defined for a != 0 only: a zero speed has no characteristic to window
         ("a_out", dict(a_out=0.0)),
         ("a_left", dict(a_left=0.0)),

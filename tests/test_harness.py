@@ -245,6 +245,11 @@ RUN_TIME_FAILURES = {
             "repeated_t_values": ({"t_values": [0.5, 0.5]}, f"'t_values' {_LADDER}"),
             # one field has no spread: c10's free_cv would be 0 by construction
             "n_fields_1": ({"n_fields": 1}, "'n_fields' must be an integer >= 2"),
+            # psi_T lives on |t| < 2T: a step of 0.25 against T = 0.1 keeps only t = 0, whose Duhamel ratio is 0
+            "time_step_too_coarse": (
+                {"n_x": 16, "n_t": 32, "n_fields": 2, "n_embed_fields": 2},
+                "the time step period_t / n_t = 0.25 must be below 2 * min(t_values) = 0.2",
+            ),
         }.items()
     },
     "nonequivalence_b_0.4": (
@@ -527,7 +532,7 @@ def test_lipschitz_stabilization_pair_is_the_two_smallest_deltas(tmp_path):
 
 BOURGAIN_CHEAP = {
     "kind": "bourgain_suite",
-    "params": {"n_x": 16, "n_t": 32, "n_fields": 2, "n_embed_fields": 2},
+    "params": {"n_x": 16, "n_t": 32, "n_fields": 2, "n_embed_fields": 2, "t_values": [0.5, 1.0]},
 }
 
 
