@@ -32,11 +32,11 @@ TWO_PI = 2.0 * math.pi
 SIGMA_WINDOW = 8.0  # half-width in tau of the modulation window each bilinear_ratio field fills
 
 
-def _require_finite(**values) -> None:
-    """Raise ValueError naming the first of values that is not finite."""
+def _require(ok=math.isfinite, what: str = "finite", **values) -> None:
+    """Raise ValueError naming the first of values for which ok(value) is false."""
     for name, val in values.items():
-        if not math.isfinite(val):
-            raise ValueError(f"{name} must be finite, got {val}")
+        if not ok(val):
+            raise ValueError(f"{name} must be {what}, got {val}")
 
 
 def f_w(w):
@@ -86,11 +86,10 @@ def pointwise_bound_scan(
     The scan covers an n_side x n_side lattice in (x, tau) including
     points far off both characteristics and the degenerate axes.
     """
-    _require_finite(a=a, a0=a0, a1=a1)
+    _require(a=a, a0=a0, a1=a1)
     if n_side < 1:
         raise ValueError(f"n_side must be at least 1, got {n_side}")
-    if not (math.isfinite(extent) and extent > 0.0):
-        raise ValueError(f"extent must be positive and finite, got {extent}")
+    _require(lambda v: 0.0 < v < math.inf, "positive and finite", extent=extent)
     xs = np.linspace(-extent, extent, n_side)
     taus = np.linspace(-extent, extent, n_side)
     r = pointwise_weight_ratio(xs[None, :], taus[:, None], a, a0, a1)
@@ -120,14 +119,23 @@ class EmbeddingResult:
     passed: bool
 
 
+def check_speeds(b: float, **speeds) -> None:
+    """Refuse what embedding_check and intersection_equivalence cannot use: b < 0, or a zero speed or
+    equal reference speeds in a group of speeds, named by its keyword, whose last two are the reference pair."""
+    if b < 0.0:
+        raise ValueError(f"b must be >= 0, got {b}")
+    for name, group in speeds.items():
+        if 0.0 in group:
+            raise ValueError(f"the speeds in {name} must be nonzero, got {tuple(group)}")
+        if group[-2] == group[-1]:  # the comparison constant divides by a1 - a0
+            raise ValueError(f"the reference speeds in {name} must differ, got {tuple(group)}")
+
+
 def embedding_check(
     F: SpaceTimeField, a: float, a0: float, a1: float, s: float, b: float
 ) -> EmbeddingResult:
     """Check ||F||_{a} <= constant * (||F||_{a0} + ||F||_{a1}) for one field."""
-    if b < 0.0:
-        raise ValueError("b must be >= 0")
-    if a == 0.0 or a0 == 0.0 or a1 == 0.0:
-        raise ValueError("all three speeds must be nonzero")
+    check_speeds(b, embedding_speeds=(a, a0, a1))
     lhs = xsb_norm(F, a, s, b)
     rhs = xsb_norm(F, a0, s, b) + xsb_norm(F, a1, s, b)
     c = embedding_constant(a, a0, a1, b)
@@ -156,6 +164,7 @@ def intersection_equivalence(
     single-speed norms; each direction of the equivalence follows from
     the embedding constants of one pair's speeds relative to the other.
     """
+    check_speeds(b, pair_first=pair_first, pair_second=pair_second)
     a0, a1 = pair_first
     a2, a3 = pair_second
     n1 = xsb_norm(F, a0, s, b) + xsb_norm(F, a1, s, b)
@@ -231,6 +240,20 @@ class NonequivalenceTable:
     neval: int  # integrand evaluations, inner and outer, over the distinct norms
 
 
+def check_nonequivalence(a0: float, a1: float, s: float, b: float, radii: list) -> None:
+    """Refuse what nonequivalence_demo cannot use; b > 1/2 and s > 1/2 - b are the construction's hypotheses."""
+    _require(a0=a0, a1=a1, s=s, b=b)
+    if b <= 0.5:
+        raise ValueError(f"the construction needs b > 1/2, got {b}")
+    if s <= 0.5 - b:
+        raise ValueError(f"the construction needs s > 1/2 - b, got s = {s}, b = {b}")
+    _require(lambda v: v != 0.0, "nonzero", a0=a0, a1=a1)
+    if a0 == a1:  # the divergent norm would be the convergent one
+        raise ValueError(f"a0 and a1 must differ, got {a0} for both")
+    if len(set(radii)) < 2 or not all(0.0 < r < math.inf for r in radii):  # NaN fails both
+        raise ValueError("the growth fit needs two or more distinct positive radii")
+
+
 def nonequivalence_demo(
     a0: float, a1: float, s: float, b: float, radii
 ) -> NonequivalenceTable:
@@ -249,19 +272,14 @@ def nonequivalence_demo(
     leaves the tau box; the inner tau integrals of all its xi nodes go through
     one call per evaluation, each cut at both centres and graded toward the
     width-1 peak at tau = -a1 xi^3.  Both levels run at epsabs = 0, epsrel = 1e-12.
+
+    s changes no norm: the field's (1+|xi|)^(-2s) cancels the norms' weight
+    (1+|xi|)^(2s), as a test pins for s = 0 and 2.  It stays an argument: it
+    gates the hypothesis s > 1/2 - b, and the nonequivalence configs and the
+    benchmark's quadrature workload pass it.
     """
-    _require_finite(a0=a0, a1=a1, s=s, b=b)
-    if b <= 0.5:
-        raise ValueError("the construction needs b > 1/2")
-    if s <= 0.5 - b:
-        raise ValueError("the construction needs s > 1/2 - b")
-    if a0 == 0.0 or a1 == 0.0:
-        raise ValueError("both speeds must be nonzero")
-    if a0 == a1:  # the divergent norm would be the convergent one
-        raise ValueError(f"a0 and a1 must differ, got {a0} for both")
     radii = list(radii)
-    if len(set(radii)) < 2 or not all(0.0 < r < math.inf for r in radii):  # NaN fails both
-        raise ValueError("the growth fit needs two or more distinct positive radii")
+    check_nonequivalence(a0, a1, s, b, radii)
     tb, nb, mfb = 2.0 * b, -2.0 * b, -4.0 * b
     inner_evals = [0]
 
@@ -311,6 +329,23 @@ class LinearEstimateReport:
     target_exponent: float
 
 
+def check_linear_estimate(a: float, b: float, b_prime: float, n_fields: int, t_values, period_t: float, n_t: int):
+    """Refuse what linear_estimate_check cannot use on a time axis of n_t samples over a box of period_t."""
+    _require(lambda v: v != 0.0, "nonzero", a=a)
+    if not (-0.5 < b_prime <= 0.0 <= b <= b_prime + 1.0):
+        raise ValueError("need -1/2 < b_prime <= 0 <= b <= b_prime + 1")
+    if n_fields < 2:  # free_cv is the spread of one ratio per field
+        raise ValueError("n_fields must be at least 2")
+    ladder = [float(x) for x in t_values]
+    if len(set(ladder)) < 2 or not all(0.0 < x <= 1.0 for x in ladder):  # the exponent is fitted over the ladder
+        raise ValueError(f"t_values needs two or more distinct horizons in (0, 1], got {ladder}")
+    if period_t < 4.0:
+        raise ValueError(f"period_t must be >= 4 for the time box to hold supp psi = [-2, 2], got {period_t}")
+    if period_t / n_t >= 2.0 * min(ladder):  # psi_T is supported on |t| < 2T: only t = 0 would remain
+        raise ValueError(f"the time step period_t / n_t = {period_t / n_t:g} must be below "
+                         f"2 * min(t_values) = {2.0 * min(ladder):g}")
+
+
 def linear_estimate_check(
     stg: SpaceTimeGrid,
     a: float,
@@ -320,43 +355,29 @@ def linear_estimate_check(
     *,
     n_fields: int = 50,
     seed: int = 7,
-    t_ladder=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
+    t_values=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
 ) -> LinearEstimateReport:
-    """Statistical check of the two linear estimates on the grid stg, whose
-    time box must hold supp psi = [-2, 2] and whose time step must be below
-    2 min(t_ladder), so that psi_T of every horizon keeps a sample off t = 0.
+    """Statistical check of the two linear estimates on the grid stg;
+    check_linear_estimate says which inputs it refuses, and why.
 
     Free part: the ratio ||psi * (free evolution of u0)|| / ||u0||_s is a
     constant depending only on (b, psi); the battery of random data
     (u0 = e^(-x^2) on stg.x plus n_fields - 1 random fields on that grid,
     band-limited so no modulation aliases off the tau grid) must show a
-    tiny coefficient of variation, so n_fields must be 2 or more.  The
+    tiny coefficient of variation.  The
     spatial norm uses the (1+|xi|)^s weight matched to the space-time
     weight, which is what makes the ratio exactly field-independent in the
     continuum.  free_field(w0) is w0's coefficients times a (xi, tau) table
     T that does not depend on w0, so the squared norm is
     cell * sum_xi |w0(xi)|^2 sum_tau W |T|^2.
 
-    Inhomogeneous part: for each horizon T of `t_ladder`, a forcing family
+    Inhomogeneous part: for each horizon T of `t_values`, a forcing family
     with modulation concentrated at |tau + a xi^3| ~ 1.5/T is pushed
     through the windowed source-to-solution map; the log-log slope of
-    lhs/rhs against T is compared with b' + 1 - b.  The slope is fitted
-    over the ladder, so it needs two or more distinct horizons, each in
-    (0, 1]; anything else is a ValueError.
+    lhs/rhs against T is compared with b' + 1 - b.
     """
-    if a == 0.0:
-        raise ValueError("a must be nonzero")
-    if not (-0.5 < b_prime <= 0.0 <= b <= b_prime + 1.0):
-        raise ValueError("need -1/2 < b' <= 0 <= b <= b' + 1")
-    if n_fields < 2:  # free_cv is the spread of one ratio per field
-        raise ValueError("n_fields must be at least 2")
-    ladder = [float(x) for x in t_ladder]
-    if len(set(ladder)) < 2 or not all(0.0 < x <= 1.0 for x in ladder):
-        raise ValueError(f"t_ladder needs two or more distinct horizons in (0, 1], got {ladder}")
-    if stg.t.period < 4.0:
-        raise ValueError(f"stg.t.period must be >= 4 for the time box to hold supp psi = [-2, 2], got {stg.t.period}")
-    if stg.t.dx >= 2.0 * min(ladder):  # psi_T is supported on |t| < 2T: only t = 0 would remain
-        raise ValueError(f"stg.t.dx = {stg.t.dx:g} must be below 2 * min(t_ladder) = {2.0 * min(ladder):g}")
+    check_linear_estimate(a, b, b_prime, n_fields, t_values, stg.t.period, stg.t.n)
+    ladder = [float(x) for x in t_values]
     tau_max = float(np.max(np.abs(stg.t.xi)))
     # keep |a| xi_band^3 well inside the tau band so e^{-i a xi^3 t} is resolved
     xi_band = 0.5 * (tau_max / abs(a)) ** (1.0 / 3.0)
@@ -472,15 +493,11 @@ def bilinear_ratio(
         raise ValueError("need at least one trial")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    _require_finite(s=s, b=b, b_prime=b_prime)
+    _require(s=s, b=b, b_prime=b_prime)
     if b_prime in (-0.5, -1.0):  # the output weight's f2 divides by p (p + 1), p = 1 + 2 b_prime
         raise ValueError(f"b_prime must not be -1/2 or -1, got {b_prime}")
-    for name, val in (("band", band), ("dxi", dxi), ("dtau", dtau)):
-        if not (math.isfinite(val) and val > 0.0):
-            raise ValueError(f"{name} must be positive and finite, got {val}")
-    for name, val in (("a_left", a_left), ("a_right", a_right), ("a_out", a_out)):
-        if not (math.isfinite(val) and val != 0.0):
-            raise ValueError(f"{name} must be nonzero and finite, got {val}")
+    _require(lambda v: 0.0 < v < math.inf, "positive and finite", band=band, dxi=dxi, dtau=dtau)
+    _require(lambda v: v != 0.0 and math.isfinite(v), "nonzero and finite", a_left=a_left, a_right=a_right, a_out=a_out)
     variant = "same_sign_pair" if a_left == a_right else "mixed_pair"
     ok = admissible(s, b, b_prime, variant)
 

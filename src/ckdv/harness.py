@@ -43,11 +43,11 @@ from .bourgain import (
     nonequivalence_demo,
     random_field,
 )
-from .bourgain.estimates import NONEQ_REL_CHANGE_BOUND
+from .bourgain.estimates import NONEQ_REL_CHANGE_BOUND, check_linear_estimate, check_nonequivalence, check_speeds
 from .bourgain.kernels import REL_CHANGE_BOUND
 from .diagnostics import COLUMNS, _laws, collect, loglog_slope, record_for, sobolev_norm
 from .grid import Grid, SpectralField, forward, inverse, to_full
-from .solver import StepperConfig, picard_iterate, simulate
+from .solver import StepperConfig, check_picard, picard_iterate, simulate
 from .systems import (
     Feng,
     GearGrimshaw,
@@ -126,19 +126,12 @@ def _check(convert, ok, what: str):
 
 
 _positive = _check(_finite, lambda x: x > 0.0, "positive")
-_nonzero = _check(_finite, lambda x: x != 0.0, "nonzero")
-_unit_time = _check(_finite, lambda x: 0.0 < x <= 1.0, "in (0, 1]")
+# Grid refuses these sizes too, but its message names n, not whether n_x or n_t is at fault
 _pow2 = _check(_int, lambda n: n >= 16 and n & (n - 1) == 0, "a power of two >= 16")
 _nonneg = _check(_finite, lambda x: x >= 0.0, ">= 0")
-_time_box = _check(_finite, lambda x: x >= 4.0, ">= 4, a time box that holds supp psi = [-2, 2]")
 _count = _check(_int, lambda n: n >= 1, "an integer >= 1")
-_pairs = _check(_int, lambda n: n >= 2, "an integer >= 2")  # a ratio or a spread needs two
 _seed = _check(_int, lambda n: 0 <= n < 2**64, "an integer in [0, 2**64)")
 _text = _check(lambda v: v, lambda v: isinstance(v, str), "a string")
-
-
-def _optional(convert):
-    return lambda v: None if v is None else convert(v)
 
 
 def _list_of(convert, length=None):
@@ -151,14 +144,10 @@ def _list_of(convert, length=None):
 
 
 def _distinct(convert, least: int = 1):
-    """Converter: a list of `least` or more distinct entries, each converted; a run does each once."""
+    """Converter: a list of `least` or more distinct entries, each converted; a run does each once,
+    and a ladder that an exponent or a stabilization is fitted over takes least = 2."""
     what = "two or more distinct values" if least == 2 else "distinct values"
     return _check(_list_of(convert), lambda v: len(set(v)) == len(v) >= least, what)
-
-
-def _ladder(convert):
-    """Converter: an exponent is fitted over the ladder, so it takes two or more distinct entries."""
-    return _distinct(convert, 2)
 
 
 def _kernel_id(v) -> str:
@@ -328,7 +317,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     kind, k = _pick(d, "kind", KINDS, "config")
     table = {
         "kind": (_text, MISSING),
-        "output_dir": (_optional(_text), None),
+        "output_dir": (lambda v: None if v is None else _text(v), None),
         **k.top,
         "params": (partial(_parse, table=k.params, where=f"params for '{kind}'"), {}),
     }
@@ -649,7 +638,7 @@ def _run_bourgain(cfg: ExperimentConfig, emit: _Emitter):
     s, b, n_x, period_x = p["s"], p["b"], p["n_x"], p["period_x"]
     rep = linear_estimate_check(
         make_st_grid(n_x, period_x, p["n_t"], p["period_t"]), p["a"], s, b, p["b_prime"],
-        n_fields=p["n_fields"], seed=cfg.seed, t_ladder=p["t_values"],
+        n_fields=p["n_fields"], seed=cfg.seed, t_values=p["t_values"],
     )
     emit.csv("linear_free.csv", ["field", "ratio"], enumerate(rep.free_ratios))
     emit.csv("linear_duhamel.csv", ["T", "ratio"], zip(rep.duhamel_T, rep.duhamel_ratios))
@@ -745,28 +734,20 @@ def _spacetime_work(p: dict) -> tuple[float, float]:
     return held, points
 
 
-def _lipschitz_rule(cfg: ExperimentConfig) -> Optional[str]:
+def _nonzero_data(cfg: ExperimentConfig) -> Optional[str]:
+    # a perturbation relative to the data, or a contraction onto them, means nothing for zero data
     data = make_initial(cfg.initial, cfg.grid, np.random.default_rng(cfg.seed))
-    if not (np.any(data.u.coeffs) or np.any(data.v.coeffs)):
-        return "the relative perturbation ladder needs nonzero initial data"
-    return None
+    return None if np.any(data.u.coeffs) or np.any(data.v.coeffs) else "the run needs nonzero initial data"
 
 
 def _bourgain_rule(cfg: ExperimentConfig) -> Optional[str]:
     p = cfg.params
-    if not (-0.5 < p["b_prime"] <= 0.0 <= p["b"] <= p["b_prime"] + 1.0):
-        return "need -1/2 < b_prime <= 0 <= b <= b_prime + 1"
-    # the last two embedding speeds and each pair are reference speeds
-    for key, start in (("embedding_speeds", 1), ("pair_first", 0), ("pair_second", 0)):
-        if p[key][start] == p[key][start + 1]:
-            return f"the reference speeds in {key} must differ"
-    if p["period_t"] / p["n_t"] >= 2.0 * min(p["t_values"]):  # psi_T would keep only t = 0
-        return (f"the time step period_t / n_t = {p['period_t'] / p['n_t']:g} must be below "
-                f"2 * min(t_values) = {2.0 * min(p['t_values']):g}")
     held, points = _spacetime_work(p)
     if held > MAX_SNAPSHOT_BYTES or points > MAX_SPACETIME_POINTS:
         return (f"the run holds {held:.3g} bytes at once and passes over {points:.3g} space-time points; "
                 f"the budget is {MAX_SNAPSHOT_BYTES} bytes and {MAX_SPACETIME_POINTS:.3g} points")
+    check_linear_estimate(p["a"], p["b"], p["b_prime"], p["n_fields"], p["t_values"], p["period_t"], p["n_t"])
+    check_speeds(p["b"], **{key: p[key] for key in ("embedding_speeds", "pair_first", "pair_second")})
     return None
 
 
@@ -778,7 +759,7 @@ class KindDef:
     top: dict  # the top-level keys it reads, besides kind, output_dir and params
     params: dict
     runner: Callable  # (cfg, emit) -> (summary, checks)
-    rule: Optional[Callable] = None  # cfg -> the message of a fault that spans keys, or None
+    rule: Optional[Callable] = None  # cfg -> a fault's message or None; a library check raises ValueError
     work: Optional[Callable] = None  # cfg -> (IF-RK4 steps, stored samples); dynamics kinds only
 
 
@@ -788,15 +769,17 @@ KINDS = {
     "lipschitz_probe": KindDef(
         "lipschitz", _SAMPLED,
         {"s": (_finite, 1.0), "n_directions": (_count, 1), "direction_band": (_nonneg, 0.0),
-         "deltas": (_ladder(_positive), (1e-1, 1e-2, 1e-3, 1e-4, 1e-5))},
-        _run_lipschitz, rule=_lipschitz_rule,
+         "deltas": (_distinct(_positive, 2), (1e-1, 1e-2, 1e-3, 1e-4, 1e-5))},
+        _run_lipschitz, rule=_nonzero_data,
         work=lambda c: _sampled_work(c, 1 + c.params["n_directions"] * len(c.params["deltas"])),
     ),
     # the rescaled run divides dt and the horizon alike by lam^3, so it takes as many
     # steps; the prediction lam * base.half is a third array of that length
     "scaling_probe": KindDef(
         "scaling", _SAMPLED,
-        {"lam": (_positive, 2.0), "lambdas": (_ladder(_positive), (1.0, 2.0, 4.0, 8.0)),
+        # at lam = 1 the rescaled run is the base run, and covariance_max_err reads 0 by construction
+        {"lam": (_check(_finite, lambda x: x > 0.0 and x != 1.0, "positive and not 1"), 2.0),
+         "lambdas": (_distinct(_positive, 2), (1.0, 2.0, 4.0, 8.0)),
          "s_values": (_distinct(_finite), (-1.5, -1.0, -0.75, 0.0, 1.0))},
         _run_scaling,
         # lam^2 u(lam x, lam^3 t) maps solutions to solutions only without a first-order drift
@@ -807,15 +790,14 @@ KINDS = {
     # every iterate is kept; the stepper reference stores two states
     "picard_study": KindDef(
         "picard", _DYNAMICS,
-        {"n_iters": (_pairs, 8), "s": (_finite, 0.0),
-         "time_resolution": (_check(_int, lambda n: n >= 9 and n % 2 == 1, "odd and >= 9"), 201)},
+        {"n_iters": (_int, 8), "s": (_finite, 0.0), "time_resolution": (_int, 201)},
         _run_picard,
-        rule=lambda c: "horizon must be > 0 for a Picard study" if c.horizon == 0.0 else None,
+        rule=lambda c: check_picard(c.horizon, c.params["n_iters"], c.params["time_resolution"]) or _nonzero_data(c),
         work=lambda c: (c.horizon / c.stepper.dt, (c.params["n_iters"] + 1.0) * c.params["time_resolution"] + 2.0),
     ),
     # one run per dt_values entry and the reference run at stepper.dt, each storing two states
     "convergence_study": KindDef(
-        "convergence", _DYNAMICS, {"dt_values": (_ladder(_positive), (4e-3, 2e-3, 1e-3, 5e-4))},
+        "convergence", _DYNAMICS, {"dt_values": (_distinct(_positive, 2), (4e-3, 2e-3, 1e-3, 5e-4))},
         _run_convergence,
         rule=lambda c: "stepper.dt, the reference step, must be finer than every entry of dt_values"
         if c.stepper.dt >= min(c.params["dt_values"]) else None,
@@ -824,24 +806,21 @@ KINDS = {
     ),
     "bourgain_suite": KindDef(
         "bourgain", _SEED,
-        {"s": (_finite, 0.0), "b": (_finite, 0.6), "b_prime": (_finite, -0.3), "a": (_nonzero, 1.0),
+        {"s": (_finite, 0.0), "b": (_finite, 0.6), "b_prime": (_finite, -0.3), "a": (_finite, 1.0),
          "n_x": (_pow2, 128), "period_x": (_positive, 16.0 * np.pi),
-         "n_t": (_pow2, 512), "period_t": (_time_box, 8.0), "n_fields": (_pairs, 50),
-         "t_values": (_ladder(_unit_time), (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)),
-         "embedding_speeds": (_list_of(_nonzero, 3), (2.0, 1.0, 3.0)),
-         "pair_first": (_list_of(_nonzero, 2), (1.0, 3.0)),
-         "pair_second": (_list_of(_nonzero, 2), (1.5, 2.5)), "n_embed_fields": (_count, 64)},
+         "n_t": (_pow2, 512), "period_t": (_finite, 8.0), "n_fields": (_int, 50),
+         "t_values": (_distinct(_finite), (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)),
+         "embedding_speeds": (_list_of(_finite, 3), (2.0, 1.0, 3.0)),
+         "pair_first": (_list_of(_finite, 2), (1.0, 3.0)),
+         "pair_second": (_list_of(_finite, 2), (1.5, 2.5)), "n_embed_fields": (_count, 64)},
         _run_bourgain, rule=_bourgain_rule,
     ),
     "kernel_suite": KindDef("kernels", {}, {"kernels": (_distinct(_kernel_id), tuple(KERNELS))}, _run_kernels),
     "nonequivalence": KindDef(
         "noneq", {},
-        {"a0": (_nonzero, 1.0), "a1": (_nonzero, -1.0), "s": (_finite, 0.0), "b": (_finite, 3.0),
-         "radii": (_ladder(_positive), (8.0, 16.0, 32.0, 64.0))},
-        _run_noneq,
-        rule=lambda c: "the nonequivalence construction needs a0 != a1" if c.params["a0"] == c.params["a1"]
-        else None if c.params["b"] > 0.5 and c.params["s"] > 0.5 - c.params["b"]
-        else "the nonequivalence construction needs b > 1/2 and s > 1/2 - b",
+        {"a0": (_finite, 1.0), "a1": (_finite, -1.0), "s": (_finite, 0.0), "b": (_finite, 3.0),
+         "radii": (_distinct(_finite), (8.0, 16.0, 32.0, 64.0))},
+        _run_noneq, rule=lambda c: check_nonequivalence(**c.params),
     ),
     # one stored state's diagnostics row; the snapshot file is read at parse time
     "diagnose": KindDef(

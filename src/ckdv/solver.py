@@ -226,6 +226,16 @@ def _fit_ratio(diffs: Sequence[float]) -> float:
     return float(np.exp(slope))
 
 
+def check_picard(T: float, n_iters: int, time_resolution: int) -> None:
+    """Refuse what picard_iterate cannot use; Simpson's rule needs an odd time_resolution."""
+    if not 0.0 < T < np.inf:
+        raise ValueError(f"the horizon T must be finite and positive, got {T!r}")
+    if time_resolution < 9 or time_resolution % 2 == 0:
+        raise ValueError(f"time_resolution must be odd and at least 9, got {time_resolution}")
+    if n_iters < 2:  # the contraction ratio is fitted to the d_k, and one alone fits to 0, read as converged
+        raise ValueError(f"n_iters must be at least 2, got {n_iters}")
+
+
 def picard_iterate(
     initial: State,
     spec: SystemSpec | NormalForm,
@@ -242,17 +252,10 @@ def picard_iterate(
     accumulated by cumulative Simpson quadrature.  No time cutoffs are
     applied; the paper's are identically 1 on [0, T] for T <= 1.  The
     iteration runs on W and the distances d_k are measured on U = P W.
-    n_iters must be at least 2: the contraction ratio is fitted to the
-    d_k, and one distance alone fits to 0 and would read as converged.
 
     Divergence is reported, never raised.
     """
-    if not 0.0 < T < np.inf:
-        raise ValueError(f"T must be finite and positive, got {T!r}")
-    if time_resolution < 9 or time_resolution % 2 == 0:
-        raise ValueError("time_resolution must be odd and at least 9")
-    if n_iters < 2:
-        raise ValueError("n_iters must be at least 2")
+    check_picard(T, n_iters, time_resolution)
     rhs, c, P, w0 = _eigenbasis(initial, spec)
     g = initial.grid
     m = g.n // 2 + 1

@@ -305,14 +305,22 @@ def test_nonequivalence_settling_uses_the_two_largest_distinct_radii():
         assert (got.final_rel_change, got.stabilized) == (want.final_rel_change, want.stabilized)
 
 
+def test_nonequivalence_norms_do_not_depend_on_s():
+    # the field's (1+|xi|)^(-2s) cancels the norms' (1+|xi|)^(2s): s only gates the hypothesis s > 1/2 - b
+    at_0, at_2 = (nonequivalence_demo(1.0, -1.0, s, 3.0, [8.0, 16.0, 32.0, 64.0]) for s in (0.0, 2.0))
+    assert at_2.divergent_norms == at_0.divergent_norms
+    assert at_2.convergent_norms == at_0.convergent_norms
+
+
 @pytest.mark.parametrize("a", [-1.0, 2.0])
 def test_nonequivalence_refuses_equal_speeds(a):
     # with a0 == a1 the "divergent" norm is the convergent one, yet at a = -1 the run passed
     # c09 with growth_exponent 0.00091 > 0 and final_rel_change 2.3e-4
+    # the parse-time refusal is the library's own check, so it is asserted first
+    with pytest.raises(ConfigError, match=f"a0 and a1 must differ, got {a} for both$"):
+        config_from_dict({"kind": "nonequivalence", "params": {"a0": a, "a1": a}})
     with pytest.raises(ValueError, match=f"^a0 and a1 must differ, got {a} for both"):
         nonequivalence_demo(a, a, 0.0, 3.0, [4.0, 8.0])
-    with pytest.raises(ConfigError, match="needs a0 != a1"):
-        config_from_dict({"kind": "nonequivalence", "params": {"a0": a, "a1": a}})
 
 
 def test_nonequivalence_demo_validation():
@@ -336,7 +344,7 @@ def test_nonequivalence_demo_validation():
 def test_linear_estimate_check_cheap():
     grid, small = make_st_grid(64, 8.0 * np.pi, n_t=256), make_st_grid(64, 8.0 * np.pi, n_t=64)
     rep = linear_estimate_check(
-        grid, 1.0, 0.0, 0.6, -0.3, n_fields=8, t_ladder=(0.2, 0.4, 0.6, 0.8, 1.0)
+        grid, 1.0, 0.0, 0.6, -0.3, n_fields=8, t_values=(0.2, 0.4, 0.6, 0.8, 1.0)
     )
     assert rep.free_cv < 1e-2
     assert len(rep.free_ratios) == 8
@@ -350,21 +358,21 @@ def test_linear_estimate_check_cheap():
         with pytest.raises(ValueError, match="n_fields must be at least 2"):
             linear_estimate_check(small, 1.0, 0.0, 0.6, -0.3, n_fields=n_fields)
     # the exponent is fitted over the ladder: two or more distinct horizons in (0, 1]
-    for t_ladder in ((0.5,), (0.5, 0.5), (0.5, 1.5), (0.0, 0.5)):
+    for t_values in ((0.5,), (0.5, 0.5), (0.5, 1.5), (0.0, 0.5)):
         with pytest.raises(ValueError, match="two or more distinct horizons"):
-            linear_estimate_check(small, 1.0, 0.0, 0.6, -0.3, n_fields=2, t_ladder=t_ladder)
-    # psi_T lives on |t| < 2T, so a time step of 2 min(t_ladder) or more keeps only t = 0
+            linear_estimate_check(small, 1.0, 0.0, 0.6, -0.3, n_fields=2, t_values=t_values)
+    # psi_T lives on |t| < 2T, so a time step of 2 min(t_values) or more keeps only t = 0
     coarse = make_st_grid(16, 4.0 * np.pi, 32, 8.0)
-    with pytest.raises(ValueError, match=re.escape("stg.t.dx = 0.25 must be below 2 * min(t_ladder) = 0.2")):
+    with pytest.raises(ValueError, match=re.escape("period_t / n_t = 0.25 must be below 2 * min(t_values) = 0.2")):
         linear_estimate_check(coarse, 1.0, 0.0, 0.6, -0.3, n_fields=2)
 
 
 @pytest.mark.parametrize("period_t", [2.0, 3.0, 3.99])
 def test_time_box_must_hold_psi_support(period_t):
     # the box [-period_t/2, period_t/2) holds supp psi = [-2, 2] only from period_t = 4 on
-    with pytest.raises(ConfigError, match="'period_t' must be >= 4"):
+    with pytest.raises(ConfigError, match=f"period_t must be >= 4 .* got {period_t}$"):
         config_from_dict({"kind": "bourgain_suite", "params": {"period_t": period_t}})
-    with pytest.raises(ValueError, match=f"^stg.t.period must be >= 4 .* got {period_t}"):
+    with pytest.raises(ValueError, match=f"^period_t must be >= 4 .* got {period_t}"):
         linear_estimate_check(make_st_grid(16, 4.0 * np.pi, 32, period_t), 1.0, 0.0, 0.6, -0.3)
 
 
@@ -583,7 +591,7 @@ def test_linear_estimate_free_ratios_match_per_field_reference():
     u0 = field_from_callable(lambda x: np.exp(-(x**2)), g)
     a, s, b, n_t, seed = -1.5, 0.3, 0.6, 64, 4
     stg = make_st_grid(g.n, g.period, n_t=n_t)
-    rep = linear_estimate_check(stg, a, s, b, -0.3, n_fields=6, seed=seed, t_ladder=(0.5, 1.0))
+    rep = linear_estimate_check(stg, a, s, b, -0.3, n_fields=6, seed=seed, t_values=(0.5, 1.0))
     # the battery, drawn as linear_estimate_check draws it
     mask = np.abs(g.xi) <= 0.5 * (np.max(np.abs(stg.t.xi)) / abs(a)) ** (1.0 / 3.0)
     rng = np.random.default_rng(seed)

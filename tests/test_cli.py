@@ -101,8 +101,10 @@ def test_library_precondition_exits_2_before_any_output(tmp_path, capsys, comman
     ],
 )
 def test_config_whose_check_would_test_nothing_exits_2(tmp_path, capsys, command, payload, key):
-    # one sweep fits a ratio of 0, one field has a spread of 0, a repeated kernel runs twice
-    assert_rejected(tmp_path, capsys, command, payload, f"'{key}' must be")
+    # one sweep fits a ratio of 0, one field has a spread of 0, a repeated kernel runs twice;
+    # the library's checks name n_iters and n_fields bare, the parser's converters quote the key
+    word = f"'{key}' must be" if key == "kernels" else f"{key} must be at least 2"
+    assert_rejected(tmp_path, capsys, command, payload, word)
 
 
 _RUNAWAY_SPACETIME = f"the budget is {harness.MAX_SNAPSHOT_BYTES} bytes and {harness.MAX_SPACETIME_POINTS:.3g} points"

@@ -24,7 +24,15 @@ from ckdv import (
     run,
 )
 from ckdv import harness
-from ckdv.bourgain import LinearEstimateReport
+from ckdv.bourgain import (
+    LinearEstimateReport,
+    embedding_check,
+    intersection_equivalence,
+    linear_estimate_check,
+    make_st_grid,
+    nonequivalence_demo,
+    random_field,
+)
 from ckdv.diagnostics import COLUMNS
 from ckdv.grid import Grid
 from ckdv.io import read_csv
@@ -34,6 +42,7 @@ from ckdv.harness import (
     build_system,
     make_initial,
 )
+from ckdv.solver import picard_iterate
 from ckdv.systems import SpectralRhs
 
 
@@ -173,6 +182,7 @@ def test_config_validation_matrix():
 # each case names the message of its own rule, so no other fault can stand in for it
 _B_RANGE = "need -1/2 < b_prime <= 0 <= b <= b_prime + 1"
 _LADDER = "must be two or more distinct values"
+_HORIZONS = "t_values needs two or more distinct horizons in (0, 1]"
 RUN_TIME_FAILURES = {
     "negative_seed": (simulate_config(seed=-1), "'seed' must be an integer in [0, 2**64)"),
     "s_not_a_number": (simulate_config(params={"s": "abc"}), "'s' must be a finite number"),
@@ -186,13 +196,17 @@ RUN_TIME_FAILURES = {
         simulate_config(initial={"u": {"kind": "gaussian", "amplitude": float("nan")}}),
         "'amplitude' must be a finite number",
     ),
-    "picard_horizon_0": (unsampled_config("picard_study", horizon=0.0), "horizon must be > 0 for a Picard study"),
-    "picard_n_iters_0": (unsampled_config("picard_study", params={"n_iters": 0}), "'n_iters' must be an integer >= 2"),
+    "picard_horizon_0": (unsampled_config("picard_study", horizon=0.0), "the horizon T must be finite and positive"),
+    "picard_n_iters_0": (unsampled_config("picard_study", params={"n_iters": 0}), "n_iters must be at least 2"),
     # one sweep gives one distance, whose fitted ratio is 0: c06's contraction check would test nothing
-    "picard_n_iters_1": (unsampled_config("picard_study", params={"n_iters": 1}), "'n_iters' must be an integer >= 2"),
+    "picard_n_iters_1": (unsampled_config("picard_study", params={"n_iters": 1}), "n_iters must be at least 2"),
     "picard_even_time_resolution": (
-        unsampled_config("picard_study", params={"time_resolution": 200}), "'time_resolution' must be odd and >= 9"
+        unsampled_config("picard_study", params={"time_resolution": 200}), "time_resolution must be odd and at least 9"
     ),
+    # zero data contract at once and match the stepper exactly: c06's checks would read 0 by construction
+    "picard_no_initial": ({**unsampled_config("picard_study"), "initial": {}}, "needs nonzero initial data"),
+    # at lam = 1 the rescaled run is the base run: covariance_max_err would read 0 by construction
+    "scaling_lam_1": (simulate_config(kind="scaling_probe", params={"lam": 1.0}), "'lam' must be positive and not 1"),
     "lipschitz_deltas_not_a_list": (
         simulate_config(kind="lipschitz_probe", params={"deltas": "abc"}), "'deltas' must be a list"
     ),
@@ -230,21 +244,23 @@ RUN_TIME_FAILURES = {
             "n_x_100": ({"n_x": 100}, "'n_x' must be a power of two >= 16"),
             "n_t_24": ({"n_t": 24}, "'n_t' must be a power of two >= 16"),
             "n_t_8": ({"n_t": 8}, "'n_t' must be a power of two >= 16"),
-            "a_0": ({"a": 0}, "'a' must be nonzero"),
-            "embedding_speed_0": ({"embedding_speeds": [2.0, 0.0, 3.0]}, "'embedding_speeds' must be nonzero"),
+            "a_0": ({"a": 0}, "a must be nonzero"),
+            "embedding_speed_0": (
+                {"embedding_speeds": [2.0, 0.0, 3.0]}, "the speeds in embedding_speeds must be nonzero"
+            ),
             "embedding_reference_speeds_equal": (
                 {"embedding_speeds": [2.0, 1.0, 1.0]}, "reference speeds in embedding_speeds must differ"
             ),
-            "pair_speed_0": ({"pair_second": [0.0, 2.5]}, "'pair_second' must be nonzero"),
+            "pair_speed_0": ({"pair_second": [0.0, 2.5]}, "the speeds in pair_second must be nonzero"),
             "pair_speeds_equal": ({"pair_first": [1.0, 1.0]}, "reference speeds in pair_first must differ"),
             "b_negative": ({"b": -0.1}, _B_RANGE),
             "b_prime_positive": ({"b_prime": 0.1}, _B_RANGE),
             "b_above_b_prime_plus_1": ({"b": 0.9}, _B_RANGE),
-            "t_value_above_1": ({"t_values": [0.5, 1.5]}, "'t_values' must be in (0, 1]"),
-            "one_t_value": ({"t_values": [0.5]}, f"'t_values' {_LADDER}"),
-            "repeated_t_values": ({"t_values": [0.5, 0.5]}, f"'t_values' {_LADDER}"),
+            "t_value_above_1": ({"t_values": [0.5, 1.5]}, _HORIZONS),
+            "one_t_value": ({"t_values": [0.5]}, _HORIZONS),
+            "repeated_t_values": ({"t_values": [0.5, 0.5]}, "'t_values' must be distinct values"),
             # one field has no spread: c10's free_cv would be 0 by construction
-            "n_fields_1": ({"n_fields": 1}, "'n_fields' must be an integer >= 2"),
+            "n_fields_1": ({"n_fields": 1}, "n_fields must be at least 2"),
             # psi_T lives on |t| < 2T: a step of 0.25 against T = 0.1 keeps only t = 0, whose Duhamel ratio is 0
             "time_step_too_coarse": (
                 {"n_x": 16, "n_t": 32, "n_fields": 2, "n_embed_fields": 2},
@@ -253,16 +269,18 @@ RUN_TIME_FAILURES = {
         }.items()
     },
     "nonequivalence_b_0.4": (
-        {"kind": "nonequivalence", "params": {"b": 0.4}}, "needs b > 1/2 and s > 1/2 - b"
+        {"kind": "nonequivalence", "params": {"b": 0.4}}, "the construction needs b > 1/2"
     ),
     "nonequivalence_s_too_low": (
-        {"kind": "nonequivalence", "params": {"s": -3.0}}, "needs b > 1/2 and s > 1/2 - b"
+        {"kind": "nonequivalence", "params": {"s": -3.0}}, "the construction needs s > 1/2 - b"
     ),
-    "nonequivalence_a0_0": ({"kind": "nonequivalence", "params": {"a0": 0.0}}, "'a0' must be nonzero"),
-    "nonequivalence_a1_0": ({"kind": "nonequivalence", "params": {"a1": 0.0}}, "'a1' must be nonzero"),
-    "nonequivalence_one_radius": ({"kind": "nonequivalence", "params": {"radii": [8.0]}}, f"'radii' {_LADDER}"),
+    "nonequivalence_a0_0": ({"kind": "nonequivalence", "params": {"a0": 0.0}}, "a0 must be nonzero"),
+    "nonequivalence_a1_0": ({"kind": "nonequivalence", "params": {"a1": 0.0}}, "a1 must be nonzero"),
+    "nonequivalence_one_radius": (
+        {"kind": "nonequivalence", "params": {"radii": [8.0]}}, "needs two or more distinct positive radii"
+    ),
     "nonequivalence_repeated_radii": (
-        {"kind": "nonequivalence", "params": {"radii": [8.0, 8.0]}}, f"'radii' {_LADDER}"
+        {"kind": "nonequivalence", "params": {"radii": [8.0, 8.0]}}, "'radii' must be distinct values"
     ),
     # a repeated kernel would run twice and write two identical kernels.csv rows
     "kernels_repeated_id": (
@@ -271,11 +289,64 @@ RUN_TIME_FAILURES = {
 }
 
 
+def _params(config: dict) -> dict:
+    """The params of a config dict over its kind's defaults, typed as the parser types them."""
+    given = config.get("params", {})
+    return {k: convert(given.get(k, d)) for k, (convert, d) in harness.KINDS[config["kind"]].params.items()}
+
+
+def _linear_owner(config):
+    p = _params(config)
+    linear_estimate_check(make_st_grid(p["n_x"], p["period_x"], p["n_t"], p["period_t"]), p["a"], p["s"], p["b"],
+                          p["b_prime"], n_fields=p["n_fields"], t_values=p["t_values"])
+
+
+def _speeds_owner(config):
+    p = _params(config)
+    F = random_field(make_st_grid(16, 4.0 * np.pi, 32), np.random.default_rng(0))
+    embedding_check(F, *p["embedding_speeds"], p["s"], p["b"])
+    intersection_equivalence(F, p["pair_first"], p["pair_second"], p["s"], p["b"])
+
+
+def _picard_owner(config):
+    cfg = config_from_dict(unsampled_config("picard_study"))  # the case's system, grid and data
+    state0 = make_initial(cfg.initial, cfg.grid, np.random.default_rng(cfg.seed))
+    picard_iterate(state0, cfg.system, config["horizon"], **_params(config))
+
+
+# the library entry point that owns each refusal above, called with the same values
+LIBRARY_OWNERS = {
+    **dict.fromkeys(
+        [f"bourgain_{name}" for name in ("a_0", "b_negative", "b_prime_positive", "b_above_b_prime_plus_1",
+                                         "t_value_above_1", "one_t_value", "n_fields_1",
+                                         "time_step_too_coarse")],
+        _linear_owner,
+    ),
+    **dict.fromkeys(
+        [f"bourgain_{name}" for name in ("embedding_speed_0", "embedding_reference_speeds_equal",
+                                         "pair_speed_0", "pair_speeds_equal")],
+        _speeds_owner,
+    ),
+    **dict.fromkeys(
+        [f"nonequivalence_{name}" for name in ("b_0.4", "s_too_low", "a0_0", "a1_0", "one_radius")],
+        lambda config: nonequivalence_demo(**_params(config)),
+    ),
+    **dict.fromkeys(
+        ["picard_horizon_0", "picard_n_iters_0", "picard_n_iters_1", "picard_even_time_resolution"], _picard_owner
+    ),
+}
+
+
 @pytest.mark.parametrize("name", sorted(RUN_TIME_FAILURES))
 def test_run_time_failures_rejected_up_front(name):
     config, message = RUN_TIME_FAILURES[name]
-    with pytest.raises(ConfigError, match=re.escape(message)):
+    with pytest.raises(ConfigError, match=re.escape(message)) as refused:
         config_from_dict(config)
+    assert set(LIBRARY_OWNERS) < set(RUN_TIME_FAILURES)
+    if name in LIBRARY_OWNERS:  # one wording: the parse-time message ends with the owner's own
+        with pytest.raises(ValueError) as owner:
+            LIBRARY_OWNERS[name](config)
+        assert str(refused.value).endswith(f": {owner.value}")
 
 
 def test_parsed_params_are_typed_and_defaulted():
