@@ -30,6 +30,8 @@ from .spacetime import (
 
 TWO_PI = 2.0 * math.pi
 SIGMA_WINDOW = 8.0  # half-width in tau of the modulation window each bilinear_ratio field fills
+BLOCK_ROWS = 1024  # about as many pairs (rows of nfft slots) as bilinear_ratio works on at once
+SCAN_POINTS = 2**16  # about as many lattice points as pointwise_bound_scan works on at once
 
 
 def _require(ok=math.isfinite, what: str = "finite", **values) -> None:
@@ -84,7 +86,8 @@ def pointwise_bound_scan(
     """Dense-lattice scan of the weight comparison; the bound is exact.
 
     The scan covers an n_side x n_side lattice in (x, tau) including
-    points far off both characteristics and the degenerate axes.
+    points far off both characteristics and the degenerate axes, in blocks
+    of whole tau rows, about SCAN_POINTS points each.
     """
     _require(a=a, a0=a0, a1=a1)
     if n_side < 1:
@@ -92,11 +95,15 @@ def pointwise_bound_scan(
     _require(lambda v: 0.0 < v < math.inf, "positive and finite", extent=extent)
     xs = np.linspace(-extent, extent, n_side)
     taus = np.linspace(-extent, extent, n_side)
-    r = pointwise_weight_ratio(xs[None, :], taus[:, None], a, a0, a1)
+    step = max(1, SCAN_POINTS // n_side)  # tau rows per block
+    tops = []  # each block's first maximum and its flat index
+    for k in range(0, n_side, step):
+        r = pointwise_weight_ratio(xs[None, :], taus[k : k + step, None], a, a0, a1)
+        i = int(np.argmax(r))
+        tops.append((float(r.flat[i]), k * n_side + i))
+    mx, i = tops[int(np.argmax([top[0] for top in tops]))]  # the first maximum (or NaN), as one argmax finds it
     bound = weight_comparison_bound(a, a0, a1)
-    i = int(np.argmax(r))
     argmax = (float(xs[i % n_side]), float(taus[i // n_side]))
-    mx = float(r.flat[i])
     return PointwiseScan(mx, bound, mx <= bound, argmax)
 
 
@@ -374,7 +381,9 @@ def linear_estimate_check(
     Inhomogeneous part: for each horizon T of `t_values`, a forcing family
     with modulation concentrated at |tau + a xi^3| ~ 1.5/T is pushed
     through the windowed source-to-solution map; the log-log slope of
-    lhs/rhs against T is compared with b' + 1 - b.
+    lhs/rhs against T is compared with b' + 1 - b.  Beside stg's phase and
+    weight tables, one horizon's fields are alive at a time, and the forcing's
+    norm is taken before its Duhamel field is built.
     """
     check_linear_estimate(a, b, b_prime, n_fields, t_values, stg.t.period, stg.t.n)
     ladder = [float(x) for x in t_values]
@@ -390,8 +399,8 @@ def linear_estimate_check(
     for re, im in draws:
         vals = SpectralField(np.where(mask, re + 1j * im, 0.0), g).values()  # realize, then re-transform
         data.append(forward(vals, g))
-    unit = free_field(SpectralField(np.ones(g.n, dtype=complex), g), a, stg)
-    row = np.sum(weight_table(stg, a, s, b) * np.abs(unit.coeffs) ** 2, axis=1) * stg.cell
+    unit = SpectralField(np.ones(g.n, dtype=complex), g)  # its free field lives only while row is formed
+    row = np.sum(weight_table(stg, a, s, b) * np.abs(free_field(unit, a, stg).coeffs) ** 2, axis=1) * stg.cell
     ratios = []
     for w0 in data:
         denom = bracket_norm(w0, s)
@@ -414,9 +423,8 @@ def linear_estimate_check(
         sigma0, width = 8.0 / Tj, 0.5 / Tj
         envelope = np.exp(-0.5 * (width * t) ** 2) * np.cos(sigma0 * t)
         slices = g_hat[:, None] * phase * envelope[None, :]
-        F = from_time_slices(slices, stg)
-        w = duhamel_field(slices, a, stg, Tj)
-        d_ratios.append(xsb_norm(w, a, s, b) / xsb_norm(F, a, s, b_prime))
+        rhs = xsb_norm(from_time_slices(slices, stg), a, s, b_prime)  # the forcing's field is dropped here
+        d_ratios.append(xsb_norm(duhamel_field(slices, a, stg, Tj), a, s, b) / rhs)
     slope = loglog_slope(ladder, d_ratios)
     return LinearEstimateReport(
         ratios, cv, ladder, d_ratios, slope, b_prime + 1.0 - b
@@ -487,7 +495,9 @@ def bilinear_ratio(
     pair (i, j)'s cells, so row i <= j carries fu[i] fv[j] + fu[j] fv[i]
     (the diagonal once) into one inverse FFT.  The output weight is
     tabulated per (row, slot), zero on FFT padding; a row that shares no
-    cell is weighted in place, the rest are summed per cell first.
+    cell is weighted in place, the rest are summed per cell first.  Beside
+    that float (rows, nfft) table a call holds one block of whole left rows,
+    about BLOCK_ROWS pairs, at a time: the plan and each trial go block by block.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -563,12 +573,14 @@ def bilinear_ratio(
     # row to (D(e_k+1) - D(e_k)) / (dtau spread) over the slot edges e, with
     # D(e) = f2(e + spread/2) - f2(e - spread/2): two f2 calls per edge
     spread = 3.0 * abs(a_out) * xi_out**2 * dxi
-    edge = (shift[:, None] + np.arange(ll + 1) - 0.5) * dtau + a_out * xi_out**3
-    d_edge = f2(edge + spread / 2.0)
-    edge -= spread / 2.0
-    d_edge -= f2(edge)
-    w_slot = np.pad(np.diff(d_edge, axis=1), ((0, 0), (0, nfft - ll)))  # zero weight on the FFT padding
-    del edge, d_edge  # 8 MiB at band 32 that the trials need not hold
+    w_slot = np.zeros((left.size, nfft))  # zero weight on the FFT padding
+    for r in range(0, left.size, BLOCK_ROWS):  # the edge table, a block of rows at a time
+        rows = slice(r, r + BLOCK_ROWS)
+        edge = (shift[rows, None] + np.arange(ll + 1) - 0.5) * dtau + a_out * xi_out[rows] ** 3
+        d_edge = f2(edge + spread[rows] / 2.0)
+        edge -= spread[rows] / 2.0
+        d_edge -= f2(edge)
+        w_slot[rows, :ll] = np.diff(d_edge, axis=1)
     # the factor 2 restores the mirror half; the convolution's cell / 2 pi
     # and the output Riemann sum's cell are folded in here, once
     w_slot *= (1.0 + np.abs(xi_out)) ** (2.0 * s) * xi_out**2 * (2.0 * cell * (cell / TWO_PI) ** 2 / dtau) / spread
@@ -582,10 +594,14 @@ def bilinear_ratio(
     cells, at, ov_inv = np.unique(ov_keys, return_index=True, return_inverse=True)
     w_cell = w_slot[ov, :ll].ravel()[at]
     w_slot[ov] = 0.0
-    w_slot = np.repeat(w_slot, 2, axis=1)  # on the (real, imag) float view of each slot
+    ov_inv = ov_inv.reshape(ov.size, ll)
 
-    prod = np.empty((left.size, nfft), dtype=complex)
-    flat = prod.view(np.float64)
+    # block k: the whole left rows cut[k]:cut[k + 1], from the one holding pair k BLOCK_ROWS on, so
+    # pairs runs[cut[k]]:runs[cut[k + 1]], weights w_blocks[k] and overlap rows ov[ov_cut[k]:ov_cut[k + 1]]
+    cut = np.append(np.unique(np.searchsorted(runs, np.arange(0, left.size, BLOCK_ROWS), side="right") - 1), m)
+    ov_cut = np.searchsorted(ov, runs[cut])
+    w_blocks = np.split(w_slot, runs[cut[1:-1]])
+    buf = np.empty((max(len(w) for w in w_blocks), nfft), dtype=complex)
     ratios = []
     for trial in range(trials):
         u, v = draw(trial, 0, sup_left), draw(trial, 1, sup_right)
@@ -595,16 +611,21 @@ def bilinear_ratio(
             continue
         fu = np.fft.fft(u, n=nfft, axis=1)
         fv = np.fft.fft(v, n=nfft, axis=1)
-        for i in range(m):
-            j0 = i if same else 0
-            np.multiply(fu[i], fv[j0 : j0 + width[i]], out=prod[runs[i] : runs[i + 1]])
-            if same:  # the swapped pair (j, i) of every j > i
-                prod[runs[i] + 1 : runs[i + 1]] += fu[i + 1 : i + width[i]] * fv[i]
-        np.fft.ifft(prod, axis=1, out=prod)
         acc = np.zeros(cells.size, dtype=complex)
-        np.add.at(acc, ov_inv, prod[ov, :ll].ravel())
-        num_sq = np.einsum("ij,ij,ij->", w_slot, flat, flat) + np.vdot(w_cell, np.abs(acc) ** 2)
-        ratios.append(math.sqrt(float(num_sq)) / (nu * nv))
+        num_sq = 0.0
+        for k, w in enumerate(w_blocks):
+            r0, blk = runs[cut[k]], buf[: len(w)]
+            for i in range(cut[k], cut[k + 1]):
+                j0 = i if same else 0
+                row = blk[runs[i] - r0 : runs[i + 1] - r0]
+                np.multiply(fu[i], fv[j0 : j0 + width[i]], out=row)
+                if same:  # the swapped pair (j, i) of every j > i
+                    row[1:] += fu[i + 1 : i + width[i]] * fv[i]
+            np.fft.ifft(blk, axis=1, out=blk)
+            num_sq += np.einsum("ij,ij,ij->", w, blk.real, blk.real) + np.einsum("ij,ij,ij->", w, blk.imag, blk.imag)
+            o = slice(ov_cut[k], ov_cut[k + 1])  # in ov order: block after block, one scatter's order
+            np.add.at(acc, ov_inv[o], blk[ov[o] - r0, :ll])
+        ratios.append(math.sqrt(float(num_sq + np.vdot(w_cell, np.abs(acc) ** 2))) / (nu * nv))
     qs = {q: float(np.quantile(ratios, q)) for q in (0.5, 0.9, 1.0)}
     return BilinearReport(
         max(ratios), ratios, qs, ok, variant, band,

@@ -517,6 +517,12 @@ class KernelReport:
     neval: int  # integrand evaluations over both passes
 
 
+def check_kernel_id(kernel_id) -> None:
+    """Refuse an id that is not a key of KERNELS."""
+    if not (isinstance(kernel_id, str) and kernel_id in KERNELS):
+        raise ValueError(f"unknown kernel id {kernel_id!r} (choices: {', '.join(KERNELS)})")
+
+
 def kernel_bound_check(
     kernel_id: str,
     params: Optional[dict] = None,
@@ -528,8 +534,7 @@ def kernel_bound_check(
     The second evaluation doubles the truncation radius and tightens the
     adaptive tolerance; stability means the max moved by less than REL_CHANGE_BOUND.
     """
-    if kernel_id not in KERNELS:
-        raise KeyError(f"unknown kernel {kernel_id!r}; choose from {sorted(KERNELS)}")
+    check_kernel_id(kernel_id)
     kd = KERNELS[kernel_id]
     unknown = sorted(set(params or {}) - set(kd.default_params))
     if unknown:

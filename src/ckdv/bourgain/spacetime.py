@@ -170,17 +170,25 @@ def duhamel_field(
 
     forcing_slices[k, m] are the spatial coefficients of F at time
     stg.t.x[m].  The t' integral is a cumulative Simpson rule on the
-    grid cadence, anchored at t = 0 (which lies on the grid).
+    grid cadence, anchored at t = 0 (which lies on the grid), and runs
+    only over psi_T's support, from and to even indices so that each
+    interval keeps the whole grid's rule; beside the result it holds the
+    slices and two arrays over that support.
     """
     nt = stg.t.n
     t = stg.t.x
     i0 = nt // 2
     if abs(t[i0]) > 1e-12:
         raise ValueError("time grid must contain t = 0")
-    phase = stg.phase(a)
-    integrand = np.conj(phase) * forcing_slices
+    cut = psi_T(t, T)
+    lo, hi = np.flatnonzero(cut)[[0, -1]]  # psi_T(0) = 1, so lo <= i0 <= hi
+    lo -= lo % 2  # from an even index to an even one, or to the grid's end, over 3 or more samples
+    hi = min(max(hi + hi % 2, lo + 2) + 1, nt)
+    phase = stg.phase(a)[:, lo:hi]
     # the time grid is uniform, so its spacing is the equal-step rule's dx
-    acc = sg.cumulative_simpson_c(integrand, stg.t.dx, axis=1)
-    acc = acc - acc[:, i0][:, None]
-    slices = phase * acc * psi_T(t, T)[None, :]
+    acc = sg.cumulative_simpson_c(np.conj(phase) * forcing_slices[:, lo:hi], stg.t.dx, axis=1)
+    acc -= acc[:, [i0 - lo]]
+    slices = np.zeros((stg.x.n, nt), dtype=complex)
+    slices[:, lo:hi] = phase * acc * cut[lo:hi]
+    del acc
     return from_time_slices(slices, stg)

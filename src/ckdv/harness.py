@@ -44,7 +44,7 @@ from .bourgain import (
     random_field,
 )
 from .bourgain.estimates import NONEQ_REL_CHANGE_BOUND, check_linear_estimate, check_nonequivalence, check_speeds
-from .bourgain.kernels import REL_CHANGE_BOUND
+from .bourgain.kernels import REL_CHANGE_BOUND, check_kernel_id
 from .diagnostics import COLUMNS, _laws, collect, loglog_slope, record_for, sobolev_norm
 from .grid import Grid, SpectralField, forward, inverse, to_full
 from .solver import StepperConfig, check_picard, picard_iterate, simulate
@@ -151,8 +151,7 @@ def _distinct(convert, least: int = 1):
 
 
 def _kernel_id(v) -> str:
-    if not (isinstance(v, str) and v in KERNELS):
-        raise ValueError(f"has unknown kernel id {v!r} (choices: {', '.join(KERNELS)})")
+    check_kernel_id(v)
     return v
 
 
@@ -722,11 +721,12 @@ def _sampled_work(cfg: ExperimentConfig, runs=1, arrays=None) -> tuple[float, fl
 def _spacetime_work(p: dict) -> tuple[float, float]:
     """(bytes held at once, points passed over) of a bourgain_suite run, as floats.
 
-    It holds about 12 complex (n_x, n_t) fields at the Duhamel ladder's peak
-    (tracemalloc reads 11) and 32 bytes per mode of each of its n_fields
-    spatial data.  It passes over the (n_x, n_t) grid once for the free
-    battery and 4 times per horizon, over n_x twice per spatial datum, and
-    over the embedding grid, at most 64 x 256, 7 times per embedding field."""
+    It is charged 12 complex (n_x, n_t) fields, though with one horizon's
+    fields alive at a time tracemalloc reads about 6 (7.1 at 128 x 512), and
+    32 bytes per mode of each of its n_fields spatial data.  It passes over
+    the (n_x, n_t) grid once for the free battery and 4 times per horizon,
+    over n_x twice per spatial datum, and over the embedding grid, at most
+    64 x 256, 7 times per embedding field."""
     n_x, n_t = float(p["n_x"]), float(p["n_t"])
     held = 16.0 * n_x * (12.0 * n_t + 2.0 * p["n_fields"])
     points = (n_x * n_t * (1.0 + 4.0 * len(p["t_values"])) + 2.0 * p["n_fields"] * n_x

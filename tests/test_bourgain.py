@@ -37,7 +37,7 @@ from ckdv.bourgain.spacetime import (
     xsb_norm,
 )
 from ckdv.bump import psi, psi_T
-from ckdv.grid import Grid, SpectralField, field_from_callable, forward
+from ckdv.grid import Grid, SpectralField, cumulative_simpson_c, field_from_callable, forward
 from ckdv.harness import ConfigError, config_from_dict
 
 
@@ -179,6 +179,16 @@ def test_duhamel_field_basics(stg):
     assert np.max(np.abs(W2.coeffs - 2.0 * W1.coeffs)) < 1e-12
     i0 = stg.t.n // 2
     assert np.max(np.abs(inverse2(W1)[:, i0])) < 1e-10  # anchored at t = 0
+
+
+@pytest.mark.parametrize("T", [0.01, 0.1, 0.3, 0.55, 1.0, 2.0])  # support of 1 sample, odd and even spans, the whole box
+def test_duhamel_field_on_the_cutoffs_support_keeps_the_whole_grids_rule(stg, T):
+    forcing = random_field(stg, np.random.default_rng(3)).coeffs
+    phase = stg.phase(1.5)
+    acc = cumulative_simpson_c(np.conj(phase) * forcing, stg.t.dx, axis=1)  # over the whole time grid
+    whole = from_time_slices(phase * (acc - acc[:, [stg.t.n // 2]]) * psi_T(stg.t.x, T), stg)
+    got = duhamel_field(forcing, 1.5, stg, T)
+    assert np.allclose(got.coeffs, whole.coeffs, rtol=0.0, atol=1e-13 * np.max(np.abs(whole.coeffs)))
 
 
 def test_f_w_profile():
@@ -439,16 +449,46 @@ def _traced_peak(call):
 
 
 def test_bilinear_ratio_memory_peak():
-    # per-slot weights and one product array at band 32; a unique and
-    # scatter over every (pair, slot) of this mixed case peaks near 82 MiB
+    # this mixed case at band 32 forms 8,256 pairs of 66 slots: the float weight
+    # table is 4.2 MiB, and a block of at most 1,024 pairs adds 1.0 MiB complex,
+    # or in the plan a 1,024 x 66 float edge block 0.5 MiB per f2 temporary;
+    # one complex product array over every pair would add 8.3 MiB by itself
     peak = _traced_peak(lambda: bilinear_ratio(-0.6, 0.6, -0.4, 1.0, -1.0, 1.0, trials=2, band=32.0, seed=5))
-    assert peak < 28 * 2**20
+    assert peak < 10 * 2**20
 
 
 def test_pointwise_scan_memory_peak():
-    # three 1000 x 1000 float buffers are 22.9 MiB; each further temporary adds 7.6
+    # blocks of 65 tau rows: three 65 x 1000 float buffers are 1.5 MiB; the
+    # whole 1000 x 1000 lattice would take 7.6 MiB per buffer
     peak = _traced_peak(lambda: pointwise_bound_scan(1.3, -2.1, 0.7, n_side=1000, extent=1e3))
-    assert peak < 26 * 2**20
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize(
+    "a, a0, a1, n_side, extent",
+    [
+        (0.0, 1.0, -1.0, 601, 300.0),  # exactly 1/2 wherever |x| <= |tau|: 181,201 ties over all 6 blocks
+        (-1.0, 0.0, -2.0, 601, 300.0),  # 226,201 ties, the first one mid-row
+        (1.3, -2.1, 0.7, 700, 1e3),  # one maximum, in the last block
+    ],
+)
+def test_pointwise_scan_keeps_the_dense_scans_first_maximum(a, a0, a1, n_side, extent):
+    xs = np.linspace(-extent, extent, n_side)
+    r = pointwise_weight_ratio(xs[None, :], xs[:, None], a, a0, a1)
+    i = int(np.argmax(r))
+    scan = pointwise_bound_scan(a, a0, a1, n_side=n_side, extent=extent)
+    assert scan.max_ratio == r.flat[i]
+    assert scan.argmax == (xs[i % n_side], xs[i // n_side])
+
+
+def test_linear_estimate_check_memory_peak():
+    # the phase table, two float weight tables (one field together), one
+    # horizon's forcing and Duhamel slices, and from_time_slices' FFT and its
+    # scaled copy: 6 complex (n_x, n_t) fields of 16 bytes a point
+    linear_estimate_check(make_st_grid(16, 4.0 * np.pi, 64, 8.0), 1.0, 0.0, 0.6, -0.3, n_fields=2)  # first-call caches
+    stg = make_st_grid(128, 16.0 * np.pi, 512, 8.0)
+    peak = _traced_peak(lambda: linear_estimate_check(stg, 1.0, 0.0, 0.6, -0.3))
+    assert peak < 7 * 16 * 128 * 512
 
 
 def test_bilinear_negative_seed_raises():

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -438,6 +439,21 @@ def test_shipped_configs_sit_far_below_the_work_budget():
             held, points = harness._spacetime_work(cfg.params)
             assert 100 * held <= harness.MAX_SNAPSHOT_BYTES, path.name
             assert 100 * points <= harness.MAX_SPACETIME_POINTS, path.name
+
+
+def test_spacetime_work_covers_the_shipped_bourgain_runs_peak(tmp_path):
+    # the budget charges 12 complex (n_x, n_t) fields; tracemalloc reads about 7 at 128 x 512
+    cfg = load_config(CONFIG_DIR / "bourgain.json")
+    held, _ = harness._spacetime_work(cfg.params)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        status = run(cfg, tmp_path).status
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert status == "pass"
+    assert held >= peak
 
 
 def test_every_kind_has_a_shipped_config():

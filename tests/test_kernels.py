@@ -43,7 +43,7 @@ def test_registry_is_complete():
 
 
 def test_unknown_kernel_id():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^unknown kernel id 'nope'"):
         kernel_bound_check("nope")
 
 
