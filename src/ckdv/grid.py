@@ -91,7 +91,9 @@ class Grid:
 
     def to_coeffs(self, samples: np.ndarray, axis: int = -1) -> np.ndarray:
         """FFT-layout coefficients of samples on self.x along `axis`: FFT, centering sign, dx/sqrt(2*pi)."""
-        return np.fft.fft(samples, axis=axis) * _along(self._sign * (self.dx / SQRT_2PI), samples.ndim, axis)
+        coeffs = np.fft.fft(samples, axis=axis).astype(np.complex128, copy=False)  # complex128 for any input
+        coeffs *= _along(self._sign * (self.dx / SQRT_2PI), samples.ndim, axis)  # in place: no scaled copy
+        return coeffs
 
     def to_values(self, coeffs: np.ndarray, axis: int = -1) -> np.ndarray:
         """Complex samples on self.x of FFT-layout coefficients along `axis`; to_coeffs' inverse."""

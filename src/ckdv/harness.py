@@ -722,7 +722,7 @@ def _spacetime_work(p: dict) -> tuple[float, float]:
     """(bytes held at once, points passed over) of a bourgain_suite run, as floats.
 
     It is charged 12 complex (n_x, n_t) fields, though with one horizon's
-    fields alive at a time tracemalloc reads about 6 (7.1 at 128 x 512), and
+    fields alive at a time tracemalloc reads about 5.7 (6.6 at 128 x 512), and
     32 bytes per mode of each of its n_fields spatial data.  It passes over
     the (n_x, n_t) grid once for the free battery and 4 times per horizon,
     over n_x twice per spatial datum, and over the embedding grid, at most

@@ -10,7 +10,9 @@ classical RK4 applied to the integrating-factor variable.
 `picard_iterate` solves the same problem a second, independent way:
 successive substitution into the integral equation
 u(t) = U(t)u0 + int_0^t U(t - t') G(t') dt', with the time integral done
-by cumulative Simpson quadrature on a stored time grid.
+by cumulative Simpson quadrature on a stored time grid.  It keeps and
+returns only the final iterate, with every distance d_k in its report;
+iterate k is the final iterate of a run with n_iters = k.
 Agreement between the two routes is a correctness check for both.
 
 Internally both routes hold the stacked half spectrum (modes k = 0..n/2
@@ -253,6 +255,9 @@ def picard_iterate(
     applied; the paper's are identically 1 on [0, T] for T <= 1.  The
     iteration runs on W and the distances d_k are measured on U = P W.
 
+    Returns ([final iterate], report): earlier iterates are not kept, so
+    a sweep frees its predecessor.  The iteration is deterministic, so
+    iterate k (k >= 2) is the final iterate of a run with n_iters = k.
     Divergence is reported, never raised.
     """
     check_picard(T, n_iters, time_resolution)
@@ -273,17 +278,12 @@ def picard_iterate(
         # U = P W on (component, time, mode) arrays
         return w if P is None else np.tensordot(P, w, axes=1)
 
-    def iterate(w: np.ndarray) -> Trajectory:
-        # (component, time, mode) -> (time, component, mode), a view when P is None
-        return Trajectory(times, np.moveaxis(to_u(w), 0, 1), g)
-
     def sup_hs_distance(diff: np.ndarray) -> float:
         mag = np.abs(to_u(diff))  # squared and weighted in place; freed before the quadrature's peak
         norms = np.sqrt(np.sum(np.multiply(hs_weight, np.square(mag, out=mag), out=mag), axis=-1))
         return float(np.max(norms[0] + norms[1]))
 
     cur = free
-    iterates = [iterate(cur)]
     diffs: list[float] = []
     diverged = False
     for _ in range(n_iters):
@@ -292,7 +292,7 @@ def picard_iterate(
             with np.errstate(over="ignore", invalid="ignore"):
                 integrand = rhs(cur, times, out=rhs_out)
                 np.multiply(phase_conj, integrand, out=integrand)
-                # the accumulator becomes the new iterate, which the returned Trajectory keeps
+                # the accumulator becomes the new iterate; the previous one is freed when cur moves on
                 new = sg.cumulative_simpson_c(integrand, times[1] - times[0], axis=1)
                 np.add(free, np.multiply(phase, new, out=new), out=new)
                 d = sup_hs_distance(np.subtract(new, cur, out=rhs_out))
@@ -303,7 +303,6 @@ def picard_iterate(
             break
         diffs.append(d)
         cur = new
-        iterates.append(iterate(cur))
 
     ratios = [
         diffs[k + 1] / diffs[k] for k in range(len(diffs) - 1) if diffs[k] > 0.0
@@ -314,4 +313,6 @@ def picard_iterate(
     converged = bool(
         not diverged and diffs and (diffs[-1] == 0.0 or contraction < 1.0)
     )
-    return iterates, PicardReport(diffs, ratios, contraction, converged)
+    # (component, time, mode) -> (time, component, mode), a view when P is None
+    final = Trajectory(times, np.moveaxis(to_u(cur), 0, 1), g)
+    return [final], PicardReport(diffs, ratios, contraction, converged)

@@ -213,6 +213,17 @@ def test_to_coeffs_and_to_values_along_an_axis(axis):
     assert np.allclose(g.to_values(g.to_coeffs(arr, axis=axis), axis=axis), arr, rtol=0.0, atol=1e-13)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.float64])
+def test_to_coeffs_scales_in_double_precision_for_any_input(dtype):
+    # the scaling runs in place, on a complex128 copy when the FFT's output is single precision
+    g = Grid(32, 5.0)
+    arr = np.random.default_rng(3).standard_normal((32, 4)).astype(dtype) * (1j if dtype == np.complex64 else 1)
+    table = (g._sign * (g.dx / SQRT_2PI))[:, None]
+    got = g.to_coeffs(arr, axis=0)
+    assert got.dtype == np.complex128
+    assert np.array_equal(got, np.fft.fft(arr, axis=0).astype(np.complex128) * table)
+
+
 class _StubGufunc:
     """Stands in for one of pocketfft's gufuncs: the given signature, and a log of its calls."""
 

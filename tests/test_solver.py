@@ -1,6 +1,7 @@
 """Stepper and the integral-equation iteration."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,10 +212,12 @@ def test_picard_contracts_for_small_data():
     iters, report = picard_iterate(st, HirotaSatsuma(-0.5, 1.0), 0.2, n_iters=8, time_resolution=41)
     assert report.converged
     assert report.contraction_ratio < 0.5
-    assert len(iters) == 9
+    assert len(iters) == 1  # only the final iterate is kept
     assert report.diffs[0] > report.diffs[-1]
-    # iterate 0 is the free evolution: at t=0 it equals the data
-    assert np.max(np.abs(iters[0].states[0].u.coeffs - (iters[-1].states[0].u.coeffs))) < 1e-12
+    # every iterate starts from the data: at t=0 the final one equals the dealiased data
+    start = iters[-1].states[0]
+    assert np.max(np.abs(start.u.coeffs - dealias(u0).coeffs)) < 1e-12
+    assert np.max(np.abs(start.v.coeffs - dealias(v0).coeffs)) < 1e-12
 
 
 def test_picard_diffs_are_sup_hs_distances():
@@ -223,13 +226,15 @@ def test_picard_diffs_are_sup_hs_distances():
         field_from_callable(lambda x: 0.3 * np.exp(-((x / 1.5) ** 2)), g),
         field_from_callable(lambda x: 0.2 * np.exp(-(((x - 1.0) / 2.0) ** 2)), g),
     )
-    s = 1.0
-    iters, report = picard_iterate(st, HirotaSatsuma(-0.5, 1.0), 0.2, n_iters=2, time_resolution=21, s=s)
+    s, spec, times = 1.0, HirotaSatsuma(-0.5, 1.0), np.linspace(0.0, 0.2, 21)
+    _, report = picard_iterate(st, spec, 0.2, n_iters=2, time_resolution=21, s=s)
+    rows = [Trajectory(times, w, g).states for w in picard_reference(st, spec, 0.2, 2, 21)]
+    assert len(report.diffs) == 2
     for k, d in enumerate(report.diffs):
         want = max(
             sobolev_norm(SpectralField(a.u.coeffs - b.u.coeffs, g), s)
             + sobolev_norm(SpectralField(a.v.coeffs - b.v.coeffs, g), s)
-            for a, b in zip(iters[k + 1].states, iters[k].states)
+            for a, b in zip(rows[k + 1], rows[k])
         )
         assert d == pytest.approx(want, rel=1e-12)
 
@@ -281,7 +286,7 @@ def test_picard_builds_no_states(monkeypatch):
     st = small_pair(Grid(64, 8.0 * np.pi))
     made = count_states(monkeypatch)
     iters, report = picard_iterate(st, HirotaSatsuma(-0.5, 1.0), 0.2, n_iters=24, time_resolution=321)
-    assert report.converged and len(iters) == 25
+    assert report.converged and len(iters) == 1
     assert made == []  # not one per iterate and sample
     assert len(iters[-1].states) == 321 and len(made) == 321
 
@@ -575,15 +580,48 @@ def picard_reference(st, spec, T, n_iters, nt):
     return [np.moveaxis(w if P is None else np.tensordot(P, w, axes=1), 0, 1) for w in rows]
 
 
-@pytest.mark.parametrize("spec", [HirotaSatsuma(-0.5, 1.0), GearGrimshaw(0.7, 0.3, 0.4, 2.0, 0.5)],
-                         ids=["diagonal", "gear_grimshaw_cross"])
+picard_specs = pytest.mark.parametrize(
+    "spec", [HirotaSatsuma(-0.5, 1.0), GearGrimshaw(0.7, 0.3, 0.4, 2.0, 0.5)], ids=["diagonal", "gear_grimshaw_cross"]
+)
+
+
+@picard_specs
 def test_picard_sweep_is_bit_identical_to_the_allocating_sweep(spec):
+    # iterate k is the final iterate of a run with n_iters = k
     st = small_pair(Grid(64, 8.0 * np.pi))
-    iters, report = picard_iterate(st, spec, 0.2, n_iters=4, time_resolution=65)
-    want = picard_reference(st, spec, 0.2, 4, 65)
-    assert len(iters) == len(want) == 5 and len(report.diffs) == 4
-    for k, (it, w) in enumerate(zip(iters, want)):
-        assert np.array_equal(it.half, w), k
+    for k in (2, 3, 4):
+        iters, report = picard_iterate(st, spec, 0.2, n_iters=k, time_resolution=65)
+        assert len(iters) == 1 and len(report.diffs) == k
+        assert np.array_equal(iters[-1].half, picard_reference(st, spec, 0.2, k, 65)[-1]), k
+
+
+@picard_specs
+def test_picard_working_set_does_not_grow_with_n_iters(spec):
+    # a unit is one (2, nt, n/2+1) complex array; the sweep holds about 12.6 of them
+    # (phases, free evolution, RHS buffer, cur, new and the quadrature's temporaries)
+    # at any n_iters, where keeping every iterate added one unit per sweep
+    st, nt = small_pair(Grid(128, 8.0 * np.pi)), 321
+    unit = 16 * 2 * nt * (128 // 2 + 1)
+    picard_iterate(st, spec, 0.2, n_iters=2, time_resolution=nt)  # first-call caches
+    peaks = []
+    for n_iters in (2, 24):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, report = picard_iterate(st, spec, 0.2, n_iters=n_iters, time_resolution=nt)
+            peaks.append((tracemalloc.get_traced_memory()[1] - before) / unit)
+        finally:
+            tracemalloc.stop()
+        assert report.converged and len(report.diffs) == n_iters
+    assert abs(peaks[1] - peaks[0]) < 0.1 and max(peaks) < 13, peaks
+
+
+def test_picard_shorter_run_reports_the_leading_diffs():
+    st = small_pair(Grid(64, 8.0 * np.pi))
+    spec = HirotaSatsuma(-0.5, 1.0)
+    _, short = picard_iterate(st, spec, 0.2, n_iters=2, time_resolution=65)
+    _, long = picard_iterate(st, spec, 0.2, n_iters=4, time_resolution=65)
+    assert short.diffs == long.diffs[:2]
 
 
 def test_recorded_samples_own_their_memory(monkeypatch):
