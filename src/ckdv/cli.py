@@ -5,7 +5,7 @@ Each subcommand runs one experiment kind from a JSON config through
 exits 0 on pass, 1 on an experiment failure or error, 2 on a usage or
 configuration problem.  The kind's `harness.KINDS` record names the
 subcommand; the subcommand takes `--seed` when the kind reads a seed, and
-needs `--config` when it has a work estimate.
+needs `--config` when the kind steps a system.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_experiment(args, kind: str) -> int:
     # a kind without dynamics runs with built-in defaults when --config is omitted
-    if args.config is None and KINDS[kind].work is not None:
+    if args.config is None and "stepper" in KINDS[kind].top:
         raise ConfigError(f"subcommand for kind '{kind}' requires --config")
     d = {"kind": kind} if args.config is None else _read_json(args.config)
     seed = getattr(args, "seed", None)  # only a kind that takes a seed has --seed

@@ -9,10 +9,9 @@ Each config block has one table, key -> (converter, default); `_parse`
 checks a block against it in one pass, so runners read typed values.
 Each experiment kind is declared once, in its `KINDS` record: its CLI
 subcommand, its top-level keys, its params table, the rule that spans
-its keys, its work estimate (dynamics kinds only) and its runner.  The
-parser, the work budget, `run` and the CLI all read that record.  Each
-runner returns its summary and its checks; a run passes when every
-check does.
+its keys, its work estimate and its runner.  The parser, the work
+budget, `run` and the CLI all read that record.  Each runner returns its
+summary and its checks; a run passes when every check does.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from .bourgain.estimates import NONEQ_REL_CHANGE_BOUND, check_linear_estimate, c
 from .bourgain.kernels import REL_CHANGE_BOUND, check_kernel_id
 from .diagnostics import COLUMNS, _laws, collect, loglog_slope, record_for, sobolev_norm
 from .grid import Grid, SpectralField, forward, inverse, to_full
-from .solver import StepperConfig, check_picard, picard_iterate, simulate
+from .solver import StepperConfig, check_picard, check_simulate, picard_iterate, simulate
 from .systems import (
     Feng,
     GearGrimshaw,
@@ -256,24 +255,19 @@ _DYNAMICS = {
     "grid": (build_grid, MISSING),
     "stepper": (build_stepper, MISSING),
     "initial": (partial(_parse, table=_INITIAL, where="initial"), {}),
-    "horizon": (_nonneg, 0.0),
+    "horizon": (_finite, 0.0),
     **_SEED,
 }
-# a sampled run stores a state every sample_dt; Picard samples time_resolution
-# points and a convergence study keeps only final states
-_SAMPLED = {**_DYNAMICS, "sample_dt": (_positive, 0.01)}
+# a sampled run stores a state every sample_dt; Picard samples time_resolution points instead
+_SAMPLED = {**_DYNAMICS, "sample_dt": (_finite, 0.01)}
 
 
-# The work budget.  A dynamics run may take at most MAX_STEPS IF-RK4 steps
-# over all its simulations, and store at most MAX_SNAPSHOT_BYTES of samples
-# (2*(n/2+1) complex coefficients each) over all its trajectories.  Every
-# shipped config and benchmark workload sits at least 100x below both.
+# The work budget: each budgeted kind's `work` gives its run's IF-RK4 steps over all its simulations,
+# the bytes it holds at once and the points its space-time transforms and weighted norms pass over.
+# Every shipped config and benchmark workload sits at least 100x below each budget.
+# MAX_SPACETIME_POINTS is about 5 minutes on a 2-core host, at the bourgain config's 28 ns a point.
 MAX_STEPS = 10**7
 MAX_SNAPSHOT_BYTES = 2**31
-# A bourgain_suite run may hold at most MAX_SNAPSHOT_BYTES at once and pass
-# over at most MAX_SPACETIME_POINTS points in its transforms and weighted
-# norms: about 5 minutes on a 2-core host, where the shipped config takes
-# 28 ns a point, against the 25 minutes MAX_STEPS IF-RK4 steps take at n = 256.
 MAX_SPACETIME_POINTS = MAX_STEPS * 2**10
 
 
@@ -295,18 +289,17 @@ class ExperimentConfig:
     snapshot: Optional[State] = None
 
     def __post_init__(self):
-        # the budget, then the kind's rule that spans keys; _parse reports a
-        # ValueError here as a ConfigError
+        # the budget, simulate's refusals, the kind's rule, then the data; _parse makes a ValueError a ConfigError
         k = KINDS[self.kind]
         if k.work is not None:
-            steps, samples = k.work(self)
-            stored = samples * 2 * (self.grid.n // 2 + 1) * 16
-            if steps > MAX_STEPS or stored > MAX_SNAPSHOT_BYTES:
-                raise ValueError(
-                    f"the run takes {steps:.3g} IF-RK4 steps and stores {stored:.3g} bytes "
-                    f"of samples; the budget is {MAX_STEPS:.0e} steps and {MAX_SNAPSHOT_BYTES} bytes"
-                )
-        fault = k.rule and k.rule(self)
+            steps, held, points = k.work(self)
+            if steps > MAX_STEPS or held > MAX_SNAPSHOT_BYTES or points > MAX_SPACETIME_POINTS:
+                raise ValueError(f"the run holds {held:.3g} bytes at once, passes over {points:.3g} space-time points "
+                                 f"and takes {steps:.3g} IF-RK4 steps; the budget is {MAX_SNAPSHOT_BYTES} bytes and "
+                                 f"{MAX_SPACETIME_POINTS:.3g} points and {MAX_STEPS:.0e} steps")
+        if self.stepper is not None:  # every dynamics kind runs simulate, Picard's reference included
+            check_simulate(self.horizon, self.stepper.dt if self.sample_dt is None else self.sample_dt)
+        fault = (k.rule and k.rule(self)) or (self.initial is not None and _nonzero_data(self))
         if fault:
             raise ValueError(fault)
 
@@ -709,46 +702,41 @@ def _run_noneq(cfg: ExperimentConfig, emit: _Emitter):
     ]
 
 
-def _sampled_work(cfg: ExperimentConfig, runs=1, arrays=None) -> tuple[float, float]:
-    """(IF-RK4 steps, stored samples) of `runs` simulate runs that store `arrays`
-    (by default `runs`) trajectories, as floats so that no count overflows.
-    A run stores every round(sample_dt/dt)-th step, plus its first and last states."""
+# A dynamics run holds a measured multiple of its samples, each of 2*(n/2+1)
+# complex coefficients: the kind's tracemalloc peak per sample, rounded up, plus
+# the stage buffers of a step and of a short last step and the RHS's, 32 states.
+# tests/test_harness.py pins each charge between the run's peak and twice it.
+def _dynamics_work(cfg: ExperimentConfig, steps: float, states: float) -> tuple:
+    """(IF-RK4 steps, bytes of `states` states and the workspace at 32 bytes a mode, 0.0 points), as floats."""
+    return steps, (states + 32.0) * 32.0 * (cfg.grid.n // 2 + 1), 0.0
+
+
+def _samples(cfg: ExperimentConfig) -> float:
+    """The states a simulate run over the horizon stores: every round(sample_dt/dt)-th step, its first and last."""
     dt = cfg.stepper.dt
-    samples = cfg.horizon / (max(1.0, np.round(cfg.sample_dt / dt)) * dt) + 2.0
-    return runs * (cfg.horizon / dt), (runs if arrays is None else arrays) * samples
+    return cfg.horizon / (max(1.0, np.round(cfg.sample_dt / dt)) * dt) + 2.0
 
 
-def _spacetime_work(p: dict) -> tuple[float, float]:
-    """(bytes held at once, points passed over) of a bourgain_suite run, as floats.
+def _spacetime_work(cfg: ExperimentConfig) -> tuple:
+    """(0.0 IF-RK4 steps, bytes held at once, points passed over) of a bourgain_suite run, as floats.
 
-    It is charged 12 complex (n_x, n_t) fields, though with one horizon's
-    fields alive at a time tracemalloc reads about 5.7 (6.6 at 128 x 512), and
-    32 bytes per mode of each of its n_fields spatial data.  It passes over
-    the (n_x, n_t) grid once for the free battery and 4 times per horizon,
-    over n_x twice per spatial datum, and over the embedding grid, at most
-    64 x 256, 7 times per embedding field."""
+    It holds one horizon's fields at a time: 7 complex (n_x, n_t) fields (tracemalloc reads 5.7-6.6),
+    and 32 bytes per mode of each of its n_fields spatial data.  It passes over the (n_x, n_t) grid
+    once for the free battery and 4 times per horizon, over n_x twice per spatial datum, and over
+    the embedding grid, at most 64 x 256, 7 times per embedding field."""
+    p = cfg.params
     n_x, n_t = float(p["n_x"]), float(p["n_t"])
-    held = 16.0 * n_x * (12.0 * n_t + 2.0 * p["n_fields"])
+    held = 16.0 * n_x * (7.0 * n_t + 2.0 * p["n_fields"])
     points = (n_x * n_t * (1.0 + 4.0 * len(p["t_values"])) + 2.0 * p["n_fields"] * n_x
               + 7.0 * p["n_embed_fields"] * min(n_x, 64.0) * min(n_t, 256.0))
-    return held, points
+    return 0.0, held, points
 
 
 def _nonzero_data(cfg: ExperimentConfig) -> Optional[str]:
-    # a perturbation relative to the data, or a contraction onto them, means nothing for zero data
+    # for zero data c02's drifts and c06's gaps read 0 by construction, a Lipschitz perturbation
+    # relative to the data is 0, and the scaling exponents and the convergence order are NaN
     data = make_initial(cfg.initial, cfg.grid, np.random.default_rng(cfg.seed))
     return None if np.any(data.u.coeffs) or np.any(data.v.coeffs) else "the run needs nonzero initial data"
-
-
-def _bourgain_rule(cfg: ExperimentConfig) -> Optional[str]:
-    p = cfg.params
-    held, points = _spacetime_work(p)
-    if held > MAX_SNAPSHOT_BYTES or points > MAX_SPACETIME_POINTS:
-        return (f"the run holds {held:.3g} bytes at once and passes over {points:.3g} space-time points; "
-                f"the budget is {MAX_SNAPSHOT_BYTES} bytes and {MAX_SPACETIME_POINTS:.3g} points")
-    check_linear_estimate(p["a"], p["b"], p["b_prime"], p["n_fields"], p["t_values"], p["period_t"], p["n_t"])
-    check_speeds(p["b"], **{key: p[key] for key in ("embedding_speeds", "pair_first", "pair_second")})
-    return None
 
 
 @dataclass(frozen=True)
@@ -760,21 +748,24 @@ class KindDef:
     params: dict
     runner: Callable  # (cfg, emit) -> (summary, checks)
     rule: Optional[Callable] = None  # cfg -> a fault's message or None; a library check raises ValueError
-    work: Optional[Callable] = None  # cfg -> (IF-RK4 steps, stored samples); dynamics kinds only
+    work: Optional[Callable] = None  # cfg -> (IF-RK4 steps, bytes held at once, space-time points)
 
 
 KINDS = {
-    "simulate": KindDef("simulate", _SAMPLED, {"s": (_finite, 1.0)}, _run_simulate, work=_sampled_work),
-    # the base run, and one run per direction and delta
+    # collect holds u, v, u_x, v_x and the cubic laws' 2x-grid fields of every sample at once: 12.0 states each
+    "simulate": KindDef("simulate", _SAMPLED, {"s": (_finite, 1.0)}, _run_simulate,
+                        work=lambda c: _dynamics_work(c, c.horizon / c.stepper.dt, 13.0 * _samples(c))),
+    # the base run, and one run per direction and delta; base, one perturbed run and their gaps: 6.0 states a sample
     "lipschitz_probe": KindDef(
         "lipschitz", _SAMPLED,
         {"s": (_finite, 1.0), "n_directions": (_count, 1), "direction_band": (_nonneg, 0.0),
          "deltas": (_distinct(_positive, 2), (1e-1, 1e-2, 1e-3, 1e-4, 1e-5))},
-        _run_lipschitz, rule=_nonzero_data,
-        work=lambda c: _sampled_work(c, 1 + c.params["n_directions"] * len(c.params["deltas"])),
+        _run_lipschitz,
+        work=lambda c: _dynamics_work(c, (1 + c.params["n_directions"] * len(c.params["deltas"]))
+                                      * c.horizon / c.stepper.dt, 7.0 * _samples(c)),
     ),
     # the rescaled run divides dt and the horizon alike by lam^3, so it takes as many
-    # steps; the prediction lam * base.half is a third array of that length
+    # steps; both trajectories, the prediction and the gaps' grid values, 11.0 states a sample
     "scaling_probe": KindDef(
         "scaling", _SAMPLED,
         # at lam = 1 the rescaled run is the base run, and covariance_max_err reads 0 by construction
@@ -785,24 +776,24 @@ KINDS = {
         # lam^2 u(lam x, lam^3 t) maps solutions to solutions only without a first-order drift
         rule=lambda c: "scaling covariance needs a system without first-order drift (R = 0 in its normal form)"
         if lower(c.system).R.any() else None,
-        work=partial(_sampled_work, runs=2.0, arrays=3.0),
+        work=lambda c: _dynamics_work(c, 2.0 * c.horizon / c.stepper.dt, 12.0 * _samples(c)),
     ),
-    # every iterate is kept; the stepper reference stores two states
+    # a sweep counts as time_resolution steps; whatever n_iters, it holds 12.5 arrays of (2, nt, n/2+1)
     "picard_study": KindDef(
         "picard", _DYNAMICS,
         {"n_iters": (_int, 8), "s": (_finite, 0.0), "time_resolution": (_int, 201)},
         _run_picard,
-        rule=lambda c: check_picard(c.horizon, c.params["n_iters"], c.params["time_resolution"]) or _nonzero_data(c),
-        work=lambda c: (c.horizon / c.stepper.dt, (c.params["n_iters"] + 1.0) * c.params["time_resolution"] + 2.0),
+        rule=lambda c: check_picard(c.horizon, c.params["n_iters"], c.params["time_resolution"]),
+        work=lambda c: _dynamics_work(c, c.horizon / c.stepper.dt + c.params["n_iters"] * c.params["time_resolution"],
+                                      14.0 * c.params["time_resolution"]),
     ),
-    # one run per dt_values entry and the reference run at stepper.dt, each storing two states
+    # one run per dt_values entry and the reference at stepper.dt, two samples each: 25-30 states in all
     "convergence_study": KindDef(
         "convergence", _DYNAMICS, {"dt_values": (_distinct(_positive, 2), (4e-3, 2e-3, 1e-3, 5e-4))},
         _run_convergence,
         rule=lambda c: "stepper.dt, the reference step, must be finer than every entry of dt_values"
         if c.stepper.dt >= min(c.params["dt_values"]) else None,
-        work=lambda c: (sum(c.horizon / d for d in [*c.params["dt_values"], c.stepper.dt]),
-                        2.0 * (len(c.params["dt_values"]) + 1)),
+        work=lambda c: _dynamics_work(c, sum(c.horizon / d for d in [*c.params["dt_values"], c.stepper.dt]), 8.0),
     ),
     "bourgain_suite": KindDef(
         "bourgain", _SEED,
@@ -813,7 +804,10 @@ KINDS = {
          "embedding_speeds": (_list_of(_finite, 3), (2.0, 1.0, 3.0)),
          "pair_first": (_list_of(_finite, 2), (1.0, 3.0)),
          "pair_second": (_list_of(_finite, 2), (1.5, 2.5)), "n_embed_fields": (_count, 64)},
-        _run_bourgain, rule=_bourgain_rule,
+        _run_bourgain, work=_spacetime_work,
+        rule=lambda c: check_linear_estimate(**{k: c.params[k] for k in ("a", "b", "b_prime", "n_fields", "t_values",
+                                                                         "period_t", "n_t")})
+        or check_speeds(c.params["b"], **{k: c.params[k] for k in ("embedding_speeds", "pair_first", "pair_second")}),
     ),
     "kernel_suite": KindDef("kernels", {}, {"kernels": (_distinct(_kernel_id), tuple(KERNELS))}, _run_kernels),
     "nonequivalence": KindDef(

@@ -152,6 +152,14 @@ class _GuardedStep:
         return after
 
 
+def check_simulate(T: float, sample_dt: float) -> None:
+    """Refuse a horizon or a sampling cadence that simulate cannot use."""
+    if not 0.0 <= T < np.inf:
+        raise ValueError(f"the horizon T must be finite and nonnegative, got {T!r}")
+    if not 0.0 < sample_dt < np.inf:
+        raise ValueError(f"sample_dt must be finite and positive, got {sample_dt!r}")
+
+
 def simulate(
     initial: State,
     spec: SystemSpec | NormalForm,
@@ -170,10 +178,7 @@ def simulate(
     The state is advanced in place in one stage workspace per step size;
     only the stored samples are copied out.
     """
-    if not 0.0 <= T < np.inf:
-        raise ValueError(f"T must be finite and nonnegative, got {T!r}")
-    if not 0.0 < sample_dt < np.inf:
-        raise ValueError(f"sample_dt must be finite and positive, got {sample_dt!r}")
+    check_simulate(T, sample_dt)
     rhs, c, P, w = _eigenbasis(initial, spec)
     g = initial.grid
     t0 = initial.t

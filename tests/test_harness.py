@@ -43,7 +43,7 @@ from ckdv.harness import (
     build_system,
     make_initial,
 )
-from ckdv.solver import picard_iterate
+from ckdv.solver import picard_iterate, simulate
 from ckdv.systems import SpectralRhs
 
 
@@ -163,7 +163,7 @@ def test_config_validation_matrix():
         config_from_dict(simulate_config(initial={"u": {"kind": "sine", "mode": 1.5}}))
     with pytest.raises(ConfigError, match="kernels"):  # not split into characters
         config_from_dict({"kind": "kernel_suite", "params": {"kernels": "peak_pair"}})
-    # the work budget: 1e13 snapshots and 2e11 steps; then each budget alone
+    # the work budget: 2e11 steps, each one stored; then the step budget alone
     with pytest.raises(ConfigError, match="budget"):
         config_from_dict(simulate_config(horizon=1e9, sample_dt=1e-4))
     with pytest.raises(ConfigError, match="1.3e[+]07 IF-RK4 steps"):  # 13 runs of 1e6 steps, few samples
@@ -171,7 +171,7 @@ def test_config_validation_matrix():
                                          params={"n_directions": 3, "deltas": [1e-2, 1e-3, 1e-4, 1e-5]}))
     with pytest.raises(ConfigError, match="5e[+]06 IF-RK4 steps"):  # within the step budget, each step stored
         config_from_dict(simulate_config(horizon=2.5e4, sample_dt=5e-3))
-    with pytest.raises(ConfigError, match="budget"):  # 10 steps, every Picard iterate kept
+    with pytest.raises(ConfigError, match="budget"):  # each sweep of 201 samples counts as 201 steps
         config_from_dict(unsampled_config("picard_study", params={"n_iters": 10**6, "time_resolution": 201}))
     # Picard runs without cutoffs and always checks a converged run against the stepper
     for key in ("apply_cutoffs", "compare_stepper"):
@@ -206,6 +206,19 @@ RUN_TIME_FAILURES = {
     ),
     # zero data contract at once and match the stepper exactly: c06's checks would read 0 by construction
     "picard_no_initial": ({**unsampled_config("picard_study"), "initial": {}}, "needs nonzero initial data"),
+    # zero data: c02's drifts read 0 by construction, the scaling exponents and the convergence order NaN
+    "simulate_no_initial": ({**simulate_config(), "initial": {}}, "needs nonzero initial data"),
+    "scaling_no_initial": ({**simulate_config(kind="scaling_probe"), "initial": {}}, "needs nonzero initial data"),
+    "convergence_no_initial": (
+        {**unsampled_config("convergence_study", params={"dt_values": [4e-2, 2e-2]}), "initial": {}},
+        "needs nonzero initial data",
+    ),
+    "simulate_horizon_negative": (simulate_config(horizon=-1.0), "the horizon T must be finite and nonnegative"),
+    "simulate_sample_dt_0": (simulate_config(sample_dt=0.0), "sample_dt must be finite and positive"),
+    # Picard's stepper reference runs simulate too
+    "picard_horizon_negative": (
+        unsampled_config("picard_study", horizon=-1.0), "the horizon T must be finite and nonnegative"
+    ),
     # at lam = 1 the rescaled run is the base run: covariance_max_err would read 0 by construction
     "scaling_lam_1": (simulate_config(kind="scaling_probe", params={"lam": 1.0}), "'lam' must be positive and not 1"),
     "lipschitz_deltas_not_a_list": (
@@ -309,6 +322,12 @@ def _speeds_owner(config):
     intersection_equivalence(F, p["pair_first"], p["pair_second"], p["s"], p["b"])
 
 
+def _simulate_owner(config):
+    cfg = config_from_dict(simulate_config())  # the case's system, grid, stepper and data
+    state0 = make_initial(cfg.initial, cfg.grid, np.random.default_rng(cfg.seed))
+    simulate(state0, cfg.system, config["horizon"], cfg.stepper, sample_dt=config.get("sample_dt", cfg.stepper.dt))
+
+
 def _picard_owner(config):
     cfg = config_from_dict(unsampled_config("picard_study"))  # the case's system, grid and data
     state0 = make_initial(cfg.initial, cfg.grid, np.random.default_rng(cfg.seed))
@@ -334,6 +353,9 @@ LIBRARY_OWNERS = {
     ),
     **dict.fromkeys(
         ["picard_horizon_0", "picard_n_iters_0", "picard_n_iters_1", "picard_even_time_resolution"], _picard_owner
+    ),
+    **dict.fromkeys(
+        ["simulate_horizon_negative", "simulate_sample_dt_0", "picard_horizon_negative"], _simulate_owner
     ),
 }
 
@@ -381,10 +403,10 @@ def test_top_level_keys_per_kind():
         "diagnose": {"system", "snapshot"},
     }
     assert {kind: set(k.top) for kind, k in harness.KINDS.items()} == accepted
-    # a kind has a work estimate exactly when it steps a system
+    # a kind has a work estimate exactly when it steps a system or transforms space-time fields
     assert {kind for kind, k in harness.KINDS.items() if k.work} == {
         kind for kind, keys in accepted.items() if "stepper" in keys
-    }
+    } | {"bourgain_suite"}
     for kind, keys in accepted.items():
         with pytest.raises(ConfigError, match=re.escape(f"unknown key(s) in {kind} config: extra")):
             config_from_dict({"kind": kind, "output_dir": None, "params": {}, "extra": 1, **dict.fromkeys(keys)})
@@ -431,29 +453,66 @@ def test_shipped_configs_sit_far_below_the_work_budget():
         cfg = load_config(path)
         work = harness.KINDS[cfg.kind].work
         if work is not None:
-            steps, samples = work(cfg)
-            stored = samples * 2 * (cfg.grid.n // 2 + 1) * 16
+            steps, held, points = work(cfg)
             assert 100 * steps <= harness.MAX_STEPS, path.name
-            assert 100 * stored <= harness.MAX_SNAPSHOT_BYTES, path.name
-        if cfg.kind == "bourgain_suite":
-            held, points = harness._spacetime_work(cfg.params)
             assert 100 * held <= harness.MAX_SNAPSHOT_BYTES, path.name
             assert 100 * points <= harness.MAX_SPACETIME_POINTS, path.name
 
 
-def test_spacetime_work_covers_the_shipped_bourgain_runs_peak(tmp_path):
-    # the budget charges 12 complex (n_x, n_t) fields; tracemalloc reads about 7 at 128 x 512
-    cfg = load_config(CONFIG_DIR / "bourgain.json")
-    held, _ = harness._spacetime_work(cfg.params)
+def _shipped(name: str, params=None, **over) -> dict:
+    """A shipped config with some top-level keys, and some params, replaced."""
+    d = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    d["params"] = {**d.get("params", {}), **(params or {})}
+    return {**d, **over}
+
+
+_N512 = {"n": 512, "period": 8.0 * np.pi}
+# runs at sizes where the charged arrays outweigh Python's own allocations:
+# n = 512 with every step stored, Picard's (2, nt, n/2+1) arrays, convergence
+# runs at n = 4096 and 16384, and space-time grids of 128 x 512 and 256 x 1024
+PEAK_CASES = {
+    "simulate_hs": _shipped("simulate", grid=_N512, sample_dt=2e-4, horizon=0.05),
+    "simulate_gg": _shipped("gear_grimshaw", grid=_N512, sample_dt=2e-4, horizon=0.05),
+    "lipschitz": _shipped("lipschitz", {"n_directions": 1, "deltas": [1e-3, 1e-4]}, grid=_N512, sample_dt=5e-4,
+                          horizon=0.05),
+    "scaling": _shipped("scaling", grid=_N512, sample_dt=2e-4, horizon=0.05),
+    # a coarse reference step: the stepper reference holds two samples whatever its dt
+    "picard_n_iters_2": _shipped("picard", {"n_iters": 2}, stepper={"dt": 2e-3}),
+    "picard_n_iters_24": _shipped("picard", stepper={"dt": 2e-3}),
+    **{f"convergence_n{n}": _shipped("convergence", grid={"n": n, "period": 8.0 * np.pi}, stepper={"dt": 4e-4},
+                                     horizon=3.2e-3) for n in (4096, 16384)},
+    "bourgain_128x512": _shipped("bourgain"),
+    "bourgain_256x1024": _shipped("bourgain", {"n_x": 256, "n_t": 1024}),
+}
+
+
+def test_budget_refuses_runs_that_would_not_fit_and_admits_one_that_would():
+    # about 24 GiB and 7.7 GiB held at once, where a charge of one state per stored sample read 2 GiB or less
+    for runaway, charged in (
+        (_shipped("simulate", grid={"n": 2048, "period": 8.0 * np.pi}, stepper={"dt": 1e-4}, sample_dt=1e-4,
+                  horizon=6.5), "2.77e+10"),
+        (_shipped("picard", {"time_resolution": 5001, "n_iters": 2}, grid={"n": 8192, "period": 8.0 * np.pi}),
+         "9.18e+09"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(f"holds {charged} bytes at once")):
+            config_from_dict(runaway)
+    # about 1.7e9 bytes held at once, where a charge of 12 fields read 3.2e9
+    config_from_dict(_shipped("bourgain", {"n_x": 4096, "n_t": 4096}))
+
+
+@pytest.mark.parametrize("name", sorted(PEAK_CASES))
+def test_work_charge_lies_between_the_runs_peak_and_twice_it(tmp_path, name):
+    cfg = config_from_dict(PEAK_CASES[name])
+    _, held, _ = harness.KINDS[cfg.kind].work(cfg)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        status = run(cfg, tmp_path).status
+        manifest = run(cfg, tmp_path)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert status == "pass"
-    assert held >= peak
+    assert manifest.error is None
+    assert peak <= held <= 2 * peak, held / peak
 
 
 def test_every_kind_has_a_shipped_config():
@@ -657,10 +716,20 @@ def law_moves(column):
     return patch
 
 
+def laws_at_zero(then=lambda call: call):
+    """Patch of collect: the V and F columns read 0, as zero data would give; then `then`'s patch."""
+    def patch(call):
+        def collect(*args):
+            table = call(*args)
+            table[:, [COLUMNS.index("V"), COLUMNS.index("F")]] = 0.0
+            return table
+        return then(collect)
+    return patch
+
+
 PEAK_PAIR = {"kind": "kernel_suite", "params": {"kernels": ["peak_pair"]}}
-# no initial block: zero data, so V and F start at 0
-ZERO_DATA = {k: v for k, v in simulate_config(system={"name": "hirota_satsuma", "a": 0.5, "b": 1.0}).items()
-             if k != "initial"}
+# zero data are refused at parse time, so the laws are set to 0 in the table instead
+HS_CONSERVING = simulate_config(system={"name": "hirota_satsuma", "a": 0.5, "b": 1.0})
 
 # case -> (config, harness name patched, patch, the checks that then fail)
 VERDICT_CASES = {
@@ -669,8 +738,8 @@ VERDICT_CASES = {
         ["infinite_entries", "V_drift", "F_drift"],  # a non-finite column has no finite drift
     ),
     # a law that starts at 0 drifts by 0.0 while it stays there and by inf once it moves
-    "simulate_zero_data": (ZERO_DATA, "collect", lambda call: call, []),
-    "simulate_zero_data_V_moves": (ZERO_DATA, "collect", law_moves("V"), ["V_drift"]),
+    "simulate_zero_data": (HS_CONSERVING, "collect", laws_at_zero(), []),
+    "simulate_zero_data_V_moves": (HS_CONSERVING, "collect", laws_at_zero(law_moves("V")), ["V_drift"]),
     # NaN norms of the (samples, 2, n) trajectory gaps, not of the (2, n) base state;
     # NaN ratios leave no finite stabilization difference, so that check fails too
     "lipschitz_nonfinite": (
