@@ -9,7 +9,7 @@ Each config block has one table, key -> (converter, default); `_parse`
 checks a block against it in one pass, so runners read typed values.
 Each experiment kind is declared once, in its `KINDS` record: its CLI
 subcommand, its top-level keys, its params table, the rule that spans
-its keys, its work estimate and its runner.  The parser, the work
+its keys, its work record and its runner.  The parser, the work
 budget, `run` and the CLI all read that record.  Each runner returns its
 summary and its checks; a run passes when every check does.
 """
@@ -46,7 +46,7 @@ from .bourgain.estimates import NONEQ_REL_CHANGE_BOUND, check_linear_estimate, c
 from .bourgain.kernels import REL_CHANGE_BOUND, check_kernel_id
 from .diagnostics import COLUMNS, _laws, collect, loglog_slope, record_for, sobolev_norm
 from .grid import Grid, SpectralField, forward, inverse, to_full
-from .solver import StepperConfig, check_picard, check_simulate, picard_iterate, simulate
+from .solver import StepperConfig, check_picard, picard_iterate, schedule, simulate
 from .systems import (
     Feng,
     GearGrimshaw,
@@ -262,13 +262,12 @@ _DYNAMICS = {
 _SAMPLED = {**_DYNAMICS, "sample_dt": (_finite, 0.01)}
 
 
-# The work budget: each budgeted kind's `work` gives its run's IF-RK4 steps over all its simulations,
-# the bytes it holds at once and the points its space-time transforms and weighted norms pass over.
-# Every shipped config and benchmark workload sits at least 100x below each budget.
-# MAX_SPACETIME_POINTS is about 5 minutes on a 2-core host, at the bourgain config's 28 ns a point.
-MAX_STEPS = 10**7
+# The work budget: each kind's `work` gives the bytes its run holds at once and the points it passes
+# over.  A point is the budget's unit of run time: configs/bourgain.json takes 10.1-10.3 ns per charged
+# point on a 2-core host (best of 15), so MAX_POINTS is about 5 minutes there.  Every shipped config
+# and benchmark workload sits at least 100x below each budget.
 MAX_SNAPSHOT_BYTES = 2**31
-MAX_SPACETIME_POINTS = MAX_STEPS * 2**10
+MAX_POINTS = 3 * 10**10
 
 
 @dataclass(kw_only=True)
@@ -289,16 +288,13 @@ class ExperimentConfig:
     snapshot: Optional[State] = None
 
     def __post_init__(self):
-        # the budget, simulate's refusals, the kind's rule, then the data; _parse makes a ValueError a ConfigError
+        # the budget (a dynamics kind's record first calls solver.schedule, which refuses what simulate cannot use),
+        # the kind's rule, then the data; _parse makes a ValueError a ConfigError
         k = KINDS[self.kind]
-        if k.work is not None:
-            steps, held, points = k.work(self)
-            if steps > MAX_STEPS or held > MAX_SNAPSHOT_BYTES or points > MAX_SPACETIME_POINTS:
-                raise ValueError(f"the run holds {held:.3g} bytes at once, passes over {points:.3g} space-time points "
-                                 f"and takes {steps:.3g} IF-RK4 steps; the budget is {MAX_SNAPSHOT_BYTES} bytes and "
-                                 f"{MAX_SPACETIME_POINTS:.3g} points and {MAX_STEPS:.0e} steps")
-        if self.stepper is not None:  # every dynamics kind runs simulate, Picard's reference included
-            check_simulate(self.horizon, self.stepper.dt if self.sample_dt is None else self.sample_dt)
+        held, points = k.work(self)
+        if held > MAX_SNAPSHOT_BYTES or points > MAX_POINTS:
+            raise ValueError(f"the run holds {held:.3g} bytes at once and passes over {points:.3g} points; "
+                             f"the budget is {MAX_SNAPSHOT_BYTES} bytes and {MAX_POINTS:.3g} points")
         fault = (k.rule and k.rule(self)) or (self.initial is not None and _nonzero_data(self))
         if fault:
             raise ValueError(fault)
@@ -499,9 +495,7 @@ def _run_lipschitz(cfg: ExperimentConfig, emit: _Emitter):
                 SpectralField(base0.u.coeffs + eps * du.coeffs, cfg.grid),
                 SpectralField(base0.v.coeffs + eps * dv.coeffs, cfg.grid),
             )
-            pert = simulate(
-                pert0, cfg.system, cfg.horizon, cfg.stepper, sample_dt=cfg.sample_dt
-            )
+            pert = simulate(pert0, cfg.system, cfg.horizon, cfg.stepper, sample_dt=cfg.sample_dt)
             if not np.array_equal(pert.times, base.times):
                 raise RuntimeError("trajectory sampling cadence mismatch")
             sup = float(np.max(_joint_norm(to_full(pert.half - base.half), cfg.grid, s)))
@@ -595,10 +589,7 @@ def _run_picard(cfg: ExperimentConfig, emit: _Emitter):
     # the comparison only means something at a fixed point; a divergent
     # iterate would also blow up the reference simulation
     if report.converged:
-        traj = simulate(
-            state0, cfg.system, cfg.horizon, cfg.stepper,
-            sample_dt=max(cfg.horizon, cfg.stepper.dt),
-        )
+        traj = simulate(state0, cfg.system, cfg.horizon, cfg.stepper, sample_dt=max(cfg.horizon, cfg.stepper.dt))
         gaps = _sup_gaps(iters[-1].half[-1], traj.half[-1], cfg.grid)
         summary["stepper_linf"] = float(gaps.max())
         checks.append(check_bound("stepper_linf", summary["stepper_linf"], *BOUNDS["stepper_linf"]))
@@ -702,23 +693,30 @@ def _run_noneq(cfg: ExperimentConfig, emit: _Emitter):
     ]
 
 
+def _step_points(n: int) -> float:
+    """The points of one IF-RK4 step on n grid points.  Against bourgain.json's time per point, a Hirota-Satsuma step
+    measured 5,700-6,100 points at n = 16, 12,000 at 512, 37,000 at 2048, 308,000 at 2^14 and 1.0e7 at 2^18."""
+    return 40.0 * (n + 128)
+
+
 # A dynamics run holds a measured multiple of its samples, each of 2*(n/2+1)
 # complex coefficients: the kind's tracemalloc peak per sample, rounded up, plus
 # the stage buffers of a step and of a short last step and the RHS's, 32 states.
 # tests/test_harness.py pins each charge between the run's peak and twice it.
-def _dynamics_work(cfg: ExperimentConfig, steps: float, states: float) -> tuple:
-    """(IF-RK4 steps, bytes of `states` states and the workspace at 32 bytes a mode, 0.0 points), as floats."""
-    return steps, (states + 32.0) * 32.0 * (cfg.grid.n // 2 + 1), 0.0
+def _dynamics_work(cfg: ExperimentConfig, steps: float, states: float, points: float = 0.0) -> tuple:
+    """(bytes of `states` states and the workspace, 32 bytes a mode; points of `steps` IF-RK4 steps, plus `points`)."""
+    n = cfg.grid.n
+    return (states + 32.0) * 32.0 * (n // 2 + 1), steps * _step_points(n) + points
 
 
-def _samples(cfg: ExperimentConfig) -> float:
-    """The states a simulate run over the horizon stores: every round(sample_dt/dt)-th step, its first and last."""
-    dt = cfg.stepper.dt
-    return cfg.horizon / (max(1.0, np.round(cfg.sample_dt / dt)) * dt) + 2.0
+def _sampled_work(cfg: ExperimentConfig, runs: float, per_sample: float, points: float = 0.0) -> tuple:
+    """_dynamics_work of `runs` simulate runs over the horizon, each stored sample held as `per_sample` states."""
+    steps, samples = schedule(cfg.horizon, cfg.stepper.dt, cfg.sample_dt)[:2]
+    return _dynamics_work(cfg, runs * steps, per_sample * samples, points)
 
 
 def _spacetime_work(cfg: ExperimentConfig) -> tuple:
-    """(0.0 IF-RK4 steps, bytes held at once, points passed over) of a bourgain_suite run, as floats.
+    """(bytes held at once, points passed over) of a bourgain_suite run, as floats.
 
     It holds one horizon's fields at a time: 7 complex (n_x, n_t) fields (tracemalloc reads 5.7-6.6),
     and 32 bytes per mode of each of its n_fields spatial data.  It passes over the (n_x, n_t) grid
@@ -729,7 +727,7 @@ def _spacetime_work(cfg: ExperimentConfig) -> tuple:
     held = 16.0 * n_x * (7.0 * n_t + 2.0 * p["n_fields"])
     points = (n_x * n_t * (1.0 + 4.0 * len(p["t_values"])) + 2.0 * p["n_fields"] * n_x
               + 7.0 * p["n_embed_fields"] * min(n_x, 64.0) * min(n_t, 256.0))
-    return 0.0, held, points
+    return held, points
 
 
 def _nonzero_data(cfg: ExperimentConfig) -> Optional[str]:
@@ -747,25 +745,24 @@ class KindDef:
     top: dict  # the top-level keys it reads, besides kind, output_dir and params
     params: dict
     runner: Callable  # (cfg, emit) -> (summary, checks)
+    work: Callable  # cfg -> (bytes held at once, points passed over), the work budget's two charges
     rule: Optional[Callable] = None  # cfg -> a fault's message or None; a library check raises ValueError
-    work: Optional[Callable] = None  # cfg -> (IF-RK4 steps, bytes held at once, space-time points)
 
 
 KINDS = {
     # collect holds u, v, u_x, v_x and the cubic laws' 2x-grid fields of every sample at once: 12.0 states each
     "simulate": KindDef("simulate", _SAMPLED, {"s": (_finite, 1.0)}, _run_simulate,
-                        work=lambda c: _dynamics_work(c, c.horizon / c.stepper.dt, 13.0 * _samples(c))),
+                        work=lambda c: _sampled_work(c, 1.0, 13.0)),
     # the base run, and one run per direction and delta; base, one perturbed run and their gaps: 6.0 states a sample
     "lipschitz_probe": KindDef(
         "lipschitz", _SAMPLED,
         {"s": (_finite, 1.0), "n_directions": (_count, 1), "direction_band": (_nonneg, 0.0),
          "deltas": (_distinct(_positive, 2), (1e-1, 1e-2, 1e-3, 1e-4, 1e-5))},
         _run_lipschitz,
-        work=lambda c: _dynamics_work(c, (1 + c.params["n_directions"] * len(c.params["deltas"]))
-                                      * c.horizon / c.stepper.dt, 7.0 * _samples(c)),
+        work=lambda c: _sampled_work(c, 1 + c.params["n_directions"] * len(c.params["deltas"]), 7.0),
     ),
-    # the rescaled run divides dt and the horizon alike by lam^3, so it takes as many
-    # steps; both trajectories, the prediction and the gaps' grid values, 11.0 states a sample
+    # the rescaled run divides dt and the horizon alike by lam^3, so it takes as many steps; both trajectories,
+    # the prediction and the gaps' grid values, 11.0 states a sample; and a weighted norm per lambda and s
     "scaling_probe": KindDef(
         "scaling", _SAMPLED,
         # at lam = 1 the rescaled run is the base run, and covariance_max_err reads 0 by construction
@@ -776,16 +773,16 @@ KINDS = {
         # lam^2 u(lam x, lam^3 t) maps solutions to solutions only without a first-order drift
         rule=lambda c: "scaling covariance needs a system without first-order drift (R = 0 in its normal form)"
         if lower(c.system).R.any() else None,
-        work=lambda c: _dynamics_work(c, 2.0 * c.horizon / c.stepper.dt, 12.0 * _samples(c)),
+        work=lambda c: _sampled_work(c, 2.0, 12.0, len(c.params["lambdas"]) * len(c.params["s_values"]) * c.grid.n),
     ),
-    # a sweep counts as time_resolution steps; whatever n_iters, it holds 12.5 arrays of (2, nt, n/2+1)
+    # each sample of a sweep counts as a step; whatever n_iters, it holds 12.5 arrays of (2, nt, n/2+1)
     "picard_study": KindDef(
         "picard", _DYNAMICS,
         {"n_iters": (_int, 8), "s": (_finite, 0.0), "time_resolution": (_int, 201)},
         _run_picard,
         rule=lambda c: check_picard(c.horizon, c.params["n_iters"], c.params["time_resolution"]),
-        work=lambda c: _dynamics_work(c, c.horizon / c.stepper.dt + c.params["n_iters"] * c.params["time_resolution"],
-                                      14.0 * c.params["time_resolution"]),
+        work=lambda c: _dynamics_work(c, schedule(c.horizon, c.stepper.dt, c.stepper.dt)[0] + c.params["n_iters"]
+                                      * c.params["time_resolution"], 14.0 * c.params["time_resolution"]),
     ),
     # one run per dt_values entry and the reference at stepper.dt, two samples each: 25-30 states in all
     "convergence_study": KindDef(
@@ -793,7 +790,8 @@ KINDS = {
         _run_convergence,
         rule=lambda c: "stepper.dt, the reference step, must be finer than every entry of dt_values"
         if c.stepper.dt >= min(c.params["dt_values"]) else None,
-        work=lambda c: _dynamics_work(c, sum(c.horizon / d for d in [*c.params["dt_values"], c.stepper.dt]), 8.0),
+        work=lambda c: _dynamics_work(
+            c, sum(schedule(c.horizon, d, d)[0] for d in [*c.params["dt_values"], c.stepper.dt]), 8.0),
     ),
     "bourgain_suite": KindDef(
         "bourgain", _SEED,
@@ -809,17 +807,22 @@ KINDS = {
                                                                          "period_t", "n_t")})
         or check_speeds(c.params["b"], **{k: c.params[k] for k in ("embedding_speeds", "pair_first", "pair_second")}),
     ),
-    "kernel_suite": KindDef("kernels", {}, {"kernels": (_distinct(_kernel_id), tuple(KERNELS))}, _run_kernels),
+    # one kernel at a time, measured: a tracemalloc peak of at most 1.6 MiB and at most 1.0e6 points a kernel
+    "kernel_suite": KindDef("kernels", {}, {"kernels": (_distinct(_kernel_id), tuple(KERNELS))}, _run_kernels,
+                            work=lambda c: (2.0**21, 1e6 * len(c.params["kernels"]))),
+    # measured per radius, on 2 to 64 radii in [8, 136): a tracemalloc peak of 0.41-0.44 MiB and 0.5-0.8e6 points
     "nonequivalence": KindDef(
         "noneq", {},
         {"a0": (_finite, 1.0), "a1": (_finite, -1.0), "s": (_finite, 0.0), "b": (_finite, 3.0),
          "radii": (_distinct(_finite), (8.0, 16.0, 32.0, 64.0))},
         _run_noneq, rule=lambda c: check_nonequivalence(**c.params),
+        work=lambda c: (2.0**19 * len(c.params["radii"]), 1e6 * len(c.params["radii"])),
     ),
-    # one stored state's diagnostics row; the snapshot file is read at parse time
+    # the diagnostics row of one snapshot, read at parse time; measured at n >= 1024: 226 bytes a point, 0.63-1.0 steps
     "diagnose": KindDef(
         "diagnose", {"system": (build_system, MISSING), "snapshot": (lambda v: ckio.read_snapshot(_text(v)), MISSING)},
         {"s": (_finite, 1.0)}, _run_diagnose,
+        work=lambda c: (256.0 * (c.snapshot.grid.n + 2), _step_points(c.snapshot.grid.n)),
     ),
 }
 

@@ -152,12 +152,21 @@ class _GuardedStep:
         return after
 
 
-def check_simulate(T: float, sample_dt: float) -> None:
-    """Refuse a horizon or a sampling cadence that simulate cannot use."""
+def schedule(T: float, dt: float, sample_dt: float) -> tuple[int, int, int, float]:
+    """(steps, samples, stride, remainder) of simulate over a horizon T: `steps` IF-RK4 steps of dt, the last
+    `remainder` long if that is > 0.0, and `samples` stored states: the data, every stride-th step before the
+    last, and the end.  A horizon or a sampling cadence that simulate cannot use is refused first."""
     if not 0.0 <= T < np.inf:
         raise ValueError(f"the horizon T must be finite and nonnegative, got {T!r}")
     if not 0.0 < sample_dt < np.inf:
         raise ValueError(f"sample_dt must be finite and positive, got {sample_dt!r}")
+    n_full = int(np.floor(T / dt + 1e-9))
+    remainder = T - n_full * dt
+    if remainder < 1e-12 * max(1.0, T):
+        remainder = 0.0
+    steps = n_full + (remainder > 0.0)
+    stride = max(1, int(round(sample_dt / dt)))
+    return steps, 1 + max(0, (steps - 1) // stride) + (T > 0.0), stride, remainder
 
 
 def simulate(
@@ -178,22 +187,14 @@ def simulate(
     The state is advanced in place in one stage workspace per step size;
     only the stored samples are copied out.
     """
-    check_simulate(T, sample_dt)
+    dt = config.dt
+    n_steps, n_samples, stride, remainder = schedule(T, dt, sample_dt)
+    n_full = n_steps - (remainder > 0.0)
     rhs, c, P, w = _eigenbasis(initial, spec)
     g = initial.grid
     t0 = initial.t
-
-    dt = config.dt
-    n_full = int(np.floor(T / dt + 1e-9))
-    remainder = T - n_full * dt
-    if remainder < 1e-12 * max(1.0, T):
-        remainder = 0.0
-    n_steps = n_full + (remainder > 0.0)
-    stride = max(1, int(round(sample_dt / dt)))
-    # stored samples: the data, every stride-th step before the last, and the end
-    stored = range(stride, n_steps, stride)
-    times = [t0, *(t0 + k * dt for k in stored)] + ([t0 + T] if T > 0.0 else [])
-    half = np.empty((len(times), *w.shape), dtype=w.dtype)
+    times = [t0, *(t0 + k * dt for k in range(stride, n_steps, stride))] + ([t0 + T] if T > 0.0 else [])
+    half = np.empty((n_samples, *w.shape), dtype=w.dtype)
     half[0] = w
 
     if T > 0.0:

@@ -107,7 +107,8 @@ def test_config_whose_check_would_test_nothing_exits_2(tmp_path, capsys, command
     assert_rejected(tmp_path, capsys, command, payload, word)
 
 
-_RUNAWAY_SPACETIME = f"the budget is {harness.MAX_SNAPSHOT_BYTES} bytes and {harness.MAX_SPACETIME_POINTS:.3g} points"
+_RUNAWAY_SPACETIME = f"the budget is {harness.MAX_SNAPSHOT_BYTES} bytes and {harness.MAX_POINTS:.3g} points"
+_N_2_18 = {"grid": {"n": 2**18, "period": 8.0 * np.pi}, "stepper": {"dt": 1e-4}}
 
 
 # each kind with a work budget, asked for runaway work: steps, samples, bytes or points
@@ -123,6 +124,10 @@ _RUNAWAY_SPACETIME = f"the budget is {harness.MAX_SNAPSHOT_BYTES} bytes and {har
         ("bourgain", {"kind": "bourgain_suite", "params": {"n_x": 2**14, "n_t": 2**14}}, _RUNAWAY_SPACETIME),
         ("bourgain", {"kind": "bourgain_suite", "params": {"n_fields": 10**9}}, _RUNAWAY_SPACETIME),
         ("bourgain", {"kind": "bourgain_suite", "params": {"n_embed_fields": 10**9}}, _RUNAWAY_SPACETIME),
+        # IF-RK4 steps at n = 2^18, about 0.1 s each: 9e6 steps, and 1e5, which a charge blind to n admits
+        ("simulate", simulate_payload(**_N_2_18, horizon=900.0, sample_dt=900.0), "budget"),
+        ("simulate", simulate_payload(**_N_2_18, horizon=10.0, sample_dt=10.0), "budget"),
+        ("noneq", {"kind": "nonequivalence", "params": {"radii": list(range(1, 10**4 + 1))}}, "budget"),
     ],
 )
 def test_runaway_work_exits_2_before_the_runner(tmp_path, capsys, monkeypatch, command, payload, word):

@@ -163,15 +163,15 @@ def test_config_validation_matrix():
         config_from_dict(simulate_config(initial={"u": {"kind": "sine", "mode": 1.5}}))
     with pytest.raises(ConfigError, match="kernels"):  # not split into characters
         config_from_dict({"kind": "kernel_suite", "params": {"kernels": "peak_pair"}})
-    # the work budget: 2e11 steps, each one stored; then the step budget alone
+    # the work budget: 2e11 steps, each one stored; then the points budget alone, then the bytes budget alone
     with pytest.raises(ConfigError, match="budget"):
         config_from_dict(simulate_config(horizon=1e9, sample_dt=1e-4))
-    with pytest.raises(ConfigError, match="1.3e[+]07 IF-RK4 steps"):  # 13 runs of 1e6 steps, few samples
+    with pytest.raises(ConfigError, match="9.98e[+]10 points"):  # 13 runs of 1e6 steps at n = 64, few samples
         config_from_dict(simulate_config(kind="lipschitz_probe", horizon=5e3, sample_dt=5e3,
                                          params={"n_directions": 3, "deltas": [1e-2, 1e-3, 1e-4, 1e-5]}))
-    with pytest.raises(ConfigError, match="5e[+]06 IF-RK4 steps"):  # within the step budget, each step stored
-        config_from_dict(simulate_config(horizon=2.5e4, sample_dt=5e-3))
-    with pytest.raises(ConfigError, match="budget"):  # each sweep of 201 samples counts as 201 steps
+    with pytest.raises(ConfigError, match="6.86e[+]09 bytes"):  # 5e5 steps, within the points budget, each stored
+        config_from_dict(simulate_config(horizon=2.5e3, sample_dt=5e-3))
+    with pytest.raises(ConfigError, match="budget"):  # each of a sweep's 201 samples counts as a step
         config_from_dict(unsampled_config("picard_study", params={"n_iters": 10**6, "time_resolution": 201}))
     # Picard runs without cutoffs and always checks a converged run against the stepper
     for key in ("apply_cutoffs", "compare_stepper"):
@@ -403,10 +403,8 @@ def test_top_level_keys_per_kind():
         "diagnose": {"system", "snapshot"},
     }
     assert {kind: set(k.top) for kind, k in harness.KINDS.items()} == accepted
-    # a kind has a work estimate exactly when it steps a system or transforms space-time fields
-    assert {kind for kind, k in harness.KINDS.items() if k.work} == {
-        kind for kind, keys in accepted.items() if "stepper" in keys
-    } | {"bourgain_suite"}
+    # every kind has a work record: KindDef.work has no default
+    assert {f.name: f.default for f in dataclasses.fields(harness.KindDef)}["work"] is dataclasses.MISSING
     for kind, keys in accepted.items():
         with pytest.raises(ConfigError, match=re.escape(f"unknown key(s) in {kind} config: extra")):
             config_from_dict({"kind": kind, "output_dir": None, "params": {}, "extra": 1, **dict.fromkeys(keys)})
@@ -451,12 +449,9 @@ def test_mutated_shipped_configs_validate_or_raise_config_error(data):
 def test_shipped_configs_sit_far_below_the_work_budget():
     for path in CONFIG_FILES:
         cfg = load_config(path)
-        work = harness.KINDS[cfg.kind].work
-        if work is not None:
-            steps, held, points = work(cfg)
-            assert 100 * steps <= harness.MAX_STEPS, path.name
-            assert 100 * held <= harness.MAX_SNAPSHOT_BYTES, path.name
-            assert 100 * points <= harness.MAX_SPACETIME_POINTS, path.name
+        held, points = harness.KINDS[cfg.kind].work(cfg)
+        assert 100 * held <= harness.MAX_SNAPSHOT_BYTES, path.name
+        assert 100 * points <= harness.MAX_POINTS, path.name
 
 
 def _shipped(name: str, params=None, **over) -> dict:
@@ -503,7 +498,7 @@ def test_budget_refuses_runs_that_would_not_fit_and_admits_one_that_would():
 @pytest.mark.parametrize("name", sorted(PEAK_CASES))
 def test_work_charge_lies_between_the_runs_peak_and_twice_it(tmp_path, name):
     cfg = config_from_dict(PEAK_CASES[name])
-    _, held, _ = harness.KINDS[cfg.kind].work(cfg)
+    held, _ = harness.KINDS[cfg.kind].work(cfg)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

@@ -162,6 +162,25 @@ def test_nonfinite_horizon_or_cadence_is_rejected_before_any_work(grid64, monkey
         call(State(zero_field(grid64), zero_field(grid64)), HirotaSatsuma(1.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "T, dt, sample_dt",
+    [
+        (0.25, 0.1, 0.1),  # a short last step of 0.05
+        (0.5, 0.05, 0.15),  # every third step stored, then the end
+        (0.45, 0.05, 0.15),  # the last step on the stride, stored once
+        (0.3, 0.1, 0.01),  # sample_dt < dt: every step stored
+        (0.0, 0.1, 0.01),  # T = 0: the data alone
+    ],
+)
+def test_schedule_counts_the_steps_and_samples_simulate_takes(grid64, monkeypatch, T, dt, sample_dt):
+    taken = []
+    step = solver._GuardedStep.__call__
+    monkeypatch.setattr(solver._GuardedStep, "__call__", lambda self, *args: taken.append(args) or step(self, *args))
+    st = State(zero_field(grid64), zero_field(grid64))
+    traj = simulate(st, HirotaSatsuma(1.0, 1.0), T, StepperConfig(dt), sample_dt=sample_dt)
+    assert solver.schedule(T, dt, sample_dt)[:2] == (len(taken), len(traj.times))
+
+
 def test_simulate_hits_fractional_final_time(grid64):
     st = State(zero_field(grid64), zero_field(grid64))
     spec = HirotaSatsuma(1.0, 1.0)
