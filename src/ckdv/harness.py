@@ -11,7 +11,8 @@ Each experiment kind is declared once, in its `KINDS` record: its CLI
 subcommand, its top-level keys, its params table, the rule that spans
 its keys, its work record and its runner.  The parser, the work
 budget, `run` and the CLI all read that record.  Each runner returns its
-summary and its checks; a run passes when every check does.
+summary; `run` checks each summary value that `BOUNDS` names against its
+bound, and a run passes when every check does.
 """
 
 from __future__ import annotations
@@ -376,9 +377,14 @@ class _Emitter:
         self.files.append(name)
 
 
-# The acceptance bound of each check that a runner shares with a paper
-# criterion, as (relation, bound); the criteria read them from here.
+# Every checked quantity, as (relation, bound): `run` checks each summary value whose key is here, in
+# summary order, and a dict value key by key as name[key].  The criteria read their bounds from here.
 BOUNDS = {
+    "infinite_entries": ("==", 0),  # no entry of a diagnostics table is infinite
+    "nonfinite_ratios": ("==", 0),  # every Lipschitz ratio is finite
+    "converged": ("==", True),  # c06: the Picard iteration converged
+    "embedding_all_pass": ("==", True),  # c07: every embedding field within its constant
+    "equivalence_all_pass": ("==", True),  # c08: every field's two intersection norms equivalent
     "fitted_order": ("in", (3.7, 4.3)),  # c03: the RK4 order window
     "covariance_max_err": ("<", 1e-6),  # c05: scaling covariance of the solver
     "exponent_err": ("<=", 0.05),  # c05: each fitted norm exponent against 1.5 + s
@@ -438,25 +444,19 @@ def _run_simulate(cfg: ExperimentConfig, emit: _Emitter):
         emit.snapshot("snapshot_final.ckdv", State.from_half(traj.half[-1], cfg.grid, float(traj.times[-1])))
     table = collect(traj, cfg.system, cfg.params["s"])
     emit.csv("diagnostics.csv", COLUMNS, table)
-    summary = {
-        "records": len(table),
-        "final_time": float(traj.times[-1]),
-        "drift": {},
-    }
-    checks = [check_bound("infinite_entries", int(np.isinf(table).sum()), "==", 0)]
-    for name in _laws(cfg.system):
-        bounded = f"{name}_drift" in BOUNDS
-        summary["drift"][name] = drift = _drift(table[:, COLUMNS.index(name)], relative=bounded)
-        if bounded:
-            checks.append(check_bound(f"{name}_drift", drift, *BOUNDS[f"{name}_drift"]))
-    return summary, checks
+    drift = {name: _drift(table[:, COLUMNS.index(name)], relative=f"{name}_drift" in BOUNDS)
+             for name in _laws(cfg.system)}
+    # c02's bounded drifts follow the infinite entries, each under its check's name
+    return {"records": len(table), "final_time": float(traj.times[-1]), "drift": drift,
+            "infinite_entries": int(np.isinf(table).sum()),
+            **{f"{name}_drift": d for name, d in drift.items() if f"{name}_drift" in BOUNDS}}
 
 
 def _run_diagnose(cfg: ExperimentConfig, emit: _Emitter):
     # the fields as the snapshot stores them, not dealiased
     row = record_for(cfg.snapshot, cfg.system, cfg.params["s"])
     emit.csv("diagnostics.csv", COLUMNS, [row])
-    return dict(zip(COLUMNS, row)), [check_bound("infinite_entries", int(np.isinf(row).sum()), "==", 0)]
+    return {**dict(zip(COLUMNS, row)), "infinite_entries": int(np.isinf(row).sum())}
 
 
 def _drift(col: np.ndarray, relative: bool) -> float:
@@ -505,16 +505,12 @@ def _run_lipschitz(cfg: ExperimentConfig, emit: _Emitter):
         a, b = ratios[small], ratios[next_small]
         stab.append(abs(a - b) / b if math.isfinite(a) and 0.0 < b < math.inf else math.inf)
     emit.csv("lipschitz.csv", ["direction", "delta_rel", "delta_abs", "ratio"], rows)
-    summary = {
+    return {
         "base_norm": base_norm,
         "max_ratio": max(r[3] for r in rows),
+        "nonfinite_ratios": sum(not np.isfinite(r[3]) for r in rows),
         "stabilization_rel_diff": max(stab),
     }
-    nonfinite = sum(not np.isfinite(r[3]) for r in rows)
-    return summary, [
-        check_bound("nonfinite_ratios", nonfinite, "==", 0),
-        check_bound("stabilization_rel_diff", summary["stabilization_rel_diff"], *BOUNDS["stabilization_rel_diff"]),
-    ]
 
 
 def _rescaled(coeffs: np.ndarray, g: Grid, lam: float) -> tuple[np.ndarray, Grid]:
@@ -547,24 +543,20 @@ def _run_scaling(cfg: ExperimentConfig, emit: _Emitter):
     gaps = _sup_gaps(scaled.half, _rescaled(base.half, cfg.grid, lam)[0], g2)
     cov_rows = [[t, eu, ev] for t, (eu, ev) in zip(scaled.times, gaps)]
     emit.csv("covariance.csv", ["t", "max_err_u", "max_err_v"], cov_rows)
-    cov_max = float(gaps.max())
-    checks = [check_bound("covariance_max_err", cov_max, *BOUNDS["covariance_max_err"])]
-
     norm_rows = []
     fit_rows = []
-    exponents = {}
     scaled_u = [SpectralField(*_rescaled(base0.u.coeffs, cfg.grid, lam_i)) for lam_i in lambdas]
     for s in s_values:
         norms = [sobolev_norm(u, s) for u in scaled_u]
         norm_rows += [[s, lam_i, val] for lam_i, val in zip(lambdas, norms)]
         positive = all(v > 0.0 for v in norms)
         slope = loglog_slope(lambdas, norms) if positive else float("nan")
-        exponents["%g" % s] = slope
         fit_rows.append([s, slope, 1.5 + s])
-        checks.append(check_bound(f"exponent_err[{s:g}]", abs(slope - (1.5 + s)), *BOUNDS["exponent_err"]))
     emit.csv("scaling_norms.csv", ["s", "lambda", "norm"], norm_rows)
     emit.csv("scaling_fit.csv", ["s", "fitted_exponent", "expected_exponent"], fit_rows)
-    return {"lam": lam, "covariance_max_err": cov_max, "exponents": exponents}, checks
+    return {"lam": lam, "covariance_max_err": float(gaps.max()),
+            "exponents": {"%g" % s: slope for s, slope, _ in fit_rows},
+            "exponent_err": {"%g" % s: abs(slope - target) for s, slope, target in fit_rows}}
 
 
 def _run_picard(cfg: ExperimentConfig, emit: _Emitter):
@@ -577,23 +569,15 @@ def _run_picard(cfg: ExperimentConfig, emit: _Emitter):
         ratio = report.ratios[k - 1] if 0 < k <= len(report.ratios) else float("nan")
         rows.append([k, d, ratio])
     emit.csv("picard.csv", ["iteration", "diff", "ratio"], rows)
-    summary = {
-        "contraction_ratio": report.contraction_ratio,
-        "converged": report.converged,
-    }
     # the small-data regime: the iteration contracts onto the stepper's solution
-    checks = [
-        check_bound("converged", report.converged, "==", True),
-        check_bound("contraction_ratio", report.contraction_ratio, *BOUNDS["contraction_ratio"]),
-    ]
+    summary = {"converged": report.converged, "contraction_ratio": report.contraction_ratio}
     # the comparison only means something at a fixed point; a divergent
     # iterate would also blow up the reference simulation
     if report.converged:
         traj = simulate(state0, cfg.system, cfg.horizon, cfg.stepper, sample_dt=max(cfg.horizon, cfg.stepper.dt))
         gaps = _sup_gaps(iters[-1].half[-1], traj.half[-1], cfg.grid)
         summary["stepper_linf"] = float(gaps.max())
-        checks.append(check_bound("stepper_linf", summary["stepper_linf"], *BOUNDS["stepper_linf"]))
-    return summary, checks
+    return summary
 
 
 def _run_convergence(cfg: ExperimentConfig, emit: _Emitter):
@@ -612,8 +596,7 @@ def _run_convergence(cfg: ExperimentConfig, emit: _Emitter):
     orders = [float(np.log(errs[i - 1] / errs[i]) / np.log(dts[i - 1] / dts[i])) for i in range(1, len(dts))]
     emit.csv("convergence.csv", ["dt", "error", "order"], zip(dts, errs, [float("nan"), *orders]))
     fitted = loglog_slope(dts, errs) if min(errs) > 0 else float("nan")
-    summary = {"orders": orders, "fitted_order": fitted, "reference_dt": ref_dt}
-    return summary, [check_bound("fitted_order", fitted, *BOUNDS["fitted_order"])]
+    return {"orders": orders, "fitted_order": fitted, "reference_dt": ref_dt}
 
 
 def _run_bourgain(cfg: ExperimentConfig, emit: _Emitter):
@@ -638,20 +621,14 @@ def _run_bourgain(cfg: ExperimentConfig, emit: _Emitter):
         eqv_rows.append([i, qr.norm_first, qr.norm_second, qr.c_lo, qr.c_hi, qr.passed])
     emit.csv("embedding.csv", ["field", "lhs", "rhs", "constant", "passed"], emb_rows)
     emit.csv("equivalence.csv", ["field", "norm_first", "norm_second", "c_lo", "c_hi", "passed"], eqv_rows)
-    summary = {
+    return {
         "free_cv": rep.free_cv,
         "duhamel_exponent": rep.fitted_exponent,
         "duhamel_target": rep.target_exponent,
+        "duhamel_exponent_err": abs(rep.fitted_exponent - rep.target_exponent),
         "embedding_all_pass": all(r[4] for r in emb_rows),
         "equivalence_all_pass": all(r[5] for r in eqv_rows),
     }
-    exponent_err = abs(rep.fitted_exponent - rep.target_exponent)
-    return summary, [
-        check_bound("free_cv", rep.free_cv, *BOUNDS["free_cv"]),
-        check_bound("duhamel_exponent_err", exponent_err, *BOUNDS["duhamel_exponent_err"]),
-        check_bound("embedding_all_pass", summary["embedding_all_pass"], "==", True),
-        check_bound("equivalence_all_pass", summary["equivalence_all_pass"], "==", True),
-    ]
 
 
 def _run_kernels(cfg: ExperimentConfig, emit: _Emitter):
@@ -668,12 +645,8 @@ def _run_kernels(cfg: ExperimentConfig, emit: _Emitter):
         for r in reports
     ]
     emit.csv("kernels.csv", ["kernel", "max_value", "max_refined", "rel_change", "stable", "argmax"], rows)
-    summary = {
-        "kernels": len(rows),
-        "max_rel_change": max(r.rel_change for r in reports),
-        "neval": {r.kernel_id: r.neval for r in reports},
-    }
-    return summary, [check_bound("max_rel_change", summary["max_rel_change"], *BOUNDS["max_rel_change"])]
+    return {"kernels": len(rows), "max_rel_change": max(r.rel_change for r in reports),
+            "neval": {r.kernel_id: r.neval for r in reports}}
 
 
 def _run_noneq(cfg: ExperimentConfig, emit: _Emitter):
@@ -681,16 +654,8 @@ def _run_noneq(cfg: ExperimentConfig, emit: _Emitter):
     tab = nonequivalence_demo(p["a0"], p["a1"], p["s"], p["b"], p["radii"])
     rows = zip(tab.radii, tab.divergent_norms, tab.convergent_norms)
     emit.csv("nonequivalence.csv", ["R", "divergent_norm", "convergent_norm"], rows)
-    summary = {
-        "growth_exponent": tab.growth_exponent,
-        "final_rel_change": tab.final_rel_change,
-        "stabilized": tab.stabilized,
-        "neval": tab.neval,
-    }
-    return summary, [
-        check_bound("growth_exponent", tab.growth_exponent, *BOUNDS["growth_exponent"]),
-        check_bound("final_rel_change", tab.final_rel_change, *BOUNDS["final_rel_change"]),
-    ]
+    return {"growth_exponent": tab.growth_exponent, "final_rel_change": tab.final_rel_change,
+            "stabilized": tab.stabilized, "neval": tab.neval}
 
 
 def _step_points(n: int) -> float:
@@ -744,7 +709,7 @@ class KindDef:
     command: str  # the CLI subcommand
     top: dict  # the top-level keys it reads, besides kind, output_dir and params
     params: dict
-    runner: Callable  # (cfg, emit) -> (summary, checks)
+    runner: Callable  # (cfg, emit) -> summary; run checks the summary's BOUNDS keys
     work: Callable  # cfg -> (bytes held at once, points passed over), the work budget's two charges
     rule: Optional[Callable] = None  # cfg -> a fault's message or None; a library check raises ValueError
 
@@ -768,7 +733,9 @@ KINDS = {
         # at lam = 1 the rescaled run is the base run, and covariance_max_err reads 0 by construction
         {"lam": (_check(_finite, lambda x: x > 0.0 and x != 1.0, "positive and not 1"), 2.0),
          "lambdas": (_distinct(_positive, 2), (1.0, 2.0, 4.0, 8.0)),
-         "s_values": (_distinct(_finite), (-1.5, -1.0, -0.75, 0.0, 1.0))},
+         # "%g" % s labels the exponent of each s in the summary, so no two may print alike
+         "s_values": (_check(_list_of(_finite), lambda v: len({"%g" % s for s in v}) == len(v),
+                             "distinct values to 6 significant digits"), (-1.5, -1.0, -0.75, 0.0, 1.0))},
         _run_scaling,
         # lam^2 u(lam x, lam^3 t) maps solutions to solutions only without a first-order drift
         rule=lambda c: "scaling covariance needs a system without first-order drift (R = 0 in its normal form)"
@@ -841,7 +808,11 @@ def run(config: ExperimentConfig, out_dir=None) -> RunManifest:
     t0 = time.perf_counter()
     error = None
     try:
-        summary, checks = KINDS[config.kind].runner(config, emit)
+        summary = KINDS[config.kind].runner(config, emit)
+        # each summary value that BOUNDS names, in summary order; a dict is checked key by key, as name[key]
+        checks = [check_bound(key if k is None else f"{key}[{k}]", v, *BOUNDS[key])
+                  for key, value in summary.items() if key in BOUNDS
+                  for k, v in (value.items() if isinstance(value, dict) else [(None, value)])]
         status = "pass" if all(c["passed"] for c in checks) else "fail"
     except Exception as e:  # recorded, not raised: the manifest is the report
         summary, checks = {}, []

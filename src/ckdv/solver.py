@@ -155,11 +155,14 @@ class _GuardedStep:
 def schedule(T: float, dt: float, sample_dt: float) -> tuple[int, int, int, float]:
     """(steps, samples, stride, remainder) of simulate over a horizon T: `steps` IF-RK4 steps of dt, the last
     `remainder` long if that is > 0.0, and `samples` stored states: the data, every stride-th step before the
-    last, and the end.  A horizon or a sampling cadence that simulate cannot use is refused first."""
+    last, and the end.  A horizon or a sampling cadence that simulate cannot use or count in steps is refused first."""
     if not 0.0 <= T < np.inf:
         raise ValueError(f"the horizon T must be finite and nonnegative, got {T!r}")
     if not 0.0 < sample_dt < np.inf:
         raise ValueError(f"sample_dt must be finite and positive, got {sample_dt!r}")
+    for name, span in (("the horizon T", T), ("sample_dt", sample_dt)):
+        if span / dt == np.inf:
+            raise ValueError(f"{name} = {span!r} is more steps of dt = {dt!r} than a float can count")
     n_full = int(np.floor(T / dt + 1e-9))
     remainder = T - n_full * dt
     if remainder < 1e-12 * max(1.0, T):

@@ -367,7 +367,7 @@ def test_diagnose_happy_path(tmp_path, capsys, strict_json):
         ",".join(COLUMNS), ",".join(format_value(v) for v in row)
     ]
     assert lines == [
-        "status: pass", *(f"{c}: {v}" for c, v in zip(COLUMNS, row.tolist())),
+        "status: pass", *(f"{c}: {v}" for c, v in zip(COLUMNS, row.tolist())), "infinite_entries: 0",
         "check infinite_entries: 0 == 0 ok", f"manifest: {out / 'manifest.json'}",
     ]
     payload = strict_json(out / "manifest.json")  # HS leaves phi1-phi4 NaN, written as "nan"

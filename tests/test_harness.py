@@ -233,6 +233,20 @@ RUN_TIME_FAILURES = {
     "scaling_repeated_s_values": (
         simulate_config(kind="scaling_probe", params={"s_values": [1.0, 1.0]}), "'s_values' must be distinct values"
     ),
+    # "%g" % s names each s's exponent_err check; these two once shared one name and one summary entry
+    "scaling_s_values_print_alike": (
+        simulate_config(kind="scaling_probe", params={"s_values": [1.0, 1.0000001]}),
+        "'s_values' must be distinct values to 6 significant digits, got [1.0, 1.0000001]",
+    ),
+    # a step or sample count past the float range once read "cannot convert float infinity to integer"
+    "simulate_steps_uncountable": (
+        simulate_config(stepper={"dt": 1e-10}, horizon=1e300),
+        "the horizon T = 1e+300 is more steps of dt = 1e-10 than a float can count",
+    ),
+    "simulate_samples_uncountable": (
+        simulate_config(stepper={"dt": 1e-10}, horizon=1e-6, sample_dt=1e300),
+        "sample_dt = 1e+300 is more steps of dt = 1e-10 than a float can count",
+    ),
     # a repeated entry once two distinct ones are present: each entry is one run or one set of rows
     "convergence_repeated_dt": (
         unsampled_config("convergence_study", params={"dt_values": [4e-2, 2e-2, 2e-2]}), f"'dt_values' {_LADDER}"

@@ -37,3 +37,11 @@ def test_every_bound_is_named_by_a_mutant_or_excused():
     named = {key for mutant in MUTANTS for key in mutant["bounds"]}
     assert named.isdisjoint(UNMUTATED)
     assert named | set(UNMUTATED) == set(harness.BOUNDS)
+
+
+def test_every_bound_is_checked_by_a_shipped_run(shipped_run):
+    # run checks only the summary keys that BOUNDS names, so a key no runner reports would check nothing.
+    # test_harness runs every shipped config earlier in the session, so this reads cached runs
+    names = {c["name"] for path in sorted((ROOT / "configs").glob("*.json")) for c in shipped_run(path.stem)[0].checks}
+    unchecked = [key for key in harness.BOUNDS if key not in names and not any(n.startswith(f"{key}[") for n in names)]
+    assert unchecked == []
