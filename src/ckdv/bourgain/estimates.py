@@ -248,7 +248,12 @@ class NonequivalenceTable:
 
 
 def check_nonequivalence(a0: float, a1: float, s: float, b: float, radii: list) -> None:
-    """Refuse what nonequivalence_demo cannot use; b > 1/2 and s > 1/2 - b are the construction's hypotheses."""
+    """Refuse what nonequivalence_demo cannot use; b > 1/2 and s > 1/2 - b are the construction's hypotheses.
+
+    Radii must lie in the measured reach [1e-8, R_max], R_max = min(5e6, e^(55/b) - 1) / max(1, |a0|, |a1|)^(1/3):
+    on radii [R/2, R], 0.01 decades apart, the 200-panel cap or an overflow first stops R above 8.5e6 for b <= 4.5,
+    at b ln(1 + R) >= 59.9 beyond (a0 = 1, a1 = -1) and at |a1|^(-1/3) times that; below 5e-17 the norms read 0.
+    """
     _require(a0=a0, a1=a1, s=s, b=b)
     if b <= 0.5:
         raise ValueError(f"the construction needs b > 1/2, got {b}")
@@ -259,6 +264,10 @@ def check_nonequivalence(a0: float, a1: float, s: float, b: float, radii: list) 
         raise ValueError(f"a0 and a1 must differ, got {a0} for both")
     if len(set(radii)) < 2 or not all(0.0 < r < math.inf for r in radii):  # NaN fails both
         raise ValueError("the growth fit needs two or more distinct positive radii")
+    lo, hi, reach = min(radii), max(radii), min(5e6, math.expm1(55.0 / b)) / max(1.0, abs(a0), abs(a1)) ** (1 / 3)
+    if not 1e-8 <= lo <= hi <= reach:
+        raise ValueError(f"radii from {lo:g} to {hi:g} leave the norms' reach [1e-8, {reach:.4g}] at b = {b:g}, "
+                         f"a0 = {a0:g}, a1 = {a1:g}")
 
 
 def nonequivalence_demo(

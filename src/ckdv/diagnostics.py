@@ -40,6 +40,14 @@ def sobolev_norm(field: SpectralField, s: float):
     return np.sqrt(np.sum(w * np.abs(field.coeffs) ** 2, axis=-1) * g.dxi)
 
 
+def check_sobolev(s: float, grid, key: str = "s") -> None:
+    """Refuse an s > 0 whose weight (1 + xi^2)^s overflows a float on the grid's top mode, where inf * 0 is NaN."""
+    xi_max = float(np.max(np.abs(grid.xi)))
+    limit = np.log(np.finfo(float).max) / np.log1p(xi_max * xi_max)
+    if s > 0.0 and s >= limit:
+        raise ValueError(f"{key} = {s:g} is past the grid's reach, s < {limit:.4g} at xi_max = {xi_max:g}")
+
+
 def loglog_slope(x, y) -> float:
     """The least-squares slope of log y against log x."""
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
@@ -128,9 +136,15 @@ def _table(state: State, spec: SystemSpec, s: float) -> np.ndarray:
     ).reshape(-1, len(COLUMNS))
 
 
+def nonfinite_entries(table: np.ndarray, spec: SystemSpec) -> int:
+    """The entries of a table or row that are infinite, or NaN in a column the system fills."""
+    filled = [COLUMNS.index(c) for c in ("t", *_laws(spec), "Hs_u", "Hs_v")]
+    return int(np.isinf(table).sum() + np.isnan(table[..., filled]).sum())
+
+
 def record_for(state: State, spec: SystemSpec, s: float = 1.0) -> np.ndarray:
     """The table row (COLUMNS) of one state; NaN marks a law the system does
-    not conserve, and an infinite entry an invalid row."""
+    not conserve, and a `nonfinite_entries` entry an invalid row."""
     return _table(state, spec, s)[0]
 
 

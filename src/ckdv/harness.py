@@ -9,8 +9,9 @@ Each config block has one table, key -> (converter, default); `_parse`
 checks a block against it in one pass, so runners read typed values.
 Each experiment kind is declared once, in its `KINDS` record: its CLI
 subcommand, its top-level keys, its params table, the rule that spans
-its keys, its work record and its runner.  The parser, the work
-budget, `run` and the CLI all read that record.  Each runner returns its
+its keys, its work record and its runner.  The parser, the work budget,
+`run` and the CLI all read that record.  The config holds the run's
+starting state, drawn once from the seed, and each runner returns its
 summary; `run` checks each summary value that `BOUNDS` names against its
 bound, and a run passes when every check does.
 """
@@ -45,7 +46,8 @@ from .bourgain import (
 )
 from .bourgain.estimates import NONEQ_REL_CHANGE_BOUND, check_linear_estimate, check_nonequivalence, check_speeds
 from .bourgain.kernels import REL_CHANGE_BOUND, check_kernel_id
-from .diagnostics import COLUMNS, _laws, collect, loglog_slope, record_for, sobolev_norm
+from .diagnostics import (COLUMNS, _laws, check_sobolev, collect, loglog_slope, nonfinite_entries, record_for,
+                          sobolev_norm)
 from .grid import Grid, SpectralField, forward, inverse, to_full
 from .solver import StepperConfig, check_picard, picard_iterate, schedule, simulate
 from .systems import (
@@ -286,19 +288,23 @@ class ExperimentConfig:
     grid: Optional[Grid] = None
     stepper: Optional[StepperConfig] = None
     initial: Optional[dict] = None
-    snapshot: Optional[State] = None
+    snapshot: Optional[State] = None  # the starting state: diagnose's snapshot, or a dynamics kind's drawn data
 
     def __post_init__(self):
         # the budget (a dynamics kind's record first calls solver.schedule, which refuses what simulate cannot use),
-        # the kind's rule, then the data; _parse makes a ValueError a ConfigError
+        # the kind's rule, the data, drawn here once, and its H^s reach; _parse makes a ValueError a ConfigError
         k = KINDS[self.kind]
         held, points = k.work(self)
         if held > MAX_SNAPSHOT_BYTES or points > MAX_POINTS:
             raise ValueError(f"the run holds {held:.3g} bytes at once and passes over {points:.3g} points; "
                              f"the budget is {MAX_SNAPSHOT_BYTES} bytes and {MAX_POINTS:.3g} points")
-        fault = (k.rule and k.rule(self)) or (self.initial is not None and _nonzero_data(self))
+        if self.initial is not None:
+            self.snapshot = make_initial(self.initial, self.grid, np.random.default_rng(self.seed))
+        fault = (k.rule and k.rule(self)) or (self.initial is not None and _nonzero_data(self.snapshot))
         if fault:
             raise ValueError(fault)
+        if "s" in self.params and self.snapshot is not None:
+            check_sobolev(self.params["s"], self.snapshot.grid)
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
@@ -380,7 +386,7 @@ class _Emitter:
 # Every checked quantity, as (relation, bound): `run` checks each summary value whose key is here, in
 # summary order, and a dict value key by key as name[key].  The criteria read their bounds from here.
 BOUNDS = {
-    "infinite_entries": ("==", 0),  # no entry of a diagnostics table is infinite
+    "nonfinite_entries": ("==", 0),  # no diagnostics entry is infinite, or NaN in a column the system fills
     "nonfinite_ratios": ("==", 0),  # every Lipschitz ratio is finite
     "converged": ("==", True),  # c06: the Picard iteration converged
     "embedding_all_pass": ("==", True),  # c07: every embedding field within its constant
@@ -435,20 +441,18 @@ def _random_direction(g: Grid, rng: np.random.Generator, s: float, band: float):
 
 
 def _run_simulate(cfg: ExperimentConfig, emit: _Emitter):
-    rng = np.random.default_rng(cfg.seed)
-    state = make_initial(cfg.initial, cfg.grid, rng)
-    emit.snapshot("snapshot_initial.ckdv", state)
+    emit.snapshot("snapshot_initial.ckdv", cfg.snapshot)
     # every row, t = 0 included, reads the dealiased samples simulate records
-    traj = simulate(state, cfg.system, cfg.horizon, cfg.stepper, sample_dt=cfg.sample_dt)
+    traj = simulate(cfg.snapshot, cfg.system, cfg.horizon, cfg.stepper, sample_dt=cfg.sample_dt)
     if cfg.horizon > 0.0:
         emit.snapshot("snapshot_final.ckdv", State.from_half(traj.half[-1], cfg.grid, float(traj.times[-1])))
     table = collect(traj, cfg.system, cfg.params["s"])
     emit.csv("diagnostics.csv", COLUMNS, table)
     drift = {name: _drift(table[:, COLUMNS.index(name)], relative=f"{name}_drift" in BOUNDS)
              for name in _laws(cfg.system)}
-    # c02's bounded drifts follow the infinite entries, each under its check's name
+    # c02's bounded drifts follow the nonfinite entries, each under its check's name
     return {"records": len(table), "final_time": float(traj.times[-1]), "drift": drift,
-            "infinite_entries": int(np.isinf(table).sum()),
+            "nonfinite_entries": nonfinite_entries(table, cfg.system),
             **{f"{name}_drift": d for name, d in drift.items() if f"{name}_drift" in BOUNDS}}
 
 
@@ -456,7 +460,7 @@ def _run_diagnose(cfg: ExperimentConfig, emit: _Emitter):
     # the fields as the snapshot stores them, not dealiased
     row = record_for(cfg.snapshot, cfg.system, cfg.params["s"])
     emit.csv("diagnostics.csv", COLUMNS, [row])
-    return {**dict(zip(COLUMNS, row)), "infinite_entries": int(np.isinf(row).sum())}
+    return {**dict(zip(COLUMNS, row)), "nonfinite_entries": nonfinite_entries(row, cfg.system)}
 
 
 def _drift(col: np.ndarray, relative: bool) -> float:
@@ -478,6 +482,7 @@ def _drift(col: np.ndarray, relative: bool) -> float:
 def _run_lipschitz(cfg: ExperimentConfig, emit: _Emitter):
     p = cfg.params
     s = p["s"]
+    # drawn again, not read from cfg.snapshot: the perturbation directions continue this generator
     rng = np.random.default_rng(cfg.seed)
     base0 = make_initial(cfg.initial, cfg.grid, rng)
     base_norm = float(_joint_norm(np.stack([base0.u.coeffs, base0.v.coeffs]), cfg.grid, s))
@@ -525,9 +530,7 @@ def _rescaled(coeffs: np.ndarray, g: Grid, lam: float) -> tuple[np.ndarray, Grid
 def _run_scaling(cfg: ExperimentConfig, emit: _Emitter):
     p = cfg.params
     lam, lambdas, s_values = p["lam"], p["lambdas"], p["s_values"]
-    rng = np.random.default_rng(cfg.seed)
-    base0 = make_initial(cfg.initial, cfg.grid, rng)
-
+    base0 = cfg.snapshot
     base = simulate(base0, cfg.system, cfg.horizon, cfg.stepper, sample_dt=cfg.sample_dt)
     lam3 = lam**3
     c0, g2 = _rescaled(np.stack([base0.u.coeffs, base0.v.coeffs]), cfg.grid, lam)
@@ -560,10 +563,8 @@ def _run_scaling(cfg: ExperimentConfig, emit: _Emitter):
 
 
 def _run_picard(cfg: ExperimentConfig, emit: _Emitter):
-    rng = np.random.default_rng(cfg.seed)
-    state0 = make_initial(cfg.initial, cfg.grid, rng)
     # the params are picard_iterate's n_iters, time_resolution and s
-    iters, report = picard_iterate(state0, cfg.system, cfg.horizon, **cfg.params)
+    iters, report = picard_iterate(cfg.snapshot, cfg.system, cfg.horizon, **cfg.params)
     rows = []
     for k, d in enumerate(report.diffs):
         ratio = report.ratios[k - 1] if 0 < k <= len(report.ratios) else float("nan")
@@ -574,7 +575,7 @@ def _run_picard(cfg: ExperimentConfig, emit: _Emitter):
     # the comparison only means something at a fixed point; a divergent
     # iterate would also blow up the reference simulation
     if report.converged:
-        traj = simulate(state0, cfg.system, cfg.horizon, cfg.stepper, sample_dt=max(cfg.horizon, cfg.stepper.dt))
+        traj = simulate(cfg.snapshot, cfg.system, cfg.horizon, cfg.stepper, sample_dt=max(cfg.horizon, cfg.stepper.dt))
         gaps = _sup_gaps(iters[-1].half[-1], traj.half[-1], cfg.grid)
         summary["stepper_linf"] = float(gaps.max())
     return summary
@@ -583,13 +584,11 @@ def _run_picard(cfg: ExperimentConfig, emit: _Emitter):
 def _run_convergence(cfg: ExperimentConfig, emit: _Emitter):
     dts = sorted(cfg.params["dt_values"], reverse=True)
     ref_dt = cfg.stepper.dt
-    rng = np.random.default_rng(cfg.seed)
-    state0 = make_initial(cfg.initial, cfg.grid, rng)
     T = cfg.horizon
 
     def final_half(dt: float) -> np.ndarray:
         st = dataclasses.replace(cfg.stepper, dt=dt)
-        return simulate(state0, cfg.system, T, st, sample_dt=max(T, dt)).half[-1]
+        return simulate(cfg.snapshot, cfg.system, T, st, sample_dt=max(T, dt)).half[-1]
 
     ref = final_half(ref_dt)
     errs = [float(_sup_gaps(final_half(dt), ref, cfg.grid).max()) for dt in dts]
@@ -695,10 +694,9 @@ def _spacetime_work(cfg: ExperimentConfig) -> tuple:
     return held, points
 
 
-def _nonzero_data(cfg: ExperimentConfig) -> Optional[str]:
+def _nonzero_data(data: State) -> Optional[str]:
     # for zero data c02's drifts and c06's gaps read 0 by construction, a Lipschitz perturbation
     # relative to the data is 0, and the scaling exponents and the convergence order are NaN
-    data = make_initial(cfg.initial, cfg.grid, np.random.default_rng(cfg.seed))
     return None if np.any(data.u.coeffs) or np.any(data.v.coeffs) else "the run needs nonzero initial data"
 
 
@@ -737,9 +735,11 @@ KINDS = {
          "s_values": (_check(_list_of(_finite), lambda v: len({"%g" % s for s in v}) == len(v),
                              "distinct values to 6 significant digits"), (-1.5, -1.0, -0.75, 0.0, 1.0))},
         _run_scaling,
-        # lam^2 u(lam x, lam^3 t) maps solutions to solutions only without a first-order drift
+        # lam^2 u(lam x, lam^3 t) is a symmetry only without first-order drift; the top s is weighed on the finest grid
         rule=lambda c: "scaling covariance needs a system without first-order drift (R = 0 in its normal form)"
-        if lower(c.system).R.any() else None,
+        if lower(c.system).R.any()
+        else check_sobolev(max(c.params["s_values"]), Grid(c.grid.n, c.grid.period / max(c.params["lambdas"])),
+                           "s_values"),
         work=lambda c: _sampled_work(c, 2.0, 12.0, len(c.params["lambdas"]) * len(c.params["s_values"]) * c.grid.n),
     ),
     # each sample of a sweep counts as a step; whatever n_iters, it holds 12.5 arrays of (2, nt, n/2+1)

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import grid as sg
 from . import systems
+from .diagnostics import check_sobolev
 from .grid import Grid
 from .systems import BlowupDetected, NormalForm, State, SystemSpec
 
@@ -270,6 +271,7 @@ def picard_iterate(
     Divergence is reported, never raised.
     """
     check_picard(T, n_iters, time_resolution)
+    check_sobolev(s, initial.grid)
     rhs, c, P, w0 = _eigenbasis(initial, spec)
     g = initial.grid
     m = g.n // 2 + 1

@@ -245,7 +245,7 @@ def test_simulate_pass_and_quiet(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     text = capsys.readouterr().out
     assert "status: pass" in text
-    assert "check infinite_entries: 0 == 0 ok" in text.splitlines()
+    assert "check nonfinite_entries: 0 == 0 ok" in text.splitlines()
     assert "manifest.json" in text
     assert (out / "manifest.json").exists()
 
@@ -367,13 +367,13 @@ def test_diagnose_happy_path(tmp_path, capsys, strict_json):
         ",".join(COLUMNS), ",".join(format_value(v) for v in row)
     ]
     assert lines == [
-        "status: pass", *(f"{c}: {v}" for c, v in zip(COLUMNS, row.tolist())), "infinite_entries: 0",
-        "check infinite_entries: 0 == 0 ok", f"manifest: {out / 'manifest.json'}",
+        "status: pass", *(f"{c}: {v}" for c, v in zip(COLUMNS, row.tolist())), "nonfinite_entries: 0",
+        "check nonfinite_entries: 0 == 0 ok", f"manifest: {out / 'manifest.json'}",
     ]
     payload = strict_json(out / "manifest.json")  # HS leaves phi1-phi4 NaN, written as "nan"
     assert payload["kind"] == "diagnose" and payload["files"] == ["diagnostics.csv"]
     assert payload["summary"]["t"] == 0.25 and payload["summary"]["phi1"] == "nan"
-    assert [c["name"] for c in payload["checks"]] == ["infinite_entries"]
+    assert [c["name"] for c in payload["checks"]] == ["nonfinite_entries"]
 
 
 def test_diagnose_infinite_functional_exits_1(tmp_path, capsys, strict_json):
@@ -389,7 +389,7 @@ def test_diagnose_infinite_functional_exits_1(tmp_path, capsys, strict_json):
     lines = capsys.readouterr().out.splitlines()
     assert "status: fail" in lines and "phi3: inf" in lines  # phi3 = int(b2 u^2 + b1 v^2) dx overflows
     check = strict_json(out / "manifest.json")["checks"][0]
-    assert check["name"] == "infinite_entries" and check["value"] > 0 and not check["passed"]
+    assert check["name"] == "nonfinite_entries" and check["value"] > 0 and not check["passed"]
     assert "inf" in (out / "diagnostics.csv").read_text().splitlines()[1].split(",")
 
 

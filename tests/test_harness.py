@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from ckdv.bourgain import (
     nonequivalence_demo,
     random_field,
 )
-from ckdv.diagnostics import COLUMNS
+from ckdv.diagnostics import COLUMNS, _laws
 from ckdv.grid import Grid
 from ckdv.io import read_csv
 from ckdv.harness import (
@@ -179,6 +180,17 @@ def test_config_validation_matrix():
             config_from_dict(unsampled_config("picard_study", params={key: True}))
 
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def shipped_with(name, **params):
+    """configs/<name>.json with `params` over its own; a snapshot path is read from the repository root."""
+    d = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    if "snapshot" in d:
+        d["snapshot"] = str(CONFIG_DIR.parent / d["snapshot"])
+    return {**d, "params": {**d.get("params", {}), **params}}
+
+
 # each of these used to pass validation and then end the run as status "error";
 # each case names the message of its own rule, so no other fault can stand in for it
 _B_RANGE = "need -1/2 < b_prime <= 0 <= b <= b_prime + 1"
@@ -310,6 +322,32 @@ RUN_TIME_FAILURES = {
     "nonequivalence_repeated_radii": (
         {"kind": "nonequivalence", "params": {"radii": [8.0, 8.0]}}, "'radii' must be distinct values"
     ),
+    # past R_max the nested quadrature needs more than its panel cap, or meets the float spacing at its peak;
+    # below about 5e-17 the convergent norm reads 0 and its relative change divides by it
+    "nonequivalence_radii_past_reach": (
+        shipped_with("nonequivalence", radii=[1e7, 2e7]),
+        "radii from 1e+07 to 2e+07 leave the norms' reach [1e-8, 5e+06] at b = 3",
+    ),
+    "nonequivalence_radii_far_past_reach": (
+        shipped_with("nonequivalence", radii=[1e16, 2e16]), "radii from 1e+16 to 2e+16 leave the norms' reach"
+    ),
+    "nonequivalence_b_50": (
+        shipped_with("nonequivalence", b=50.0), "radii from 8 to 64 leave the norms' reach [1e-8, 2.004] at b = 50"
+    ),
+    "nonequivalence_radii_below_reach": (
+        shipped_with("nonequivalence", radii=[1e-20, 2e-20]), "radii from 1e-20 to 2e-20 leave the norms' reach"
+    ),
+    # (1 + xi^2)^s overflows on the grid's top modes, and inf * 0 on the dealiased modes is NaN: these once passed
+    # with NaN norms (simulate, diagnose), failed as a false divergence (Picard) or ended in an error (Lipschitz)
+    "simulate_s_past_reach": (shipped_with("simulate", s=110), "s = 110 is past the grid's reach"),
+    "diagnose_s_past_reach": (shipped_with("diagnose", s=110), "s = 110 is past the grid's reach"),
+    "lipschitz_s_past_reach": (shipped_with("lipschitz", s=400), "s = 400 is past the grid's reach"),
+    # on the owner's n = 64 grid, whose reach is s < 170; picard.json's n = 128 grid refuses s >= 127.9
+    "picard_s_past_reach": (unsampled_config("picard_study", params={"s": 200}), "s = 200 is past the grid's reach"),
+    # the norm ladder's finest grid is the box shrunk by the largest lambda, 8: its reach is s < 64
+    "scaling_s_values_past_reach": (
+        shipped_with("scaling", s_values=[70]), "s_values = 70 is past the grid's reach"
+    ),
     # a repeated kernel would run twice and write two identical kernels.csv rows
     "kernels_repeated_id": (
         {"kind": "kernel_suite", "params": {"kernels": ["level_set", "level_set"]}}, "'kernels' must be distinct values"
@@ -362,11 +400,14 @@ LIBRARY_OWNERS = {
         _speeds_owner,
     ),
     **dict.fromkeys(
-        [f"nonequivalence_{name}" for name in ("b_0.4", "s_too_low", "a0_0", "a1_0", "one_radius")],
+        [f"nonequivalence_{name}" for name in ("b_0.4", "s_too_low", "a0_0", "a1_0", "one_radius", "radii_past_reach",
+                                               "radii_far_past_reach", "b_50", "radii_below_reach")],
         lambda config: nonequivalence_demo(**_params(config)),
     ),
     **dict.fromkeys(
-        ["picard_horizon_0", "picard_n_iters_0", "picard_n_iters_1", "picard_even_time_resolution"], _picard_owner
+        ["picard_horizon_0", "picard_n_iters_0", "picard_n_iters_1", "picard_even_time_resolution",
+         "picard_s_past_reach"],
+        _picard_owner,
     ),
     **dict.fromkeys(
         ["simulate_horizon_negative", "simulate_sample_dt_0", "picard_horizon_negative"], _simulate_owner
@@ -424,7 +465,6 @@ def test_top_level_keys_per_kind():
             config_from_dict({"kind": kind, "output_dir": None, "params": {}, "extra": 1, **dict.fromkeys(keys)})
 
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIG_FILES = sorted(CONFIG_DIR.glob("*.json"))
 MUTANTS = (None, "x", float("nan"), -1, 1.5, 1e12, 1e-12, [], [0.5, "x"], {}, {"k": 1})
 
@@ -458,6 +498,41 @@ def test_mutated_shipped_configs_validate_or_raise_config_error(data):
         config_from_dict(d)
     except ConfigError:
         pass
+
+
+_SHORT = {"horizon": 0.002, "sample_dt": 0.001}
+# cheap variants of the shipped configs, each with the params its guarded key takes from one drawn value x,
+# and the decades of |x|: params.s and s_values take either sign, radii [x, 2x] and b take |x|
+GUARDED = {
+    "simulate": ({**shipped_with("simulate"), **_SHORT}, lambda x: {"s": x}, (-2, 3)),
+    "lipschitz": (
+        {**shipped_with("lipschitz", n_directions=1, deltas=[1e-2, 1e-3]), **_SHORT}, lambda x: {"s": x}, (-2, 3)
+    ),
+    "picard": ({**shipped_with("picard", n_iters=4, time_resolution=9), "horizon": 0.05}, lambda x: {"s": x}, (-2, 3)),
+    "diagnose": (shipped_with("diagnose"), lambda x: {"s": x}, (-2, 3)),
+    "scaling": ({**shipped_with("scaling"), **_SHORT}, lambda x: {"s_values": [x]}, (-2, 3)),
+    "noneq_radii": (shipped_with("nonequivalence"), lambda x: {"radii": [abs(x), 2.0 * abs(x)]}, (-20, 20)),
+    "noneq_b": (shipped_with("nonequivalence"), lambda x: {"b": abs(x)}, (-1, 3)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(GUARDED)), at=st.floats(0.0, 1.0), sign=st.sampled_from((1.0, -1.0)))
+def test_guarded_keys_are_refused_or_run_without_error_or_nan(name, at, sign):
+    config, params, (lo, hi) = GUARDED[name]
+    d = {**config, "params": {**config["params"], **params(sign * 10.0 ** (lo + (hi - lo) * at))}}
+    try:
+        cfg = config_from_dict(d)
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as out:
+        manifest = run(cfg, out_dir=out)
+        assert manifest.status in ("pass", "fail"), manifest.error
+        if manifest.status == "pass":
+            assert not any(isinstance(c["value"], float) and math.isnan(c["value"]) for c in manifest.checks)
+            if cfg.kind in ("simulate", "diagnose"):
+                filled = [COLUMNS.index(c) for c in ("t", *_laws(cfg.system), "Hs_u", "Hs_v")]
+                assert not np.isnan(np.array(read_csv(Path(out) / "diagnostics.csv")[1])[:, filled]).any()
 
 
 def test_shipped_configs_sit_far_below_the_work_budget():
@@ -725,6 +800,17 @@ def law_moves(column):
     return patch
 
 
+def column_nan(column):
+    """Patch of collect: `column` of the table reads NaN."""
+    def patch(call):
+        def collect(*args):
+            table = call(*args)
+            table[:, COLUMNS.index(column)] = np.nan
+            return table
+        return collect
+    return patch
+
+
 def laws_at_zero(then=lambda call: call):
     """Patch of collect: the V and F columns read 0, as zero data would give; then `then`'s patch."""
     def patch(call):
@@ -744,8 +830,10 @@ HS_CONSERVING = simulate_config(system={"name": "hirota_satsuma", "a": 0.5, "b":
 VERDICT_CASES = {
     "simulate_infinite": (
         simulate_config(), "collect", lambda call: lambda *a: call(*a) + np.inf,
-        ["infinite_entries", "V_drift", "F_drift"],  # a non-finite column has no finite drift
+        ["nonfinite_entries", "V_drift", "F_drift"],  # a non-finite column has no finite drift
     ),
+    # NaN counts in a column the system fills, as s past the grid's reach once gave; the laws' drifts stay finite
+    "simulate_nan_norm": (simulate_config(), "collect", column_nan("Hs_u"), ["nonfinite_entries"]),
     # a law that starts at 0 drifts by 0.0 while it stays there and by inf once it moves
     "simulate_zero_data": (HS_CONSERVING, "collect", laws_at_zero(), []),
     "simulate_zero_data_V_moves": (HS_CONSERVING, "collect", laws_at_zero(law_moves("V")), ["V_drift"]),
@@ -876,7 +964,7 @@ def test_simulate_checks_c02_drift_of_each_law_the_system_conserves(monkeypatch,
     ))
     manifest = run(cfg, out_dir=tmp_path / "exact")
     assert manifest.status == "pass"
-    assert [c["name"] for c in manifest.checks] == ["infinite_entries", *drifts]
+    assert [c["name"] for c in manifest.checks] == ["nonfinite_entries", *drifts]
     # a 1e-3 w term grows each quadratic law by about 2e-3 per unit time, past c02's 1e-8
     call = SpectralRhs.__call__
     monkeypatch.setattr(SpectralRhs, "__call__", lambda self, w, t, out=None: call(self, w, t, out) + 1e-3 * w)
@@ -896,7 +984,7 @@ def test_feng_conserves_f_with_both_fields_moving(tmp_path, d):
     initial = {"u": {"kind": "gaussian", "amplitude": 0.5}, "v": {"kind": "gaussian", "amplitude": 0.25, "center": 1.0}}
     system = {"name": "feng", "a": -1.0, "b": 2.0, "c": 1.5, "d": d}
     manifest = run(config_from_dict(simulate_config(system=system, initial=initial)), out_dir=tmp_path)
-    assert [c["name"] for c in manifest.checks] == ["infinite_entries", "F_drift"]
+    assert [c["name"] for c in manifest.checks] == ["nonfinite_entries", "F_drift"]
     assert manifest.status == "pass"
 
 
